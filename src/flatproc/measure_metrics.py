@@ -2,6 +2,13 @@
 on metric supports, and the empirical stability harness relating measure
 distances to distances of derived area/intersection/proximity data.
 
+Both distances are exact at any support size.  The bounded-Lipschitz
+distance is a linear program solved by scipy's HiGHS solver.  The Prohorov
+distance uses Strassen's theorem in its finite-support form: for a fixed
+enlargement the largest violation is a max-flow deficiency, which is
+constant between consecutive distinct distances, so a bisection over those
+breakpoints finds the exact value.
+
 Sphere supports use the quotient geodesic metric arccos|<u,v>| on +-pairs;
 Grassmannian supports use the direct-rotation metric (the square root of
 `grassmann_distance`, which itself is a squared deviation and not a metric).
@@ -13,40 +20,50 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
-from ._lp import linprog_max
 from .flat_geometry import Subspace, grassmann_metric
 from .measures import GrassmannMeasure, SphereMeasure, lower_bound_check
 from .zonoid_engine import area_measure, mu_Q_r
 
-EXACT_SUPPORT_LIMIT = 20
+# The Prohorov distance is exact to round-off; this is the margin below a
+# returned value at which callers can check that it is also the least one.
 PROHOROV_TOL = 1e-6
+# Entries of the (rows, m, m) temporary of one block of the triangle check.
+_TRIANGLE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
 class MetricSample:
     """Common finite support with a precomputed distance table.
 
-    The table must be symmetric with zero diagonal and satisfy the triangle
-    inequality within 1e-9 (validated on construction).
+    The table must be finite, symmetric with zero diagonal and satisfy the
+    triangle inequality within 1e-9 (validated on construction).
     """
 
     dist: np.ndarray
 
     def __post_init__(self) -> None:
-        dist = np.asarray(self.dist, dtype=float)
+        dist = np.array(self.dist, dtype=float)  # a copy: frozen below
         m = dist.shape[0]
         if dist.shape != (m, m):
             raise ValueError("distance table must be square")
+        if not np.all(np.isfinite(dist)):
+            raise ValueError("distance table must be finite")
         if np.max(np.abs(dist - dist.T), initial=0.0) > 1e-12:
             raise ValueError("distance table must be symmetric")
         if np.max(np.abs(np.diag(dist)), initial=0.0) > 1e-12:
             raise ValueError("distance table must have zero diagonal")
         if np.any(dist < 0):
             raise ValueError("distances must be nonnegative")
-        via = np.min(dist[:, :, None] + dist[None, :, :], axis=1)
-        if np.max(dist - via, initial=0.0) > 1e-9:
-            raise ValueError("distance table violates the triangle inequality")
+        # rows in blocks, so the temporary stays near _TRIANGLE_BLOCK entries
+        block = max(1, _TRIANGLE_BLOCK // max(m * m, 1))
+        for start in range(0, m, block):
+            rows = dist[start:start + block]
+            via = np.min(rows[:, :, None] + dist[None, :, :], axis=1)
+            if np.max(rows - via, initial=0.0) > 1e-9:
+                raise ValueError("distance table violates the triangle inequality")
         dist.flags.writeable = False
         object.__setattr__(self, "dist", dist)
 
@@ -75,138 +92,138 @@ class MetricSample:
         return MetricSample(dist)
 
 
+def _weights(sample: MetricSample, mu, nu) -> tuple[np.ndarray, np.ndarray]:
+    """Two weight vectors on the support: finite and nonnegative."""
+    mu = np.asarray(mu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    m = sample.size
+    if mu.shape != (m,) or nu.shape != (m,):
+        raise ValueError("weight vectors must match the support size")
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
+        raise ValueError("weights must be finite")
+    if np.any(mu < 0) or np.any(nu < 0):
+        raise ValueError("weights must be nonnegative")
+    return mu, nu
+
+
+def _highs_max(c: np.ndarray, a_ub, b_ub: np.ndarray, bounds) -> float:
+    """max c.x over {A x <= b, x within bounds} by scipy's HiGHS solver."""
+    res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS failed: {res.message}")
+    return -float(res.fun)
+
+
 def bl_distance(sample: MetricSample, mu: np.ndarray, nu: np.ndarray) -> float:
     """Bounded-Lipschitz distance of two weight vectors on a common support.
 
     Maximizes sum f_i (mu_i - nu_i) over functions with sup-norm plus
-    Lipschitz-norm at most 1, as a linear program: f_i split into
-    nonnegative parts, |f_i| <= a, |f_i - f_j| <= b rho_ij, a + b <= 1.
+    Lipschitz-norm at most 1, as a linear program in f_i in [-1, 1] and
+    a, b >= 0: |f_i| <= a, f_i - f_j <= b rho_ij for i != j, a + b <= 1.
     """
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    m = sample.size
-    if mu.shape != (m,) or nu.shape != (m,):
-        raise ValueError("weight vectors must match the support size")
+    mu, nu = _weights(sample, mu, nu)
     tau = mu - nu
-    if np.max(np.abs(tau), initial=0.0) == 0.0:
+    if not np.any(tau):
         return 0.0
-    # variables: p_0..p_{m-1}, q_0..q_{m-1}, a, b  (f = p - q)
-    nv = 2 * m + 2
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def row(entries) -> np.ndarray:
-        r = np.zeros(nv)
-        for pos, val in entries:
-            r[pos] = val
-        return r
-
-    a_pos, b_pos = 2 * m, 2 * m + 1
-    for i in range(m):
-        rows.append(row([(i, 1.0), (m + i, -1.0), (a_pos, -1.0)]))
-        rhs.append(0.0)
-        rows.append(row([(i, -1.0), (m + i, 1.0), (a_pos, -1.0)]))
-        rhs.append(0.0)
-        # the optimum never needs |f| parts beyond the sup-norm cap of 1;
-        # bounding them keeps the polytope compact (no zero-cost rays)
-        rows.append(row([(i, 1.0)]))
-        rhs.append(1.0)
-        rows.append(row([(m + i, 1.0)]))
-        rhs.append(1.0)
-    for i in range(m):
-        for j in range(i + 1, m):
-            rho = sample.dist[i, j]
-            rows.append(row([(i, 1.0), (m + i, -1.0), (j, -1.0), (m + j, 1.0),
-                             (b_pos, -rho)]))
-            rhs.append(0.0)
-            rows.append(row([(i, -1.0), (m + i, 1.0), (j, 1.0), (m + j, -1.0),
-                             (b_pos, -rho)]))
-            rhs.append(0.0)
-    rows.append(row([(a_pos, 1.0), (b_pos, 1.0)]))
-    rhs.append(1.0)
-    c = np.concatenate([tau, -tau, [0.0, 0.0]])
-    _, value = linprog_max(c, np.vstack(rows), np.array(rhs))
+    m = sample.size
+    a, b = m, m + 1  # columns of the sup-norm and Lipschitz bounds
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    sup = np.arange(2 * m)  # rows +-f_i - a <= 0
+    lip = 2 * m + np.arange(i.size)  # rows f_i - f_j - b rho_ij <= 0
+    cap = 2 * m + i.size  # row a + b <= 1
+    a_ub = coo_array((
+        np.concatenate([np.repeat([1.0, -1.0], m), np.full(2 * m, -1.0),
+                        np.ones(i.size), np.full(i.size, -1.0), -sample.dist[i, j],
+                        [1.0, 1.0]]),
+        (np.concatenate([sup, sup, lip, lip, lip, [cap, cap]]),
+         np.concatenate([np.tile(np.arange(m), 2), np.full(2 * m, a), i, j,
+                         np.full(i.size, b), [a, b]]))),
+        shape=(cap + 1, m + 2))
+    b_ub = np.zeros(cap + 1)
+    b_ub[cap] = 1.0
+    c = np.concatenate([tau, [0.0, 0.0]])
+    value = _highs_max(c, a_ub, b_ub, [(-1.0, 1.0)] * m + [(0.0, 1.0)] * 2)
     return max(value, 0.0)
 
 
-def _prohorov_feasible(eps: float, dist: np.ndarray, mu: np.ndarray,
-                       nu: np.ndarray, allow_reduced: bool) -> bool:
-    """Check mu(A) <= nu(A^eps) + eps over subsets A of supp(mu), and the
-    symmetric condition; A^eps uses the strict enlargement rho(x, A) < eps."""
-    for w_from, w_to in ((mu, nu), (nu, mu)):
-        support = np.nonzero(w_from > 0)[0]
-        s = support.size
-        if s == 0:
-            continue
-        adjacency = dist[support] < eps  # support point i -> enlarged by eps
-        if s <= EXACT_SUPPORT_LIMIT:
-            count = 1 << s
-            weights = w_from[support]
-            adj = adjacency.astype(np.float64)
-            for start in range(0, count, 1 << 16):
-                stop = min(start + (1 << 16), count)
-                block = np.arange(start, stop, dtype=np.uint32)
-                bits = ((block[:, None] >> np.arange(s)) & 1).astype(bool)
-                mass_a = bits @ weights
-                mass_reach = ((bits @ adj) > 0).astype(float) @ w_to
-                if np.any(mass_a > mass_reach + eps + 1e-15):
-                    return False
-        elif allow_reduced:
-            # reduced family: all metric balls around support points and
-            # unions of two balls (conservative: may miss violations)
-            inner = dist[np.ix_(support, support)]
-            radii = np.unique(inner)
-            for rad in radii:
-                balls = inner <= rad + 1e-15
-                for i in range(s):
-                    for members in ([balls[i]]
-                                    + [balls[i] | balls[j] for j in range(i + 1, s)]):
-                        mass_a = float(w_from[support[members]].sum())
-                        reach = np.any(adjacency[members], axis=0)
-                        if mass_a > float(w_to[reach].sum()) + eps + 1e-15:
-                            return False
-        else:
-            raise ValueError(
-                f"support size {s} exceeds the exact enumeration cap "
-                f"{EXACT_SUPPORT_LIMIT}; pass allow_reduced=True for a "
-                f"conservative (lower bound) evaluation")
-    return True
+def _max_flow(adjacent: np.ndarray, source_caps: np.ndarray,
+              sink_caps: np.ndarray) -> float:
+    """Max flow from a source through the bipartite graph `adjacent` to a
+    sink, with capacity source_caps[i] into left node i, sink_caps[j] out
+    of right node j and none on the edges i -> j."""
+    left, right = np.nonzero(adjacent)
+    edges = left.size
+    if edges == 0:
+        return 0.0
+    if edges == adjacent.size:
+        return min(float(source_caps.sum()), float(sink_caps.sum()))
+    columns = np.arange(edges)
+    a_ub = coo_array((np.ones(2 * edges),
+                      (np.concatenate([left, adjacent.shape[0] + right]),
+                       np.concatenate([columns, columns]))),
+                     shape=(sum(adjacent.shape), edges))
+    return _highs_max(np.ones(edges), a_ub,
+                      np.concatenate([source_caps, sink_caps]), (0.0, None))
 
 
-def prohorov_distance(sample: MetricSample, mu: np.ndarray, nu: np.ndarray,
-                      allow_reduced: bool = False) -> float:
-    """Prohorov distance by bisection on the enlargement margin.
+def _greedy_flow(adjacent: np.ndarray, source_caps: np.ndarray,
+                 sink_caps: np.ndarray) -> float:
+    """Value of a feasible flow in the network of `_max_flow`, so a lower
+    bound on the max flow: each left node in turn fills the remaining
+    capacity of its neighbours in index order."""
+    room = sink_caps.copy()
+    for i, cap in enumerate(source_caps):
+        nbrs = np.flatnonzero(adjacent[i])
+        free = room[nbrs]
+        room[nbrs] = free - np.clip(cap - (np.cumsum(free) - free), 0.0, free)
+    return float(sink_caps.sum() - room.sum())
 
-    Exact subset enumeration up to 20 support points per measure; larger
-    supports require allow_reduced=True and are evaluated on a reduced set
-    family (metric balls and pairwise unions), giving a lower bound.
+
+def prohorov_distance(sample: MetricSample, mu: np.ndarray, nu: np.ndarray) -> float:
+    """Prohorov distance: the least eps with mu(A) <= nu(A^eps) + eps and
+    nu(A) <= mu(A^eps) + eps for every A, where A^eps = {x : d(x, A) < eps}.
+
+    For a fixed eps the largest violation over both conditions is the
+    deficiency max(|mu|, |nu|) - F, where F is the max flow from supp(mu)
+    to supp(nu) along the pairs closer than eps (Strassen; the table is
+    symmetric, so one flow serves both directions).  With the distinct
+    distances 0 = t_0 < t_1 < ..., the deficiency D_k on (t_k, t_{k+1}]
+    uses the pairs d <= t_k and never rises with k, so the distance is
+    max(t_k, D_k) at the first k with D_k <= t_{k+1}, found by bisection.
+    When that is t_k itself, the infimum is not attained under the strict
+    enlargement, and the next float above t_k is returned.
     """
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    m = sample.size
-    if mu.shape != (m,) or nu.shape != (m,):
-        raise ValueError("weight vectors must match the support size")
-    for weights in (mu, nu):
-        s = int(np.count_nonzero(weights > 0))
-        if s > EXACT_SUPPORT_LIMIT and not allow_reduced:
-            raise ValueError(
-                f"support size {s} exceeds the exact enumeration cap "
-                f"{EXACT_SUPPORT_LIMIT}; pass allow_reduced=True for a "
-                f"conservative (lower bound) evaluation")
+    mu, nu = _weights(sample, mu, nu)
     if np.array_equal(mu, nu):
         return 0.0
-    diam = float(np.max(sample.dist, initial=0.0))
-    hi = diam + abs(float(mu.sum() - nu.sum())) + 2.0 * PROHOROV_TOL
-    if not _prohorov_feasible(hi, sample.dist, mu, nu, allow_reduced):
-        raise RuntimeError("internal error: upper bisection bound infeasible")
-    lo = 0.0
-    while hi - lo > PROHOROV_TOL:
-        mid = (lo + hi) / 2.0
-        if _prohorov_feasible(mid, sample.dist, mu, nu, allow_reduced):
+    left, right = np.flatnonzero(mu), np.flatnonzero(nu)
+    dist = sample.dist[np.ix_(left, right)]
+    mu, nu = mu[left], nu[right]
+    total = max(float(mu.sum()), float(nu.sum()))
+    t = np.unique(np.concatenate([[0.0], dist.ravel()]))
+    deficiency: dict[int, float] = {}
+
+    def deficiency_at(k: int) -> float:
+        if k not in deficiency:
+            deficiency[k] = total - _max_flow(dist <= t[k], mu, nu)
+        return deficiency[k]
+
+    def at_most(k: int, bound: float) -> bool:
+        """D_k <= bound; a greedy flow often shows it without an LP solve."""
+        return (total - _greedy_flow(dist <= t[k], mu, nu) <= bound
+                or deficiency_at(k) <= bound)
+
+    # D_k <= total, so every k with t_{k+1} >= total satisfies the test
+    lo, hi = 0, int(np.searchsorted(t, total)) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if at_most(mid, t[mid + 1]):
             hi = mid
         else:
-            lo = mid
-    return hi
+            lo = mid + 1
+    if not at_most(lo, t[lo]):
+        return deficiency_at(lo)
+    return float(np.nextafter(t[lo], np.inf)) if t[lo] > 0 else 0.0
 
 
 def _merge_sphere_supports(measures: Sequence[SphereMeasure]):
@@ -260,21 +277,19 @@ def _merge_grassmann_supports(measures: Sequence[GrassmannMeasure]):
     return MetricSample.from_subspaces(subs), vectors
 
 
-def sphere_distances(mu: SphereMeasure, nu: SphereMeasure,
-                     allow_reduced: bool = False) -> tuple[float, float]:
+def sphere_distances(mu: SphereMeasure, nu: SphereMeasure) -> tuple[float, float]:
     """(bounded-Lipschitz, Prohorov) distances of two atomic even measures."""
     sample, (w_mu, w_nu) = _merge_sphere_supports([mu, nu])
     return (bl_distance(sample, w_mu, w_nu),
-            prohorov_distance(sample, w_mu, w_nu, allow_reduced))
+            prohorov_distance(sample, w_mu, w_nu))
 
 
-def grassmann_distances(mu: GrassmannMeasure, nu: GrassmannMeasure,
-                        allow_reduced: bool = False) -> tuple[float, float]:
+def grassmann_distances(mu: GrassmannMeasure, nu: GrassmannMeasure) -> tuple[float, float]:
     """(bounded-Lipschitz, Prohorov) distances of two atomic Grassmann
     measures under the direct-rotation metric."""
     sample, (w_mu, w_nu) = _merge_grassmann_supports([mu, nu])
     return (bl_distance(sample, w_mu, w_nu),
-            prohorov_distance(sample, w_mu, w_nu, allow_reduced))
+            prohorov_distance(sample, w_mu, w_nu))
 
 
 def stability_exponent(case: str, n: int, order: int) -> float:

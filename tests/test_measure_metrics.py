@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from flatproc._lp import SimplexError, linprog_max
+from flatproc import measure_metrics
 from flatproc.flat_geometry import Subspace, haar_sample
-from flatproc.measure_metrics import (EXACT_SUPPORT_LIMIT, MetricSample,
-                                      bl_distance, grassmann_distances,
+from flatproc.measure_metrics import (MetricSample, bl_distance, grassmann_distances,
                                       prohorov_distance, sphere_distances,
                                       stability_harness)
 from flatproc.measures import SphereMeasure
@@ -26,29 +25,6 @@ def two_point_sample(rho):
     return MetricSample(np.array([[0.0, rho], [rho, 0.0]]))
 
 
-def test_simplex_against_scipy_on_random_lps():
-    rng = np.random.default_rng(61)
-    for _ in range(25):
-        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 9))
-        c = rng.standard_normal(n)
-        a = rng.standard_normal((m, n))
-        b = rng.random(m) + 0.1
-        ref = linprog(-c, A_ub=a, b_ub=b, bounds=[(0, None)] * n, method="highs")
-        if ref.status == 3:  # genuinely unbounded instance
-            with pytest.raises(SimplexError, match="unbounded"):
-                linprog_max(c, a, b)
-            continue
-        assert ref.success
-        x, value = linprog_max(c, a, b)
-        assert value == pytest.approx(-ref.fun, abs=1e-8)
-        assert np.all(a @ x <= b + 1e-8) and np.all(x >= -1e-12)
-
-
-def test_simplex_detects_unbounded():
-    with pytest.raises(SimplexError, match="unbounded"):
-        linprog_max(np.array([1.0]), np.array([[-1.0]]), np.array([1.0]))
-
-
 def test_metric_sample_validation():
     with pytest.raises(ValueError, match="symmetric"):
         MetricSample(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -58,6 +34,35 @@ def test_metric_sample_validation():
                                [1.0, 5.0, 0.0]]))
     with pytest.raises(ValueError, match="diagonal"):
         MetricSample(np.array([[0.5]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_metric_sample_rejects_non_finite_table(bad):
+    with pytest.raises(ValueError, match="finite"):
+        MetricSample(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def test_triangle_check_in_blocks_finds_a_late_violation(monkeypatch):
+    # a tiny block forces one row per block; the bad entry sits in the last rows
+    monkeypatch.setattr(measure_metrics, "_TRIANGLE_BLOCK", 8)
+    rng = np.random.default_rng(68)
+    pts = rng.standard_normal((12, 3))
+    dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+    assert MetricSample(dist).size == 12
+    dist[10, 11] = dist[11, 10] = dist[10, 0] + dist[0, 11] + 1e-6
+    with pytest.raises(ValueError, match="triangle"):
+        MetricSample(dist)
+
+
+@pytest.mark.parametrize("metric", [bl_distance, prohorov_distance])
+@pytest.mark.parametrize("bad,message", [(math.nan, "finite"), (math.inf, "finite"),
+                                         (-0.25, "nonnegative")])
+def test_distances_reject_bad_weights(metric, bad, message):
+    sample = two_point_sample(0.5)
+    good = np.array([0.5, 0.5])
+    for mu, nu in ((np.array([bad, 0.5]), good), (good, np.array([0.5, bad]))):
+        with pytest.raises(ValueError, match=message):
+            metric(sample, mu, nu)
 
 
 def test_bl_distance_zero_for_equal_measures():
@@ -89,38 +94,100 @@ def test_prohorov_two_point_cap():
         assert value == pytest.approx(min(rho, 1.0), abs=2e-6)
 
 
+def brute_force_feasible(dist, mu, nu, eps, slack=1e-15):
+    """mu(A) <= nu(A^eps) + eps and the converse for every subset A, with
+    the strict enlargement A^eps = {x : d(x, A) < eps}, by plain enumeration."""
+    idx = range(len(mu))
+    for w_from, w_to in ((mu, nu), (nu, mu)):
+        for size in range(1, len(mu) + 1):
+            for subset in combinations(idx, size):
+                mass = sum(w_from[i] for i in subset)
+                enlarged = [j for j in idx if min(dist[i, j] for i in subset) < eps]
+                if mass > sum(w_to[j] for j in enlarged) + eps + slack:
+                    return False
+    return True
+
+
 def test_prohorov_brute_force_small_support():
-    # independent brute force: discretize epsilon and scan all subsets
+    # independent brute force: scan all subsets around the returned value
     rng = np.random.default_rng(63)
     sample = random_metric_sample(4, rng)
     mu, nu = rng.random(4), rng.random(4)
-
-    def feasible(eps):
-        idx = range(4)
-        for w_from, w_to in ((mu, nu), (nu, mu)):
-            for size in range(1, 5):
-                for subset in combinations(idx, size):
-                    mass = sum(w_from[i] for i in subset)
-                    enlarged = [j for j in idx
-                                if min(sample.dist[i, j] for i in subset) < eps]
-                    if mass > sum(w_to[j] for j in enlarged) + eps + 1e-15:
-                        return False
-        return True
-
     value = prohorov_distance(sample, mu, nu)
-    assert feasible(value + 1e-5)
-    assert not feasible(value - 1e-5)
+    assert brute_force_feasible(sample.dist, mu, nu, value + 1e-5)
+    assert not brute_force_feasible(sample.dist, mu, nu, value - 1e-5)
 
 
-def test_prohorov_support_cap_and_reduced_mode():
+def test_prohorov_exact_against_subset_enumeration():
+    # the returned value is feasible and 1e-9 below it is not: exact, not a
+    # bisection bracket; normalized, unnormalized and partly zero weights
     rng = np.random.default_rng(64)
-    m = EXACT_SUPPORT_LIMIT + 3
+    for trial in range(30):
+        m = int(rng.integers(2, 9))
+        sample = random_metric_sample(m, rng, scale=0.5 if trial % 2 else 1.0)
+        mu, nu = rng.random(m), rng.random(m)
+        if trial % 3 == 0:
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+        if trial % 4 == 0:
+            mu[rng.integers(m)] = 0.0
+        value = prohorov_distance(sample, mu, nu)
+        assert brute_force_feasible(sample.dist, mu, nu, value, slack=1e-12)
+        assert not brute_force_feasible(sample.dist, mu, nu, value - 1e-9, slack=1e-12)
+
+
+@pytest.mark.parametrize("m", [23, 40])
+def test_prohorov_beyond_old_support_cap_within_dudley_bracket(m):
+    # probability measures: rho^2 / 4 <= beta <= 2 rho (Dudley, Real
+    # Analysis and Probability, 11.3) for Prohorov rho and bounded-Lipschitz beta
+    rng = np.random.default_rng(69 + m)
     sample = random_metric_sample(m, rng)
-    mu, nu = rng.random(m) + 0.1, rng.random(m) + 0.1
-    with pytest.raises(ValueError, match="allow_reduced"):
-        prohorov_distance(sample, mu, nu)
-    reduced = prohorov_distance(sample, mu, nu, allow_reduced=True)
-    assert 0.0 <= reduced <= float(np.max(sample.dist)) + abs(mu.sum() - nu.sum())
+    mu, nu = rng.random(m) + 0.05, rng.random(m) + 0.05
+    mu, nu = mu / mu.sum(), nu / nu.sum()
+    rho, beta = prohorov_distance(sample, mu, nu), bl_distance(sample, mu, nu)
+    assert 0.0 < rho <= 1.0
+    assert rho * rho / 4.0 <= beta + 1e-12 and beta <= 2.0 * rho + 1e-12
+
+
+def bl_by_split_lp(dist, mu, nu):
+    """Bounded-Lipschitz LP in the split form f = p - q with p, q in [0, 1],
+    written out row by row: +-f_i <= a, +-(f_i - f_j) <= b dist_ij for
+    i < j, and a + b <= 1."""
+    m = len(mu)
+    tau = mu - nu
+    rows = []
+    for i in range(m):
+        for sign in (1.0, -1.0):
+            r = np.zeros(2 * m + 2)
+            r[i], r[m + i], r[2 * m] = sign, -sign, -1.0
+            rows.append(r)
+    for i, j in combinations(range(m), 2):
+        for sign in (1.0, -1.0):
+            r = np.zeros(2 * m + 2)
+            r[i], r[m + i], r[j], r[m + j] = sign, -sign, -sign, sign
+            r[2 * m + 1] = -dist[i, j]
+            rows.append(r)
+    cap = np.zeros(2 * m + 2)
+    cap[2 * m] = cap[2 * m + 1] = 1.0
+    rows.append(cap)
+    b_ub = np.zeros(len(rows))
+    b_ub[-1] = 1.0
+    bounds = [(0.0, 1.0)] * (2 * m) + [(0.0, None)] * 2
+    res = linprog(np.concatenate([-tau, tau, [0.0, 0.0]]), A_ub=np.array(rows),
+                  b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def test_bl_distance_against_split_form_lp():
+    rng = np.random.default_rng(70)
+    for trial in range(15):
+        m = int(rng.integers(2, 16))
+        sample = random_metric_sample(m, rng)
+        mu, nu = rng.random(m), rng.random(m)
+        if trial % 2:
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+        assert bl_distance(sample, mu, nu) == pytest.approx(
+            bl_by_split_lp(sample.dist, mu, nu), abs=1e-9)
 
 
 def test_metric_axioms_on_random_triples():
