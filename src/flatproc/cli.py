@@ -33,7 +33,8 @@ from .measure_metrics import stability_harness
 from .simulator import (FlatProcessSpec, SrConstruction, build_factorial_distribution,
                         sample_cube_process, sample_poisson, sample_sr_flats,
                         write_flat_sample)
-from .stats_harness import ReplicationPlan, clt_diagnostics, ks_statistic, replicate
+from .stats_harness import (KS_MIN_POINTS, ReplicationPlan, clt_diagnostics, ks_statistic,
+                            replicate)
 from .zonoid_engine import (area_measure, from_measure, intrinsic_volume,
                             merge_grassmann_atoms)
 
@@ -125,25 +126,24 @@ def _estimate_min_length(rng, spec: FlatProcessSpec, delta: float, alpha: float,
 
 
 def _estimate_intersection_count(rng, spec: FlatProcessSpec, order: int) -> float:
-    sample = sample_poisson(spec, 1.0, rng)
-    inter = intersections(sample, order=order)
-    hits = sum(1 for flat in inter.flats
-               if np.linalg.norm(flat.offset) <= 1.0)
-    return float(hits)
+    inter = intersections(sample_poisson(spec, 1.0, rng), order=order)
+    return float(np.sum(np.linalg.norm(inter.offsets, axis=1) <= 1.0))
 
 
 def _write_raw_csv(path: str, columns: dict) -> None:
     """Opt-in CSV of raw replication values, one column per series."""
-    keys = list(columns)
-    rows = max(np.asarray(columns[k]).shape[0] for k in keys)
-    lines = [",".join(keys)]
-    for i in range(rows):
-        cells = []
-        for k in keys:
-            arr = np.asarray(columns[k])
-            cells.append(repr(float(arr[i])) if i < arr.shape[0] else "")
-        lines.append(",".join(cells))
+    arrays = [np.asarray(values) for values in columns.values()]
+    lines = [",".join(columns)] + [
+        ",".join(repr(float(arr[i])) if i < arr.shape[0] else "" for arr in arrays)
+        for i in range(max(arr.shape[0] for arr in arrays))]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _proximity_spec(args) -> tuple[GrassmannMeasure, FlatProcessSpec]:
+    if not 2 * args.k < args.n:
+        raise ValueError("requires 2k < n")
+    q = _parse_q(args.q, args.n, args.k)
+    return q, FlatProcessSpec(args.n, args.k, args.gamma, q)
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
@@ -168,11 +168,8 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 
 def _cmd_proximity(args) -> tuple[dict, int]:
-    if not 2 * args.k < args.n:
-        raise ValueError("requires 2k < n")
-    q = _parse_q(args.q, args.n, args.k)
+    q, spec = _proximity_spec(args)
     window = args.window
-    spec = FlatProcessSpec(args.n, args.k, args.gamma, q)
     radius = window.circumradius() + args.delta / 2.0
     closed, closed_se = mean_F_alpha(args.n, args.k, args.gamma, q, args.delta,
                                      args.alpha, window)
@@ -260,10 +257,7 @@ def _cmd_zonoid(args) -> tuple[dict, int]:
 
 
 def _cmd_clt(args) -> tuple[dict, int]:
-    if not 2 * args.k < args.n:
-        raise ValueError("requires 2k < n")
-    q = _parse_q(args.q, args.n, args.k)
-    spec = FlatProcessSpec(args.n, args.k, args.gamma, q)
+    q, spec = _proximity_spec(args)
     base = WindowDescriptor.ball(1.0)
     values = {}
     for rho in args.rho:
@@ -285,10 +279,7 @@ def _cmd_clt(args) -> tuple[dict, int]:
 
 
 def _cmd_weibull(args) -> tuple[dict, int]:
-    if not 2 * args.k < args.n:
-        raise ValueError("requires 2k < n")
-    q = _parse_q(args.q, args.n, args.k)
-    spec = FlatProcessSpec(args.n, args.k, args.gamma, q)
+    q, spec = _proximity_spec(args)
     base = WindowDescriptor.ball(1.0)
     window = base.rescaled(args.rho)
     radius = window.circumradius() + args.delta / 2.0
@@ -302,11 +293,13 @@ def _cmd_weibull(args) -> tuple[dict, int]:
     scaled = scale * finite
     if args.raw_csv:
         _write_raw_csv(args.raw_csv, {"scaledMin": scaled})
-    ks = ks_statistic(scaled, lambda x: weibull_cdf(x, beta, args.n, args.k, args.alpha))
-    passed = ks < 0.05 and finite.shape[0] == raw.shape[0]
+    # too few windows with a segment leave no KS statistic: a failed check
+    ks = (ks_statistic(scaled, lambda x: weibull_cdf(x, beta, args.n, args.k, args.alpha))
+          if finite.shape[0] >= KS_MIN_POINTS else None)
+    passed = ks is not None and ks < 0.05 and finite.shape[0] == raw.shape[0]
     results = {"beta": beta, "ks": ks, "scaled": args.rho,
                "emptyWindows": int(raw.shape[0] - finite.shape[0]),
-               "meanScaledMin": float(scaled.mean()),
+               "meanScaledMin": float(scaled.mean()) if finite.shape[0] else None,
                "records": [as_record("weibullRate", beta, 0.0,
                                      {"n": args.n, "k": args.k,
                                       "gamma": args.gamma, "q": args.q})]}
@@ -398,6 +391,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="worker processes; results are independent of it")
 
 
+def _add_process(p: argparse.ArgumentParser, alpha: float) -> None:
+    """Flags of the subcommands that sample a process and its proximity."""
+    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=alpha)
+    p.add_argument("--q", type=str, default="isotropic")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flatproc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -418,12 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("proximity", help="Monte Carlo vs closed-form proximity")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--q", type=str, default="isotropic")
+    _add_process(p, alpha=0.0)
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--window", type=_parse_window, default=_parse_window("cube"))
     p.add_argument("--raw-csv", type=str, default=None,
@@ -452,12 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_zonoid)
 
     p = sub.add_parser("clt", help="normality diagnostics across window scales")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--q", type=str, default="isotropic")
+    _add_process(p, alpha=0.0)
     p.add_argument("--rho", type=float, nargs="+", default=[2.0, 4.0, 8.0])
     p.add_argument("--reps", type=int, default=1_000)
     p.add_argument("--raw-csv", type=str, default=None,
@@ -466,12 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_clt)
 
     p = sub.add_parser("weibull", help="scaled shortest-segment law vs its limit")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--q", type=str, default="isotropic")
+    _add_process(p, alpha=1.0)
     p.add_argument("--rho", type=float, default=8.0)
     p.add_argument("--reps", type=int, default=2_000)
     p.add_argument("--raw-csv", type=str, default=None,
@@ -504,12 +492,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# float flags that must be finite and positive; gamma and alpha may be 0
+_POSITIVE_FLAGS = ("delta", "radius", "cover", "rho", "rho_bound", "upper")
+_NONNEGATIVE_FLAGS = ("gamma", "alpha")
+
+
+def _check_float_flags(args) -> None:
+    for name in _POSITIVE_FLAGS + _NONNEGATIVE_FLAGS:
+        values = getattr(args, name, None)
+        zero_ok = name in _NONNEGATIVE_FLAGS
+        for x in values if isinstance(values, list) else [values]:
+            if x is not None and not (math.isfinite(x) and (x > 0 or zero_ok and x == 0)):
+                kind = "nonnegative" if zero_ok else "positive"
+                raise ValueError(f"--{name.replace('_', '-')} must be finite and {kind}, got {x!r}")
+
+
 def _apply_config(argv: list[str]) -> list[str]:
     """Insert config-file key=value pairs as flags right after the
     subcommand, so explicit flags (parsed later) override them."""
     if "--config" not in argv:
         return argv
     pos = argv.index("--config")
+    if pos + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = argv[pos + 1]
     tokens: list[str] = []
     for line in Path(path).read_text().splitlines():
@@ -529,16 +534,15 @@ def run(argv: list[str] | None = None) -> int:
         if argv and not argv[0].startswith("-"):
             argv = _apply_config(argv)
         args = parser.parse_args(argv)
+        _check_float_flags(args)
+        config = {key: (str(value) if isinstance(value, WindowDescriptor) else value)
+                  for key, value in vars(args).items()
+                  if key not in ("func",) and not callable(value)}
+        results, code = args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = {key: (str(value) if isinstance(value, WindowDescriptor) else value)
-              for key, value in vars(args).items()
-              if key not in ("func",) and not callable(value)}
-    try:
-        results, code = args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _Parser._fail(exc)
     passed = None if code == 0 and args.command in ("simulate", "version") else code == 0
     _emit(_summary(args.command, config, results, passed), getattr(args, "out", None))
     return code

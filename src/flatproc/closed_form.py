@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 from scipy.integrate import quad
@@ -16,10 +17,10 @@ from scipy.integrate import quad
 from . import constants
 from ._rng import SeedLike, as_generator
 from .flat_geometry import Subspace, complement, haar_sample, orthonormalize, subspace_determinant
-from .measures import DirectionSet, GrassmannMeasure, SphereMeasure
+from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
+                       finite_positive)
 from .zonoid_engine import mu_Q_r
 
-DEFAULT_MC_SAMPLES = 100_000
 BOX_MC_SAMPLES = 1_000_000
 
 
@@ -39,13 +40,13 @@ class WindowDescriptor:
     def __post_init__(self) -> None:
         if self.shape not in ("ball", "box"):
             raise ValueError(f"unknown window shape {self.shape!r}")
-        if self.shape == "ball" and (self.radius is None or self.radius <= 0):
-            raise ValueError("ball window needs a positive radius")
+        if self.shape == "ball" and (self.radius is None or not finite_positive(self.radius)):
+            raise ValueError("ball window needs a finite positive radius")
         if self.shape == "box":
-            if not self.sides or any(s <= 0 for s in self.sides):
-                raise ValueError("box window needs positive side lengths")
-        if self.scale <= 0:
-            raise ValueError("window scale must be positive")
+            if not self.sides or not all(finite_positive(s) for s in self.sides):
+                raise ValueError("box window needs finite positive side lengths")
+        if not finite_positive(self.scale):
+            raise ValueError("window scale must be finite and positive")
 
     @staticmethod
     def ball(radius: float, scale: float = 1.0) -> "WindowDescriptor":
@@ -241,15 +242,12 @@ def proximity_directional_measure(n: int, q: GrassmannMeasure) -> SphereMeasure:
     if q.is_isotropic:
         raise ValueError("requires an atomic directional distribution")
     components: list[tuple[Subspace, float]] = []
-    atoms = list(q.atoms)
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            (l_sub, w1), (m_sub, w2) = atoms[i], atoms[j]
-            det = subspace_determinant([l_sub, m_sub])
-            if det <= 1e-14:
-                continue
-            joint = orthonormalize(np.vstack([l_sub.basis, m_sub.basis]))
-            components.append((complement(joint), 2.0 * w1 * w2 * det))
+    for (l_sub, w1), (m_sub, w2) in combinations(q.atoms, 2):
+        det = subspace_determinant([l_sub, m_sub])
+        if det <= 1e-14:
+            continue
+        joint = orthonormalize(np.vstack([l_sub.basis, m_sub.basis]))
+        components.append((complement(joint), 2.0 * w1 * w2 * det))
     total = sum(w * constants.sphere_surface(s.k) for s, w in components)
     if total <= 0:
         raise ValueError("degenerate directional distribution")
@@ -300,15 +298,8 @@ def intersection_density(n: int, dims, intensities, qs, g=None,
         return det * float(g(intersect_subspaces(subs)))
 
     if all(not q.is_isotropic for q in qs):
-        total = 0.0
-        stack = [(0, [], 1.0)]
-        while stack:
-            depth, subs, weight = stack.pop()
-            if depth == r:
-                total += weight * term(subs)
-                continue
-            for sub, w in qs[depth].atoms:
-                stack.append((depth + 1, subs + [sub], weight * w))
+        total = sum(math.prod(w for _, w in atoms) * term([sub for sub, _ in atoms])
+                    for atoms in product(*[q.atoms for q in qs]))
         return prefactor * total, 0.0
 
     gen = as_generator(rng if rng is not None else 0x1507)

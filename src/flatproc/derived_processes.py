@@ -1,28 +1,29 @@
 """Intersection and proximity processes built from flat samples, and the
 length-power direction functionals evaluated on them.
 
-Segment samples are stored as arrays (midpoints, lengths, directions, index
-pairs); `SegmentProcessSample.segments` materializes the immutable segment
-objects on demand.  Pair enumeration is O(N^2) by design; the exactness of
-the enumeration is guaranteed by the window-radius precondition
-radius >= circumradius(A) + delta/2 checked in `f_alpha`.
+Both processes are stored as arrays: segments as midpoints, lengths,
+directions and index pairs, intersection flats as direction bases, offsets
+and generator index tuples; `segments` and `flats` materialize the immutable
+objects on demand.  Every pair or tuple is solved in one batch by the
+array kernels of `flat_geometry` (`pair_segments`, `tuple_intersections`).
+Pair enumeration is O(N^2) by design; the exactness of the enumeration is
+guaranteed by the window-radius precondition radius >= circumradius(A) +
+delta/2 checked in `f_alpha`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .closed_form import WindowDescriptor
-from .flat_geometry import (DegeneratePairError, Flat, ProximitySegment,
-                            closest_pair, intersect_flats)
+from .flat_geometry import (Flat, ProximitySegment, Subspace, freeze_fields, pair_segments,
+                            tuple_intersections)
 from .measures import DirectionSet
 from .simulator import FlatSample
-
-GENERAL_POSITION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,8 @@ class SegmentProcessSample:
             norms = np.linalg.norm(directions, axis=1)
             if np.max(np.abs(norms - 1.0)) > 1e-9:
                 raise ValueError("segment directions must be unit vectors")
-        for arr in (midpoints, lengths, directions, pairs):
-            arr.flags.writeable = False
-        object.__setattr__(self, "midpoints", midpoints)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "pairs", pairs)
+        freeze_fields(self, midpoints=midpoints, lengths=lengths, directions=directions,
+                      pairs=pairs)
 
     def __len__(self) -> int:
         return self.lengths.shape[0]
@@ -72,59 +69,42 @@ class SegmentProcessSample:
 
 @dataclass(frozen=True)
 class IntersectionSample:
-    """Intersection flats of one realization with their generator indices."""
+    """Intersection q-flats of one realization, as parallel arrays."""
 
     n: int
     q: int
-    flats: tuple[Flat, ...]
-    generator_indices: tuple[tuple[int, ...], ...]
+    bases: np.ndarray    # (m, q, n) orthonormal rows per flat
+    offsets: np.ndarray  # (m, n), each orthogonal to its basis rows
+    tuples: np.ndarray   # (m, r) generator indices into the source sample(s)
 
     def __post_init__(self) -> None:
-        for flat in self.flats:
-            if flat.n != self.n or flat.k != self.q:
-                raise ValueError("intersection flats must have dimension q")
+        freeze_fields(self, bases=np.asarray(self.bases, dtype=float),
+                      offsets=np.asarray(self.offsets, dtype=float),
+                      tuples=np.asarray(self.tuples, dtype=int))
 
     def __len__(self) -> int:
-        return len(self.flats)
+        return self.offsets.shape[0]
+
+    @cached_property
+    def flats(self) -> tuple[Flat, ...]:
+        return tuple(Flat(Subspace(self.bases[i]), self.offsets[i])
+                     for i in range(len(self)))
+
+    @cached_property
+    def generator_indices(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(int(i) for i in row) for row in self.tuples)
 
 
-def _line_pair_segments(dirs_a, offs_a, dirs_b, offs_b, pairs, delta):
-    """Vectorized closest-pair solve for batches of line pairs.
-
-    pairs is an (m, 2) index array into the two line families.  Returns the
-    qualifying subset (midpoints, lengths, directions, pairs): general
-    position, positive separation, length at most delta.
-    """
-    i, j = pairs[:, 0], pairs[:, 1]
-    u, v = dirs_a[i], dirs_b[j]
-    a, b = offs_a[i], offs_b[j]
-    c = np.einsum("mn,mn->m", u, v)
-    det = 1.0 - c * c
-    ok = np.sqrt(np.maximum(det, 0.0)) > GENERAL_POSITION_TOL
-    u, v, a, b, c, det, pairs = u[ok], v[ok], a[ok], b[ok], c[ok], det[ok], pairs[ok]
-    d = a - b
-    # normal equations of min |d + s u - t v| over (s, t)
-    r1 = -np.einsum("mn,mn->m", u, d)
-    r2 = np.einsum("mn,mn->m", v, d)
-    s = (r1 + c * r2) / det
-    t = (c * r1 + r2) / det
-    x_e = a + s[:, None] * u
-    x_f = b + t[:, None] * v
-    gap = x_e - x_f
-    lengths = np.linalg.norm(gap, axis=1)
-    keep = (lengths > 1e-12) & (lengths <= delta)
-    gap, lengths, pairs = gap[keep], lengths[keep], pairs[keep]
-    midpoints = (x_e[keep] + x_f[keep]) / 2.0
-    directions = gap / lengths[:, None]
-    # sign-canonicalize: first coordinate of nonneligible magnitude positive
-    flip = np.zeros(directions.shape[0], dtype=bool)
-    undecided = np.ones(directions.shape[0], dtype=bool)
-    for col in range(directions.shape[1]):
-        decide = undecided & (np.abs(directions[:, col]) > 1e-12)
-        flip |= decide & (directions[:, col] < 0)
-        undecided &= ~decide
-    directions[flip] *= -1.0
-    return midpoints, lengths, directions, pairs
+def _index_tuples(sizes: list[int], single: bool) -> np.ndarray:
+    """Index tuples in lexicographic order: the r-subsets of one sample of
+    sizes[0] flats (single), or the product over r samples."""
+    r = len(sizes)
+    if not single:
+        grids = np.meshgrid(*[np.arange(size) for size in sizes], indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=1)
+    if r == 2:  # the same pairs, without a Python tuple per pair
+        return np.stack(np.triu_indices(sizes[0], k=1), axis=1).astype(int)
+    return np.array(list(combinations(range(sizes[0]), r)), dtype=int).reshape(-1, r)
 
 
 def proximity(sample_a: FlatSample, sample_b: FlatSample | None = None,
@@ -146,38 +126,10 @@ def proximity(sample_a: FlatSample, sample_b: FlatSample | None = None,
     if delta <= 0:
         raise ValueError("distance threshold must be positive")
     radius = min(sample_a.radius, other.radius)
-    na, nb = len(sample_a), len(other)
-    if single:
-        idx = np.stack(np.triu_indices(na, k=1), axis=1).astype(int)
-    else:
-        ii, jj = np.meshgrid(np.arange(na), np.arange(nb), indexing="ij")
-        idx = np.stack([ii.ravel(), jj.ravel()], axis=1)
-
-    if sample_a.k == 1 and other.k == 1 and idx.shape[0]:
-        mids, lens, dirs, pairs = _line_pair_segments(
-            sample_a.bases[:, 0, :], sample_a.offsets,
-            other.bases[:, 0, :], other.offsets, idx, delta)
-        return SegmentProcessSample(n, delta, radius, mids, lens, dirs, pairs)
-
-    mids, lens, dirs, pairs = [], [], [], []
-    flats_a = sample_a.flats
-    flats_b = flats_a if single else other.flats
-    for i, j in idx:
-        try:
-            seg = closest_pair(flats_a[i], flats_b[j])
-        except DegeneratePairError:
-            continue
-        if seg.length <= delta:
-            mids.append(seg.midpoint)
-            lens.append(seg.length)
-            dirs.append(seg.direction)
-            pairs.append((i, j))
-    m = len(lens)
-    return SegmentProcessSample(
-        n, delta, radius,
-        np.array(mids).reshape(m, n) if m else np.zeros((0, n)),
-        np.array(lens), np.array(dirs).reshape(m, n) if m else np.zeros((0, n)),
-        np.array(pairs).reshape(m, 2) if m else np.zeros((0, 2), dtype=int))
+    idx = _index_tuples([len(sample_a), len(other)], single)
+    mids, lens, dirs, pairs = pair_segments(sample_a.bases, sample_a.offsets,
+                                            other.bases, other.offsets, idx, delta)
+    return SegmentProcessSample(n, delta, radius, mids, lens, dirs, pairs)
 
 
 def intersections(samples, order: int | None = None) -> IntersectionSample:
@@ -187,41 +139,41 @@ def intersections(samples, order: int | None = None) -> IntersectionSample:
     Each unordered set of r flats in general position contributes its
     intersection flat of dimension q = k_1 + ... + k_r - (r-1) n.
     """
-    if isinstance(samples, FlatSample):
+    single = isinstance(samples, FlatSample)
+    if single:
         if order is None:
             raise ValueError("order is required for a single sample")
         sample_list = [samples] * order
-        index_sets = combinations(range(len(samples)), order)
     else:
         sample_list = list(samples)
         if order is not None and order != len(sample_list):
             raise ValueError("order must match the number of samples")
-        index_sets = product(*[range(len(s)) for s in sample_list])
     r = len(sample_list)
     n = sample_list[0].n
-    dims = [s.k for s in sample_list]
-    q = sum(dims) - (r - 1) * n
+    q = sum(s.k for s in sample_list) - (r - 1) * n
     if q < 0:
         raise ValueError("requires k_1 + ... + k_r >= (r-1) n")
-    flats, gens = [], []
-    flat_tuples = [s.flats for s in sample_list]
-    for idx in index_sets:
-        try:
-            inter = intersect_flats([flat_tuples[pos][i] for pos, i in enumerate(idx)])
-        except DegeneratePairError:
-            continue
-        flats.append(inter)
-        gens.append(tuple(int(i) for i in idx))
-    return IntersectionSample(n=n, q=q, flats=tuple(flats),
-                              generator_indices=tuple(gens))
+    tuples = _index_tuples([len(s) for s in sample_list], single)
+    bases, offsets, tuples = tuple_intersections(
+        [s.bases for s in sample_list], [s.offsets for s in sample_list], tuples)
+    return IntersectionSample(n, q, bases, offsets, tuples)
 
 
-def _check_window(seg: SegmentProcessSample, window: WindowDescriptor) -> None:
+def _qualifying_lengths(seg: SegmentProcessSample, window: WindowDescriptor,
+                        direction_set: DirectionSet | None) -> np.ndarray:
+    """Lengths of the segments with midpoint in the window and direction in
+    the direction set; the sample window must make the enumeration exact."""
     needed = window.circumradius() + seg.delta / 2.0
     if seg.radius < needed - 1e-9:
         raise ValueError(
             f"window too small for exact enumeration: sample window radius "
             f"{seg.radius} < circumradius + delta/2 = {needed}")
+    if len(seg) == 0:
+        return seg.lengths
+    keep = window.contains(seg.midpoints)
+    if direction_set is not None and direction_set.kind != "full":
+        keep = keep & direction_set.contains(seg.directions)
+    return seg.lengths[keep]
 
 
 def f_alpha(seg: SegmentProcessSample, alpha: float, window: WindowDescriptor,
@@ -235,15 +187,7 @@ def f_alpha(seg: SegmentProcessSample, alpha: float, window: WindowDescriptor,
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    _check_window(seg, window)
-    if len(seg) == 0:
-        return 0.0
-    keep = window.contains(seg.midpoints)
-    if direction_set is not None and direction_set.kind != "full":
-        keep = keep & direction_set.contains(seg.directions)
-    if not np.any(keep):
-        return 0.0
-    return float(np.sum(seg.lengths[keep] ** alpha))
+    return float(np.sum(_qualifying_lengths(seg, window, direction_set) ** alpha))
 
 
 def order_statistics(seg: SegmentProcessSample, alpha: float,
@@ -255,11 +199,7 @@ def order_statistics(seg: SegmentProcessSample, alpha: float,
     """
     if alpha <= 0:
         raise ValueError("order statistics need a positive length power")
-    _check_window(seg, window)
-    keep = window.contains(seg.midpoints) if len(seg) else np.zeros(0, dtype=bool)
-    if direction_set is not None and direction_set.kind != "full" and len(seg):
-        keep = keep & direction_set.contains(seg.directions)
-    values = np.sort(seg.lengths[keep] ** alpha) if len(seg) else np.zeros(0)
+    values = np.sort(_qualifying_lengths(seg, window, direction_set) ** alpha)
     out = np.full(m, np.inf)
     out[: min(m, values.shape[0])] = values[:m]
     return out

@@ -1,8 +1,9 @@
 """Exact linear algebra on linear and affine subspaces.
 
 Subspaces are stored as stacks of orthonormal row vectors.  Affine flats are
-a direction subspace plus an offset in its orthogonal complement.  All
-operations are pure; values are immutable after construction.
+a direction subspace plus an offset in its orthogonal complement.  Operations
+are pure and values immutable.  The array kernels work on (m, k, n) stacks of
+bases; the scalar `closest_pair` and `intersect_flats` are their reference.
 """
 from __future__ import annotations
 
@@ -21,6 +22,22 @@ class DegeneratePairError(ValueError):
     """Raised when a pair of flats is not in general position."""
 
 
+def freeze_fields(obj, **arrays: np.ndarray) -> None:
+    """Store the arrays, made read-only, as fields of a frozen dataclass."""
+    for name, arr in arrays.items():
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
+def canonical_units(units: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Copy of a stack of unit vectors, each row signed so that its first
+    coordinate of magnitude above tol is positive."""
+    units = np.array(units, dtype=float)
+    first = np.argmax(np.abs(units) > tol, axis=1)
+    units[units[np.arange(units.shape[0]), first] < -tol] *= -1.0
+    return units
+
+
 def canonical_unit(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Normalize u and pick the lexicographically larger of +-u.
 
@@ -31,11 +48,7 @@ def canonical_unit(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     norm = float(np.linalg.norm(u))
     if norm < tol:
         raise ValueError("cannot canonicalize a near-zero vector")
-    u = u / norm
-    for x in u:
-        if abs(x) > tol:
-            return u if x > 0 else -u
-    return u
+    return canonical_units((u / norm)[None], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -52,7 +65,6 @@ class Subspace:
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
         if basis.size == 0:
             basis = basis.reshape(0, basis.shape[-1] if basis.ndim == 2 else 0)
-        object.__setattr__(self, "basis", basis)
         k, n = basis.shape
         if k > n:
             raise ValueError(f"subspace dimension {k} exceeds ambient dimension {n}")
@@ -60,7 +72,7 @@ class Subspace:
             gram = basis @ basis.T
             if not np.allclose(gram, np.eye(k), atol=1e-10):
                 raise ValueError("basis rows are not orthonormal")
-        basis.flags.writeable = False
+        freeze_fields(self, basis=basis)
 
     @property
     def n(self) -> int:
@@ -107,14 +119,13 @@ class Flat:
 
     def __post_init__(self) -> None:
         offset = np.asarray(self.offset, dtype=float)
-        object.__setattr__(self, "offset", offset)
         if offset.shape != (self.direction.n,):
             raise ValueError("offset length must equal the ambient dimension")
         if self.direction.k > 0:
             inner = self.direction.basis @ offset
             if np.max(np.abs(inner), initial=0.0) >= ORTHO_TOL:
                 raise ValueError("offset is not orthogonal to the direction subspace")
-        offset.flags.writeable = False
+        freeze_fields(self, offset=offset)
 
     @property
     def n(self) -> int:
@@ -163,14 +174,11 @@ class ProximitySegment:
     def __post_init__(self) -> None:
         midpoint = np.asarray(self.midpoint, dtype=float)
         direction = np.asarray(self.direction, dtype=float)
-        object.__setattr__(self, "midpoint", midpoint)
-        object.__setattr__(self, "direction", direction)
         if self.length <= 0:
             raise ValueError("segment length must be positive")
         if abs(np.linalg.norm(direction) - 1.0) >= ORTHO_TOL * 10:
             raise ValueError("segment direction must be a unit vector")
-        midpoint.flags.writeable = False
-        direction.flags.writeable = False
+        freeze_fields(self, midpoint=midpoint, direction=direction)
 
 
 def orthonormalize(vectors, tol: float = RANK_TOL) -> Subspace:
@@ -200,16 +208,25 @@ def orthonormalize(vectors, tol: float = RANK_TOL) -> Subspace:
     return Subspace(np.vstack(rows))
 
 
+def complement_bases(bases: np.ndarray) -> np.ndarray:
+    """Orthonormal complement bases, (m, n-k, n), for a stack of (k, n) bases."""
+    k = bases.shape[1]
+    # full SVD of the transposed bases: the trailing left-singular vectors
+    # span the orthogonal complement of each row space
+    u, _, _ = np.linalg.svd(np.swapaxes(bases, 1, 2))
+    return np.swapaxes(u[:, :, k:], 1, 2)
+
+
 def complement(u: Subspace) -> Subspace:
     """Orthogonal complement, of dimension n - k."""
-    n, k = u.n, u.k
-    if k == 0:
-        return Subspace.full(n)
-    if k == n:
-        return Subspace.trivial(n)
-    # columns k..n-1 of a full orthonormal extension of the basis
-    full_q, _ = np.linalg.qr(u.basis.T, mode="complete")
-    return Subspace(full_q[:, k:].T)
+    return Subspace(complement_bases(u.basis[None])[0])
+
+
+def gram_volumes(stacks: np.ndarray) -> np.ndarray:
+    """Volume of the parallelepiped spanned by the rows of each (p, n) stack:
+    the square root of its Gram determinant, 0 for dependent rows."""
+    det = np.linalg.det(stacks @ np.swapaxes(stacks, 1, 2))
+    return np.sqrt(np.maximum(det, 0.0))
 
 
 def subspace_determinant(subspaces) -> float:
@@ -236,12 +253,7 @@ def subspace_determinant(subspaces) -> float:
         raise ValueError("determinant undefined for these dimensions")
     if not bases:
         return 1.0
-    g = np.vstack(bases)
-    gram = g @ g.T
-    det = float(np.linalg.det(gram))
-    if det <= 0.0:
-        return 0.0
-    return min(np.sqrt(det), 1.0)
+    return min(float(gram_volumes(np.vstack(bases)[None])[0]), 1.0)
 
 
 def parallelepiped_volume(vectors) -> float:
@@ -251,25 +263,23 @@ def parallelepiped_volume(vectors) -> float:
     from the Gram matrix so that dependent inputs yield exactly 0.
     """
     g = np.vstack([np.asarray(v, dtype=float) for v in vectors])
-    det = float(np.linalg.det(g @ g.T))
-    if det <= 0.0:
-        return 0.0
-    return min(np.sqrt(det), 1.0)
+    return min(float(gram_volumes(g[None])[0]), 1.0)
+
+
+def haar_bases(count: int, n: int, k: int, rng: SeedLike) -> np.ndarray:
+    """Stack of `count` Haar-distributed orthonormal (k, n) bases: the Q
+    factors of n x k standard normal matrices, whose spans are rotation
+    invariant, which characterizes the Haar probability measure on G(n,k)."""
+    g = as_generator(rng).standard_normal((count, k, n))
+    q, _ = np.linalg.qr(np.swapaxes(g, 1, 2))
+    return np.swapaxes(q, 1, 2)
 
 
 def haar_sample(n: int, k: int, rng: SeedLike) -> Subspace:
-    """Haar-distributed k-dimensional subspace of R^n.
-
-    The span of k independent standard normal vectors is rotation invariant,
-    which characterizes the Haar probability measure on G(n,k).
-    """
+    """Haar-distributed k-dimensional subspace of R^n."""
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    gen = as_generator(rng)
-    while True:
-        candidate = orthonormalize(gen.standard_normal((k, n)))
-        if candidate.k == k:  # almost sure; guards degenerate draws
-            return candidate
+    return Subspace(haar_bases(1, n, k, rng)[0])
 
 
 def random_rotation(n: int, rng: SeedLike) -> np.ndarray:
@@ -388,3 +398,80 @@ def intersect_flats(flats) -> Flat:
     if det <= GENERAL_POSITION_TOL:
         raise DegeneratePairError("degenerate pair")
     return _intersection_flat(flats)
+
+
+def pair_segments(bases_a, offs_a, bases_b, offs_b, pairs, delta):
+    """Batched closest-pair solve: the proximity segments of flat pairs.
+
+    bases_* are (N, k, n) stacks of orthonormal rows and offs_* (N, n)
+    offsets of two flat families with k_1 + k_2 < n; pairs is an (m, 2)
+    index array into them.  Returns the qualifying subset (midpoints,
+    lengths, directions, pairs): the pairs closest_pair solves (general
+    position, positive separation) with length at most delta.
+    """
+    i, j = pairs[:, 0], pairs[:, 1]
+    if bases_a.shape[1] == bases_b.shape[1] == 1:
+        # lines: the 2x2 normal equations in closed form
+        u, v = bases_a[:, 0, :][i], bases_b[:, 0, :][j]
+        a, b = offs_a[i], offs_b[j]
+        c = np.einsum("mn,mn->m", u, v)
+        det = 1.0 - c * c
+        ok = np.sqrt(np.maximum(det, 0.0)) > GENERAL_POSITION_TOL
+        u, v, a, b, c, det, pairs = u[ok], v[ok], a[ok], b[ok], c[ok], det[ok], pairs[ok]
+        d = a - b
+        # normal equations of min |d + s u - t v| over (s, t)
+        r1 = -np.einsum("mn,mn->m", u, d)
+        r2 = np.einsum("mn,mn->m", v, d)
+        s = (r1 + c * r2) / det
+        t = (c * r1 + r2) / det
+        x_e = a + s[:, None] * u
+        x_f = b + t[:, None] * v
+    else:
+        # minimize |(a - b) + G^T w| with G = [B_E; -B_F] stacked per pair
+        g = np.concatenate([bases_a[i], -bases_b[j]], axis=1)
+        ok = gram_volumes(g) > GENERAL_POSITION_TOL
+        g, pairs = g[ok], pairs[ok]
+        a, b = offs_a[pairs[:, 0]], offs_b[pairs[:, 1]]
+        rhs = -np.einsum("mkn,mn->mk", g, a - b)
+        w = np.linalg.solve(g @ np.swapaxes(g, 1, 2), rhs[..., None])[..., 0]
+        k1 = bases_a.shape[1]
+        x_e = a + np.einsum("mk,mkn->mn", w[:, :k1], g[:, :k1])
+        x_f = b - np.einsum("mk,mkn->mn", w[:, k1:], g[:, k1:])
+    gap = x_e - x_f
+    lengths = np.linalg.norm(gap, axis=1)
+    keep = (lengths > 1e-12) & (lengths <= delta)
+    gap, lengths, pairs = gap[keep], lengths[keep], pairs[keep]
+    midpoints = (x_e[keep] + x_f[keep]) / 2.0
+    return midpoints, lengths, canonical_units(gap / lengths[:, None]), pairs
+
+
+def tuple_intersections(bases, offsets, tuples):
+    """Batched intersect_flats: the intersection flats of flat tuples.
+
+    bases[p] and offsets[p] are the (N_p, k_p, n) and (N_p, n) stacks that
+    position p of a tuple draws from, with k_1 + ... + k_r >= (r-1) n, and
+    tuples is an (m, r) index array.  The complement bases of a tuple stack
+    into an (n-q) x n matrix C; one batched SVD of C gives the minimum-norm
+    solution of C x = C-offsets and the null space of C, the intersection
+    direction.  Returns the tuples in general position and their flats:
+    (bases (m', q, n), offsets (m', n), tuples (m', r)).
+    """
+    n = offsets[0].shape[1]
+    comps = [complement_bases(b)[t] for b, t in zip(bases, tuples.T)]
+    normal = np.concatenate(comps, axis=1)
+    rhs = np.concatenate([np.einsum("mjn,mn->mj", c, o[t])
+                          for c, o, t in zip(comps, offsets, tuples.T)], axis=1)
+    # the subspace determinant of the directions: on the directions themselves
+    # when their dimensions sum to at most n, as subspace_determinant does
+    stack = (np.concatenate([b[t] for b, t in zip(bases, tuples.T)], axis=1)
+             if sum(b.shape[1] for b in bases) <= n else normal)
+    ok = gram_volumes(stack) > GENERAL_POSITION_TOL
+    normal, rhs, tuples = normal[ok], rhs[ok], tuples[ok]
+    u, s, vt = np.linalg.svd(normal)
+    p = normal.shape[1]
+    coef = np.einsum("mij,mi->mj", u, rhs) / s
+    point = np.einsum("mj,mjn->mn", coef, vt[:, :p])
+    direction = vt[:, p:]
+    # as Flat.through_point: drop any round-off component along the direction
+    point -= np.einsum("mq,mqn->mn", np.einsum("mqn,mn->mq", direction, point), direction)
+    return direction, point, tuples

@@ -16,9 +16,15 @@ import numpy as np
 
 from . import constants
 from ._rng import SeedLike, as_generator
-from .flat_geometry import Subspace, canonical_unit, complement, haar_sample, orthonormalize
+from .flat_geometry import (Subspace, canonical_unit, complement, freeze_fields, haar_sample,
+                            orthonormalize)
 
 DEFAULT_MC_SAMPLES = 100_000
+
+
+def finite_positive(x: float) -> bool:
+    """True for finite values above 0; NaN and +-inf fail."""
+    return bool(math.isfinite(x) and x > 0)
 
 
 @dataclass(frozen=True)
@@ -37,10 +43,10 @@ class GrassmannMeasure:
             for sub, weight in self.atoms:
                 if sub.n != self.n or sub.k != self.k:
                     raise ValueError("atom dimensions must match the measure's (n, k)")
-                if weight <= 0:
-                    raise ValueError("atom weights must be strictly positive")
-        elif self.isotropic_mass <= 0:
-            raise ValueError("isotropic mass must be strictly positive")
+                if not finite_positive(weight):
+                    raise ValueError("atom weights must be finite and strictly positive")
+        elif not finite_positive(self.isotropic_mass):
+            raise ValueError("isotropic mass must be finite and strictly positive")
 
     @staticmethod
     def discrete(atoms: Sequence[tuple[Subspace, float]]) -> "GrassmannMeasure":
@@ -109,14 +115,14 @@ class SphereMeasure:
             raise ValueError("exactly one variant must be set")
         if self.pair_atoms is not None:
             for u, w in self.pair_atoms:
-                if u.shape != (self.n,) or w <= 0:
-                    raise ValueError("atoms must be n-vectors with positive pair mass")
-        if self.uniform_mass is not None and self.uniform_mass <= 0:
-            raise ValueError("uniform mass must be positive")
+                if u.shape != (self.n,) or not finite_positive(w):
+                    raise ValueError("atoms must be n-vectors with finite positive pair mass")
+        if self.uniform_mass is not None and not finite_positive(self.uniform_mass):
+            raise ValueError("uniform mass must be finite and positive")
         if self.subspheres is not None:
             for sub, w in self.subspheres:
-                if sub.n != self.n or sub.k < 1 or w <= 0:
-                    raise ValueError("mixture components need dim >= 1 and positive weight")
+                if sub.n != self.n or sub.k < 1 or not finite_positive(w):
+                    raise ValueError("mixture components need dim >= 1 and finite positive weight")
 
     @staticmethod
     def atoms(n: int, pairs: Sequence[tuple[np.ndarray, float]]) -> "SphereMeasure":
@@ -202,9 +208,7 @@ class DirectionSet:
         if self.kind == "double_cap":
             if self.axis is None or self.threshold is None:
                 raise ValueError("double cap needs an axis and a threshold")
-            axis = canonical_unit(self.axis)
-            axis.flags.writeable = False
-            object.__setattr__(self, "axis", axis)
+            freeze_fields(self, axis=canonical_unit(self.axis))
         if self.kind == "custom":
             if self.predicate is None:
                 raise ValueError("custom direction set needs a predicate")

@@ -2,9 +2,11 @@
 the non-Poisson cube-based constructions with prescribed factorial moments.
 
 Flat samples are stored as basis/offset arrays for speed; `FlatSample.flats`
-materializes the immutable Flat objects on demand.  Every sampler accepts a
-seed (int or sequence) or a ready numpy Generator; identical seeds reproduce
-samples byte for byte.
+materializes the immutable Flat objects on demand.  Directions come from
+the stacked Haar sampler `flat_geometry.haar_bases` and offsets are placed
+in the complements from `flat_geometry.complement_bases`.  Every sampler
+accepts a seed (int or sequence) or a ready numpy Generator; identical
+seeds reproduce samples byte for byte.
 """
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ import numpy as np
 
 from . import constants
 from ._rng import SeedLike, as_generator, seed_record
-from .flat_geometry import Flat, Subspace
+from .flat_geometry import (Flat, Subspace, complement_bases, freeze_fields, gram_volumes,
+                            haar_bases)
 from .measures import GrassmannMeasure
 
 
@@ -79,10 +82,7 @@ class FlatSample:
                 rel = np.einsum("mkn,mn->mk", bases, offsets)
                 if np.max(np.abs(rel)) > 1e-9:
                     raise ValueError("offsets must be orthogonal to directions")
-        bases.flags.writeable = False
-        offsets.flags.writeable = False
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "offsets", offsets)
+        freeze_fields(self, bases=bases, offsets=offsets)
 
     def __len__(self) -> int:
         return self.offsets.shape[0]
@@ -134,18 +134,11 @@ class FactorialDistribution:
         for m in range(1, self.kappa + 1):
             if abs(self.factorial_moment(m) - 1.0) > 1e-12:
                 raise ValueError(f"factorial moment of order {m} must equal 1")
-        p.flags.writeable = False
-        object.__setattr__(self, "probabilities", p)
+        freeze_fields(self, probabilities=p)
 
     def factorial_moment(self, m: int) -> float:
-        terms = []
-        for i, prob in enumerate(self.probabilities):
-            if i >= m and prob > 0:
-                falling = 1.0
-                for j in range(m):
-                    falling *= i - j
-                terms.append(falling * prob)
-        return math.fsum(terms)
+        return math.fsum(math.perm(i, m) * prob for i, prob in enumerate(self.probabilities)
+                         if i >= m and prob > 0)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.kappa + 1, size=size, p=self.probabilities)
@@ -169,22 +162,6 @@ def build_factorial_distribution(kappa: int) -> FactorialDistribution:
     exact = tuple(table.get(i, Fraction(0)) for i in range(kappa + 1))
     probs = np.array([float(x) for x in exact])
     return FactorialDistribution(kappa=kappa, probabilities=probs, exact=exact)
-
-
-def _batched_complement(bases: np.ndarray) -> np.ndarray:
-    """Orthonormal complement bases, (m, n-k, n), for a stack of (k, n) bases."""
-    m, k, n = bases.shape
-    # full SVD of the transposed bases: the trailing left-singular vectors
-    # span the orthogonal complement of each row space
-    u, _, _ = np.linalg.svd(np.swapaxes(bases, 1, 2))
-    return np.swapaxes(u[:, :, k:], 1, 2)
-
-
-def _haar_bases(count: int, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of Haar-distributed orthonormal (k, n) bases."""
-    g = rng.standard_normal((count, n, k))
-    q, _ = np.linalg.qr(g)
-    return np.swapaxes(q, 1, 2)
 
 
 def _ball_points(count: int, dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -215,13 +192,13 @@ def sample_poisson(spec: FlatProcessSpec, radius: float, rng: SeedLike) -> FlatS
     if count == 0:
         return FlatSample(n, k, radius, np.zeros((0, k, n)), np.zeros((0, n)), record)
     if spec.q.is_isotropic:
-        bases = _haar_bases(count, n, k, gen)
+        bases = haar_bases(count, n, k, gen)
     else:
         weights = np.array([w for _, w in spec.q.atoms])
         idx = gen.choice(len(weights), size=count, p=weights / weights.sum())
         stack = np.stack([sub.basis for sub, _ in spec.q.atoms])
         bases = stack[idx]
-    comp = _batched_complement(bases)
+    comp = complement_bases(bases)
     local = _ball_points(count, n - k, radius, gen)
     offsets = np.einsum("mj,mjn->mn", local, comp)
     return FlatSample(n, k, radius, bases, offsets, record)
@@ -286,12 +263,10 @@ def sample_q0_bases(e0: Subspace, n: int, k: int, count: int, rng: SeedLike,
     filled = 0
     while filled < count:
         m = min(batch, max(4 * (count - filled), 64))
-        cand = _haar_bases(m, n, k, gen)
+        cand = haar_bases(m, n, k, gen)
         stacked = np.concatenate(
             [np.broadcast_to(anchor, (m,) + anchor.shape), cand], axis=1)
-        gram = stacked @ np.swapaxes(stacked, 1, 2)
-        det = np.clip(np.linalg.det(gram), 0.0, 1.0)
-        accept = gen.random(m) < np.sqrt(det)
+        accept = gen.random(m) < gram_volumes(stacked)
         take = min(int(accept.sum()), count - filled)
         if take:
             out[filled:filled + take] = cand[accept][:take]
@@ -365,17 +340,13 @@ def read_flat_sample(path: str | Path) -> FlatSample:
     head = lines[0].split()
     n, k, radius = int(head[0]), int(head[1]), float(head[2])
     seed = head[3] if len(head) > 3 else "generator"
-    bases, offsets = [], []
+    rows = []
     for ln in lines[1:]:
         parts = ln.split()
         if int(parts[0]) != k:
             raise ValueError(f"{path}: inconsistent flat dimension")
-        nums = [float(tok) for tok in parts[1:]]
-        if len(nums) != n + k * n:
+        rows.append([float(tok) for tok in parts[1:]])
+        if len(rows[-1]) != n + k * n:
             raise ValueError(f"{path}: flat line needs {n + k * n} floats")
-        offsets.append(nums[:n])
-        bases.append(np.array(nums[n:]).reshape(k, n))
-    m = len(offsets)
-    bases_arr = np.array(bases).reshape(m, k, n)
-    offsets_arr = np.array(offsets).reshape(m, n)
-    return FlatSample(n, k, radius, bases_arr, offsets_arr, seed)
+    rows = np.array(rows).reshape(-1, n + k * n)
+    return FlatSample(n, k, radius, rows[:, n:], rows[:, :n], seed)

@@ -18,6 +18,8 @@ from scipy.special import ndtr
 
 from ._rng import replication_stream
 
+KS_MIN_POINTS = 50
+
 
 @dataclass(frozen=True)
 class ReplicationPlan:
@@ -65,8 +67,10 @@ def replicate(plan: ReplicationPlan, estimator: Callable[[np.random.Generator], 
         mean = values[0].copy() if values.ndim > 1 else values[0]
         variance = np.zeros_like(mean)
     else:
-        mean = values.mean(axis=0)
-        variance = values.var(axis=0, ddof=1)
+        # an infinite value (an empty window's minimum) gives an inf mean, NaN variance
+        with np.errstate(invalid="ignore"):
+            mean = values.mean(axis=0)
+            variance = values.var(axis=0, ddof=1)
     out = {
         "replications": plan.replications,
         "mean": mean.tolist() if mean.ndim else float(mean),
@@ -84,8 +88,8 @@ def ks_statistic(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) ->
     """Supremum distance between the empirical distribution and a CDF."""
     sample = np.sort(np.asarray(sample, dtype=float))
     m = sample.shape[0]
-    if m < 50:
-        raise ValueError("Kolmogorov-Smirnov statistic needs at least 50 points")
+    if m < KS_MIN_POINTS:
+        raise ValueError(f"Kolmogorov-Smirnov statistic needs at least {KS_MIN_POINTS} points")
     theory = np.asarray(cdf(sample), dtype=float)
     upper = np.arange(1, m + 1) / m - theory
     lower = theory - np.arange(0, m) / m
@@ -126,11 +130,7 @@ def factorial_moment_check(sampler: Callable[[np.random.Generator], np.ndarray],
     means = data.mean(axis=0)
     tuple_mean = means[0]
     product = float(np.prod(means[1:]))
-    grad = np.zeros(r + 1)
-    grad[0] = 1.0
-    for j in range(r):
-        others = np.prod(np.delete(means[1:], j))
-        grad[j + 1] = -others
+    grad = np.array([1.0] + [-np.prod(np.delete(means[1:], j)) for j in range(r)])
     cov = np.cov(data, rowvar=False)
     var = float(grad @ cov @ grad) / replications
     diff = tuple_mean - product

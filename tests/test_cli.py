@@ -154,3 +154,28 @@ def test_summary_embeds_config_and_version(tmp_path):
     assert payload["version"] == __version__
     assert {"command", "version", "config", "results", "passed"} <= payload.keys()
     assert payload["config"]["n"] == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["proximity", "--config"], "--config needs a file path"),
+    (["proximity", "--config", "/nonexistent/run.cfg"], "/nonexistent/run.cfg"),
+    (["proximity", "--delta", "nan", "--reps", "10"], "--delta must be finite and positive"),
+    (["simulate", "--radius", "-1"], "--radius must be finite and positive"),
+])
+def test_bad_input_exits_one_with_one_line(argv, message, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_weibull_too_few_minima_reports_failure(tmp_path):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, payload = run_json(["weibull", "--rho", "0.3", "--reps", "60", "--seed", "1",
+                                  "--jobs", "1"], tmp_path)
+    assert code == 2 and payload["passed"] is False
+    res = payload["results"]
+    assert res["ks"] is None and 60 - 50 < res["emptyWindows"] <= 60
+    assert "NaN" not in (tmp_path / "out.json").read_text()

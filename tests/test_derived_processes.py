@@ -5,7 +5,7 @@ from flatproc.closed_form import WindowDescriptor
 from flatproc.derived_processes import (SegmentProcessSample, f_alpha,
                                         intersections, order_statistics,
                                         proximity, write_segments_csv)
-from flatproc.flat_geometry import Flat, Subspace
+from flatproc.flat_geometry import Flat, Subspace, complement
 from flatproc.measures import DirectionSet, GrassmannMeasure
 from flatproc.simulator import FlatProcessSpec, FlatSample, sample_poisson
 
@@ -64,36 +64,83 @@ def test_proximity_two_sample_pair_symmetry():
     assert np.sort(ab.lengths) == pytest.approx(np.sort(ba.lengths), abs=1e-12)
 
 
-def test_proximity_generic_path_matches_line_fast_path():
-    # mixed dimensions (line vs plane pairs) exercise the generic route;
-    # line pairs take the vectorized route: cross-check on a line sample by
-    # rebuilding flats as generic objects through the public API
-    spec = FlatProcessSpec(5, 2, 0.6, GrassmannMeasure.isotropic(5, 2, 1.0))
-    planes = sample_poisson(spec, 1.5, 43)
-    seg = proximity(planes, delta=2.0)
-    for i in range(len(seg)):
-        a, b = (int(x) for x in seg.pairs[i])
-        from flatproc.flat_geometry import closest_pair
+def scalar_segments(sample_a, sample_b, delta):
+    """Reference proximity: closest_pair on every pair, one at a time."""
+    from itertools import combinations, product
 
-        ref = closest_pair(planes.flats[a], planes.flats[b])
-        assert ref.length == pytest.approx(float(seg.lengths[i]), abs=1e-10)
-        assert np.allclose(ref.midpoint, seg.midpoints[i], atol=1e-9)
+    from flatproc.flat_geometry import DegeneratePairError, closest_pair
+
+    flats_a = sample_a.flats
+    flats_b = flats_a if sample_b is None else sample_b.flats
+    pairs = (combinations(range(len(flats_a)), 2) if sample_b is None
+             else product(range(len(flats_a)), range(len(flats_b))))
+    out = {}
+    for i, j in pairs:
+        try:
+            ref = closest_pair(flats_a[i], flats_b[j])
+        except DegeneratePairError:
+            continue
+        if ref.length <= delta:
+            out[(i, j)] = ref
+    return out
+
+
+def assert_matches_scalar(seg, ref):
+    assert sorted(map(tuple, seg.pairs.tolist())) == sorted(ref)
+    for (i, j), length, mid, direction in zip(seg.pairs.tolist(), seg.lengths,
+                                              seg.midpoints, seg.directions):
+        assert abs(length - ref[(i, j)].length) <= 1e-9
+        assert np.max(np.abs(mid - ref[(i, j)].midpoint)) <= 1e-9
+        assert np.max(np.abs(direction - ref[(i, j)].direction)) <= 1e-9
+
+
+def test_proximity_generic_path_matches_line_fast_path():
+    # generic pairs (k >= 2) take the stacked Gram solve, line pairs its 2x2
+    # closed-form branch: both must find the pairs and segments that the
+    # scalar closest_pair finds one pair at a time
+    for n, k, gamma, radius, seed in ((5, 2, 0.6, 1.5, 43), (3, 1, 1.0, 2.0, 301),
+                                      (4, 1, 1.0, 2.0, 302), (5, 2, 1.0, 1.6, 303),
+                                      (7, 3, 1.0, 1.3, 304)):
+        spec = FlatProcessSpec(n, k, gamma, GrassmannMeasure.isotropic(n, k, 1.0))
+        for rep in range(3):
+            flats = sample_poisson(spec, radius, [seed, rep])
+            seg = proximity(flats, delta=2.0)
+            assert_matches_scalar(seg, scalar_segments(flats, None, 2.0))
+
+
+def test_degenerate_and_touching_pairs_dropped_like_scalar():
+    # R^5 planes: 0 and 1 parallel, 0 and 2 through a common point (touching),
+    # 3 shares a direction with 0 (subspace determinant 0), 4 generic
+    e = np.eye(5)
+    rotated = np.stack([e[0], (e[2] + e[3]) / np.sqrt(2.0)])
+    flats = [Flat.through_point(Subspace(e[:2]), 0.4 * e[4]),
+             Flat.through_point(Subspace(e[:2]), -0.3 * e[3]),
+             Flat.through_point(Subspace(e[2:4]), 0.4 * e[4]),
+             Flat.through_point(Subspace(rotated), 0.2 * e[4] + 0.1 * e[1]),
+             Flat.through_point(Subspace(np.stack([e[2], e[4]])), 0.3 * e[0] + 0.2 * e[1])]
+    sample = FlatSample(5, 2, 2.0, np.stack([f.direction.basis for f in flats]),
+                        np.stack([f.offset for f in flats]), "x")
+    ref = scalar_segments(sample, None, 10.0)
+    assert (0, 1) not in ref and (0, 2) not in ref and (0, 3) not in ref
+    assert_matches_scalar(proximity(sample, delta=10.0), ref)
+    # lines: a parallel pair (0, 1), and line 2 crosses both of them
+    lines = lines_sample([E[0], E[0], E[1], E[2]],
+                         [np.zeros(3), E[1], 0.5 * E[0], 0.3 * E[1]])
+    ref = scalar_segments(lines, None, 10.0)
+    assert sorted(ref) == [(0, 3), (1, 3), (2, 3)]
+    assert_matches_scalar(proximity(lines, delta=10.0), ref)
 
 
 def test_proximity_mixed_dimension_cross_samples():
-    # lines against planes in R^4 exercise the generic closest-pair route
+    # lines against planes in R^4, in both orders, against the scalar solver
     spec1 = FlatProcessSpec(4, 1, 1.0, GrassmannMeasure.isotropic(4, 1, 1.0))
     spec2 = FlatProcessSpec(4, 2, 0.8, GrassmannMeasure.isotropic(4, 2, 1.0))
     lines = sample_poisson(spec1, 1.5, 148)
     planes = sample_poisson(spec2, 1.5, 149)
-    seg = proximity(lines, planes, delta=2.0)
-    from flatproc.flat_geometry import closest_pair
-
-    for idx in range(len(seg)):
-        i, j = (int(x) for x in seg.pairs[idx])
-        ref = closest_pair(lines.flats[i], planes.flats[j])
-        assert ref.length == pytest.approx(float(seg.lengths[idx]), abs=1e-10)
-        assert np.allclose(ref.direction, seg.directions[idx], atol=1e-9)
+    for a, b in ((lines, planes), (planes, lines)):
+        seg = proximity(a, b, delta=2.0)
+        assert len(seg) > 0
+        assert_matches_scalar(seg, scalar_segments(a, b, 2.0))
 
 
 def test_translation_equivariance_exact():
@@ -166,6 +213,67 @@ def test_intersections_across_independent_samples():
     for flat, (i, j) in zip(inter.flats, inter.generator_indices):
         assert a.flats[i].contains_flat(flat, tol=1e-8)
         assert b.flats[j].contains_flat(flat, tol=1e-8)
+
+
+def scalar_intersections(samples, order=None):
+    """Reference intersections: intersect_flats on every tuple, one at a time."""
+    from itertools import combinations, product
+
+    from flatproc.flat_geometry import DegeneratePairError, intersect_flats
+
+    if order is None:
+        flat_lists = [s.flats for s in samples]
+        tuples = product(*[range(len(s)) for s in samples])
+    else:
+        flat_lists = [samples.flats] * order
+        tuples = combinations(range(len(samples)), order)
+    out = {}
+    for idx in tuples:
+        try:
+            out[idx] = intersect_flats([flat_lists[p][i] for p, i in enumerate(idx)])
+        except DegeneratePairError:
+            continue
+    return out
+
+
+def assert_intersections_match(inter, ref):
+    assert sorted(inter.generator_indices) == sorted(ref)
+    for idx, flat in zip(inter.generator_indices, inter.flats):
+        assert np.max(np.abs(flat.offset - ref[idx].offset)) <= 1e-9
+        assert np.max(np.abs(flat.direction.projector()
+                             - ref[idx].direction.projector())) <= 1e-9
+
+
+@pytest.mark.parametrize("n, k, order, radius", [(3, 2, 2, 1.5), (4, 3, 3, 1.2),
+                                                 (4, 2, 2, 1.2)])
+def test_intersections_batched_match_scalar_reference(n, k, order, radius):
+    spec = FlatProcessSpec(n, k, 5.0, GrassmannMeasure.isotropic(n, k, 1.0))
+    sample = sample_poisson(spec, radius, [307, n, k])
+    inter = intersections(sample, order=order)
+    assert inter.q == order * k - (order - 1) * n and len(inter) > 0
+    assert_intersections_match(inter, scalar_intersections(sample, order))
+
+
+def test_intersections_two_samples_match_scalar_reference():
+    spec = FlatProcessSpec(3, 2, 3.0, GrassmannMeasure.isotropic(3, 2, 1.0))
+    a, b = sample_poisson(spec, 1.5, 308), sample_poisson(spec, 1.5, 309)
+    inter = intersections([a, b])
+    assert len(inter) == len(a) * len(b) > 0
+    assert_intersections_match(inter, scalar_intersections([a, b]))
+
+
+def test_degenerate_tuples_dropped_like_scalar():
+    # planes of R^3: 0 and 1 parallel; the normals of 0, 2, 3 are coplanar,
+    # so the triple (0, 2, 3) meets in no point
+    normals = [E[2], E[2], E[0], (E[0] + E[2]) / np.sqrt(2.0), E[1]]
+    flats = [Flat.through_point(complement(Subspace.span(u)), 0.2 * i * u)
+             for i, u in enumerate(normals)]
+    sample = FlatSample(3, 2, 2.0, np.stack([f.direction.basis for f in flats]),
+                        np.stack([f.offset for f in flats]), "x")
+    for order in (2, 3):
+        ref = scalar_intersections(sample, order)
+        assert ((0, 1) if order == 2 else (0, 2, 3)) not in ref
+        assert_intersections_match(intersections(sample, order=order), ref)
 
 
 def test_intersections_dimension_precondition():

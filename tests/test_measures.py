@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flatproc import constants
+from flatproc.closed_form import WindowDescriptor
 from flatproc.flat_geometry import Subspace, haar_sample
 from flatproc.measures import (DirectionSet, GrassmannMeasure, SphereMeasure,
                                integrate, line_measure_from_sphere,
@@ -233,3 +236,23 @@ def test_line_measure_from_sphere_roundtrip():
     q = line_measure_from_sphere(mu)
     assert q.k == 1 and q.total_mass == pytest.approx(1.0, abs=1e-15)
     assert symmetrize_line_measure(q).total_mass == pytest.approx(1.0, abs=1e-15)
+
+
+NON_FINITE_CONSTRUCTORS = {
+    "isotropic mass": lambda x: GrassmannMeasure.isotropic(3, 1, x),
+    "atom weight": lambda x: GrassmannMeasure.discrete([(Subspace(E[:1]), x)]),
+    "uniform mass": lambda x: SphereMeasure.uniform(3, x),
+    "pair mass": lambda x: SphereMeasure.atoms(3, [(E[0], x)]),
+    "subsphere weight": lambda x: SphereMeasure.subsphere_mixture(3, [(Subspace(E[:2]), x)]),
+    "ball radius": lambda x: WindowDescriptor.ball(x),
+    "box side": lambda x: WindowDescriptor.box([1.0, x, 1.0]),
+    "window scale": lambda x: WindowDescriptor.ball(1.0, scale=x),
+}
+
+
+@given(name=st.sampled_from(sorted(NON_FINITE_CONSTRUCTORS)),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_constructors_reject_non_finite(name, value):
+    NON_FINITE_CONSTRUCTORS[name](1.0)  # a finite value is accepted
+    with pytest.raises(ValueError):
+        NON_FINITE_CONSTRUCTORS[name](value)
