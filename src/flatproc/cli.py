@@ -56,6 +56,26 @@ def _default_seed() -> int:
     return int(os.environ.get("FLATPROC_SEED", "0"))
 
 
+def _finite_float(text: str, zero_ok: bool) -> float:
+    """A float flag's value: finite, and positive (or 0 where zero_ok)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+        kind = "nonnegative" if zero_ok else "positive"
+        raise argparse.ArgumentTypeError(f"must be finite and {kind}, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    return _finite_float(text, zero_ok=False)
+
+
+def _nonnegative_float(text: str) -> float:
+    return _finite_float(text, zero_ok=True)
+
+
 def _parse_window(text: str) -> WindowDescriptor:
     if text == "cube":
         return WindowDescriptor.unit_cube(3)
@@ -132,18 +152,16 @@ def _estimate_intersection_count(rng, spec: FlatProcessSpec, order: int) -> floa
 
 def _write_raw_csv(path: str, columns: dict) -> None:
     """Opt-in CSV of raw replication values, one column per series."""
-    arrays = [np.asarray(values) for values in columns.values()]
-    lines = [",".join(columns)] + [
-        ",".join(repr(float(arr[i])) if i < arr.shape[0] else "" for arr in arrays)
-        for i in range(max(arr.shape[0] for arr in arrays))]
+    keys = list(columns)
+    rows = max(np.asarray(columns[k]).shape[0] for k in keys)
+    lines = [",".join(keys)]
+    for i in range(rows):
+        cells = []
+        for k in keys:
+            arr = np.asarray(columns[k])
+            cells.append(repr(float(arr[i])) if i < arr.shape[0] else "")
+        lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _proximity_spec(args) -> tuple[GrassmannMeasure, FlatProcessSpec]:
-    if not 2 * args.k < args.n:
-        raise ValueError("requires 2k < n")
-    q = _parse_q(args.q, args.n, args.k)
-    return q, FlatProcessSpec(args.n, args.k, args.gamma, q)
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
@@ -168,8 +186,11 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 
 def _cmd_proximity(args) -> tuple[dict, int]:
-    q, spec = _proximity_spec(args)
+    if not 2 * args.k < args.n:
+        raise ValueError("requires 2k < n")
+    q = _parse_q(args.q, args.n, args.k)
     window = args.window
+    spec = FlatProcessSpec(args.n, args.k, args.gamma, q)
     radius = window.circumradius() + args.delta / 2.0
     closed, closed_se = mean_F_alpha(args.n, args.k, args.gamma, q, args.delta,
                                      args.alpha, window)
@@ -257,7 +278,10 @@ def _cmd_zonoid(args) -> tuple[dict, int]:
 
 
 def _cmd_clt(args) -> tuple[dict, int]:
-    q, spec = _proximity_spec(args)
+    if not 2 * args.k < args.n:
+        raise ValueError("requires 2k < n")
+    q = _parse_q(args.q, args.n, args.k)
+    spec = FlatProcessSpec(args.n, args.k, args.gamma, q)
     base = WindowDescriptor.ball(1.0)
     values = {}
     for rho in args.rho:
@@ -279,7 +303,10 @@ def _cmd_clt(args) -> tuple[dict, int]:
 
 
 def _cmd_weibull(args) -> tuple[dict, int]:
-    q, spec = _proximity_spec(args)
+    if not 2 * args.k < args.n:
+        raise ValueError("requires 2k < n")
+    q = _parse_q(args.q, args.n, args.k)
+    spec = FlatProcessSpec(args.n, args.k, args.gamma, q)
     base = WindowDescriptor.ball(1.0)
     window = base.rescaled(args.rho)
     radius = window.circumradius() + args.delta / 2.0
@@ -391,16 +418,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="worker processes; results are independent of it")
 
 
-def _add_process(p: argparse.ArgumentParser, alpha: float) -> None:
-    """Flags of the subcommands that sample a process and its proximity."""
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=alpha)
-    p.add_argument("--q", type=str, default="isotropic")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flatproc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -408,20 +425,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="emit a flat sample (and segment CSV)")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
     p.add_argument("--q", type=str, default="isotropic")
-    p.add_argument("--radius", type=float, default=2.0)
+    p.add_argument("--radius", type=_positive_float, default=2.0)
     p.add_argument("--kind", choices=["poisson", "sr"], default="poisson")
     p.add_argument("--kappa", type=int, default=3)
-    p.add_argument("--cover", type=float, default=None)
-    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--cover", type=_positive_float, default=None)
+    p.add_argument("--delta", type=_positive_float, default=1.0)
     p.add_argument("--sample-out", type=str, default="flats.txt")
     p.add_argument("--segments-out", type=str, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("proximity", help="Monte Carlo vs closed-form proximity")
-    _add_process(p, alpha=0.0)
+    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
+    p.add_argument("--delta", type=_positive_float, default=1.0)
+    p.add_argument("--alpha", type=_nonnegative_float, default=0.0)
+    p.add_argument("--q", type=str, default="isotropic")
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--window", type=_parse_window, default=_parse_window("cube"))
     p.add_argument("--raw-csv", type=str, default=None,
@@ -433,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
     p.add_argument("--q", type=str, default="isotropic")
     p.add_argument("--reps", type=int, default=2_000)
     p.add_argument("--mc-samples", type=int, default=20_000)
@@ -442,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zonoid", help="intrinsic volumes and area-measure identities")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
     p.add_argument("--q", type=str, default="axes")
     p.add_argument("--hyperplanes", action="store_true",
                    help="interpret the distribution on G(n, n-1)")
@@ -450,8 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_zonoid)
 
     p = sub.add_parser("clt", help="normality diagnostics across window scales")
-    _add_process(p, alpha=0.0)
-    p.add_argument("--rho", type=float, nargs="+", default=[2.0, 4.0, 8.0])
+    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
+    p.add_argument("--delta", type=_positive_float, default=1.0)
+    p.add_argument("--alpha", type=_nonnegative_float, default=0.0)
+    p.add_argument("--q", type=str, default="isotropic")
+    p.add_argument("--rho", type=_positive_float, nargs="+", default=[2.0, 4.0, 8.0])
     p.add_argument("--reps", type=int, default=1_000)
     p.add_argument("--raw-csv", type=str, default=None,
                    help="opt-in CSV of raw replication values")
@@ -459,8 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_clt)
 
     p = sub.add_parser("weibull", help="scaled shortest-segment law vs its limit")
-    _add_process(p, alpha=1.0)
-    p.add_argument("--rho", type=float, default=8.0)
+    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
+    p.add_argument("--delta", type=_positive_float, default=1.0)
+    p.add_argument("--alpha", type=_nonnegative_float, default=1.0)
+    p.add_argument("--q", type=str, default="isotropic")
+    p.add_argument("--rho", type=_positive_float, default=8.0)
     p.add_argument("--reps", type=int, default=2_000)
     p.add_argument("--raw-csv", type=str, default=None,
                    help="opt-in CSV of raw replication values")
@@ -481,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "line-proximity"], default="area-measure")
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--t", type=float, nargs="+", default=[0.2, 0.1, 0.05, 0.025])
-    p.add_argument("--rho-bound", type=float, default=0.02)
-    p.add_argument("--upper", type=float, default=4.0)
+    p.add_argument("--rho-bound", type=_positive_float, default=0.02)
+    p.add_argument("--upper", type=_positive_float, default=4.0)
     _add_common(p)
     p.set_defaults(func=_cmd_stability)
 
@@ -490,21 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_version)
     return parser
-
-
-# float flags that must be finite and positive; gamma and alpha may be 0
-_POSITIVE_FLAGS = ("delta", "radius", "cover", "rho", "rho_bound", "upper")
-_NONNEGATIVE_FLAGS = ("gamma", "alpha")
-
-
-def _check_float_flags(args) -> None:
-    for name in _POSITIVE_FLAGS + _NONNEGATIVE_FLAGS:
-        values = getattr(args, name, None)
-        zero_ok = name in _NONNEGATIVE_FLAGS
-        for x in values if isinstance(values, list) else [values]:
-            if x is not None and not (math.isfinite(x) and (x > 0 or zero_ok and x == 0)):
-                kind = "nonnegative" if zero_ok else "positive"
-                raise ValueError(f"--{name.replace('_', '-')} must be finite and {kind}, got {x!r}")
 
 
 def _apply_config(argv: list[str]) -> list[str]:
@@ -534,7 +551,6 @@ def run(argv: list[str] | None = None) -> int:
         if argv and not argv[0].startswith("-"):
             argv = _apply_config(argv)
         args = parser.parse_args(argv)
-        _check_float_flags(args)
         config = {key: (str(value) if isinstance(value, WindowDescriptor) else value)
                   for key, value in vars(args).items()
                   if key not in ("func",) and not callable(value)}

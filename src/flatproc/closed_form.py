@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
 
 import numpy as np
 from scipy.integrate import quad
@@ -242,12 +241,15 @@ def proximity_directional_measure(n: int, q: GrassmannMeasure) -> SphereMeasure:
     if q.is_isotropic:
         raise ValueError("requires an atomic directional distribution")
     components: list[tuple[Subspace, float]] = []
-    for (l_sub, w1), (m_sub, w2) in combinations(q.atoms, 2):
-        det = subspace_determinant([l_sub, m_sub])
-        if det <= 1e-14:
-            continue
-        joint = orthonormalize(np.vstack([l_sub.basis, m_sub.basis]))
-        components.append((complement(joint), 2.0 * w1 * w2 * det))
+    atoms = list(q.atoms)
+    for i in range(len(atoms)):
+        for j in range(i + 1, len(atoms)):
+            (l_sub, w1), (m_sub, w2) = atoms[i], atoms[j]
+            det = subspace_determinant([l_sub, m_sub])
+            if det <= 1e-14:
+                continue
+            joint = orthonormalize(np.vstack([l_sub.basis, m_sub.basis]))
+            components.append((complement(joint), 2.0 * w1 * w2 * det))
     total = sum(w * constants.sphere_surface(s.k) for s, w in components)
     if total <= 0:
         raise ValueError("degenerate directional distribution")
@@ -298,8 +300,15 @@ def intersection_density(n: int, dims, intensities, qs, g=None,
         return det * float(g(intersect_subspaces(subs)))
 
     if all(not q.is_isotropic for q in qs):
-        total = sum(math.prod(w for _, w in atoms) * term([sub for sub, _ in atoms])
-                    for atoms in product(*[q.atoms for q in qs]))
+        total = 0.0
+        stack = [(0, [], 1.0)]
+        while stack:
+            depth, subs, weight = stack.pop()
+            if depth == r:
+                total += weight * term(subs)
+                continue
+            for sub, w in qs[depth].atoms:
+                stack.append((depth + 1, subs + [sub], weight * w))
         return prefactor * total, 0.0
 
     gen = as_generator(rng if rng is not None else 0x1507)

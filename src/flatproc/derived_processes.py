@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .closed_form import WindowDescriptor
-from .flat_geometry import (Flat, ProximitySegment, Subspace, freeze_fields, pair_segments,
+from .flat_geometry import (Flat, ProximitySegment, Subspace, pair_segments,
                             tuple_intersections)
 from .measures import DirectionSet
 from .simulator import FlatSample
@@ -52,8 +52,12 @@ class SegmentProcessSample:
             norms = np.linalg.norm(directions, axis=1)
             if np.max(np.abs(norms - 1.0)) > 1e-9:
                 raise ValueError("segment directions must be unit vectors")
-        freeze_fields(self, midpoints=midpoints, lengths=lengths, directions=directions,
-                      pairs=pairs)
+        for arr in (midpoints, lengths, directions, pairs):
+            arr.flags.writeable = False
+        object.__setattr__(self, "midpoints", midpoints)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return self.lengths.shape[0]
@@ -78,9 +82,14 @@ class IntersectionSample:
     tuples: np.ndarray   # (m, r) generator indices into the source sample(s)
 
     def __post_init__(self) -> None:
-        freeze_fields(self, bases=np.asarray(self.bases, dtype=float),
-                      offsets=np.asarray(self.offsets, dtype=float),
-                      tuples=np.asarray(self.tuples, dtype=int))
+        bases = np.asarray(self.bases, dtype=float)
+        offsets = np.asarray(self.offsets, dtype=float)
+        tuples = np.asarray(self.tuples, dtype=int)
+        for arr in (bases, offsets, tuples):
+            arr.flags.writeable = False
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "tuples", tuples)
 
     def __len__(self) -> int:
         return self.offsets.shape[0]
@@ -159,21 +168,12 @@ def intersections(samples, order: int | None = None) -> IntersectionSample:
     return IntersectionSample(n, q, bases, offsets, tuples)
 
 
-def _qualifying_lengths(seg: SegmentProcessSample, window: WindowDescriptor,
-                        direction_set: DirectionSet | None) -> np.ndarray:
-    """Lengths of the segments with midpoint in the window and direction in
-    the direction set; the sample window must make the enumeration exact."""
+def _check_window(seg: SegmentProcessSample, window: WindowDescriptor) -> None:
     needed = window.circumradius() + seg.delta / 2.0
     if seg.radius < needed - 1e-9:
         raise ValueError(
             f"window too small for exact enumeration: sample window radius "
             f"{seg.radius} < circumradius + delta/2 = {needed}")
-    if len(seg) == 0:
-        return seg.lengths
-    keep = window.contains(seg.midpoints)
-    if direction_set is not None and direction_set.kind != "full":
-        keep = keep & direction_set.contains(seg.directions)
-    return seg.lengths[keep]
 
 
 def f_alpha(seg: SegmentProcessSample, alpha: float, window: WindowDescriptor,
@@ -187,7 +187,15 @@ def f_alpha(seg: SegmentProcessSample, alpha: float, window: WindowDescriptor,
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    return float(np.sum(_qualifying_lengths(seg, window, direction_set) ** alpha))
+    _check_window(seg, window)
+    if len(seg) == 0:
+        return 0.0
+    keep = window.contains(seg.midpoints)
+    if direction_set is not None and direction_set.kind != "full":
+        keep = keep & direction_set.contains(seg.directions)
+    if not np.any(keep):
+        return 0.0
+    return float(np.sum(seg.lengths[keep] ** alpha))
 
 
 def order_statistics(seg: SegmentProcessSample, alpha: float,
@@ -199,7 +207,11 @@ def order_statistics(seg: SegmentProcessSample, alpha: float,
     """
     if alpha <= 0:
         raise ValueError("order statistics need a positive length power")
-    values = np.sort(_qualifying_lengths(seg, window, direction_set) ** alpha)
+    _check_window(seg, window)
+    keep = window.contains(seg.midpoints) if len(seg) else np.zeros(0, dtype=bool)
+    if direction_set is not None and direction_set.kind != "full" and len(seg):
+        keep = keep & direction_set.contains(seg.directions)
+    values = np.sort(seg.lengths[keep] ** alpha) if len(seg) else np.zeros(0)
     out = np.full(m, np.inf)
     out[: min(m, values.shape[0])] = values[:m]
     return out

@@ -16,25 +16,21 @@ from ._rng import SeedLike, as_generator
 ORTHO_TOL = 1e-12
 RANK_TOL = 1e-10
 GENERAL_POSITION_TOL = 1e-10
+# pairs or tuples per batch in the stacked kernels: bounds their temporaries
+# (about 0.5 kB per pair of 2-flats in R^5) whatever the sample size
+BLOCK_ROWS = 1 << 14
 
 
 class DegeneratePairError(ValueError):
     """Raised when a pair of flats is not in general position."""
 
 
-def freeze_fields(obj, **arrays: np.ndarray) -> None:
-    """Store the arrays, made read-only, as fields of a frozen dataclass."""
-    for name, arr in arrays.items():
-        arr.flags.writeable = False
-        object.__setattr__(obj, name, arr)
-
-
-def canonical_units(units: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def canonical_units(units: np.ndarray) -> np.ndarray:
     """Copy of a stack of unit vectors, each row signed so that its first
-    coordinate of magnitude above tol is positive."""
+    coordinate of magnitude above 1e-12 is positive."""
     units = np.array(units, dtype=float)
-    first = np.argmax(np.abs(units) > tol, axis=1)
-    units[units[np.arange(units.shape[0]), first] < -tol] *= -1.0
+    first = np.argmax(np.abs(units) > 1e-12, axis=1)
+    units[units[np.arange(units.shape[0]), first] < -1e-12] *= -1.0
     return units
 
 
@@ -48,7 +44,7 @@ def canonical_unit(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     norm = float(np.linalg.norm(u))
     if norm < tol:
         raise ValueError("cannot canonicalize a near-zero vector")
-    return canonical_units((u / norm)[None], tol)[0]
+    return canonical_units((u / norm)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -65,6 +61,7 @@ class Subspace:
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
         if basis.size == 0:
             basis = basis.reshape(0, basis.shape[-1] if basis.ndim == 2 else 0)
+        object.__setattr__(self, "basis", basis)
         k, n = basis.shape
         if k > n:
             raise ValueError(f"subspace dimension {k} exceeds ambient dimension {n}")
@@ -72,7 +69,7 @@ class Subspace:
             gram = basis @ basis.T
             if not np.allclose(gram, np.eye(k), atol=1e-10):
                 raise ValueError("basis rows are not orthonormal")
-        freeze_fields(self, basis=basis)
+        basis.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -119,13 +116,14 @@ class Flat:
 
     def __post_init__(self) -> None:
         offset = np.asarray(self.offset, dtype=float)
+        object.__setattr__(self, "offset", offset)
         if offset.shape != (self.direction.n,):
             raise ValueError("offset length must equal the ambient dimension")
         if self.direction.k > 0:
             inner = self.direction.basis @ offset
             if np.max(np.abs(inner), initial=0.0) >= ORTHO_TOL:
                 raise ValueError("offset is not orthogonal to the direction subspace")
-        freeze_fields(self, offset=offset)
+        offset.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -174,11 +172,14 @@ class ProximitySegment:
     def __post_init__(self) -> None:
         midpoint = np.asarray(self.midpoint, dtype=float)
         direction = np.asarray(self.direction, dtype=float)
+        object.__setattr__(self, "midpoint", midpoint)
+        object.__setattr__(self, "direction", direction)
         if self.length <= 0:
             raise ValueError("segment length must be positive")
         if abs(np.linalg.norm(direction) - 1.0) >= ORTHO_TOL * 10:
             raise ValueError("segment direction must be a unit vector")
-        freeze_fields(self, midpoint=midpoint, direction=direction)
+        midpoint.flags.writeable = False
+        direction.flags.writeable = False
 
 
 def orthonormalize(vectors, tol: float = RANK_TOL) -> Subspace:
@@ -400,6 +401,14 @@ def intersect_flats(flats) -> Flat:
     return _intersection_flat(flats)
 
 
+def _in_blocks(solve, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """solve(block) over consecutive blocks of at most BLOCK_ROWS rows (one
+    empty block for no rows), its output arrays concatenated."""
+    parts = [solve(rows[start:start + BLOCK_ROWS])
+             for start in range(0, max(rows.shape[0], 1), BLOCK_ROWS)]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def pair_segments(bases_a, offs_a, bases_b, offs_b, pairs, delta):
     """Batched closest-pair solve: the proximity segments of flat pairs.
 
@@ -407,42 +416,48 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, pairs, delta):
     offsets of two flat families with k_1 + k_2 < n; pairs is an (m, 2)
     index array into them.  Returns the qualifying subset (midpoints,
     lengths, directions, pairs): the pairs closest_pair solves (general
-    position, positive separation) with length at most delta.
+    position, positive separation) with length at most delta.  Line pairs
+    are solved in one batch, other pairs in blocks of BLOCK_ROWS.
     """
-    i, j = pairs[:, 0], pairs[:, 1]
-    if bases_a.shape[1] == bases_b.shape[1] == 1:
-        # lines: the 2x2 normal equations in closed form
-        u, v = bases_a[:, 0, :][i], bases_b[:, 0, :][j]
-        a, b = offs_a[i], offs_b[j]
-        c = np.einsum("mn,mn->m", u, v)
-        det = 1.0 - c * c
-        ok = np.sqrt(np.maximum(det, 0.0)) > GENERAL_POSITION_TOL
-        u, v, a, b, c, det, pairs = u[ok], v[ok], a[ok], b[ok], c[ok], det[ok], pairs[ok]
-        d = a - b
-        # normal equations of min |d + s u - t v| over (s, t)
-        r1 = -np.einsum("mn,mn->m", u, d)
-        r2 = np.einsum("mn,mn->m", v, d)
-        s = (r1 + c * r2) / det
-        t = (c * r1 + r2) / det
-        x_e = a + s[:, None] * u
-        x_f = b + t[:, None] * v
-    else:
-        # minimize |(a - b) + G^T w| with G = [B_E; -B_F] stacked per pair
-        g = np.concatenate([bases_a[i], -bases_b[j]], axis=1)
-        ok = gram_volumes(g) > GENERAL_POSITION_TOL
-        g, pairs = g[ok], pairs[ok]
-        a, b = offs_a[pairs[:, 0]], offs_b[pairs[:, 1]]
-        rhs = -np.einsum("mkn,mn->mk", g, a - b)
-        w = np.linalg.solve(g @ np.swapaxes(g, 1, 2), rhs[..., None])[..., 0]
-        k1 = bases_a.shape[1]
-        x_e = a + np.einsum("mk,mkn->mn", w[:, :k1], g[:, :k1])
-        x_f = b - np.einsum("mk,mkn->mn", w[:, k1:], g[:, k1:])
-    gap = x_e - x_f
-    lengths = np.linalg.norm(gap, axis=1)
-    keep = (lengths > 1e-12) & (lengths <= delta)
-    gap, lengths, pairs = gap[keep], lengths[keep], pairs[keep]
-    midpoints = (x_e[keep] + x_f[keep]) / 2.0
-    return midpoints, lengths, canonical_units(gap / lengths[:, None]), pairs
+    lines = bases_a.shape[1] == bases_b.shape[1] == 1
+
+    def solve(pairs):
+        i, j = pairs[:, 0], pairs[:, 1]
+        if lines:
+            # the 2x2 normal equations in closed form
+            u, v = bases_a[:, 0, :][i], bases_b[:, 0, :][j]
+            a, b = offs_a[i], offs_b[j]
+            c = np.einsum("mn,mn->m", u, v)
+            det = 1.0 - c * c
+            ok = np.sqrt(np.maximum(det, 0.0)) > GENERAL_POSITION_TOL
+            u, v, a, b, c, det, pairs = u[ok], v[ok], a[ok], b[ok], c[ok], det[ok], pairs[ok]
+            d = a - b
+            # normal equations of min |d + s u - t v| over (s, t)
+            r1 = -np.einsum("mn,mn->m", u, d)
+            r2 = np.einsum("mn,mn->m", v, d)
+            s = (r1 + c * r2) / det
+            t = (c * r1 + r2) / det
+            x_e = a + s[:, None] * u
+            x_f = b + t[:, None] * v
+        else:
+            # minimize |(a - b) + G^T w| with G = [B_E; -B_F] stacked per pair
+            g = np.concatenate([bases_a[i], -bases_b[j]], axis=1)
+            ok = gram_volumes(g) > GENERAL_POSITION_TOL
+            g, pairs = g[ok], pairs[ok]
+            a, b = offs_a[pairs[:, 0]], offs_b[pairs[:, 1]]
+            rhs = -np.einsum("mkn,mn->mk", g, a - b)
+            w = np.linalg.solve(g @ np.swapaxes(g, 1, 2), rhs[..., None])[..., 0]
+            k1 = bases_a.shape[1]
+            x_e = a + np.einsum("mk,mkn->mn", w[:, :k1], g[:, :k1])
+            x_f = b - np.einsum("mk,mkn->mn", w[:, k1:], g[:, k1:])
+        gap = x_e - x_f
+        lengths = np.linalg.norm(gap, axis=1)
+        keep = (lengths > 1e-12) & (lengths <= delta)
+        gap, lengths, pairs = gap[keep], lengths[keep], pairs[keep]
+        midpoints = (x_e[keep] + x_f[keep]) / 2.0
+        return midpoints, lengths, canonical_units(gap / lengths[:, None]), pairs
+
+    return solve(pairs) if lines else _in_blocks(solve, pairs)
 
 
 def tuple_intersections(bases, offsets, tuples):
@@ -453,25 +468,32 @@ def tuple_intersections(bases, offsets, tuples):
     tuples is an (m, r) index array.  The complement bases of a tuple stack
     into an (n-q) x n matrix C; one batched SVD of C gives the minimum-norm
     solution of C x = C-offsets and the null space of C, the intersection
-    direction.  Returns the tuples in general position and their flats:
-    (bases (m', q, n), offsets (m', n), tuples (m', r)).
+    direction.  Tuples are solved in blocks of BLOCK_ROWS.  Returns the
+    tuples in general position and their flats: (bases (m', q, n), offsets
+    (m', n), tuples (m', r)).
     """
     n = offsets[0].shape[1]
-    comps = [complement_bases(b)[t] for b, t in zip(bases, tuples.T)]
-    normal = np.concatenate(comps, axis=1)
-    rhs = np.concatenate([np.einsum("mjn,mn->mj", c, o[t])
-                          for c, o, t in zip(comps, offsets, tuples.T)], axis=1)
+    comps = [complement_bases(b) for b in bases]
+    levels = [np.einsum("mjn,mn->mj", c, o) for c, o in zip(comps, offsets)]
     # the subspace determinant of the directions: on the directions themselves
     # when their dimensions sum to at most n, as subspace_determinant does
-    stack = (np.concatenate([b[t] for b, t in zip(bases, tuples.T)], axis=1)
-             if sum(b.shape[1] for b in bases) <= n else normal)
-    ok = gram_volumes(stack) > GENERAL_POSITION_TOL
-    normal, rhs, tuples = normal[ok], rhs[ok], tuples[ok]
-    u, s, vt = np.linalg.svd(normal)
-    p = normal.shape[1]
-    coef = np.einsum("mij,mi->mj", u, rhs) / s
-    point = np.einsum("mj,mjn->mn", coef, vt[:, :p])
-    direction = vt[:, p:]
-    # as Flat.through_point: drop any round-off component along the direction
-    point -= np.einsum("mq,mqn->mn", np.einsum("mqn,mn->mq", direction, point), direction)
-    return direction, point, tuples
+    on_directions = sum(b.shape[1] for b in bases) <= n
+
+    def solve(tuples):
+        normal = np.concatenate([c[t] for c, t in zip(comps, tuples.T)], axis=1)
+        rhs = np.concatenate([lv[t] for lv, t in zip(levels, tuples.T)], axis=1)
+        stack = (np.concatenate([b[t] for b, t in zip(bases, tuples.T)], axis=1)
+                 if on_directions else normal)
+        ok = gram_volumes(stack) > GENERAL_POSITION_TOL
+        normal, rhs, tuples = normal[ok], rhs[ok], tuples[ok]
+        u, s, vt = np.linalg.svd(normal)
+        p = normal.shape[1]
+        coef = np.einsum("mij,mi->mj", u, rhs) / s
+        point = np.einsum("mj,mjn->mn", coef, vt[:, :p])
+        direction = vt[:, p:]
+        # as Flat.through_point: drop any round-off component along the direction
+        point -= np.einsum("mq,mqn->mn", np.einsum("mqn,mn->mq", direction, point),
+                           direction)
+        return direction, point, tuples
+
+    return _in_blocks(solve, tuples)

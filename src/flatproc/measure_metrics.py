@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_array
 
-from .flat_geometry import Subspace, freeze_fields, grassmann_metric
+from .flat_geometry import Subspace, grassmann_metric
 from .measures import GrassmannMeasure, SphereMeasure, lower_bound_check
 from .zonoid_engine import area_measure, mu_Q_r
 
@@ -64,7 +64,8 @@ class MetricSample:
             via = np.min(rows[:, :, None] + dist[None, :, :], axis=1)
             if np.max(rows - via, initial=0.0) > 1e-9:
                 raise ValueError("distance table violates the triangle inequality")
-        freeze_fields(self, dist=dist)
+        dist.flags.writeable = False
+        object.__setattr__(self, "dist", dist)
 
     @property
     def size(self) -> int:

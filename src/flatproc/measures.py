@@ -16,8 +16,7 @@ import numpy as np
 
 from . import constants
 from ._rng import SeedLike, as_generator
-from .flat_geometry import (Subspace, canonical_unit, complement, freeze_fields, haar_sample,
-                            orthonormalize)
+from .flat_geometry import Subspace, canonical_unit, complement, haar_sample, orthonormalize
 
 DEFAULT_MC_SAMPLES = 100_000
 
@@ -208,7 +207,9 @@ class DirectionSet:
         if self.kind == "double_cap":
             if self.axis is None or self.threshold is None:
                 raise ValueError("double cap needs an axis and a threshold")
-            freeze_fields(self, axis=canonical_unit(self.axis))
+            axis = canonical_unit(self.axis)
+            axis.flags.writeable = False
+            object.__setattr__(self, "axis", axis)
         if self.kind == "custom":
             if self.predicate is None:
                 raise ValueError("custom direction set needs a predicate")

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import constants
 from ._rng import SeedLike, as_generator, seed_record
-from .flat_geometry import (Flat, Subspace, complement_bases, freeze_fields, gram_volumes,
-                            haar_bases)
+from .flat_geometry import Flat, Subspace, complement_bases, gram_volumes, haar_bases
 from .measures import GrassmannMeasure
 
 
@@ -82,7 +81,10 @@ class FlatSample:
                 rel = np.einsum("mkn,mn->mk", bases, offsets)
                 if np.max(np.abs(rel)) > 1e-9:
                     raise ValueError("offsets must be orthogonal to directions")
-        freeze_fields(self, bases=bases, offsets=offsets)
+        bases.flags.writeable = False
+        offsets.flags.writeable = False
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "offsets", offsets)
 
     def __len__(self) -> int:
         return self.offsets.shape[0]
@@ -134,11 +136,18 @@ class FactorialDistribution:
         for m in range(1, self.kappa + 1):
             if abs(self.factorial_moment(m) - 1.0) > 1e-12:
                 raise ValueError(f"factorial moment of order {m} must equal 1")
-        freeze_fields(self, probabilities=p)
+        p.flags.writeable = False
+        object.__setattr__(self, "probabilities", p)
 
     def factorial_moment(self, m: int) -> float:
-        return math.fsum(math.perm(i, m) * prob for i, prob in enumerate(self.probabilities)
-                         if i >= m and prob > 0)
+        terms = []
+        for i, prob in enumerate(self.probabilities):
+            if i >= m and prob > 0:
+                falling = 1.0
+                for j in range(m):
+                    falling *= i - j
+                terms.append(falling * prob)
+        return math.fsum(terms)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.kappa + 1, size=size, p=self.probabilities)
@@ -340,13 +349,17 @@ def read_flat_sample(path: str | Path) -> FlatSample:
     head = lines[0].split()
     n, k, radius = int(head[0]), int(head[1]), float(head[2])
     seed = head[3] if len(head) > 3 else "generator"
-    rows = []
+    bases, offsets = [], []
     for ln in lines[1:]:
         parts = ln.split()
         if int(parts[0]) != k:
             raise ValueError(f"{path}: inconsistent flat dimension")
-        rows.append([float(tok) for tok in parts[1:]])
-        if len(rows[-1]) != n + k * n:
+        nums = [float(tok) for tok in parts[1:]]
+        if len(nums) != n + k * n:
             raise ValueError(f"{path}: flat line needs {n + k * n} floats")
-    rows = np.array(rows).reshape(-1, n + k * n)
-    return FlatSample(n, k, radius, rows[:, n:], rows[:, :n], seed)
+        offsets.append(nums[:n])
+        bases.append(np.array(nums[n:]).reshape(k, n))
+    m = len(offsets)
+    bases_arr = np.array(bases).reshape(m, k, n)
+    offsets_arr = np.array(offsets).reshape(m, n)
+    return FlatSample(n, k, radius, bases_arr, offsets_arr, seed)

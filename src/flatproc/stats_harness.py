@@ -130,7 +130,11 @@ def factorial_moment_check(sampler: Callable[[np.random.Generator], np.ndarray],
     means = data.mean(axis=0)
     tuple_mean = means[0]
     product = float(np.prod(means[1:]))
-    grad = np.array([1.0] + [-np.prod(np.delete(means[1:], j)) for j in range(r)])
+    grad = np.zeros(r + 1)
+    grad[0] = 1.0
+    for j in range(r):
+        others = np.prod(np.delete(means[1:], j))
+        grad[j + 1] = -others
     cov = np.cov(data, rowvar=False)
     var = float(grad @ cov @ grad) / replications
     diff = tuple_mean - product

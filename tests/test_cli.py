@@ -159,13 +159,18 @@ def test_summary_embeds_config_and_version(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["proximity", "--config"], "--config needs a file path"),
     (["proximity", "--config", "/nonexistent/run.cfg"], "/nonexistent/run.cfg"),
-    (["proximity", "--delta", "nan", "--reps", "10"], "--delta must be finite and positive"),
-    (["simulate", "--radius", "-1"], "--radius must be finite and positive"),
+    (["proximity", "--delta", "nan", "--reps", "10"], "--delta: must be finite and positive"),
+    (["simulate", "--radius", "-1"], "--radius: must be finite and positive"),
+    (["clt", "--rho", "2", "inf"], "--rho: must be finite and positive"),
+    (["proximity", "--gamma", "-1"], "--gamma: must be finite and nonnegative"),
 ])
 def test_bad_input_exits_one_with_one_line(argv, message, capsys):
+    # one error line, the last; flag errors follow argparse's usage line
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    lines = err.splitlines()
+    assert "Traceback" not in err and [ln for ln in lines if ln.startswith("error: ")] == lines[-1:]
+    assert message in lines[-1]
 
 
 def test_weibull_too_few_minima_reports_failure(tmp_path):

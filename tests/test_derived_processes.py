@@ -89,7 +89,7 @@ def assert_matches_scalar(seg, ref):
     assert sorted(map(tuple, seg.pairs.tolist())) == sorted(ref)
     for (i, j), length, mid, direction in zip(seg.pairs.tolist(), seg.lengths,
                                               seg.midpoints, seg.directions):
-        assert abs(length - ref[(i, j)].length) <= 1e-9
+        assert abs(length - ref[(i, j)].length) <= 1e-10
         assert np.max(np.abs(mid - ref[(i, j)].midpoint)) <= 1e-9
         assert np.max(np.abs(direction - ref[(i, j)].direction)) <= 1e-9
 
@@ -129,6 +129,35 @@ def test_degenerate_and_touching_pairs_dropped_like_scalar():
     ref = scalar_segments(lines, None, 10.0)
     assert sorted(ref) == [(0, 3), (1, 3), (2, 3)]
     assert_matches_scalar(proximity(lines, delta=10.0), ref)
+
+
+def test_pairs_beyond_one_block_match_scalar():
+    # more candidate pairs than one block of the stacked solve: the blocks
+    # together must give what the scalar solver gives pair by pair
+    from flatproc.flat_geometry import BLOCK_ROWS
+
+    spec = FlatProcessSpec(5, 2, 30.0, GrassmannMeasure.isotropic(5, 2, 1.0))
+    planes = sample_poisson(spec, 1.2, 310)
+    assert len(planes) * (len(planes) - 1) // 2 > BLOCK_ROWS
+    assert_matches_scalar(proximity(planes, delta=0.3), scalar_segments(planes, None, 0.3))
+
+
+def test_small_blocks_match_scalar(monkeypatch):
+    # many blocks, the last one partial: pairs and tuples keep their order
+    import flatproc.flat_geometry as flat_geometry
+
+    monkeypatch.setattr(flat_geometry, "BLOCK_ROWS", 7)
+    spec = FlatProcessSpec(5, 2, 1.0, GrassmannMeasure.isotropic(5, 2, 1.0))
+    planes = sample_poisson(spec, 1.6, 311)
+    seg = proximity(planes, delta=2.0)
+    assert len(seg) > 7
+    assert_matches_scalar(seg, scalar_segments(planes, None, 2.0))
+    spec = FlatProcessSpec(3, 2, 5.0, GrassmannMeasure.isotropic(3, 2, 1.0))
+    sample = sample_poisson(spec, 1.2, 312)
+    for order in (2, 3):
+        inter = intersections(sample, order=order)
+        assert len(inter) > 7
+        assert_intersections_match(inter, scalar_intersections(sample, order))
 
 
 def test_proximity_mixed_dimension_cross_samples():
