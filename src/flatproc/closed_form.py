@@ -353,8 +353,8 @@ def mean_F_alpha(n: int, k: int, gamma: float, q: GrassmannMeasure, delta: float
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("requires 2k < n and k >= 1")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError("alpha must be finite and nonnegative")
     if direction_set is None:
         direction_set = DirectionSet.full_sphere(n)
     integral, se = pair_integral(q, q, direction_set, rng=rng, samples=samples)

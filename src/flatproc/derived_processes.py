@@ -4,14 +4,18 @@ length-power direction functionals evaluated on them.
 Both processes are stored as arrays: segments as midpoints, lengths,
 directions and index pairs, intersection flats as direction bases, offsets
 and generator index tuples; `segments` and `flats` materialize the immutable
-objects on demand.  Every pair or tuple is solved in one batch by the
-array kernels of `flat_geometry` (`pair_segments`, `tuple_intersections`).
-Pair enumeration is O(N^2) by design; the exactness of the enumeration is
-guaranteed by the window-radius precondition radius >= circumradius(A) +
-delta/2 checked in `f_alpha`.
+objects on demand.  Pairs and tuples are solved in blocks by the array
+kernels of `flat_geometry` (`pair_segments`, `tuple_intersections`).
+Every pair is considered, so a proximity process holds every pair within
+delta wherever its segment lies; for lines, `pair_segments` solves exactly
+only the pairs that a screen of matrix products cannot rule out, so the
+work per pair ruled out is a few floating-point operations.  The
+exactness of the functionals is guaranteed by the window-radius
+precondition radius >= circumradius(A) + delta/2 checked in `f_alpha`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -22,7 +26,7 @@ import numpy as np
 from .closed_form import WindowDescriptor
 from .flat_geometry import (Flat, ProximitySegment, Subspace, pair_segments,
                             tuple_intersections)
-from .measures import DirectionSet
+from .measures import DirectionSet, finite_positive
 from .simulator import FlatSample
 
 
@@ -132,12 +136,11 @@ def proximity(sample_a: FlatSample, sample_b: FlatSample | None = None,
         raise ValueError("samples must share the ambient dimension")
     if sample_a.k + other.k >= n:
         raise ValueError("requires k_1 + k_2 < n")
-    if delta <= 0:
-        raise ValueError("distance threshold must be positive")
+    if not finite_positive(delta):
+        raise ValueError("distance threshold must be finite and positive")
     radius = min(sample_a.radius, other.radius)
-    idx = _index_tuples([len(sample_a), len(other)], single)
     mids, lens, dirs, pairs = pair_segments(sample_a.bases, sample_a.offsets,
-                                            other.bases, other.offsets, idx, delta)
+                                            other.bases, other.offsets, single, delta)
     return SegmentProcessSample(n, delta, radius, mids, lens, dirs, pairs)
 
 
@@ -185,8 +188,8 @@ def f_alpha(seg: SegmentProcessSample, alpha: float, window: WindowDescriptor,
     canonical direction; a full sphere weighs every segment by 1, so alpha=0
     counts the qualifying segments.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError("alpha must be finite and nonnegative")
     _check_window(seg, window)
     if len(seg) == 0:
         return 0.0
@@ -205,8 +208,8 @@ def order_statistics(seg: SegmentProcessSample, alpha: float,
 
     Padded with +inf when fewer than m segments qualify.
     """
-    if alpha <= 0:
-        raise ValueError("order statistics need a positive length power")
+    if not finite_positive(alpha):
+        raise ValueError("order statistics need a finite positive length power")
     _check_window(seg, window)
     keep = window.contains(seg.midpoints) if len(seg) else np.zeros(0, dtype=bool)
     if direction_set is not None and direction_set.kind != "full" and len(seg):

@@ -16,9 +16,18 @@ from ._rng import SeedLike, as_generator
 ORTHO_TOL = 1e-12
 RANK_TOL = 1e-10
 GENERAL_POSITION_TOL = 1e-10
-# pairs or tuples per batch in the stacked kernels: bounds their temporaries
-# (about 0.5 kB per pair of 2-flats in R^5) whatever the sample size
+# pairs per slab of `pair_segments` and tuples per block of
+# `tuple_intersections`: bounds their temporaries (about 0.5 kB per pair of
+# 2-flats in R^5, about 0.1 kB per screened line pair) whatever the sample size
 BLOCK_ROWS = 1 << 14
+# line pairs with 1 - c^2 below this (c the cosine of their directions) skip
+# the screen of `pair_segments` and go to the exact solve: the screen's
+# round-off grows like 1 / (1 - c^2)
+SCREEN_TAU = 1e-6
+# samples with fewer line pairs than this skip the screen: its fixed cost of
+# about 40 us outweighs what it saves below about 300 pairs (isotropic lines
+# in R^3, delta 1, timed on a 2-vCPU x86-64 host with one BLAS thread)
+SCREEN_MIN_PAIRS = 300
 
 
 class DegeneratePairError(ValueError):
@@ -409,17 +418,68 @@ def _in_blocks(solve, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def pair_segments(bases_a, offs_a, bases_b, offs_b, pairs, delta):
+def _line_screen(bases_a, offs_a, bases_b, offs_b, delta):
+    """Candidate test for line pairs from four products per slab of rows.
+
+    A line's offset is orthogonal to its direction, so with c = u_i.v_j and
+    d = a_i - b_j: d.u_i = -b_j.u_i, d.v_j = a_i.v_j, |d|^2 = |a_i|^2 +
+    |b_j|^2 - 2 a_i.b_j, and dist^2 = |d|^2 - (du^2 + dv^2 - 2 c du dv) /
+    (1 - c^2).  Returns screen(r0, r1, col0), the (r1 - r0, N_b - col0)
+    mask of the pairs to solve exactly: those with 1 - c^2 < SCREEN_TAU and
+    those with dist^2 <= delta^2 + margin.
+    """
+    u, v = bases_a[:, 0, :], bases_b[:, 0, :]
+    sq_a = np.einsum("mn,mn->m", offs_a, offs_a)
+    sq_b = np.einsum("mn,mn->m", offs_b, offs_b)
+    # Round-off of the screen.  eps = 2^-53, M the largest of |a_i|^2,
+    # |b_j|^2 and delta^2; a dot product of length n errs by at most
+    # n eps |x| |y|, and |du|, |dv| <= |d| <= 2 sqrt(M).  So the computed
+    # |d|^2 errs by at most (4n + 10) eps M, the numerator by (24n + 56) eps M
+    # and 1 - c^2 by (2n + 2) eps: dist^2 errs by at most (36n + 78) eps M /
+    # (1 - c^2) to first order.  The exact solve's feet lie within
+    # 6 sqrt(M / (1 - c^2)) of the offsets, so its rounded length falls short
+    # of the true distance by less than (n + 58) eps sqrt(M / (1 - c^2)),
+    # which moves its kept set by at most 2 (n + 58) eps M / (1 - c^2) in
+    # dist^2.  Together: 80 (n + 2) eps M / (1 - c^2).  A pair screened here
+    # has computed 1 - c^2 >= SCREEN_TAU, so true 1 - c^2 >= SCREEN_TAU / 2,
+    # and the margin below keeps every pair the exact solve keeps.
+    n = offs_a.shape[1]
+    big = max(sq_a.max(initial=0.0), sq_b.max(initial=0.0), delta * delta)
+    bound = delta * delta + 160.0 * (n + 2) * 2.0 ** -53 * big / SCREEN_TAU
+
+    def screen(r0, r1, col0):
+        ur, ar, vc, bc = u[r0:r1], offs_a[r0:r1], v[col0:], offs_b[col0:]
+        c = ur @ vc.T
+        du = -(ur @ bc.T)
+        dv = ar @ vc.T
+        sin2 = 1.0 - c * c
+        dist2 = (sq_a[r0:r1, None] + sq_b[None, col0:] - 2.0 * (ar @ bc.T)
+                 - (du * du + dv * dv - 2.0 * c * du * dv) / np.maximum(sin2, SCREEN_TAU))
+        return (sin2 < SCREEN_TAU) | (dist2 <= bound)
+
+    return screen
+
+
+def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     """Batched closest-pair solve: the proximity segments of flat pairs.
 
     bases_* are (N, k, n) stacks of orthonormal rows and offs_* (N, n)
-    offsets of two flat families with k_1 + k_2 < n; pairs is an (m, 2)
-    index array into them.  Returns the qualifying subset (midpoints,
-    lengths, directions, pairs): the pairs closest_pair solves (general
-    position, positive separation) with length at most delta.  Line pairs
-    are solved in one batch, other pairs in blocks of BLOCK_ROWS.
+    offsets of two flat families with k_1 + k_2 < n; single means that both
+    are one sample, whose pairs are i < j, and otherwise every (i, j) is a
+    pair.  Returns the qualifying pairs in lexicographic order with their
+    segments (midpoints, lengths, directions, pairs): the pairs closest_pair
+    solves (general position, positive separation) with length at most
+    delta.  Pairs are visited in slabs of rows i against all their j, about
+    BLOCK_ROWS pairs a slab, so no array of all pairs is built.  For line
+    pairs a screen of four matrix products per slab (`_line_screen`) passes
+    on a superset of the qualifying pairs; only those reach the exact 2x2
+    solve, so the output is that of solving every pair.
     """
     lines = bases_a.shape[1] == bases_b.shape[1] == 1
+    n_a, n_b = offs_a.shape[0], offs_b.shape[0]
+    count = n_a * (n_a - 1) // 2 if single else n_a * n_b
+    screen = (_line_screen(bases_a, offs_a, bases_b, offs_b, delta)
+              if lines and count >= SCREEN_MIN_PAIRS else None)
 
     def solve(pairs):
         i, j = pairs[:, 0], pairs[:, 1]
@@ -457,7 +517,20 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, pairs, delta):
         midpoints = (x_e[keep] + x_f[keep]) / 2.0
         return midpoints, lengths, canonical_units(gap / lengths[:, None]), pairs
 
-    return solve(pairs) if lines else _in_blocks(solve, pairs)
+    parts, r0 = [], 0
+    while r0 < n_a or not parts:  # one slab at least: no rows give empty arrays
+        col0 = r0 + 1 if single else 0
+        r1 = min(n_a, r0 + max(1, BLOCK_ROWS // max(n_b - col0, 1)))
+        if single:
+            mask = np.arange(col0, n_b)[None, :] > np.arange(r0, r1)[:, None]
+        else:
+            mask = np.ones((r1 - r0, n_b), dtype=bool)
+        if screen is not None:
+            mask &= screen(r0, r1, col0)
+        i, j = np.nonzero(mask)
+        parts.append(solve(np.stack([i + r0, j + col0], axis=1)))
+        r0 = r1
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def tuple_intersections(bases, offsets, tuples):

@@ -237,6 +237,13 @@ def test_mean_f_alpha_collapses_to_proximity():
     assert scaled == pytest.approx(8.0 * value, rel=1e-14)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+def test_mean_f_alpha_rejects_bad_alpha(alpha):
+    iso = GrassmannMeasure.isotropic(3, 1, 1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        mean_F_alpha(3, 1, 1.0, iso, 1.0, alpha, WindowDescriptor.unit_cube(3))
+
+
 def test_mean_f_alpha_monte_carlo_cross_check():
     from flatproc.derived_processes import f_alpha, proximity
     from flatproc.simulator import FlatProcessSpec, sample_poisson

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ E = np.eye(3)
 def lines_sample(directions, points, radius=10.0):
     flats = [Flat.through_point(Subspace.span(d), p)
              for d, p in zip(directions, points)]
-    return FlatSample(3, 1, radius,
+    return FlatSample(len(points[0]), 1, radius,
                       np.stack([f.direction.basis for f in flats]),
                       np.stack([f.offset for f in flats]), "fixture")
 
@@ -43,6 +45,12 @@ def test_proximity_excludes_parallel_pairs():
     sample = lines_sample([E[0], E[0]], [np.zeros(3), E[1]])
     seg = proximity(sample, delta=10.0)
     assert len(seg) == 0
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_proximity_rejects_bad_delta(delta):
+    with pytest.raises(ValueError, match="distance threshold"):
+        proximity(skew_orthogonal_lines(1.0), delta=delta)
 
 
 def test_proximity_dimension_precondition():
@@ -85,12 +93,16 @@ def scalar_segments(sample_a, sample_b, delta):
     return out
 
 
-def assert_matches_scalar(seg, ref):
-    assert sorted(map(tuple, seg.pairs.tolist())) == sorted(ref)
-    for (i, j), length, mid, direction in zip(seg.pairs.tolist(), seg.lengths,
-                                              seg.midpoints, seg.directions):
+def assert_matches_scalar(seg, ref, mid_tol=1e-9, skip=()):
+    pairs = seg.pairs.tolist()
+    assert (sorted(p for p in map(tuple, pairs) if p not in skip)
+            == sorted(p for p in ref if p not in skip))
+    for (i, j), length, mid, direction in zip(pairs, seg.lengths, seg.midpoints,
+                                              seg.directions):
+        if (i, j) in skip:
+            continue
         assert abs(length - ref[(i, j)].length) <= 1e-10
-        assert np.max(np.abs(mid - ref[(i, j)].midpoint)) <= 1e-9
+        assert np.max(np.abs(mid - ref[(i, j)].midpoint)) <= mid_tol
         assert np.max(np.abs(direction - ref[(i, j)].direction)) <= 1e-9
 
 
@@ -131,6 +143,86 @@ def test_degenerate_and_touching_pairs_dropped_like_scalar():
     assert_matches_scalar(proximity(lines, delta=10.0), ref)
 
 
+def far_line_pair(rng, n, sin_t, dist):
+    """Two lines in R^n whose common perpendicular has length dist and lies
+    100-150 along the lines from their offsets, which lie 110-140 from the
+    origin: rotated copies of e1 and cos(t) e1 + sin(t) e2 through
+    center -+ (dist / 2) e3.  Returns (directions, points)."""
+    from flatproc.flat_geometry import random_rotation
+
+    rot = random_rotation(n, rng)
+    e1, e2, e3 = rot[:, 0], rot[:, 1], rot[:, 2]
+    center = (rng.uniform(110.0, 140.0) * e3 + rng.choice([-1, 1]) * rng.uniform(100, 150) * e1
+              + rot[:, 3:] @ rng.uniform(-30.0, 30.0, n - 3))
+    cos_t = np.sqrt(1.0 - sin_t * sin_t)
+    return [e1, cos_t * e1 + sin_t * e2], [center - dist / 2 * e3, center + dist / 2 * e3]
+
+
+def screen_fixture(n, seed, delta=1.0):
+    """Line pairs around the edges of the screen in pair_segments: distances
+    delta (1 +- 1e-12) at generic angles; 1 - c^2 just below and just above
+    SCREEN_TAU at distances delta / 2 and delta (1 +- 1e-9); 1 - c^2 =
+    SCREEN_TAU / 2 at distance delta (1 - 1e-9), where a screen that held
+    its denominator at SCREEN_TAU for every pair would overstate distance^2
+    by (x sin t)^2 / 2 >= 2.5e-3 (x >= 100 the feet's distance from the
+    offsets); exactly parallel pairs; a touching pair."""
+    from flatproc.flat_geometry import SCREEN_TAU
+
+    rng = np.random.default_rng(seed)
+    cases = [(np.sin(t), dist) for t in rng.uniform(0.3, 1.5, 8)
+             for dist in (delta * (1 - 1e-12), delta * (1 + 1e-12))]
+    cases += [(np.sqrt(SCREEN_TAU * f), dist) for f in (0.99, 1.01)
+              for dist in (delta / 2, delta * (1 - 1e-9), delta * (1 + 1e-9))]
+    cases += [(np.sqrt(SCREEN_TAU / 2), delta * (1 - 1e-9))] * 2
+    cases += [(0.0, delta / 2), (0.0, delta * (1 - 1e-12)), (np.sin(0.7), 0.0)]
+    directions, points = [], []
+    for sin_t, dist in cases:
+        pair_dirs, pair_points = far_line_pair(rng, n, sin_t, dist)
+        directions += pair_dirs
+        points += pair_points
+    return lines_sample(directions, points, radius=200.0)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 320), (5, 321)])
+def test_screen_keeps_every_pair_near_its_edges(n, seed, monkeypatch):
+    import flatproc.flat_geometry as flat_geometry
+
+    sample = screen_fixture(n, seed)
+    assert np.min(np.linalg.norm(sample.offsets, axis=1)) >= 100.0
+    assert len(sample) * (len(sample) - 1) // 2 >= flat_geometry.SCREEN_MIN_PAIRS
+    seg = proximity(sample, delta=1.0)
+    # the screen only picks the pairs for the exact solve: the output is the
+    # exact solve's on every pair, bit for bit
+    monkeypatch.setattr(flat_geometry, "SCREEN_MIN_PAIRS", math.inf)
+    unscreened = proximity(sample, delta=1.0)
+    for name in ("pairs", "lengths", "midpoints", "directions"):
+        assert np.array_equal(getattr(seg, name), getattr(unscreened, name))
+    ref = scalar_segments(sample, None, 1.0)
+    # the constructed pairs within delta are kept; those beyond it are not
+    built = {(2 * p, 2 * p + 1) for p in range(len(sample) // 2)}
+    assert sorted(set(ref) & built) == [(2 * p, 2 * p + 1) for p in
+                                        [*range(0, 16, 2), 16, 17, 19, 20, 22, 23]]
+    # pair sets and lengths agree with closest_pair, except on the exactly
+    # parallel and the touching pair (the last three), where the two solvers
+    # can disagree at round-off (see the xfail test below); the midpoint of
+    # a nearly parallel pair is ill-conditioned along the lines (round-off
+    # of order 200 eps / (1 - c^2), about 2e-8 here), in both solvers alike
+    degenerate = {(2 * p, 2 * p + 1) for p in range(len(sample) // 2 - 3, len(sample) // 2)}
+    assert_matches_scalar(seg, ref, mid_tol=1e-7, skip=degenerate)
+
+
+@pytest.mark.xfail(strict=True, reason="the batched line solve tests general position on "
+                   "1 - c^2 and touching by an absolute 1e-12 cutoff, both below its "
+                   "round-off for lines far from the origin")
+@pytest.mark.parametrize("sin_t, dist, seed", [(0.0, 0.5, 11), (np.sqrt(1.01e-6), 0.0, 0)],
+                         ids=["parallel", "touching"])
+def test_degenerate_lines_far_out_dropped_like_scalar(sin_t, dist, seed):
+    directions, points = far_line_pair(np.random.default_rng(seed), 5, sin_t, dist)
+    sample = lines_sample(directions, points, radius=200.0)
+    assert scalar_segments(sample, None, 1.0) == {}
+    assert len(proximity(sample, delta=1.0)) == 0
+
+
 def test_pairs_beyond_one_block_match_scalar():
     # more candidate pairs than one block of the stacked solve: the blocks
     # together must give what the scalar solver gives pair by pair
@@ -158,6 +250,36 @@ def test_small_blocks_match_scalar(monkeypatch):
         inter = intersections(sample, order=order)
         assert len(inter) > 7
         assert_intersections_match(inter, scalar_intersections(sample, order))
+    # lines: screened slabs of one row each, for one sample and across two
+    from flatproc.flat_geometry import SCREEN_MIN_PAIRS
+
+    for n, radius in ((3, 3.0), (4, 2.0)):
+        spec = FlatProcessSpec(n, 1, 1.0, GrassmannMeasure.isotropic(n, 1, 1.0))
+        a, b = sample_poisson(spec, radius, [313, n, 0]), sample_poisson(spec, radius, [313, n, 1])
+        assert len(a) * (len(a) - 1) // 2 >= SCREEN_MIN_PAIRS
+        for first, second in ((a, None), (a, b), (b, a)):
+            seg = proximity(first, second, delta=1.0)
+            assert len(seg) > 7
+            assert_matches_scalar(seg, scalar_segments(first, second, 1.0))
+
+
+def test_large_line_window_matches_brute_force():
+    # a radius-16.5 window of about 850 lines (mean pi 16.5^2 = 855), as in
+    # the large-window checks, against the distance formula for skew lines
+    # in R^3, |(a_i - a_j) . (u_i x u_j)| / |u_i x u_j|, over all pairs at once
+    spec = FlatProcessSpec(3, 1, 1.0, GrassmannMeasure.isotropic(3, 1, 1.0))
+    sample = sample_poisson(spec, 16.5, 314)
+    assert 750 <= len(sample) <= 950
+    seg = proximity(sample, delta=1.0)
+    u, a = sample.bases[:, 0, :], sample.offsets
+    i, j = np.triu_indices(len(sample), k=1)
+    cross = np.cross(u[i], u[j])
+    norm = np.linalg.norm(cross, axis=1)
+    ok = norm > 1e-10
+    gap = np.abs(np.einsum("mn,mn->m", a[i][ok] - a[j][ok], cross[ok])) / norm[ok]
+    keep = (gap > 1e-12) & (gap <= 1.0)
+    assert seg.pairs.tolist() == np.stack([i[ok][keep], j[ok][keep]], axis=1).tolist()
+    assert np.max(np.abs(seg.lengths - gap[keep])) <= 1e-10
 
 
 def test_proximity_mixed_dimension_cross_samples():
@@ -326,6 +448,13 @@ def test_f_alpha_counts_and_single_length():
     assert f_alpha(seg, 0.0, window, cap) == 0.0
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+def test_f_alpha_rejects_bad_alpha(alpha):
+    seg = proximity(skew_orthogonal_lines(0.5), delta=1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        f_alpha(seg, alpha, WindowDescriptor.unit_cube(3))
+
+
 def test_f_alpha_window_precondition():
     seg = SegmentProcessSample(3, 1.0, 1.0, np.zeros((0, 3)), np.zeros(0),
                                np.zeros((0, 3)), np.zeros((0, 2), dtype=int))
@@ -349,6 +478,13 @@ def test_order_statistics_padding_and_minimum():
     assert order_statistics(seg, 1.0, window, 1)[0] == min(seg.lengths)
     squared = order_statistics(seg, 2.0, window, 1)[0]
     assert squared == pytest.approx(0.04, abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_order_statistics_rejects_bad_alpha(alpha):
+    seg = proximity(skew_orthogonal_lines(0.5), delta=1.0)
+    with pytest.raises(ValueError, match="length power"):
+        order_statistics(seg, alpha, WindowDescriptor.unit_cube(3), 1)
 
 
 def test_segment_sample_validation():
