@@ -17,7 +17,7 @@ from . import constants
 from ._rng import SeedLike, as_generator
 from .flat_geometry import Subspace, complement, haar_sample, orthonormalize, subspace_determinant
 from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
-                       finite_positive)
+                       finite_positive, symmetrize_line_measure)
 from .zonoid_engine import mu_Q_r
 
 BOX_MC_SAMPLES = 1_000_000
@@ -233,30 +233,20 @@ def proximity_directional_measure(n: int, q: GrassmannMeasure) -> SphereMeasure:
     """Full directional measure of the proximity process of a line process.
 
     For an atomic line directional distribution this is the normalized
-    subsphere mixture over unordered atom pairs; it coincides with the
-    normalized second-order area measure of the associated zonotope.
+    subsphere mixture over unordered atom pairs: the pair {L_i, L_j} carries
+    2 w_i w_j [L_i, L_j] on the sphere of (L_i + L_j)-perp.  That is
+    mu_Q_2 of the symmetrized distribution, so the mixture coincides with
+    the normalized second-order area measure of the associated zonotope.
     """
     if q.k != 1:
         raise ValueError("full directional measure implemented for lines only")
     if q.is_isotropic:
         raise ValueError("requires an atomic directional distribution")
-    components: list[tuple[Subspace, float]] = []
-    atoms = list(q.atoms)
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            (l_sub, w1), (m_sub, w2) = atoms[i], atoms[j]
-            det = subspace_determinant([l_sub, m_sub])
-            if det <= 1e-14:
-                continue
-            joint = orthonormalize(np.vstack([l_sub.basis, m_sub.basis]))
-            components.append((complement(joint), 2.0 * w1 * w2 * det))
-    total = sum(w * constants.sphere_surface(s.k) for s, w in components)
+    mu = mu_Q_r(symmetrize_line_measure(q), 2)
+    total = mu.total_mass * constants.sphere_surface(n - 2)
     if total <= 0:
         raise ValueError("degenerate directional distribution")
-    from .zonoid_engine import merge_grassmann_atoms
-
-    merged = merge_grassmann_atoms(components)
-    return SphereMeasure.subsphere_mixture(n, [(s, w / total) for s, w in merged])
+    return SphereMeasure.subsphere_mixture(n, [(s, w / total) for s, w in mu.atoms])
 
 
 def intersection_density(n: int, dims, intensities, qs, g=None,

@@ -480,6 +480,9 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     count = n_a * (n_a - 1) // 2 if single else n_a * n_b
     screen = (_line_screen(bases_a, offs_a, bases_b, offs_b, delta)
               if lines and count >= SCREEN_MIN_PAIRS else None)
+    if lines:
+        sq_u = np.einsum("mn,mn->m", bases_a[:, 0, :], bases_a[:, 0, :])
+        sq_v = sq_u if single else np.einsum("mn,mn->m", bases_b[:, 0, :], bases_b[:, 0, :])
 
     def solve(pairs):
         i, j = pairs[:, 0], pairs[:, 1]
@@ -488,8 +491,11 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             u, v = bases_a[:, 0, :][i], bases_b[:, 0, :][j]
             a, b = offs_a[i], offs_b[j]
             c = np.einsum("mn,mn->m", u, v)
-            det = 1.0 - c * c
-            ok = np.sqrt(np.maximum(det, 0.0)) > GENERAL_POSITION_TOL
+            c2 = c * c
+            det = 1.0 - c2
+            # general position on the Gram determinant, as closest_pair: it
+            # is 0 for equal rows, where 1 - c^2 need not be
+            ok = np.sqrt(np.maximum(sq_u[i] * sq_v[j] - c2, 0.0)) > GENERAL_POSITION_TOL
             u, v, a, b, c, det, pairs = u[ok], v[ok], a[ok], b[ok], c[ok], det[ok], pairs[ok]
             d = a - b
             # normal equations of min |d + s u - t v| over (s, t)

@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
 
 from . import constants
-from .flat_geometry import Subspace, orthonormalize, complement, parallelepiped_volume
-from .measures import GrassmannMeasure, SphereMeasure
+from .flat_geometry import Subspace, complement_bases, gram_volumes
+from .measures import GrassmannMeasure, SphereMeasure, finite_positive
 
 DROP_TOL = 1e-10
 MERGE_TOL = 1e-8
@@ -33,10 +33,10 @@ class Zonotope:
 
     def __post_init__(self) -> None:
         for u, w in self.generators:
-            if u.shape != (self.n,):
-                raise ValueError("generator directions must be n-vectors")
-            if w <= 0:
-                raise ValueError("generator half-lengths must be positive")
+            if u.shape != (self.n,) or not np.all(np.isfinite(u)):
+                raise ValueError("generator directions must be finite n-vectors")
+            if not finite_positive(w):
+                raise ValueError("generator half-lengths must be finite and positive")
 
     def direction_matrix(self) -> np.ndarray:
         if not self.generators:
@@ -69,6 +69,18 @@ def support(z: Zonotope, x: np.ndarray) -> float:
     return float(z.half_lengths() @ np.abs(z.direction_matrix() @ x))
 
 
+def _subsets(z: Zonotope, r: int):
+    """The generator directions of z; their r-subsets as an (m, r) index
+    array in lexicographic order; the subsets' nabla_r, from one stacked
+    Gram volume; and their terms prod_i (2 w_i) * nabla_r of V_r(z)."""
+    units = z.direction_matrix()
+    count = comb(units.shape[0], r)
+    idx = np.fromiter(chain.from_iterable(combinations(range(units.shape[0]), r)),
+                      dtype=np.intp, count=count * r).reshape(count, r)
+    vols = np.minimum(gram_volumes(units[idx]), 1.0)
+    return units, idx, vols, np.prod(2.0 * z.half_lengths()[idx], axis=1) * vols
+
+
 def intrinsic_volume(z: Zonotope, m: int) -> float:
     """m-th intrinsic volume of the zonotope.
 
@@ -80,28 +92,31 @@ def intrinsic_volume(z: Zonotope, m: int) -> float:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={z.n}")
     if m == 0:
         return 1.0
-    dirs = z.direction_matrix()
-    lengths = 2.0 * z.half_lengths()
-    total = 0.0
-    for idx in combinations(range(len(z.generators)), m):
-        sel = dirs[list(idx)]
-        vol = parallelepiped_volume(sel)
-        if vol > 0.0:
-            total += float(np.prod(lengths[list(idx)])) * vol
-    return total
+    return float(_subsets(z, m)[3].sum())
+
+
+def _merge(projectors: np.ndarray, weights, tol: float):
+    """Indices of the first projector of each class (projectors within tol
+    of it) and the summed weights of the classes; each projector is compared
+    with the stacked representatives in one norm."""
+    reps, sums = [], []
+    for i, p in enumerate(projectors):
+        if reps:
+            hit = np.flatnonzero(np.linalg.norm(projectors[reps] - p, axis=(1, 2)) < tol)
+            if hit.size:
+                sums[hit[0]] += weights[i]
+                continue
+        reps.append(i)
+        sums.append(weights[i])
+    return reps, sums
 
 
 def merge_grassmann_atoms(atoms, tol: float = MERGE_TOL):
     """Merge weighted subspace atoms whose projectors coincide within tol."""
-    merged: list[tuple[Subspace, float]] = []
-    for sub, w in atoms:
-        for i, (existing, weight) in enumerate(merged):
-            if np.linalg.norm(existing.projector() - sub.projector()) < tol:
-                merged[i] = (existing, weight + w)
-                break
-        else:
-            merged.append((sub, w))
-    return merged
+    atoms = list(atoms)
+    reps, sums = _merge(np.array([sub.projector() for sub, _ in atoms]),
+                        [w for _, w in atoms], tol)
+    return [(atoms[i][0], w) for i, w in zip(reps, sums)]
 
 
 def mu_Q_r(q: SphereMeasure, r: int) -> GrassmannMeasure:
@@ -117,41 +132,25 @@ def mu_Q_r(q: SphereMeasure, r: int) -> GrassmannMeasure:
     ordered tuples (each sign choice carries mass prod q_i / 2^r and leaves
     nabla_r and the intersection unchanged).  Tuples with a repeated pair
     contribute nothing since nabla_r vanishes; near-degenerate sets with
-    nabla_r <= 1e-10 are dropped.
+    nabla_r <= 1e-10 are dropped.  The weight is r! times the set's term of
+    V_r of the zonotope of q, whose segments have full length 2 w_i = q_i.
     """
-    if not q.is_atomic:
-        raise ValueError("requires an atomic even measure")
     if not 2 <= r <= q.n - 1:
         raise ValueError(f"need 2 <= r <= n-1, got r={r}, n={q.n}")
-    units = [u for u, _ in q.pair_atoms]
-    masses = [w for _, w in q.pair_atoms]
-    factor = float(math.factorial(r))
-    atoms: list[tuple[Subspace, float]] = []
-    for idx in combinations(range(len(units)), r):
-        sel = [units[i] for i in idx]
-        vol = parallelepiped_volume(sel)
-        if vol <= DROP_TOL:
-            continue
-        weight = factor * float(np.prod([masses[i] for i in idx])) * vol
-        span = orthonormalize(sel)
-        atoms.append((complement(span), weight))
-    if not atoms:
+    units, idx, vols, terms = _subsets(from_measure(q), r)
+    keep = vols > DROP_TOL
+    comps = complement_bases(units[idx[keep]])
+    reps, sums = _merge(np.swapaxes(comps, 1, 2) @ comps,
+                        math.factorial(r) * terms[keep], MERGE_TOL)
+    if not reps:
         return GrassmannMeasure.zero(q.n, q.n - r)
-    return GrassmannMeasure.discrete(merge_grassmann_atoms(atoms))
+    return GrassmannMeasure.discrete([(Subspace(comps[i]), w) for i, w in zip(reps, sums)])
 
 
 def mu_Q_r_total_mass(q: SphereMeasure, r: int) -> float:
-    """Total mass of mu_Q_r without building the atoms (0 when degenerate)."""
-    if not q.is_atomic:
-        raise ValueError("requires an atomic even measure")
-    factor = float(math.factorial(r))
-    units = [u for u, _ in q.pair_atoms]
-    masses = [w for _, w in q.pair_atoms]
-    total = 0.0
-    for idx in combinations(range(len(units)), r):
-        vol = parallelepiped_volume([units[i] for i in idx])
-        total += factor * float(np.prod([masses[i] for i in idx])) * vol
-    return total
+    """Total mass of mu_Q_r, r! V_r of the zonotope of q, without building
+    the atoms and without the drop cut (0 when degenerate)."""
+    return math.factorial(r) * intrinsic_volume(from_measure(q), r)
 
 
 def area_measure(q: SphereMeasure, r: int) -> SphereMeasure:

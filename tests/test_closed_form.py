@@ -127,8 +127,10 @@ def test_proximity_directional_matches_area_measure_route():
 
 
 def test_directional_measure_equals_normalized_area_measure():
-    # the pair-enumeration route and the intersection-measure route build
-    # the same mixture up to normalization
+    # proximity_directional_measure is mu_Q_2 of the symmetrized law, so this
+    # checks only its normalization against the area measure; the independent
+    # check is test_proximity_directional_matches_area_measure_route, which
+    # goes through pair_integral
     rng = np.random.default_rng(59)
     for n in (3, 4):
         q = random_line_measure(n, 5, rng)

@@ -202,25 +202,45 @@ def test_screen_keeps_every_pair_near_its_edges(n, seed, monkeypatch):
     built = {(2 * p, 2 * p + 1) for p in range(len(sample) // 2)}
     assert sorted(set(ref) & built) == [(2 * p, 2 * p + 1) for p in
                                         [*range(0, 16, 2), 16, 17, 19, 20, 22, 23]]
-    # pair sets and lengths agree with closest_pair, except on the exactly
-    # parallel and the touching pair (the last three), where the two solvers
-    # can disagree at round-off (see the xfail test below); the midpoint of
-    # a nearly parallel pair is ill-conditioned along the lines (round-off
-    # of order 200 eps / (1 - c^2), about 2e-8 here), in both solvers alike
-    degenerate = {(2 * p, 2 * p + 1) for p in range(len(sample) // 2 - 3, len(sample) // 2)}
-    assert_matches_scalar(seg, ref, mid_tol=1e-7, skip=degenerate)
+    # pair sets and lengths agree with closest_pair, except on the touching
+    # pair (the last one), where the two solvers can disagree at round-off
+    # (see the xfail test below); the midpoint of a nearly parallel pair is
+    # ill-conditioned along the lines (round-off of order
+    # 200 eps / (1 - c^2), about 2e-8 here), in both solvers alike
+    touching = {(len(sample) - 2, len(sample) - 1)}
+    assert_matches_scalar(seg, ref, mid_tol=1e-7, skip=touching)
 
 
-@pytest.mark.xfail(strict=True, reason="the batched line solve tests general position on "
-                   "1 - c^2 and touching by an absolute 1e-12 cutoff, both below its "
-                   "round-off for lines far from the origin")
-@pytest.mark.parametrize("sin_t, dist, seed", [(0.0, 0.5, 11), (np.sqrt(1.01e-6), 0.0, 0)],
-                         ids=["parallel", "touching"])
+@pytest.mark.parametrize("sin_t, dist, seed", [
+    (0.0, 0.5, 11),
+    pytest.param(np.sqrt(1.01e-6), 0.0, 0, marks=pytest.mark.xfail(
+        strict=True, reason="the batched line solve drops touching pairs by an absolute "
+        "1e-12 cutoff, below its round-off for lines far from the origin"))],
+    ids=["parallel", "touching"])
 def test_degenerate_lines_far_out_dropped_like_scalar(sin_t, dist, seed):
     directions, points = far_line_pair(np.random.default_rng(seed), 5, sin_t, dist)
     sample = lines_sample(directions, points, radius=200.0)
     assert scalar_segments(sample, None, 1.0) == {}
     assert len(proximity(sample, delta=1.0)) == 0
+
+
+def test_parallel_lines_of_a_discrete_law_dropped_like_scalar():
+    # laws {e0, u} whose unit u has u.u != 1 in floating point: two lines
+    # drawn from the same atom are exactly parallel, 1 - c^2 can round to
+    # 2.2e-16 for them, and closest_pair drops every such pair
+    rng = np.random.default_rng(0)
+    laws = 0
+    while laws < 10:
+        u = Subspace.span(rng.standard_normal(3)).basis
+        if np.einsum("mn,mn->m", u, u)[0] == 1.0:
+            continue
+        laws += 1
+        q = GrassmannMeasure.discrete([(Subspace(E[:1]), 0.5), (Subspace(u), 0.5)])
+        sample = sample_poisson(FlatProcessSpec(3, 1, 1.0, q), 3.0, 5)
+        seg = proximity(sample, delta=1.0)
+        dirs = sample.bases[:, 0, :]
+        assert not np.all(dirs[seg.pairs[:, 0]] == dirs[seg.pairs[:, 1]], axis=1).any()
+        assert_matches_scalar(seg, scalar_segments(sample, None, 1.0))
 
 
 def test_pairs_beyond_one_block_match_scalar():

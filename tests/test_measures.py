@@ -14,6 +14,7 @@ from flatproc.measures import (DirectionSet, GrassmannMeasure, SphereMeasure,
                                symmetrize_hyperplane_measure,
                                symmetrize_line_measure, t_lift,
                                write_directional_file)
+from flatproc.zonoid_engine import Zonotope
 
 E = np.eye(3)
 
@@ -247,6 +248,8 @@ NON_FINITE_CONSTRUCTORS = {
     "ball radius": lambda x: WindowDescriptor.ball(x),
     "box side": lambda x: WindowDescriptor.box([1.0, x, 1.0]),
     "window scale": lambda x: WindowDescriptor.ball(1.0, scale=x),
+    "zonotope half-length": lambda x: Zonotope(3, ((E[0], x),)),
+    "zonotope direction": lambda x: Zonotope(3, ((np.array([x, 0.0, 0.0]), 1.0),)),
 }
 
 

@@ -62,8 +62,15 @@ def mu_q_r_bruteforce(q: SphereMeasure, r: int):
 
 def test_mu_q_r_matches_bruteforce_ordered_enumeration():
     rng = np.random.default_rng(21)
-    for n, r, count in ((3, 2, 4), (4, 2, 4), (4, 3, 4), (5, 2, 3)):
-        q = random_even_measure(n, count, rng)
+    cases = [(random_even_measure(n, count, rng), r)
+             for n, r, count in ((3, 2, 4), (4, 2, 4), (4, 3, 4), (5, 2, 3), (5, 3, 5))]
+    # three directions in the xy-plane: their three pairs share the
+    # complement span(e2) and merge into one atom, next to the three pairs
+    # with e2
+    coplanar = SphereMeasure.atoms(3, [(E[0], 0.3), (E[1], 0.5),
+                                       ((E[0] + E[1]) / np.sqrt(2.0), 0.7), (E[2], 0.4)])
+    assert len(mu_Q_r(coplanar, 2).atoms) == 4
+    for q, r in cases + [(coplanar, 2)]:
         fast = mu_Q_r(q, r)
         slow = mu_q_r_bruteforce(q, r)
         assert len(fast.atoms) == len(slow)
