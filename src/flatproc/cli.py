@@ -27,7 +27,7 @@ from .closed_form import (WindowDescriptor, as_record, asymptotic_covariance,
 from .derived_processes import f_alpha, intersections, order_statistics, proximity, \
     write_segments_csv
 from .flat_geometry import Subspace
-from .measures import (GrassmannMeasure, parse_directional_file,
+from .measures import (GrassmannMeasure, check_samples, parse_directional_file,
                        symmetrize_line_measure, t_lift)
 from .measure_metrics import stability_harness
 from .simulator import (FlatProcessSpec, SrConstruction, build_factorial_distribution,
@@ -74,6 +74,13 @@ def _positive_float(text: str) -> float:
 
 def _nonnegative_float(text: str) -> float:
     return _finite_float(text, zero_ok=True)
+
+
+def _mc_samples(text: str) -> int:
+    try:
+        return check_samples(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}") from None
 
 
 def _parse_window(text: str) -> WindowDescriptor:
@@ -458,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
     p.add_argument("--q", type=str, default="isotropic")
     p.add_argument("--reps", type=int, default=2_000)
-    p.add_argument("--mc-samples", type=int, default=20_000)
+    p.add_argument("--mc-samples", type=_mc_samples, default=20_000)
     _add_common(p)
     p.set_defaults(func=_cmd_intersect)
 

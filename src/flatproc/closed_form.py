@@ -15,9 +15,10 @@ from scipy.integrate import quad
 
 from . import constants
 from ._rng import SeedLike, as_generator
-from .flat_geometry import Subspace, complement, haar_sample, orthonormalize, subspace_determinant
+from .flat_geometry import (Subspace, _in_blocks, complement, complement_bases, gram_volumes,
+                            haar_bases)
 from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
-                       finite_positive, symmetrize_line_measure)
+                       _mc_mean, check_samples, finite_positive, symmetrize_line_measure)
 from .zonoid_engine import mu_Q_r
 
 BOX_MC_SAMPLES = 1_000_000
@@ -108,15 +109,47 @@ def c_constant(n: int, r: int, s: int) -> float:
     return ratio * (kv(n - r) * kv(n - s)) / (kv(n) * kv(n - r - s))
 
 
-def _sum_direction_measure(l_sub: Subspace, m_sub: Subspace,
-                           direction_set: DirectionSet | None,
-                           rng: SeedLike | None) -> tuple[float, float]:
-    """sigma_{(L+M)-perp}(C intersect .) for one subspace pair."""
-    if direction_set is None:
-        return 1.0, 0.0
-    joint = orthonormalize(np.vstack([l_sub.basis, m_sub.basis]))
-    perp = complement(joint)
-    return direction_set.subsphere_measure(perp, rng=rng)
+def _draws(qs, rows: int, gen: np.random.Generator) -> list[np.ndarray]:
+    """`rows` independent draws from each measure, one (rows, k, n) basis
+    stack each: one standard-normal draw whose row i holds draw i's isotropic
+    factors in order (Q factors, as haar_bases), then one choice per atomic."""
+    z = gen.standard_normal((rows, sum(q.k for q in qs if q.is_isotropic), qs[0].n))
+    out, row = [], 0
+    for q in qs:
+        if q.is_isotropic:
+            basis, _ = np.linalg.qr(np.swapaxes(z[:, row:row + q.k], 1, 2))
+            out.append(np.swapaxes(basis, 1, 2))
+            row += q.k
+        else:
+            (atoms,), weights = _atom_tuples([q])
+            out.append(atoms[gen.choice(len(weights), size=rows, p=weights / weights.sum())])
+    return out
+
+
+def _atom_tuples(qs) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every tuple of atoms of discrete measures, in lexicographic order:
+    one (P, k, n) basis stack per measure, and the tuples' weights."""
+    index = np.indices([len(q.atoms) for q in qs]).reshape(len(qs), -1)
+    return ([np.array([s.basis for s, _ in q.atoms]).reshape(-1, q.k, q.n)[i]
+             for q, i in zip(qs, index)],
+            np.prod([np.array([w for _, w in q.atoms])[i] for q, i in zip(qs, index)], axis=0))
+
+
+def _pair_integrand(l_bases: np.ndarray, m_bases: np.ndarray, direction_set: DirectionSet | None,
+                    gen: np.random.Generator, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """[L, M] sigma_{(L+M)-perp}(C intersect .) for each row of two basis
+    stacks (the bare [L, M] for direction_set None) and its standard error,
+    0 where [L, M] <= 1e-14; `points` as for subsphere_measures."""
+    joint = np.concatenate([l_bases, m_bases], axis=1)
+    det = np.minimum(gram_volumes(joint), 1.0)
+    keep = det > 1e-14
+    values, errors = np.where(keep, det, 0.0), np.zeros_like(det)
+    if direction_set is not None:
+        sig, sig_se = direction_set.subsphere_measures(complement_bases(joint[keep]), gen,
+                                                       points)
+        errors[keep] = values[keep] * sig_se
+        values[keep] *= sig
+    return values, errors
 
 
 def pair_integral(q1: GrassmannMeasure, q2: GrassmannMeasure,
@@ -129,53 +162,30 @@ def pair_integral(q1: GrassmannMeasure, q2: GrassmannMeasure,
     otherwise it is [L, M] * sigma_{(L+M)-perp}(C intersect (L+M)-perp).
     Atom pairs are summed exactly; Haar components with no direction factor
     (or a full-sphere factor) use c(n, k1, k2); everything else is Monte
-    Carlo with a standard error.
+    Carlo with a standard error, BLOCK_ROWS draws at a time.  Custom sets
+    take 20,000 points on each atom pair's sphere, one on each draw's.
     """
     n = q1.n
     if q2.n != n:
         raise ValueError("measures must share the ambient dimension")
-    full = direction_set is None or direction_set.kind == "full"
+    samples = check_samples(samples)
+    isotropic = q1.is_isotropic or q2.is_isotropic
+    if isotropic and (direction_set is None or direction_set.kind == "full"):
+        value = q1.total_mass * q2.total_mass * c_constant(n, q1.k, q2.k)
+        if direction_set is not None:
+            value *= constants.sphere_surface(n - q1.k - q2.k)
+        return value, 0.0
 
-    if q1.is_isotropic or q2.is_isotropic:
-        if full:
-            value = q1.total_mass * q2.total_mass * c_constant(n, q1.k, q2.k)
-            if direction_set is not None:
-                value *= constants.sphere_surface(n - q1.k - q2.k)
-            return value, 0.0
-        gen = as_generator(rng if rng is not None else 0x1507)
-        total, totsq = 0.0, 0.0
-        for _ in range(samples):
-            l_sub = (haar_sample(n, q1.k, gen) if q1.is_isotropic
-                     else _draw_atom(q1, gen))
-            m_sub = (haar_sample(n, q2.k, gen) if q2.is_isotropic
-                     else _draw_atom(q2, gen))
-            det = subspace_determinant([l_sub, m_sub])
-            sig, _ = _sum_direction_measure(l_sub, m_sub, direction_set, gen)
-            val = det * sig
-            total += val
-            totsq += val * val
-        mean = total / samples
-        var = max(totsq / samples - mean * mean, 0.0)
-        mass = q1.total_mass * q2.total_mass
-        return mass * mean, mass * math.sqrt(var / samples)
-
-    total, var = 0.0, 0.0
     gen = as_generator(rng if rng is not None else 0x1507)
-    for l_sub, w1 in q1.atoms:
-        for m_sub, w2 in q2.atoms:
-            det = subspace_determinant([l_sub, m_sub])
-            if det <= 1e-14:
-                continue
-            sig, sig_se = _sum_direction_measure(l_sub, m_sub, direction_set, gen)
-            total += w1 * w2 * det * sig
-            var += (w1 * w2 * det * sig_se) ** 2
-    return total, math.sqrt(var)
+    if isotropic:
+        values, _ = _in_blocks(lambda block: _pair_integrand(
+            *_draws([q1, q2], block.shape[0], gen), direction_set, gen, 1), np.arange(samples))
+        return _mc_mean(values, q1.total_mass * q2.total_mass, ddof=0)
 
-
-def _draw_atom(q: GrassmannMeasure, gen: np.random.Generator) -> Subspace:
-    weights = np.array([w for _, w in q.atoms])
-    idx = gen.choice(len(weights), p=weights / weights.sum())
-    return q.atoms[idx][0]
+    (l_atoms, m_atoms), weights = _atom_tuples([q1, q2])
+    values, errors = _in_blocks(lambda block: _pair_integrand(
+        l_atoms[block], m_atoms[block], direction_set, gen, 20_000), np.arange(len(weights)))
+    return float(weights @ values), float(np.linalg.norm(weights * errors))
 
 
 def proximity_intensity(n: int, k: int, gamma: float, q: GrassmannMeasure,
@@ -188,11 +198,7 @@ def proximity_intensity(n: int, k: int, gamma: float, q: GrassmannMeasure,
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("requires 2k < n and k >= 1")
-    if gamma == 0.0:
-        return 0.0
-    integral, _ = pair_integral(q, q)
-    return 0.5 * gamma * gamma * constants.ball_volume(n - 2 * k) \
-        * delta ** (n - 2 * k) * integral
+    return 0.5 * proximity_intensity_two(n, k, k, gamma, gamma, q, q, delta)
 
 
 def proximity_intensity_two(n: int, k1: int, k2: int, gamma1: float, gamma2: float,
@@ -263,62 +269,48 @@ def intersection_density(n: int, dims, intensities, qs, g=None,
     intersection density itself.  Exact for atomic distributions; Monte
     Carlo with standard error when any factor is isotropic.
     """
-    dims = list(dims)
+    dims, qs, intensities = list(dims), list(qs), list(intensities)
     r = len(dims)
     if r < 2:
         raise ValueError("intersection order must be at least 2")
     if sum(dims) < (r - 1) * n:
         raise ValueError("requires k_1 + ... + k_r >= (r-1) n")
-    qs = list(qs)
-    intensities = list(intensities)
     if len(qs) != r or len(intensities) != r:
         raise ValueError("need one intensity and one distribution per factor")
     if same_process and (len(set(dims)) != 1):
         raise ValueError("a single process has a single flat dimension")
+    samples = check_samples(samples)
     prefactor = float(np.prod(intensities))
     if same_process:
         prefactor /= math.factorial(r)
     if prefactor == 0.0:
         return 0.0, 0.0
 
-    def term(subs) -> float:
-        det = subspace_determinant(subs)
-        if det <= 1e-14:
-            return 0.0
-        if g is None:
-            return det
-        return det * float(g(intersect_subspaces(subs)))
-
     if all(not q.is_isotropic for q in qs):
-        total = 0.0
-        stack = [(0, [], 1.0)]
-        while stack:
-            depth, subs, weight = stack.pop()
-            if depth == r:
-                total += weight * term(subs)
-                continue
-            for sub, w in qs[depth].atoms:
-                stack.append((depth + 1, subs + [sub], weight * w))
-        return prefactor * total, 0.0
+        factors, weights = _atom_tuples(qs)
+        values, = _in_blocks(lambda block: (_tuple_integrand([f[block] for f in factors], g),),
+                             np.arange(len(weights)))
+        return prefactor * float(weights @ values), 0.0
 
     gen = as_generator(rng if rng is not None else 0x1507)
-    vals = np.empty(samples)
-    for i in range(samples):
-        subs = [haar_sample(n, q.k, gen) if q.is_isotropic else _draw_atom(q, gen)
-                for q in qs]
-        vals[i] = term(subs)
-    mass = float(np.prod([q.total_mass for q in qs]))
-    return (prefactor * mass * float(vals.mean()),
-            prefactor * mass * float(vals.std(ddof=1) / math.sqrt(samples)))
+    values, = _in_blocks(lambda block: (_tuple_integrand(_draws(qs, block.shape[0], gen), g),),
+                         np.arange(samples))
+    return _mc_mean(values, prefactor * float(np.prod([q.total_mass for q in qs])), ddof=1)
 
 
-def intersect_subspaces(subs) -> Subspace:
-    """Common subspace of linear subspaces in general position."""
-    rows = [complement(s).basis for s in subs if s.k < s.n]
-    if not rows:
-        return subs[0]
-    span = orthonormalize(np.vstack(rows))
-    return complement(span)
+def _tuple_integrand(bases: list[np.ndarray], g=None) -> np.ndarray:
+    """[L_1, ..., L_r] g(L_1 n ... n L_r) for each row of r basis stacks
+    (g None counts as 1); rows with determinant <= 1e-14 give 0 and skip g.
+    The determinant is taken on the complements: k_1 + ... + k_r >= (r-1) n,
+    and where the sum is n (r = 2) [L, M] = [L-perp, M-perp]."""
+    normal = np.concatenate([complement_bases(b) for b in bases], axis=1)
+    det = np.minimum(gram_volumes(normal), 1.0)
+    keep = det > 1e-14
+    values = np.where(keep, det, 0.0)
+    if g is not None:
+        # the intersection is the null space of the stacked complements
+        values[keep] *= [float(g(Subspace(b))) for b in complement_bases(normal[keep])]
+    return values
 
 
 def hyperplane_intersection(n: int, gamma: float, q: SphereMeasure,
@@ -345,9 +337,8 @@ def mean_F_alpha(n: int, k: int, gamma: float, q: GrassmannMeasure, delta: float
         raise ValueError("requires 2k < n and k >= 1")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError("alpha must be finite and nonnegative")
-    if direction_set is None:
-        direction_set = DirectionSet.full_sphere(n)
-    integral, se = pair_integral(q, q, direction_set, rng=rng, samples=samples)
+    integral, se = pair_integral(q, q, direction_set or DirectionSet.full_sphere(n), rng=rng,
+                                 samples=samples)
     power = n - 2 * k + alpha
     factor = 0.5 * gamma * gamma * delta ** power / power * window.volume(n)
     return factor * integral, factor * se
@@ -370,9 +361,8 @@ def proximity_length_interval(n: int, k: int, gamma: float, q: GrassmannMeasure,
         raise ValueError("requires 2k < n and k >= 1")
     if not 0 <= b0 <= b1:
         raise ValueError("need 0 <= b0 <= b1")
-    if direction_set is None:
-        direction_set = DirectionSet.full_sphere(n)
-    integral, se = pair_integral(q, q, direction_set, rng=rng, samples=samples)
+    integral, se = pair_integral(q, q, direction_set or DirectionSet.full_sphere(n), rng=rng,
+                                 samples=samples)
     power = n - 2 * k
     factor = 0.5 * gamma * gamma * (b1 ** power - b0 ** power) / power
     return factor * integral, factor * se
@@ -409,18 +399,30 @@ def ball_cross_section_integral(n: int, k: int, radius: float) -> float:
     return kv(k) ** 2 * constants.sphere_surface(n - k) * 0.5 * beta * radius ** (n + k)
 
 
-def _box_line_cross_section(sides: np.ndarray, direction: np.ndarray,
-                            perp_basis: np.ndarray, gen: np.random.Generator,
-                            samples: int) -> tuple[float, float]:
-    """Monte Carlo of the squared line cross-section integral for a box."""
-    n = sides.shape[0]
-    half = sides / 2.0
+def cross_section_integral(n: int, k: int, window: WindowDescriptor,
+                           m_sub: Subspace | None = None,
+                           rng: SeedLike | None = None,
+                           samples: int = BOX_MC_SAMPLES) -> tuple[float, float]:
+    """integral over M-perp of vol_k(A intersect (M + y))^2 dy for window A.
+
+    Balls have a closed radial form (independent of M); boxes are evaluated
+    by Monte Carlo over the offset (lines only, k = 1).
+    """
+    samples = check_samples(samples)
+    if window.shape == "ball":
+        return ball_cross_section_integral(n, k, window.radius * window.scale), 0.0
+    if k != 1:
+        raise ValueError("box windows support k = 1 cross-sections only")
+    if m_sub is None:
+        raise ValueError("box windows need the direction subspace M")
+    gen = as_generator(rng if rng is not None else 0xB0C5)
+    half = np.asarray(window.sides, dtype=float) * window.scale / 2.0
+    direction, perp_basis = m_sub.basis[0], complement(m_sub).basis
+    # uniform offsets over the box's shadow on M-perp
     corners = np.array(np.meshgrid(*[(-h, h) for h in half])).T.reshape(-1, n)
     coords = corners @ perp_basis.T
     lo, hi = coords.min(axis=0), coords.max(axis=0)
-    area = float(np.prod(hi - lo))
-    ys = gen.random((samples, n - 1)) * (hi - lo) + lo
-    base = ys @ perp_basis
+    base = (gen.random((samples, n - 1)) * (hi - lo) + lo) @ perp_basis
     # chord length of the line base + t*direction inside the box
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (-half - base) / direction
@@ -432,31 +434,7 @@ def _box_line_cross_section(sides: np.ndarray, direction: np.ndarray,
     t_lo = np.max(lows[:, mask], axis=1, initial=-np.inf)
     t_hi = np.min(highs[:, mask], axis=1, initial=np.inf)
     chords = np.where(inside, np.maximum(t_hi - t_lo, 0.0), 0.0)
-    sq = chords ** 2
-    return (area * float(sq.mean()),
-            area * float(sq.std(ddof=1) / math.sqrt(samples)))
-
-
-def cross_section_integral(n: int, k: int, window: WindowDescriptor,
-                           m_sub: Subspace | None = None,
-                           rng: SeedLike | None = None,
-                           samples: int = BOX_MC_SAMPLES) -> tuple[float, float]:
-    """integral over M-perp of vol_k(A intersect (M + y))^2 dy for window A.
-
-    Balls have a closed radial form (independent of M); boxes are evaluated
-    by Monte Carlo over the offset (lines only, k = 1).
-    """
-    if window.shape == "ball":
-        return ball_cross_section_integral(n, k, window.radius * window.scale), 0.0
-    if k != 1:
-        raise ValueError("box windows support k = 1 cross-sections only")
-    if m_sub is None:
-        raise ValueError("box windows need the direction subspace M")
-    gen = as_generator(rng if rng is not None else 0xB0C5)
-    sides = np.asarray(window.sides, dtype=float) * window.scale
-    direction = m_sub.basis[0]
-    perp = complement(m_sub).basis
-    return _box_line_cross_section(sides, direction, perp, gen, samples)
+    return _mc_mean(chords ** 2, float(np.prod(hi - lo)), ddof=1)
 
 
 def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure,
@@ -476,8 +454,8 @@ def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure,
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("requires 2k < n and k >= 1")
-    c_i = c_i if c_i is not None else DirectionSet.full_sphere(n)
-    c_j = c_j if c_j is not None else DirectionSet.full_sphere(n)
+    samples = check_samples(samples)
+    c_i, c_j = c_i or DirectionSet.full_sphere(n), c_j or DirectionSet.full_sphere(n)
     pref = gamma ** 3 * delta ** (2 * (n - 2 * k) + alpha_i + alpha_j) \
         / ((n - 2 * k + alpha_i) * (n - 2 * k + alpha_j))
     gen = as_generator(rng if rng is not None else 0xC0F)
@@ -490,15 +468,13 @@ def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure,
         return pref * b_iso * b_iso * cross, 0.0
 
     def integrand(m_sub: Subspace) -> tuple[float, float]:
-        bi, bi_se = b_factor(n, k, m_sub, q, c_i, rng=gen)
-        bj, bj_se = b_factor(n, k, m_sub, q, c_j, rng=gen)
+        bi, bi_se = b_factor(n, k, m_sub, q, c_i, rng=gen, samples=samples)
+        bj, bj_se = b_factor(n, k, m_sub, q, c_j, rng=gen, samples=samples)
         cross, cross_se = cross_section_integral(
             n, k, window, m_sub, rng=gen,
             samples=min(samples, BOX_MC_SAMPLES))
-        val = bi * bj * cross
-        rel = math.sqrt((bi_se / bi) ** 2 + (bj_se / bj) ** 2
-                        + (cross_se / cross) ** 2) if val else 0.0
-        return val, abs(val) * rel
+        return bi * bj * cross, math.hypot(bi_se * bj * cross, bi * bj_se * cross,
+                                           bi * bj * cross_se)
 
     if not q.is_isotropic:
         total, var = 0.0, 0.0
@@ -507,13 +483,11 @@ def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure,
             total += w * val
             var += (w * se) ** 2
         return pref * total, pref * math.sqrt(var)
-    draws = max(64, samples // 1000)
-    vals = np.empty(draws)
-    for i in range(draws):
-        vals[i], _ = integrand(haar_sample(n, k, gen))
-    mass = q.total_mass
-    return (pref * mass * float(vals.mean()),
-            pref * mass * float(vals.std(ddof=1) / math.sqrt(draws)))
+    # the outer draws of M first, then b(M; C_i) and b(M; C_j) from
+    # independent inner draws for each, so their product stays unbiased
+    outer = haar_bases(max(64, samples // 1000), n, k, gen)
+    values = np.array([integrand(Subspace(m_basis))[0] for m_basis in outer])
+    return _mc_mean(values, pref * q.total_mass, ddof=1)
 
 
 def ball_chord_power_integral(n: int, radius: float, power: float) -> float:
@@ -552,9 +526,8 @@ def weibull_beta(n: int, k: int, gamma: float, q: GrassmannMeasure,
         raise ValueError("requires 2k < n and k >= 1")
     if window.base_volume(n) <= 0:
         raise ValueError("window must have positive volume")
-    if direction_set is None:
-        direction_set = DirectionSet.full_sphere(n)
-    integral, se = pair_integral(q, q, direction_set, rng=rng, samples=samples)
+    integral, se = pair_integral(q, q, direction_set or DirectionSet.full_sphere(n), rng=rng,
+                                 samples=samples)
     factor = gamma * gamma / (2.0 * (n - 2 * k)) * window.base_volume(n)
     return factor * integral, factor * se
 

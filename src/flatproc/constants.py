@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import betainc
 
 
@@ -30,35 +31,32 @@ def sphere_surface(k: int) -> float:
     return k * ball_volume(k)
 
 
-def cap_measure(k: int, t: float) -> float:
+def cap_measure(k: int, t):
     """Measure of the spherical cap {v in S^{k-1} : <v, e> >= t}.
 
     Computed against the unnormalized spherical Lebesgue measure on the
     sphere S^{k-1} in R^k.  For k = 1 the sphere is the two-point set and
-    the measure is counting measure.
+    the measure is counting measure.  Elementwise for an array t.
     """
     if k < 1:
         raise ValueError(f"dimension must be positive, got {k}")
-    if t <= -1.0:
-        return sphere_surface(k)
-    if t > 1.0:
-        return 0.0
+    t = np.asarray(t, dtype=float)
     if k == 1:
         # points +1 and -1
-        return float(t <= 1.0) + float(t <= -1.0)
-    # omega_{k-1} * int_t^1 (1-s^2)^{(k-3)/2} ds via the regularized
-    # incomplete beta function (substitute s^2 = u on each half-line)
-    a, b = 0.5, (k - 1) / 2.0
-    full = math.gamma(a) * math.gamma(b) / math.gamma(a + b)  # Beta(a, b)
-    if t >= 0.0:
-        partial = 0.5 * full * (1.0 - float(betainc(a, b, t * t)))
+        out = (t <= 1.0) + (t <= -1.0) * 1.0
     else:
-        partial = 0.5 * full * (1.0 + float(betainc(a, b, t * t)))
-    return sphere_surface(k - 1) * partial
+        # omega_{k-1} * int_t^1 (1-s^2)^{(k-3)/2} ds via the regularized
+        # incomplete beta function (substitute s^2 = u on each half-line)
+        a, b = 0.5, (k - 1) / 2.0
+        full = math.gamma(a) * math.gamma(b) / math.gamma(a + b)  # Beta(a, b)
+        inc = betainc(a, b, np.minimum(t * t, 1.0))
+        partial = 0.5 * full * np.where(t >= 0.0, 1.0 - inc, 1.0 + inc)
+        out = np.where(t <= -1.0, sphere_surface(k),
+                       np.where(t > 1.0, 0.0, sphere_surface(k - 1) * partial))
+    return out if out.ndim else float(out)
 
 
-def double_cap_measure(k: int, t: float) -> float:
-    """Measure of {v in S^{k-1} : |<v, e>| >= t} for t >= 0."""
-    if t <= 0.0:
-        return sphere_surface(k)
-    return 2.0 * cap_measure(k, t)
+def double_cap_measure(k: int, t):
+    """Measure of {v in S^{k-1} : |<v, e>| >= t}, elementwise for an array t."""
+    out = np.where(np.asarray(t) <= 0.0, sphere_surface(k), 2.0 * np.asarray(cap_measure(k, t)))
+    return out if out.ndim else float(out)

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import constants
 from ._rng import SeedLike, as_generator
-from .flat_geometry import Subspace, canonical_unit, complement, haar_sample, orthonormalize
+from .flat_geometry import (Subspace, _in_blocks, canonical_unit, complement, haar_bases,
+                            orthonormalize)
 
 DEFAULT_MC_SAMPLES = 100_000
 
@@ -24,6 +25,19 @@ DEFAULT_MC_SAMPLES = 100_000
 def finite_positive(x: float) -> bool:
     """True for finite values above 0; NaN and +-inf fail."""
     return bool(math.isfinite(x) and x > 0)
+
+
+def check_samples(samples: int) -> int:
+    """A Monte-Carlo sample count: an integer of at least 2, or ValueError."""
+    if not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise ValueError(f"Monte-Carlo samples must be an integer >= 2, got {samples!r}")
+    return int(samples)
+
+
+def _mc_mean(values: np.ndarray, mass: float, ddof: int) -> tuple[float, float]:
+    """mass times the mean of Monte-Carlo values, and its standard error."""
+    return (mass * float(values.mean()),
+            mass * float(values.std(ddof=ddof) / math.sqrt(values.shape[0])))
 
 
 @dataclass(frozen=True)
@@ -241,31 +255,42 @@ class DirectionSet:
             return np.abs(units @ self.axis) >= self.threshold
         return np.asarray(self.predicate(units), dtype=bool)
 
+    def subsphere_measures(self, bases: np.ndarray, rng: SeedLike | None = None,
+                           samples: int = 20_000) -> tuple[np.ndarray, np.ndarray]:
+        """sigma_U(C intersect S_U) for each U of an (m, d, n) stack of
+        orthonormal bases; (values, standard errors), arrays of m.
+
+        Full sphere and double caps are analytic (errors 0).  Custom sets take
+        `samples` uniform points on each S_U, row after row; with one point a
+        row the errors are 0, and an average over the rows carries the noise.
+        """
+        m, d, n = bases.shape
+        if d < 1:
+            return np.zeros(m), np.zeros(m)
+        omega = constants.sphere_surface(d)
+        if self.kind == "full":
+            return np.full(m, omega), np.zeros(m)
+        if self.kind == "double_cap":
+            alpha = np.linalg.norm(bases @ self.axis, axis=1)
+            # an axis orthogonal to U meets S_U only through a threshold <= 0
+            values = np.where(alpha < 1e-15, omega if self.threshold <= 0 else 0.0,
+                              constants.double_cap_measure(
+                                  d, self.threshold / np.maximum(alpha, 1e-15)))
+            return values, np.zeros(m)
+        gen = as_generator(rng if rng is not None else 0xCA9)
+        # point p lies on the sphere of row p // samples
+        hit, = _in_blocks(lambda p: (self.contains(np.einsum(
+            "pd,pdn->pn", _uniform_sphere(gen, p.shape[0], d), bases[p // samples])),),
+            np.arange(m * samples))
+        hit = hit.reshape(m, samples)
+        errors = hit.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(m)
+        return omega * hit.mean(axis=1), omega * errors
+
     def subsphere_measure(self, sub: Subspace, rng: SeedLike | None = None,
                           samples: int = 20_000) -> tuple[float, float]:
-        """sigma_U(C intersect S_U) for U = sub; (value, standard error).
-
-        Full sphere and double caps are analytic; custom sets fall back to
-        Monte Carlo on S_U.
-        """
-        d = sub.k
-        if d < 1:
-            return 0.0, 0.0
-        if self.kind == "full":
-            return constants.sphere_surface(d), 0.0
-        if self.kind == "double_cap":
-            proj = sub.basis @ self.axis
-            alpha = float(np.linalg.norm(proj))
-            if alpha < 1e-15:
-                return (0.0, 0.0) if self.threshold > 0 else (constants.sphere_surface(d), 0.0)
-            return constants.double_cap_measure(d, self.threshold / alpha), 0.0
-        gen = as_generator(rng if rng is not None else 0xCA9)
-        z = gen.standard_normal((samples, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        hits = self.contains(z @ sub.basis)
-        frac = float(np.mean(hits))
-        se = float(np.std(hits, ddof=1) / math.sqrt(samples))
-        return constants.sphere_surface(d) * frac, constants.sphere_surface(d) * se
+        """sigma_U(C intersect S_U) for U = sub; (value, standard error)."""
+        values, errors = self.subsphere_measures(sub.basis[None], rng, check_samples(samples))
+        return float(values[0]), float(errors[0])
 
 
 def symmetrize_line_measure(q: GrassmannMeasure) -> SphereMeasure:
@@ -314,14 +339,15 @@ def integrate(measure, f, rng: SeedLike | None = None,
     array of unit vectors and return m values; for Grassmann measures f
     takes a single Subspace.
     """
+    samples = check_samples(samples)
     if isinstance(measure, GrassmannMeasure):
         if measure.atoms is not None:
             return float(sum(w * f(sub) for sub, w in measure.atoms)), 0.0
         gen = as_generator(rng if rng is not None else 0xF1A7)
-        values = np.array([f(haar_sample(measure.n, measure.k, gen)) for _ in range(samples)])
-        mass = measure.isotropic_mass
-        return (float(mass * values.mean()),
-                float(mass * values.std(ddof=1) / math.sqrt(samples)))
+        values, = _in_blocks(lambda block: (np.array(
+            [f(Subspace(b)) for b in haar_bases(block.shape[0], measure.n, measure.k, gen)]),),
+            np.arange(samples))
+        return _mc_mean(values, measure.isotropic_mass, ddof=1)
 
     if not isinstance(measure, SphereMeasure):
         raise TypeError("integrate expects a GrassmannMeasure or SphereMeasure")
@@ -334,22 +360,18 @@ def integrate(measure, f, rng: SeedLike | None = None,
         return float(weights @ vals), 0.0
     gen = as_generator(rng if rng is not None else 0xF1A7)
     if measure.uniform_mass is not None:
-        vals = np.asarray(f(_uniform_sphere(gen, samples, measure.n)))
-        mass = measure.uniform_mass
-        return (float(mass * vals.mean()),
-                float(mass * vals.std(ddof=1) / math.sqrt(samples)))
+        return _mc_mean(np.asarray(f(_uniform_sphere(gen, samples, measure.n))),
+                        measure.uniform_mass, ddof=1)
     total, var = 0.0, 0.0
     for sub, w in measure.subspheres:
-        comp_mass = w * constants.sphere_surface(sub.k)
         if sub.k == 1:
             # S_U is the two-point set; sigma_U is counting measure
             u = sub.basis
             total += w * float(np.asarray(f(u))[0] + np.asarray(f(-u))[0])
             continue
-        z = _uniform_sphere(gen, samples, sub.k)
-        vals = np.asarray(f(z @ sub.basis))
-        total += comp_mass * float(vals.mean())
-        var += (comp_mass * float(vals.std(ddof=1)) / math.sqrt(samples)) ** 2
+        value, se = _mc_mean(np.asarray(f(_uniform_sphere(gen, samples, sub.k) @ sub.basis)),
+                             w * constants.sphere_surface(sub.k), ddof=1)
+        total, var = total + value, var + se * se
     return total, math.sqrt(var)
 
 

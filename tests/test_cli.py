@@ -163,6 +163,9 @@ def test_summary_embeds_config_and_version(tmp_path):
     (["simulate", "--radius", "-1"], "--radius: must be finite and positive"),
     (["clt", "--rho", "2", "inf"], "--rho: must be finite and positive"),
     (["proximity", "--gamma", "-1"], "--gamma: must be finite and nonnegative"),
+    (["intersect", "--mc-samples", "0"], "--mc-samples: must be an integer >= 2"),
+    (["intersect", "--mc-samples", "1"], "--mc-samples: must be an integer >= 2"),
+    (["intersect", "--mc-samples", "-5"], "--mc-samples: must be an integer >= 2"),
 ])
 def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     # one error line, the last; flag errors follow argparse's usage line

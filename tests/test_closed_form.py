@@ -407,3 +407,149 @@ def test_pair_integral_mixed_atomic_isotropic_exact():
     value, se = pair_integral(axes_lines(), iso)
     assert se == 0.0
     assert value == pytest.approx(c_constant(3, 1, 1), abs=1e-14)
+
+
+def test_stacked_pair_integrand_matches_scalar_reference():
+    # no Monte Carlo: the stacked integrand against [L, M] times the scalar
+    # sigma of the complement of orthonormalize(L; M), row by row
+    from flatproc.closed_form import _pair_integrand
+    from flatproc.flat_geometry import (complement, haar_bases, orthonormalize,
+                                        subspace_determinant)
+
+    rng = np.random.default_rng(60)
+    for n, k1, k2 in ((5, 2, 2), (5, 1, 1), (4, 1, 2)):  # spheres S^0, S^2, S^0
+        eye = np.eye(n)
+        l_bases, m_bases = haar_bases(12, n, k1, rng), haar_bases(12, n, k2, rng)
+        # dependent: one span inside the other
+        if k1 >= k2:
+            m_bases[0] = l_bases[0, :k2]
+        else:
+            l_bases[0] = m_bases[0, :k1]
+        l_bases[1] = eye[:k1]  # the axis e_0 lies in L, orthogonal to (L+M)-perp
+        sets = [None, DirectionSet.full_sphere(n)] + [
+            DirectionSet.double_cap(eye[0], t) for t in (0.0, 1e-16, 0.4, 0.8, 1.5)]
+        sets.append(DirectionSet.double_cap(rng.standard_normal(n), 0.3))
+        for dset in sets:
+            values, errors = _pair_integrand(l_bases, m_bases, dset, None, 1)
+            assert not errors.any()
+            for lb, mb, value in zip(l_bases, m_bases, values):
+                subs = [Subspace(lb), Subspace(mb)]
+                ref = subspace_determinant(subs)
+                if dset is not None:
+                    perp = complement(orthonormalize(np.vstack([lb, mb])))
+                    ref *= dset.subsphere_measure(perp)[0]
+                assert abs(value - ref) <= 1e-12
+        assert values[0] == 0.0
+        # the axis in L: all of S_U at threshold 0, none above it
+        det = subspace_determinant([Subspace(l_bases[1]), Subspace(m_bases[1])])
+        for t in (0.0, 1e-16, 0.5):
+            value = _pair_integrand(l_bases[1:2], m_bases[1:2],
+                                    DirectionSet.double_cap(eye[0], t), None, 1)[0][0]
+            assert value == (det * constants.sphere_surface(n - k1 - k2) if t == 0.0 else 0.0)
+
+
+def test_stacked_tuple_integrand_matches_subspace_determinant():
+    from flatproc.closed_form import _tuple_integrand
+    from flatproc.flat_geometry import (complement, haar_bases, orthonormalize,
+                                        subspace_determinant)
+
+    rng = np.random.default_rng(61)
+    for n, dims in ((3, [2, 2]), (2, [1, 1]), (4, [2, 2]), (4, [3, 3, 3]), (4, [3, 2])):
+        bases = [haar_bases(10, n, k, rng) for k in dims]
+        bases[1][0] = bases[0][0, :dims[1]]  # nested flats: determinant 0
+        values = _tuple_integrand(bases)
+        weights = _tuple_integrand(bases, g=lambda sub: sub.projector()[0, 0] + 1.0)
+        for row in range(10):
+            subs = [Subspace(b[row]) for b in bases]
+            det = subspace_determinant(subs)
+            assert abs(values[row] - det) <= 1e-12
+            # the intersection through the scalar route: the complement of the
+            # span of the complements
+            inter = complement(orthonormalize(np.vstack([complement(s).basis for s in subs])))
+            ref = det * (inter.projector()[0, 0] + 1.0) if det > 1e-14 else 0.0
+            assert abs(weights[row] - ref) <= 1e-12
+        assert values[0] == 0.0
+
+
+def test_small_blocks_match_unblocked(monkeypatch):
+    # many blocks of 7 draws, the last one partial: the isotropic draws form
+    # one stream, so the estimates do not depend on the block size
+    import flatproc.flat_geometry as flat_geometry
+    from flatproc.flat_geometry import subspace_determinant
+    from flatproc.measures import integrate
+
+    iso52, iso32 = GrassmannMeasure.isotropic(5, 2, 1.0), GrassmannMeasure.isotropic(3, 2, 1.0)
+    cap = DirectionSet.double_cap(np.eye(5)[0], 0.5)
+    custom = DirectionSet.custom(3, lambda u: np.abs(u[:, 2]) >= 0.4)
+    e0 = Subspace(np.eye(5)[:3])
+    planes = GrassmannMeasure.discrete([(Subspace(E[:2]), 0.5), (Subspace(E[[0, 2]]), 0.5),
+                                        (Subspace(E[1:]), 1.0)])
+    calls = [
+        lambda: pair_integral(iso52, iso52, cap, rng=62, samples=53),
+        lambda: pair_integral(axes_lines(), random_line_measure(3, 4, np.random.default_rng(1)),
+                              custom, rng=62),
+        lambda: intersection_density(3, [2, 2], [1.0, 1.0], [iso32, iso32], same_process=True,
+                                     rng=63, samples=53),
+        lambda: intersection_density(3, [2, 2, 2], [1.0, 1.0, 1.0], [planes] * 3,
+                                     g=lambda sub: abs(sub.basis @ E[0]).sum()),
+        lambda: integrate(iso52, lambda sub: subspace_determinant([e0, sub]), rng=64,
+                          samples=53),
+    ]
+    whole = [call() for call in calls]
+    monkeypatch.setattr(flat_geometry, "BLOCK_ROWS", 7)
+    for call, (value, se) in zip(calls, whole):
+        blocked, blocked_se = call()
+        assert blocked == pytest.approx(value, rel=1e-12)
+        assert blocked_se == pytest.approx(se, rel=1e-12)
+
+
+def test_pair_integral_custom_set_matches_double_cap():
+    # one point on each draw's sphere: unbiased, its noise in the outer SE
+    iso = GrassmannMeasure.isotropic(5, 1, 1.0)
+    axis = np.eye(5)[0]
+    cap = DirectionSet.double_cap(axis, 0.5)
+    custom = DirectionSet.custom(5, lambda u: np.abs(u @ axis) >= 0.5)
+    exact, exact_se = pair_integral(iso, iso, cap, rng=65, samples=20_000)
+    approx, approx_se = pair_integral(iso, iso, custom, rng=66, samples=20_000)
+    assert approx_se > exact_se > 0.0
+    assert abs(approx - exact) < 3.0 * math.hypot(exact_se, approx_se)
+
+
+def test_asymptotic_covariance_threshold_zero_cap_matches_closed_form():
+    # a threshold-0 double cap is the whole sphere, but takes the Monte-Carlo
+    # route: outer Haar draws of M, two independent inner pair integrals each
+    iso = GrassmannMeasure.isotropic(3, 1, 1.0)
+    ball = WindowDescriptor.ball(1.0)
+    cap = DirectionSet.double_cap(E[2], 0.0)
+    closed, _ = asymptotic_covariance(3, 1, 1.0, iso, 1.0, 0.0, 0.0, ball)
+    value, se = asymptotic_covariance(3, 1, 1.0, iso, 1.0, 0.0, 0.0, ball, cap, cap,
+                                      rng=67, samples=5_000)
+    assert se > 0.0
+    assert abs(value - closed) < 3.0 * se
+
+
+@pytest.mark.parametrize("samples", [0, 1, -5, 2.5, True])
+@pytest.mark.parametrize("entry", ["pair_integral", "intersection_density", "integrate",
+                                   "asymptotic_covariance", "cross_section_integral",
+                                   "subsphere_measure"])
+def test_monte_carlo_entry_points_reject_too_few_samples(entry, samples):
+    from flatproc.measures import integrate
+
+    iso = GrassmannMeasure.isotropic(3, 1, 1.0)
+    cap = DirectionSet.double_cap(E[0], 0.5)
+    calls = {
+        "pair_integral": lambda: pair_integral(iso, iso, cap, samples=samples),
+        "intersection_density": lambda: intersection_density(
+            3, [2, 2], [1.0, 1.0], [GrassmannMeasure.isotropic(3, 2, 1.0)] * 2,
+            samples=samples),
+        "integrate": lambda: integrate(iso, lambda sub: 1.0, samples=samples),
+        "asymptotic_covariance": lambda: asymptotic_covariance(
+            3, 1, 1.0, iso, 1.0, 0.0, 0.0, WindowDescriptor.ball(1.0), cap, cap,
+            samples=samples),
+        "cross_section_integral": lambda: cross_section_integral(
+            3, 1, WindowDescriptor.unit_cube(3), Subspace(E[:1]), samples=samples),
+        "subsphere_measure": lambda: DirectionSet.custom(3, lambda u: u[:, 0] ** 2 > 0.5)
+        .subsphere_measure(Subspace(E[:2]), samples=samples),
+    }
+    with pytest.raises(ValueError, match="samples must be an integer >= 2"):
+        calls[entry]()
