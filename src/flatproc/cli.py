@@ -27,8 +27,8 @@ from .closed_form import (WindowDescriptor, as_record, asymptotic_covariance,
 from .derived_processes import f_alpha, intersections, order_statistics, proximity, \
     write_segments_csv
 from .flat_geometry import Subspace
-from .measures import (GrassmannMeasure, check_samples, parse_directional_file,
-                       symmetrize_line_measure, t_lift)
+from .measures import (GrassmannMeasure, SphereMeasure, check_samples, parse_directional_file,
+                       symmetrize_hyperplane_measure, symmetrize_line_measure, t_lift)
 from .measure_metrics import stability_harness
 from .simulator import (FlatProcessSpec, SrConstruction, build_factorial_distribution,
                         sample_cube_process, sample_poisson, sample_sr_flats,
@@ -252,30 +252,22 @@ def _cmd_zonoid(args) -> tuple[dict, int]:
         else _parse_q(args.q, args.n, 1)
     if q.is_isotropic:
         raise ValueError("zonoid checks need a discrete directional distribution")
-    from .measures import symmetrize_hyperplane_measure
-
     even = (symmetrize_hyperplane_measure(q) if args.hyperplanes
             else symmetrize_line_measure(q)).scaled(args.gamma)
     zono = from_measure(even)
     volumes = [intrinsic_volume(zono, m) for m in range(args.n + 1)]
     identity_errors = {}
     for r in range(2, args.n):
-        gq_r = hyperplane_intersection(args.n, 1.0, even, r)
-        lift = t_lift(gq_r) if gq_r.atoms else None
+        lift = t_lift(hyperplane_intersection(args.n, 1.0, even, r))
         s_r = area_measure(even, r)
         scale = math.comb(args.n - 1, r)
-        err = 0.0
-        if lift is not None:
-            merged_lift = merge_grassmann_atoms(list(lift.subspheres))
-            merged_area = merge_grassmann_atoms(
-                [(s, scale * w) for s, w in s_r.subspheres])
-            for sub, w in merged_lift:
-                match = [w2 for s2, w2 in merged_area if s2.same_span(sub, tol=1e-8)]
-                err = max(err, abs(w - (match[0] if match else 0.0)))
+        # lift minus scaled area measure, merged once: every class must cancel
+        merged = merge_grassmann_atoms(list(lift.subspheres)
+                                       + [(s, -scale * w) for s, w in s_r.subspheres])
+        err = max((abs(w) for _, w in merged), default=0.0)
         # total-mass relation between the area measure and intrinsic volume
-        total = sum(w * constants.sphere_surface(s.k) for s, w in s_r.subspheres)
         vm_err = abs(math.comb(args.n, r) / (args.n * constants.ball_volume(args.n - r))
-                     * total - volumes[r])
+                     * s_r.total_mass - volumes[r])
         identity_errors[f"r={r}"] = {"liftIdentity": err, "volumeRelation": vm_err}
     worst = max((max(v.values()) for v in identity_errors.values()), default=0.0)
     passed = worst <= 1e-10
@@ -388,8 +380,6 @@ def _cmd_stability(args) -> tuple[dict, int]:
     base_units = [np.eye(args.n)[i] for i in range(args.n)]
     extra = rng.standard_normal(args.n)
     base_units.append(extra / np.linalg.norm(extra))
-    from .measures import SphereMeasure
-
     weight = 1.0 / len(base_units)
     base = SphereMeasure.atoms(args.n, [(u, weight) for u in base_units])
     family = []

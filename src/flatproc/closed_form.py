@@ -61,9 +61,6 @@ class WindowDescriptor:
     def unit_cube(n: int, scale: float = 1.0) -> "WindowDescriptor":
         return WindowDescriptor.box((1.0,) * n, scale=scale)
 
-    def dimension(self) -> int | None:
-        return len(self.sides) if self.shape == "box" else None
-
     def base_volume(self, n: int) -> float:
         if self.shape == "ball":
             return constants.ball_volume(n) * self.radius ** n

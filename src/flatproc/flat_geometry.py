@@ -337,13 +337,22 @@ def grassmann_metric(u1: Subspace, u2: Subspace) -> float:
     return float(np.sqrt(grassmann_distance(u1, u2)))
 
 
+def _touch_cut(reach, volume, n: int):
+    """Largest computed closest-pair length that counts as touching: the
+    exact solve's rounding of a length, (n + 58) eps sqrt(M / (1 - c^2)) for
+    lines (derived in `_line_screen`), read with sqrt(M) = max(reach, 1),
+    reach the larger offset norm, and sqrt(1 - c^2) = [L, M] = volume for
+    every (k1, k2); at least 1e-12."""
+    return np.maximum((n + 58) * 2.0 ** -53 * np.maximum(reach, 1.0) / volume, 1e-12)
+
+
 def closest_pair(e: Flat, f: Flat):
     """Closest-point pair of two flats, or their intersection flat.
 
     For dim(E) + dim(F) < n returns the ProximitySegment joining the unique
     closest points; for dim sums >= n returns the intersection Flat of
     dimension k1 + k2 - n.  Pairs that are not in general position (subspace
-    determinant <= 1e-10), or that touch, raise DegeneratePairError.
+    determinant <= 1e-10), or that touch (`_touch_cut`), raise DegeneratePairError.
     """
     n = e.n
     if f.n != n:
@@ -365,7 +374,8 @@ def closest_pair(e: Flat, f: Flat):
             x_f = f.offset + (w[e.k:] @ bm if f.k else 0.0)
         gap = x_e - x_f
         dist = float(np.linalg.norm(gap))
-        if dist < 1e-12:
+        reach = max(np.linalg.norm(e.offset), np.linalg.norm(f.offset))
+        if dist <= _touch_cut(reach, det, n):
             raise DegeneratePairError("flats touch; no positive-length perpendicular")
         return ProximitySegment(
             midpoint=(x_e + x_f) / 2.0,
@@ -468,7 +478,7 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     are one sample, whose pairs are i < j, and otherwise every (i, j) is a
     pair.  Returns the qualifying pairs in lexicographic order with their
     segments (midpoints, lengths, directions, pairs): the pairs closest_pair
-    solves (general position, positive separation) with length at most
+    solves (general position, not touching) with length at most
     delta.  Pairs are visited in slabs of rows i against all their j, about
     BLOCK_ROWS pairs a slab, so no array of all pairs is built.  For line
     pairs a screen of four matrix products per slab (`_line_screen`) passes
@@ -480,6 +490,9 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     count = n_a * (n_a - 1) // 2 if single else n_a * n_b
     screen = (_line_screen(bases_a, offs_a, bases_b, offs_b, delta)
               if lines and count >= SCREEN_MIN_PAIRS else None)
+    # offset norms, whose larger one per pair is the reach of `_touch_cut`
+    norm_a = np.sqrt(np.einsum("mn,mn->m", offs_a, offs_a))
+    norm_b = norm_a if single else np.sqrt(np.einsum("mn,mn->m", offs_b, offs_b))
     if lines:
         sq_u = np.einsum("mn,mn->m", bases_a[:, 0, :], bases_a[:, 0, :])
         sq_v = sq_u if single else np.einsum("mn,mn->m", bases_b[:, 0, :], bases_b[:, 0, :])
@@ -495,8 +508,10 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             det = 1.0 - c2
             # general position on the Gram determinant, as closest_pair: it
             # is 0 for equal rows, where 1 - c^2 need not be
-            ok = np.sqrt(np.maximum(sq_u[i] * sq_v[j] - c2, 0.0)) > GENERAL_POSITION_TOL
-            u, v, a, b, c, det, pairs = u[ok], v[ok], a[ok], b[ok], c[ok], det[ok], pairs[ok]
+            vol = np.sqrt(np.maximum(sq_u[i] * sq_v[j] - c2, 0.0))
+            ok = vol > GENERAL_POSITION_TOL
+            if not ok.all():  # copy only when a pair is out of general position
+                u, v, a, b, c, det, vol, pairs = (x[ok] for x in (u, v, a, b, c, det, vol, pairs))
             d = a - b
             # normal equations of min |d + s u - t v| over (s, t)
             r1 = -np.einsum("mn,mn->m", u, d)
@@ -508,8 +523,9 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
         else:
             # minimize |(a - b) + G^T w| with G = [B_E; -B_F] stacked per pair
             g = np.concatenate([bases_a[i], -bases_b[j]], axis=1)
-            ok = gram_volumes(g) > GENERAL_POSITION_TOL
-            g, pairs = g[ok], pairs[ok]
+            vol = gram_volumes(g)
+            ok = vol > GENERAL_POSITION_TOL
+            g, vol, pairs = g[ok], vol[ok], pairs[ok]
             a, b = offs_a[pairs[:, 0]], offs_b[pairs[:, 1]]
             rhs = -np.einsum("mkn,mn->mk", g, a - b)
             w = np.linalg.solve(g @ np.swapaxes(g, 1, 2), rhs[..., None])[..., 0]
@@ -518,7 +534,8 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             x_f = b - np.einsum("mk,mkn->mn", w[:, k1:], g[:, k1:])
         gap = x_e - x_f
         lengths = np.linalg.norm(gap, axis=1)
-        keep = (lengths > 1e-12) & (lengths <= delta)
+        reach = np.maximum(norm_a[pairs[:, 0]], norm_b[pairs[:, 1]])
+        keep = (lengths > _touch_cut(reach, vol, offs_a.shape[1])) & (lengths <= delta)
         gap, lengths, pairs = gap[keep], lengths[keep], pairs[keep]
         midpoints = (x_e[keep] + x_f[keep]) / 2.0
         return midpoints, lengths, canonical_units(gap / lengths[:, None]), pairs

@@ -23,9 +23,10 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_array
 
+from .closed_form import hyperplane_intersection, proximity_intensity
 from .flat_geometry import Subspace, grassmann_metric
-from .measures import GrassmannMeasure, SphereMeasure, lower_bound_check
-from .zonoid_engine import area_measure, mu_Q_r
+from .measures import GrassmannMeasure, SphereMeasure, line_measure_from_sphere, lower_bound_check
+from .zonoid_engine import _merge, area_measure
 
 # The Prohorov distance is exact to round-off; this is the margin below a
 # returned value at which callers can check that it is also the least one.
@@ -226,70 +227,43 @@ def prohorov_distance(sample: MetricSample, mu: np.ndarray, nu: np.ndarray) -> f
     return float(np.nextafter(t[lo], np.inf)) if t[lo] > 0 else 0.0
 
 
-def _merge_sphere_supports(measures: Sequence[SphereMeasure]):
-    """Common +-pair support and per-measure weight vectors."""
-    units: list[np.ndarray] = []
-    weight_rows = []
-    for mu in measures:
-        if not mu.is_atomic:
-            raise ValueError("metric distances require atomic measures")
-    for mu in measures:
-        weights = np.zeros(len(units) + len(mu.pair_atoms))
-        weights[: len(units)] = 0.0
-        row: dict[int, float] = {}
-        for u, w in mu.pair_atoms:
-            for idx, known in enumerate(units):
-                if min(np.linalg.norm(known - u), np.linalg.norm(known + u)) < 1e-12:
-                    row[idx] = row.get(idx, 0.0) + w
-                    break
-            else:
-                units.append(u)
-                row[len(units) - 1] = w
-        weight_rows.append(row)
-    vectors = [np.zeros(len(units)) for _ in measures]
-    for vec, row in zip(vectors, weight_rows):
-        for idx, w in row.items():
-            vec[idx] = w
-    return MetricSample.from_sphere_pairs(units), vectors
-
-
-def _merge_grassmann_supports(measures: Sequence[GrassmannMeasure]):
-    """Common subspace support and per-measure weight vectors."""
-    subs: list[Subspace] = []
-    rows = []
-    for mu in measures:
-        if mu.is_isotropic:
-            raise ValueError("metric distances require atomic measures")
-        row: dict[int, float] = {}
-        for sub, w in mu.atoms:
-            for idx, known in enumerate(subs):
-                if known.same_span(sub, tol=1e-10):
-                    row[idx] = row.get(idx, 0.0) + w
-                    break
-            else:
-                subs.append(sub)
-                row[len(subs) - 1] = w
-        rows.append(row)
-    vectors = [np.zeros(len(subs)) for _ in measures]
-    for vec, row in zip(vectors, rows):
-        for idx, w in row.items():
-            vec[idx] = w
-    return MetricSample.from_subspaces(subs), vectors
+def _common_support(bases: np.ndarray, weights, split: int, tol: float):
+    """Merge the stacked (m, k, n) atom bases of two measures, the first
+    `split` rows the first measure's, once on their projectors: the indices
+    of the support's atoms (first seen first) and both weight vectors."""
+    reps, labels = _merge(np.swapaxes(bases, 1, 2) @ bases, tol)
+    weights = np.asarray(weights, dtype=float)
+    return reps, [np.bincount(labels[part], weights[part], len(reps))
+                  for part in (slice(split), slice(split, None))]
 
 
 def sphere_distances(mu: SphereMeasure, nu: SphereMeasure) -> tuple[float, float]:
-    """(bounded-Lipschitz, Prohorov) distances of two atomic even measures."""
-    sample, (w_mu, w_nu) = _merge_sphere_supports([mu, nu])
-    return (bl_distance(sample, w_mu, w_nu),
-            prohorov_distance(sample, w_mu, w_nu))
+    """(bounded-Lipschitz, Prohorov) distances of two atomic even measures.
+
+    Atoms u and v are one support point when |uu^T - vv^T| < sqrt(2) 1e-12,
+    that is sin of their angle below 1e-12."""
+    if not (mu.is_atomic and nu.is_atomic) or mu.n != nu.n:
+        raise ValueError("metric distances require atomic measures on one sphere")
+    atoms = mu.pair_atoms + nu.pair_atoms
+    units = np.array([u for u, _ in atoms]).reshape(-1, 1, mu.n)
+    reps, (w_mu, w_nu) = _common_support(units, [w for _, w in atoms],
+                                         len(mu.pair_atoms), math.sqrt(2.0) * 1e-12)
+    sample = MetricSample.from_sphere_pairs(units[reps, 0])
+    return bl_distance(sample, w_mu, w_nu), prohorov_distance(sample, w_mu, w_nu)
 
 
 def grassmann_distances(mu: GrassmannMeasure, nu: GrassmannMeasure) -> tuple[float, float]:
     """(bounded-Lipschitz, Prohorov) distances of two atomic Grassmann
-    measures under the direct-rotation metric."""
-    sample, (w_mu, w_nu) = _merge_grassmann_supports([mu, nu])
-    return (bl_distance(sample, w_mu, w_nu),
-            prohorov_distance(sample, w_mu, w_nu))
+    measures under the direct-rotation metric; atoms whose projectors lie
+    within 1e-10 are one support point."""
+    if mu.is_isotropic or nu.is_isotropic or (mu.n, mu.k) != (nu.n, nu.k):
+        raise ValueError("metric distances require atomic measures on one Grassmannian")
+    atoms = mu.atoms + nu.atoms
+    reps, (w_mu, w_nu) = _common_support(
+        np.array([sub.basis for sub, _ in atoms]).reshape(-1, mu.k, mu.n),
+        [w for _, w in atoms], len(mu.atoms), 1e-10)
+    sample = MetricSample.from_subspaces([atoms[i][0] for i in reps])
+    return bl_distance(sample, w_mu, w_nu), prohorov_distance(sample, w_mu, w_nu)
 
 
 def stability_exponent(case: str, n: int, order: int) -> float:
@@ -302,36 +276,21 @@ def stability_exponent(case: str, n: int, order: int) -> float:
 def _derived_measure(case: str, mu: SphereMeasure, order: int) -> GrassmannMeasure:
     """Grassmann component representation of the derived data per case."""
     n = mu.n
-    if case == "area-measure":
-        mixture = area_measure(mu, order)
-        atoms = [(s, w) for s, w in mixture.subspheres]
-        if not atoms:
-            return GrassmannMeasure.zero(n, n - order)
-        return GrassmannMeasure.discrete(atoms)
     if case == "hyperplane-intersection":
-        scale = 1.0
-        for i in range(2, order + 1):
-            scale *= i
-        mu_r = mu_Q_r(mu, order)
-        return mu_r.scaled(1.0 / scale) if mu_r.atoms else mu_r
-    if case == "line-proximity":
-        # intensity-weighted directional measure of the proximity process,
-        # proportional to the second-order area data of the zonotope
-        from . import constants
-        from .closed_form import proximity_intensity
-        from .measures import line_measure_from_sphere
-
-        q_lines = line_measure_from_sphere(mu)
-        mass = q_lines.total_mass
-        pi = proximity_intensity(n, 1, mass, q_lines.normalized(), 1.0)
-        mixture = area_measure(mu, 2)
-        total = sum(w * constants.sphere_surface(s.k) for s, w in mixture.subspheres)
-        if total <= 0:
-            return GrassmannMeasure.zero(n, n - 2)
-        return GrassmannMeasure.discrete(
-            [(s, pi * w * constants.sphere_surface(s.k) / total)
-             for s, w in mixture.subspheres])
-    raise ValueError(f"unknown stability case {case!r}")
+        return hyperplane_intersection(n, 1.0, mu, order)
+    if case not in ("area-measure", "line-proximity"):
+        raise ValueError(f"unknown stability case {case!r}")
+    r = order if case == "area-measure" else 2
+    atoms = area_measure(mu, r).subspheres
+    derived = GrassmannMeasure.discrete(atoms) if atoms else GrassmannMeasure.zero(n, n - r)
+    if case == "area-measure" or not atoms:
+        return derived
+    # intensity-weighted directional measure of the proximity process,
+    # proportional to the second-order area data of the zonotope (all its
+    # components have dimension n - 2)
+    q_lines = line_measure_from_sphere(mu)
+    pi = proximity_intensity(n, 1, q_lines.total_mass, q_lines.normalized(), 1.0)
+    return derived.normalized().scaled(pi)
 
 
 def stability_harness(case: str, base: SphereMeasure,

@@ -95,28 +95,28 @@ def intrinsic_volume(z: Zonotope, m: int) -> float:
     return float(_subsets(z, m)[3].sum())
 
 
-def _merge(projectors: np.ndarray, weights, tol: float):
+def _merge(projectors: np.ndarray, tol: float):
     """Indices of the first projector of each class (projectors within tol
-    of it) and the summed weights of the classes; each projector is compared
-    with the stacked representatives in one norm."""
-    reps, sums = [], []
+    of it in Frobenius norm) and each projector's class label; each
+    projector is compared with the stacked representatives in one norm.
+    np.bincount(labels, weights) sums the classes in input order."""
+    reps, labels = [], np.empty(len(projectors), dtype=np.intp)
     for i, p in enumerate(projectors):
-        if reps:
-            hit = np.flatnonzero(np.linalg.norm(projectors[reps] - p, axis=(1, 2)) < tol)
-            if hit.size:
-                sums[hit[0]] += weights[i]
-                continue
-        reps.append(i)
-        sums.append(weights[i])
-    return reps, sums
+        hit = np.flatnonzero(np.linalg.norm(projectors[reps] - p, axis=(1, 2)) < tol)
+        if hit.size:
+            labels[i] = hit[0]
+        else:
+            labels[i] = len(reps)
+            reps.append(i)
+    return reps, labels
 
 
 def merge_grassmann_atoms(atoms, tol: float = MERGE_TOL):
     """Merge weighted subspace atoms whose projectors coincide within tol."""
     atoms = list(atoms)
-    reps, sums = _merge(np.array([sub.projector() for sub, _ in atoms]),
-                        [w for _, w in atoms], tol)
-    return [(atoms[i][0], w) for i, w in zip(reps, sums)]
+    reps, labels = _merge(np.array([sub.projector() for sub, _ in atoms]), tol)
+    sums = np.bincount(labels, [w for _, w in atoms], len(reps))
+    return [(atoms[i][0], w) for i, w in zip(reps, sums.tolist())]
 
 
 def mu_Q_r(q: SphereMeasure, r: int) -> GrassmannMeasure:
@@ -140,10 +140,10 @@ def mu_Q_r(q: SphereMeasure, r: int) -> GrassmannMeasure:
     units, idx, vols, terms = _subsets(from_measure(q), r)
     keep = vols > DROP_TOL
     comps = complement_bases(units[idx[keep]])
-    reps, sums = _merge(np.swapaxes(comps, 1, 2) @ comps,
-                        math.factorial(r) * terms[keep], MERGE_TOL)
+    reps, labels = _merge(np.swapaxes(comps, 1, 2) @ comps, MERGE_TOL)
     if not reps:
         return GrassmannMeasure.zero(q.n, q.n - r)
+    sums = np.bincount(labels, math.factorial(r) * terms[keep])
     return GrassmannMeasure.discrete([(Subspace(comps[i]), w) for i, w in zip(reps, sums)])
 
 

@@ -149,6 +149,15 @@ def test_zonoid_identities_pass(tmp_path):
     assert volumes[2] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("case", ["area-measure", "hyperplane-intersection",
+                                  "line-proximity"])
+def test_stability_command_reports_finite_ratio(case, tmp_path):
+    code, payload = run_json(["stability", "--case", case, "--jobs", "1"], tmp_path)
+    assert code == 0 and payload["passed"] is True
+    assert math.isfinite(payload["results"]["max_ratio"])
+    assert len(payload["results"]["entries"]) == 4
+
+
 def test_summary_embeds_config_and_version(tmp_path):
     code, payload = run_json(["zonoid", "--n", "3", "--q", "axes"], tmp_path)
     assert payload["version"] == __version__

@@ -93,14 +93,11 @@ def scalar_segments(sample_a, sample_b, delta):
     return out
 
 
-def assert_matches_scalar(seg, ref, mid_tol=1e-9, skip=()):
+def assert_matches_scalar(seg, ref, mid_tol=1e-9):
     pairs = seg.pairs.tolist()
-    assert (sorted(p for p in map(tuple, pairs) if p not in skip)
-            == sorted(p for p in ref if p not in skip))
+    assert sorted(map(tuple, pairs)) == sorted(ref)
     for (i, j), length, mid, direction in zip(pairs, seg.lengths, seg.midpoints,
                                               seg.directions):
-        if (i, j) in skip:
-            continue
         assert abs(length - ref[(i, j)].length) <= 1e-10
         assert np.max(np.abs(mid - ref[(i, j)].midpoint)) <= mid_tol
         assert np.max(np.abs(direction - ref[(i, j)].direction)) <= 1e-9
@@ -202,20 +199,17 @@ def test_screen_keeps_every_pair_near_its_edges(n, seed, monkeypatch):
     built = {(2 * p, 2 * p + 1) for p in range(len(sample) // 2)}
     assert sorted(set(ref) & built) == [(2 * p, 2 * p + 1) for p in
                                         [*range(0, 16, 2), 16, 17, 19, 20, 22, 23]]
-    # pair sets and lengths agree with closest_pair, except on the touching
-    # pair (the last one), where the two solvers can disagree at round-off
-    # (see the xfail test below); the midpoint of a nearly parallel pair is
+    # pair sets and lengths agree with closest_pair, the touching pair (the
+    # last one) dropped by both; the midpoint of a nearly parallel pair is
     # ill-conditioned along the lines (round-off of order
     # 200 eps / (1 - c^2), about 2e-8 here), in both solvers alike
-    touching = {(len(sample) - 2, len(sample) - 1)}
-    assert_matches_scalar(seg, ref, mid_tol=1e-7, skip=touching)
+    assert (len(sample) - 2, len(sample) - 1) not in ref
+    assert_matches_scalar(seg, ref, mid_tol=1e-7)
 
 
 @pytest.mark.parametrize("sin_t, dist, seed", [
     (0.0, 0.5, 11),
-    pytest.param(np.sqrt(1.01e-6), 0.0, 0, marks=pytest.mark.xfail(
-        strict=True, reason="the batched line solve drops touching pairs by an absolute "
-        "1e-12 cutoff, below its round-off for lines far from the origin"))],
+    (np.sqrt(1.01e-6), 0.0, 0)],
     ids=["parallel", "touching"])
 def test_degenerate_lines_far_out_dropped_like_scalar(sin_t, dist, seed):
     directions, points = far_line_pair(np.random.default_rng(seed), 5, sin_t, dist)

@@ -280,11 +280,65 @@ def test_co_vanishing_of_both_metrics_on_tiny_perturbation():
     assert d_bl > 0.0
 
 
-def test_grassmann_distances_merge_equal_subspaces():
+def split_copies(kind, rng):
+    """A measure and a copy of it with each atom split into two halves, the
+    second half given as -u (sphere) or as a rotated basis of the same span
+    (Grassmann)."""
     from flatproc.measures import GrassmannMeasure
 
-    e = np.eye(3)
-    mu = GrassmannMeasure.discrete([(Subspace(e[:1]), 1.0)])
-    nu = GrassmannMeasure.discrete([(Subspace(e[:1]), 1.0)])
-    d_bl, d_p = grassmann_distances(mu, nu)
-    assert d_bl == 0.0 and d_p == 0.0
+    if kind == "sphere":
+        units = rng.standard_normal((3, 4))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        weights = rng.uniform(0.2, 1.0, 3)
+        mu = SphereMeasure(4, pair_atoms=tuple(zip(units, weights)))
+        copy = SphereMeasure(4, pair_atoms=tuple(
+            (sign * u, w / 2.0) for u, w in zip(units, weights) for sign in (1.0, -1.0)))
+        return mu, copy, sphere_distances
+    bases = [haar_sample(5, 2, rng).basis for _ in range(3)]
+    weights = rng.uniform(0.2, 1.0, 3)
+    turn = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    mu = GrassmannMeasure.discrete([(Subspace(b), w) for b, w in zip(bases, weights)])
+    copy = GrassmannMeasure.discrete([(Subspace(b), w / 2.0) for b, w in zip(bases, weights)]
+                                     + [(Subspace(turn @ b), w / 2.0)
+                                        for b, w in zip(bases, weights)])
+    return mu, copy, grassmann_distances
+
+
+@pytest.mark.parametrize("kind", ["sphere", "grassmann"])
+def test_grassmann_distances_merge_equal_subspaces(kind, monkeypatch):
+    # one merge of both measures' atoms: a split copy is the same measure
+    mu, copy, distances = split_copies(kind, np.random.default_rng(41))
+    assert distances(mu, copy) == (0.0, 0.0)
+    assert distances(copy, mu) == (0.0, 0.0)
+    if kind == "grassmann":
+        return
+    # sphere atoms 1e-9 apart stay two support points (the merge cut is an
+    # angle of 1e-12); the distance is checked to be positive at 1e-5, since
+    # arccos|<u, v>| reads 0 below about 1.5e-8 and the BL solve returns 0
+    # at 1e-7
+    u = mu.pair_atoms[0][0]
+    side = np.roll(u, 1) - (np.roll(u, 1) @ u) * u
+    sizes = []
+    table = MetricSample.from_sphere_pairs
+    monkeypatch.setattr(MetricSample, "from_sphere_pairs",
+                        lambda units: sizes.append(len(units)) or table(units))
+    for gap in (1e-9, 1e-5):
+        v = u + gap * side / np.linalg.norm(side)
+        d_bl, d_p = sphere_distances(SphereMeasure.atoms(4, [(u, 1.0)]),
+                                     SphereMeasure.atoms(4, [(v, 1.0)]))
+    assert sizes == [2, 2]
+    assert d_bl > 0.0 and d_p > 0.0
+
+
+def test_distances_reject_measures_on_other_spaces():
+    from flatproc.measures import GrassmannMeasure
+
+    e = np.eye(4)
+    line, plane = (GrassmannMeasure.discrete([(Subspace(e[:k]), 1.0)]) for k in (1, 2))
+    with pytest.raises(ValueError, match="one Grassmannian"):
+        grassmann_distances(line, plane)
+    with pytest.raises(ValueError, match="one sphere"):
+        sphere_distances(SphereMeasure.atoms(4, [(e[0], 1.0)]),
+                         SphereMeasure.atoms(3, [(e[0, :3], 1.0)]))
+    with pytest.raises(ValueError, match="atomic"):
+        sphere_distances(SphereMeasure.atoms(4, [(e[0], 1.0)]), SphereMeasure.uniform(4, 1.0))

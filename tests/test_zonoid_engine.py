@@ -255,3 +255,14 @@ def test_area_measure_is_scaled_lift():
     v_lift, _ = integrate(lift, f)
     v_mix, _ = integrate(mix, f)
     assert v_lift == pytest.approx(scale * v_mix, rel=1e-13)
+
+
+def test_merge_grassmann_atoms_sums_signed_weights():
+    # opposite weights on one span (the second basis rotated in the plane)
+    # cancel to 0; an atom without a partner keeps its weight
+    turn = np.array([[0.6, -0.8], [0.8, 0.6]])
+    merged = merge_grassmann_atoms([(Subspace(E[:2]), 0.7), (Subspace(E[1:]), -0.4),
+                                    (Subspace(turn @ E[:2]), -0.7)])
+    assert len(merged) == 2
+    assert merged[0][0].same_span(Subspace(E[:2])) and merged[0][1] == 0.0
+    assert merged[1][0].same_span(Subspace(E[1:])) and merged[1][1] == -0.4
