@@ -33,8 +33,8 @@ from .measure_metrics import stability_harness
 from .simulator import (FlatProcessSpec, SrConstruction, build_factorial_distribution,
                         sample_cube_process, sample_poisson, sample_sr_flats,
                         write_flat_sample)
-from .stats_harness import (KS_MIN_POINTS, ReplicationPlan, clt_diagnostics, ks_statistic,
-                            replicate)
+from .stats_harness import (KS_MIN_POINTS, ReplicationPlan, clt_diagnostics,
+                            factorial_moment_check, ks_statistic, replicate)
 from .zonoid_engine import (area_measure, from_measure, intrinsic_volume,
                             merge_grassmann_atoms)
 
@@ -138,18 +138,22 @@ def _summary(command: str, config: dict, results: dict, passed: bool | None) -> 
             "results": results, "passed": passed}
 
 
-def _estimate_f_alpha(rng, spec: FlatProcessSpec, delta: float, alpha: float,
-                      window: WindowDescriptor, radius: float) -> float:
-    sample = sample_poisson(spec, radius, rng)
+def _process_spec(args) -> FlatProcessSpec:
+    """The Poisson k-flat process of the proximity, clt and weibull commands."""
+    if not 2 * args.k < args.n:
+        raise ValueError("requires 2k < n")
+    return FlatProcessSpec(args.n, args.k, args.gamma, _parse_q(args.q, args.n, args.k))
+
+
+def _estimate(rng, spec: FlatProcessSpec, delta: float, alpha: float,
+              window: WindowDescriptor, shortest: bool) -> float:
+    """F_alpha of one sample in the window, or its shortest d^alpha; the
+    sample radius is the smallest that keeps the functionals exact."""
+    sample = sample_poisson(spec, window.circumradius() + delta / 2.0, rng)
     seg = proximity(sample, delta=delta)
+    if shortest:
+        return float(order_statistics(seg, alpha, window, 1)[0])
     return f_alpha(seg, alpha, window)
-
-
-def _estimate_min_length(rng, spec: FlatProcessSpec, delta: float, alpha: float,
-                         window: WindowDescriptor, radius: float) -> float:
-    sample = sample_poisson(spec, radius, rng)
-    seg = proximity(sample, delta=delta)
-    return float(order_statistics(seg, alpha, window, 1)[0])
 
 
 def _estimate_intersection_count(rng, spec: FlatProcessSpec, order: int) -> float:
@@ -193,17 +197,13 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 
 def _cmd_proximity(args) -> tuple[dict, int]:
-    if not 2 * args.k < args.n:
-        raise ValueError("requires 2k < n")
-    q = _parse_q(args.q, args.n, args.k)
+    spec = _process_spec(args)
     window = args.window
-    spec = FlatProcessSpec(args.n, args.k, args.gamma, q)
-    radius = window.circumradius() + args.delta / 2.0
-    closed, closed_se = mean_F_alpha(args.n, args.k, args.gamma, q, args.delta,
+    closed, closed_se = mean_F_alpha(args.n, args.k, args.gamma, spec.q, args.delta,
                                      args.alpha, window)
     plan = ReplicationPlan(args.reps, args.seed, name="proximity")
-    est = partial(_estimate_f_alpha, spec=spec, delta=args.delta,
-                  alpha=args.alpha, window=window, radius=radius)
+    est = partial(_estimate, spec=spec, delta=args.delta, alpha=args.alpha,
+                  window=window, shortest=False)
     stats = replicate(plan, est, jobs=args.jobs,
                       keep_values=bool(args.raw_csv))
     if args.raw_csv:
@@ -215,7 +215,7 @@ def _cmd_proximity(args) -> tuple[dict, int]:
               "delta": args.delta, "alpha": args.alpha, "q": args.q}
     results = {"closedForm": closed, "closedFormSE": closed_se,
                "mcMean": stats["mean"], "standardError": stats["standardError"],
-               "z": z, "windowRadius": radius,
+               "z": z, "windowRadius": window.circumradius() + args.delta / 2.0,
                "records": [as_record("meanLengthPowerFunctional", closed,
                                      closed_se, inputs)],
                "isoperimetricBound": (isoperimetric_bound(args.n, args.gamma, args.delta)
@@ -277,23 +277,18 @@ def _cmd_zonoid(args) -> tuple[dict, int]:
 
 
 def _cmd_clt(args) -> tuple[dict, int]:
-    if not 2 * args.k < args.n:
-        raise ValueError("requires 2k < n")
-    q = _parse_q(args.q, args.n, args.k)
-    spec = FlatProcessSpec(args.n, args.k, args.gamma, q)
+    spec = _process_spec(args)
     base = WindowDescriptor.ball(1.0)
     values = {}
     for rho in args.rho:
-        window = base.rescaled(rho)
-        radius = window.circumradius() + args.delta / 2.0
         plan = ReplicationPlan(args.reps, args.seed + int(rho), name=f"clt rho={rho}")
-        est = partial(_estimate_f_alpha, spec=spec, delta=args.delta,
-                      alpha=args.alpha, window=window, radius=radius)
+        est = partial(_estimate, spec=spec, delta=args.delta, alpha=args.alpha,
+                      window=base.rescaled(rho), shortest=False)
         values[rho] = replicate(plan, est, jobs=args.jobs, keep_values=True)["values"]
     if args.raw_csv:
         _write_raw_csv(args.raw_csv,
                        {f"rho={rho}": vals for rho, vals in values.items()})
-    target, _ = asymptotic_covariance(args.n, args.k, args.gamma, q, args.delta,
+    target, _ = asymptotic_covariance(args.n, args.k, args.gamma, spec.q, args.delta,
                                       args.alpha, args.alpha, base)
     report = clt_diagnostics(values, args.n, args.k, target_variance=target)
     passed = (report["ksDecreasing"] and report["finalKS"] < 0.06
@@ -302,17 +297,12 @@ def _cmd_clt(args) -> tuple[dict, int]:
 
 
 def _cmd_weibull(args) -> tuple[dict, int]:
-    if not 2 * args.k < args.n:
-        raise ValueError("requires 2k < n")
-    q = _parse_q(args.q, args.n, args.k)
-    spec = FlatProcessSpec(args.n, args.k, args.gamma, q)
+    spec = _process_spec(args)
     base = WindowDescriptor.ball(1.0)
-    window = base.rescaled(args.rho)
-    radius = window.circumradius() + args.delta / 2.0
-    beta, _ = weibull_beta(args.n, args.k, args.gamma, q, base)
+    beta, _ = weibull_beta(args.n, args.k, args.gamma, spec.q, base)
     plan = ReplicationPlan(args.reps, args.seed, name="weibull")
-    est = partial(_estimate_min_length, spec=spec, delta=args.delta,
-                  alpha=args.alpha, window=window, radius=radius)
+    est = partial(_estimate, spec=spec, delta=args.delta, alpha=args.alpha,
+                  window=base.rescaled(args.rho), shortest=True)
     raw = replicate(plan, est, jobs=args.jobs, keep_values=True)["values"]
     scale = args.rho ** (args.n * args.alpha / (args.n - 2 * args.k))
     finite = raw[np.isfinite(raw)]
@@ -348,8 +338,6 @@ def _cmd_appendix(args) -> tuple[dict, int]:
                "probabilities": dist.probabilities.tolist(),
                "momentErrors": moment_errors}
     if args.cubes:
-        from .stats_harness import factorial_moment_check
-
         d = args.dim
         sr = {}
         for r in range(2, args.kappa + 2):
@@ -405,6 +393,16 @@ def _cmd_version(args) -> tuple[dict, int]:
     return {"version": __version__}, 0
 
 
+def _add_process_flags(p: argparse.ArgumentParser, alpha: float) -> None:
+    """The process and functional flags of proximity, clt and weibull."""
+    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
+    p.add_argument("--delta", type=_positive_float, default=1.0)
+    p.add_argument("--alpha", type=_nonnegative_float, default=alpha)
+    p.add_argument("--q", type=str, default="isotropic")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=_default_seed(),
                    help="master seed (env FLATPROC_SEED is the fallback)")
@@ -435,12 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("proximity", help="Monte Carlo vs closed-form proximity")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
-    p.add_argument("--delta", type=_positive_float, default=1.0)
-    p.add_argument("--alpha", type=_nonnegative_float, default=0.0)
-    p.add_argument("--q", type=str, default="isotropic")
+    _add_process_flags(p, alpha=0.0)
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--window", type=_parse_window, default=_parse_window("cube"))
     p.add_argument("--raw-csv", type=str, default=None,
@@ -469,12 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_zonoid)
 
     p = sub.add_parser("clt", help="normality diagnostics across window scales")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
-    p.add_argument("--delta", type=_positive_float, default=1.0)
-    p.add_argument("--alpha", type=_nonnegative_float, default=0.0)
-    p.add_argument("--q", type=str, default="isotropic")
+    _add_process_flags(p, alpha=0.0)
     p.add_argument("--rho", type=_positive_float, nargs="+", default=[2.0, 4.0, 8.0])
     p.add_argument("--reps", type=int, default=1_000)
     p.add_argument("--raw-csv", type=str, default=None,
@@ -483,12 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_clt)
 
     p = sub.add_parser("weibull", help="scaled shortest-segment law vs its limit")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
-    p.add_argument("--delta", type=_positive_float, default=1.0)
-    p.add_argument("--alpha", type=_nonnegative_float, default=1.0)
-    p.add_argument("--q", type=str, default="isotropic")
+    _add_process_flags(p, alpha=1.0)
     p.add_argument("--rho", type=_positive_float, default=8.0)
     p.add_argument("--reps", type=int, default=2_000)
     p.add_argument("--raw-csv", type=str, default=None,
@@ -509,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=["area-measure", "hyperplane-intersection",
                                       "line-proximity"], default="area-measure")
     p.add_argument("--order", type=int, default=2)
-    p.add_argument("--t", type=float, nargs="+", default=[0.2, 0.1, 0.05, 0.025])
+    p.add_argument("--t", type=_positive_float, nargs="+", default=[0.2, 0.1, 0.05, 0.025])
     p.add_argument("--rho-bound", type=_positive_float, default=0.02)
     p.add_argument("--upper", type=_positive_float, default=4.0)
     _add_common(p)

@@ -171,12 +171,19 @@ def intersections(samples, order: int | None = None) -> IntersectionSample:
     return IntersectionSample(n, q, bases, offsets, tuples)
 
 
-def _check_window(seg: SegmentProcessSample, window: WindowDescriptor) -> None:
+def _qualifying_lengths(seg: SegmentProcessSample, window: WindowDescriptor,
+                        direction_set: DirectionSet | None) -> np.ndarray:
+    """Lengths of the segments with midpoint in the window and direction in
+    the direction set, after checking the window-radius precondition."""
     needed = window.circumradius() + seg.delta / 2.0
     if seg.radius < needed - 1e-9:
         raise ValueError(
             f"window too small for exact enumeration: sample window radius "
             f"{seg.radius} < circumradius + delta/2 = {needed}")
+    keep = window.contains(seg.midpoints)
+    if direction_set is not None and direction_set.kind != "full":
+        keep = keep & direction_set.contains(seg.directions)
+    return seg.lengths[keep]
 
 
 def f_alpha(seg: SegmentProcessSample, alpha: float, window: WindowDescriptor,
@@ -190,15 +197,7 @@ def f_alpha(seg: SegmentProcessSample, alpha: float, window: WindowDescriptor,
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError("alpha must be finite and nonnegative")
-    _check_window(seg, window)
-    if len(seg) == 0:
-        return 0.0
-    keep = window.contains(seg.midpoints)
-    if direction_set is not None and direction_set.kind != "full":
-        keep = keep & direction_set.contains(seg.directions)
-    if not np.any(keep):
-        return 0.0
-    return float(np.sum(seg.lengths[keep] ** alpha))
+    return float(np.sum(_qualifying_lengths(seg, window, direction_set) ** alpha))
 
 
 def order_statistics(seg: SegmentProcessSample, alpha: float,
@@ -210,11 +209,7 @@ def order_statistics(seg: SegmentProcessSample, alpha: float,
     """
     if not finite_positive(alpha):
         raise ValueError("order statistics need a finite positive length power")
-    _check_window(seg, window)
-    keep = window.contains(seg.midpoints) if len(seg) else np.zeros(0, dtype=bool)
-    if direction_set is not None and direction_set.kind != "full" and len(seg):
-        keep = keep & direction_set.contains(seg.directions)
-    values = np.sort(seg.lengths[keep] ** alpha) if len(seg) else np.zeros(0)
+    values = np.sort(_qualifying_lengths(seg, window, direction_set) ** alpha)
     out = np.full(m, np.inf)
     out[: min(m, values.shape[0])] = values[:m]
     return out

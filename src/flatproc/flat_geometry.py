@@ -43,7 +43,7 @@ def canonical_units(units: np.ndarray) -> np.ndarray:
     return units
 
 
-def canonical_unit(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def canonical_unit(u: np.ndarray) -> np.ndarray:
     """Normalize u and pick the lexicographically larger of +-u.
 
     The sign convention identifies a line in G(n,1) with a single point of
@@ -51,7 +51,7 @@ def canonical_unit(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     norm = float(np.linalg.norm(u))
-    if norm < tol:
+    if norm < 1e-12:
         raise ValueError("cannot canonicalize a near-zero vector")
     return canonical_units((u / norm)[None])[0]
 
@@ -60,7 +60,7 @@ def canonical_unit(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 class Subspace:
     """A k-dimensional linear subspace of R^n with an orthonormal basis.
 
-    basis has shape (k, n); rows are pairwise orthonormal within 1e-12.
+    basis has shape (k, n); rows are pairwise orthonormal within 1e-10.
     k = 0 (empty basis) denotes the trivial subspace.
     """
 
@@ -76,7 +76,7 @@ class Subspace:
             raise ValueError(f"subspace dimension {k} exceeds ambient dimension {n}")
         if k > 0:
             gram = basis @ basis.T
-            if not np.allclose(gram, np.eye(k), atol=1e-10):
+            if not np.max(np.abs(gram - np.eye(k))) <= 1e-10:  # NaN fails too
                 raise ValueError("basis rows are not orthonormal")
         basis.flags.writeable = False
 
@@ -191,11 +191,11 @@ class ProximitySegment:
         direction.flags.writeable = False
 
 
-def orthonormalize(vectors, tol: float = RANK_TOL) -> Subspace:
+def orthonormalize(vectors) -> Subspace:
     """Orthonormal basis of the span of the input vectors.
 
     Gram-Schmidt with re-orthogonalization; vectors whose residual falls
-    below tol are treated as dependent, so the result's dimension is the
+    below RANK_TOL are treated as dependent, so the result's dimension is the
     numerical rank of the input.
     """
     vecs = [np.asarray(v, dtype=float) for v in vectors]
@@ -211,7 +211,7 @@ def orthonormalize(vectors, tol: float = RANK_TOL) -> Subspace:
             for b in rows:
                 w -= (w @ b) * b
         norm = float(np.linalg.norm(w))
-        if norm > tol:
+        if norm > RANK_TOL:
             rows.append(w / norm)
     if not rows:
         return Subspace.trivial(n)

@@ -74,12 +74,13 @@ class MetricSample:
 
     @staticmethod
     def from_sphere_pairs(units: Sequence[np.ndarray]) -> "MetricSample":
-        """Quotient geodesic metric arccos|<u, v>| on antipodal pairs."""
+        """Quotient geodesic metric min(angle(u, v), angle(u, -v)) on
+        antipodal pairs, as 2 atan2(min(|u - v|, |u + v|), max(...)), which
+        stays accurate for nearby units where arccos|<u, v>| reads 0."""
         u = np.vstack(list(units))
-        gram = np.clip(np.abs(u @ u.T), 0.0, 1.0)
-        dist = np.arccos(gram)
-        np.fill_diagonal(dist, 0.0)
-        return MetricSample(0.5 * (dist + dist.T))
+        minus = np.linalg.norm(u[:, None, :] - u[None, :, :], axis=2)
+        plus = np.linalg.norm(u[:, None, :] + u[None, :, :], axis=2)
+        return MetricSample(2.0 * np.arctan2(np.minimum(minus, plus), np.maximum(minus, plus)))
 
     @staticmethod
     def from_subspaces(subspaces: Sequence[Subspace]) -> "MetricSample":

@@ -378,11 +378,11 @@ def integrate(measure, f, rng: SeedLike | None = None,
 _GRID_CACHE: dict[int, np.ndarray] = {}
 
 
-def _direction_grid(n: int, size: int = 10_000) -> np.ndarray:
+def _direction_grid(n: int) -> np.ndarray:
     """Deterministic quasi-uniform probe grid on S^{n-1}."""
     if n not in _GRID_CACHE:
         gen = np.random.default_rng(0xB0B + n)
-        grid = _uniform_sphere(gen, size, n)
+        grid = _uniform_sphere(gen, 10_000, n)
         grid.flags.writeable = False
         _GRID_CACHE[n] = grid
     return _GRID_CACHE[n]

@@ -226,8 +226,8 @@ def sample_cube_process(d: int, dist: FactorialDistribution,
     """
     gen = as_generator(rng)
     box = [(int(lo), int(hi)) for lo, hi in cube_index_box]
-    if len(box) != d or any(hi <= lo for lo, hi in box):
-        raise ValueError("cube_index_box must give d nonempty index ranges")
+    if d < 1 or len(box) != d or any(hi <= lo for lo, hi in box):
+        raise ValueError("cube_index_box must give d >= 1 nonempty index ranges")
     gen_box = [(lo - 1, hi + 1) for lo, hi in box] if stationarize else box
     sides = [hi - lo for lo, hi in gen_box]
     total = int(np.prod(sides))
@@ -248,8 +248,7 @@ def sample_cube_process(d: int, dist: FactorialDistribution,
     return points
 
 
-def sample_q0(e0: Subspace, n: int, k: int, rng: SeedLike,
-              batch: int = 64) -> Subspace:
+def sample_q0(e0: Subspace, n: int, k: int, rng: SeedLike) -> Subspace:
     """One draw from the anchored directional distribution on G(n, k).
 
     The law has density proportional to the subspace determinant [E_0, L]
@@ -257,13 +256,14 @@ def sample_q0(e0: Subspace, n: int, k: int, rng: SeedLike,
     n - k; realized by rejection from Haar with acceptance probability
     [E_0, L].
     """
-    bases = sample_q0_bases(e0, n, k, 1, rng, batch)
+    bases = sample_q0_bases(e0, n, k, 1, rng)
     return Subspace(bases[0])
 
 
-def sample_q0_bases(e0: Subspace, n: int, k: int, count: int, rng: SeedLike,
-                    batch: int = 4096) -> np.ndarray:
-    """Vectorized rejection sampler returning (count, k, n) direction bases."""
+def sample_q0_bases(e0: Subspace, n: int, k: int, count: int,
+                    rng: SeedLike) -> np.ndarray:
+    """Vectorized rejection sampler returning (count, k, n) direction bases,
+    in batches of 4 times the missing count, at least 64 and at most 4096."""
     if e0.n != n or e0.k != n - k:
         raise ValueError("anchor must be an (n-k)-dimensional subspace of R^n")
     gen = as_generator(rng)
@@ -271,7 +271,7 @@ def sample_q0_bases(e0: Subspace, n: int, k: int, count: int, rng: SeedLike,
     out = np.zeros((count, k, n))
     filled = 0
     while filled < count:
-        m = min(batch, max(4 * (count - filled), 64))
+        m = min(4096, max(4 * (count - filled), 64))
         cand = haar_bases(m, n, k, gen)
         stacked = np.concatenate(
             [np.broadcast_to(anchor, (m,) + anchor.shape), cand], axis=1)

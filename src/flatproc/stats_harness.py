@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ class ReplicationPlan:
     replications: int
     master_seed: int
     name: str = ""
-    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.replications < 2:
@@ -116,17 +115,19 @@ def factorial_moment_check(sampler: Callable[[np.random.Generator], np.ndarray],
     sampler(rng) returns the points (m, d) of one replication; each test set
     is an indicator over point arrays.  The sets must be pairwise disjoint,
     so distinct points are guaranteed and the ordered-tuple count is the
-    product of the per-set counts.  Returns the empirical tuple mean, the
-    product of empirical means, and the z-score of their difference
-    (delta-method standard error).
+    product of the per-set counts.  Replication i draws from `replicate`'s
+    stream (master_seed, i); at least two replications are needed.  Returns
+    the empirical tuple mean, the product of empirical means, and the
+    z-score of their difference (delta-method standard error).
     """
+    def counts(rng):
+        pts = sampler(rng)
+        per_set = [float(np.count_nonzero(ind(pts))) for ind in test_sets]
+        return [float(np.prod(per_set))] + per_set
+
     r = len(test_sets)
-    data = np.zeros((replications, r + 1))
-    for i in range(replications):
-        pts = sampler(replication_stream(master_seed, i))
-        counts = [float(np.count_nonzero(ind(pts))) for ind in test_sets]
-        data[i, 0] = float(np.prod(counts))
-        data[i, 1:] = counts
+    plan = ReplicationPlan(replications, master_seed)
+    data = replicate(plan, counts, keep_values=True)["values"]
     means = data.mean(axis=0)
     tuple_mean = means[0]
     product = float(np.prod(means[1:]))

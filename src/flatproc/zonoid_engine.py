@@ -111,10 +111,10 @@ def _merge(projectors: np.ndarray, tol: float):
     return reps, labels
 
 
-def merge_grassmann_atoms(atoms, tol: float = MERGE_TOL):
-    """Merge weighted subspace atoms whose projectors coincide within tol."""
+def merge_grassmann_atoms(atoms):
+    """Merge weighted subspace atoms whose projectors coincide within MERGE_TOL."""
     atoms = list(atoms)
-    reps, labels = _merge(np.array([sub.projector() for sub, _ in atoms]), tol)
+    reps, labels = _merge(np.array([sub.projector() for sub, _ in atoms]), MERGE_TOL)
     sums = np.bincount(labels, [w for _, w in atoms], len(reps))
     return [(atoms[i][0], w) for i, w in zip(reps, sums.tolist())]
 

@@ -175,6 +175,10 @@ def test_summary_embeds_config_and_version(tmp_path):
     (["intersect", "--mc-samples", "0"], "--mc-samples: must be an integer >= 2"),
     (["intersect", "--mc-samples", "1"], "--mc-samples: must be an integer >= 2"),
     (["intersect", "--mc-samples", "-5"], "--mc-samples: must be an integer >= 2"),
+    (["stability", "--t", "nan"], "--t: must be finite and positive"),
+    (["stability", "--t", "0.1", "inf"], "--t: must be finite and positive"),
+    (["appendix", "--dim", "0", "--cubes", "10"], "d >= 1"),
+    (["appendix", "--kappa", "3", "--cubes", "1"], "need at least two replications"),
 ])
 def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     # one error line, the last; flag errors follow argparse's usage line

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from flatproc import constants
 from flatproc.closed_form import (WindowDescriptor, asymptotic_covariance,
@@ -271,7 +272,7 @@ def test_cross_section_ball_radial_oracle():
         2.0 * math.pi, abs=1e-12)
     grid = np.linspace(0.0, 1.0, 200_001)
     chords_sq = 4.0 * (1.0 - grid ** 2)
-    quad = np.trapezoid(chords_sq * 2.0 * math.pi * grid, grid)
+    quad = trapezoid(chords_sq * 2.0 * math.pi * grid, grid)
     assert ball_cross_section_integral(3, 1, 1.0) == pytest.approx(quad, rel=1e-8)
 
 

@@ -52,6 +52,12 @@ def test_subspace_invariants_enforced():
         Subspace(np.array([[1.0, 1.0, 0.0]]))  # not unit
     with pytest.raises(ValueError):
         Subspace(np.array([[1, 0, 0], [1, 0, 0]], dtype=float))  # not orthogonal
+    with pytest.raises(ValueError):
+        Subspace(np.array([[1.0 + 4e-6, 0.0, 0.0]]))  # off by more than 1e-10
+    with pytest.raises(ValueError):
+        Subspace(np.array([[np.nan, 0.0, 0.0]]))
+    # every Gram entry within 1e-11 of the identity passes
+    Subspace(np.array([[1.0 + 5e-12, 1e-11, 0.0], [0.0, 1.0, 0.0]]))
 
 
 def test_determinant_orthogonal_and_equal_lines():

@@ -313,20 +313,21 @@ def test_grassmann_distances_merge_equal_subspaces(kind, monkeypatch):
     if kind == "grassmann":
         return
     # sphere atoms 1e-9 apart stay two support points (the merge cut is an
-    # angle of 1e-12); the distance is checked to be positive at 1e-5, since
-    # arccos|<u, v>| reads 0 below about 1.5e-8 and the BL solve returns 0
-    # at 1e-7
+    # angle of 1e-12), and their table distance is their angle atan(1e-9);
+    # the BL and Prohorov values are checked to be positive at 1e-5, since
+    # the BL solve returns 0 at 1e-7
     u = mu.pair_atoms[0][0]
     side = np.roll(u, 1) - (np.roll(u, 1) @ u) * u
-    sizes = []
+    tables = []
     table = MetricSample.from_sphere_pairs
     monkeypatch.setattr(MetricSample, "from_sphere_pairs",
-                        lambda units: sizes.append(len(units)) or table(units))
+                        lambda units: tables.append(table(units)) or tables[-1])
     for gap in (1e-9, 1e-5):
         v = u + gap * side / np.linalg.norm(side)
         d_bl, d_p = sphere_distances(SphereMeasure.atoms(4, [(u, 1.0)]),
                                      SphereMeasure.atoms(4, [(v, 1.0)]))
-    assert sizes == [2, 2]
+    assert [t.size for t in tables] == [2, 2]
+    assert tables[0].dist[0, 1] == pytest.approx(math.atan(1e-9), rel=1e-6)
     assert d_bl > 0.0 and d_p > 0.0
 
 

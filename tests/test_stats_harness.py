@@ -140,6 +140,12 @@ def test_factorial_moment_check_count_law_matches_up_to_kappa():
     assert out4["exactZero"] and out4["empirical"] == 0.0
 
 
+def test_factorial_moment_check_needs_two_replications():
+    # one replication has no covariance: rejected, not a NaN-based pass
+    with pytest.raises(ValueError, match="at least two replications"):
+        factorial_moment_check(_poisson_cube, slab_sets(2), 1, 80)
+
+
 def test_multivariate_correlation_matches_asymptotic_covariance():
     # the asymptotic covariance of (F_0, F_1) with one direction set is a
     # rank-one matrix: the empirical correlation must approach 1
