@@ -176,6 +176,8 @@ def _write_raw_csv(path: str, columns: dict) -> None:
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
+    if not 1 <= args.k <= args.n:
+        raise ValueError(f"simulate needs 1 <= --k <= --n, got --n {args.n} --k {args.k}")
     q = _parse_q(args.q, args.n, args.k)
     if args.kind == "poisson":
         spec = FlatProcessSpec(args.n, args.k, args.gamma, q)
@@ -248,6 +250,8 @@ def _cmd_intersect(args) -> tuple[dict, int]:
 
 
 def _cmd_zonoid(args) -> tuple[dict, int]:
+    if args.n < 3:  # the identities run over r = 2..n-1
+        raise ValueError(f"zonoid identities need --n >= 3, got --n {args.n}")
     q = _parse_q(args.q, args.n, args.n - 1) if args.hyperplanes \
         else _parse_q(args.q, args.n, 1)
     if q.is_isotropic:

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from . import constants
 from ._rng import SeedLike, as_generator
 from .flat_geometry import (Subspace, _in_blocks, complement, complement_bases, gram_volumes,
-                            haar_bases)
+                            haar_bases, q_factors)
 from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
                        _mc_mean, check_samples, finite_positive, symmetrize_line_measure)
 from .zonoid_engine import mu_Q_r
@@ -109,13 +109,12 @@ def c_constant(n: int, r: int, s: int) -> float:
 def _draws(qs, rows: int, gen: np.random.Generator) -> list[np.ndarray]:
     """`rows` independent draws from each measure, one (rows, k, n) basis
     stack each: one standard-normal draw whose row i holds draw i's isotropic
-    factors in order (Q factors, as haar_bases), then one choice per atomic."""
+    factors in order (their q_factors, as haar_bases), then one choice per atomic."""
     z = gen.standard_normal((rows, sum(q.k for q in qs if q.is_isotropic), qs[0].n))
     out, row = [], 0
     for q in qs:
         if q.is_isotropic:
-            basis, _ = np.linalg.qr(np.swapaxes(z[:, row:row + q.k], 1, 2))
-            out.append(np.swapaxes(basis, 1, 2))
+            out.append(q_factors(z[:, row:row + q.k]))
             row += q.k
         else:
             (atoms,), weights = _atom_tuples([q])
@@ -141,7 +140,14 @@ def _pair_integrand(l_bases: np.ndarray, m_bases: np.ndarray, direction_set: Dir
     det = np.minimum(gram_volumes(joint), 1.0)
     keep = det > 1e-14
     values, errors = np.where(keep, det, 0.0), np.zeros_like(det)
-    if direction_set is not None:
+    if direction_set is not None and direction_set.kind == "double_cap":
+        # |P_{(L+M)-perp} axis| from the residual axis - J^T (J J^T)^-1 J axis
+        j = joint[keep]
+        coef = np.linalg.solve(j @ np.swapaxes(j, 1, 2), (j @ direction_set.axis)[..., None])
+        residual = direction_set.axis - np.einsum("mp,mpn->mn", coef[..., 0], j)
+        values[keep] *= direction_set.double_cap_measures(np.linalg.norm(residual, axis=1),
+                                                          j.shape[2] - j.shape[1])
+    elif direction_set is not None:
         sig, sig_se = direction_set.subsphere_measures(complement_bases(joint[keep]), gen,
                                                        points)
         errors[keep] = values[keep] * sig_se

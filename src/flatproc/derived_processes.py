@@ -50,18 +50,17 @@ class SegmentProcessSample:
         m = lengths.shape[0]
         if not (midpoints.shape[0] == directions.shape[0] == pairs.shape[0] == m):
             raise ValueError("segment arrays must have a common length")
+        # each test is written `not x <= bound`, so NaN fails it too
         if m:
-            if np.min(lengths) <= 0 or np.max(lengths) > self.delta + 1e-12:
+            if not (0 < lengths.min() and lengths.max() <= self.delta + 1e-12):
                 raise ValueError("segment lengths must lie in (0, delta]")
-            norms = np.linalg.norm(directions, axis=1)
-            if np.max(np.abs(norms - 1.0)) > 1e-9:
+            sq = np.einsum("mn,mn->m", directions, directions)
+            if not np.abs(sq - 1.0).max() <= 1e-9 * (2.0 - 1e-9):  # |u| within 1e-9 of 1
                 raise ValueError("segment directions must be unit vectors")
-        for arr in (midpoints, lengths, directions, pairs):
+        for name, arr in (("midpoints", midpoints), ("lengths", lengths),
+                          ("directions", directions), ("pairs", pairs)):
             arr.flags.writeable = False
-        object.__setattr__(self, "midpoints", midpoints)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "pairs", pairs)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return self.lengths.shape[0]
@@ -89,11 +88,9 @@ class IntersectionSample:
         bases = np.asarray(self.bases, dtype=float)
         offsets = np.asarray(self.offsets, dtype=float)
         tuples = np.asarray(self.tuples, dtype=int)
-        for arr in (bases, offsets, tuples):
+        for name, arr in (("bases", bases), ("offsets", offsets), ("tuples", tuples)):
             arr.flags.writeable = False
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "tuples", tuples)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return self.offsets.shape[0]

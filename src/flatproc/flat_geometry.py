@@ -161,9 +161,6 @@ class Flat:
                 return False
         return True
 
-    def translate(self, z: np.ndarray) -> "Flat":
-        return Flat.through_point(self.direction, self.offset + np.asarray(z, dtype=float))
-
 
 @dataclass(frozen=True)
 class ProximitySegment:
@@ -276,13 +273,20 @@ def parallelepiped_volume(vectors) -> float:
     return min(float(gram_volumes(g[None])[0]), 1.0)
 
 
-def haar_bases(count: int, n: int, k: int, rng: SeedLike) -> np.ndarray:
-    """Stack of `count` Haar-distributed orthonormal (k, n) bases: the Q
-    factors of n x k standard normal matrices, whose spans are rotation
-    invariant, which characterizes the Haar probability measure on G(n,k)."""
-    g = as_generator(rng).standard_normal((count, k, n))
+def q_factors(g: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the row spans of an (m, k, n) stack: batched QR
+    factors, or for k = 1 the normalized rows (the same lines up to sign)."""
+    if g.shape[1] == 1:
+        return g / np.linalg.norm(g, axis=2, keepdims=True)
     q, _ = np.linalg.qr(np.swapaxes(g, 1, 2))
     return np.swapaxes(q, 1, 2)
+
+
+def haar_bases(count: int, n: int, k: int, rng: SeedLike) -> np.ndarray:
+    """Stack of `count` Haar-distributed orthonormal (k, n) bases: the
+    `q_factors` of k x n standard normal matrices, whose spans are rotation
+    invariant, which characterizes the Haar probability measure on G(n,k)."""
+    return q_factors(as_generator(rng).standard_normal((count, k, n)))
 
 
 def haar_sample(n: int, k: int, rng: SeedLike) -> Subspace:
@@ -553,6 +557,8 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
         i, j = np.nonzero(mask)
         parts.append(solve(np.stack([i + r0, j + col0], axis=1)))
         r0 = r1
+    if len(parts) == 1:  # one slab: its arrays are the output, without copies
+        return parts[0]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

@@ -227,9 +227,7 @@ class DirectionSet:
         if self.kind == "custom":
             if self.predicate is None:
                 raise ValueError("custom direction set needs a predicate")
-            probe_rng = np.random.default_rng(0x5EED)
-            probes = probe_rng.standard_normal((10_000, self.n))
-            probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+            probes = haar_bases(10_000, self.n, 1, 0x5EED)[:, 0]
             if not np.array_equal(self.predicate(probes), self.predicate(-probes)):
                 raise ValueError("custom direction predicate is not even")
 
@@ -271,20 +269,24 @@ class DirectionSet:
         if self.kind == "full":
             return np.full(m, omega), np.zeros(m)
         if self.kind == "double_cap":
-            alpha = np.linalg.norm(bases @ self.axis, axis=1)
-            # an axis orthogonal to U meets S_U only through a threshold <= 0
-            values = np.where(alpha < 1e-15, omega if self.threshold <= 0 else 0.0,
-                              constants.double_cap_measure(
-                                  d, self.threshold / np.maximum(alpha, 1e-15)))
-            return values, np.zeros(m)
+            return self.double_cap_measures(np.linalg.norm(bases @ self.axis, axis=1), d), \
+                np.zeros(m)
         gen = as_generator(rng if rng is not None else 0xCA9)
         # point p lies on the sphere of row p // samples
         hit, = _in_blocks(lambda p: (self.contains(np.einsum(
-            "pd,pdn->pn", _uniform_sphere(gen, p.shape[0], d), bases[p // samples])),),
+            "pd,pdn->pn", haar_bases(p.shape[0], d, 1, gen)[:, 0], bases[p // samples])),),
             np.arange(m * samples))
         hit = hit.reshape(m, samples)
         errors = hit.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(m)
         return omega * hit.mean(axis=1), omega * errors
+
+    def double_cap_measures(self, alpha: np.ndarray, d: int) -> np.ndarray:
+        """sigma_U(C intersect S_U) of a double cap for d-dimensional U, given
+        alpha = |P_U axis| for each U."""
+        # an axis orthogonal to U meets S_U only through a threshold <= 0
+        return np.where(alpha < 1e-15,
+                        constants.sphere_surface(d) if self.threshold <= 0 else 0.0,
+                        constants.double_cap_measure(d, self.threshold / np.maximum(alpha, 1e-15)))
 
     def subsphere_measure(self, sub: Subspace, rng: SeedLike | None = None,
                           samples: int = 20_000) -> tuple[float, float]:
@@ -324,11 +326,6 @@ def line_measure_from_sphere(mu: SphereMeasure) -> GrassmannMeasure:
         [(Subspace(u.reshape(1, -1)), w) for u, w in mu.pair_atoms])
 
 
-def _uniform_sphere(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
-    z = gen.standard_normal((count, n))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
 def integrate(measure, f, rng: SeedLike | None = None,
               samples: int = DEFAULT_MC_SAMPLES) -> tuple[float, float]:
     """Integral of f against the measure; returns (value, standard error).
@@ -360,7 +357,7 @@ def integrate(measure, f, rng: SeedLike | None = None,
         return float(weights @ vals), 0.0
     gen = as_generator(rng if rng is not None else 0xF1A7)
     if measure.uniform_mass is not None:
-        return _mc_mean(np.asarray(f(_uniform_sphere(gen, samples, measure.n))),
+        return _mc_mean(np.asarray(f(haar_bases(samples, measure.n, 1, gen)[:, 0])),
                         measure.uniform_mass, ddof=1)
     total, var = 0.0, 0.0
     for sub, w in measure.subspheres:
@@ -369,7 +366,7 @@ def integrate(measure, f, rng: SeedLike | None = None,
             u = sub.basis
             total += w * float(np.asarray(f(u))[0] + np.asarray(f(-u))[0])
             continue
-        value, se = _mc_mean(np.asarray(f(_uniform_sphere(gen, samples, sub.k) @ sub.basis)),
+        value, se = _mc_mean(np.asarray(f(haar_bases(samples, sub.k, 1, gen)[:, 0] @ sub.basis)),
                              w * constants.sphere_surface(sub.k), ddof=1)
         total, var = total + value, var + se * se
     return total, math.sqrt(var)
@@ -382,7 +379,7 @@ def _direction_grid(n: int) -> np.ndarray:
     """Deterministic quasi-uniform probe grid on S^{n-1}."""
     if n not in _GRID_CACHE:
         gen = np.random.default_rng(0xB0B + n)
-        grid = _uniform_sphere(gen, 10_000, n)
+        grid = haar_bases(10_000, n, 1, gen)[:, 0]
         grid.flags.writeable = False
         _GRID_CACHE[n] = grid
     return _GRID_CACHE[n]

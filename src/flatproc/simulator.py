@@ -3,10 +3,10 @@ the non-Poisson cube-based constructions with prescribed factorial moments.
 
 Flat samples are stored as basis/offset arrays for speed; `FlatSample.flats`
 materializes the immutable Flat objects on demand.  Directions come from
-the stacked Haar sampler `flat_geometry.haar_bases` and offsets are placed
-in the complements from `flat_geometry.complement_bases`.  Every sampler
-accepts a seed (int or sequence) or a ready numpy Generator; identical
-seeds reproduce samples byte for byte.
+`flat_geometry.haar_bases`; a Poisson offset is a standard normal vector
+projected onto the direction's orthogonal complement, rescaled into its
+disk.  Every sampler accepts a seed (int or sequence) or a ready numpy
+Generator; identical seeds reproduce samples byte for byte.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import constants
 from ._rng import SeedLike, as_generator, seed_record
-from .flat_geometry import Flat, Subspace, complement_bases, gram_volumes, haar_bases
+from .flat_geometry import Flat, Subspace, gram_volumes, haar_bases
 from .measures import GrassmannMeasure
 
 
@@ -73,14 +73,12 @@ class FlatSample:
         offsets = np.asarray(self.offsets, dtype=float).reshape(-1, self.n)
         if bases.shape[0] != offsets.shape[0]:
             raise ValueError("bases and offsets must pair up")
+        # each test is written `not x <= bound`, so NaN fails it too
         if offsets.shape[0]:
-            norms = np.linalg.norm(offsets, axis=1)
-            if np.max(norms) > self.radius + 1e-9:
+            if not np.einsum("mn,mn->m", offsets, offsets).max() <= (self.radius + 1e-9) ** 2:
                 raise ValueError("offset norms must not exceed the window radius")
-            if self.k > 0:
-                rel = np.einsum("mkn,mn->mk", bases, offsets)
-                if np.max(np.abs(rel)) > 1e-9:
-                    raise ValueError("offsets must be orthogonal to directions")
+            if self.k > 0 and not np.abs(np.einsum("mkn,mn->mk", bases, offsets)).max() <= 1e-9:
+                raise ValueError("offsets must be orthogonal to directions")
         bases.flags.writeable = False
         offsets.flags.writeable = False
         object.__setattr__(self, "bases", bases)
@@ -140,14 +138,9 @@ class FactorialDistribution:
         object.__setattr__(self, "probabilities", p)
 
     def factorial_moment(self, m: int) -> float:
-        terms = []
-        for i, prob in enumerate(self.probabilities):
-            if i >= m and prob > 0:
-                falling = 1.0
-                for j in range(m):
-                    falling *= i - j
-                terms.append(falling * prob)
-        return math.fsum(terms)
+        # i (i - 1) ... (i - m + 1) is math.perm(i, m), exact in floats here
+        return math.fsum(math.perm(i, m) * prob
+                         for i, prob in enumerate(self.probabilities) if i >= m and prob > 0)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.kappa + 1, size=size, p=self.probabilities)
@@ -173,23 +166,14 @@ def build_factorial_distribution(kappa: int) -> FactorialDistribution:
     return FactorialDistribution(kappa=kappa, probabilities=probs, exact=exact)
 
 
-def _ball_points(count: int, dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points in the centered ball of the given radius in R^dim."""
-    if dim == 0:
-        return np.zeros((count, 0))
-    z = rng.standard_normal((count, dim))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    radii = radius * rng.random(count) ** (1.0 / dim)
-    return z * radii[:, None]
-
-
 def sample_poisson(spec: FlatProcessSpec, radius: float, rng: SeedLike) -> FlatSample:
     """One realization of the stationary Poisson k-flat process in a ball.
 
     The number of flats hitting the window R B^n is Poisson with mean
     gamma * kappa_{n-k} * R^{n-k}; directions follow the directional
     distribution and offsets are uniform in the (n-k)-ball of the window
-    radius inside the direction's orthogonal complement.
+    radius inside the direction's orthogonal complement: a standard normal
+    vector projected onto L-perp, isotropic there, rescaled to length R U^{1/(n-k)}.
     """
     if spec.kind is not None:
         raise ValueError("spec does not describe a Poisson process")
@@ -207,10 +191,15 @@ def sample_poisson(spec: FlatProcessSpec, radius: float, rng: SeedLike) -> FlatS
         idx = gen.choice(len(weights), size=count, p=weights / weights.sum())
         stack = np.stack([sub.basis for sub, _ in spec.q.atoms])
         bases = stack[idx]
-    comp = complement_bases(bases)
-    local = _ball_points(count, n - k, radius, gen)
-    offsets = np.einsum("mj,mjn->mn", local, comp)
-    return FlatSample(n, k, radius, bases, offsets, record)
+    if n == k:
+        return FlatSample(n, k, radius, bases, np.zeros((count, n)), record)
+    z = gen.standard_normal((count, n))
+    z -= np.einsum("mk,mkn->mn", np.einsum("mkn,mn->mk", bases, z), bases)
+    z *= (radius * gen.random(count) ** (1.0 / (n - k))
+          / np.sqrt(np.einsum("mn,mn->m", z, z)))[:, None]
+    # again: the rescaling magnifies the first pass's round-off along L
+    z -= np.einsum("mk,mkn->mn", np.einsum("mkn,mn->mk", bases, z), bases)
+    return FlatSample(n, k, radius, bases, z, record)
 
 
 def sample_cube_process(d: int, dist: FactorialDistribution,

@@ -179,6 +179,11 @@ def test_summary_embeds_config_and_version(tmp_path):
     (["stability", "--t", "0.1", "inf"], "--t: must be finite and positive"),
     (["appendix", "--dim", "0", "--cubes", "10"], "d >= 1"),
     (["appendix", "--kappa", "3", "--cubes", "1"], "need at least two replications"),
+    (["simulate", "--n", "0"], "simulate needs 1 <= --k <= --n, got --n 0 --k 1"),
+    (["simulate", "--n", "3", "--k", "4"], "simulate needs 1 <= --k <= --n, got --n 3 --k 4"),
+    (["simulate", "--k", "0"], "got --n 3 --k 0"),
+    (["zonoid", "--n", "1"], "zonoid identities need --n >= 3, got --n 1"),
+    (["zonoid", "--n", "2"], "zonoid identities need --n >= 3, got --n 2"),
 ])
 def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     # one error line, the last; flag errors follow argparse's usage line

@@ -505,6 +505,16 @@ def test_segment_sample_validation():
     with pytest.raises(ValueError, match="\\(0, delta\\]"):
         SegmentProcessSample(3, 1.0, 10.0, np.zeros((1, 3)), np.array([1.5]),
                              np.array([E[2]]), np.array([[0, 1]]))
+    for lengths in ([np.nan], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="\\(0, delta\\]"):
+            SegmentProcessSample(3, 1.0, 10.0, np.zeros((len(lengths), 3)), np.array(lengths),
+                                 np.tile(E[2], (len(lengths), 1)), np.zeros((len(lengths), 2)))
+    with pytest.raises(ValueError, match="unit vectors"):
+        SegmentProcessSample(3, 1.0, 10.0, np.zeros((1, 3)), np.array([0.5]),
+                             np.array([[np.nan, 0.0, 1.0]]), np.array([[0, 1]]))
+    with pytest.raises(ValueError, match="unit vectors"):
+        SegmentProcessSample(3, 1.0, 10.0, np.zeros((1, 3)), np.array([0.5]),
+                             np.array([[0.0, 0.0, 1.0 + 2e-9]]), np.array([[0, 1]]))
 
 
 def test_segments_csv_format(tmp_path):

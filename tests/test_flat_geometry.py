@@ -6,7 +6,7 @@ import pytest
 from flatproc.flat_geometry import (DegeneratePairError, Flat, Subspace,
                                     canonical_unit, closest_pair, complement,
                                     grassmann_distance, grassmann_metric,
-                                    haar_sample, orthonormalize,
+                                    haar_bases, haar_sample, orthonormalize,
                                     parallelepiped_volume, principal_angles,
                                     random_rotation, rotate_subspace,
                                     subspace_determinant)
@@ -186,6 +186,15 @@ def test_haar_line_angle_uniform_in_plane():
     ecdf = np.arange(1, reps + 1) / reps
     ks = np.max(np.abs(ecdf - angles / math.pi))
     assert ks < 0.01
+
+
+def test_haar_lines_span_the_qr_lines_of_the_same_draws():
+    for n in (2, 3, 5):
+        lines = haar_bases(500, n, 1, [16, n])
+        g = np.random.default_rng([16, n]).standard_normal((500, 1, n))
+        q = np.swapaxes(np.linalg.qr(np.swapaxes(g, 1, 2))[0], 1, 2)
+        proj = np.einsum("mki,mkj->mij", lines, lines)
+        assert np.max(np.abs(proj - np.einsum("mki,mkj->mij", q, q))) <= 1e-15
 
 
 def test_haar_sample_satisfies_subspace_invariants():

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import binomtest, chi2_contingency, kstest
 
 from flatproc import constants
 from flatproc.closed_form import c_constant
-from flatproc.flat_geometry import Subspace, subspace_determinant
+from flatproc.flat_geometry import Subspace, complement, complement_bases, subspace_determinant
 from flatproc.measures import GrassmannMeasure
 from flatproc.simulator import (FactorialDistribution, FlatProcessSpec, FlatSample,
                                 SrConstruction, build_factorial_distribution,
@@ -83,6 +83,45 @@ def test_poisson_sample_invariants_and_determinism():
         assert np.max(np.linalg.norm(s1.offsets, axis=1)) <= 1.5 + 1e-9
         rel = np.einsum("mkn,mn->mk", s1.bases, s1.offsets)
         assert np.max(np.abs(rel)) < 1e-9
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (3, 2)])
+@pytest.mark.parametrize("atomic", [False, True], ids=["isotropic", "one-atom"])
+def test_poisson_offsets_uniform_in_complement_disk(n, k, atomic):
+    # radial part |x|^{n-k} / R^{n-k} and direction, read in the frame of
+    # L-perp that complement_bases builds from L's basis, must be uniform; each of the
+    # twelve tests has level 2.5e-4, so together they fail a correct sampler
+    # about 0.3% of the time, as a 3-standard-error gate does
+    level = 2.5e-4
+    radius = 3.0
+    if atomic:
+        fixed = Subspace(complement(Subspace(np.ones((1, n)) / math.sqrt(n))).basis[:k])
+        q = GrassmannMeasure.discrete([(fixed, 1.0)])
+    else:
+        q = GrassmannMeasure.isotropic(n, k, 1.0)
+    d = n - k
+    gamma = 20_000.0 / (constants.ball_volume(d) * radius ** d)
+    sample = sample_poisson(FlatProcessSpec(n, k, gamma, q), radius, [40 + n, k, int(atomic)])
+    assert len(sample) > 19_000
+    assert np.max(np.abs(np.einsum("mkn,mn->mk", sample.bases, sample.offsets))) <= 1e-12
+    local = np.einsum("mdn,mn->md", complement_bases(sample.bases), sample.offsets)
+    norms = np.linalg.norm(local, axis=1)
+    assert kstest((norms / radius) ** d, "uniform").pvalue > level
+    if d == 1:
+        assert binomtest(int(np.sum(local[:, 0] > 0)), len(sample)).pvalue > level
+    else:
+        angles = np.arctan2(local[:, 1], local[:, 0]) % (2.0 * math.pi)
+        assert kstest(angles / (2.0 * math.pi), "uniform").pvalue > level
+
+
+def test_flat_sample_rejects_nan():
+    bases = np.array([[E3[0]]])
+    with pytest.raises(ValueError, match="window radius"):
+        FlatSample(3, 1, 1.0, bases, np.array([[0.0, np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="orthogonal"):
+        FlatSample(3, 1, 1.0, np.array([[[np.nan, 0.0, 0.0]]]), np.array([[0.0, 0.5, 0.0]]))
+    with pytest.raises(ValueError, match="window radius"):
+        FlatSample(3, 1, np.nan, bases, np.array([[0.0, 0.5, 0.0]]))
 
 
 def test_flat_sample_serialization_roundtrip(tmp_path):
