@@ -178,6 +178,8 @@ def _write_raw_csv(path: str, columns: dict) -> None:
 def _cmd_simulate(args) -> tuple[dict, int]:
     if not 1 <= args.k <= args.n:
         raise ValueError(f"simulate needs 1 <= --k <= --n, got --n {args.n} --k {args.k}")
+    if args.kind == "sr" and args.k == args.n:  # the anchor subspace has dimension n - k
+        raise ValueError(f"simulate --kind sr needs --k < --n, got --n {args.n} --k {args.k}")
     q = _parse_q(args.q, args.n, args.k)
     if args.kind == "poisson":
         spec = FlatProcessSpec(args.n, args.k, args.gamma, q)

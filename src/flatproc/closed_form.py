@@ -147,6 +147,10 @@ def _pair_integrand(l_bases: np.ndarray, m_bases: np.ndarray, direction_set: Dir
         residual = direction_set.axis - np.einsum("mp,mpn->mn", coef[..., 0], j)
         values[keep] *= direction_set.double_cap_measures(np.linalg.norm(residual, axis=1),
                                                           j.shape[2] - j.shape[1])
+    elif direction_set is not None and direction_set.kind == "full":
+        # sigma of the whole sphere of (L+M)-perp, as subsphere_measures gives it
+        d = joint.shape[2] - joint.shape[1]
+        values *= constants.sphere_surface(d) if d >= 1 else 0.0
     elif direction_set is not None:
         sig, sig_se = direction_set.subsphere_measures(complement_bases(joint[keep]), gen,
                                                        points)

@@ -38,8 +38,10 @@ def canonical_units(units: np.ndarray) -> np.ndarray:
     """Copy of a stack of unit vectors, each row signed so that its first
     coordinate of magnitude above 1e-12 is positive."""
     units = np.array(units, dtype=float)
-    first = np.argmax(np.abs(units) > 1e-12, axis=1)
-    units[units[np.arange(units.shape[0]), first] < -1e-12] *= -1.0
+    lead = units[:, 0]
+    for col in units.T[1:]:  # past leading coordinates within 1e-12 of 0
+        lead = np.where(np.abs(lead) <= 1e-12, col, lead)
+    np.multiply(units, -1.0, out=units, where=(lead < -1e-12)[:, None])
     return units
 
 
@@ -433,43 +435,60 @@ def _in_blocks(solve, rows: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _line_screen(bases_a, offs_a, bases_b, offs_b, delta):
-    """Candidate test for line pairs from four products per slab of rows.
+    """Candidate test for line pairs from four matrix products per slab of rows.
 
-    A line's offset is orthogonal to its direction, so with c = u_i.v_j and
-    d = a_i - b_j: d.u_i = -b_j.u_i, d.v_j = a_i.v_j, |d|^2 = |a_i|^2 +
-    |b_j|^2 - 2 a_i.b_j, and dist^2 = |d|^2 - (du^2 + dv^2 - 2 c du dv) /
-    (1 - c^2).  Returns screen(r0, r1, col0), the (r1 - r0, N_b - col0)
-    mask of the pairs to solve exactly: those with 1 - c^2 < SCREEN_TAU and
-    those with dist^2 <= delta^2 + margin.
+    A line's offset is orthogonal to its direction, so with c = u_i.v_j,
+    p = u_i.b_j, q = a_i.v_j and d = a_i - b_j: d.u_i = -p, d.v_j = q and
+    dist^2 = |d|^2 - q^2 - (p + c q)^2 / (1 - c^2), where |d|^2 = |a_i|^2 +
+    |b_j|^2 - 2 a_i.b_j.  Returns screen(r0, r1, col0), the (r1 - r0,
+    N_b - col0) mask of the pairs to solve exactly: those with 1 - c^2 <
+    SCREEN_TAU and those with dist^2 <= delta^2 + margin.
     """
     u, v = bases_a[:, 0, :], bases_b[:, 0, :]
     sq_a = np.einsum("mn,mn->m", offs_a, offs_a)
     sq_b = np.einsum("mn,mn->m", offs_b, offs_b)
-    # Round-off of the screen.  eps = 2^-53, M the largest of |a_i|^2,
-    # |b_j|^2 and delta^2; a dot product of length n errs by at most
-    # n eps |x| |y|, and |du|, |dv| <= |d| <= 2 sqrt(M).  So the computed
-    # |d|^2 errs by at most (4n + 10) eps M, the numerator by (24n + 56) eps M
-    # and 1 - c^2 by (2n + 2) eps: dist^2 errs by at most (36n + 78) eps M /
-    # (1 - c^2) to first order.  The exact solve's feet lie within
-    # 6 sqrt(M / (1 - c^2)) of the offsets, so its rounded length falls short
-    # of the true distance by less than (n + 58) eps sqrt(M / (1 - c^2)),
-    # which moves its kept set by at most 2 (n + 58) eps M / (1 - c^2) in
-    # dist^2.  Together: 80 (n + 2) eps M / (1 - c^2).  A pair screened here
-    # has computed 1 - c^2 >= SCREEN_TAU, so true 1 - c^2 >= SCREEN_TAU / 2,
-    # and the margin below keeps every pair the exact solve keeps.
+    # |d|^2 as one product: rows (a_i, |a_i|^2, 1) against (-2 b_j, 1, |b_j|^2)
+    rows_a = np.hstack([offs_a, sq_a[:, None], np.ones_like(sq_a)[:, None]])
+    rows_b = np.hstack([-2.0 * offs_b, np.ones_like(sq_b)[:, None], sq_b[:, None]])
+    # Round-off of the screen.  eps = 2^-53, M the largest of |a_i|^2, |b_j|^2
+    # and delta^2, S = 1 - c^2; a dot product of m terms errs by at most
+    # m eps sum |x_k y_k|.  So c errs by n eps, p and q by n eps sqrt(M), |d|^2
+    # by (6n + 8) eps M and q^2 by (2n + 1) eps M.  As q^2 + (p + c q)^2 / S =
+    # |d|^2 - dist^2 <= 4M, |p + c q| <= 2 sqrt(M S), so (p + c q)^2 errs by
+    # (12n + 16) eps M, S by (2n + 2) eps and (p + c q)^2 / S by (20n + 28)
+    # eps M / S; the two subtractions add 8 eps M: dist^2 errs by at most
+    # (28n + 45) eps M / S to first order.  The exact solve's feet lie within
+    # 6 sqrt(M / S) of the offsets, so its rounded length falls short of the
+    # true distance by less than (n + 58) eps sqrt(M / S), which moves its
+    # kept set by at most 2 (n + 58) eps M / S in dist^2.  Together: less than
+    # 80 (n + 2) eps M / S.  A pair screened here has computed S >= SCREEN_TAU,
+    # so true S >= SCREEN_TAU / 2, and the margin below keeps every pair the
+    # exact solve keeps.
     n = offs_a.shape[1]
     big = max(sq_a.max(initial=0.0), sq_b.max(initial=0.0), delta * delta)
     bound = delta * delta + 160.0 * (n + 2) * 2.0 ** -53 * big / SCREEN_TAU
+    # temporaries reused by every slab, the largest of which has BLOCK_ROWS
+    # pairs or one row
+    work = np.empty((5, max(BLOCK_ROWS, offs_b.shape[0])))
 
     def screen(r0, r1, col0):
-        ur, ar, vc, bc = u[r0:r1], offs_a[r0:r1], v[col0:], offs_b[col0:]
-        c = ur @ vc.T
-        du = -(ur @ bc.T)
-        dv = ar @ vc.T
-        sin2 = 1.0 - c * c
-        dist2 = (sq_a[r0:r1, None] + sq_b[None, col0:] - 2.0 * (ar @ bc.T)
-                 - (du * du + dv * dv - 2.0 * c * du * dv) / np.maximum(sin2, SCREEN_TAU))
-        return (sin2 < SCREEN_TAU) | (dist2 <= bound)
+        rows, width = r1 - r0, offs_b.shape[0] - col0
+        c, p, q, dd, t = work[:, :rows * width].reshape(5, rows, width)
+        np.matmul(u[r0:r1], v[col0:].T, out=c)
+        np.matmul(u[r0:r1], offs_b[col0:].T, out=p)
+        np.matmul(offs_a[r0:r1], v[col0:].T, out=q)
+        np.matmul(rows_a[r0:r1], rows_b[col0:].T, out=dd)
+        p += np.multiply(c, q, out=t)
+        p *= p
+        q *= q
+        dd -= q
+        c *= c
+        np.subtract(1.0, c, out=c)
+        near = c < SCREEN_TAU
+        p /= np.maximum(c, SCREEN_TAU, out=c)
+        dd -= p
+        near |= dd <= bound
+        return near
 
     return screen
 
@@ -482,12 +501,15 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     are one sample, whose pairs are i < j, and otherwise every (i, j) is a
     pair.  Returns the qualifying pairs in lexicographic order with their
     segments (midpoints, lengths, directions, pairs): the pairs closest_pair
-    solves (general position, not touching) with length at most
-    delta.  Pairs are visited in slabs of rows i against all their j, about
-    BLOCK_ROWS pairs a slab, so no array of all pairs is built.  For line
-    pairs a screen of four matrix products per slab (`_line_screen`) passes
-    on a superset of the qualifying pairs; only those reach the exact 2x2
-    solve, so the output is that of solving every pair.
+    solves (general position, not touching) with length at most delta.
+    Phase 1 walks the pairs in slabs of rows i against all their j, about
+    BLOCK_ROWS pairs a slab, so no array of all pairs is built, and keeps
+    each slab's candidate (i, j): for lines the superset of the qualifying
+    pairs that a screen of four matrix products (`_line_screen`) passes on,
+    otherwise every pair.  Phase 2 solves the candidates of consecutive
+    slabs together, at most BLOCK_ROWS unless one slab has more, by a 2x2
+    closed form for lines and a stacked Gram solve otherwise.  No pair's
+    result depends on its slab or block.
     """
     lines = bases_a.shape[1] == bases_b.shape[1] == 1
     n_a, n_b = offs_a.shape[0], offs_b.shape[0]
@@ -498,24 +520,25 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     norm_a = np.sqrt(np.einsum("mn,mn->m", offs_a, offs_a))
     norm_b = norm_a if single else np.sqrt(np.einsum("mn,mn->m", offs_b, offs_b))
     if lines:
-        sq_u = np.einsum("mn,mn->m", bases_a[:, 0, :], bases_a[:, 0, :])
-        sq_v = sq_u if single else np.einsum("mn,mn->m", bases_b[:, 0, :], bases_b[:, 0, :])
+        u_a, u_b = bases_a[:, 0, :], bases_b[:, 0, :]
+        sq_u = np.einsum("mn,mn->m", u_a, u_a)
+        sq_v = sq_u if single else np.einsum("mn,mn->m", u_b, u_b)
 
-    def solve(pairs):
-        i, j = pairs[:, 0], pairs[:, 1]
+    def solve(i, j):
         if lines:
             # the 2x2 normal equations in closed form
-            u, v = bases_a[:, 0, :][i], bases_b[:, 0, :][j]
-            a, b = offs_a[i], offs_b[j]
+            u, v = u_a.take(i, axis=0), u_b.take(j, axis=0)
+            a, b = offs_a.take(i, axis=0), offs_b.take(j, axis=0)
             c = np.einsum("mn,mn->m", u, v)
             c2 = c * c
             det = 1.0 - c2
             # general position on the Gram determinant, as closest_pair: it
             # is 0 for equal rows, where 1 - c^2 need not be
-            vol = np.sqrt(np.maximum(sq_u[i] * sq_v[j] - c2, 0.0))
+            vol = np.sqrt(np.maximum(sq_u.take(i) * sq_v.take(j) - c2, 0.0))
             ok = vol > GENERAL_POSITION_TOL
             if not ok.all():  # copy only when a pair is out of general position
-                u, v, a, b, c, det, vol, pairs = (x[ok] for x in (u, v, a, b, c, det, vol, pairs))
+                u, v, a, b, c, det, vol, i, j = (x.compress(ok, axis=0)
+                                                 for x in (u, v, a, b, c, det, vol, i, j))
             d = a - b
             # normal equations of min |d + s u - t v| over (s, t)
             r1 = -np.einsum("mn,mn->m", u, d)
@@ -529,8 +552,8 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             g = np.concatenate([bases_a[i], -bases_b[j]], axis=1)
             vol = gram_volumes(g)
             ok = vol > GENERAL_POSITION_TOL
-            g, vol, pairs = g[ok], vol[ok], pairs[ok]
-            a, b = offs_a[pairs[:, 0]], offs_b[pairs[:, 1]]
+            g, vol, i, j = g[ok], vol[ok], i[ok], j[ok]
+            a, b = offs_a[i], offs_b[j]
             rhs = -np.einsum("mkn,mn->mk", g, a - b)
             w = np.linalg.solve(g @ np.swapaxes(g, 1, 2), rhs[..., None])[..., 0]
             k1 = bases_a.shape[1]
@@ -538,28 +561,40 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             x_f = b - np.einsum("mk,mkn->mn", w[:, k1:], g[:, k1:])
         gap = x_e - x_f
         lengths = np.linalg.norm(gap, axis=1)
-        reach = np.maximum(norm_a[pairs[:, 0]], norm_b[pairs[:, 1]])
+        reach = np.maximum(norm_a.take(i), norm_b.take(j))
         keep = (lengths > _touch_cut(reach, vol, offs_a.shape[1])) & (lengths <= delta)
-        gap, lengths, pairs = gap[keep], lengths[keep], pairs[keep]
-        midpoints = (x_e[keep] + x_f[keep]) / 2.0
-        return midpoints, lengths, canonical_units(gap / lengths[:, None]), pairs
+        gap, lengths, midpoints, i, j = (x.compress(keep, axis=0) for x in
+                                         (gap, lengths, (x_e + x_f) / 2.0, i, j))
+        return midpoints, lengths, canonical_units(gap / lengths[:, None]), i, j
 
-    parts, r0 = [], 0
-    while r0 < n_a or not parts:  # one slab at least: no rows give empty arrays
+    def joined(parts):  # one part as it is, several concatenated column by column
+        return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
+
+    # phase 1 slab by slab; phase 2 on a block once the next slab would overfill it
+    solved, block, held, r0 = [], [], 0, 0
+    while r0 < n_a or not block:  # one slab at least: no rows give empty arrays
         col0 = r0 + 1 if single else 0
-        r1 = min(n_a, r0 + max(1, BLOCK_ROWS // max(n_b - col0, 1)))
-        if single:
-            mask = np.arange(col0, n_b)[None, :] > np.arange(r0, r1)[:, None]
+        width = n_b - col0
+        r1 = min(n_a, r0 + max(1, BLOCK_ROWS // max(width, 1)))
+        # when single, j > i: j - col0 >= i - r0, false only in the first r1 - r0 columns
+        if screen is None:
+            mask = (np.arange(width) >= np.arange(r1 - r0)[:, None] if single
+                    else np.ones((r1 - r0, width), dtype=bool))
         else:
-            mask = np.ones((r1 - r0, n_b), dtype=bool)
-        if screen is not None:
-            mask &= screen(r0, r1, col0)
-        i, j = np.nonzero(mask)
-        parts.append(solve(np.stack([i + r0, j + col0], axis=1)))
+            mask = screen(r0, r1, col0)
+            if single:
+                corner = mask[:, :r1 - r0]
+                corner &= np.arange(corner.shape[1]) >= np.arange(r1 - r0)[:, None]
+        i, j = np.divmod(np.flatnonzero(mask), max(width, 1))
+        if block and held + i.size > BLOCK_ROWS:
+            solved.append(solve(*joined(block)))
+            block, held = [], 0
+        block.append((i + r0, j + col0))
+        held += i.size
         r0 = r1
-    if len(parts) == 1:  # one slab: its arrays are the output, without copies
-        return parts[0]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    solved.append(solve(*joined(block)))
+    midpoints, lengths, directions, i, j = joined(solved)
+    return midpoints, lengths, directions, np.stack([i, j], axis=1)
 
 
 def tuple_intersections(bases, offsets, tuples):

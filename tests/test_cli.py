@@ -184,6 +184,8 @@ def test_summary_embeds_config_and_version(tmp_path):
     (["simulate", "--k", "0"], "got --n 3 --k 0"),
     (["zonoid", "--n", "1"], "zonoid identities need --n >= 3, got --n 1"),
     (["zonoid", "--n", "2"], "zonoid identities need --n >= 3, got --n 2"),
+    (["simulate", "--kind", "sr", "--n", "3", "--k", "3"],
+     "simulate --kind sr needs --k < --n, got --n 3 --k 3"),
 ])
 def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     # one error line, the last; flag errors follow argparse's usage line

@@ -277,6 +277,52 @@ def test_small_blocks_match_scalar(monkeypatch):
             assert_matches_scalar(seg, scalar_segments(first, second, 1.0))
 
 
+def test_output_does_not_depend_on_block_size(monkeypatch):
+    # candidates of several slabs are solved together: the default block,
+    # blocks of 7 pairs and slabs of one row give the same arrays
+    import flatproc.flat_geometry as flat_geometry
+    from flatproc.flat_geometry import BLOCK_ROWS, SCREEN_MIN_PAIRS
+
+    cases = []
+    for n, radius in ((3, 8.0), (4, 2.5)):
+        spec = FlatProcessSpec(n, 1, 1.0, GrassmannMeasure.isotropic(n, 1, 1.0))
+        a, b = (sample_poisson(spec, radius, [315, n, side]) for side in (0, 1))
+        assert len(a) * (len(a) - 1) // 2 >= SCREEN_MIN_PAIRS
+        cases += [(a, None), (a, b), (b, a)]
+    assert len(cases[0][0]) * (len(cases[0][0]) - 1) // 2 > BLOCK_ROWS  # two slabs
+    spec = FlatProcessSpec(5, 2, 1.0, GrassmannMeasure.isotropic(5, 2, 1.0))
+    cases.append((sample_poisson(spec, 1.6, 316), None))
+    outputs = []
+    for block in (BLOCK_ROWS, 7, 1):
+        monkeypatch.setattr(flat_geometry, "BLOCK_ROWS", block)
+        outputs.append([proximity(first, second, delta=1.0) for first, second in cases])
+    for default, *others in zip(*outputs):
+        assert len(default) > 7
+        for seg in others:
+            for name in ("midpoints", "lengths", "directions", "pairs"):
+                assert np.array_equal(getattr(seg, name), getattr(default, name))
+
+
+def test_empty_outputs_keep_shapes_and_dtypes():
+    from flatproc.flat_geometry import SCREEN_MIN_PAIRS, pair_segments
+
+    none = FlatSample(3, 1, 1.0, np.zeros((0, 1, 3)), np.zeros((0, 3)), "none")
+    one = lines_sample([E[0]], [np.zeros(3)])
+    # lines in the planes z = 3i with directions in the xy-plane: every pair
+    # is at distance >= 3, so the screen passes on none of them
+    theta = 0.1 * np.arange(30)
+    far = lines_sample([(np.cos(t), np.sin(t), 0.0) for t in theta],
+                       [(0.0, 0.0, 3.0 * i) for i in range(30)], radius=100.0)
+    assert len(far) * (len(far) - 1) // 2 >= SCREEN_MIN_PAIRS
+    for first, second in ((none, None), (one, None), (far, None), (none, far), (far, none)):
+        other = first if second is None else second
+        out = pair_segments(first.bases, first.offsets, other.bases, other.offsets,
+                            second is None, 1.0)
+        assert [(x.shape, x.dtype) for x in out] == [
+            ((0, 3), np.float64), ((0,), np.float64), ((0, 3), np.float64), ((0, 2), np.intp)]
+        assert len(proximity(first, second, delta=1.0)) == 0
+
+
 def test_large_line_window_matches_brute_force():
     # a radius-16.5 window of about 850 lines (mean pi 16.5^2 = 855), as in
     # the large-window checks, against the distance formula for skew lines
