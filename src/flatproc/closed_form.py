@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from . import constants
 from ._rng import SeedLike, as_generator
 from .flat_geometry import (Subspace, _in_blocks, complement, complement_bases, gram_volumes,
-                            haar_bases, q_factors)
+                            haar_bases, q_factors, row_norms)
 from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
                        _mc_mean, check_samples, finite_positive, symmetrize_line_measure)
 from .zonoid_engine import mu_Q_r
@@ -80,7 +80,7 @@ class WindowDescriptor:
         """Closed membership test for an (m, n) array of points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.shape == "ball":
-            return np.linalg.norm(points, axis=1) <= self.radius * self.scale
+            return row_norms(points) <= self.radius * self.scale
         half = 0.5 * self.scale * np.asarray(self.sides)
         return np.all(np.abs(points) <= half, axis=1)
 

@@ -8,8 +8,8 @@ objects on demand.  Pairs and tuples are solved in blocks by the array
 kernels of `flat_geometry` (`pair_segments`, `tuple_intersections`).
 Every pair is considered, so a proximity process holds every pair within
 delta wherever its segment lies; for lines, `pair_segments` solves exactly
-only the pairs that a screen of matrix products cannot rule out, so the
-work per pair ruled out is a few floating-point operations.  The
+only the pairs that a screen of matrix products (in R^3 two per slab of
+pairs) cannot rule out: a few floating-point operations per pair.  The
 exactness of the functionals is guaranteed by the window-radius
 precondition radius >= circumradius(A) + delta/2 checked in `f_alpha`.
 """
@@ -206,6 +206,8 @@ def order_statistics(seg: SegmentProcessSample, alpha: float,
     """
     if not finite_positive(alpha):
         raise ValueError("order statistics need a finite positive length power")
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"order statistics need an integer m >= 1, got m={m!r}")
     values = np.sort(_qualifying_lengths(seg, window, direction_set) ** alpha)
     out = np.full(m, np.inf)
     out[: min(m, values.shape[0])] = values[:m]

@@ -24,10 +24,10 @@ BLOCK_ROWS = 1 << 14
 # the screen of `pair_segments` and go to the exact solve: the screen's
 # round-off grows like 1 / (1 - c^2)
 SCREEN_TAU = 1e-6
-# samples with fewer line pairs than this skip the screen: its fixed cost of
-# about 40 us outweighs what it saves below about 300 pairs (isotropic lines
-# in R^3, delta 1, timed on a 2-vCPU x86-64 host with one BLAS thread)
-SCREEN_MIN_PAIRS = 300
+# samples with fewer line pairs than this skip the screen: it costs more than
+# it saves below about 1,200 pairs (isotropic lines in R^3 and R^4, delta 1,
+# screen forced on and off, timed on a 2-vCPU x86-64 host with one BLAS thread)
+SCREEN_MIN_PAIRS = 1200
 
 
 class DegeneratePairError(ValueError):
@@ -41,8 +41,17 @@ def canonical_units(units: np.ndarray) -> np.ndarray:
     lead = units[:, 0]
     for col in units.T[1:]:  # past leading coordinates within 1e-12 of 0
         lead = np.where(np.abs(lead) <= 1e-12, col, lead)
-    np.multiply(units, -1.0, out=units, where=(lead < -1e-12)[:, None])
+    sign = np.where(lead < -1e-12, -1.0, 1.0)
+    for col in units.T:  # x * 1 and x * -1 are exact, signed zeros included
+        col *= sign
     return units
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1) bit for bit; below 8 columns summed column
+    by column, in numpy's order for such short rows, without its row loop."""
+    return (np.sqrt(sum((col * col for col in x.T[1:]), x[:, 0] * x[:, 0]))
+            if 0 < x.shape[1] < 8 else np.linalg.norm(x, axis=1))
 
 
 def canonical_unit(u: np.ndarray) -> np.ndarray:
@@ -434,60 +443,79 @@ def _in_blocks(solve, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _line_screen(bases_a, offs_a, bases_b, offs_b, delta):
-    """Candidate test for line pairs from four matrix products per slab of rows.
+def _line_screen(u, offs_a, v, offs_b, sq_u, sq_v, delta):
+    """Candidate test for line pairs from matrix products per slab of rows.
 
-    A line's offset is orthogonal to its direction, so with c = u_i.v_j,
-    p = u_i.b_j, q = a_i.v_j and d = a_i - b_j: d.u_i = -p, d.v_j = q and
-    dist^2 = |d|^2 - q^2 - (p + c q)^2 / (1 - c^2), where |d|^2 = |a_i|^2 +
-    |b_j|^2 - 2 a_i.b_j.  Returns screen(r0, r1, col0), the (r1 - r0,
-    N_b - col0) mask of the pairs to solve exactly: those with 1 - c^2 <
-    SCREEN_TAU and those with dist^2 <= delta^2 + margin.
+    u, v are (N, n) directions, sq_u, sq_v their computed u.u.  Returns
+    screen(r0, r1, col0), the (r1 - r0, N_b - col0) mask of the pairs to solve
+    exactly: those with 1 - c^2 < SCREEN_TAU, c = u_i.v_j, and those with
+    dist^2 <= delta^2 + margin.  In R^3 that is r^2 <= (delta^2 + margin)
+    (1 - c^2) on the Pluecker product r = u_i.(b_j x v_j) + v_j.(a_i x u_i)
+    = (a_i - b_j).(u_i x v_j) = [L_i, L_j] dist: two products a slab.  In R^n,
+    n >= 4, a line's offset is orthogonal to its direction, so with p = u_i.b_j,
+    q = a_i.v_j and d = a_i - b_j: d.u_i = -p, d.v_j = q and dist^2 = |d|^2 -
+    q^2 - (p + c q)^2 / (1 - c^2), where |d|^2 = |a_i|^2 + |b_j|^2 - 2 a_i.b_j:
+    four products a slab.
     """
-    u, v = bases_a[:, 0, :], bases_b[:, 0, :]
     sq_a = np.einsum("mn,mn->m", offs_a, offs_a)
     sq_b = np.einsum("mn,mn->m", offs_b, offs_b)
-    # |d|^2 as one product: rows (a_i, |a_i|^2, 1) against (-2 b_j, 1, |b_j|^2)
-    rows_a = np.hstack([offs_a, sq_a[:, None], np.ones_like(sq_a)[:, None]])
-    rows_b = np.hstack([-2.0 * offs_b, np.ones_like(sq_b)[:, None], sq_b[:, None]])
     # Round-off of the screen.  eps = 2^-53, M the largest of |a_i|^2, |b_j|^2
-    # and delta^2, S = 1 - c^2; a dot product of m terms errs by at most
-    # m eps sum |x_k y_k|.  So c errs by n eps, p and q by n eps sqrt(M), |d|^2
-    # by (6n + 8) eps M and q^2 by (2n + 1) eps M.  As q^2 + (p + c q)^2 / S =
-    # |d|^2 - dist^2 <= 4M, |p + c q| <= 2 sqrt(M S), so (p + c q)^2 errs by
-    # (12n + 16) eps M, S by (2n + 2) eps and (p + c q)^2 / S by (20n + 28)
-    # eps M / S; the two subtractions add 8 eps M: dist^2 errs by at most
-    # (28n + 45) eps M / S to first order.  The exact solve's feet lie within
-    # 6 sqrt(M / S) of the offsets, so its rounded length falls short of the
-    # true distance by less than (n + 58) eps sqrt(M / S), which moves its
-    # kept set by at most 2 (n + 58) eps M / S in dist^2.  Together: less than
-    # 80 (n + 2) eps M / S.  A pair screened here has computed S >= SCREEN_TAU,
-    # so true S >= SCREEN_TAU / 2, and the margin below keeps every pair the
-    # exact solve keeps.
+    # and delta^2, S = 1 - c^2 as computed (>= SCREEN_TAU here); m-term dot
+    # products err by m eps sum |x_k y_k|.  The exact solve's feet lie within
+    # 6 sqrt(M / S) of the offsets, so its length is short of dist by < (n + 58)
+    # eps sqrt(M / S): it keeps dist^2 <= delta^2 + 2 (n + 58) eps M / sqrt(S).
     n = offs_a.shape[1]
     big = max(sq_a.max(initial=0.0), sq_b.max(initial=0.0), delta * delta)
-    bound = delta * delta + 160.0 * (n + 2) * 2.0 ** -53 * big / SCREEN_TAU
+    if n == 3:
+        # With |u.u - 1| <= eta (+3 eps for computing u.u), a moment errs by
+        # 3 eps sqrt(M) (a component a_y u_z - a_z u_y by 2 eps (|a_y u_z| +
+        # |a_z u_y|)), r by 12 + 6 = 18 eps sqrt(M), r^2 by 37 eps M; c by
+        # 3 eps, so S differs from |u_i x v_j|^2 by 2 eta + 8 eps, which delta^2
+        # turns into (2 eta + 8 eps) M.  With the solve's term times S <= 1,
+        # 124 eps M, and the test's two roundings, 2 eps M: r^2 exceeds
+        # delta^2 S by less than (2 eta + 171 eps) M, half of margin SCREEN_TAU.
+        eta = max(np.abs(sq - 1.0).max(initial=0.0) for sq in (sq_u, sq_v)) + 3 * 2.0 ** -53
+        bound = delta * delta + 2.0 * (2.0 * eta + 171 * 2.0 ** -53) * big / SCREEN_TAU
+        cyc = [1, 2, 0], [2, 0, 1]  # a x w by columns, cheaper than np.cross on few rows
+        m_a, m_b = (a.take(cyc[0], 1) * w.take(cyc[1], 1) - a.take(cyc[1], 1) * w.take(cyc[0], 1)
+                    for a, w in ((offs_a, u), (offs_b, v)))
+        rows_a, rows_b = np.hstack([u, m_a]), np.hstack([m_b, v])
+    else:
+        # |d|^2 as one product: rows (a_i, |a_i|^2, 1) against (-2 b_j, 1, |b_j|^2)
+        rows_a = np.hstack([offs_a, sq_a[:, None], np.ones_like(sq_a)[:, None]])
+        rows_b = np.hstack([-2.0 * offs_b, np.ones_like(sq_b)[:, None], sq_b[:, None]])
+        # c errs by n eps, p and q by n eps sqrt(M), |d|^2 by (6n + 8) eps M and
+        # q^2 by (2n + 1) eps M.  As q^2 + (p + c q)^2 / S = |d|^2 - dist^2 <= 4M,
+        # |p + c q| <= 2 sqrt(M S), so (p + c q)^2 errs by (12n + 16) eps M, S by
+        # (2n + 2) eps and (p + c q)^2 / S by (20n + 28) eps M / S; the two
+        # subtractions add 8 eps M: (28n + 45) eps M / S, with the solve's term
+        # less than 80 (n + 2) eps M / S to first order; true S >= SCREEN_TAU / 2.
+        bound = delta * delta + 160.0 * (n + 2) * 2.0 ** -53 * big / SCREEN_TAU
     # temporaries reused by every slab, the largest of which has BLOCK_ROWS
     # pairs or one row
     work = np.empty((5, max(BLOCK_ROWS, offs_b.shape[0])))
 
     def screen(r0, r1, col0):
         rows, width = r1 - r0, offs_b.shape[0] - col0
-        c, p, q, dd, t = work[:, :rows * width].reshape(5, rows, width)
+        c, r, p, q, t = work[:, :rows * width].reshape(5, rows, width)
         np.matmul(u[r0:r1], v[col0:].T, out=c)
-        np.matmul(u[r0:r1], offs_b[col0:].T, out=p)
-        np.matmul(offs_a[r0:r1], v[col0:].T, out=q)
-        np.matmul(rows_a[r0:r1], rows_b[col0:].T, out=dd)
-        p += np.multiply(c, q, out=t)
-        p *= p
-        q *= q
-        dd -= q
+        np.matmul(rows_a[r0:r1], rows_b[col0:].T, out=r)  # r, or |d|^2 for n >= 4
+        if n > 3:
+            np.matmul(u[r0:r1], offs_b[col0:].T, out=p)
+            np.matmul(offs_a[r0:r1], v[col0:].T, out=q)
+            p += np.multiply(c, q, out=t)
+            p *= p
+            q *= q
+            r -= q
         c *= c
         np.subtract(1.0, c, out=c)
         near = c < SCREEN_TAU
-        p /= np.maximum(c, SCREEN_TAU, out=c)
-        dd -= p
-        near |= dd <= bound
+        if n > 3:
+            p /= np.maximum(c, SCREEN_TAU, out=c)
+            r -= p  # dist^2
+            near |= r <= bound
+        else:  # r^2 <= bound S
+            near |= np.multiply(r, r, out=r) <= np.multiply(c, bound, out=c)
         return near
 
     return screen
@@ -505,17 +533,15 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     Phase 1 walks the pairs in slabs of rows i against all their j, about
     BLOCK_ROWS pairs a slab, so no array of all pairs is built, and keeps
     each slab's candidate (i, j): for lines the superset of the qualifying
-    pairs that a screen of four matrix products (`_line_screen`) passes on,
-    otherwise every pair.  Phase 2 solves the candidates of consecutive
-    slabs together, at most BLOCK_ROWS unless one slab has more, by a 2x2
-    closed form for lines and a stacked Gram solve otherwise.  No pair's
-    result depends on its slab or block.
+    pairs that `_line_screen` passes on (two matrix products a slab in R^3,
+    four in higher dimensions), otherwise every pair.  Phase 2 solves the
+    candidates of consecutive slabs together, at most BLOCK_ROWS unless one
+    slab has more, by a 2x2 closed form for lines and a stacked Gram solve
+    otherwise.  No pair's result depends on its slab or block.
     """
     lines = bases_a.shape[1] == bases_b.shape[1] == 1
     n_a, n_b = offs_a.shape[0], offs_b.shape[0]
     count = n_a * (n_a - 1) // 2 if single else n_a * n_b
-    screen = (_line_screen(bases_a, offs_a, bases_b, offs_b, delta)
-              if lines and count >= SCREEN_MIN_PAIRS else None)
     # offset norms, whose larger one per pair is the reach of `_touch_cut`
     norm_a = np.sqrt(np.einsum("mn,mn->m", offs_a, offs_a))
     norm_b = norm_a if single else np.sqrt(np.einsum("mn,mn->m", offs_b, offs_b))
@@ -523,6 +549,8 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
         u_a, u_b = bases_a[:, 0, :], bases_b[:, 0, :]
         sq_u = np.einsum("mn,mn->m", u_a, u_a)
         sq_v = sq_u if single else np.einsum("mn,mn->m", u_b, u_b)
+    screen = (_line_screen(u_a, offs_a, u_b, offs_b, sq_u, sq_v, delta)
+              if lines and count >= SCREEN_MIN_PAIRS else None)
 
     def solve(i, j):
         if lines:
@@ -560,7 +588,7 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             x_e = a + np.einsum("mk,mkn->mn", w[:, :k1], g[:, :k1])
             x_f = b - np.einsum("mk,mkn->mn", w[:, k1:], g[:, k1:])
         gap = x_e - x_f
-        lengths = np.linalg.norm(gap, axis=1)
+        lengths = row_norms(gap)
         reach = np.maximum(norm_a.take(i), norm_b.take(j))
         keep = (lengths > _touch_cut(reach, vol, offs_a.shape[1])) & (lengths <= delta)
         gap, lengths, midpoints, i, j = (x.compress(keep, axis=0) for x in

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import constants
 from ._rng import SeedLike, as_generator, seed_record
-from .flat_geometry import Flat, Subspace, gram_volumes, haar_bases
+from .flat_geometry import Flat, Subspace, gram_volumes, haar_bases, row_norms
 from .measures import GrassmannMeasure
 
 
@@ -96,7 +96,7 @@ class FlatSample:
         """Flats of this realization hitting the smaller ball window."""
         if radius > self.radius + 1e-12:
             raise ValueError("can only restrict to a smaller window")
-        keep = np.linalg.norm(self.offsets, axis=1) <= radius
+        keep = row_norms(self.offsets) <= radius
         return FlatSample(self.n, self.k, radius, self.bases[keep],
                           self.offsets[keep], seed=self.seed + f"|restrict({radius})")
 
@@ -317,7 +317,7 @@ def sample_sr_flats(spec: FlatProcessSpec, radius: float, rng: SeedLike,
     bases = sample_q0_bases(anchor, n, k, points.shape[0], gen)
     proj = np.einsum("mkn,mn->mk", bases, points)
     offsets = points - np.einsum("mk,mkn->mn", proj, bases)
-    keep = np.linalg.norm(offsets, axis=1) <= radius
+    keep = row_norms(offsets) <= radius
     return FlatSample(n, k, radius, bases[keep], offsets[keep], record)
 
 

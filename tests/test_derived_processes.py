@@ -140,17 +140,18 @@ def test_degenerate_and_touching_pairs_dropped_like_scalar():
     assert_matches_scalar(proximity(lines, delta=10.0), ref)
 
 
-def far_line_pair(rng, n, sin_t, dist):
+def far_line_pair(rng, n, sin_t, dist, scale=1.0):
     """Two lines in R^n whose common perpendicular has length dist and lies
-    100-150 along the lines from their offsets, which lie 110-140 from the
-    origin: rotated copies of e1 and cos(t) e1 + sin(t) e2 through
-    center -+ (dist / 2) e3.  Returns (directions, points)."""
+    100-150 scale along the lines from their offsets, which lie 110-140
+    scale from the origin: rotated copies of e1 and cos(t) e1 + sin(t) e2
+    through center -+ (dist / 2) e3.  Returns (directions, points)."""
     from flatproc.flat_geometry import random_rotation
 
     rot = random_rotation(n, rng)
     e1, e2, e3 = rot[:, 0], rot[:, 1], rot[:, 2]
-    center = (rng.uniform(110.0, 140.0) * e3 + rng.choice([-1, 1]) * rng.uniform(100, 150) * e1
-              + rot[:, 3:] @ rng.uniform(-30.0, 30.0, n - 3))
+    center = scale * (rng.uniform(110.0, 140.0) * e3
+                      + rng.choice([-1, 1]) * rng.uniform(100, 150) * e1
+                      + rot[:, 3:] @ rng.uniform(-30.0, 30.0, n - 3))
     cos_t = np.sqrt(1.0 - sin_t * sin_t)
     return [e1, cos_t * e1 + sin_t * e2], [center - dist / 2 * e3, center + dist / 2 * e3]
 
@@ -205,6 +206,53 @@ def test_screen_keeps_every_pair_near_its_edges(n, seed, monkeypatch):
     # 200 eps / (1 - c^2), about 2e-8 here), in both solvers alike
     assert (len(sample) - 2, len(sample) - 1) not in ref
     assert_matches_scalar(seg, ref, mid_tol=1e-7)
+
+
+def dense_screen_fixture(far, seed, delta=1.0):
+    """About 200 line pairs in R^3 around the edge of the screen in
+    pair_segments, most of their direction rows with u.u != 1.  far: 100 at
+    generic angles and 100 at 1 - c^2 = 0.99 and 1.01 SCREEN_TAU, at
+    distances within 1e-11 delta of delta and with offsets 1,600-3,000 from
+    the origin, about as far out as the orthogonality check of Flat allows.
+    Otherwise: 200 nearly parallel pairs, 1 - c^2 = 1e-12, at distances
+    within 1e-3 delta of delta and with offsets 1-3 from the origin."""
+    from flatproc.flat_geometry import SCREEN_TAU
+
+    rng = np.random.default_rng(seed)
+    if far:
+        sin_t = np.concatenate([np.sin(rng.uniform(0.3, 1.5, 100)),
+                                np.sqrt(SCREEN_TAU * np.repeat([0.99, 1.01], 50))])
+    else:
+        sin_t = np.full(200, 1e-6)
+    directions, points = [], []
+    for s in sin_t:
+        dist = delta * (1.0 + (1e-11 if far else 1e-3) * rng.uniform(-1.0, 1.0))
+        pair_dirs, pair_points = far_line_pair(rng, 3, s, dist, scale=15.0 if far else 0.01)
+        directions += pair_dirs
+        points += pair_points
+    return lines_sample(directions, points, radius=4000.0)
+
+
+@pytest.mark.parametrize("far, seed", [(True, 330), (False, 331)], ids=["far", "parallel"])
+def test_r3_screen_keeps_every_pair_near_delta(far, seed, monkeypatch):
+    # the R^3 screen's margin is a round-off bound: a screen that drops one
+    # pair the exact solve keeps changes the output
+    import flatproc.flat_geometry as flat_geometry
+
+    sample = dense_screen_fixture(far, seed)
+    u = sample.bases[:, 0, :]
+    assert np.count_nonzero(np.einsum("mn,mn->m", u, u) != 1.0) >= len(sample) // 4
+    if far:
+        assert np.min(np.linalg.norm(sample.offsets, axis=1)) >= 1600.0
+    seg = proximity(sample, delta=1.0)
+    monkeypatch.setattr(flat_geometry, "SCREEN_MIN_PAIRS", math.inf)
+    unscreened = proximity(sample, delta=1.0)
+    for name in ("pairs", "lengths", "midpoints", "directions"):
+        assert np.array_equal(getattr(seg, name), getattr(unscreened, name))
+    # the exact solve keeps some of the constructed pairs and drops others
+    built = {(2 * p, 2 * p + 1) for p in range(len(sample) // 2)}
+    kept = built & set(map(tuple, unscreened.pairs.tolist()))
+    assert 0 < len(kept) < len(built)
 
 
 @pytest.mark.parametrize("sin_t, dist, seed", [
@@ -267,7 +315,7 @@ def test_small_blocks_match_scalar(monkeypatch):
     # lines: screened slabs of one row each, for one sample and across two
     from flatproc.flat_geometry import SCREEN_MIN_PAIRS
 
-    for n, radius in ((3, 3.0), (4, 2.0)):
+    for n, radius in ((3, 4.0), (4, 2.5)):
         spec = FlatProcessSpec(n, 1, 1.0, GrassmannMeasure.isotropic(n, 1, 1.0))
         a, b = sample_poisson(spec, radius, [313, n, 0]), sample_poisson(spec, radius, [313, n, 1])
         assert len(a) * (len(a) - 1) // 2 >= SCREEN_MIN_PAIRS
@@ -310,9 +358,9 @@ def test_empty_outputs_keep_shapes_and_dtypes():
     one = lines_sample([E[0]], [np.zeros(3)])
     # lines in the planes z = 3i with directions in the xy-plane: every pair
     # is at distance >= 3, so the screen passes on none of them
-    theta = 0.1 * np.arange(30)
+    theta = 0.1 * np.arange(60)
     far = lines_sample([(np.cos(t), np.sin(t), 0.0) for t in theta],
-                       [(0.0, 0.0, 3.0 * i) for i in range(30)], radius=100.0)
+                       [(0.0, 0.0, 3.0 * i) for i in range(60)], radius=200.0)
     assert len(far) * (len(far) - 1) // 2 >= SCREEN_MIN_PAIRS
     for first, second in ((none, None), (one, None), (far, None), (none, far), (far, none)):
         other = first if second is None else second
@@ -545,6 +593,13 @@ def test_order_statistics_rejects_bad_alpha(alpha):
     seg = proximity(skew_orthogonal_lines(0.5), delta=1.0)
     with pytest.raises(ValueError, match="length power"):
         order_statistics(seg, alpha, WindowDescriptor.unit_cube(3), 1)
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.5, 2.0, True, np.float64(3.0)])
+def test_order_statistics_rejects_bad_count(m):
+    seg = proximity(skew_orthogonal_lines(0.5), delta=1.0)
+    with pytest.raises(ValueError, match="got m="):
+        order_statistics(seg, 1.0, WindowDescriptor.unit_cube(3), m)
 
 
 def test_segment_sample_validation():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from flatproc.flat_geometry import (DegeneratePairError, Flat, Subspace,
-                                    canonical_unit, closest_pair, complement,
+                                    canonical_unit, canonical_units,
+                                    closest_pair, complement,
                                     grassmann_distance, grassmann_metric,
                                     haar_bases, haar_sample, orthonormalize,
                                     parallelepiped_volume, principal_angles,
                                     random_rotation, rotate_subspace,
-                                    subspace_determinant)
+                                    row_norms, subspace_determinant)
 
 E = np.eye(3)
 
@@ -314,6 +315,33 @@ def test_canonical_unit_sign_convention():
     assert canon[1] > 0  # first nonzero coordinate positive
     assert np.allclose(canon, -u / np.linalg.norm(u))
     assert np.allclose(canonical_unit(-u), canon)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+def test_row_norms_match_numpy_bit_for_bit(n):
+    # column sums below 8 columns, np.linalg.norm itself at 8 and above
+    rng = np.random.default_rng(40 + n)
+    x = rng.standard_normal((200_000, n)) * 10.0 ** rng.uniform(-8, 8, (200_000, 1))
+    assert np.array_equal(row_norms(x), np.linalg.norm(x, axis=1))
+
+
+def test_canonical_units_match_the_masked_flip():
+    def reference(units):
+        units = np.array(units, dtype=float)
+        lead = units[:, 0]
+        for col in units.T[1:]:
+            lead = np.where(np.abs(lead) <= 1e-12, col, lead)
+        np.multiply(units, -1.0, out=units, where=(lead < -1e-12)[:, None])
+        return units
+
+    rng = np.random.default_rng(41)
+    # leading coordinates of 0, -0, +-1e-12 (within the cut) and +-2e-12
+    # (beyond it), then anything, zeros included
+    pool = np.array([0.0, -0.0, 1e-12, -1e-12, 2e-12, -2e-12, 0.3, -0.3])
+    units = np.concatenate([rng.choice(pool, (5000, 4)), rng.standard_normal((500, 4))])
+    out = canonical_units(units)
+    assert np.array_equal(out, reference(units))
+    assert np.array_equal(np.signbit(out), np.signbit(reference(units)))
 
 
 def test_flat_offset_orthogonality_enforced():

@@ -10,13 +10,15 @@ both checkouts (each imports flatproc from its own `src`):
     (cd ../parent && python tools/proximity_digest.py) > old.txt
     diff old.txt new.txt
 
-The 422 cases:
-- k = 1, 362 outputs: `sample_poisson` lines in R^2-R^5 with isotropic and
+The 425 cases:
+- k = 1, 365 outputs: `sample_poisson` lines in R^2-R^5 with isotropic and
   axis-atom laws, 20 seeds each at radii that straddle `SCREEN_MIN_PAIRS`
   (160 samples), and `proximity` on those in R^3-R^5 (120); anchored lines
   from `sample_sr_flats` in R^2-R^5, 10 seeds each (40); eleven radius-16.5
   samples in R^3 (11); one two-sample R^4 pair (1); radius-8.5 R^3 and
-  radius-2.5 R^5 samples, single and cross in both orders, 5 seeds each (30).
+  radius-2.5 R^5 samples, single and cross in both orders, 5 seeds each (30);
+  large offsets in R^3: one radius-32 sample (1) and one radius-24 pair of
+  samples, cross in both orders (2).
 - k >= 2, 60 outputs: `proximity` for (n, k1, k2) = (4,1,2), (5,2,2),
   (5,1,3), (6,2,3), (7,3,3), (6,2,2), 10 seeds each; one sample when
   k1 = k2, two otherwise.
@@ -80,6 +82,11 @@ def cases():
     for seed in range(11):
         sample = sample_poisson(isotropic(3, 1), 16.5, [200, seed])
         yield f"lines-R3-r16.5-s{seed}-proximity", segment_digest(proximity(sample, delta=DELTA))
+    sample = sample_poisson(isotropic(3, 1), 32.0, [210, 0])
+    yield "lines-R3-r32-proximity", segment_digest(proximity(sample, delta=DELTA))
+    a, b = (sample_poisson(isotropic(3, 1), 24.0, [211, side]) for side in (0, 1))
+    yield "lines-R3-r24-ab-proximity", segment_digest(proximity(a, b, delta=DELTA))
+    yield "lines-R3-r24-ba-proximity", segment_digest(proximity(b, a, delta=DELTA))
     a, b = (sample_poisson(isotropic(4, 1), 2.5, [300, side]) for side in (0, 1))
     yield "lines-R4-cross-proximity", segment_digest(proximity(a, b, delta=DELTA))
     for n, radius in ((3, 8.5), (5, 2.5)):
