@@ -3,7 +3,8 @@ limit constants of intersection and proximity processes.
 
 Discrete directional distributions are evaluated exactly; rotation-invariant
 ones use either the integrated-subspace-determinant constant c(n, r, s) or
-controlled Monte Carlo with a reported standard error.
+controlled Monte Carlo with a reported standard error.  Window cross-sections
+are exact: a radial form for balls, the covariogram for boxes and lines.
 """
 from __future__ import annotations
 
@@ -15,13 +16,11 @@ from scipy.integrate import quad
 
 from . import constants
 from ._rng import SeedLike, as_generator
-from .flat_geometry import (Subspace, _in_blocks, complement, complement_bases, gram_volumes,
-                            haar_bases, q_factors, row_norms)
+from .flat_geometry import (Subspace, _in_blocks, complement_bases, gram_volumes, haar_bases,
+                            q_factors, row_norms)
 from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
                        _mc_mean, check_samples, finite_positive, symmetrize_line_measure)
 from .zonoid_engine import mu_Q_r
-
-BOX_MC_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -64,12 +63,16 @@ class WindowDescriptor:
     def base_volume(self, n: int) -> float:
         if self.shape == "ball":
             return constants.ball_volume(n) * self.radius ** n
-        if len(self.sides) != n:
-            raise ValueError("box side count must match the ambient dimension")
+        self.scaled_sides(n)  # checks the side count
         return float(np.prod(self.sides))
 
     def volume(self, n: int) -> float:
         return self.base_volume(n) * self.scale ** n
+
+    def scaled_sides(self, n: int) -> np.ndarray:
+        if len(self.sides) != n:
+            raise ValueError("box side count must match the ambient dimension")
+        return self.scale * np.asarray(self.sides)
 
     def circumradius(self) -> float:
         if self.shape == "ball":
@@ -81,7 +84,7 @@ class WindowDescriptor:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.shape == "ball":
             return row_norms(points) <= self.radius * self.scale
-        half = 0.5 * self.scale * np.asarray(self.sides)
+        half = 0.5 * self.scaled_sides(points.shape[1])
         return np.all(np.abs(points) <= half, axis=1)
 
     def rescaled(self, scale: float) -> "WindowDescriptor":
@@ -186,12 +189,12 @@ def pair_integral(q1: GrassmannMeasure, q2: GrassmannMeasure,
     gen = as_generator(rng if rng is not None else 0x1507)
     if isotropic:
         values, _ = _in_blocks(lambda block: _pair_integrand(
-            *_draws([q1, q2], block.shape[0], gen), direction_set, gen, 1), np.arange(samples))
+            *_draws([q1, q2], block.shape[0], gen), direction_set, gen, 1), samples)
         return _mc_mean(values, q1.total_mass * q2.total_mass, ddof=0)
 
     (l_atoms, m_atoms), weights = _atom_tuples([q1, q2])
     values, errors = _in_blocks(lambda block: _pair_integrand(
-        l_atoms[block], m_atoms[block], direction_set, gen, 20_000), np.arange(len(weights)))
+        l_atoms[block], m_atoms[block], direction_set, gen, 20_000), len(weights))
     return float(weights @ values), float(np.linalg.norm(weights * errors))
 
 
@@ -296,12 +299,12 @@ def intersection_density(n: int, dims, intensities, qs, g=None,
     if all(not q.is_isotropic for q in qs):
         factors, weights = _atom_tuples(qs)
         values, = _in_blocks(lambda block: (_tuple_integrand([f[block] for f in factors], g),),
-                             np.arange(len(weights)))
+                             len(weights))
         return prefactor * float(weights @ values), 0.0
 
     gen = as_generator(rng if rng is not None else 0x1507)
     values, = _in_blocks(lambda block: (_tuple_integrand(_draws(qs, block.shape[0], gen), g),),
-                         np.arange(samples))
+                         samples)
     return _mc_mean(values, prefactor * float(np.prod([q.total_mass for q in qs])), ddof=1)
 
 
@@ -375,24 +378,30 @@ def proximity_length_interval(n: int, k: int, gamma: float, q: GrassmannMeasure,
     return factor * integral, factor * se
 
 
-def b_factor(n: int, k: int, m_sub: Subspace | None, q: GrassmannMeasure,
-             direction_set: DirectionSet,
-             rng: SeedLike | None = None,
-             samples: int = DEFAULT_MC_SAMPLES) -> tuple[float, float]:
-    """Inner covariance integrand b(M; C).
-
-    Integral over L of [L, M] sigma_{(L+M)-perp}(C intersect .) against the
-    directional distribution.  For an isotropic distribution and a full
-    sphere the value is omega_{n-2k} c(n, k, k), independent of M (pass
-    m_sub=None then).
-    """
+def _b_factors(q: GrassmannMeasure, outer: np.ndarray, direction_set: DirectionSet,
+               gen: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inner covariance integrand b(M; C), the integral over L of [L, M]
+    sigma_{(L+M)-perp}(C intersect .) dQ(L), and its standard error for each M
+    of an (m, k, n) basis stack: omega_{n-2k} c(n, k, k) for isotropic q and
+    the full sphere; else one _pair_integrand call per block of BLOCK_ROWS
+    (M x L) rows, L the atoms of q (20,000 points on each sphere of a custom
+    set) or `samples` Haar draws per M, summed per M with L's weights."""
+    m = outer.shape[0]
     if q.is_isotropic and direction_set.kind == "full":
-        return constants.sphere_surface(n - 2 * k) * q.total_mass \
-            * c_constant(n, k, k), 0.0
-    if m_sub is None:
-        raise ValueError("m_sub is only optional in the isotropic full-sphere case")
-    point = GrassmannMeasure.discrete([(m_sub, 1.0)])
-    return pair_integral(q, point, direction_set, rng=rng, samples=samples)
+        return np.full(m, constants.sphere_surface(q.n - 2 * q.k) * q.total_mass
+                       * c_constant(q.n, q.k, q.k)), np.zeros(m)
+    inner, weights, points = (None, np.full(samples, q.total_mass / samples), 1) \
+        if q.is_isotropic else (*_atom_tuples([q]), 20_000)
+
+    def block(rows):
+        o, i = np.divmod(rows, weights.shape[0])
+        l_bases = haar_bases(rows.shape[0], q.n, q.k, gen) if inner is None else inner[0][i]
+        values, errors = _pair_integrand(l_bases, outer[o], direction_set, gen, points)
+        return (np.bincount(o, weights[i] * values, minlength=m)[None],
+                np.bincount(o, (weights[i] * errors) ** 2, minlength=m)[None])
+
+    sums, variances = _in_blocks(block, m * weights.shape[0])
+    return sums.sum(axis=0), np.sqrt(variances.sum(axis=0))
 
 
 def ball_cross_section_integral(n: int, k: int, radius: float) -> float:
@@ -406,42 +415,33 @@ def ball_cross_section_integral(n: int, k: int, radius: float) -> float:
     return kv(k) ** 2 * constants.sphere_surface(n - k) * 0.5 * beta * radius ** (n + k)
 
 
-def cross_section_integral(n: int, k: int, window: WindowDescriptor,
-                           m_sub: Subspace | None = None,
-                           rng: SeedLike | None = None,
-                           samples: int = BOX_MC_SAMPLES) -> tuple[float, float]:
-    """integral over M-perp of vol_k(A intersect (M + y))^2 dy for window A.
+def cross_sections(n: int, k: int, window: WindowDescriptor, bases: np.ndarray) -> np.ndarray:
+    """integral over M-perp of vol_k(A intersect (M + y))^2 dy for window A and
+    each M of an (m, k, n) stack of orthonormal bases.
 
-    Balls have a closed radial form (independent of M); boxes are evaluated
-    by Monte Carlo over the offset (lines only, k = 1).
+    Balls have a closed radial form.  For a box and a line M = span(u), by
+    Fubini, the integral along M of the covariogram vol(A intersect (A + z)):
+    2 int_0^T prod_i (s_i - t|u_i|) dt, s_i the scaled sides, T = min_i s_i / |u_i|.
+    With t = T (1 - y) that is 2 T prod_i s_i int_0^1 prod_i (1 - r_i + r_i y) dy,
+    r_i = T |u_i| / s_i in [0, 1]: a degree-n polynomial, which n // 2 + 1
+    Gauss-Legendre nodes integrate exactly, from nonnegative terms.
     """
-    samples = check_samples(samples)
     if window.shape == "ball":
-        return ball_cross_section_integral(n, k, window.radius * window.scale), 0.0
+        return np.full(len(bases), ball_cross_section_integral(n, k, window.radius * window.scale))
     if k != 1:
         raise ValueError("box windows support k = 1 cross-sections only")
-    if m_sub is None:
-        raise ValueError("box windows need the direction subspace M")
-    gen = as_generator(rng if rng is not None else 0xB0C5)
-    half = np.asarray(window.sides, dtype=float) * window.scale / 2.0
-    direction, perp_basis = m_sub.basis[0], complement(m_sub).basis
-    # uniform offsets over the box's shadow on M-perp
-    corners = np.array(np.meshgrid(*[(-h, h) for h in half])).T.reshape(-1, n)
-    coords = corners @ perp_basis.T
-    lo, hi = coords.min(axis=0), coords.max(axis=0)
-    base = (gen.random((samples, n - 1)) * (hi - lo) + lo) @ perp_basis
-    # chord length of the line base + t*direction inside the box
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (-half - base) / direction
-        t2 = (half - base) / direction
-    lows = np.where(direction > 0, t1, t2)
-    highs = np.where(direction > 0, t2, t1)
-    mask = np.abs(direction) > 1e-14
-    inside = np.all(np.abs(base[:, ~mask]) <= half[~mask] + 1e-12, axis=1)
-    t_lo = np.max(lows[:, mask], axis=1, initial=-np.inf)
-    t_hi = np.min(highs[:, mask], axis=1, initial=np.inf)
-    chords = np.where(inside, np.maximum(t_hi - t_lo, 0.0), 0.0)
-    return _mc_mean(chords ** 2, float(np.prod(hi - lo)), ddof=1)
+    sides = window.scaled_sides(n)
+    rate = np.abs(bases[:, 0]) / sides
+    inv_t = rate.max(axis=1)
+    nodes, weights = np.polynomial.legendre.leggauss(n // 2 + 1)
+    r = (rate / inv_t[:, None])[..., None]
+    factors = 1.0 - r + r * (nodes + 1.0) / 2.0  # at y = (node + 1) / 2
+    return float(np.prod(sides)) / inv_t * (np.prod(factors, axis=1) @ weights)
+
+
+def cross_section_integral(n: int, k: int, window: WindowDescriptor, m_sub: Subspace) -> float:
+    """`cross_sections` for one subspace M."""
+    return float(cross_sections(n, k, window, m_sub.basis[None])[0])
 
 
 def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure,
@@ -457,44 +457,36 @@ def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure,
     ((n-2k+alpha_i)(n-2k+alpha_j)) * I(A; C_i, C_j) with
     I = integral over M of b(M; C_i) b(M; C_j) * cross-section integral.
     Fully closed for isotropic distributions with full-sphere direction sets
-    over ball windows; Monte Carlo (with standard error) otherwise.
+    over ball windows.  Otherwise M runs over the atoms of q, or over
+    max(64, samples // 1000) Haar draws (Monte Carlo with a standard error),
+    with exact cross-sections, and b(M; C_i) and b(M; C_j) from independent
+    inner draws, so that their product stays unbiased.
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("requires 2k < n and k >= 1")
     samples = check_samples(samples)
+    cross_sections(n, k, window, np.empty((0, k, n)))  # a bad box fails before any draw
     c_i, c_j = c_i or DirectionSet.full_sphere(n), c_j or DirectionSet.full_sphere(n)
     pref = gamma ** 3 * delta ** (2 * (n - 2 * k) + alpha_i + alpha_j) \
         / ((n - 2 * k + alpha_i) * (n - 2 * k + alpha_j))
     gen = as_generator(rng if rng is not None else 0xC0F)
 
-    iso_simple = (q.is_isotropic and c_i.kind == "full" and c_j.kind == "full"
-                  and window.shape == "ball")
-    if iso_simple:
-        b_iso, _ = b_factor(n, k, None, q, c_i)
-        cross, _ = cross_section_integral(n, k, window)
-        return pref * b_iso * b_iso * cross, 0.0
+    if q.is_isotropic and c_i.kind == c_j.kind == "full" and window.shape == "ball":
+        b_iso = float(_b_factors(q, np.empty((1, k, n)), c_i, gen, samples)[0][0])
+        return pref * b_iso * b_iso * ball_cross_section_integral(
+            n, k, window.radius * window.scale), 0.0
 
-    def integrand(m_sub: Subspace) -> tuple[float, float]:
-        bi, bi_se = b_factor(n, k, m_sub, q, c_i, rng=gen, samples=samples)
-        bj, bj_se = b_factor(n, k, m_sub, q, c_j, rng=gen, samples=samples)
-        cross, cross_se = cross_section_integral(
-            n, k, window, m_sub, rng=gen,
-            samples=min(samples, BOX_MC_SAMPLES))
-        return bi * bj * cross, math.hypot(bi_se * bj * cross, bi * bj_se * cross,
-                                           bi * bj * cross_se)
-
-    if not q.is_isotropic:
-        total, var = 0.0, 0.0
-        for m_sub, w in q.atoms:
-            val, se = integrand(m_sub)
-            total += w * val
-            var += (w * se) ** 2
-        return pref * total, pref * math.sqrt(var)
-    # the outer draws of M first, then b(M; C_i) and b(M; C_j) from
-    # independent inner draws for each, so their product stays unbiased
-    outer = haar_bases(max(64, samples // 1000), n, k, gen)
-    values = np.array([integrand(Subspace(m_basis))[0] for m_basis in outer])
-    return _mc_mean(values, pref * q.total_mass, ddof=1)
+    if q.is_isotropic:
+        outer = haar_bases(max(64, samples // 1000), n, k, gen)
+    else:
+        (outer,), weights = _atom_tuples([q])
+    cross = cross_sections(n, k, window, outer)
+    (b_i, b_i_se), (b_j, b_j_se) = (_b_factors(q, outer, c, gen, samples) for c in (c_i, c_j))
+    values = b_i * b_j * cross
+    if q.is_isotropic:
+        return _mc_mean(values, pref * q.total_mass, ddof=1)
+    errors = np.hypot(b_i_se * b_j, b_i * b_j_se) * cross
+    return pref * float(weights @ values), pref * float(np.linalg.norm(weights * errors))
 
 
 def ball_chord_power_integral(n: int, radius: float, power: float) -> float:

@@ -435,11 +435,11 @@ def intersect_flats(flats) -> Flat:
     return _intersection_flat(flats)
 
 
-def _in_blocks(solve, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """solve(block) over consecutive blocks of at most BLOCK_ROWS rows (one
-    empty block for no rows), its output arrays concatenated."""
-    parts = [solve(rows[start:start + BLOCK_ROWS])
-             for start in range(0, max(rows.shape[0], 1), BLOCK_ROWS)]
+def _in_blocks(solve, count: int) -> tuple[np.ndarray, ...]:
+    """solve(rows) over consecutive blocks of at most BLOCK_ROWS of the row indices
+    0, ..., count - 1 (one empty block for none), its output arrays concatenated."""
+    parts = [solve(np.arange(start, min(start + BLOCK_ROWS, count)))
+             for start in range(0, max(count, 1), BLOCK_ROWS)]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -467,8 +467,9 @@ def _line_screen(u, offs_a, v, offs_b, sq_u, sq_v, delta):
     n = offs_a.shape[1]
     big = max(sq_a.max(initial=0.0), sq_b.max(initial=0.0), delta * delta)
     if n == 3:
-        # With |u.u - 1| <= eta (+3 eps for computing u.u), a moment errs by
-        # 3 eps sqrt(M) (a component a_y u_z - a_z u_y by 2 eps (|a_y u_z| +
+        # eta is the largest |u.u - 1| of these rows (`FlatSample` keeps it within
+        # 1e-9; rows may come from elsewhere) + 3 eps for computing u.u.  A moment
+        # errs by 3 eps sqrt(M) (a component a_y u_z - a_z u_y by 2 eps (|a_y u_z| +
         # |a_z u_y|)), r by 12 + 6 = 18 eps sqrt(M), r^2 by 37 eps M; c by
         # 3 eps, so S differs from |u_i x v_j|^2 by 2 eta + 8 eps, which delta^2
         # turns into (2 eta + 8 eps) M.  With the solve's term times S <= 1,
@@ -661,4 +662,4 @@ def tuple_intersections(bases, offsets, tuples):
                            direction)
         return direction, point, tuples
 
-    return _in_blocks(solve, tuples)
+    return _in_blocks(lambda rows: solve(tuples[rows]), tuples.shape[0])

@@ -275,7 +275,7 @@ class DirectionSet:
         # point p lies on the sphere of row p // samples
         hit, = _in_blocks(lambda p: (self.contains(np.einsum(
             "pd,pdn->pn", haar_bases(p.shape[0], d, 1, gen)[:, 0], bases[p // samples])),),
-            np.arange(m * samples))
+            m * samples)
         hit = hit.reshape(m, samples)
         errors = hit.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(m)
         return omega * hit.mean(axis=1), omega * errors
@@ -343,7 +343,7 @@ def integrate(measure, f, rng: SeedLike | None = None,
         gen = as_generator(rng if rng is not None else 0xF1A7)
         values, = _in_blocks(lambda block: (np.array(
             [f(Subspace(b)) for b in haar_bases(block.shape[0], measure.n, measure.k, gen)]),),
-            np.arange(samples))
+            samples)
         return _mc_mean(values, measure.isotropic_mass, ddof=1)
 
     if not isinstance(measure, SphereMeasure):

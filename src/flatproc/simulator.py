@@ -77,8 +77,14 @@ class FlatSample:
         if offsets.shape[0]:
             if not np.einsum("mn,mn->m", offsets, offsets).max() <= (self.radius + 1e-9) ** 2:
                 raise ValueError("offset norms must not exceed the window radius")
-            if self.k > 0 and not np.abs(np.einsum("mkn,mn->mk", bases, offsets)).max() <= 1e-9:
-                raise ValueError("offsets must be orthogonal to directions")
+            # [B B^T - I | B a] for each flat's rows B and offset a, from one product
+            gram = np.einsum("mkn,mjn->mkj", bases, np.concatenate([bases, offsets[:, None]], 1))
+            gram.reshape(len(gram), -1)[:, ::self.k + 2] -= 1.0  # the diagonal of B B^T
+            error = np.abs(gram)
+            if not error.max(initial=0.0) <= 1e-9:
+                raise ValueError("offsets must be orthogonal to directions"
+                                 if not error[..., self.k].max(initial=0.0) <= 1e-9
+                                 else "direction rows must be orthonormal")
         bases.flags.writeable = False
         offsets.flags.writeable = False
         object.__setattr__(self, "bases", bases)

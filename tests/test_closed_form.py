@@ -6,9 +6,9 @@ from scipy.integrate import trapezoid
 
 from flatproc import constants
 from flatproc.closed_form import (WindowDescriptor, asymptotic_covariance,
-                                  b_factor, ball_chord_power_integral,
+                                  ball_chord_power_integral,
                                   ball_cross_section_integral, c_constant,
-                                  covariance_cpi_form, cross_section_integral,
+                                  covariance_cpi_form, cross_section_integral, cross_sections,
                                   hyperplane_intersection, intersection_density,
                                   isoperimetric_bound, mean_F_alpha, pair_integral,
                                   proximity_directional,
@@ -276,19 +276,98 @@ def test_cross_section_ball_radial_oracle():
     assert ball_cross_section_integral(3, 1, 1.0) == pytest.approx(quad, rel=1e-8)
 
 
-def test_cross_section_box_mc_matches_axis_aligned_value():
+def test_cross_section_box_axis_aligned_value_is_exact():
     # axis-aligned direction: every chord of the unit cube has length 1 over
     # a unit-square offset region, so the squared cross-section integral is 1
     window = WindowDescriptor.unit_cube(3)
-    m_sub = Subspace(E[:1])
-    value, se = cross_section_integral(3, 1, window, m_sub, rng=4,
-                                       samples=200_000)
-    assert abs(value - 1.0) < 3.0 * se + 1e-6
+    assert cross_section_integral(3, 1, window, Subspace(E[:1])) == pytest.approx(1.0, abs=1e-12)
+
+
+def squared_chords(u, half, points):
+    """Squared chord lengths of the lines points + t u in the box [-half, half],
+    for points in u-perp and a direction u with no zero coordinate."""
+    lo, hi = (-half - points) / u, (half - points) / u
+    enter, leave = np.minimum(lo, hi).max(axis=-1), np.maximum(lo, hi).min(axis=-1)
+    return np.maximum(leave - enter, 0.0) ** 2
+
+
+def box_shadow(u, half):
+    """An orthonormal basis of u-perp, and the box's corners and edges (pairs
+    of corner indices) projected there."""
+    perp = np.linalg.svd(u[None])[2][1:]
+    signs = np.array(np.meshgrid(*[(-1.0, 1.0)] * u.size, indexing="ij")).reshape(u.size, -1).T
+    edges = [(a, b) for a in range(len(signs)) for b in range(a + 1, len(signs))
+             if np.sum(signs[a] != signs[b]) == 1]
+    return perp, signs * half @ perp.T, edges
+
+
+def box_cross_section_by_quadrature(u, half):
+    """integral over u-perp of the squared chord of the box, by scipy quad over
+    the shadow, cut at the projected corners (n = 2) or, for n = 3, nested:
+    the inner integral cut where the projected edges cross its line, the outer
+    one at the projected corners and the crossings of projected edges."""
+    from scipy.integrate import quad
+
+    perp, corners, edges = box_shadow(u, half)
+    tol = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    if u.size == 2:
+        ys = np.sort(corners[:, 0])
+        return quad(lambda y: squared_chords(u, half, y * perp[0]), ys[0], ys[-1],
+                    points=ys[1:-1], **tol)[0]
+
+    def inner(y1):
+        cuts = [corners[a, 1] + (y1 - corners[a, 0]) * (corners[b, 1] - corners[a, 1])
+                / (corners[b, 0] - corners[a, 0]) for a, b in edges
+                if min(corners[a, 0], corners[b, 0]) <= y1 <= max(corners[a, 0], corners[b, 0])]
+        cuts = np.sort(cuts)
+        if cuts[-1] - cuts[0] <= 0.0:
+            return 0.0
+        return quad(lambda y2: squared_chords(u, half, y1 * perp[0] + y2 * perp[1]),
+                    cuts[0], cuts[-1], points=cuts[1:-1], **tol)[0]
+
+    cuts = list(corners[:, 0])
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 1:]:
+            step = np.column_stack([corners[b] - corners[a], corners[c] - corners[d]])
+            if abs(np.linalg.det(step)) > 1e-12:
+                s, t = np.linalg.solve(step, corners[c] - corners[a])
+                if 0.0 < s < 1.0 and 0.0 < t < 1.0:
+                    cuts.append(corners[a, 0] + s * (corners[b, 0] - corners[a, 0]))
+    cuts = np.unique(cuts)
+    return quad(inner, cuts[0], cuts[-1], points=cuts[1:-1], **tol)[0]
+
+
+@pytest.mark.parametrize("n, sides, count", [(2, (1.0, 2.5), 3), (3, (1.0, 2.0, 0.5), 2)])
+def test_box_cross_sections_match_quadrature(n, sides, count):
+    from flatproc.flat_geometry import haar_bases
+
+    window = WindowDescriptor.box(sides, scale=1.3)
+    bases = haar_bases(count, n, 1, 20 + n)
+    exact = cross_sections(n, 1, window, bases)
+    for basis, value in zip(bases, exact):
+        assert cross_section_integral(n, 1, window, Subspace(basis)) == value
+        quadrature = box_cross_section_by_quadrature(basis[0], 0.65 * np.array(sides))
+        assert value == pytest.approx(quadrature, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_box_cross_sections_scale_with_rho_to_the_n_plus_1(n):
+    from flatproc.flat_geometry import haar_bases
+
+    sides = np.linspace(0.5, 2.0, n)
+    bases = np.concatenate([haar_bases(20, n, 1, 30 + n), np.eye(n)[:, None]])
+    unit = cross_sections(n, 1, WindowDescriptor.box(sides), bases)
+    for rho in (0.01, 3.0, 250.0):
+        scaled = cross_sections(n, 1, WindowDescriptor.box(sides, scale=rho), bases)
+        assert np.allclose(scaled, rho ** (n + 1) * unit, rtol=1e-13, atol=0.0)
 
 
 def test_b_factor_isotropic_full():
+    from flatproc.closed_form import _b_factors
+
     iso = GrassmannMeasure.isotropic(3, 1, 1.0)
-    value, se = b_factor(3, 1, None, iso, DirectionSet.full_sphere(3))
+    values, errors = _b_factors(iso, np.empty((1, 1, 3)), DirectionSet.full_sphere(3), None, 2)
+    (value,), (se,) = values, errors
     assert se == 0.0
     assert value == pytest.approx(math.pi / 2.0, abs=1e-14)
 
@@ -309,10 +388,36 @@ def test_asymptotic_covariance_discrete_box_window():
     # axes lines over the unit cube: b(M; full) = 4/3 per axis (exact), the
     # squared line cross-section integral is 1 per axis, so I = 16/9
     window = WindowDescriptor.unit_cube(3)
-    value, se = asymptotic_covariance(3, 1, 1.0, axes_lines(), 1.0, 0.0, 0.0,
-                                      window, rng=6, samples=200_000)
-    assert abs(value - 16.0 / 9.0) < 3.0 * se + 1e-9
-    assert se < 0.01
+    value, se = asymptotic_covariance(3, 1, 1.0, axes_lines(), 1.0, 0.0, 0.0, window)
+    assert value == pytest.approx(16.0 / 9.0, abs=1e-12)
+    assert se == 0.0
+
+
+@pytest.mark.parametrize("call", ["contains", "cross_section_integral",
+                                  "asymptotic_covariance", "asymptotic_covariance_planes"])
+def test_box_windows_reject_a_wrong_side_count_or_k(call, monkeypatch):
+    import flatproc.closed_form as closed_form
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew Monte-Carlo samples before checking the box")
+
+    monkeypatch.setattr(closed_form, "haar_bases", no_draws)
+    monkeypatch.setattr(closed_form, "_pair_integrand", no_draws)
+    flat_box = WindowDescriptor.box((1.0, 2.0))
+    iso = GrassmannMeasure.isotropic(3, 1, 1.0)
+    calls = {
+        "contains": lambda: flat_box.contains(np.zeros((4, 3))),
+        "cross_section_integral": lambda: cross_section_integral(3, 1, flat_box, Subspace(E[:1])),
+        "asymptotic_covariance": lambda: asymptotic_covariance(3, 1, 1.0, iso, 1.0, 0.0, 0.0,
+                                                               flat_box),
+        "asymptotic_covariance_planes": lambda: asymptotic_covariance(
+            5, 2, 1.0, GrassmannMeasure.isotropic(5, 2, 1.0), 1.0, 0.0, 0.0,
+            WindowDescriptor.unit_cube(5)),
+    }
+    match = "k = 1" if call.endswith("planes") else \
+        "box side count must match the ambient dimension"
+    with pytest.raises(ValueError, match=match):
+        calls[call]()
 
 
 def test_covariance_chord_power_identity():
@@ -531,8 +636,7 @@ def test_asymptotic_covariance_threshold_zero_cap_matches_closed_form():
 
 @pytest.mark.parametrize("samples", [0, 1, -5, 2.5, True])
 @pytest.mark.parametrize("entry", ["pair_integral", "intersection_density", "integrate",
-                                   "asymptotic_covariance", "cross_section_integral",
-                                   "subsphere_measure"])
+                                   "asymptotic_covariance", "subsphere_measure"])
 def test_monte_carlo_entry_points_reject_too_few_samples(entry, samples):
     from flatproc.measures import integrate
 
@@ -547,8 +651,6 @@ def test_monte_carlo_entry_points_reject_too_few_samples(entry, samples):
         "asymptotic_covariance": lambda: asymptotic_covariance(
             3, 1, 1.0, iso, 1.0, 0.0, 0.0, WindowDescriptor.ball(1.0), cap, cap,
             samples=samples),
-        "cross_section_integral": lambda: cross_section_integral(
-            3, 1, WindowDescriptor.unit_cube(3), Subspace(E[:1]), samples=samples),
         "subsphere_measure": lambda: DirectionSet.custom(3, lambda u: u[:, 0] ** 2 > 0.5)
         .subsphere_measure(Subspace(E[:2]), samples=samples),
     }

@@ -122,6 +122,15 @@ def test_flat_sample_rejects_nan():
         FlatSample(3, 1, 1.0, np.array([[[np.nan, 0.0, 0.0]]]), np.array([[0.0, 0.5, 0.0]]))
     with pytest.raises(ValueError, match="window radius"):
         FlatSample(3, 1, np.nan, bases, np.array([[0.0, 0.5, 0.0]]))
+    # a direction row of length 1.5: the line solve would miss this pair at
+    # distance 0.5; and unit rows that are not orthogonal
+    tilted = 1.5 * (E3[0] + E3[1]) / math.sqrt(2.0)
+    with pytest.raises(ValueError, match="orthonormal"):
+        FlatSample(3, 1, 1.0, np.array([[E3[0]], [tilted]]),
+                   np.array([[0.0, 0.0, 0.0], [-0.5, 0.5, 0.5]]))
+    with pytest.raises(ValueError, match="orthonormal"):
+        FlatSample(3, 2, 1.0, np.array([[E3[0], (E3[0] + E3[1]) / math.sqrt(2.0)]]),
+                   np.array([[0.0, 0.0, 0.5]]))
 
 
 def test_flat_sample_serialization_roundtrip(tmp_path):
