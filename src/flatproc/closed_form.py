@@ -173,7 +173,8 @@ def pair_integral(q1: GrassmannMeasure, q2: GrassmannMeasure,
     Atom pairs are summed exactly; Haar components with no direction factor
     (or a full-sphere factor) use c(n, k1, k2); everything else is Monte
     Carlo with a standard error, BLOCK_ROWS draws at a time.  Custom sets
-    take 20,000 points on each atom pair's sphere, one on each draw's.
+    take 20,000 points on each atom pair's sphere, one on each draw's; a
+    block then holds max(1, BLOCK_ROWS // points) atom pairs.
     """
     n = q1.n
     if q2.n != n:
@@ -193,8 +194,9 @@ def pair_integral(q1: GrassmannMeasure, q2: GrassmannMeasure,
         return _mc_mean(values, q1.total_mass * q2.total_mass, ddof=0)
 
     (l_atoms, m_atoms), weights = _atom_tuples([q1, q2])
+    points = 20_000 if direction_set is not None and direction_set.kind == "custom" else 1
     values, errors = _in_blocks(lambda block: _pair_integrand(
-        l_atoms[block], m_atoms[block], direction_set, gen, 20_000), len(weights))
+        l_atoms[block], m_atoms[block], direction_set, gen, points), len(weights), points)
     return float(weights @ values), float(np.linalg.norm(weights * errors))
 
 
@@ -383,15 +385,17 @@ def _b_factors(q: GrassmannMeasure, outer: np.ndarray, direction_set: DirectionS
     """Inner covariance integrand b(M; C), the integral over L of [L, M]
     sigma_{(L+M)-perp}(C intersect .) dQ(L), and its standard error for each M
     of an (m, k, n) basis stack: omega_{n-2k} c(n, k, k) for isotropic q and
-    the full sphere; else one _pair_integrand call per block of BLOCK_ROWS
-    (M x L) rows, L the atoms of q (20,000 points on each sphere of a custom
-    set) or `samples` Haar draws per M, summed per M with L's weights."""
+    the full sphere; else one _pair_integrand call per block of (M x L) rows,
+    L the atoms of q or `samples` Haar draws per M, summed per M with L's
+    weights.  A custom set takes 20,000 points on each atom's sphere, one on
+    each draw's, and a block max(1, BLOCK_ROWS // points) rows."""
     m = outer.shape[0]
     if q.is_isotropic and direction_set.kind == "full":
         return np.full(m, constants.sphere_surface(q.n - 2 * q.k) * q.total_mass
                        * c_constant(q.n, q.k, q.k)), np.zeros(m)
-    inner, weights, points = (None, np.full(samples, q.total_mass / samples), 1) \
-        if q.is_isotropic else (*_atom_tuples([q]), 20_000)
+    inner, weights = (None, np.full(samples, q.total_mass / samples)) if q.is_isotropic \
+        else _atom_tuples([q])
+    points = 20_000 if inner is not None and direction_set.kind == "custom" else 1
 
     def block(rows):
         o, i = np.divmod(rows, weights.shape[0])
@@ -400,7 +404,7 @@ def _b_factors(q: GrassmannMeasure, outer: np.ndarray, direction_set: DirectionS
         return (np.bincount(o, weights[i] * values, minlength=m)[None],
                 np.bincount(o, (weights[i] * errors) ** 2, minlength=m)[None])
 
-    sums, variances = _in_blocks(block, m * weights.shape[0])
+    sums, variances = _in_blocks(block, m * weights.shape[0], points)
     return sums.sum(axis=0), np.sqrt(variances.sum(axis=0))
 
 

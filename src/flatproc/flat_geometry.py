@@ -8,6 +8,7 @@ bases; the scalar `closest_pair` and `intersect_flats` are their reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +88,8 @@ class Subspace:
             raise ValueError(f"subspace dimension {k} exceeds ambient dimension {n}")
         if k > 0:
             gram = basis @ basis.T
-            if not np.max(np.abs(gram - np.eye(k))) <= 1e-10:  # NaN fails too
+            gram.reshape(-1)[::k + 1] -= 1.0  # B B^T - I, the diagonal lowered in place
+            if not np.abs(gram).max() <= 1e-10:  # NaN fails too
                 raise ValueError("basis rows are not orthonormal")
         basis.flags.writeable = False
 
@@ -100,8 +102,15 @@ class Subspace:
         return self.basis.shape[0]
 
     def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace, shape (n, n)."""
-        return self.basis.T @ self.basis
+        """Orthogonal projector basis.T @ basis onto the subspace, shape
+        (n, n): computed on the first call, then the same read-only array."""
+        return self._projector
+
+    @cached_property
+    def _projector(self) -> np.ndarray:
+        p = self.basis.T @ self.basis
+        p.flags.writeable = False
+        return p
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of x onto the subspace."""
@@ -112,7 +121,8 @@ class Subspace:
     def same_span(self, other: "Subspace", tol: float = 1e-8) -> bool:
         if self.n != other.n or self.k != other.k:
             return False
-        return bool(np.linalg.norm(self.projector() - other.projector()) < tol)
+        d = (self.projector() - other.projector()).ravel()
+        return bool(np.sqrt(d @ d) < tol)  # np.linalg.norm's Frobenius fast path
 
     @staticmethod
     def full(n: int) -> "Subspace":
@@ -321,14 +331,22 @@ def rotate_subspace(u: Subspace, rotation: np.ndarray) -> Subspace:
     return Subspace(u.basis @ rotation.T)
 
 
+def _principal_angles(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Principal angles of the row spans of two (..., k, n) stacks of
+    orthonormal bases, ascending: atan2 of the sines (singular values of b2
+    less its projection onto b1, ascending) and the cosines (those of
+    b2 b1^T, descending), so that small angles keep their digits, which
+    arccos of the cosine loses below about 1e-8."""
+    cross = b2 @ np.swapaxes(b1, -1, -2)
+    sin = np.linalg.svd(b2 - cross @ b1, compute_uv=False)[..., ::-1]
+    return np.arctan2(sin, np.linalg.svd(cross, compute_uv=False))
+
+
 def principal_angles(u1: Subspace, u2: Subspace) -> np.ndarray:
     """Principal angles between two subspaces of equal dimension."""
     if u1.k != u2.k:
         raise ValueError("subspaces must have equal dimension")
-    if u1.k == 0:
-        return np.zeros(0)
-    sv = np.linalg.svd(u1.basis @ u2.basis.T, compute_uv=False)
-    return np.arccos(np.clip(sv, 0.0, 1.0))
+    return _principal_angles(u1.basis, u2.basis)
 
 
 def grassmann_distance(u1: Subspace, u2: Subspace) -> float:
@@ -336,10 +354,10 @@ def grassmann_distance(u1: Subspace, u2: Subspace) -> float:
 
     A rotation acting by the principal angles theta_i in orthogonal planes
     maps u1 onto u2 and has squared deviation from the identity equal to
-    4 * sum_i (1 - cos theta_i); this direct rotation is minimal.
+    4 * sum_i (1 - cos theta_i) = 8 * sum_i sin^2(theta_i / 2), the form
+    evaluated; this direct rotation is minimal.
     """
-    theta = principal_angles(u1, u2)
-    return float(4.0 * np.sum(1.0 - np.cos(theta)))
+    return float(8.0 * np.sum(np.sin(principal_angles(u1, u2) / 2.0) ** 2))
 
 
 def grassmann_metric(u1: Subspace, u2: Subspace) -> float:
@@ -435,11 +453,13 @@ def intersect_flats(flats) -> Flat:
     return _intersection_flat(flats)
 
 
-def _in_blocks(solve, count: int) -> tuple[np.ndarray, ...]:
-    """solve(rows) over consecutive blocks of at most BLOCK_ROWS of the row indices
-    0, ..., count - 1 (one empty block for none), its output arrays concatenated."""
-    parts = [solve(np.arange(start, min(start + BLOCK_ROWS, count)))
-             for start in range(0, max(count, 1), BLOCK_ROWS)]
+def _in_blocks(solve, count: int, points: int = 1) -> tuple[np.ndarray, ...]:
+    """solve(block) over consecutive blocks of the row indices 0, ..., count - 1
+    (one empty block for none), its output arrays concatenated; a block has
+    max(1, BLOCK_ROWS // points) rows, for rows of `points` sphere points."""
+    rows = max(1, BLOCK_ROWS // points)
+    parts = [solve(np.arange(start, min(start + rows, count)))
+             for start in range(0, max(count, 1), rows)]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

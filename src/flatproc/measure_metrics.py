@@ -3,15 +3,18 @@ on metric supports, and the empirical stability harness relating measure
 distances to distances of derived area/intersection/proximity data.
 
 Both distances are exact at any support size.  The bounded-Lipschitz
-distance is a linear program solved by scipy's HiGHS solver.  The Prohorov
-distance uses Strassen's theorem in its finite-support form: for a fixed
-enlargement the largest violation is a max-flow deficiency, which is
-constant between consecutive distinct distances, so a bisection over those
-breakpoints finds the exact value.
+distance is a linear program solved by scipy's HiGHS solver through `milp`,
+in variables scaled to the support's diameter, so that supports far below
+the solver's tolerances keep their value.  The Prohorov distance uses
+Strassen's theorem in its finite-support form: for a fixed enlargement the
+largest violation is a max-flow deficiency, which is constant between
+consecutive distinct distances, so a bisection over those breakpoints finds
+the exact value.
 
 Sphere supports use the quotient geodesic metric arccos|<u,v>| on +-pairs;
 Grassmannian supports use the direct-rotation metric (the square root of
-`grassmann_distance`, which itself is a squared deviation and not a metric).
+`grassmann_distance`, which itself is a squared deviation and not a metric),
+from principal angles that keep their digits below 1e-8.
 """
 from __future__ import annotations
 
@@ -20,11 +23,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_array
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .closed_form import hyperplane_intersection, proximity_intensity
-from .flat_geometry import Subspace, grassmann_metric
+from .flat_geometry import Subspace, _principal_angles
 from .measures import GrassmannMeasure, SphereMeasure, line_measure_from_sphere, lower_bound_check
 from .zonoid_engine import _merge, area_measure
 
@@ -84,22 +86,22 @@ class MetricSample:
 
     @staticmethod
     def from_subspaces(subspaces: Sequence[Subspace]) -> "MetricSample":
-        """Direct-rotation metric table on a list of equal-dimension subspaces."""
+        """Direct-rotation metric table on a list of equal-dimension
+        subspaces, from one stacked principal-angle computation over all
+        pairs; as `grassmann_metric`, 2 sqrt(2 sum_i sin^2(theta_i / 2))."""
         subs = list(subspaces)
-        m = len(subs)
-        dist = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                dist[i, j] = dist[j, i] = grassmann_metric(subs[i], subs[j])
-        return MetricSample(dist)
+        if not subs:
+            return MetricSample(np.zeros((0, 0)))
+        bases = np.array([s.basis for s in subs])
+        theta = _principal_angles(bases[:, None], bases[None, :])
+        dist = np.triu(np.sqrt(8.0 * np.sum(np.sin(theta / 2.0) ** 2, axis=-1)), 1)
+        return MetricSample(dist + dist.T)
 
 
 def _weights(sample: MetricSample, mu, nu) -> tuple[np.ndarray, np.ndarray]:
     """Two weight vectors on the support: finite and nonnegative."""
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    m = sample.size
-    if mu.shape != (m,) or nu.shape != (m,):
+    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
+    if mu.shape != (sample.size,) or nu.shape != (sample.size,):
         raise ValueError("weight vectors must match the support size")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
         raise ValueError("weights must be finite")
@@ -108,9 +110,10 @@ def _weights(sample: MetricSample, mu, nu) -> tuple[np.ndarray, np.ndarray]:
     return mu, nu
 
 
-def _highs_max(c: np.ndarray, a_ub, b_ub: np.ndarray, bounds) -> float:
-    """max c.x over {A x <= b, x within bounds} by scipy's HiGHS solver."""
-    res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+def _highs_max(c: np.ndarray, a_ub, b_ub: np.ndarray, lb, ub) -> float:
+    """max c.x over {A x <= b, lb <= x <= ub}, a linear program without
+    integer variables, by scipy's HiGHS solver through `milp`."""
+    res = milp(-c, bounds=Bounds(lb, ub), constraints=LinearConstraint(a_ub, -np.inf, b_ub))
     if res.status != 0:
         raise RuntimeError(f"HiGHS failed: {res.message}")
     return -float(res.fun)
@@ -121,31 +124,30 @@ def bl_distance(sample: MetricSample, mu: np.ndarray, nu: np.ndarray) -> float:
 
     Maximizes sum f_i (mu_i - nu_i) over functions with sup-norm plus
     Lipschitz-norm at most 1, as a linear program in f_i in [-1, 1] and
-    a, b >= 0: |f_i| <= a, f_i - f_j <= b rho_ij for i != j, a + b <= 1.
+    a, b >= 0: |f_i| <= a, f_i - f_j <= b rho_ij for i != j, a + b <= 1,
+    solved in f = c + D h, h_0 = 0, D = min(1, diameter): the shape h is of
+    order 1 at any support size, while c, a and b keep their scale.  The
+    optimum is never -0.0.
     """
     mu, nu = _weights(sample, mu, nu)
     tau = mu - nu
     if not np.any(tau):
         return 0.0
     m = sample.size
-    a, b = m, m + 1  # columns of the sup-norm and Lipschitz bounds
-    i, j = np.nonzero(~np.eye(m, dtype=bool))
-    sup = np.arange(2 * m)  # rows +-f_i - a <= 0
-    lip = 2 * m + np.arange(i.size)  # rows f_i - f_j - b rho_ij <= 0
-    cap = 2 * m + i.size  # row a + b <= 1
-    a_ub = coo_array((
-        np.concatenate([np.repeat([1.0, -1.0], m), np.full(2 * m, -1.0),
-                        np.ones(i.size), np.full(i.size, -1.0), -sample.dist[i, j],
-                        [1.0, 1.0]]),
-        (np.concatenate([sup, sup, lip, lip, lip, [cap, cap]]),
-         np.concatenate([np.tile(np.arange(m), 2), np.full(2 * m, a), i, j,
-                         np.full(i.size, b), [a, b]]))),
-        shape=(cap + 1, m + 2))
-    b_ub = np.zeros(cap + 1)
-    b_ub[cap] = 1.0
-    c = np.concatenate([tau, [0.0, 0.0]])
-    value = _highs_max(c, a_ub, b_ub, [(-1.0, 1.0)] * m + [(0.0, 1.0)] * 2)
-    return max(value, 0.0)
+    scale = min(1.0, float(sample.dist.max())) or 1.0  # D; 1 for one point
+    eye, col = np.eye(m), np.ones((m, 1))
+    i, j = np.nonzero(eye == 0)
+    # columns h, c, a, b; rows +-(D h_i + c) - a <= 0, h_i - h_j - b rho_ij / D <= 0, a + b <= 1
+    a_ub = np.vstack([np.hstack([scale * eye, col, -col, 0 * col]),
+                      np.hstack([-scale * eye, -col, -col, 0 * col]),
+                      np.hstack([eye[i] - eye[j], np.zeros((i.size, 2)),
+                                 -sample.dist[i, j, None] / scale]),
+                      np.eye(1, m + 3, m + 1) + np.eye(1, m + 3, m + 2)])
+    b_ub = np.r_[np.zeros(len(a_ub) - 1), 1.0]
+    free = np.full(m - 1, np.inf)  # h_0 = 0
+    value = scale * _highs_max(np.r_[tau, tau.sum() / scale, 0.0, 0.0], a_ub, b_ub,
+                               np.r_[0.0, -free, -1.0, 0.0, 0.0], np.r_[0.0, free, 1.0, 1.0, 1.0])
+    return value if value > 0 else 0.0
 
 
 def _max_flow(adjacent: np.ndarray, source_caps: np.ndarray,
@@ -159,13 +161,10 @@ def _max_flow(adjacent: np.ndarray, source_caps: np.ndarray,
         return 0.0
     if edges == adjacent.size:
         return min(float(source_caps.sum()), float(sink_caps.sum()))
-    columns = np.arange(edges)
-    a_ub = coo_array((np.ones(2 * edges),
-                      (np.concatenate([left, adjacent.shape[0] + right]),
-                       np.concatenate([columns, columns]))),
-                     shape=(sum(adjacent.shape), edges))
+    a_ub = np.vstack([np.arange(adjacent.shape[0])[:, None] == left,
+                      np.arange(adjacent.shape[1])[:, None] == right]).astype(float)
     return _highs_max(np.ones(edges), a_ub,
-                      np.concatenate([source_caps, sink_caps]), (0.0, None))
+                      np.concatenate([source_caps, sink_caps]), 0.0, np.inf)
 
 
 def _greedy_flow(adjacent: np.ndarray, source_caps: np.ndarray,
@@ -322,22 +321,14 @@ def stability_harness(case: str, base: SphereMeasure,
         lhs_bl, lhs_p = sphere_distances(base, nu)
         rhs_bl, rhs_p = grassmann_distances(derived_base,
                                             _derived_measure(case, nu, order))
-        entry = {
-            "t": t,
-            "d_BL_lhs": lhs_bl,
-            "d_BL_rhs": rhs_bl,
-            "d_P_lhs": lhs_p,
-            "d_P_rhs": rhs_p,
+        if (lhs_bl == 0 < lhs_p) or (rhs_bl == 0 < rhs_p):
+            raise ValueError(f"t={t}: a bounded-Lipschitz distance reads 0 for distinct "
+                             "measures, below the linear program's resolution")
+        entries.append({
+            "t": t, "d_BL_lhs": lhs_bl, "d_BL_rhs": rhs_bl, "d_P_lhs": lhs_p, "d_P_rhs": rhs_p,
             "ratio": lhs_bl / rhs_bl ** exponent if rhs_bl > 0 else math.inf,
             "exponent_estimate": (math.log(lhs_bl) / math.log(rhs_bl)
-                                  if 0 < rhs_bl < 1 and lhs_bl > 0 else math.nan),
-        }
-        entries.append(entry)
-    return {
-        "case": case,
-        "order": order,
-        "exponent": exponent,
-        "entries": entries,
-        "max_ratio": max((e["ratio"] for e in entries), default=0.0),
-        "final": entries[-1] if entries else None,
-    }
+                                  if 0 < rhs_bl < 1 and lhs_bl > 0 else math.nan)})
+    return {"case": case, "order": order, "exponent": exponent, "entries": entries,
+            "max_ratio": max((e["ratio"] for e in entries), default=0.0),
+            "final": entries[-1] if entries else None}

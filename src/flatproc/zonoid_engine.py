@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 
 from . import constants
-from .flat_geometry import Subspace, complement_bases, gram_volumes
+from .flat_geometry import BLOCK_ROWS, Subspace, complement_bases, gram_volumes
 from .measures import GrassmannMeasure, SphereMeasure, finite_positive
 
 DROP_TOL = 1e-10
@@ -96,19 +96,22 @@ def intrinsic_volume(z: Zonotope, m: int) -> float:
 
 
 def _merge(projectors: np.ndarray, tol: float):
-    """Indices of the first projector of each class (projectors within tol
-    of it in Frobenius norm) and each projector's class label; each
-    projector is compared with the stacked representatives in one norm.
-    np.bincount(labels, weights) sums the classes in input order."""
-    reps, labels = [], np.empty(len(projectors), dtype=np.intp)
-    for i, p in enumerate(projectors):
-        hit = np.flatnonzero(np.linalg.norm(projectors[reps] - p, axis=(1, 2)) < tol)
-        if hit.size:
-            labels[i] = hit[0]
-        else:
-            labels[i] = len(reps)
-            reps.append(i)
-    return reps, labels
+    """Indices of the first projector of each class and each projector's
+    label: in input order, a projector joins the first representative within
+    tol in Frobenius norm, else starts a class.  A block of rows meets every
+    earlier projector in one norm, about BLOCK_ROWS pairs a block."""
+    count = len(projectors)
+    is_rep, first = np.ones(count, dtype=bool), np.arange(count)
+    step = max(1, BLOCK_ROWS // max(count, 1))
+    for r0 in range(0, count, step):
+        r1 = min(count, r0 + step)
+        near = np.linalg.norm(projectors[r0:r1, None] - projectors[None, :r1], axis=(2, 3)) < tol
+        near &= np.tri(r1 - r0, r1, r0 - 1, dtype=bool)  # earlier projectors only
+        for i in np.flatnonzero(near.any(axis=1)).tolist():
+            hit = np.flatnonzero(near[i] & is_rep[:r1])
+            if hit.size:
+                is_rep[r0 + i], first[r0 + i] = False, hit[0]
+    return np.flatnonzero(is_rep).tolist(), (np.cumsum(is_rep) - 1)[first]
 
 
 def merge_grassmann_atoms(atoms):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from flatproc import constants
+from flatproc import constants, flat_geometry
 from flatproc.closed_form import (WindowDescriptor, asymptotic_covariance,
                                   ball_chord_power_integral,
                                   ball_cross_section_integral, c_constant,
@@ -656,3 +656,31 @@ def test_monte_carlo_entry_points_reject_too_few_samples(entry, samples):
     }
     with pytest.raises(ValueError, match="samples must be an integer >= 2"):
         calls[entry]()
+
+
+def test_custom_set_blocks_bound_sphere_points(monkeypatch):
+    # pair_integral's atom pairs and _b_factors' atomic (M x L) rows take
+    # 20,000 sphere points each: a block holds max(1, BLOCK_ROWS // 20,000)
+    # rows, so no subsphere_measures call gets more than that many points,
+    # and the values equal those of one block of all rows bit for bit
+    q = random_line_measure(5, 5, np.random.default_rng(73))
+    axis = np.eye(5)[4]
+    custom = DirectionSet.custom(5, lambda u: np.abs(u @ axis) >= 0.5)
+    points = []
+    measures = DirectionSet.subsphere_measures
+    monkeypatch.setattr(DirectionSet, "subsphere_measures",
+                        lambda self, bases, rng=None, samples=20_000: points.append(
+                            bases.shape[0] * samples) or measures(self, bases, rng, samples))
+
+    def values():
+        return (pair_integral(q, q, custom, rng=74),
+                asymptotic_covariance(5, 1, 1.0, q, 1.0, 0.0, 1.0, WindowDescriptor.ball(1.0),
+                                      custom, custom, rng=75, samples=2000))
+
+    bounded = values()
+    assert 0 < max(points) <= max(flat_geometry.BLOCK_ROWS, 20_000)
+    assert bounded[0][1] > 0.0  # the sphere draws carry noise
+    points.clear()
+    monkeypatch.setattr(flat_geometry, "BLOCK_ROWS", 1 << 40)
+    assert values() == bounded
+    assert max(points) == 20 * 20_000  # the 20 pairs of distinct atoms, in one call

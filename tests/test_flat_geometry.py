@@ -61,6 +61,41 @@ def test_subspace_invariants_enforced():
     Subspace(np.array([[1.0 + 5e-12, 1e-11, 0.0], [0.0, 1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1.0, 0.0, 0.0], [0.0, np.nan, 0.0]],            # NaN in a later row
+    [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]],            # NaN on the diagonal
+    [[1.0, 0.0, 0.0], [2e-10, 1.0, 0.0]],             # off-diagonal 2e-10
+    [[1.0, 0.0, 0.0], [0.0, 1.0 + 2e-10, 0.0]],       # diagonal 4e-10 above 1
+    [[0.6, 0.8, 0.0], [0.8, 0.6, 0.0]],               # unit rows, not orthogonal
+])
+def test_subspace_rejects_nan_and_non_orthonormal_rows(rows):
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace(np.array(rows))
+
+
+def test_projector_is_cached_read_only_and_exact():
+    for sub in (haar_sample(5, 2, np.random.default_rng(21)), Subspace(E[:1]),
+                Subspace.trivial(3)):
+        p = sub.projector()
+        assert p is sub.projector()
+        assert not p.flags.writeable
+        assert np.array_equal(p, sub.basis.T @ sub.basis)
+        with pytest.raises(ValueError):
+            p[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-6, 1e-3, 0.7, math.pi / 2])
+def test_principal_angles_keep_small_angles(theta):
+    # a plane of R^4 turned by theta in one direction: one principal angle
+    # theta, one 0; arccos of the cosine reads 0 below about 1e-8
+    turned = np.array([[math.cos(theta), 0.0, math.sin(theta), 0.0], [0.0, 1.0, 0.0, 0.0]])
+    angles = principal_angles(Subspace(np.eye(4)[:2]), Subspace(turned))
+    assert angles[0] == 0.0
+    assert angles[1] == pytest.approx(theta, rel=1e-14)
+    assert grassmann_metric(Subspace(np.eye(4)[:2]), Subspace(turned)) == pytest.approx(
+        2.0 * math.sqrt(2.0) * math.sin(theta / 2.0), rel=1e-14)
+
+
 def test_determinant_orthogonal_and_equal_lines():
     assert subspace_determinant([Subspace.span(E[0]), Subspace.span(E[1])]) == 1.0
     assert subspace_determinant([Subspace.span(E[0]), Subspace.span(E[0])]) == 0.0

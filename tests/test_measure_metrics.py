@@ -190,6 +190,81 @@ def test_bl_distance_against_split_form_lp():
             bl_by_split_lp(sample.dist, mu, nu), abs=1e-9)
 
 
+def max_flow_by_dense_lp(adjacent, source_caps, sink_caps):
+    """Max flow of the bipartite network of `_max_flow` as a dense LP with
+    one variable per (left, right) pair, fixed at 0 off the edges: row sums
+    at most the source caps, column sums at most the sink caps."""
+    p, q = adjacent.shape
+    rows = np.vstack([np.kron(np.eye(p), np.ones(q)), np.kron(np.ones(p), np.eye(q))])
+    res = linprog(-np.ones(p * q), A_ub=rows, b_ub=np.concatenate([source_caps, sink_caps]),
+                  bounds=[(0.0, None if edge else 0.0) for edge in adjacent.ravel()],
+                  method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def test_max_flow_against_dense_lp():
+    rng = np.random.default_rng(71)
+    for trial in range(24):
+        p, q = rng.integers(1, 9, size=2)
+        adjacent = rng.random((p, q)) < (0.0, 0.3, 0.7, 1.0)[trial % 4]
+        source, sink = rng.random(p), rng.random(q)
+        flow = measure_metrics._max_flow(adjacent, source, sink)
+        assert flow == pytest.approx(max_flow_by_dense_lp(adjacent, source, sink), abs=1e-12)
+        assert measure_metrics._greedy_flow(adjacent, source, sink) <= flow + 1e-12
+
+
+SCALES = (1.0, 1e-4, 1e-8, 1e-12)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_bl_distance_two_point_formula_at_every_scale(scale):
+    for rho in (0.3, 1.0, 2.5):
+        value = bl_distance(two_point_sample(rho * scale), np.array([1.0, 0.0]),
+                            np.array([0.0, 1.0]))
+        assert value / scale == pytest.approx(2.0 * rho / (2.0 + rho * scale), rel=1e-9)
+
+
+def transport_cost(dist, mu, nu):
+    """Kantorovich-Rubinstein distance of two measures of equal mass: the
+    optimal transport LP, one variable per (source, target) pair."""
+    m = len(mu)
+    rows = np.vstack([np.kron(np.eye(m), np.ones(m)), np.kron(np.ones(m), np.eye(m))])
+    res = linprog(dist.ravel(), A_eq=rows, b_eq=np.concatenate([mu, nu]), bounds=(0.0, None),
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_bl_distance_scales_linearly_on_random_supports(scale):
+    # equal masses, exactly (dyadic weights, one a permutation of the other):
+    # f = b h + const for a 1-Lipschitz h centred on its range gives
+    # W1 / (1 + scale diam / 2) <= BL / scale <= W1, W1 of the unit table
+    rng = np.random.default_rng(72)
+    for m in (2, 3, 8, 14):
+        unit = random_metric_sample(m, rng).dist
+        counts = rng.integers(1, 50, m)
+        mu, nu = counts / 64.0, rng.permutation(counts) / 64.0
+        if np.array_equal(mu, nu):
+            nu = nu[::-1]
+        w1 = transport_cost(unit, mu, nu)
+        value = bl_distance(MetricSample(unit * scale), mu, nu)
+        assert math.copysign(1.0, value) == 1.0
+        assert w1 / (1.0 + scale * unit.max() / 2.0) * (1.0 - 1e-9) <= value / scale \
+            <= w1 * (1.0 + 1e-9)
+
+
+def test_bl_distance_never_returns_negative_zero():
+    # two points at distance 0 carry the two unit masses: the solver's
+    # optimum is -0.0 there
+    mu, nu = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    for sample, value in ((MetricSample(np.zeros((2, 2))), 0.0),
+                          (two_point_sample(1e-300), 1e-300)):
+        result = bl_distance(sample, mu, nu)
+        assert result == value and math.copysign(1.0, result) == 1.0
+
+
 def test_metric_axioms_on_random_triples():
     rng = np.random.default_rng(65)
     for _ in range(8):
@@ -262,6 +337,28 @@ def test_stability_harness_contracting_trend(case, order):
     assert report["exponent"] > 0.0
 
 
+def test_stability_harness_finite_down_to_small_t():
+    # the sphere metric, the Grassmann metric and the BL program resolve
+    # displacements of 1e-8 on supports of diameter about 1
+    base, family = contracting_family(3, [1e-2, 1e-4, 1e-6, 1e-8])
+    report = stability_harness("area-measure", base, family, rho=0.02, upper=2.0, order=2)
+    lhs = [e["d_BL_lhs"] for e in report["entries"]]
+    rhs = [e["d_BL_rhs"] for e in report["entries"]]
+    assert all(a > b > 0.0 for a, b in zip(lhs, lhs[1:]))
+    assert all(a > b > 0.0 for a, b in zip(rhs, rhs[1:]))
+    assert all(math.isfinite(e["ratio"]) and math.isfinite(e["exponent_estimate"])
+               for e in report["entries"])
+    # d_BL of the generating measures is linear in t below 1e-4
+    assert lhs[3] / 1e-8 == pytest.approx(lhs[2] / 1e-6, rel=1e-6)
+
+
+def test_stability_harness_names_a_zero_distance_of_distinct_measures(monkeypatch):
+    base, family = contracting_family(3, [0.1])
+    monkeypatch.setattr(measure_metrics, "bl_distance", lambda sample, mu, nu: 0.0)
+    with pytest.raises(ValueError, match="t=0.1: a bounded-Lipschitz distance reads 0"):
+        stability_harness("area-measure", base, family, rho=0.02, upper=2.0)
+
+
 def test_stability_harness_rejects_measures_outside_class():
     base, family = contracting_family(3, [0.1])
     with pytest.raises(ValueError, match="lower bound"):
@@ -313,9 +410,8 @@ def test_grassmann_distances_merge_equal_subspaces(kind, monkeypatch):
     if kind == "grassmann":
         return
     # sphere atoms 1e-9 apart stay two support points (the merge cut is an
-    # angle of 1e-12), and their table distance is their angle atan(1e-9);
-    # the BL and Prohorov values are checked to be positive at 1e-5, since
-    # the BL solve returns 0 at 1e-7
+    # angle of 1e-12), their table distance is their angle atan(1e-9), and
+    # both distances of the two unit masses are positive at either gap
     u = mu.pair_atoms[0][0]
     side = np.roll(u, 1) - (np.roll(u, 1) @ u) * u
     tables = []
@@ -326,9 +422,9 @@ def test_grassmann_distances_merge_equal_subspaces(kind, monkeypatch):
         v = u + gap * side / np.linalg.norm(side)
         d_bl, d_p = sphere_distances(SphereMeasure.atoms(4, [(u, 1.0)]),
                                      SphereMeasure.atoms(4, [(v, 1.0)]))
+        assert d_bl > 0.0 and d_p > 0.0
     assert [t.size for t in tables] == [2, 2]
     assert tables[0].dist[0, 1] == pytest.approx(math.atan(1e-9), rel=1e-6)
-    assert d_bl > 0.0 and d_p > 0.0
 
 
 def test_distances_reject_measures_on_other_spaces():

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from flatproc import constants
-from flatproc.flat_geometry import (Subspace, orthonormalize,
+from flatproc import constants, zonoid_engine
+from flatproc.flat_geometry import (Subspace, complement_bases, haar_bases, orthonormalize,
                                     parallelepiped_volume, random_rotation)
 from flatproc.measures import SphereMeasure, integrate, t_lift
-from flatproc.zonoid_engine import (Zonotope, area_measure,
+from flatproc.zonoid_engine import (MERGE_TOL, Zonotope, _merge, area_measure,
                                     area_measure_total_mass, from_measure,
                                     intrinsic_volume, merge_grassmann_atoms,
                                     mu_Q_r, mu_Q_r_total_mass, support)
@@ -266,3 +266,56 @@ def test_merge_grassmann_atoms_sums_signed_weights():
     assert len(merged) == 2
     assert merged[0][0].same_span(Subspace(E[:2])) and merged[0][1] == 0.0
     assert merged[1][0].same_span(Subspace(E[1:])) and merged[1][1] == -0.4
+
+
+def merge_by_loop(projectors, tol):
+    """The atom merge as a plain loop, the reference for `_merge`: in input
+    order each projector joins the first representative within tol of it in
+    Frobenius norm, else it starts a class."""
+    reps, labels = [], np.empty(len(projectors), dtype=np.intp)
+    for i, p in enumerate(projectors):
+        hit = np.flatnonzero(np.linalg.norm(projectors[reps] - p, axis=(1, 2)) < tol)
+        if hit.size:
+            labels[i] = hit[0]
+        else:
+            labels[i] = len(reps)
+            reps.append(i)
+    return reps, labels
+
+
+def planted_projectors(n, k, count, rng, tol):
+    """Projectors of `count` Haar k-planes of R^n and, for each, turned copies
+    at Frobenius distance 0.5 tol (one class with it), 2 tol (a class of its
+    own) and a chain 0.6 tol, 1.2 tol (near the copy at 0.6 tol, not the
+    original), in shuffled order."""
+    bases = haar_bases(count, n, k, rng)
+    out = []
+    for b in bases:
+        w = complement_bases(b[None])[0, 0]
+        for d in (0.0, 0.5 * tol, 2.0 * tol, 0.6 * tol, 1.2 * tol):
+            theta = math.asin(d / math.sqrt(2.0))  # |P - P'| = sqrt(2) sin(theta)
+            turned = b.copy()
+            turned[0] = math.cos(theta) * b[0] + math.sin(theta) * w
+            out.append(turned.T @ turned)
+    return np.array(out)[rng.permutation(5 * count)]
+
+
+@pytest.mark.parametrize("block_rows", [1, 90, 400, zonoid_engine.BLOCK_ROWS])
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3)])
+def test_merge_matches_the_loop(n, k, block_rows, monkeypatch):
+    # the stack of 40 in blocks of 1, 2 and 10 rows, and in one block
+    monkeypatch.setattr(zonoid_engine, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(90 + n)
+    projectors = planted_projectors(n, k, 8, rng, MERGE_TOL)
+    reps, labels = _merge(projectors, MERGE_TOL)
+    ref_reps, ref_labels = merge_by_loop(projectors, MERGE_TOL)
+    assert reps == ref_reps and np.array_equal(labels, ref_labels)
+    assert 8 < len(reps) < 40  # the planted pairs give both outcomes
+
+
+def test_merge_of_empty_and_one_atom_input():
+    reps, labels = _merge(np.zeros((0, 3, 3)), MERGE_TOL)
+    assert reps == [] and labels.shape == (0,)
+    assert np.array_equal(np.bincount(labels, np.zeros(0), len(reps)), np.zeros(0))
+    reps, labels = _merge(np.eye(3)[None], MERGE_TOL)
+    assert reps == [0] and labels.tolist() == [0]
