@@ -31,3 +31,8 @@ def replication_stream(master_seed: int, index: int) -> np.random.Generator:
     the same plan see identical streams.
     """
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
+
+
+def derived_stream(gen: np.random.Generator) -> np.random.Generator:
+    """Independent stream seeded by gen's next draw (Generator.spawn needs numpy 1.25)."""
+    return np.random.default_rng(gen.integers(1 << 63))

@@ -1,10 +1,10 @@
 """Closed-form intensities, directional distributions, covariances, and
 limit constants of intersection and proximity processes.
 
-Discrete directional distributions are evaluated exactly; rotation-invariant
-ones use either the integrated-subspace-determinant constant c(n, r, s) or
-controlled Monte Carlo with a reported standard error.  Window cross-sections
-are exact: a radial form for balls, the covariogram for boxes and lines.
+Discrete directional distributions are summed exactly unless a custom direction
+set makes the integrand random; rotation-invariant ones use the constant
+c(n, r, s), else Monte Carlo over rows with a standard error (see _draws).
+Window cross-sections are exact: radial for balls, the covariogram for boxes and lines.
 """
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import constants
-from ._rng import SeedLike, as_generator
-from .flat_geometry import (Subspace, _in_blocks, complement_bases, gram_volumes, haar_bases,
-                            q_factors, row_norms)
+from ._rng import SeedLike, as_generator, derived_stream
+from .flat_geometry import (Subspace, _in_blocks, complement_bases, gram_volumes, q_factors,
+                            row_norms)
 from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
                        _mc_mean, check_samples, finite_positive, symmetrize_line_measure)
 from .zonoid_engine import mu_Q_r
@@ -109,20 +109,28 @@ def c_constant(n: int, r: int, s: int) -> float:
     return ratio * (kv(n - r) * kv(n - s)) / (kv(n) * kv(n - r - s))
 
 
-def _draws(qs, rows: int, gen: np.random.Generator) -> list[np.ndarray]:
-    """`rows` independent draws from each measure, one (rows, k, n) basis
-    stack each: one standard-normal draw whose row i holds draw i's isotropic
-    factors in order (their q_factors, as haar_bases), then one choice per atomic."""
-    z = gen.standard_normal((rows, sum(q.k for q in qs if q.is_isotropic), qs[0].n))
-    out, row = [], 0
-    for q in qs:
-        if q.is_isotropic:
-            out.append(q_factors(z[:, row:row + q.k]))
-            row += q.k
-        else:
-            (atoms,), weights = _atom_tuples([q])
-            out.append(atoms[gen.choice(len(weights), size=rows, p=weights / weights.sum())])
-    return out
+def _draws(qs, gen: np.random.Generator):
+    """Row sampler: draw(rows) gives the next rows, one (rows, k, n) basis stack
+    per measure of qs, and the atom indices of each atomic one (else None).
+    Row i of one normal draw of gen holds row i's isotropic factors (their
+    q_factors, as haar_bases); each atomic measure chooses from a stream of
+    its own, so blocks of any size give the same rows."""
+    streams = [None if q.is_isotropic else derived_stream(gen) for q in qs]
+
+    def draw(rows: int) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+        z = gen.standard_normal((rows, sum(q.k for q in qs if q.is_isotropic), qs[0].n))
+        bases, picks = [], []
+        for q, stream in zip(qs, streams):
+            if stream is None:
+                bases.append(q_factors(z[:, :q.k]))
+                z, pick = z[:, q.k:], None
+            else:
+                (atoms,), weights = _atom_tuples([q])
+                pick = stream.choice(len(weights), size=rows, p=weights / weights.sum())
+                bases.append(atoms[pick])
+            picks.append(pick)
+        return bases, picks
+    return draw
 
 
 def _atom_tuples(qs) -> tuple[list[np.ndarray], np.ndarray]:
@@ -135,14 +143,15 @@ def _atom_tuples(qs) -> tuple[list[np.ndarray], np.ndarray]:
 
 
 def _pair_integrand(l_bases: np.ndarray, m_bases: np.ndarray, direction_set: DirectionSet | None,
-                    gen: np.random.Generator, points: int) -> tuple[np.ndarray, np.ndarray]:
+                    gen: np.random.Generator | None) -> np.ndarray:
     """[L, M] sigma_{(L+M)-perp}(C intersect .) for each row of two basis
-    stacks (the bare [L, M] for direction_set None) and its standard error,
-    0 where [L, M] <= 1e-14; `points` as for subsphere_measures."""
+    stacks (the bare [L, M] for direction_set None), 0 where [L, M] <= 1e-14;
+    a custom set takes one point of gen on each kept row's sphere, as
+    subsphere_measures does."""
     joint = np.concatenate([l_bases, m_bases], axis=1)
     det = np.minimum(gram_volumes(joint), 1.0)
     keep = det > 1e-14
-    values, errors = np.where(keep, det, 0.0), np.zeros_like(det)
+    values = np.where(keep, det, 0.0)
     if direction_set is not None and direction_set.kind == "double_cap":
         # |P_{(L+M)-perp} axis| from the residual axis - J^T (J J^T)^-1 J axis
         j = joint[keep]
@@ -155,30 +164,26 @@ def _pair_integrand(l_bases: np.ndarray, m_bases: np.ndarray, direction_set: Dir
         d = joint.shape[2] - joint.shape[1]
         values *= constants.sphere_surface(d) if d >= 1 else 0.0
     elif direction_set is not None:
-        sig, sig_se = direction_set.subsphere_measures(complement_bases(joint[keep]), gen,
-                                                       points)
-        errors[keep] = values[keep] * sig_se
-        values[keep] *= sig
-    return values, errors
+        values[keep] *= direction_set.subsphere_measures(complement_bases(joint[keep]), gen)
+    return values
 
 
 def pair_integral(q1: GrassmannMeasure, q2: GrassmannMeasure,
-                  direction_set: DirectionSet | None = None,
-                  rng: SeedLike | None = None,
+                  direction_set: DirectionSet | None = None, rng: SeedLike | None = None,
                   samples: int = DEFAULT_MC_SAMPLES) -> tuple[float, float]:
     """Double integral of [L, M] (times a direction-set factor) over Q1 x Q2.
 
     With direction_set None the integrand is the bare subspace determinant;
     otherwise it is [L, M] * sigma_{(L+M)-perp}(C intersect (L+M)-perp).
-    Atom pairs are summed exactly; Haar components with no direction factor
-    (or a full-sphere factor) use c(n, k1, k2); everything else is Monte
-    Carlo with a standard error, BLOCK_ROWS draws at a time.  Custom sets
-    take 20,000 points on each atom pair's sphere, one on each draw's; a
-    block then holds max(1, BLOCK_ROWS // points) atom pairs.
+    Haar components with no direction factor (or a full-sphere factor) use
+    c(n, k1, k2); atom pairs with no custom set are summed exactly.  Else
+    Monte Carlo with a standard error over `samples` rows (BLOCK_ROWS at a
+    time), each row one draw of L, of M and, for a custom set, of a point on
+    the sphere of (L+M)-perp, from a stream of its own.
     """
     n = q1.n
-    if q2.n != n:
-        raise ValueError("measures must share the ambient dimension")
+    if q2.n != n or direction_set is not None and direction_set.n != n:
+        raise ValueError("measures and direction set must share the ambient dimension")
     samples = check_samples(samples)
     isotropic = q1.is_isotropic or q2.is_isotropic
     if isotropic and (direction_set is None or direction_set.kind == "full"):
@@ -187,17 +192,17 @@ def pair_integral(q1: GrassmannMeasure, q2: GrassmannMeasure,
             value *= constants.sphere_surface(n - q1.k - q2.k)
         return value, 0.0
 
-    gen = as_generator(rng if rng is not None else 0x1507)
-    if isotropic:
-        values, _ = _in_blocks(lambda block: _pair_integrand(
-            *_draws([q1, q2], block.shape[0], gen), direction_set, gen, 1), samples)
-        return _mc_mean(values, q1.total_mass * q2.total_mass, ddof=0)
+    custom = direction_set is not None and direction_set.kind == "custom"
+    if not isotropic and not (custom and q1.atoms and q2.atoms):  # zero measures have no draws
+        (l_atoms, m_atoms), weights = _atom_tuples([q1, q2])
+        values, = _in_blocks(lambda block: (_pair_integrand(
+            l_atoms[block], m_atoms[block], direction_set, None),), len(weights))
+        return float(weights @ values), 0.0
 
-    (l_atoms, m_atoms), weights = _atom_tuples([q1, q2])
-    points = 20_000 if direction_set is not None and direction_set.kind == "custom" else 1
-    values, errors = _in_blocks(lambda block: _pair_integrand(
-        l_atoms[block], m_atoms[block], direction_set, gen, points), len(weights), points)
-    return float(weights @ values), float(np.linalg.norm(weights * errors))
+    gen = as_generator(rng if rng is not None else 0x1507)
+    draw, points = _draws([q1, q2], gen), derived_stream(gen) if custom else None
+    return _mc_mean(lambda rows: _pair_integrand(*draw(rows)[0], direction_set, points),
+                    samples, q1.total_mass * q2.total_mass)
 
 
 def proximity_intensity(n: int, k: int, gamma: float, q: GrassmannMeasure,
@@ -237,12 +242,12 @@ def proximity_directional(n: int, k: int, q: GrassmannMeasure,
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("requires 2k < n and k >= 1")
+    num, se = pair_integral(q, q, direction_set, rng=rng, samples=samples)  # checks the set
     denom, _ = pair_integral(q, q)
     if denom <= 0:
         raise ValueError("degenerate directional distribution")
     if direction_set.kind == "full":
         return 1.0, 0.0
-    num, se = pair_integral(q, q, direction_set, rng=rng, samples=samples)
     omega = constants.sphere_surface(n - 2 * k)
     return num / (omega * denom), se / (omega * denom)
 
@@ -295,7 +300,7 @@ def intersection_density(n: int, dims, intensities, qs, g=None,
     prefactor = float(np.prod(intensities))
     if same_process:
         prefactor /= math.factorial(r)
-    if prefactor == 0.0:
+    if prefactor == 0.0 or not all(q.total_mass for q in qs):  # zero measures have no draws
         return 0.0, 0.0
 
     if all(not q.is_isotropic for q in qs):
@@ -304,10 +309,9 @@ def intersection_density(n: int, dims, intensities, qs, g=None,
                              len(weights))
         return prefactor * float(weights @ values), 0.0
 
-    gen = as_generator(rng if rng is not None else 0x1507)
-    values, = _in_blocks(lambda block: (_tuple_integrand(_draws(qs, block.shape[0], gen), g),),
-                         samples)
-    return _mc_mean(values, prefactor * float(np.prod([q.total_mass for q in qs])), ddof=1)
+    draw = _draws(qs, as_generator(rng if rng is not None else 0x1507))
+    return _mc_mean(lambda rows: _tuple_integrand(draw(rows)[0], g), samples,
+                    prefactor * float(np.prod([q.total_mass for q in qs])))
 
 
 def _tuple_integrand(bases: list[np.ndarray], g=None) -> np.ndarray:
@@ -380,32 +384,27 @@ def proximity_length_interval(n: int, k: int, gamma: float, q: GrassmannMeasure,
     return factor * integral, factor * se
 
 
-def _b_factors(q: GrassmannMeasure, outer: np.ndarray, direction_set: DirectionSet,
-               gen: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inner covariance integrand b(M; C), the integral over L of [L, M]
-    sigma_{(L+M)-perp}(C intersect .) dQ(L), and its standard error for each M
-    of an (m, k, n) basis stack: omega_{n-2k} c(n, k, k) for isotropic q and
-    the full sphere; else one _pair_integrand call per block of (M x L) rows,
-    L the atoms of q or `samples` Haar draws per M, summed per M with L's
-    weights.  A custom set takes 20,000 points on each atom's sphere, one on
-    each draw's, and a block max(1, BLOCK_ROWS // points) rows."""
-    m = outer.shape[0]
+def _b_factors(q: GrassmannMeasure, direction_set: DirectionSet, gen: np.random.Generator):
+    """Inner covariance integrand b(M; C) = integral of [L, M]
+    sigma_{(L+M)-perp}(C intersect .) dQ(L), as b(m, picks, l) on rows of M
+    bases, M's atom indices and one draw L from q each: omega_{n-2k} c(n, k, k)
+    |Q| for isotropic q and the full sphere, exact over the atoms for atomic q
+    and an analytic set, else the one-draw estimate |Q| [L, M] sigma."""
     if q.is_isotropic and direction_set.kind == "full":
-        return np.full(m, constants.sphere_surface(q.n - 2 * q.k) * q.total_mass
-                       * c_constant(q.n, q.k, q.k)), np.zeros(m)
-    inner, weights = (None, np.full(samples, q.total_mass / samples)) if q.is_isotropic \
-        else _atom_tuples([q])
-    points = 20_000 if inner is not None and direction_set.kind == "custom" else 1
+        b = constants.sphere_surface(q.n - 2 * q.k) * q.total_mass * c_constant(q.n, q.k, q.k)
+        return lambda m, picks, l: b
+    if not q.is_isotropic and direction_set.kind != "custom":
+        (atoms,), weights = _atom_tuples([q])
 
-    def block(rows):
-        o, i = np.divmod(rows, weights.shape[0])
-        l_bases = haar_bases(rows.shape[0], q.n, q.k, gen) if inner is None else inner[0][i]
-        values, errors = _pair_integrand(l_bases, outer[o], direction_set, gen, points)
-        return (np.bincount(o, weights[i] * values, minlength=m)[None],
-                np.bincount(o, (weights[i] * errors) ** 2, minlength=m)[None])
+        def block(rows):  # rows of (M, L) atom pairs, summed per M with L's weights
+            o, i = np.divmod(rows, len(weights))
+            values = _pair_integrand(atoms[i], atoms[o], direction_set, None)
+            return (np.bincount(o, weights[i] * values, minlength=len(weights))[None],)
 
-    sums, variances = _in_blocks(block, m * weights.shape[0], points)
-    return sums.sum(axis=0), np.sqrt(variances.sum(axis=0))
+        exact = _in_blocks(block, len(weights) ** 2)[0].sum(axis=0)
+        return lambda m, picks, l: exact[picks]
+    points = derived_stream(gen) if direction_set.kind == "custom" else None
+    return lambda m, picks, l: q.total_mass * _pair_integrand(l, m, direction_set, points)
 
 
 def ball_cross_section_integral(n: int, k: int, radius: float) -> float:
@@ -448,11 +447,9 @@ def cross_section_integral(n: int, k: int, window: WindowDescriptor, m_sub: Subs
     return float(cross_sections(n, k, window, m_sub.basis[None])[0])
 
 
-def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure,
-                          delta: float, alpha_i: float, alpha_j: float,
-                          window: WindowDescriptor,
-                          c_i: DirectionSet | None = None,
-                          c_j: DirectionSet | None = None,
+def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure, delta: float,
+                          alpha_i: float, alpha_j: float, window: WindowDescriptor,
+                          c_i: DirectionSet | None = None, c_j: DirectionSet | None = None,
                           rng: SeedLike | None = None,
                           samples: int = DEFAULT_MC_SAMPLES) -> tuple[float, float]:
     """Asymptotic covariance sigma_ij of the normalized functionals.
@@ -460,37 +457,38 @@ def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure,
     sigma_ij = gamma^3 delta^{2(n-2k)+alpha_i+alpha_j} /
     ((n-2k+alpha_i)(n-2k+alpha_j)) * I(A; C_i, C_j) with
     I = integral over M of b(M; C_i) b(M; C_j) * cross-section integral.
-    Fully closed for isotropic distributions with full-sphere direction sets
-    over ball windows.  Otherwise M runs over the atoms of q, or over
-    max(64, samples // 1000) Haar draws (Monte Carlo with a standard error),
-    with exact cross-sections, and b(M; C_i) and b(M; C_j) from independent
-    inner draws, so that their product stays unbiased.
+    Closed for isotropic q with full-sphere sets over a ball, exact over the
+    atoms for atomic q with analytic sets.  Else Monte Carlo with a standard
+    error over `samples` rows: a row draws M, L_i and L_j from q and reads
+    b(M; C_i) b(M; C_j) (_b_factors, each from its own L) times M's exact
+    cross-section, so the product stays unbiased.
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("requires 2k < n and k >= 1")
     samples = check_samples(samples)
     cross_sections(n, k, window, np.empty((0, k, n)))  # a bad box fails before any draw
     c_i, c_j = c_i or DirectionSet.full_sphere(n), c_j or DirectionSet.full_sphere(n)
+    if c_i.n != n or c_j.n != n:
+        raise ValueError("measures and direction set must share the ambient dimension")
     pref = gamma ** 3 * delta ** (2 * (n - 2 * k) + alpha_i + alpha_j) \
         / ((n - 2 * k + alpha_i) * (n - 2 * k + alpha_j))
     gen = as_generator(rng if rng is not None else 0xC0F)
+    b_i, b_j = [_b_factors(q, c, gen) for c in (c_i, c_j)]
 
     if q.is_isotropic and c_i.kind == c_j.kind == "full" and window.shape == "ball":
-        b_iso = float(_b_factors(q, np.empty((1, k, n)), c_i, gen, samples)[0][0])
+        b_iso = b_i(None, None, None)
         return pref * b_iso * b_iso * ball_cross_section_integral(
             n, k, window.radius * window.scale), 0.0
 
-    if q.is_isotropic:
-        outer = haar_bases(max(64, samples // 1000), n, k, gen)
-    else:
-        (outer,), weights = _atom_tuples([q])
-    cross = cross_sections(n, k, window, outer)
-    (b_i, b_i_se), (b_j, b_j_se) = (_b_factors(q, outer, c, gen, samples) for c in (c_i, c_j))
-    values = b_i * b_j * cross
-    if q.is_isotropic:
-        return _mc_mean(values, pref * q.total_mass, ddof=1)
-    errors = np.hypot(b_i_se * b_j, b_i * b_j_se) * cross
-    return pref * float(weights @ values), pref * float(np.linalg.norm(weights * errors))
+    def rows(bases, picks):  # bases (M, L_i, L_j), picks[0] M's atom indices
+        return b_i(bases[0], picks[0], bases[1]) * b_j(bases[0], picks[0], bases[2]) \
+            * cross_sections(n, k, window, bases[0])
+
+    if not q.is_isotropic and ("custom" not in (c_i.kind, c_j.kind) or not q.atoms):
+        (atoms,), weights = _atom_tuples([q])
+        return pref * float(weights @ rows([atoms] * 3, [np.arange(len(weights))])), 0.0
+    draw = _draws([q, q, q], gen)
+    return _mc_mean(lambda count: rows(*draw(count)), samples, pref * q.total_mass)
 
 
 def ball_chord_power_integral(n: int, radius: float, power: float) -> float:

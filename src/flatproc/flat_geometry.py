@@ -63,8 +63,8 @@ def canonical_unit(u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     norm = float(np.linalg.norm(u))
-    if norm < 1e-12:
-        raise ValueError("cannot canonicalize a near-zero vector")
+    if not 1e-12 <= norm < np.inf:  # NaN fails too
+        raise ValueError(f"cannot canonicalize a near-zero or non-finite vector, got {u}")
     return canonical_units((u / norm)[None])[0]
 
 
@@ -453,13 +453,11 @@ def intersect_flats(flats) -> Flat:
     return _intersection_flat(flats)
 
 
-def _in_blocks(solve, count: int, points: int = 1) -> tuple[np.ndarray, ...]:
-    """solve(block) over consecutive blocks of the row indices 0, ..., count - 1
-    (one empty block for none), its output arrays concatenated; a block has
-    max(1, BLOCK_ROWS // points) rows, for rows of `points` sphere points."""
-    rows = max(1, BLOCK_ROWS // points)
-    parts = [solve(np.arange(start, min(start + rows, count)))
-             for start in range(0, max(count, 1), rows)]
+def _in_blocks(solve, count: int) -> tuple[np.ndarray, ...]:
+    """solve(block) over consecutive blocks of BLOCK_ROWS of the row indices
+    0, ..., count - 1 (one empty block for none), its output arrays concatenated."""
+    parts = [solve(np.arange(start, min(start + BLOCK_ROWS, count)))
+             for start in range(0, max(count, 1), BLOCK_ROWS)]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

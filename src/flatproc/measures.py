@@ -34,10 +34,12 @@ def check_samples(samples: int) -> int:
     return int(samples)
 
 
-def _mc_mean(values: np.ndarray, mass: float, ddof: int) -> tuple[float, float]:
-    """mass times the mean of Monte-Carlo values, and its standard error."""
+def _mc_mean(rows, samples: int, mass: float) -> tuple[float, float]:
+    """mass times the mean of `samples` Monte-Carlo row values, and its standard
+    error; rows(count) gives the next count values, BLOCK_ROWS at a time."""
+    values, = _in_blocks(lambda block: (np.asarray(rows(block.shape[0])),), samples)
     return (mass * float(values.mean()),
-            mass * float(values.std(ddof=ddof) / math.sqrt(values.shape[0])))
+            mass * float(values.std(ddof=1) / math.sqrt(values.shape[0])))
 
 
 @dataclass(frozen=True)
@@ -219,9 +221,10 @@ class DirectionSet:
         if self.kind not in ("full", "double_cap", "custom"):
             raise ValueError(f"unknown direction-set kind {self.kind!r}")
         if self.kind == "double_cap":
-            if self.axis is None or self.threshold is None:
-                raise ValueError("double cap needs an axis and a threshold")
-            axis = canonical_unit(self.axis)
+            if self.threshold is None or not math.isfinite(self.threshold) \
+                    or np.shape(self.axis) != (self.n,):
+                raise ValueError(f"double cap needs an axis in R^{self.n} and a finite threshold")
+            axis = canonical_unit(self.axis)  # a zero or non-finite axis raises
             axis.flags.writeable = False
             object.__setattr__(self, "axis", axis)
         if self.kind == "custom":
@@ -253,32 +256,23 @@ class DirectionSet:
             return np.abs(units @ self.axis) >= self.threshold
         return np.asarray(self.predicate(units), dtype=bool)
 
-    def subsphere_measures(self, bases: np.ndarray, rng: SeedLike | None = None,
-                           samples: int = 20_000) -> tuple[np.ndarray, np.ndarray]:
+    def subsphere_measures(self, bases: np.ndarray, rng: SeedLike | None = None) -> np.ndarray:
         """sigma_U(C intersect S_U) for each U of an (m, d, n) stack of
-        orthonormal bases; (values, standard errors), arrays of m.
-
-        Full sphere and double caps are analytic (errors 0).  Custom sets take
-        `samples` uniform points on each S_U, row after row; with one point a
-        row the errors are 0, and an average over the rows carries the noise.
+        orthonormal bases, exact for the full sphere and double caps.  A custom
+        set gives each row the one-point estimate omega_d 1{x in C}, x uniform
+        on S_U, drawn from rng in row order; averages over rows carry the noise.
         """
         m, d, n = bases.shape
         if d < 1:
-            return np.zeros(m), np.zeros(m)
+            return np.zeros(m)
         omega = constants.sphere_surface(d)
         if self.kind == "full":
-            return np.full(m, omega), np.zeros(m)
+            return np.full(m, omega)
         if self.kind == "double_cap":
-            return self.double_cap_measures(np.linalg.norm(bases @ self.axis, axis=1), d), \
-                np.zeros(m)
+            return self.double_cap_measures(np.linalg.norm(bases @ self.axis, axis=1), d)
         gen = as_generator(rng if rng is not None else 0xCA9)
-        # point p lies on the sphere of row p // samples
-        hit, = _in_blocks(lambda p: (self.contains(np.einsum(
-            "pd,pdn->pn", haar_bases(p.shape[0], d, 1, gen)[:, 0], bases[p // samples])),),
-            m * samples)
-        hit = hit.reshape(m, samples)
-        errors = hit.std(axis=1, ddof=1) / math.sqrt(samples) if samples > 1 else np.zeros(m)
-        return omega * hit.mean(axis=1), omega * errors
+        points = np.einsum("pd,pdn->pn", haar_bases(m, d, 1, gen)[:, 0], bases)
+        return omega * self.contains(points)
 
     def double_cap_measures(self, alpha: np.ndarray, d: int) -> np.ndarray:
         """sigma_U(C intersect S_U) of a double cap for d-dimensional U, given
@@ -290,9 +284,16 @@ class DirectionSet:
 
     def subsphere_measure(self, sub: Subspace, rng: SeedLike | None = None,
                           samples: int = 20_000) -> tuple[float, float]:
-        """sigma_U(C intersect S_U) for U = sub; (value, standard error)."""
-        values, errors = self.subsphere_measures(sub.basis[None], rng, check_samples(samples))
-        return float(values[0]), float(errors[0])
+        """sigma_U(C intersect S_U) for U = sub; (value, standard error).  Exact
+        for the full sphere and double caps; a custom set averages `samples`
+        one-point rows of subsphere_measures, BLOCK_ROWS at a time."""
+        samples = check_samples(samples)
+        if self.kind != "custom":
+            return float(self.subsphere_measures(sub.basis[None])[0]), 0.0
+        gen = as_generator(rng if rng is not None else 0xCA9)
+        omega = constants.sphere_surface(sub.k)  # omega times the mean 0/1 hit, exact in the count
+        return _mc_mean(lambda rows: self.subsphere_measures(np.broadcast_to(
+            sub.basis, (rows,) + sub.basis.shape), gen) / omega, samples, omega)
 
 
 def symmetrize_line_measure(q: GrassmannMeasure) -> SphereMeasure:
@@ -341,10 +342,8 @@ def integrate(measure, f, rng: SeedLike | None = None,
         if measure.atoms is not None:
             return float(sum(w * f(sub) for sub, w in measure.atoms)), 0.0
         gen = as_generator(rng if rng is not None else 0xF1A7)
-        values, = _in_blocks(lambda block: (np.array(
-            [f(Subspace(b)) for b in haar_bases(block.shape[0], measure.n, measure.k, gen)]),),
-            samples)
-        return _mc_mean(values, measure.isotropic_mass, ddof=1)
+        return _mc_mean(lambda rows: [f(Subspace(b)) for b in haar_bases(
+            rows, measure.n, measure.k, gen)], samples, measure.isotropic_mass)
 
     if not isinstance(measure, SphereMeasure):
         raise TypeError("integrate expects a GrassmannMeasure or SphereMeasure")
@@ -357,17 +356,16 @@ def integrate(measure, f, rng: SeedLike | None = None,
         return float(weights @ vals), 0.0
     gen = as_generator(rng if rng is not None else 0xF1A7)
     if measure.uniform_mass is not None:
-        return _mc_mean(np.asarray(f(haar_bases(samples, measure.n, 1, gen)[:, 0])),
-                        measure.uniform_mass, ddof=1)
+        return _mc_mean(lambda rows: f(haar_bases(rows, measure.n, 1, gen)[:, 0]), samples,
+                        measure.uniform_mass)
     total, var = 0.0, 0.0
     for sub, w in measure.subspheres:
         if sub.k == 1:
             # S_U is the two-point set; sigma_U is counting measure
-            u = sub.basis
-            total += w * float(np.asarray(f(u))[0] + np.asarray(f(-u))[0])
+            total += w * float(np.asarray(f(sub.basis))[0] + np.asarray(f(-sub.basis))[0])
             continue
-        value, se = _mc_mean(np.asarray(f(haar_bases(samples, sub.k, 1, gen)[:, 0] @ sub.basis)),
-                             w * constants.sphere_surface(sub.k), ddof=1)
+        value, se = _mc_mean(lambda rows: f(haar_bases(rows, sub.k, 1, gen)[:, 0] @ sub.basis),
+                             samples, w * constants.sphere_surface(sub.k))
         total, var = total + value, var + se * se
     return total, math.sqrt(var)
 

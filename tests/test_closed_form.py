@@ -366,9 +366,7 @@ def test_b_factor_isotropic_full():
     from flatproc.closed_form import _b_factors
 
     iso = GrassmannMeasure.isotropic(3, 1, 1.0)
-    values, errors = _b_factors(iso, np.empty((1, 1, 3)), DirectionSet.full_sphere(3), None, 2)
-    (value,), (se,) = values, errors
-    assert se == 0.0
+    value = _b_factors(iso, DirectionSet.full_sphere(3), None)(np.empty((1, 1, 3)), None, None)
     assert value == pytest.approx(math.pi / 2.0, abs=1e-14)
 
 
@@ -401,7 +399,7 @@ def test_box_windows_reject_a_wrong_side_count_or_k(call, monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("drew Monte-Carlo samples before checking the box")
 
-    monkeypatch.setattr(closed_form, "haar_bases", no_draws)
+    monkeypatch.setattr(closed_form, "_draws", no_draws)
     monkeypatch.setattr(closed_form, "_pair_integrand", no_draws)
     flat_box = WindowDescriptor.box((1.0, 2.0))
     iso = GrassmannMeasure.isotropic(3, 1, 1.0)
@@ -536,8 +534,7 @@ def test_stacked_pair_integrand_matches_scalar_reference():
             DirectionSet.double_cap(eye[0], t) for t in (0.0, 1e-16, 0.4, 0.8, 1.5)]
         sets.append(DirectionSet.double_cap(rng.standard_normal(n), 0.3))
         for dset in sets:
-            values, errors = _pair_integrand(l_bases, m_bases, dset, None, 1)
-            assert not errors.any()
+            values = _pair_integrand(l_bases, m_bases, dset, None)
             for lb, mb, value in zip(l_bases, m_bases, values):
                 subs = [Subspace(lb), Subspace(mb)]
                 ref = subspace_determinant(subs)
@@ -550,7 +547,7 @@ def test_stacked_pair_integrand_matches_scalar_reference():
         det = subspace_determinant([Subspace(l_bases[1]), Subspace(m_bases[1])])
         for t in (0.0, 1e-16, 0.5):
             value = _pair_integrand(l_bases[1:2], m_bases[1:2],
-                                    DirectionSet.double_cap(eye[0], t), None, 1)[0][0]
+                                    DirectionSet.double_cap(eye[0], t), None)[0]
             assert value == (det * constants.sphere_surface(n - k1 - k2) if t == 0.0 else 0.0)
 
 
@@ -578,22 +575,33 @@ def test_stacked_tuple_integrand_matches_subspace_determinant():
 
 
 def test_small_blocks_match_unblocked(monkeypatch):
-    # many blocks of 7 draws, the last one partial: the isotropic draws form
-    # one stream, so the estimates do not depend on the block size
+    # many blocks of 7 rows, the last one partial: the isotropic draws form
+    # one stream, and each atomic factor's choices and each custom set's
+    # sphere points one stream of their own, each read in row order, so the
+    # estimates do not depend on the block size
     import flatproc.flat_geometry as flat_geometry
     from flatproc.flat_geometry import subspace_determinant
     from flatproc.measures import integrate
 
     iso52, iso32 = GrassmannMeasure.isotropic(5, 2, 1.0), GrassmannMeasure.isotropic(3, 2, 1.0)
+    iso31 = GrassmannMeasure.isotropic(3, 1, 1.0)
     cap = DirectionSet.double_cap(np.eye(5)[0], 0.5)
     custom = DirectionSet.custom(3, lambda u: np.abs(u[:, 2]) >= 0.4)
     e0 = Subspace(np.eye(5)[:3])
     planes = GrassmannMeasure.discrete([(Subspace(E[:2]), 0.5), (Subspace(E[[0, 2]]), 0.5),
                                         (Subspace(E[1:]), 1.0)])
+    two_planes = GrassmannMeasure.discrete([(Subspace(E[:2]), 0.5), (Subspace(E[[0, 2]]), 0.5)])
     calls = [
         lambda: pair_integral(iso52, iso52, cap, rng=62, samples=53),
         lambda: pair_integral(axes_lines(), random_line_measure(3, 4, np.random.default_rng(1)),
-                              custom, rng=62),
+                              custom, rng=62, samples=53),
+        lambda: pair_integral(iso31, iso31, custom, rng=5, samples=53),
+        lambda: pair_integral(iso31, axes_lines(), DirectionSet.double_cap(E[2], 0.4), rng=5,
+                              samples=53),
+        lambda: intersection_density(3, [2, 2], [1.0, 1.0], [iso32, two_planes], rng=5,
+                                     samples=53),
+        lambda: asymptotic_covariance(3, 1, 1.0, iso31, 1.0, 0.0, 0.0, WindowDescriptor.ball(1.0),
+                                      custom, custom, rng=5, samples=53),
         lambda: intersection_density(3, [2, 2], [1.0, 1.0], [iso32, iso32], same_process=True,
                                      rng=63, samples=53),
         lambda: intersection_density(3, [2, 2, 2], [1.0, 1.0, 1.0], [planes] * 3,
@@ -623,15 +631,81 @@ def test_pair_integral_custom_set_matches_double_cap():
 
 def test_asymptotic_covariance_threshold_zero_cap_matches_closed_form():
     # a threshold-0 double cap is the whole sphere, but takes the Monte-Carlo
-    # route: outer Haar draws of M, two independent inner pair integrals each
+    # route: rows of one Haar draw each of M, L_i and L_j
     iso = GrassmannMeasure.isotropic(3, 1, 1.0)
     ball = WindowDescriptor.ball(1.0)
     cap = DirectionSet.double_cap(E[2], 0.0)
     closed, _ = asymptotic_covariance(3, 1, 1.0, iso, 1.0, 0.0, 0.0, ball)
     value, se = asymptotic_covariance(3, 1, 1.0, iso, 1.0, 0.0, 0.0, ball, cap, cap,
-                                      rng=67, samples=5_000)
+                                      rng=67, samples=400_000)
     assert se > 0.0
     assert abs(value - closed) < 3.0 * se
+
+
+@pytest.mark.parametrize("law", ["atomic", "isotropic"])
+@pytest.mark.parametrize("sets", ["custom-custom", "cap-custom"])
+def test_asymptotic_covariance_custom_set_matches_double_cap(law, sets):
+    # a custom set equal to a double cap takes one sphere point per row; the
+    # cap's covariance is exact for atomic q and Monte Carlo for isotropic q
+    q = random_line_measure(4, 4, np.random.default_rng(78)) if law == "atomic" \
+        else GrassmannMeasure.isotropic(4, 1, 1.0)
+    axis = np.eye(4)[3]
+    cap = DirectionSet.double_cap(axis, 0.5)
+    custom = DirectionSet.custom(4, lambda u: np.abs(u @ axis) >= 0.5)
+    box = WindowDescriptor.box((1.0, 2.0, 0.5, 1.5))
+    exact, exact_se = asymptotic_covariance(4, 1, 1.0, q, 1.0, 0.0, 1.0, box, cap, cap,
+                                            rng=79, samples=20_000)
+    c_i = custom if sets == "custom-custom" else cap
+    approx, approx_se = asymptotic_covariance(4, 1, 1.0, q, 1.0, 0.0, 1.0, box, c_i, custom,
+                                              rng=80, samples=20_000)
+    assert (exact_se == 0.0) == (law == "atomic")
+    assert approx_se > 0.0
+    assert abs(approx - exact) < 3.0 * math.hypot(exact_se, approx_se)
+
+
+@pytest.mark.parametrize("law", ["atomic", "isotropic"])
+@pytest.mark.parametrize("kind", ["full", "double_cap", "custom"])
+@pytest.mark.parametrize("entry", ["pair_integral", "asymptotic_covariance", "mean_F_alpha",
+                                   "proximity_directional"])
+def test_direction_set_must_share_the_measures_dimension(entry, kind, law, monkeypatch):
+    import flatproc.closed_form as closed_form
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew Monte-Carlo samples before checking the direction set")
+
+    monkeypatch.setattr(closed_form, "_draws", no_draws)
+    monkeypatch.setattr(closed_form, "_pair_integrand", no_draws)
+    q = axes_lines() if law == "atomic" else GrassmannMeasure.isotropic(3, 1, 1.0)
+    dset = {"full": DirectionSet.full_sphere(4),
+            "double_cap": DirectionSet.double_cap(np.eye(4)[2], 0.5),
+            "custom": DirectionSet.custom(4, lambda u: np.abs(u[:, 2]) >= 0.5)}[kind]
+    calls = {
+        "pair_integral": lambda: pair_integral(q, q, dset),
+        "asymptotic_covariance": lambda: asymptotic_covariance(
+            3, 1, 1.0, q, 1.0, 0.0, 0.0, WindowDescriptor.ball(1.0), None, dset),
+        "mean_F_alpha": lambda: mean_F_alpha(3, 1, 1.0, q, 1.0, 0.0,
+                                             WindowDescriptor.ball(1.0), dset),
+        "proximity_directional": lambda: proximity_directional(3, 1, q, dset),
+    }
+    with pytest.raises(ValueError, match="measures and direction set must share the ambient"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("entry", ["pair_integral", "intersection_density",
+                                   "asymptotic_covariance"])
+def test_zero_measures_give_zero(entry):
+    # a zero measure (no atoms) has nothing to draw from: every estimate is 0
+    zero_lines, zero_planes = GrassmannMeasure.zero(3, 1), GrassmannMeasure.zero(3, 2)
+    custom = DirectionSet.custom(3, lambda u: np.abs(u[:, 2]) >= 0.4)
+    calls = {
+        "pair_integral": lambda: pair_integral(zero_lines, zero_lines, custom, rng=1),
+        "intersection_density": lambda: intersection_density(
+            3, [2, 2], [1.0, 1.0], [GrassmannMeasure.isotropic(3, 2, 1.0), zero_planes], rng=1),
+        "asymptotic_covariance": lambda: asymptotic_covariance(
+            3, 1, 1.0, zero_lines, 1.0, 0.0, 0.0, WindowDescriptor.ball(1.0), None, custom,
+            rng=1),
+    }
+    assert calls[entry]() == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("samples", [0, 1, -5, 2.5, True])
@@ -659,18 +733,18 @@ def test_monte_carlo_entry_points_reject_too_few_samples(entry, samples):
 
 
 def test_custom_set_blocks_bound_sphere_points(monkeypatch):
-    # pair_integral's atom pairs and _b_factors' atomic (M x L) rows take
-    # 20,000 sphere points each: a block holds max(1, BLOCK_ROWS // 20,000)
-    # rows, so no subsphere_measures call gets more than that many points,
-    # and the values equal those of one block of all rows bit for bit
+    # pair_integral's rows and asymptotic_covariance's rows take one sphere
+    # point each for a custom set: a block holds BLOCK_ROWS rows, so no
+    # subsphere_measures call gets more than BLOCK_ROWS points, and the values
+    # equal those of one block of all rows bit for bit
     q = random_line_measure(5, 5, np.random.default_rng(73))
     axis = np.eye(5)[4]
     custom = DirectionSet.custom(5, lambda u: np.abs(u @ axis) >= 0.5)
     points = []
     measures = DirectionSet.subsphere_measures
     monkeypatch.setattr(DirectionSet, "subsphere_measures",
-                        lambda self, bases, rng=None, samples=20_000: points.append(
-                            bases.shape[0] * samples) or measures(self, bases, rng, samples))
+                        lambda self, bases, rng=None: points.append(
+                            bases.shape[0]) or measures(self, bases, rng))
 
     def values():
         return (pair_integral(q, q, custom, rng=74),
@@ -678,9 +752,7 @@ def test_custom_set_blocks_bound_sphere_points(monkeypatch):
                                       custom, custom, rng=75, samples=2000))
 
     bounded = values()
-    assert 0 < max(points) <= max(flat_geometry.BLOCK_ROWS, 20_000)
+    assert 0 < max(points) <= flat_geometry.BLOCK_ROWS
     assert bounded[0][1] > 0.0  # the sphere draws carry noise
-    points.clear()
     monkeypatch.setattr(flat_geometry, "BLOCK_ROWS", 1 << 40)
     assert values() == bounded
-    assert max(points) == 20 * 20_000  # the 20 pairs of distinct atoms, in one call

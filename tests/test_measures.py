@@ -182,6 +182,18 @@ def test_direction_set_double_cap_and_evenness():
         DirectionSet.custom(3, lambda u: u[:, 0] > 0.0)
 
 
+@pytest.mark.parametrize("n, axis, threshold, message", [
+    (3, E[2], math.nan, "finite threshold"), (3, E[2], math.inf, "finite threshold"),
+    (3, E[2], -math.inf, "finite threshold"), (3, E[:1], 0.5, r"an axis in R\^3"),
+    (4, E[2], 0.5, r"an axis in R\^4"),
+    (3, np.array([math.nan, 0.0, 1.0]), 0.5, "non-finite vector"),
+    (3, np.array([0.0, math.inf, 1.0]), 0.5, "non-finite vector"),
+    (3, np.array([math.nan] * 3), 0.5, "non-finite vector")])
+def test_double_cap_rejects_bad_axis_or_threshold(n, axis, threshold, message):
+    with pytest.raises(ValueError, match=message):
+        DirectionSet(n=n, kind="double_cap", axis=axis, threshold=threshold)
+
+
 def test_direction_set_subsphere_measure_analytic():
     cap = DirectionSet.double_cap(E[2], 0.5)
     full = DirectionSet.full_sphere(3)

@@ -1,4 +1,4 @@
-"""Digests of the metric and zonoid engines' outputs on a fixed case set.
+"""Digests of the metric, zonoid and closed-form outputs on a fixed case set.
 
 Prints one line per case, `<case> <sha256>`, as `proximity_digest.py` does,
 and exits 0.  A case whose call raises prints `<case> raised-<Exception>-<h>`
@@ -12,7 +12,7 @@ flatproc from its own `src`):
     (cd ../parent && python tools/metric_digest.py) > old.txt
     diff old.txt new.txt
 
-The 349 cases:
+The 451 cases:
 - 272 distances: `bl_distance` and `prohorov_distance` on seeded supports of
   m = 2..18 points (the sphere-quotient table of random units in R^3),
   scaled by 1, 1e-4, 1e-8 and 1e-12, with probability weights and with
@@ -25,6 +25,16 @@ The 349 cases:
 - 15 stability reports: the entries of `stability_harness` for each case on
   the `flatproc stability` family (seed 0) at its default t values, at four
   t in [1e-4, 1e-2], and at t = 1e-6, 1e-8 and 1e-9 alone.
+- 102 closed-form outputs: the value and the standard error, as separate
+  cases, of 51 fixed-seed calls at 2,000 samples.  `pair_integral` on
+  isotropic, atomic and mixed line measures in R^4, each with no set, the
+  full sphere, a double cap and a custom set equal to the cap;
+  `asymptotic_covariance` on isotropic and atomic q with those sets and a
+  cap-custom pair, over a ball and a box; `intersection_density` on
+  isotropic, atomic and mixed planes of R^3 and three hyperplanes of R^4,
+  with g None and a g; `integrate` on Grassmann (isotropic, atomic) and sphere
+  (uniform, atoms, subspheres) measures; `subsphere_measure` of the full
+  sphere, the cap and the custom set on a 3- and a 2-dimensional subspace.
 """
 from __future__ import annotations
 
@@ -37,13 +47,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from flatproc.flat_geometry import complement_bases, haar_bases  # noqa: E402
+from flatproc.closed_form import (WindowDescriptor, asymptotic_covariance,  # noqa: E402
+                                  intersection_density, pair_integral)
+from flatproc.flat_geometry import (Subspace, complement_bases, haar_bases,  # noqa: E402
+                                    subspace_determinant)
 from flatproc.measure_metrics import (MetricSample, bl_distance,  # noqa: E402
                                       prohorov_distance, stability_harness)
-from flatproc.measures import SphereMeasure  # noqa: E402
+from flatproc.measures import (DirectionSet, GrassmannMeasure, SphereMeasure,  # noqa: E402
+                               integrate)
 from flatproc.zonoid_engine import MERGE_TOL, _merge, area_measure, mu_Q_r  # noqa: E402
 
 SCALES = (1.0, 1e-4, 1e-8, 1e-12)
+CLOSED_FORM_SAMPLES = 2_000
 STABILITY_CASES = ("area-measure", "hyperplane-intersection", "line-proximity")
 
 
@@ -112,6 +127,67 @@ def report_arrays(report):
     return (np.array([[e[key] for key in keys] for e in report["entries"]]),)
 
 
+def grassmann_atoms(n: int, k: int, count: int, rng) -> GrassmannMeasure:
+    """Seeded atomic measure of `count` Haar k-planes with weights in [0.2, 1.2)."""
+    return GrassmannMeasure.discrete([(Subspace(b), 0.2 + rng.random())
+                                      for b in haar_bases(count, n, k, rng)])
+
+
+def closed_form_calls():
+    """(case, call) for the closed forms' fixed-seed cases; each call gives
+    (value, standard error)."""
+    n, samples = 4, CLOSED_FORM_SAMPLES
+    rng = np.random.default_rng(900)
+    axis = rng.standard_normal(n)
+    axis /= np.linalg.norm(axis)
+    sets = {"none": None, "full": DirectionSet.full_sphere(n),
+            "cap": DirectionSet.double_cap(axis, 0.4),
+            "custom": DirectionSet.custom(n, lambda u: np.abs(u @ axis) >= 0.4)}
+    iso, atomic, other = (GrassmannMeasure.isotropic(n, 1, 1.5), grassmann_atoms(n, 1, 5, rng),
+                          grassmann_atoms(n, 1, 4, rng))
+    for law, (q1, q2) in (("isotropic", (iso, iso)), ("atomic", (atomic, other)),
+                          ("mixed", (iso, atomic))):
+        for name, dset in sets.items():
+            yield (f"pair_integral-{law}-{name}",
+                   lambda: pair_integral(q1, q2, dset, rng=910, samples=samples))
+    windows = {"ball": WindowDescriptor.ball(1.0),
+               "box": WindowDescriptor.box((1.0, 2.0, 0.5, 1.5))}
+    pairs = [(name, dset, dset) for name, dset in sets.items()]
+    pairs.append(("cap-custom", sets["cap"], sets["custom"]))
+    for law, q in (("isotropic", iso), ("atomic", atomic)):
+        for name, c_i, c_j in pairs:
+            for shape, window in windows.items():
+                yield (f"asymptotic_covariance-{law}-{name}-{shape}",
+                       lambda: asymptotic_covariance(n, 1, 1.0, q, 1.0, 0.0, 1.0, window, c_i,
+                                                     c_j, rng=911, samples=samples))
+    # planes in R^3 meet in lines, three hyperplanes of R^4 too
+    iso32, planes = GrassmannMeasure.isotropic(3, 2, 1.0), grassmann_atoms(3, 2, 4, rng)
+    iso43, hyperplanes = GrassmannMeasure.isotropic(4, 3, 1.0), grassmann_atoms(4, 3, 3, rng)
+    for law, qs in (("isotropic", [iso32, iso32]), ("atomic", [planes, planes]),
+                    ("mixed", [iso32, planes]), ("mixed-r3", [iso43, hyperplanes, hyperplanes])):
+        for name, g in (("none", None),
+                        ("g", lambda sub: abs(float(sub.basis[0] @ axis[:sub.n])))):
+            yield (f"intersection_density-{law}-{name}",
+                   lambda: intersection_density(qs[0].n, [qs[0].k] * len(qs), [1.0] * len(qs), qs,
+                                                g, rng=912, samples=samples))
+    line, subs = Subspace(np.eye(n)[:1]), [Subspace(b) for b in haar_bases(2, n, 3, rng)]
+    measures = {
+        "grassmann-isotropic": iso, "grassmann-atomic": atomic,
+        "sphere-uniform": SphereMeasure.uniform(n, 2.0),
+        "sphere-atoms": SphereMeasure.atoms(n, [(s.basis[0], w) for s, w in atomic.atoms]),
+        "sphere-subspheres": SphereMeasure.subsphere_mixture(
+            n, [(subs[0], 0.5), (Subspace(subs[1].basis[:1]), 1.0),
+                (Subspace(subs[1].basis[:2]), 0.25)])}
+    for name, measure in measures.items():
+        f = (lambda sub: subspace_determinant([line, sub])) if name.startswith("grassmann") \
+            else (lambda u: np.abs(u @ axis) ** 1.5)
+        yield f"integrate-{name}", lambda: integrate(measure, f, rng=913, samples=samples)
+    for name in ("full", "cap", "custom"):
+        for d, sub in ((3, subs[0]), (2, Subspace(subs[1].basis[:2]))):
+            yield (f"subsphere_measure-{name}-d{d}",
+                   lambda: sets[name].subsphere_measure(sub, rng=914, samples=samples))
+
+
 def cases():
     """(case, sha256 or raised-<Exception>-<h>) for every case, in a fixed order."""
     for m in range(2, 19):
@@ -147,6 +223,9 @@ def cases():
             base, family = stability_family(t_values)
             yield guarded(f"stability-{case}-{label}", lambda: report_arrays(stability_harness(
                 case, base, family, rho=0.02, upper=4.0, order=2)))
+    for case, call in closed_form_calls():
+        for part, index in (("value", 0), ("se", 1)):
+            yield guarded(f"{case}-{part}", lambda: (call()[index],))
 
 
 def main() -> int:
