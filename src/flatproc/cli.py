@@ -27,7 +27,7 @@ from .closed_form import (WindowDescriptor, as_record, asymptotic_covariance,
 from .derived_processes import f_alpha, intersections, order_statistics, proximity, \
     write_segments_csv
 from .flat_geometry import Subspace
-from .measures import (GrassmannMeasure, SphereMeasure, check_samples, parse_directional_file,
+from .measures import (GrassmannMeasure, SphereMeasure, parse_directional_file,
                        symmetrize_hyperplane_measure, symmetrize_line_measure, t_lift)
 from .measure_metrics import stability_harness
 from .simulator import (FlatProcessSpec, SrConstruction, build_factorial_distribution,
@@ -53,7 +53,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("FLATPROC_SEED", "0"))
+    try:
+        return _integer(os.environ.get("FLATPROC_SEED", "0"), low=0)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"FLATPROC_SEED {exc}") from None
 
 
 def _finite_float(text: str, zero_ok: bool) -> float:
@@ -76,22 +79,29 @@ def _nonnegative_float(text: str) -> float:
     return _finite_float(text, zero_ok=True)
 
 
-def _mc_samples(text: str) -> int:
+def _integer(text: str, low: int) -> int:
+    """An integer flag's value: at least low."""
     try:
-        return check_samples(int(text))
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}") from None
+        value = None
+    if value is None or value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+    return value
 
 
 def _parse_window(text: str) -> WindowDescriptor:
-    if text == "cube":
-        return WindowDescriptor.unit_cube(3)
-    if text.startswith("cube:"):
-        return WindowDescriptor.unit_cube(int(text.split(":")[1]))
-    if text.startswith("ball:"):
-        return WindowDescriptor.ball(float(text.split(":")[1]))
-    if text.startswith("box:"):
-        return WindowDescriptor.box([float(t) for t in text.split(":")[1].split(",")])
+    try:
+        if text == "cube":
+            return WindowDescriptor.unit_cube(3)
+        if text.startswith("cube:"):
+            return WindowDescriptor.unit_cube(int(text.split(":")[1]))
+        if text.startswith("ball:"):
+            return WindowDescriptor.ball(float(text.split(":")[1]))
+        if text.startswith("box:"):
+            return WindowDescriptor.box([float(t) for t in text.split(":")[1].split(",")])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
     raise argparse.ArgumentTypeError(
         f"cannot parse window {text!r}; use cube, cube:N, ball:R, or box:s1,s2,...")
 
@@ -410,12 +420,12 @@ def _add_process_flags(p: argparse.ArgumentParser, alpha: float) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    p.add_argument("--seed", type=partial(_integer, low=0), default=_default_seed(),
                    help="master seed (env FLATPROC_SEED is the fallback)")
     p.add_argument("--out", type=str, default=None, help="JSON summary path")
     p.add_argument("--config", type=str, default=None,
                    help="key=value file; explicit flags override it")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=partial(_integer, low=1), default=os.cpu_count() or 1,
                    help="worker processes; results are independent of it")
 
 
@@ -454,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
     p.add_argument("--q", type=str, default="isotropic")
     p.add_argument("--reps", type=int, default=2_000)
-    p.add_argument("--mc-samples", type=_mc_samples, default=20_000)
+    p.add_argument("--mc-samples", type=partial(_integer, low=2), default=20_000)
     _add_common(p)
     p.set_defaults(func=_cmd_intersect)
 
@@ -532,8 +542,8 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
+        parser = build_parser()
         if argv and not argv[0].startswith("-"):
             argv = _apply_config(argv)
         args = parser.parse_args(argv)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import constants
 from ._rng import SeedLike, as_generator, derived_stream
@@ -494,6 +493,8 @@ def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure, del
 def ball_chord_power_integral(n: int, radius: float, power: float) -> float:
     """Chord-power integral of a centered ball over the invariant line measure:
     omega_{n-1} * int_0^a (2 sqrt(a^2 - r^2))^p r^{n-2} dr."""
+    from scipy.integrate import quad
+
     def f(r: float) -> float:
         return (2.0 * math.sqrt(max(radius * radius - r * r, 0.0))) ** power \
             * r ** (n - 2)

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betainc
 
 
 def ball_volume(k: int) -> float:
@@ -38,6 +37,7 @@ def cap_measure(k: int, t):
     sphere S^{k-1} in R^k.  For k = 1 the sphere is the two-point set and
     the measure is counting measure.  Elementwise for an array t.
     """
+    from scipy.special import betainc
     if k < 1:
         raise ValueError(f"dimension must be positive, got {k}")
     t = np.asarray(t, dtype=float)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .closed_form import hyperplane_intersection, proximity_intensity
 from .flat_geometry import Subspace, _principal_angles
@@ -113,6 +112,7 @@ def _weights(sample: MetricSample, mu, nu) -> tuple[np.ndarray, np.ndarray]:
 def _highs_max(c: np.ndarray, a_ub, b_ub: np.ndarray, lb, ub) -> float:
     """max c.x over {A x <= b, lb <= x <= ub}, a linear program without
     integer variables, by scipy's HiGHS solver through `milp`."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
     res = milp(-c, bounds=Bounds(lb, ub), constraints=LinearConstraint(a_ub, -np.inf, b_ub))
     if res.status != 0:
         raise RuntimeError(f"HiGHS failed: {res.message}")

@@ -260,18 +260,20 @@ class DirectionSet:
         """sigma_U(C intersect S_U) for each U of an (m, d, n) stack of
         orthonormal bases, exact for the full sphere and double caps.  A custom
         set gives each row the one-point estimate omega_d 1{x in C}, x uniform
-        on S_U, drawn from rng in row order; averages over rows carry the noise.
+        on S_U, drawn in row order from rng, which it needs (a fixed seed would
+        give every call the same points); averages over rows carry the noise.
         """
         m, d, n = bases.shape
-        if d < 1:
+        if d < 1 or m == 0:
             return np.zeros(m)
         omega = constants.sphere_surface(d)
         if self.kind == "full":
             return np.full(m, omega)
         if self.kind == "double_cap":
             return self.double_cap_measures(np.linalg.norm(bases @ self.axis, axis=1), d)
-        gen = as_generator(rng if rng is not None else 0xCA9)
-        points = np.einsum("pd,pdn->pn", haar_bases(m, d, 1, gen)[:, 0], bases)
+        if rng is None:
+            raise ValueError("a custom direction set's subsphere_measures needs a generator rng")
+        points = np.einsum("pd,pdn->pn", haar_bases(m, d, 1, as_generator(rng))[:, 0], bases)
         return omega * self.contains(points)
 
     def double_cap_measures(self, alpha: np.ndarray, d: int) -> np.ndarray:

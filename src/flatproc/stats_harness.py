@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._rng import replication_stream
 
@@ -98,6 +97,7 @@ def ks_statistic(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) ->
 def ks_vs_normal(sample: np.ndarray) -> float:
     """KS distance of the internally standardized sample from the standard
     normal distribution."""
+    from scipy.special import ndtr
     sample = np.asarray(sample, dtype=float)
     sd = sample.std(ddof=1)
     if sd == 0:

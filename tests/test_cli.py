@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flatproc
 from flatproc import __version__
 from flatproc.cli import run
 from flatproc.simulator import read_flat_sample
@@ -116,6 +121,36 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     importlib.reload(cli_module)
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5", ""])
+def test_bad_env_seed_exits_one_with_one_line(value, monkeypatch, capsys):
+    monkeypatch.setenv("FLATPROC_SEED", value)
+    assert run(["version"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        f"error: FLATPROC_SEED must be an integer >= 0, got {value!r}"]
+
+
+def test_cli_import_and_zonoid_load_no_scipy_submodule():
+    # each scipy part loads in the function that calls it, so a fresh
+    # interpreter running a command that calls none of them loads none
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import flatproc, flatproc.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = flatproc.cli.run(['zonoid', '--n', '3', '--q', 'axes', '--jobs', '1'])",
+        "heavy = {'scipy.' + part for part in",
+        "         ('special', 'integrate', 'optimize', 'linalg', 'sparse', 'stats')}",
+        "print(code, sorted({'.'.join(m.split('.')[:2]) for m in sys.modules} & heavy))",
+    ])
+    path = [str(Path(flatproc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "[]"]
+
+
 def test_proximity_raw_csv_and_records(tmp_path):
     raw = tmp_path / "raw.csv"
     code, payload = run_json(
@@ -186,6 +221,18 @@ def test_summary_embeds_config_and_version(tmp_path):
     (["zonoid", "--n", "2"], "zonoid identities need --n >= 3, got --n 2"),
     (["simulate", "--kind", "sr", "--n", "3", "--k", "3"],
      "simulate --kind sr needs --k < --n, got --n 3 --k 3"),
+    (["proximity", "--jobs", "0"], "--jobs: must be an integer >= 1, got '0'"),
+    (["proximity", "--jobs", "-3"], "--jobs: must be an integer >= 1, got '-3'"),
+    (["version", "--jobs", "two"], "--jobs: must be an integer >= 1, got 'two'"),
+    (["proximity", "--seed", "-5"], "--seed: must be an integer >= 0, got '-5'"),
+    (["proximity", "--window", "ball:nan"],
+     "--window: ball window needs a finite positive radius, got 'ball:nan'"),
+    (["proximity", "--window", "ball:-1"],
+     "--window: ball window needs a finite positive radius, got 'ball:-1'"),
+    (["proximity", "--window", "ball:inf"],
+     "--window: ball window needs a finite positive radius, got 'ball:inf'"),
+    (["proximity", "--window", "cube:0"],
+     "--window: box window needs finite positive side lengths, got 'cube:0'"),
 ])
 def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     # one error line, the last; flag errors follow argparse's usage line

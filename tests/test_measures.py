@@ -216,6 +216,19 @@ def test_direction_set_custom_matches_double_cap_by_mc():
     assert abs(approx - exact) < 3.0 * se
 
 
+def test_custom_set_subsphere_measures_need_a_generator():
+    custom = DirectionSet.custom(3, lambda u: np.abs(u @ E[2]) >= 0.4)
+    bases = np.broadcast_to(E[[0, 2]], (64, 2, 3))
+    with pytest.raises(ValueError, match="rng"):
+        custom.subsphere_measures(bases)
+    gen = np.random.default_rng(5)
+    first, second = custom.subsphere_measures(bases, gen), custom.subsphere_measures(bases, gen)
+    assert not np.array_equal(first, second)
+    # the analytic sets need no generator
+    for analytic in (DirectionSet.full_sphere(3), DirectionSet.double_cap(E[2], 0.4)):
+        assert np.ptp(analytic.subsphere_measures(bases)) == 0.0
+
+
 def test_directional_file_roundtrip(tmp_path):
     q = axes_line_measure()
     path = tmp_path / "axes.txt"
