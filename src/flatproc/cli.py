@@ -420,7 +420,7 @@ def _add_process_flags(p: argparse.ArgumentParser, alpha: float) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=partial(_integer, low=0), default=_default_seed(),
+    p.add_argument("--seed", type=partial(_integer, low=0), default=None,
                    help="master seed (env FLATPROC_SEED is the fallback)")
     p.add_argument("--out", type=str, default=None, help="JSON summary path")
     p.add_argument("--config", type=str, default=None,
@@ -547,6 +547,8 @@ def run(argv: list[str] | None = None) -> int:
         if argv and not argv[0].startswith("-"):
             argv = _apply_config(argv)
         args = parser.parse_args(argv)
+        if args.seed is None:  # neither --seed nor the config file gave one
+            args.seed = _default_seed()
         config = {key: (str(value) if isinstance(value, WindowDescriptor) else value)
                   for key, value in vars(args).items()
                   if key not in ("func",) and not callable(value)}

@@ -43,6 +43,7 @@ class WindowDescriptor:
         if self.shape == "box":
             if not self.sides or not all(finite_positive(s) for s in self.sides):
                 raise ValueError("box window needs finite positive side lengths")
+            object.__setattr__(self, "sides", tuple(self.sides))  # hashable
         if not finite_positive(self.scale):
             raise ValueError("window scale must be finite and positive")
 

@@ -12,6 +12,9 @@ only the pairs that a screen of matrix products (in R^3 two per slab of
 pairs) cannot rule out: a few floating-point operations per pair.  The
 exactness of the functionals is guaranteed by the window-radius
 precondition radius >= circumradius(A) + delta/2 checked in `f_alpha`.
+A segment sample computes its window mask, `window.contains(midpoints)`,
+once per window (`SegmentProcessSample.window_mask`), so the functionals
+evaluated on one sample and window share it.
 """
 from __future__ import annotations
 
@@ -61,9 +64,18 @@ class SegmentProcessSample:
                           ("directions", directions), ("pairs", pairs)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_window_masks", {})  # a memo, not a field
 
     def __len__(self) -> int:
         return self.lengths.shape[0]
+
+    def window_mask(self, window: WindowDescriptor) -> np.ndarray:
+        """window.contains(midpoints), computed once per window and read-only."""
+        mask = self._window_masks.get(window)
+        if mask is None:
+            mask = self._window_masks[window] = window.contains(self.midpoints)
+            mask.flags.writeable = False
+        return mask
 
     @cached_property
     def segments(self) -> tuple[ProximitySegment, ...]:
@@ -177,7 +189,7 @@ def _qualifying_lengths(seg: SegmentProcessSample, window: WindowDescriptor,
         raise ValueError(
             f"window too small for exact enumeration: sample window radius "
             f"{seg.radius} < circumradius + delta/2 = {needed}")
-    keep = window.contains(seg.midpoints)
+    keep = seg.window_mask(window)
     if direction_set is not None and direction_set.kind != "full":
         keep = keep & direction_set.contains(seg.directions)
     return seg.lengths[keep]
@@ -208,9 +220,11 @@ def order_statistics(seg: SegmentProcessSample, alpha: float,
         raise ValueError("order statistics need a finite positive length power")
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"order statistics need an integer m >= 1, got m={m!r}")
-    values = np.sort(_qualifying_lengths(seg, window, direction_set) ** alpha)
+    values = _qualifying_lengths(seg, window, direction_set) ** alpha
+    if m < values.shape[0]:  # the m smallest, in some order
+        values = np.partition(values, m - 1)[:m]
     out = np.full(m, np.inf)
-    out[: min(m, values.shape[0])] = values[:m]
+    out[: values.shape[0]] = np.sort(values)
     return out
 
 

@@ -4,6 +4,8 @@ Subspaces are stored as stacks of orthonormal row vectors.  Affine flats are
 a direction subspace plus an offset in its orthogonal complement.  Operations
 are pure and values immutable.  The array kernels work on (m, k, n) stacks of
 bases; the scalar `closest_pair` and `intersect_flats` are their reference.
+The line solve of `pair_segments` works on (n, m) coordinate rows, one
+contiguous row per coordinate, with `row_dots` for each block's dot products.
 """
 from __future__ import annotations
 
@@ -42,17 +44,42 @@ def canonical_units(units: np.ndarray) -> np.ndarray:
     lead = units[:, 0]
     for col in units.T[1:]:  # past leading coordinates within 1e-12 of 0
         lead = np.where(np.abs(lead) <= 1e-12, col, lead)
-    sign = np.where(lead < -1e-12, -1.0, 1.0)
-    for col in units.T:  # x * 1 and x * -1 are exact, signed zeros included
-        col *= sign
+    # x * 1 and x * -1 are exact, signed zeros included
+    units *= np.where(lead < -1e-12, -1.0, 1.0)[:, None]
     return units
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x, axis=1) bit for bit; below 8 columns summed column
-    by column, in numpy's order for such short rows, without its row loop."""
-    return (np.sqrt(sum((col * col for col in x.T[1:]), x[:, 0] * x[:, 0]))
-            if 0 < x.shape[1] < 8 else np.linalg.norm(x, axis=1))
+    """np.linalg.norm(x, axis=1) of x in C order bit for bit, for any layout
+    of x; below 8 columns summed column by column in place, in numpy's order
+    for such short rows, without its row loop."""
+    if not 0 < x.shape[1] < 8:
+        return np.linalg.norm(np.ascontiguousarray(x), axis=1)
+    total = x[:, 0] * x[:, 0]
+    for col in x.T[1:]:
+        total += col * col
+    return np.sqrt(total, out=total)
+
+
+def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of the columns of two (n, m) coordinate-row arrays:
+    np.einsum("mn,mn->m", x.T, y.T) of C-ordered (m, n) copies bit for bit.
+    Below 8 coordinates numpy's kernel sums the even and the odd coordinates
+    apart, in order, and adds the two sums to its zeroed output, 0 + (even +
+    odd), which is (0 + even) + odd: -0 comes out +0 either way."""
+    n = x.shape[0]
+    if not 0 < n < 8:
+        return np.einsum("mn,mn->m", x.T.copy(), y.T.copy())
+    prods = x * y
+    total = prods[0] + 0.0  # a fresh array, which frees the products
+    for k in range(2, n, 2):
+        total += prods[k]
+    if n > 1:
+        odd = prods[1]
+        for k in range(3, n, 2):
+            odd += prods[k]
+        total += odd
+    return total
 
 
 def canonical_unit(u: np.ndarray) -> np.ndarray:
@@ -555,45 +582,58 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     pairs that `_line_screen` passes on (two matrix products a slab in R^3,
     four in higher dimensions), otherwise every pair.  Phase 2 solves the
     candidates of consecutive slabs together, at most BLOCK_ROWS unless one
-    slab has more, by a 2x2 closed form for lines and a stacked Gram solve
-    otherwise.  No pair's result depends on its slab or block.
+    slab has more, by a 2x2 closed form for lines, on (n, m) coordinate rows,
+    and a stacked Gram solve otherwise.  No pair's result depends on its slab
+    or block.
     """
     lines = bases_a.shape[1] == bases_b.shape[1] == 1
     n_a, n_b = offs_a.shape[0], offs_b.shape[0]
     count = n_a * (n_a - 1) // 2 if single else n_a * n_b
     # offset norms, whose larger one per pair is the reach of `_touch_cut`
+    # (einsum on these few rows: `row_dots` gives the same bits, in more calls)
     norm_a = np.sqrt(np.einsum("mn,mn->m", offs_a, offs_a))
     norm_b = norm_a if single else np.sqrt(np.einsum("mn,mn->m", offs_b, offs_b))
     if lines:
         u_a, u_b = bases_a[:, 0, :], bases_b[:, 0, :]
         sq_u = np.einsum("mn,mn->m", u_a, u_a)
         sq_v = sq_u if single else np.einsum("mn,mn->m", u_b, u_b)
+        # coordinate rows, (n, N): a block's gather is one take per array,
+        # and each coordinate of the block one contiguous row
+        ut_a, at_a = u_a.T.copy(), offs_a.T.copy()
+        ut_b, at_b = (ut_a, at_a) if single else (u_b.T.copy(), offs_b.T.copy())
     screen = (_line_screen(u_a, offs_a, u_b, offs_b, sq_u, sq_v, delta)
               if lines and count >= SCREEN_MIN_PAIRS else None)
 
     def solve(i, j):
         if lines:
-            # the 2x2 normal equations in closed form
-            u, v = u_a.take(i, axis=0), u_b.take(j, axis=0)
-            a, b = offs_a.take(i, axis=0), offs_b.take(j, axis=0)
-            c = np.einsum("mn,mn->m", u, v)
+            # the 2x2 normal equations in closed form, on (n, m) coordinate
+            # rows, worked in place
+            u, v = ut_a.take(i, axis=1), ut_b.take(j, axis=1)
+            a, b = at_a.take(i, axis=1), at_b.take(j, axis=1)
+            c = row_dots(u, v)
             c2 = c * c
             det = 1.0 - c2
             # general position on the Gram determinant, as closest_pair: it
             # is 0 for equal rows, where 1 - c^2 need not be
-            vol = np.sqrt(np.maximum(sq_u.take(i) * sq_v.take(j) - c2, 0.0))
+            vol = sq_u.take(i) * sq_v.take(j)
+            vol -= c2
+            np.sqrt(np.maximum(vol, 0.0, out=vol), out=vol)
             ok = vol > GENERAL_POSITION_TOL
             if not ok.all():  # copy only when a pair is out of general position
-                u, v, a, b, c, det, vol, i, j = (x.compress(ok, axis=0)
-                                                 for x in (u, v, a, b, c, det, vol, i, j))
-            d = a - b
-            # normal equations of min |d + s u - t v| over (s, t)
-            r1 = -np.einsum("mn,mn->m", u, d)
-            r2 = np.einsum("mn,mn->m", v, d)
-            s = (r1 + c * r2) / det
-            t = (c * r1 + r2) / det
-            x_e = a + s[:, None] * u
-            x_f = b + t[:, None] * v
+                u, v, a, b = (x.compress(ok, axis=1) for x in (u, v, a, b))
+                c, det, vol, i, j = (x.compress(ok) for x in (c, det, vol, i, j))
+            gap = a - b
+            # normal equations of min |d + s u - t v| over (s, t), d = a - b
+            r1 = -row_dots(u, gap)
+            r2 = row_dots(v, gap)
+            u *= (r1 + c * r2) / det  # s u
+            v *= (c * r1 + r2) / det  # t v
+            a += u  # the feet x_e = a + s u and x_f = b + t v
+            b += v
+            np.subtract(a, b, out=gap)
+            mids = a  # (x_e + x_f) / 2
+            mids += b
+            mids /= 2.0
         else:
             # minimize |(a - b) + G^T w| with G = [B_E; -B_F] stacked per pair
             g = np.concatenate([bases_a[i], -bases_b[j]], axis=1)
@@ -606,13 +646,15 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             k1 = bases_a.shape[1]
             x_e = a + np.einsum("mk,mkn->mn", w[:, :k1], g[:, :k1])
             x_f = b - np.einsum("mk,mkn->mn", w[:, k1:], g[:, k1:])
-        gap = x_e - x_f
-        lengths = row_norms(gap)
+            gap, mids = (x_e - x_f).T, ((x_e + x_f) / 2.0).T  # (n, m) views
+        lengths = row_norms(gap.T)
         reach = np.maximum(norm_a.take(i), norm_b.take(j))
         keep = (lengths > _touch_cut(reach, vol, offs_a.shape[1])) & (lengths <= delta)
-        gap, lengths, midpoints, i, j = (x.compress(keep, axis=0) for x in
-                                         (gap, lengths, (x_e + x_f) / 2.0, i, j))
-        return midpoints, lengths, canonical_units(gap / lengths[:, None]), i, j
+        kept = np.flatnonzero(keep)
+        gap, mids = gap.take(kept, axis=1), mids.take(kept, axis=1)
+        lengths, i, j = lengths.take(kept), i.take(kept), j.take(kept)
+        gap /= lengths
+        return mids.T, lengths, canonical_units(gap.T), i, j  # (m, n) views
 
     def joined(parts):  # one part as it is, several concatenated column by column
         return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
@@ -641,7 +683,8 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
         r0 = r1
     solved.append(solve(*joined(block)))
     midpoints, lengths, directions, i, j = joined(solved)
-    return midpoints, lengths, directions, np.stack([i, j], axis=1)
+    return (np.ascontiguousarray(midpoints), lengths, np.ascontiguousarray(directions),
+            np.stack([i, j], axis=1))
 
 
 def tuple_intersections(bases, offsets, tuples):

@@ -131,6 +131,21 @@ def test_bad_env_seed_exits_one_with_one_line(value, monkeypatch, capsys):
         f"error: FLATPROC_SEED must be an integer >= 0, got {value!r}"]
 
 
+@pytest.mark.parametrize("seed_flag", [True, False], ids=["with-seed", "without-seed"])
+def test_bad_env_seed_read_only_without_seed(seed_flag, monkeypatch, capsys):
+    # the fallback is resolved after parsing, so --seed makes it unused
+    monkeypatch.setenv("FLATPROC_SEED", "abc")
+    argv = ["zonoid", "--n", "3", "--q", "axes"] + (["--seed", "3"] if seed_flag else [])
+    code = run(argv)
+    captured = capsys.readouterr()
+    if seed_flag:
+        assert code == 0 and json.loads(captured.out)["config"]["seed"] == 3
+    else:
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: FLATPROC_SEED must be an integer >= 0, got 'abc'"]
+
+
 def test_cli_import_and_zonoid_load_no_scipy_submodule():
     # each scipy part loads in the function that calls it, so a fresh
     # interpreter running a command that calls none of them loads none

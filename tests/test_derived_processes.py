@@ -588,6 +588,50 @@ def test_order_statistics_padding_and_minimum():
     assert squared == pytest.approx(0.04, abs=1e-15)
 
 
+def test_functionals_share_one_window_mask_per_window():
+    # f_alpha and order_statistics interleaved on one sample, across windows
+    # and direction sets, each against a fresh sample (no memo) and a full sort
+    raw = proximity(sample_poisson(FlatProcessSpec(3, 1, 1.0, GrassmannMeasure.isotropic(3, 1, 1.0)),
+                                   16.5, 71), delta=1.0)
+
+    def fresh():  # lengths on a grid of 1/20, so that many tie
+        return SegmentProcessSample(3, 1.0, raw.radius, raw.midpoints,
+                                    np.ceil(raw.lengths * 20.0) / 20.0, raw.directions, raw.pairs)
+
+    seg = fresh()
+    windows = [WindowDescriptor.ball(16.0), WindowDescriptor.ball(16.0).rescaled(0.5),
+               WindowDescriptor.box([20.0, 12.0, 8.0])]
+    for sweep in range(2):  # the second sweep reads every mask from the memo
+        for window in windows:
+            for direction_set in (None, DirectionSet.double_cap(E[2], 0.5)):
+                keep = window.contains(seg.midpoints)
+                if direction_set is not None:
+                    keep &= direction_set.contains(seg.directions)
+                count = int(keep.sum())
+                assert 3 < count and np.unique(seg.lengths[keep]).size < count
+                for alpha in (0.0, 1.0):
+                    assert (f_alpha(seg, alpha, window, direction_set)
+                            == f_alpha(fresh(), alpha, window, direction_set))
+                assert f_alpha(seg, 0.0, window, direction_set) == count
+                values = np.sort(seg.lengths[keep] ** 1.5)
+                for m in (1, 3, count, count + 2):
+                    reference = np.full(m, np.inf)
+                    reference[:min(m, count)] = values[:m]
+                    for sample in (seg, fresh()):
+                        out = order_statistics(sample, 1.5, window, m, direction_set)
+                        assert np.array_equal(out, reference)
+                mask = seg.window_mask(window)
+                assert not mask.flags.writeable
+                assert np.array_equal(mask, window.contains(seg.midpoints))
+                with pytest.raises(ValueError, match="read-only"):
+                    mask[0] = not mask[0]
+    # one mask per window value: an equal descriptor reads the same array
+    assert seg.window_mask(WindowDescriptor.ball(16.0)) is seg.window_mask(windows[0])
+    box = WindowDescriptor("box", sides=[20.0, 12.0, 8.0])  # sides given as a list
+    assert seg.window_mask(box) is seg.window_mask(windows[2])
+    assert len({id(seg.window_mask(w)) for w in windows}) == 3
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
 def test_order_statistics_rejects_bad_alpha(alpha):
     seg = proximity(skew_orthogonal_lines(0.5), delta=1.0)

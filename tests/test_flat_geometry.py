@@ -10,7 +10,7 @@ from flatproc.flat_geometry import (DegeneratePairError, Flat, Subspace,
                                     haar_bases, haar_sample, orthonormalize,
                                     parallelepiped_volume, principal_angles,
                                     random_rotation, rotate_subspace,
-                                    row_norms, subspace_determinant)
+                                    row_dots, row_norms, subspace_determinant)
 
 E = np.eye(3)
 
@@ -358,6 +358,23 @@ def test_row_norms_match_numpy_bit_for_bit(n):
     rng = np.random.default_rng(40 + n)
     x = rng.standard_normal((200_000, n)) * 10.0 ** rng.uniform(-8, 8, (200_000, 1))
     assert np.array_equal(row_norms(x), np.linalg.norm(x, axis=1))
+    # the same bits from a transposed view of coordinate rows
+    assert np.array_equal(row_norms(x.T.copy().T), np.linalg.norm(x, axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_row_dots_match_einsum_bit_for_bit(n):
+    # even and odd coordinates summed apart below 8, einsum itself at 8; the
+    # signed-zero rows check that -0 sums come out as einsum's +0
+    rng = np.random.default_rng(50 + n)
+    x, y = (rng.standard_normal((200_000, n)) * 10.0 ** rng.uniform(-8, 8, (200_000, 1))
+            for _ in range(2))
+    assert np.array_equal(row_dots(x.T.copy(), y.T.copy()), np.einsum("mn,mn->m", x, y))
+    assert np.array_equal(row_dots(x.T.copy(), x.T.copy()), np.einsum("mn,mn->m", x, x))
+    pool = np.array([0.0, -0.0, 1e-12, -1e-12, 0.3, -0.3])
+    x, y = rng.choice(pool, (20_000, n)), rng.choice(pool, (20_000, n))
+    dots, ref = row_dots(x.T.copy(), y.T.copy()), np.einsum("mn,mn->m", x, y)
+    assert np.array_equal(dots, ref) and np.array_equal(np.signbit(dots), np.signbit(ref))
 
 
 def test_canonical_units_match_the_masked_flip():

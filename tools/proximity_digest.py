@@ -10,15 +10,18 @@ both checkouts (each imports flatproc from its own `src`):
     (cd ../parent && python tools/proximity_digest.py) > old.txt
     diff old.txt new.txt
 
-The 425 cases:
-- k = 1, 365 outputs: `sample_poisson` lines in R^2-R^5 with isotropic and
+The 479 cases:
+- k = 1, 419 outputs: `sample_poisson` lines in R^2-R^5 with isotropic and
   axis-atom laws, 20 seeds each at radii that straddle `SCREEN_MIN_PAIRS`
   (160 samples), and `proximity` on those in R^3-R^5 (120); anchored lines
   from `sample_sr_flats` in R^2-R^5, 10 seeds each (40); eleven radius-16.5
   samples in R^3 (11); one two-sample R^4 pair (1); radius-8.5 R^3 and
   radius-2.5 R^5 samples, single and cross in both orders, 5 seeds each (30);
   large offsets in R^3: one radius-32 sample (1) and one radius-24 pair of
-  samples, cross in both orders (2).
+  samples, cross in both orders (2); lines in R^6-R^8, where the even and
+  the odd coordinates of `row_dots` have two terms or more (R^8 takes its
+  einsum fallback), at a radius below and one above `SCREEN_MIN_PAIRS`,
+  single and cross in both orders, 3 seeds each (54).
 - k >= 2, 60 outputs: `proximity` for (n, k1, k2) = (4,1,2), (5,2,2),
   (5,1,3), (6,2,3), (7,3,3), (6,2,2), 10 seeds each; one sample when
   k1 = k2, two otherwise.
@@ -43,6 +46,9 @@ DELTA = 1.0
 # smallest and largest radius of the 20 seeded line samples in R^n: from a
 # few lines (no screen) to a few thousand pairs (screened, several slabs)
 LINE_RADII = {2: (2.0, 8.0), 3: (1.5, 6.0), 4: (1.2, 3.5), 5: (1.0, 2.6)}
+# the two radii of the single and cross line samples in R^6-R^8: a few
+# dozen pairs, and a few ten thousand
+HIGH_LINE_RADII = {6: (1.2, 2.2), 7: (1.1, 1.9), 8: (1.0, 1.7)}
 
 
 def digest(*arrays) -> str:
@@ -96,6 +102,14 @@ def cases():
             for label, pair in (("single", (a, None)), ("ab", (a, b)), ("ba", (b, a))):
                 yield (f"lines-R{n}-r{radius}-s{seed}-{label}-proximity",
                        segment_digest(proximity(*pair, delta=DELTA)))
+    for n, radii in HIGH_LINE_RADII.items():
+        for radius in radii:
+            for seed in range(3):
+                a, b = (sample_poisson(isotropic(n, 1), radius, [600 + n, seed, side])
+                        for side in (0, 1))
+                for label, pair in (("single", (a, None)), ("ab", (a, b)), ("ba", (b, a))):
+                    yield (f"lines-R{n}-r{radius}-s{seed}-{label}-proximity",
+                           segment_digest(proximity(*pair, delta=DELTA)))
     for n, k1, k2 in ((4, 1, 2), (5, 2, 2), (5, 1, 3), (6, 2, 3), (7, 3, 3), (6, 2, 2)):
         for seed in range(10):
             a = sample_poisson(isotropic(n, k1), 2.5, [500 + n, k1, k2, seed, 0])
