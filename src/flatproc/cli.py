@@ -112,9 +112,7 @@ def _parse_q(text: str, n: int, k: int) -> GrassmannMeasure:
     if text == "axes":
         if k != 1:
             raise ValueError("axes distribution needs k = 1")
-        eye = np.eye(n)
-        return GrassmannMeasure.discrete(
-            [(Subspace(eye[i:i + 1]), 1.0 / n) for i in range(n)])
+        return GrassmannMeasure(n, 1, np.eye(n)[:, None], np.full(n, 1.0 / n))
     path = Path(text)
     if not path.exists():
         raise ValueError(f"directional distribution file not found: {text}")

@@ -125,21 +125,21 @@ def _draws(qs, gen: np.random.Generator):
                 bases.append(q_factors(z[:, :q.k]))
                 z, pick = z[:, q.k:], None
             else:
-                (atoms,), weights = _atom_tuples([q])
-                pick = stream.choice(len(weights), size=rows, p=weights / weights.sum())
-                bases.append(atoms[pick])
+                pick = stream.choice(len(q.weights), size=rows, p=q.weights / q.weights.sum())
+                bases.append(q.bases[pick])
             picks.append(pick)
         return bases, picks
     return draw
 
 
-def _atom_tuples(qs) -> tuple[list[np.ndarray], np.ndarray]:
-    """Every tuple of atoms of discrete measures, in lexicographic order:
-    one (P, k, n) basis stack per measure, and the tuples' weights."""
-    index = np.indices([len(q.atoms) for q in qs]).reshape(len(qs), -1)
-    return ([np.array([s.basis for s, _ in q.atoms]).reshape(-1, q.k, q.n)[i]
-             for q, i in zip(qs, index)],
-            np.prod([np.array([w for _, w in q.atoms])[i] for q, i in zip(qs, index)], axis=0))
+def _atom_sum(qs, integrand) -> float:
+    """Sum over every tuple of atoms of discrete measures, in lexicographic
+    order, of the tuple's weight times integrand(one basis stack per
+    measure), BLOCK_ROWS tuples at a time."""
+    index = np.indices([len(q.weights) for q in qs]).reshape(len(qs), -1)
+    values, = _in_blocks(lambda block: (integrand(
+        [q.bases[i[block]] for q, i in zip(qs, index)]),), index.shape[1])
+    return float(np.prod([q.weights[i] for q, i in zip(qs, index)], axis=0) @ values)
 
 
 def _pair_integrand(l_bases: np.ndarray, m_bases: np.ndarray, direction_set: DirectionSet | None,
@@ -193,11 +193,8 @@ def pair_integral(q1: GrassmannMeasure, q2: GrassmannMeasure,
         return value, 0.0
 
     custom = direction_set is not None and direction_set.kind == "custom"
-    if not isotropic and not (custom and q1.atoms and q2.atoms):  # zero measures have no draws
-        (l_atoms, m_atoms), weights = _atom_tuples([q1, q2])
-        values, = _in_blocks(lambda block: (_pair_integrand(
-            l_atoms[block], m_atoms[block], direction_set, None),), len(weights))
-        return float(weights @ values), 0.0
+    if not isotropic and not (custom and q1.weights.size and q2.weights.size):  # no draws in 0
+        return _atom_sum([q1, q2], lambda b: _pair_integrand(*b, direction_set, None)), 0.0
 
     gen = as_generator(rng if rng is not None else 0x1507)
     draw, points = _draws([q1, q2], gen), derived_stream(gen) if custom else None
@@ -269,7 +266,7 @@ def proximity_directional_measure(n: int, q: GrassmannMeasure) -> SphereMeasure:
     total = mu.total_mass * constants.sphere_surface(n - 2)
     if total <= 0:
         raise ValueError("degenerate directional distribution")
-    return SphereMeasure.subsphere_mixture(n, [(s, w / total) for s, w in mu.atoms])
+    return SphereMeasure(n, components=(GrassmannMeasure(n, n - 2, mu.bases, mu.weights / total),))
 
 
 def intersection_density(n: int, dims, intensities, qs, g=None,
@@ -304,10 +301,7 @@ def intersection_density(n: int, dims, intensities, qs, g=None,
         return 0.0, 0.0
 
     if all(not q.is_isotropic for q in qs):
-        factors, weights = _atom_tuples(qs)
-        values, = _in_blocks(lambda block: (_tuple_integrand([f[block] for f in factors], g),),
-                             len(weights))
-        return prefactor * float(weights @ values), 0.0
+        return prefactor * _atom_sum(qs, lambda bases: _tuple_integrand(bases, g)), 0.0
 
     draw = _draws(qs, as_generator(rng if rng is not None else 0x1507))
     return _mc_mean(lambda rows: _tuple_integrand(draw(rows)[0], g), samples,
@@ -335,7 +329,7 @@ def hyperplane_intersection(n: int, gamma: float, q: SphereMeasure,
     process of a hyperplane process: (gamma^r / r!) times the
     hyperplane-intersection measure of the even directional distribution."""
     mu = mu_Q_r(q, r)
-    return mu.scaled(gamma ** r / math.factorial(r)) if mu.atoms else mu
+    return mu.scaled(gamma ** r / math.factorial(r)) if mu.weights.size else mu
 
 
 def mean_F_alpha(n: int, k: int, gamma: float, q: GrassmannMeasure, delta: float,
@@ -394,14 +388,12 @@ def _b_factors(q: GrassmannMeasure, direction_set: DirectionSet, gen: np.random.
         b = constants.sphere_surface(q.n - 2 * q.k) * q.total_mass * c_constant(q.n, q.k, q.k)
         return lambda m, picks, l: b
     if not q.is_isotropic and direction_set.kind != "custom":
-        (atoms,), weights = _atom_tuples([q])
-
         def block(rows):  # rows of (M, L) atom pairs, summed per M with L's weights
-            o, i = np.divmod(rows, len(weights))
-            values = _pair_integrand(atoms[i], atoms[o], direction_set, None)
-            return (np.bincount(o, weights[i] * values, minlength=len(weights))[None],)
+            o, i = np.divmod(rows, len(q.weights))
+            values = _pair_integrand(q.bases[i], q.bases[o], direction_set, None)
+            return (np.bincount(o, q.weights[i] * values, minlength=len(q.weights))[None],)
 
-        exact = _in_blocks(block, len(weights) ** 2)[0].sum(axis=0)
+        exact = _in_blocks(block, len(q.weights) ** 2)[0].sum(axis=0)
         return lambda m, picks, l: exact[picks]
     points = derived_stream(gen) if direction_set.kind == "custom" else None
     return lambda m, picks, l: q.total_mass * _pair_integrand(l, m, direction_set, points)
@@ -484,9 +476,8 @@ def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure, del
         return b_i(bases[0], picks[0], bases[1]) * b_j(bases[0], picks[0], bases[2]) \
             * cross_sections(n, k, window, bases[0])
 
-    if not q.is_isotropic and ("custom" not in (c_i.kind, c_j.kind) or not q.atoms):
-        (atoms,), weights = _atom_tuples([q])
-        return pref * float(weights @ rows([atoms] * 3, [np.arange(len(weights))])), 0.0
+    if not q.is_isotropic and ("custom" not in (c_i.kind, c_j.kind) or not q.weights.size):
+        return pref * float(q.weights @ rows([q.bases] * 3, [np.arange(len(q.weights))])), 0.0
     draw = _draws([q, q, q], gen)
     return _mc_mean(lambda count: rows(*draw(count)), samples, pref * q.total_mass)
 

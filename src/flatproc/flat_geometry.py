@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
@@ -275,6 +277,12 @@ def complement_bases(bases: np.ndarray) -> np.ndarray:
 def complement(u: Subspace) -> Subspace:
     """Orthogonal complement, of dimension n - k."""
     return Subspace(complement_bases(u.basis[None])[0])
+
+
+def subset_indices(m: int, r: int) -> np.ndarray:
+    """The r-subsets of range(m), lexicographic, as a (C(m, r), r) array."""
+    return np.fromiter(chain.from_iterable(combinations(range(m), r)),
+                       dtype=np.intp, count=comb(m, r) * r).reshape(comb(m, r), r)
 
 
 def gram_volumes(stacks: np.ndarray) -> np.ndarray:

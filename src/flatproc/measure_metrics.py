@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .closed_form import hyperplane_intersection, proximity_intensity
-from .flat_geometry import Subspace, _principal_angles
+from .flat_geometry import _principal_angles
 from .measures import GrassmannMeasure, SphereMeasure, line_measure_from_sphere, lower_bound_check
 from .zonoid_engine import _merge, area_measure
 
@@ -74,24 +74,21 @@ class MetricSample:
         return self.dist.shape[0]
 
     @staticmethod
-    def from_sphere_pairs(units: Sequence[np.ndarray]) -> "MetricSample":
-        """Quotient geodesic metric min(angle(u, v), angle(u, -v)) on
-        antipodal pairs, as 2 atan2(min(|u - v|, |u + v|), max(...)), which
-        stays accurate for nearby units where arccos|<u, v>| reads 0."""
-        u = np.vstack(list(units))
+    def from_sphere_pairs(units: np.ndarray) -> "MetricSample":
+        """Quotient geodesic metric min(angle(u, v), angle(u, -v)) on the
+        antipodal pairs of an (m, n) stack of units, as
+        2 atan2(min(|u - v|, |u + v|), max(...)), which stays accurate for
+        nearby units where arccos|<u, v>| reads 0."""
+        u = np.asarray(units, dtype=float)
         minus = np.linalg.norm(u[:, None, :] - u[None, :, :], axis=2)
         plus = np.linalg.norm(u[:, None, :] + u[None, :, :], axis=2)
         return MetricSample(2.0 * np.arctan2(np.minimum(minus, plus), np.maximum(minus, plus)))
 
     @staticmethod
-    def from_subspaces(subspaces: Sequence[Subspace]) -> "MetricSample":
-        """Direct-rotation metric table on a list of equal-dimension
-        subspaces, from one stacked principal-angle computation over all
-        pairs; as `grassmann_metric`, 2 sqrt(2 sum_i sin^2(theta_i / 2))."""
-        subs = list(subspaces)
-        if not subs:
-            return MetricSample(np.zeros((0, 0)))
-        bases = np.array([s.basis for s in subs])
+    def from_subspaces(bases: np.ndarray) -> "MetricSample":
+        """Direct-rotation metric table on an (m, k, n) stack of orthonormal
+        bases, from one stacked principal-angle computation over all pairs;
+        as `grassmann_metric`, 2 sqrt(2 sum_i sin^2(theta_i / 2))."""
         theta = _principal_angles(bases[:, None], bases[None, :])
         dist = np.triu(np.sqrt(8.0 * np.sum(np.sin(theta / 2.0) ** 2, axis=-1)), 1)
         return MetricSample(dist + dist.T)
@@ -109,26 +106,17 @@ def _weights(sample: MetricSample, mu, nu) -> tuple[np.ndarray, np.ndarray]:
     return mu, nu
 
 
-def _highs_max(c: np.ndarray, a_ub, b_ub: np.ndarray, lb, ub) -> float:
-    """max c.x over {A x <= b, lb <= x <= ub}, a linear program without
-    integer variables, by scipy's HiGHS solver through `milp`."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    res = milp(-c, bounds=Bounds(lb, ub), constraints=LinearConstraint(a_ub, -np.inf, b_ub))
-    if res.status != 0:
-        raise RuntimeError(f"HiGHS failed: {res.message}")
-    return -float(res.fun)
-
-
 def bl_distance(sample: MetricSample, mu: np.ndarray, nu: np.ndarray) -> float:
     """Bounded-Lipschitz distance of two weight vectors on a common support.
 
     Maximizes sum f_i (mu_i - nu_i) over functions with sup-norm plus
     Lipschitz-norm at most 1, as a linear program in f_i in [-1, 1] and
     a, b >= 0: |f_i| <= a, f_i - f_j <= b rho_ij for i != j, a + b <= 1,
-    solved in f = c + D h, h_0 = 0, D = min(1, diameter): the shape h is of
-    order 1 at any support size, while c, a and b keep their scale.  The
-    optimum is never -0.0.
+    solved by scipy's HiGHS solver through `milp` in f = c + D h, h_0 = 0,
+    D = min(1, diameter): the shape h is of order 1 at any support size,
+    while c, a and b keep their scale.  The optimum is never -0.0.
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp
     mu, nu = _weights(sample, mu, nu)
     tau = mu - nu
     if not np.any(tau):
@@ -145,39 +133,69 @@ def bl_distance(sample: MetricSample, mu: np.ndarray, nu: np.ndarray) -> float:
                       np.eye(1, m + 3, m + 1) + np.eye(1, m + 3, m + 2)])
     b_ub = np.r_[np.zeros(len(a_ub) - 1), 1.0]
     free = np.full(m - 1, np.inf)  # h_0 = 0
-    value = scale * _highs_max(np.r_[tau, tau.sum() / scale, 0.0, 0.0], a_ub, b_ub,
-                               np.r_[0.0, -free, -1.0, 0.0, 0.0], np.r_[0.0, free, 1.0, 1.0, 1.0])
+    res = milp(-np.r_[tau, tau.sum() / scale, 0.0, 0.0],
+               bounds=Bounds(np.r_[0.0, -free, -1.0, 0.0, 0.0], np.r_[0.0, free, 1.0, 1.0, 1.0]),
+               constraints=LinearConstraint(a_ub, -np.inf, b_ub))
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS failed: {res.message}")
+    value = -scale * float(res.fun)
     return value if value > 0 else 0.0
 
 
-def _max_flow(adjacent: np.ndarray, source_caps: np.ndarray,
-              sink_caps: np.ndarray) -> float:
-    """Max flow from a source through the bipartite graph `adjacent` to a
-    sink, with capacity source_caps[i] into left node i, sink_caps[j] out
-    of right node j and none on the edges i -> j."""
-    left, right = np.nonzero(adjacent)
-    edges = left.size
-    if edges == 0:
-        return 0.0
-    if edges == adjacent.size:
-        return min(float(source_caps.sum()), float(sink_caps.sum()))
-    a_ub = np.vstack([np.arange(adjacent.shape[0])[:, None] == left,
-                      np.arange(adjacent.shape[1])[:, None] == right]).astype(float)
-    return _highs_max(np.ones(edges), a_ub,
-                      np.concatenate([source_caps, sink_caps]), 0.0, np.inf)
-
-
-def _greedy_flow(adjacent: np.ndarray, source_caps: np.ndarray,
-                 sink_caps: np.ndarray) -> float:
-    """Value of a feasible flow in the network of `_max_flow`, so a lower
-    bound on the max flow: each left node in turn fills the remaining
-    capacity of its neighbours in index order."""
-    room = sink_caps.copy()
+def _greedy_plan(adjacent: np.ndarray, source_caps: np.ndarray,
+                 sink_caps: np.ndarray) -> np.ndarray:
+    """Edge flows (p, q) of a feasible flow in the network of `_max_flow`:
+    each left node in turn fills the remaining capacity of its neighbours
+    in index order."""
+    flow, room = np.zeros(adjacent.shape), sink_caps.copy()
     for i, cap in enumerate(source_caps):
         nbrs = np.flatnonzero(adjacent[i])
         free = room[nbrs]
-        room[nbrs] = free - np.clip(cap - (np.cumsum(free) - free), 0.0, free)
-    return float(sink_caps.sum() - room.sum())
+        flow[i, nbrs] = np.clip(cap - (np.cumsum(free) - free), 0.0, free)
+        room[nbrs] = free - flow[i, nbrs]
+    return flow
+
+
+def _greedy_flow(adjacent: np.ndarray, source_caps: np.ndarray, sink_caps: np.ndarray) -> float:
+    """Value of the greedy feasible flow, a lower bound on the max flow."""
+    return float(_greedy_plan(adjacent, source_caps, sink_caps).sum())
+
+
+def _max_flow(adjacent: np.ndarray, source_caps: np.ndarray, sink_caps: np.ndarray) -> float:
+    """Max flow from a source through the bipartite graph `adjacent` to a
+    sink, with capacity source_caps[i] into left node i, sink_caps[j] out
+    of right node j and none on the edges i -> j: the greedy flow augmented
+    along shortest residual paths (Edmonds-Karp), each by a bottleneck that
+    leaves exactly 0, until none is left.  The value is the capacity of the
+    cut the last search leaves, a sum of inputs exact to round-off."""
+    flow = _greedy_plan(adjacent, source_caps, sink_caps)
+    room_in, room_out = source_caps - flow.sum(axis=1), sink_caps - flow.sum(axis=0)
+    while True:
+        # breadth-first search: via[j] is the left node before right node j,
+        # back[i] the right node before left node i (-1: the source)
+        left, right = room_in > 0, np.zeros(len(room_out), dtype=bool)
+        via, back = np.zeros(len(room_out), dtype=np.intp), np.full(len(room_in), -1)
+        layer, ends = left.copy(), []
+        while layer.any() and not len(ends):
+            step = adjacent & layer[:, None]
+            new = step.any(axis=0) & ~right
+            via[new], right = step[:, new].argmax(axis=0), right | new
+            ends = np.flatnonzero(new & (room_out > 0))
+            undo = (flow > 0) & new  # flow that left nodes may take back from new
+            layer = undo.any(axis=1) & ~left
+            back[layer], left = undo[layer].argmax(axis=1), left | layer
+        if not len(ends):
+            return float(source_caps[~left].sum() + sink_caps[right].sum())
+        path, taken = [(via[ends[0]], ends[0])], []  # edges gaining flow, losing flow
+        while back[path[-1][0]] >= 0:
+            taken.append((path[-1][0], back[path[-1][0]]))
+            path.append((via[taken[-1][1]], taken[-1][1]))
+        gain, lose = (tuple(np.array(e, dtype=np.intp).reshape(-1, 2).T) for e in (path, taken))
+        b = min(room_in[path[-1][0]], room_out[ends[0]], flow[lose].min(initial=np.inf))
+        room_in[path[-1][0]] -= b
+        room_out[ends[0]] -= b
+        flow[gain] += b
+        flow[lose] -= b
 
 
 def prohorov_distance(sample: MetricSample, mu: np.ndarray, nu: np.ndarray) -> float:
@@ -209,20 +227,15 @@ def prohorov_distance(sample: MetricSample, mu: np.ndarray, nu: np.ndarray) -> f
             deficiency[k] = total - _max_flow(dist <= t[k], mu, nu)
         return deficiency[k]
 
-    def at_most(k: int, bound: float) -> bool:
-        """D_k <= bound; a greedy flow often shows it without an LP solve."""
-        return (total - _greedy_flow(dist <= t[k], mu, nu) <= bound
-                or deficiency_at(k) <= bound)
-
     # D_k <= total, so every k with t_{k+1} >= total satisfies the test
     lo, hi = 0, int(np.searchsorted(t, total)) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if at_most(mid, t[mid + 1]):
+        if deficiency_at(mid) <= t[mid + 1]:
             hi = mid
         else:
             lo = mid + 1
-    if not at_most(lo, t[lo]):
+    if deficiency_at(lo) > t[lo]:
         return deficiency_at(lo)
     return float(np.nextafter(t[lo], np.inf)) if t[lo] > 0 else 0.0
 
@@ -232,7 +245,6 @@ def _common_support(bases: np.ndarray, weights, split: int, tol: float):
     `split` rows the first measure's, once on their projectors: the indices
     of the support's atoms (first seen first) and both weight vectors."""
     reps, labels = _merge(np.swapaxes(bases, 1, 2) @ bases, tol)
-    weights = np.asarray(weights, dtype=float)
     return reps, [np.bincount(labels[part], weights[part], len(reps))
                   for part in (slice(split), slice(split, None))]
 
@@ -244,10 +256,9 @@ def sphere_distances(mu: SphereMeasure, nu: SphereMeasure) -> tuple[float, float
     that is sin of their angle below 1e-12."""
     if not (mu.is_atomic and nu.is_atomic) or mu.n != nu.n:
         raise ValueError("metric distances require atomic measures on one sphere")
-    atoms = mu.pair_atoms + nu.pair_atoms
-    units = np.array([u for u, _ in atoms]).reshape(-1, 1, mu.n)
-    reps, (w_mu, w_nu) = _common_support(units, [w for _, w in atoms],
-                                         len(mu.pair_atoms), math.sqrt(2.0) * 1e-12)
+    units = np.concatenate([mu.units, nu.units])[:, None]
+    reps, (w_mu, w_nu) = _common_support(units, np.concatenate([mu.weights, nu.weights]),
+                                         len(mu.units), math.sqrt(2.0) * 1e-12)
     sample = MetricSample.from_sphere_pairs(units[reps, 0])
     return bl_distance(sample, w_mu, w_nu), prohorov_distance(sample, w_mu, w_nu)
 
@@ -258,11 +269,10 @@ def grassmann_distances(mu: GrassmannMeasure, nu: GrassmannMeasure) -> tuple[flo
     within 1e-10 are one support point."""
     if mu.is_isotropic or nu.is_isotropic or (mu.n, mu.k) != (nu.n, nu.k):
         raise ValueError("metric distances require atomic measures on one Grassmannian")
-    atoms = mu.atoms + nu.atoms
-    reps, (w_mu, w_nu) = _common_support(
-        np.array([sub.basis for sub, _ in atoms]).reshape(-1, mu.k, mu.n),
-        [w for _, w in atoms], len(mu.atoms), 1e-10)
-    sample = MetricSample.from_subspaces([atoms[i][0] for i in reps])
+    bases = np.concatenate([mu.bases, nu.bases])
+    reps, (w_mu, w_nu) = _common_support(bases, np.concatenate([mu.weights, nu.weights]),
+                                         len(mu.bases), 1e-10)
+    sample = MetricSample.from_subspaces(bases[reps])
     return bl_distance(sample, w_mu, w_nu), prohorov_distance(sample, w_mu, w_nu)
 
 
@@ -280,10 +290,8 @@ def _derived_measure(case: str, mu: SphereMeasure, order: int) -> GrassmannMeasu
         return hyperplane_intersection(n, 1.0, mu, order)
     if case not in ("area-measure", "line-proximity"):
         raise ValueError(f"unknown stability case {case!r}")
-    r = order if case == "area-measure" else 2
-    atoms = area_measure(mu, r).subspheres
-    derived = GrassmannMeasure.discrete(atoms) if atoms else GrassmannMeasure.zero(n, n - r)
-    if case == "area-measure" or not atoms:
+    derived, = area_measure(mu, order if case == "area-measure" else 2).components
+    if case == "area-measure" or not derived.weights.size:
         return derived
     # intensity-weighted directional measure of the proximity process,
     # proportional to the second-order area data of the zonotope (all its

@@ -1,14 +1,19 @@
 """Finite measures on Grassmannians and even measures on the sphere.
 
-Grassmann measures are either weighted atom lists or the rotation-invariant
+Grassmann measures are either atoms, stored once as read-only stacks of
+orthonormal bases (m, k, n) and weights (m,), or the rotation-invariant
 (Haar) measure with a stored total mass.  Even sphere measures come in three
-shapes: atom lists stored as unordered +-u pairs (evenness is structural),
-the uniform measure, and mixtures of uniform measures on great subspheres.
+shapes: canonical units (m, n) with pair masses, each an unordered +-u pair
+(evenness is structural), the uniform measure, and mixtures of uniform
+measures on great subspheres, held as discrete Grassmann measures.  Tuples of
+`Subspace` objects (`atoms`, `subspheres`) are views for the API edge.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -16,8 +21,8 @@ import numpy as np
 
 from . import constants
 from ._rng import SeedLike, as_generator
-from .flat_geometry import (Subspace, _in_blocks, canonical_unit, complement, haar_bases,
-                            orthonormalize)
+from .flat_geometry import (Subspace, _in_blocks, canonical_unit, canonical_units,
+                            complement_bases, haar_bases, orthonormalize, subset_indices)
 
 DEFAULT_MC_SAMPLES = 100_000
 
@@ -27,11 +32,24 @@ def finite_positive(x: float) -> bool:
     return bool(math.isfinite(x) and x > 0)
 
 
+def positive_weights(weights: np.ndarray, count: int) -> bool:
+    """True for `count` finite weights above 0; NaN and +-inf fail."""
+    return weights.shape == (count,) and bool(np.all(np.isfinite(weights) & (weights > 0)))
+
+
 def check_samples(samples: int) -> int:
     """A Monte-Carlo sample count: an integer of at least 2, or ValueError."""
     if not isinstance(samples, (int, np.integer)) or samples < 2:
         raise ValueError(f"Monte-Carlo samples must be an integer >= 2, got {samples!r}")
     return int(samples)
+
+
+def read_only(values) -> np.ndarray:
+    """values as a read-only float array, copied unless it already is one."""
+    if not isinstance(values, np.ndarray) or values.dtype != float or values.flags.writeable:
+        values = np.array(values, dtype=float)
+        values.flags.writeable = False
+    return values
 
 
 def _mc_mean(rows, samples: int, mass: float) -> tuple[float, float]:
@@ -44,58 +62,70 @@ def _mc_mean(rows, samples: int, mass: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GrassmannMeasure:
-    """Finite measure on G(n,k): weighted subspace atoms or isotropic."""
+    """Finite measure on G(n,k): atoms with orthonormal bases (m, k, n) and
+    weights (m,), both read-only, or isotropic with a total mass."""
 
     n: int
     k: int
-    atoms: tuple[tuple[Subspace, float], ...] | None = None
+    bases: np.ndarray | None = None
+    weights: np.ndarray | None = None
     isotropic_mass: float | None = None
 
     def __post_init__(self) -> None:
-        if (self.atoms is None) == (self.isotropic_mass is None):
-            raise ValueError("exactly one of atoms / isotropic_mass must be given")
-        if self.atoms is not None:
-            for sub, weight in self.atoms:
-                if sub.n != self.n or sub.k != self.k:
-                    raise ValueError("atom dimensions must match the measure's (n, k)")
-                if not finite_positive(weight):
-                    raise ValueError("atom weights must be finite and strictly positive")
-        elif not finite_positive(self.isotropic_mass):
-            raise ValueError("isotropic mass must be finite and strictly positive")
+        if (self.bases is None) == (self.isotropic_mass is None):
+            raise ValueError("exactly one of bases / isotropic_mass must be given")
+        if self.bases is None:
+            if not finite_positive(self.isotropic_mass):
+                raise ValueError("isotropic mass must be finite and strictly positive")
+            return
+        bases, weights = read_only(self.bases), read_only(self.weights)
+        if bases.ndim != 3 or bases.shape[1:] != (self.k, self.n):
+            raise ValueError("atom dimensions must match the measure's (n, k)")
+        gram = np.einsum("mkn,mjn->mkj", bases, bases) - np.eye(self.k)
+        if not np.abs(gram).max(initial=0.0) <= 1e-10:  # NaN fails too
+            raise ValueError("basis rows are not orthonormal")
+        if not positive_weights(weights, len(bases)):
+            raise ValueError("atom weights must be finite and strictly positive")
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "weights", weights)
 
     @staticmethod
     def discrete(atoms: Sequence[tuple[Subspace, float]]) -> "GrassmannMeasure":
-        atoms = tuple((sub, float(w)) for sub, w in atoms)
+        atoms = list(atoms)
         if not atoms:
             raise ValueError("discrete() needs atoms; use zero(n, k) for the zero measure")
-        sub0 = atoms[0][0]
-        return GrassmannMeasure(n=sub0.n, k=sub0.k, atoms=atoms)
+        bases = np.array([sub.basis for sub, _ in atoms])  # mixed dimensions raise
+        return GrassmannMeasure(bases.shape[2], bases.shape[1], bases, [w for _, w in atoms])
 
     @staticmethod
     def zero(n: int, k: int) -> "GrassmannMeasure":
-        return GrassmannMeasure(n=n, k=k, atoms=())
+        return GrassmannMeasure(n, k, np.zeros((0, k, n)), np.zeros(0))
 
     @staticmethod
     def isotropic(n: int, k: int, mass: float = 1.0) -> "GrassmannMeasure":
         return GrassmannMeasure(n=n, k=k, isotropic_mass=float(mass))
 
+    @cached_property
+    def atoms(self) -> tuple[tuple[Subspace, float], ...] | None:
+        """(Subspace, weight) pairs in stored order; None when isotropic."""
+        return None if self.bases is None else tuple(
+            (Subspace(b), w) for b, w in zip(self.bases, self.weights.tolist()))
+
     @property
     def is_isotropic(self) -> bool:
-        return self.atoms is None
+        return self.bases is None
 
     @property
     def total_mass(self) -> float:
-        if self.atoms is not None:
-            return float(sum(w for _, w in self.atoms))
+        if self.bases is not None:
+            return float(sum(self.weights.tolist()))
         return float(self.isotropic_mass)
 
     def scaled(self, factor: float) -> "GrassmannMeasure":
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        if self.atoms is not None:
-            return GrassmannMeasure(
-                n=self.n, k=self.k,
-                atoms=tuple((s, w * factor) for s, w in self.atoms))
+        if self.bases is not None:
+            return GrassmannMeasure(self.n, self.k, self.bases, self.weights * factor)
         return GrassmannMeasure.isotropic(self.n, self.k, self.isotropic_mass * factor)
 
     def normalized(self) -> "GrassmannMeasure":
@@ -109,42 +139,48 @@ class GrassmannMeasure:
 class SphereMeasure:
     """Even finite measure on S^{n-1}.
 
-    Exactly one of the three variant fields is set:
-      pair_atoms       list of (canonical unit vector, pair mass); the pair
-                       mass q is split as q/2 on +u and q/2 on -u
+    Exactly one of the three variants is set:
+      units, weights   (m, n) unit vectors, each made canonical (signed as
+                       canonical_unit signs it), and (m,) pair masses; the
+                       pair mass q is split as q/2 on +u and q/2 on -u
       uniform_mass     total mass of a rotation-invariant measure
-      subspheres       list of (Subspace U, weight); each component is
-                       weight times spherical Lebesgue measure on the unit
-                       sphere of U, of total mass weight * omega_dim(U)
+      components       discrete Grassmann measures of dimension >= 1; each
+                       atom (U, weight) is weight times spherical Lebesgue
+                       measure on the unit sphere of U, of total mass
+                       weight * omega_dim(U)
     """
 
     n: int
-    pair_atoms: tuple[tuple[np.ndarray, float], ...] | None = None
+    units: np.ndarray | None = None
+    weights: np.ndarray | None = None
     uniform_mass: float | None = None
-    subspheres: tuple[tuple[Subspace, float], ...] | None = None
+    components: tuple[GrassmannMeasure, ...] | None = None
 
     def __post_init__(self) -> None:
-        variants = [self.pair_atoms is not None, self.uniform_mass is not None,
-                    self.subspheres is not None]
-        if sum(variants) != 1:
+        if sum(x is not None for x in (self.units, self.uniform_mass, self.components)) != 1:
             raise ValueError("exactly one variant must be set")
-        if self.pair_atoms is not None:
-            for u, w in self.pair_atoms:
-                if u.shape != (self.n,) or not finite_positive(w):
-                    raise ValueError("atoms must be n-vectors with finite positive pair mass")
         if self.uniform_mass is not None and not finite_positive(self.uniform_mass):
             raise ValueError("uniform mass must be finite and positive")
-        if self.subspheres is not None:
-            for sub, w in self.subspheres:
-                if sub.n != self.n or sub.k < 1 or not finite_positive(w):
-                    raise ValueError("mixture components need dim >= 1 and finite positive weight")
+        if self.components is not None and not all(
+                not c.is_isotropic and c.n == self.n and c.k >= 1 for c in self.components):
+            raise ValueError("mixture components need dim >= 1 and finite positive weight")
+        if self.units is None:
+            return
+        units, weights = np.asarray(self.units, dtype=float), read_only(self.weights)
+        if units.ndim != 2 or units.shape[1] != self.n \
+                or not positive_weights(weights, len(units)):
+            raise ValueError("atoms must be n-vectors with finite positive pair mass")
+        norms = np.sqrt((units[:, None, :] @ units[:, :, None])[:, 0, 0])  # np.linalg.norm's u.u
+        if not np.all((norms >= 1e-12) & (norms < np.inf)):  # NaN fails too
+            raise ValueError("cannot canonicalize a near-zero or non-finite vector")
+        object.__setattr__(self, "units", read_only(canonical_units(units / norms[:, None])))
+        object.__setattr__(self, "weights", weights)
 
     @staticmethod
     def atoms(n: int, pairs: Sequence[tuple[np.ndarray, float]]) -> "SphereMeasure":
-        canon = tuple((canonical_unit(u), float(w)) for u, w in pairs)
-        for u, _ in canon:
-            u.flags.writeable = False
-        return SphereMeasure(n=n, pair_atoms=canon)
+        pairs = list(pairs)
+        return SphereMeasure(n, np.array([u for u, _ in pairs] or np.zeros((0, n)), dtype=float),
+                             [w for _, w in pairs])
 
     @staticmethod
     def uniform(n: int, mass: float) -> "SphereMeasure":
@@ -152,29 +188,46 @@ class SphereMeasure:
 
     @staticmethod
     def subsphere_mixture(n: int, components: Sequence[tuple[Subspace, float]]) -> "SphereMeasure":
-        return SphereMeasure(n=n, subspheres=tuple((s, float(w)) for s, w in components))
+        """Mixture of (Subspace U, weight) components: runs of equal dimension
+        become one discrete Grassmann measure each, in the given order."""
+        components = [(sub, float(w)) for sub, w in components]
+        if not all(sub.n == n and sub.k >= 1 and finite_positive(w) for sub, w in components):
+            raise ValueError("mixture components need dim >= 1 and finite positive weight")
+        return SphereMeasure(n=n, components=tuple(
+            GrassmannMeasure.discrete(run) for _, run in groupby(components, lambda c: c[0].k)))
+
+    @cached_property
+    def pair_atoms(self) -> tuple[tuple[np.ndarray, float], ...] | None:
+        """(canonical unit, pair mass) pairs in stored order; None unless atomic."""
+        return None if self.units is None else tuple(zip(self.units, self.weights.tolist()))
+
+    @cached_property
+    def subspheres(self) -> tuple[tuple[Subspace, float], ...] | None:
+        """(Subspace, weight) pairs of every component in order; None unless a mixture."""
+        return None if self.components is None else tuple(
+            chain.from_iterable(c.atoms for c in self.components))
 
     @property
     def is_atomic(self) -> bool:
-        return self.pair_atoms is not None
+        return self.units is not None
 
     @property
     def total_mass(self) -> float:
-        if self.pair_atoms is not None:
-            return float(sum(w for _, w in self.pair_atoms))
+        if self.units is not None:
+            return float(sum(self.weights.tolist()))
         if self.uniform_mass is not None:
             return float(self.uniform_mass)
-        return float(sum(w * constants.sphere_surface(s.k) for s, w in self.subspheres))
+        return float(sum(w * constants.sphere_surface(c.k)
+                         for c in self.components for w in c.weights.tolist()))
 
     def scaled(self, factor: float) -> "SphereMeasure":
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        if self.pair_atoms is not None:
-            return SphereMeasure.atoms(self.n, [(u, w * factor) for u, w in self.pair_atoms])
+        if self.units is not None:
+            return SphereMeasure(self.n, self.units, self.weights * factor)
         if self.uniform_mass is not None:
             return SphereMeasure.uniform(self.n, self.uniform_mass * factor)
-        return SphereMeasure.subsphere_mixture(
-            self.n, [(s, w * factor) for s, w in self.subspheres])
+        return SphereMeasure(self.n, components=tuple(c.scaled(factor) for c in self.components))
 
     def cosine_moment(self, directions: np.ndarray) -> np.ndarray:
         """integral of |<u, v>| d(this measure)(v) for each row u, exactly.
@@ -185,19 +238,15 @@ class SphereMeasure:
         """
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         out = np.zeros(directions.shape[0])
-        if self.pair_atoms is not None:
-            if not self.pair_atoms:
-                return out
-            units = np.vstack([u for u, _ in self.pair_atoms])
-            weights = np.array([w for _, w in self.pair_atoms])
-            out += np.abs(directions @ units.T) @ weights
+        if self.units is not None:
+            out += np.abs(directions @ self.units.T) @ self.weights
         elif self.uniform_mass is not None:
             mean = 2.0 * constants.ball_volume(self.n - 1) / constants.sphere_surface(self.n)
             out += self.uniform_mass * mean
         else:
-            for sub, w in self.subspheres:
-                proj_norm = np.linalg.norm(directions @ sub.basis.T, axis=1)
-                out += w * 2.0 * constants.ball_volume(sub.k - 1) * proj_norm
+            for comp in self.components:
+                proj_norms = np.linalg.norm(directions @ np.swapaxes(comp.bases, 1, 2), axis=2)
+                out += 2.0 * constants.ball_volume(comp.k - 1) * (comp.weights @ proj_norms)
         return out
 
 
@@ -308,7 +357,7 @@ def symmetrize_line_measure(q: GrassmannMeasure) -> SphereMeasure:
         raise ValueError("line symmetrization requires k = 1")
     if q.is_isotropic:
         return SphereMeasure.uniform(q.n, q.isotropic_mass)
-    return SphereMeasure.atoms(q.n, [(sub.basis[0], w) for sub, w in q.atoms])
+    return SphereMeasure(q.n, q.bases[:, 0], q.weights)
 
 
 def symmetrize_hyperplane_measure(q: GrassmannMeasure) -> SphereMeasure:
@@ -317,16 +366,14 @@ def symmetrize_hyperplane_measure(q: GrassmannMeasure) -> SphereMeasure:
         raise ValueError("hyperplane symmetrization requires k = n - 1")
     if q.is_isotropic:
         return SphereMeasure.uniform(q.n, q.isotropic_mass)
-    return SphereMeasure.atoms(
-        q.n, [(complement(sub).basis[0], w) for sub, w in q.atoms])
+    return SphereMeasure(q.n, complement_bases(q.bases)[:, 0], q.weights)
 
 
 def line_measure_from_sphere(mu: SphereMeasure) -> GrassmannMeasure:
     """Inverse of symmetrize_line_measure for atomic measures."""
     if not mu.is_atomic:
         raise ValueError("requires an atomic sphere measure")
-    return GrassmannMeasure.discrete(
-        [(Subspace(u.reshape(1, -1)), w) for u, w in mu.pair_atoms])
+    return GrassmannMeasure(mu.n, 1, mu.units[:, None], mu.weights)
 
 
 def integrate(measure, f, rng: SeedLike | None = None,
@@ -349,26 +396,25 @@ def integrate(measure, f, rng: SeedLike | None = None,
 
     if not isinstance(measure, SphereMeasure):
         raise TypeError("integrate expects a GrassmannMeasure or SphereMeasure")
-    if measure.pair_atoms is not None:
-        if not measure.pair_atoms:
+    if measure.units is not None:
+        if not len(measure.units):
             return 0.0, 0.0
-        units = np.vstack([u for u, _ in measure.pair_atoms])
-        weights = np.array([w for _, w in measure.pair_atoms])
-        vals = 0.5 * (np.asarray(f(units)) + np.asarray(f(-units)))
-        return float(weights @ vals), 0.0
+        vals = 0.5 * (np.asarray(f(measure.units)) + np.asarray(f(-measure.units)))
+        return float(measure.weights @ vals), 0.0
     gen = as_generator(rng if rng is not None else 0xF1A7)
     if measure.uniform_mass is not None:
         return _mc_mean(lambda rows: f(haar_bases(rows, measure.n, 1, gen)[:, 0]), samples,
                         measure.uniform_mass)
     total, var = 0.0, 0.0
-    for sub, w in measure.subspheres:
-        if sub.k == 1:
-            # S_U is the two-point set; sigma_U is counting measure
-            total += w * float(np.asarray(f(sub.basis))[0] + np.asarray(f(-sub.basis))[0])
-            continue
-        value, se = _mc_mean(lambda rows: f(haar_bases(rows, sub.k, 1, gen)[:, 0] @ sub.basis),
-                             samples, w * constants.sphere_surface(sub.k))
-        total, var = total + value, var + se * se
+    for comp in measure.components:
+        for basis, w in zip(comp.bases, comp.weights.tolist()):
+            if comp.k == 1:
+                # S_U is the two-point set; sigma_U is counting measure
+                total += w * float(np.asarray(f(basis))[0] + np.asarray(f(-basis))[0])
+                continue
+            value, se = _mc_mean(lambda rows: f(haar_bases(rows, comp.k, 1, gen)[:, 0] @ basis),
+                                 samples, w * constants.sphere_surface(comp.k))
+            total, var = total + value, var + se * se
     return total, math.sqrt(var)
 
 
@@ -388,19 +434,25 @@ def _direction_grid(n: int) -> np.ndarray:
 def lower_bound_check(mu: SphereMeasure, rho: float) -> bool:
     """True when inf_u of the cosine moment of mu is >= rho - 1e-6.
 
-    The infimum is probed on a 10^4-point quasi-uniform grid; the cosine
-    moment itself is evaluated in closed form for every variant, and the
-    coordinate directions are always included in the probe set.
+    Exact for atomic measures: twice the support function of their zonotope,
+    least at a facet normal (the normal of n - 1 atom directions), and 0 when
+    the atoms span less than R^n.  Uniform measures are constant.  Subsphere
+    mixtures are only probed, on a 10^4-point quasi-uniform grid and the axes.
     """
-    grid = np.vstack([_direction_grid(mu.n), np.eye(mu.n)])
-    if mu.pair_atoms:
-        # atom directions are the natural candidates for the minimum
-        grid = np.vstack([grid, np.vstack([u for u, _ in mu.pair_atoms])])
-    return bool(np.min(mu.cosine_moment(grid)) >= rho - 1e-6)
+    if mu.units is None:
+        grid = np.vstack([_direction_grid(mu.n), np.eye(mu.n)])
+        return bool(np.min(mu.cosine_moment(grid)) >= rho - 1e-6)
+    if np.linalg.matrix_rank(mu.units) < mu.n:
+        return 0.0 >= rho - 1e-6
+    subsets = subset_indices(len(mu.units), mu.n - 1)
+    least, = _in_blocks(lambda block: (mu.cosine_moment(
+        complement_bases(mu.units[subsets[block]])[:, 0]),), len(subsets))
+    return bool(least.min() >= rho - 1e-6)
 
 
 def t_lift(mu: GrassmannMeasure) -> SphereMeasure:
-    """Lift of a discrete Grassmann measure to a subsphere mixture.
+    """Lift of a discrete Grassmann measure to a subsphere mixture, which
+    holds mu itself.
 
     Each atom (U, w) becomes the component w * sigma_U, so the lift of mu on
     G(n, d) has total mass omega_d * mu(G(n, d)).  The isotropic variant is
@@ -408,7 +460,7 @@ def t_lift(mu: GrassmannMeasure) -> SphereMeasure:
     """
     if mu.is_isotropic:
         raise ValueError("lift requires atoms")
-    return SphereMeasure.subsphere_mixture(mu.n, list(mu.atoms))
+    return SphereMeasure(mu.n, components=(mu,))
 
 
 def parse_directional_file(path: str | Path) -> GrassmannMeasure:
@@ -446,7 +498,7 @@ def write_directional_file(path: str | Path, q: GrassmannMeasure) -> None:
     if q.is_isotropic:
         out.append(f"isotropic {q.isotropic_mass!r}")
     else:
-        for sub, w in q.atoms:
-            floats = " ".join(repr(float(x)) for x in sub.basis.ravel())
+        for basis, w in zip(q.bases, q.weights.tolist()):
+            floats = " ".join(repr(float(x)) for x in basis.ravel())
             out.append(f"{w!r} {floats}")
     Path(path).write_text("\n".join(out) + "\n")

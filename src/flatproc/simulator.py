@@ -193,10 +193,8 @@ def sample_poisson(spec: FlatProcessSpec, radius: float, rng: SeedLike) -> FlatS
     if spec.q.is_isotropic:
         bases = haar_bases(count, n, k, gen)
     else:
-        weights = np.array([w for _, w in spec.q.atoms])
-        idx = gen.choice(len(weights), size=count, p=weights / weights.sum())
-        stack = np.stack([sub.basis for sub, _ in spec.q.atoms])
-        bases = stack[idx]
+        weights = spec.q.weights
+        bases = spec.q.bases[gen.choice(len(weights), size=count, p=weights / weights.sum())]
     if n == k:
         return FlatSample(n, k, radius, bases, np.zeros((count, n)), record)
     z = gen.standard_normal((count, n))

@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
 from . import constants
-from .flat_geometry import BLOCK_ROWS, Subspace, complement_bases, gram_volumes
-from .measures import GrassmannMeasure, SphereMeasure, finite_positive
+from .flat_geometry import BLOCK_ROWS, complement_bases, gram_volumes, subset_indices
+from .measures import GrassmannMeasure, SphereMeasure, positive_weights, read_only
 
 DROP_TOL = 1e-10
 MERGE_TOL = 1e-8
@@ -25,29 +25,29 @@ MERGE_TOL = 1e-8
 class Zonotope:
     """Minkowski sum of centered segments [-w_i u_i, +w_i u_i].
 
-    generators is a tuple of (canonical unit direction, half-length w_i > 0).
+    units (m, n) holds the directions u_i and half_lengths (m,) the w_i > 0,
+    both read-only; `generators` is their (u_i, w_i) view.
     """
 
     n: int
-    generators: tuple[tuple[np.ndarray, float], ...]
+    units: np.ndarray
+    half_lengths: np.ndarray
 
     def __post_init__(self) -> None:
-        for u, w in self.generators:
-            if u.shape != (self.n,) or not np.all(np.isfinite(u)):
-                raise ValueError("generator directions must be finite n-vectors")
-            if not finite_positive(w):
-                raise ValueError("generator half-lengths must be finite and positive")
+        units, half_lengths = read_only(self.units), read_only(self.half_lengths)
+        if units.ndim != 2 or units.shape[1] != self.n or not np.all(np.isfinite(units)):
+            raise ValueError("generator directions must be finite n-vectors")
+        if not positive_weights(half_lengths, len(units)):
+            raise ValueError("generator half-lengths must be finite and positive")
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "half_lengths", half_lengths)
 
-    def direction_matrix(self) -> np.ndarray:
-        if not self.generators:
-            return np.zeros((0, self.n))
-        return np.vstack([u for u, _ in self.generators])
-
-    def half_lengths(self) -> np.ndarray:
-        return np.array([w for _, w in self.generators])
+    @cached_property
+    def generators(self) -> tuple[tuple[np.ndarray, float], ...]:
+        return tuple(zip(self.units, self.half_lengths.tolist()))
 
     def scaled(self, factor: float) -> "Zonotope":
-        return Zonotope(self.n, tuple((u, w * factor) for u, w in self.generators))
+        return Zonotope(self.n, self.units, self.half_lengths * factor)
 
 
 def from_measure(mu: SphereMeasure) -> Zonotope:
@@ -58,27 +58,21 @@ def from_measure(mu: SphereMeasure) -> Zonotope:
     """
     if not mu.is_atomic:
         raise ValueError("zonotope construction requires an atomic even measure")
-    return Zonotope(mu.n, tuple((u, w / 2.0) for u, w in mu.pair_atoms))
+    return Zonotope(mu.n, mu.units, mu.weights / 2.0)
 
 
 def support(z: Zonotope, x: np.ndarray) -> float:
     """Support function h(Z, x) = sum_i w_i |<u_i, x>|."""
-    x = np.asarray(x, dtype=float)
-    if not z.generators:
-        return 0.0
-    return float(z.half_lengths() @ np.abs(z.direction_matrix() @ x))
+    return float(z.half_lengths @ np.abs(z.units @ np.asarray(x, dtype=float)))
 
 
 def _subsets(z: Zonotope, r: int):
-    """The generator directions of z; their r-subsets as an (m, r) index
-    array in lexicographic order; the subsets' nabla_r, from one stacked
-    Gram volume; and their terms prod_i (2 w_i) * nabla_r of V_r(z)."""
-    units = z.direction_matrix()
-    count = comb(units.shape[0], r)
-    idx = np.fromiter(chain.from_iterable(combinations(range(units.shape[0]), r)),
-                      dtype=np.intp, count=count * r).reshape(count, r)
-    vols = np.minimum(gram_volumes(units[idx]), 1.0)
-    return units, idx, vols, np.prod(2.0 * z.half_lengths()[idx], axis=1) * vols
+    """The r-subsets of z's generators as an (m, r) index array in
+    lexicographic order; the subsets' nabla_r, from one stacked Gram volume;
+    and their terms prod_i (2 w_i) * nabla_r of V_r(z)."""
+    idx = subset_indices(len(z.units), r)
+    vols = np.minimum(gram_volumes(z.units[idx]), 1.0)
+    return idx, vols, np.prod(2.0 * z.half_lengths[idx], axis=1) * vols
 
 
 def intrinsic_volume(z: Zonotope, m: int) -> float:
@@ -92,7 +86,7 @@ def intrinsic_volume(z: Zonotope, m: int) -> float:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={z.n}")
     if m == 0:
         return 1.0
-    return float(_subsets(z, m)[3].sum())
+    return float(_subsets(z, m)[2].sum())
 
 
 def _merge(projectors: np.ndarray, tol: float):
@@ -140,14 +134,13 @@ def mu_Q_r(q: SphereMeasure, r: int) -> GrassmannMeasure:
     """
     if not 2 <= r <= q.n - 1:
         raise ValueError(f"need 2 <= r <= n-1, got r={r}, n={q.n}")
-    units, idx, vols, terms = _subsets(from_measure(q), r)
+    z = from_measure(q)
+    idx, vols, terms = _subsets(z, r)
     keep = vols > DROP_TOL
-    comps = complement_bases(units[idx[keep]])
+    comps = complement_bases(z.units[idx[keep]])
     reps, labels = _merge(np.swapaxes(comps, 1, 2) @ comps, MERGE_TOL)
-    if not reps:
-        return GrassmannMeasure.zero(q.n, q.n - r)
-    sums = np.bincount(labels, math.factorial(r) * terms[keep])
-    return GrassmannMeasure.discrete([(Subspace(comps[i]), w) for i, w in zip(reps, sums)])
+    return GrassmannMeasure(q.n, q.n - r, comps[reps],
+                            np.bincount(labels, math.factorial(r) * terms[keep], len(reps)))
 
 
 def mu_Q_r_total_mass(q: SphereMeasure, r: int) -> float:
@@ -166,8 +159,8 @@ def area_measure(q: SphereMeasure, r: int) -> SphereMeasure:
     """
     mu = mu_Q_r(q, r)
     scale = float(math.factorial(r)) * comb(q.n - 1, r)
-    return SphereMeasure.subsphere_mixture(
-        q.n, [(sub, w / scale) for sub, w in mu.atoms])
+    return SphereMeasure(q.n, components=(
+        GrassmannMeasure(mu.n, mu.k, mu.bases, mu.weights / scale),))
 
 
 def area_measure_total_mass(q: SphereMeasure, r: int) -> float:

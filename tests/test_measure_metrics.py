@@ -135,6 +135,67 @@ def test_prohorov_exact_against_subset_enumeration():
         assert not brute_force_feasible(sample.dist, mu, nu, value - 1e-9, slack=1e-12)
 
 
+# the m = 18 support of the benchmark's seeded metric pairs at seed 16905:
+# units in R^3 under the quotient metric arccos|<u, v>|, two probability vectors
+UNITS_16905 = np.array([
+    [0.36703051970737083, -0.8992718521899334, -0.23790488322483788],
+    [-0.31340063710017024, 0.3734923834891715, -0.8730884721153894],
+    [0.08659791317378668, -0.6418799822038171, 0.7618995274181319],
+    [0.03477645470546526, -0.7738942684518016, -0.6323592803585388],
+    [0.1167634993196187, -0.7167591077553498, -0.687475575330784],
+    [-0.7300425002778904, -0.3228419550125693, -0.6023379615063861],
+    [-0.7645698635839235, 0.03196824005857723, -0.6437475866570823],
+    [0.7333512706075356, -0.6795805000602405, 0.01913786394002375],
+    [0.143063933054956, -0.5999720461728074, -0.7871253107797143],
+    [-0.2330530477523262, -0.04792219051781502, 0.9712825235683622],
+    [-0.9758307592145449, 0.006049991309517225, 0.21844387603208235],
+    [0.4104654470703324, -0.4247994808972782, -0.8068850709926136],
+    [0.7387572011850555, -0.3544219116308614, -0.5732564053311131],
+    [0.25571795680729525, 0.8637328252028881, -0.43425100257033306],
+    [-0.6994862360286095, -0.6775778146998674, 0.22717242489589373],
+    [-0.9488224810206557, 0.025204832804959942, -0.3148025030286155],
+    [0.6248887128294347, -0.31467179095973763, 0.7144898603567187],
+    [0.5653346162207955, 0.04464738562757765, 0.8236524647320059],
+])
+MU_16905 = np.array([
+    0.026032679623656768, 0.07629787801393442, 0.08225910669045298, 0.05297173895844378,
+    0.02700654692365994, 0.014880974217719316, 0.016755578290023644, 0.05638557479655555,
+    0.00858460049500104, 0.08370275046115187, 0.08739508361857258, 0.10366840303914832,
+    0.07287261777657966, 0.03726617568518981, 0.058100689814942354, 0.018614563540962553,
+    0.10504864325691948, 0.07215639479708578])
+NU_16905 = np.array([
+    0.09899805224822443, 0.0762978271622317, 0.03914854127200721, 0.02544905645729719,
+    0.06736243158582632, 0.07594118673560384, 0.08517637745687745, 0.022355602398699697,
+    0.04711862149783073, 0.0333044930962617, 0.036399663571789344, 0.10017436613265768,
+    0.05275091387330657, 0.07367899398337503, 0.09451248986487444, 0.02564895501326703,
+    0.0074188090829019355, 0.038263618566967667])
+
+
+def enumerated_feasible(dist, mu, nu, eps, slack=1e-12):
+    """brute_force_feasible over all 2^m subsets at once, as bit masks in
+    blocks of 2^15."""
+    m = len(mu)
+    for w_from, w_to in ((mu, nu), (nu, mu)):
+        near = (dist < eps).astype(float)
+        for start in range(0, 1 << m, 1 << 15):
+            masks = np.arange(start, min(start + (1 << 15), 1 << m))
+            bits = ((masks[:, None] >> np.arange(m)) & 1).astype(float)
+            if np.any(bits @ w_from > ((bits @ near) > 0) @ w_to + eps + slack):
+                return False
+    return True
+
+
+def test_prohorov_exact_where_the_lp_tolerance_shows():
+    # at this support a max flow from an LP solver read 5.1e-8 above the true
+    # flow, within its primal tolerance, and the distance came out infeasible
+    dist = np.arccos(np.clip(np.abs(UNITS_16905 @ UNITS_16905.T), 0.0, 1.0))
+    np.fill_diagonal(dist, 0.0)
+    dist = 0.5 * (dist + dist.T)
+    value = prohorov_distance(MetricSample(dist), MU_16905, NU_16905)
+    assert enumerated_feasible(dist, MU_16905, NU_16905, value)
+    assert not enumerated_feasible(dist, MU_16905, NU_16905, value - 1e-9)
+
+
 @pytest.mark.parametrize("m", [23, 40])
 def test_prohorov_beyond_old_support_cap_within_dudley_bracket(m):
     # probability measures: rho^2 / 4 <= beta <= 2 rho (Dudley, Real
@@ -289,8 +350,8 @@ def test_sphere_distance_quotient_metric_table():
 
 def test_grassmann_metric_table_satisfies_triangle():
     rng = np.random.default_rng(66)
-    subs = [haar_sample(3, 1, rng) for _ in range(6)]
-    sample = MetricSample.from_subspaces(subs)  # construction validates it
+    bases = np.array([haar_sample(3, 1, rng).basis for _ in range(6)])
+    sample = MetricSample.from_subspaces(bases)  # construction validates it
     assert sample.size == 6
 
 
@@ -387,8 +448,8 @@ def split_copies(kind, rng):
         units = rng.standard_normal((3, 4))
         units /= np.linalg.norm(units, axis=1, keepdims=True)
         weights = rng.uniform(0.2, 1.0, 3)
-        mu = SphereMeasure(4, pair_atoms=tuple(zip(units, weights)))
-        copy = SphereMeasure(4, pair_atoms=tuple(
+        mu = SphereMeasure.atoms(4, tuple(zip(units, weights)))
+        copy = SphereMeasure.atoms(4, tuple(
             (sign * u, w / 2.0) for u, w in zip(units, weights) for sign in (1.0, -1.0)))
         return mu, copy, sphere_distances
     bases = [haar_sample(5, 2, rng).basis for _ in range(3)]

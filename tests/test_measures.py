@@ -273,8 +273,8 @@ NON_FINITE_CONSTRUCTORS = {
     "ball radius": lambda x: WindowDescriptor.ball(x),
     "box side": lambda x: WindowDescriptor.box([1.0, x, 1.0]),
     "window scale": lambda x: WindowDescriptor.ball(1.0, scale=x),
-    "zonotope half-length": lambda x: Zonotope(3, ((E[0], x),)),
-    "zonotope direction": lambda x: Zonotope(3, ((np.array([x, 0.0, 0.0]), 1.0),)),
+    "zonotope half-length": lambda x: Zonotope(3, E[:1], np.array([x])),
+    "zonotope direction": lambda x: Zonotope(3, np.array([[x, 0.0, 0.0]]), np.array([1.0])),
 }
 
 
@@ -284,3 +284,102 @@ def test_constructors_reject_non_finite(name, value):
     NON_FINITE_CONSTRUCTORS[name](1.0)  # a finite value is accepted
     with pytest.raises(ValueError):
         NON_FINITE_CONSTRUCTORS[name](value)
+
+
+def test_lower_bound_check_exact_at_a_facet_normal_between_grid_points():
+    # six atoms in R^3: the least cosine moment is taken at the normal of two
+    # atom directions, 0.0147 below the least value on the probe grid
+    rng = np.random.default_rng(80)
+    mu = SphereMeasure.atoms(3, list(zip(rng.standard_normal((6, 3)), 0.2 + rng.random(6))))
+    i, j = np.triu_indices(6, 1)
+    normals = np.cross(mu.units[i], mu.units[j])
+    exact = float(np.min(mu.cosine_moment(normals / np.linalg.norm(normals, axis=1)[:, None])))
+    assert not lower_bound_check(mu, exact + 1e-5)
+    assert lower_bound_check(mu, exact - 1e-5)
+
+
+def test_lower_bound_check_atoms_in_a_plane_have_infimum_zero():
+    rng = np.random.default_rng(81)
+    plane = haar_sample(3, 2, rng).basis
+    mu = SphereMeasure.atoms(3, [(c @ plane, 1.0) for c in rng.standard_normal((5, 2))])
+    assert lower_bound_check(mu, 1e-7)
+    assert not lower_bound_check(mu, 1e-4)
+
+
+def test_stored_stacks_round_trip_in_input_order(tmp_path):
+    rng = np.random.default_rng(82)
+    subs = [haar_sample(4, 2, rng) for _ in range(5)]
+    weights = list(0.1 + rng.random(5))
+    q = GrassmannMeasure.discrete(list(zip(subs, weights)))
+    assert [w for _, w in q.atoms] == weights
+    assert all(np.array_equal(s.basis, a.basis) for s, (a, _) in zip(subs, q.atoms))
+
+    units = [-E[2], E[0], np.array([0.6, -0.8, 0.0])]
+    mu = SphereMeasure.atoms(3, list(zip(units, [0.5, 0.25, 2.0])))
+    assert [w for _, w in mu.pair_atoms] == [0.5, 0.25, 2.0]
+    assert np.array_equal(np.array([u for u, _ in mu.pair_atoms]),
+                          [E[2], E[0], [0.6, -0.8, 0.0]])
+
+    # components of dimensions 2, 1, 1, 2: three runs of one dimension each
+    comps = [(subs[0], 0.5), (Subspace(subs[1].basis[:1]), 1.0),
+             (Subspace(subs[2].basis[1:]), 0.25), (subs[3], 2.0)]
+    mixture = SphereMeasure.subsphere_mixture(4, comps)
+    assert [c.k for c in mixture.components] == [2, 1, 2]
+    assert [w for _, w in mixture.subspheres] == [w for _, w in comps]
+    assert all(np.array_equal(s.basis, t.basis) for (s, _), (t, _) in zip(comps, mixture.subspheres))
+
+    text = ("3 2\n0.1 1.0 0.0 0.0 0.0 0.6 0.8\n"
+            "0.30000000000000004 0.0 0.0 -1.0 0.8 -0.6 0.0\n2.5 0.0 1.0 0.0 1.0 0.0 0.0\n")
+    path = tmp_path / "q.txt"
+    path.write_text(text)
+    write_directional_file(path, parse_directional_file(path))
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: GrassmannMeasure(3, 1, np.array([[[1.0, 1e-5, 0.0]]]), np.array([1.0])),
+     "not orthonormal"),
+    (lambda: GrassmannMeasure(3, 1, np.array([[[math.nan, 0.0, 0.0]]]), np.array([1.0])),
+     "not orthonormal"),
+    (lambda: GrassmannMeasure(3, 1, E[:1, None], np.array([math.nan])), "finite and strictly"),
+    (lambda: GrassmannMeasure(3, 1, E[:1, None], np.array([0.0])), "finite and strictly"),
+    (lambda: SphereMeasure(3, E[:1], np.array([-1.0])), "finite positive pair mass"),
+    (lambda: SphereMeasure(3, E[:1], np.array([math.nan])), "finite positive pair mass"),
+    (lambda: SphereMeasure(3, np.array([[math.nan, 0.0, 0.0]]), np.array([1.0])),
+     "near-zero or non-finite"),
+    (lambda: SphereMeasure.subsphere_mixture(3, [(Subspace(E[:2]), 0.0)]),
+     "finite positive weight"),
+    (lambda: Zonotope(3, E[:1], np.array([-1.0])), "finite and positive"),
+])
+def test_stack_constructors_reject_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_engines_build_no_subspace(monkeypatch):
+    from flatproc import flat_geometry
+    from flatproc.closed_form import hyperplane_intersection
+    from flatproc.measure_metrics import stability_harness
+    from flatproc.simulator import FlatProcessSpec, sample_poisson
+    from flatproc.zonoid_engine import area_measure, mu_Q_r
+
+    rng = np.random.default_rng(83)
+    even = SphereMeasure.atoms(4, list(zip(rng.standard_normal((6, 4)), 0.2 + rng.random(6))))
+    lines = axes_line_measure(4)
+    hyperplanes = GrassmannMeasure.discrete([(haar_sample(4, 3, rng), 0.5) for _ in range(4)])
+    family = [(t, even.scaled(1.0 + t)) for t in (0.1, 0.01)]
+    spec = FlatProcessSpec(4, 1, 3.0, lines)
+    calls = []
+    post_init = flat_geometry.Subspace.__post_init__
+    monkeypatch.setattr(flat_geometry.Subspace, "__post_init__",
+                        lambda self: calls.append(1) or post_init(self))
+    for r in (2, 3):
+        t_lift(mu_Q_r(even, r))
+        area_measure(even, r)
+        hyperplane_intersection(4, 2.0, even, r)
+    symmetrize_line_measure(lines)
+    symmetrize_hyperplane_measure(hyperplanes)
+    for case in ("area-measure", "hyperplane-intersection", "line-proximity"):
+        stability_harness(case, even, family, rho=0.01, upper=10.0)
+    assert len(sample_poisson(spec, 1.0, 84)) > 0
+    assert not calls

@@ -157,7 +157,7 @@ def test_intrinsic_volume_segment_and_cube():
 def hull_membership_volume(z: Zonotope, rng, samples=200_000):
     """Monte Carlo volume via hull facet membership of box-sampled points."""
     signs = np.array(list(product((-1.0, 1.0), repeat=len(z.generators))))
-    vertices = signs @ (z.direction_matrix() * z.half_lengths()[:, None])
+    vertices = signs @ (z.units * z.half_lengths[:, None])
     hull = ConvexHull(vertices)
     lo, hi = vertices.min(axis=0), vertices.max(axis=0)
     pts = rng.random((samples, z.n)) * (hi - lo) + lo
@@ -186,7 +186,7 @@ def test_surface_area_against_hull_oracle():
     rng = np.random.default_rng(24)
     z = from_measure(random_even_measure(3, 5, rng))
     signs = np.array(list(product((-1.0, 1.0), repeat=len(z.generators))))
-    vertices = signs @ (z.direction_matrix() * z.half_lengths()[:, None])
+    vertices = signs @ (z.units * z.half_lengths[:, None])
     hull = ConvexHull(vertices)
     assert intrinsic_volume(z, 2) == pytest.approx(hull.area / 2.0, rel=1e-10)
 
