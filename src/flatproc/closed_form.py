@@ -15,8 +15,8 @@ import numpy as np
 
 from . import constants
 from ._rng import SeedLike, as_generator, derived_stream
-from .flat_geometry import (Subspace, _in_blocks, complement_bases, gram_volumes, q_factors,
-                            row_norms)
+from .flat_geometry import (Subspace, _in_blocks, complement_bases, gram_volumes,
+                            product_indices, q_factors, row_norms)
 from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
                        _mc_mean, check_samples, finite_positive, symmetrize_line_measure)
 from .zonoid_engine import mu_Q_r
@@ -136,7 +136,7 @@ def _atom_sum(qs, integrand) -> float:
     """Sum over every tuple of atoms of discrete measures, in lexicographic
     order, of the tuple's weight times integrand(one basis stack per
     measure), BLOCK_ROWS tuples at a time."""
-    index = np.indices([len(q.weights) for q in qs]).reshape(len(qs), -1)
+    index = product_indices([len(q.weights) for q in qs]).T
     values, = _in_blocks(lambda block: (integrand(
         [q.bases[i[block]] for q, i in zip(qs, index)]),), index.shape[1])
     return float(np.prod([q.weights[i] for q, i in zip(qs, index)], axis=0) @ values)

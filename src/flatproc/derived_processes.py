@@ -3,9 +3,10 @@ length-power direction functionals evaluated on them.
 
 Both processes are stored as arrays: segments as midpoints, lengths,
 directions and index pairs, intersection flats as direction bases, offsets
-and generator index tuples; `segments` and `flats` materialize the immutable
-objects on demand.  Pairs and tuples are solved in blocks by the array
-kernels of `flat_geometry` (`pair_segments`, `tuple_intersections`).
+and generator index tuples (`IntersectionSample.flats` materializes `Flat`
+objects on demand).  Pairs and tuples are solved in blocks by the array
+kernels of `flat_geometry` (`pair_segments`, `tuple_intersections`), and
+tuples enumerated by its `subset_indices` and `product_indices`.
 Every pair is considered, so a proximity process holds every pair within
 delta wherever its segment lies; for lines, `pair_segments` solves exactly
 only the pairs that a screen of matrix products (in R^3 two per slab of
@@ -21,13 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .closed_form import WindowDescriptor
-from .flat_geometry import (Flat, ProximitySegment, Subspace, pair_segments,
+from .flat_geometry import (Flat, Subspace, pair_segments, product_indices, subset_indices,
                             tuple_intersections)
 from .measures import DirectionSet, finite_positive
 from .simulator import FlatSample
@@ -77,14 +77,6 @@ class SegmentProcessSample:
             mask.flags.writeable = False
         return mask
 
-    @cached_property
-    def segments(self) -> tuple[ProximitySegment, ...]:
-        return tuple(
-            ProximitySegment(self.midpoints[i], float(self.lengths[i]),
-                             self.directions[i],
-                             (int(self.pairs[i, 0]), int(self.pairs[i, 1])))
-            for i in range(len(self)))
-
 
 @dataclass(frozen=True)
 class IntersectionSample:
@@ -111,22 +103,6 @@ class IntersectionSample:
     def flats(self) -> tuple[Flat, ...]:
         return tuple(Flat(Subspace(self.bases[i]), self.offsets[i])
                      for i in range(len(self)))
-
-    @cached_property
-    def generator_indices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(i) for i in row) for row in self.tuples)
-
-
-def _index_tuples(sizes: list[int], single: bool) -> np.ndarray:
-    """Index tuples in lexicographic order: the r-subsets of one sample of
-    sizes[0] flats (single), or the product over r samples."""
-    r = len(sizes)
-    if not single:
-        grids = np.meshgrid(*[np.arange(size) for size in sizes], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-    if r == 2:  # the same pairs, without a Python tuple per pair
-        return np.stack(np.triu_indices(sizes[0], k=1), axis=1).astype(int)
-    return np.array(list(combinations(range(sizes[0]), r)), dtype=int).reshape(-1, r)
 
 
 def proximity(sample_a: FlatSample, sample_b: FlatSample | None = None,
@@ -174,7 +150,8 @@ def intersections(samples, order: int | None = None) -> IntersectionSample:
     q = sum(s.k for s in sample_list) - (r - 1) * n
     if q < 0:
         raise ValueError("requires k_1 + ... + k_r >= (r-1) n")
-    tuples = _index_tuples([len(s) for s in sample_list], single)
+    tuples = (subset_indices(len(samples), r) if single
+              else product_indices([len(s) for s in sample_list]))
     bases, offsets, tuples = tuple_intersections(
         [s.bases for s in sample_list], [s.offsets for s in sample_list], tuples)
     return IntersectionSample(n, q, bases, offsets, tuples)

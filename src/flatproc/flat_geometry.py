@@ -3,9 +3,10 @@
 Subspaces are stored as stacks of orthonormal row vectors.  Affine flats are
 a direction subspace plus an offset in its orthogonal complement.  Operations
 are pure and values immutable.  The array kernels work on (m, k, n) stacks of
-bases; the scalar `closest_pair` and `intersect_flats` are their reference.
-The line solve of `pair_segments` works on (n, m) coordinate rows, one
-contiguous row per coordinate, with `row_dots` for each block's dot products.
+bases.  `intersect_flats` is one tuple of `tuple_intersections`; the scalar
+`closest_pair` of k1 + k2 < n is the reference of `pair_segments`, whose line
+solve works on (n, m) coordinate rows, one contiguous row per coordinate,
+with `row_dots` for each block's dot products.
 """
 from __future__ import annotations
 
@@ -198,19 +199,6 @@ class Flat:
         point = np.asarray(point, dtype=float)
         return Flat(direction, point - direction.project(point))
 
-    def distance_to_point(self, x: np.ndarray) -> float:
-        d = np.asarray(x, dtype=float) - self.offset
-        return float(np.linalg.norm(d - self.direction.project(d)))
-
-    def contains_flat(self, other: "Flat", tol: float = 1e-8) -> bool:
-        """True if every point of `other` lies within tol of this flat."""
-        if self.distance_to_point(other.offset) > tol:
-            return False
-        for row in other.direction.basis:
-            if self.distance_to_point(other.offset + row) > tol:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class ProximitySegment:
@@ -285,6 +273,11 @@ def subset_indices(m: int, r: int) -> np.ndarray:
                        dtype=np.intp, count=comb(m, r) * r).reshape(comb(m, r), r)
 
 
+def product_indices(sizes) -> np.ndarray:
+    """range(sizes[0]) x range(sizes[1]) x ..., lexicographic, as a (prod(sizes), r) array."""
+    return np.indices(sizes).reshape(len(sizes), -1).T.copy()
+
+
 def gram_volumes(stacks: np.ndarray) -> np.ndarray:
     """Volume of the parallelepiped spanned by the rows of each (p, n) stack:
     the square root of its Gram determinant, 0 for dependent rows."""
@@ -319,16 +312,6 @@ def subspace_determinant(subspaces) -> float:
     return min(float(gram_volumes(np.vstack(bases)[None])[0]), 1.0)
 
 
-def parallelepiped_volume(vectors) -> float:
-    """nabla_k(u_1,...,u_k): k-volume of the parallelepiped of unit vectors.
-
-    Equals the subspace determinant of the spanned lines; evaluated directly
-    from the Gram matrix so that dependent inputs yield exactly 0.
-    """
-    g = np.vstack([np.asarray(v, dtype=float) for v in vectors])
-    return min(float(gram_volumes(g[None])[0]), 1.0)
-
-
 def q_factors(g: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the row spans of an (m, k, n) stack: batched QR
     factors, or for k = 1 the normalized rows (the same lines up to sign)."""
@@ -350,20 +333,6 @@ def haar_sample(n: int, k: int, rng: SeedLike) -> Subspace:
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     return Subspace(haar_bases(1, n, k, rng)[0])
-
-
-def random_rotation(n: int, rng: SeedLike) -> np.ndarray:
-    """Haar-distributed rotation matrix (determinant +1)."""
-    gen = as_generator(rng)
-    q, r = np.linalg.qr(gen.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def rotate_subspace(u: Subspace, rotation: np.ndarray) -> Subspace:
-    return Subspace(u.basis @ rotation.T)
 
 
 def _principal_angles(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
@@ -450,42 +419,24 @@ def closest_pair(e: Flat, f: Flat):
             length=dist,
             direction=canonical_unit(gap),
         )
-    return _intersection_flat([e, f])
-
-
-def _intersection_flat(flats) -> Flat:
-    """Intersection of flats whose complement bases are independent."""
-    n = flats[0].n
-    rows, rhs = [], []
-    for flat in flats:
-        comp = complement(flat.direction).basis
-        rows.append(comp)
-        rhs.append(comp @ flat.offset)
-    normal = np.vstack(rows)
-    target = np.concatenate(rhs)
-    point, _, rank, _ = np.linalg.lstsq(normal, target, rcond=None)
-    if rank < normal.shape[0]:
-        raise DegeneratePairError("degenerate pair")
-    q = n - normal.shape[0]
-    if q == 0:
-        direction = Subspace.trivial(n)
-    else:
-        _, _, vt = np.linalg.svd(normal)
-        direction = Subspace(vt[n - q:])
-    return Flat.through_point(direction, point)
+    return intersect_flats([e, f])
 
 
 def intersect_flats(flats) -> Flat:
-    """Intersection flat of r flats with sum of dims >= (r-1)n.
-
-    Raises DegeneratePairError when the configuration is not in general
-    position (subspace determinant of the directions <= 1e-10).
-    """
+    """Intersection flat of r flats of R^n with sum of dims >= (r-1)n: one
+    tuple of `tuple_intersections`.  Raises DegeneratePairError when the
+    configuration is not in general position (subspace determinant of the
+    directions <= 1e-10)."""
     flats = list(flats)
-    det = subspace_determinant([f.direction for f in flats])
-    if det <= GENERAL_POSITION_TOL:
+    n = flats[0].n
+    if any(f.n != n for f in flats) or sum(f.k for f in flats) < (len(flats) - 1) * n:
+        raise ValueError("needs flats of one R^n with k_1 + ... + k_r >= (r-1) n")
+    bases, offsets, _ = tuple_intersections([f.direction.basis[None] for f in flats],
+                                            [f.offset[None] for f in flats],
+                                            np.zeros((1, len(flats)), dtype=np.intp))
+    if not len(offsets):
         raise DegeneratePairError("degenerate pair")
-    return _intersection_flat(flats)
+    return Flat(Subspace(bases[0]), offsets[0])
 
 
 def _in_blocks(solve, count: int) -> tuple[np.ndarray, ...]:

@@ -156,11 +156,6 @@ def _greedy_plan(adjacent: np.ndarray, source_caps: np.ndarray,
     return flow
 
 
-def _greedy_flow(adjacent: np.ndarray, source_caps: np.ndarray, sink_caps: np.ndarray) -> float:
-    """Value of the greedy feasible flow, a lower bound on the max flow."""
-    return float(_greedy_plan(adjacent, source_caps, sink_caps).sum())
-
-
 def _max_flow(adjacent: np.ndarray, source_caps: np.ndarray, sink_caps: np.ndarray) -> float:
     """Max flow from a source through the bipartite graph `adjacent` to a
     sink, with capacity source_caps[i] into left node i, sink_caps[j] out
@@ -210,7 +205,8 @@ def prohorov_distance(sample: MetricSample, mu: np.ndarray, nu: np.ndarray) -> f
     uses the pairs d <= t_k and never rises with k, so the distance is
     max(t_k, D_k) at the first k with D_k <= t_{k+1}, found by bisection.
     When that is t_k itself, the infimum is not attained under the strict
-    enlargement, and the next float above t_k is returned.
+    enlargement, and the next float above t_k is returned: 5e-324 when the
+    weights differ only between points at distance 0.
     """
     mu, nu = _weights(sample, mu, nu)
     if np.array_equal(mu, nu):
@@ -237,7 +233,7 @@ def prohorov_distance(sample: MetricSample, mu: np.ndarray, nu: np.ndarray) -> f
             lo = mid + 1
     if deficiency_at(lo) > t[lo]:
         return deficiency_at(lo)
-    return float(np.nextafter(t[lo], np.inf)) if t[lo] > 0 else 0.0
+    return float(np.nextafter(t[lo], np.inf))
 
 
 def _common_support(bases: np.ndarray, weights, split: int, tol: float):

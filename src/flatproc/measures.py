@@ -467,8 +467,9 @@ def parse_directional_file(path: str | Path) -> GrassmannMeasure:
     """Read a directional distribution from its plain-text format.
 
     Header line "n k"; then either a single line "isotropic <mass>" or one
-    atom per line "<weight> <k*n floats, row-major basis>".  Atom bases are
-    orthonormalized and must have full rank k.
+    atom per line "<weight> <k*n floats, row-major basis>".  Atom rows
+    orthonormal within 1e-10 are kept as written, so a written measure reads
+    back bit for bit; others are orthonormalized and must have full rank k.
     """
     lines = [ln.strip() for ln in Path(path).read_text().splitlines()
              if ln.strip() and not ln.strip().startswith("#")]
@@ -485,10 +486,12 @@ def parse_directional_file(path: str | Path) -> GrassmannMeasure:
         parts = [float(tok) for tok in ln.split()]
         if len(parts) != 1 + k * n:
             raise ValueError(f"{path}: atom line needs a weight plus {k * n} floats")
-        sub = orthonormalize(np.array(parts[1:]).reshape(k, n))
-        if sub.k != k:
-            raise ValueError(f"{path}: atom basis is rank deficient")
-        atoms.append((sub, parts[0]))
+        basis = np.array(parts[1:]).reshape(k, n)
+        if not np.abs(basis @ basis.T - np.eye(k)).max(initial=0.0) <= 1e-10:
+            basis = orthonormalize(basis).basis
+            if basis.shape[0] != k:
+                raise ValueError(f"{path}: atom basis is rank deficient")
+        atoms.append((Subspace(basis), parts[0]))
     return GrassmannMeasure.discrete(atoms)
 
 

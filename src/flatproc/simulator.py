@@ -106,17 +106,6 @@ class FlatSample:
         return FlatSample(self.n, self.k, radius, self.bases[keep],
                           self.offsets[keep], seed=self.seed + f"|restrict({radius})")
 
-    def translate(self, z: np.ndarray) -> "FlatSample":
-        """Shift every flat by z (window bookkeeping enlarges as needed)."""
-        z = np.asarray(z, dtype=float)
-        if len(self) == 0:
-            return self
-        proj = np.einsum("mkn,n->mk", self.bases, z)
-        offsets = self.offsets + z - np.einsum("mk,mkn->mn", proj, self.bases)
-        radius = float(np.max(np.linalg.norm(offsets, axis=1), initial=self.radius))
-        return FlatSample(self.n, self.k, radius, self.bases, offsets,
-                          seed=self.seed + "|translated")
-
 
 @dataclass(frozen=True)
 class FactorialDistribution:

@@ -1,0 +1,98 @@
+"""Scalar geometry that only the tests use: an independent intersection solve
+(one `lstsq` and one SVD per tuple) that the batched `tuple_intersections`
+is compared against, and small helpers on rotations, flats and samples.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from flatproc._rng import SeedLike, as_generator
+from flatproc.flat_geometry import (GENERAL_POSITION_TOL, DegeneratePairError, Flat, Subspace,
+                                    complement, gram_volumes, subspace_determinant)
+from flatproc.simulator import FlatSample
+
+
+def random_rotation(n: int, rng: SeedLike) -> np.ndarray:
+    """Haar-distributed rotation matrix (determinant +1)."""
+    gen = as_generator(rng)
+    q, r = np.linalg.qr(gen.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def rotate_subspace(u: Subspace, rotation: np.ndarray) -> Subspace:
+    return Subspace(u.basis @ rotation.T)
+
+
+def parallelepiped_volume(vectors) -> float:
+    """nabla_k(u_1,...,u_k): k-volume of the parallelepiped of unit vectors.
+
+    Equals the subspace determinant of the spanned lines; evaluated directly
+    from the Gram matrix so that dependent inputs yield exactly 0.
+    """
+    g = np.vstack([np.asarray(v, dtype=float) for v in vectors])
+    return min(float(gram_volumes(g[None])[0]), 1.0)
+
+
+def distance_to_point(flat: Flat, x: np.ndarray) -> float:
+    d = np.asarray(x, dtype=float) - flat.offset
+    return float(np.linalg.norm(d - flat.direction.project(d)))
+
+
+def contains_flat(flat: Flat, other: Flat, tol: float = 1e-8) -> bool:
+    """True if every point of `other` lies within tol of `flat`."""
+    if distance_to_point(flat, other.offset) > tol:
+        return False
+    for row in other.direction.basis:
+        if distance_to_point(flat, other.offset + row) > tol:
+            return False
+    return True
+
+
+def translate(sample: FlatSample, z: np.ndarray) -> FlatSample:
+    """Shift every flat by z (window bookkeeping enlarges as needed)."""
+    z = np.asarray(z, dtype=float)
+    if len(sample) == 0:
+        return sample
+    proj = np.einsum("mkn,n->mk", sample.bases, z)
+    offsets = sample.offsets + z - np.einsum("mk,mkn->mn", proj, sample.bases)
+    radius = float(np.max(np.linalg.norm(offsets, axis=1), initial=sample.radius))
+    return FlatSample(sample.n, sample.k, radius, sample.bases, offsets,
+                      seed=sample.seed + "|translated")
+
+
+def _intersection_flat(flats) -> Flat:
+    """Intersection of flats whose complement bases are independent."""
+    n = flats[0].n
+    rows, rhs = [], []
+    for flat in flats:
+        comp = complement(flat.direction).basis
+        rows.append(comp)
+        rhs.append(comp @ flat.offset)
+    normal = np.vstack(rows)
+    target = np.concatenate(rhs)
+    point, _, rank, _ = np.linalg.lstsq(normal, target, rcond=None)
+    if rank < normal.shape[0]:
+        raise DegeneratePairError("degenerate pair")
+    q = n - normal.shape[0]
+    if q == 0:
+        direction = Subspace.trivial(n)
+    else:
+        _, _, vt = np.linalg.svd(normal)
+        direction = Subspace(vt[n - q:])
+    return Flat.through_point(direction, point)
+
+
+def intersect_flats(flats) -> Flat:
+    """Intersection flat of r flats with sum of dims >= (r-1)n.
+
+    Raises DegeneratePairError when the configuration is not in general
+    position (subspace determinant of the directions <= 1e-10).
+    """
+    flats = list(flats)
+    det = subspace_determinant([f.direction for f in flats])
+    if det <= GENERAL_POSITION_TOL:
+        raise DegeneratePairError("degenerate pair")
+    return _intersection_flat(flats)

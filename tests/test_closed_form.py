@@ -16,10 +16,12 @@ from flatproc.closed_form import (WindowDescriptor, asymptotic_covariance,
                                   proximity_intensity, proximity_intensity_two,
                                   weibull_beta, weibull_cdf,
                                   weibull_limit_intensity)
-from flatproc.flat_geometry import Subspace, random_rotation, rotate_subspace
+from flatproc.flat_geometry import Subspace
 from flatproc.measures import (DirectionSet, GrassmannMeasure, SphereMeasure,
                                symmetrize_line_measure)
 from flatproc.zonoid_engine import area_measure, from_measure, intrinsic_volume
+
+from _reference import random_rotation, rotate_subspace
 
 E = np.eye(3)
 
@@ -219,7 +221,7 @@ def test_hyperplane_intersection_total_mass_vs_iterated_c_product():
     samples = 20_000
     units = rng.standard_normal((samples, r, n))
     units /= np.linalg.norm(units, axis=2, keepdims=True)
-    from flatproc.flat_geometry import parallelepiped_volume
+    from _reference import parallelepiped_volume
 
     vols = np.array([parallelepiped_volume(units[i]) for i in range(samples)])
     mc = gamma ** r / math.factorial(r) * vols.mean()

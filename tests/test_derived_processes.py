@@ -11,6 +11,8 @@ from flatproc.flat_geometry import Flat, Subspace, complement
 from flatproc.measures import DirectionSet, GrassmannMeasure
 from flatproc.simulator import FlatProcessSpec, FlatSample, sample_poisson
 
+from _reference import contains_flat, translate
+
 E = np.eye(3)
 
 
@@ -145,7 +147,7 @@ def far_line_pair(rng, n, sin_t, dist, scale=1.0):
     100-150 scale along the lines from their offsets, which lie 110-140
     scale from the origin: rotated copies of e1 and cos(t) e1 + sin(t) e2
     through center -+ (dist / 2) e3.  Returns (directions, points)."""
-    from flatproc.flat_geometry import random_rotation
+    from _reference import random_rotation
 
     rot = random_rotation(n, rng)
     e1, e2, e3 = rot[:, 0], rot[:, 1], rot[:, 2]
@@ -406,7 +408,7 @@ def test_translation_equivariance_exact():
     spec = FlatProcessSpec(3, 1, 1.0, GrassmannMeasure.isotropic(3, 1, 1.0))
     sample = sample_poisson(spec, 2.0, 44)
     z = np.array([0.25, -1.0, 0.5])
-    shifted = sample.translate(z)
+    shifted = translate(sample, z)
     seg = proximity(sample, delta=1.0)
     seg_shifted = proximity(shifted, delta=1.0)
     assert len(seg) == len(seg_shifted)
@@ -441,7 +443,7 @@ def test_intersections_two_planes_line():
     assert inter.q == 1 and len(inter) == 1
     line = inter.flats[0]
     for flat in planes.flats:
-        assert flat.contains_flat(line, tol=1e-8)
+        assert contains_flat(flat, line, tol=1e-8)
 
 
 def test_intersections_parallel_hyperplanes_empty():
@@ -469,16 +471,17 @@ def test_intersections_across_independent_samples():
     b = sample_poisson(spec, 1.0, 47)
     inter = intersections([a, b])
     assert inter.q == 1
-    for flat, (i, j) in zip(inter.flats, inter.generator_indices):
-        assert a.flats[i].contains_flat(flat, tol=1e-8)
-        assert b.flats[j].contains_flat(flat, tol=1e-8)
+    for flat, (i, j) in zip(inter.flats, inter.tuples):
+        assert contains_flat(a.flats[i], flat, tol=1e-8)
+        assert contains_flat(b.flats[j], flat, tol=1e-8)
 
 
 def scalar_intersections(samples, order=None):
     """Reference intersections: intersect_flats on every tuple, one at a time."""
     from itertools import combinations, product
 
-    from flatproc.flat_geometry import DegeneratePairError, intersect_flats
+    from _reference import intersect_flats
+    from flatproc.flat_geometry import DegeneratePairError
 
     if order is None:
         flat_lists = [s.flats for s in samples]
@@ -496,8 +499,9 @@ def scalar_intersections(samples, order=None):
 
 
 def assert_intersections_match(inter, ref):
-    assert sorted(inter.generator_indices) == sorted(ref)
-    for idx, flat in zip(inter.generator_indices, inter.flats):
+    tuples = list(map(tuple, inter.tuples.tolist()))
+    assert sorted(tuples) == sorted(ref)
+    for idx, flat in zip(tuples, inter.flats):
         assert np.max(np.abs(flat.offset - ref[idx].offset)) <= 1e-9
         assert np.max(np.abs(flat.direction.projector()
                              - ref[idx].direction.projector())) <= 1e-9

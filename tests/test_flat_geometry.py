@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,10 +8,14 @@ from flatproc.flat_geometry import (DegeneratePairError, Flat, Subspace,
                                     canonical_unit, canonical_units,
                                     closest_pair, complement,
                                     grassmann_distance, grassmann_metric,
-                                    haar_bases, haar_sample, orthonormalize,
-                                    parallelepiped_volume, principal_angles,
-                                    random_rotation, rotate_subspace,
-                                    row_dots, row_norms, subspace_determinant)
+                                    haar_bases, haar_sample, intersect_flats,
+                                    orthonormalize, principal_angles, product_indices,
+                                    row_dots, row_norms, subset_indices,
+                                    subspace_determinant)
+
+import _reference
+from _reference import (contains_flat, distance_to_point, parallelepiped_volume,
+                        random_rotation, rotate_subspace)
 
 E = np.eye(3)
 
@@ -171,7 +176,7 @@ def test_closest_pair_hyperplanes_intersect_in_line():
     # null-space oracle: direction solves u1.x = 0 and u2.x = 0
     normal_stack = np.vstack([u1, u2])
     assert np.max(np.abs(normal_stack @ flat.direction.basis[0])) < 1e-10
-    assert h1.contains_flat(flat) and h2.contains_flat(flat)
+    assert contains_flat(h1, flat) and contains_flat(h2, flat)
 
 
 def test_closest_pair_feet_properties_random():
@@ -182,11 +187,62 @@ def test_closest_pair_feet_properties_random():
         seg = closest_pair(e_flat, f_flat)
         half = 0.5 * seg.length * seg.direction
         feet = (seg.midpoint + half, seg.midpoint - half)
-        hits = {min(e_flat.distance_to_point(p) for p in feet) < 1e-9,
-                min(f_flat.distance_to_point(p) for p in feet) < 1e-9}
+        hits = {min(distance_to_point(e_flat, p) for p in feet) < 1e-9,
+                min(distance_to_point(f_flat, p) for p in feet) < 1e-9}
         assert hits == {True}
         for basis in (e_flat.direction.basis, f_flat.direction.basis):
             assert np.max(np.abs(basis @ seg.direction)) < 1e-9
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_index_tuples_match_itertools(m, r):
+    for got, want in ((subset_indices(m, r), itertools.combinations(range(m), r)),
+                      (product_indices([m] * r), itertools.product(range(m), repeat=r))):
+        want = list(want)
+        assert got.dtype == np.intp and got.shape == (len(want), r)
+        assert got.tolist() == [list(t) for t in want]
+
+
+def test_intersect_flats_and_closest_pair_match_scalar_reference():
+    # one tuple of tuple_intersections against the lstsq-and-SVD oracle, at
+    # the tolerances of the batched-vs-scalar intersection tests
+    rng = np.random.default_rng(181)
+    checked = 0
+    # r <= n: more than n flats of dimension below n do not meet in general position
+    for n, r in ((3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (5, 4)):
+        for _ in range(40):
+            dims = rng.integers(1, n, size=r)
+            while dims.sum() < (r - 1) * n:
+                dims = rng.integers(1, n, size=r)
+            flats = [Flat.through_point(haar_sample(n, int(k), rng), rng.standard_normal(n))
+                     for k in dims]
+            ref = _reference.intersect_flats(flats)
+            for got in [intersect_flats(flats)] + ([closest_pair(*flats)] if r == 2 else []):
+                assert got.k == ref.k == dims.sum() - (r - 1) * n
+                assert np.max(np.abs(got.offset - ref.offset)) <= 1e-9
+                assert np.max(np.abs(got.direction.projector()
+                                     - ref.direction.projector())) <= 1e-9
+            checked += 1
+    assert checked == 320
+
+
+def test_intersect_flats_and_closest_pair_degenerate_on_parallel_planes():
+    planes = [Flat.through_point(Subspace(E[:2]), np.zeros(3)),
+              Flat.through_point(Subspace(E[:2]), E[2])]
+    with pytest.raises(DegeneratePairError, match="degenerate pair"):
+        intersect_flats(planes)
+    with pytest.raises(DegeneratePairError, match="degenerate pair"):
+        closest_pair(*planes)
+
+
+def test_intersect_flats_rejects_mixed_spaces_and_low_dimensions():
+    plane = Flat.through_point(Subspace(E[:2]), np.zeros(3))
+    with pytest.raises(ValueError, match="one R\\^n"):
+        intersect_flats([plane, Flat.through_point(Subspace(np.eye(4)[:3]), np.zeros(4))])
+    with pytest.raises(ValueError, match="one R\\^n"):  # skew lines: 1 + 1 < 3
+        intersect_flats([Flat.through_point(Subspace(E[:1]), np.zeros(3)),
+                         Flat.through_point(Subspace(E[1:2]), E[2])])
 
 
 def test_complement_examples_and_projector_sum():

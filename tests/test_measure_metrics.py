@@ -185,6 +185,16 @@ def enumerated_feasible(dist, mu, nu, eps, slack=1e-12):
     return True
 
 
+def test_prohorov_zero_distance_between_distinct_points():
+    # all mass moves across a distance of 0: every eps > 0 is feasible under
+    # the strict enlargement and 0 is not, so the least float above 0 is returned
+    sample, mu, nu = two_point_sample(0.0), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    value = prohorov_distance(sample, mu, nu)
+    assert value == 5e-324
+    assert brute_force_feasible(sample.dist, mu, nu, value, slack=0.0)
+    assert not brute_force_feasible(sample.dist, mu, nu, 0.0, slack=0.0)
+
+
 def test_prohorov_exact_where_the_lp_tolerance_shows():
     # at this support a max flow from an LP solver read 5.1e-8 above the true
     # flow, within its primal tolerance, and the distance came out infeasible
@@ -272,7 +282,7 @@ def test_max_flow_against_dense_lp():
         source, sink = rng.random(p), rng.random(q)
         flow = measure_metrics._max_flow(adjacent, source, sink)
         assert flow == pytest.approx(max_flow_by_dense_lp(adjacent, source, sink), abs=1e-12)
-        assert measure_metrics._greedy_flow(adjacent, source, sink) <= flow + 1e-12
+        assert measure_metrics._greedy_plan(adjacent, source, sink).sum() <= flow + 1e-12
 
 
 SCALES = (1.0, 1e-4, 1e-8, 1e-12)

@@ -246,6 +246,19 @@ def test_directional_file_roundtrip(tmp_path):
     assert back2.n == 4 and back2.k == 2
 
 
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 3)])
+def test_directional_file_write_parse_write_is_byte_identical(tmp_path, n, k):
+    # orthonormal rows are read back as written, not orthonormalized again
+    rng = np.random.default_rng([182, n, k])
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    for _ in range(50):
+        q = GrassmannMeasure.discrete([(haar_sample(n, k, rng), float(w))
+                                       for w in rng.uniform(0.1, 2.0, 4)])
+        write_directional_file(first, q)
+        write_directional_file(second, parse_directional_file(first))
+        assert second.read_bytes() == first.read_bytes()
+
+
 def test_directional_file_orthonormalizes_and_validates(tmp_path):
     path = tmp_path / "skew.txt"
     path.write_text("3 2\n1.0 1 0 0 1 1 0\n")
