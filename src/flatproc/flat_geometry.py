@@ -10,7 +10,7 @@ with `row_dots` for each block's dot products.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
@@ -205,13 +205,12 @@ class ProximitySegment:
     """The perpendicular segment realizing the distance of two flats.
 
     midpoint = (x_E + x_F)/2, length = |x_E - x_F|, direction the
-    sign-canonicalized unit vector of x_E - x_F, indices the generating pair.
+    sign-canonicalized unit vector of x_E - x_F.
     """
 
     midpoint: np.ndarray
     length: float
     direction: np.ndarray
-    indices: tuple[int, int] = field(default=(-1, -1))
 
     def __post_init__(self) -> None:
         midpoint = np.asarray(self.midpoint, dtype=float)

@@ -10,6 +10,7 @@ Generator; identical seeds reproduce samples byte for byte.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -110,11 +111,15 @@ class FlatSample:
 @dataclass(frozen=True)
 class FactorialDistribution:
     """Count distribution on {0, ..., kappa-2, kappa} whose factorial moments
-    E[N(N-1)...(N-m+1)] all equal 1 for m = 1..kappa."""
+    E[N(N-1)...(N-m+1)] all equal 1 for m = 1..kappa.
+
+    The table is validated once and its CDF kept (read-only), so `sample`
+    makes no per-call checks."""
 
     kappa: int
     probabilities: np.ndarray
     exact: tuple[Fraction, ...] = field(repr=False, default=())
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probabilities, dtype=float)
@@ -131,6 +136,11 @@ class FactorialDistribution:
                 raise ValueError(f"factorial moment of order {m} must equal 1")
         p.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
+        # Generator.choice's CDF for p, computed as it computes it
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        object.__setattr__(self, "cdf", cdf)
 
     def factorial_moment(self, m: int) -> float:
         # i (i - 1) ... (i - m + 1) is math.perm(i, m), exact in floats here
@@ -138,15 +148,18 @@ class FactorialDistribution:
                          for i, prob in enumerate(self.probabilities) if i >= m and prob > 0)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(self.kappa + 1, size=size, p=self.probabilities)
+        """size int64 counts: the values and stream use of
+        rng.choice(kappa + 1, size, p=probabilities), from the kept CDF."""
+        return self.cdf.searchsorted(rng.random(size), side="right").astype(np.int64, copy=False)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def build_factorial_distribution(kappa: int) -> FactorialDistribution:
     """Construct the count law recursively in exact rational arithmetic.
 
     Start from P(N=0) = P(N=2) = 1/2 at kappa = 2; each step sets
     P_kappa(i) = P_{kappa-1}(i-1)/i on {1, ..., kappa-2, kappa} and puts the
-    remaining mass at 0.
+    remaining mass at 0.  The law is immutable, so it is built once per kappa.
     """
     if kappa < 2:
         raise ValueError("kappa must be at least 2")
@@ -212,21 +225,22 @@ def sample_cube_process(d: int, dist: FactorialDistribution,
         raise ValueError("cube_index_box must give d >= 1 nonempty index ranges")
     gen_box = [(lo - 1, hi + 1) for lo, hi in box] if stationarize else box
     sides = [hi - lo for lo, hi in gen_box]
-    total = int(np.prod(sides))
+    total = math.prod(sides)
     counts = dist.sample(total, gen)
     cube_of_point = np.repeat(np.arange(total), counts)
     npts = cube_of_point.shape[0]
     if npts == 0:
         return np.zeros((0, d))
-    corners = np.stack(np.unravel_index(cube_of_point, sides), axis=1).astype(float)
-    corners += np.array([lo for lo, _ in gen_box], dtype=float)
-    points = corners + gen.random((npts, d))
+    # corners as (d, npts) rows; a point is its uniform offset plus its corner
+    corners = np.array(np.unravel_index(cube_of_point, sides), dtype=float)
+    corners += np.array([[lo] for lo, _ in gen_box], dtype=float)
+    points = gen.random((npts, d))
+    points += corners.T
     if stationarize:
-        points = points + gen.random(d)
+        points += gen.random(d)
         lo = np.array([lo for lo, _ in box], dtype=float)
         hi = np.array([hi for _, hi in box], dtype=float)
-        keep = np.all((points >= lo) & (points < hi), axis=1)
-        points = points[keep]
+        points = points[((points >= lo) & (points < hi)).all(axis=1)]
     return points
 
 

@@ -171,6 +171,26 @@ def test_factorial_distribution_invariants_up_to_twelve():
             assert moment == 1
 
 
+@pytest.mark.parametrize("kappa", range(2, 13))
+def test_factorial_sample_equals_generator_choice(kappa):
+    dist = build_factorial_distribution(kappa)
+    for size in (0, 1, 7, 1000):
+        mine, ref = np.random.default_rng([kappa, size]), np.random.default_rng([kappa, size])
+        got = dist.sample(size, mine)
+        want = ref.choice(kappa + 1, size=size, p=dist.probabilities)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert mine.random() == ref.random()
+
+
+def test_factorial_distribution_built_once_per_kappa():
+    dist = build_factorial_distribution(5)
+    assert build_factorial_distribution(5) is dist
+    assert not dist.probabilities.flags.writeable and not dist.cdf.flags.writeable
+    with pytest.raises(ValueError):
+        build_factorial_distribution(1)
+
+
 def test_factorial_distribution_validation():
     with pytest.raises(ValueError):
         FactorialDistribution(2, np.array([0.4, 0.2, 0.4]))  # p_{k-1} != 0

@@ -10,7 +10,7 @@ both checkouts (each imports flatproc from its own `src`):
     (cd ../parent && python tools/proximity_digest.py) > old.txt
     diff old.txt new.txt
 
-The 479 cases:
+The 541 cases:
 - k = 1, 419 outputs: `sample_poisson` lines in R^2-R^5 with isotropic and
   axis-atom laws, 20 seeds each at radii that straddle `SCREEN_MIN_PAIRS`
   (160 samples), and `proximity` on those in R^3-R^5 (120); anchored lines
@@ -25,6 +25,13 @@ The 479 cases:
 - k >= 2, 60 outputs: `proximity` for (n, k1, k2) = (4,1,2), (5,2,2),
   (5,1,3), (6,2,3), (7,3,3), (6,2,2), 10 seeds each; one sample when
   k1 = k2, two otherwise.
+- streams, 62 outputs: the values, mean and variance of `replicate` on a
+  1,500-replication plan of a 3-draw estimator (two blocks of stream
+  derivation) at four master seeds of 1 to 3 entropy words, with jobs 1 and
+  2 (8); `factorial_moment_check` on the kappa = 3 one-square cube process
+  against 2, 3 and 4 slabs, 1,100 replications, 2 seeds each (6);
+  `sample_cube_process` for kappa = 2, 3, 5 over four index boxes in d = 1-3,
+  with and without `stationarize`, 2 seeds each (48).
 """
 from __future__ import annotations
 
@@ -40,7 +47,10 @@ from flatproc.derived_processes import proximity  # noqa: E402
 from flatproc.flat_geometry import Subspace  # noqa: E402
 from flatproc.measures import GrassmannMeasure  # noqa: E402
 from flatproc.simulator import (FlatProcessSpec, SrConstruction,  # noqa: E402
+                                build_factorial_distribution, sample_cube_process,
                                 sample_poisson, sample_sr_flats, sr_intensity)
+from flatproc.stats_harness import (ReplicationPlan, factorial_moment_check,  # noqa: E402
+                                    replicate)
 
 DELTA = 1.0
 # smallest and largest radius of the 20 seeded line samples in R^n: from a
@@ -49,6 +59,9 @@ LINE_RADII = {2: (2.0, 8.0), 3: (1.5, 6.0), 4: (1.2, 3.5), 5: (1.0, 2.6)}
 # the two radii of the single and cross line samples in R^6-R^8: a few
 # dozen pairs, and a few ten thousand
 HIGH_LINE_RADII = {6: (1.2, 2.2), 7: (1.1, 1.9), 8: (1.0, 1.7)}
+# master seeds of one, two and three 32-bit entropy words
+STREAM_SEEDS = (0, 2**32 - 1, 2**32 + 5, 2**70 + 3)
+CUBE_BOXES = ([(0, 1)], [(0, 1), (0, 1)], [(-2, 2), (0, 3)], [(0, 2), (-1, 1), (3, 4)])
 
 
 def digest(*arrays) -> str:
@@ -61,6 +74,48 @@ def digest(*arrays) -> str:
 
 def segment_digest(seg) -> str:
     return digest(seg.midpoints, seg.lengths, seg.directions, seg.pairs)
+
+
+def three_draws(rng):
+    """A fixed estimator reading three draws of different kinds."""
+    return [rng.random(), rng.standard_normal(), float(rng.integers(1 << 40))]
+
+
+def slabs(r: int):
+    """Indicators of r disjoint vertical slabs of the unit square."""
+    edges = np.linspace(0.0, 1.0, r + 1)
+    return [lambda pts, lo=lo, hi=hi: (pts[:, 0] >= lo) & (pts[:, 0] < hi)
+            for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def stream_cases():
+    """Replicated estimates, factorial moments and cube samples drawn from
+    the per-replication streams (seed, i)."""
+    for seed in STREAM_SEEDS:
+        for jobs in (1, 2):
+            stats = replicate(ReplicationPlan(1500, seed), three_draws, jobs=jobs,
+                              keep_values=True)
+            yield (f"replicate-s{seed}-jobs{jobs}",
+                   digest(stats["values"], np.array(stats["mean"]),
+                          np.array(stats["variance"])))
+    law = build_factorial_distribution(3)
+    for r in (2, 3, 4):
+        for seed in (41, 42):
+            check = factorial_moment_check(
+                lambda rng: sample_cube_process(2, law, [(0, 1), (0, 1)], rng),
+                slabs(r), 1100, seed)
+            yield (f"cube-moments-r{r}-s{seed}",
+                   digest(np.array([check["empirical"], check["productOfMeans"], check["z"],
+                                    check["exactZero"]], dtype=float)))
+    for kappa in (2, 3, 5):
+        law = build_factorial_distribution(kappa)
+        for b, box in enumerate(CUBE_BOXES):
+            for stationarize in (False, True):
+                for seed in range(2):
+                    points = sample_cube_process(len(box), law, box, [700 + kappa, b, seed],
+                                                 stationarize=stationarize)
+                    yield (f"cube-k{kappa}-box{b}-st{int(stationarize)}-s{seed}",
+                           digest(points))
 
 
 def isotropic(n: int, k: int) -> FlatProcessSpec:
@@ -117,6 +172,7 @@ def cases():
                                                      [500 + n, k1, k2, seed, 1])
             yield (f"flats-R{n}-k{k1}-k{k2}-s{seed}-proximity",
                    segment_digest(proximity(a, b, delta=1.5)))
+    yield from stream_cases()
 
 
 def main() -> int:
