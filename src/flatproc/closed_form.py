@@ -16,7 +16,7 @@ import numpy as np
 from . import constants
 from ._rng import SeedLike, as_generator, derived_stream
 from .flat_geometry import (Subspace, _in_blocks, complement_bases, gram_volumes,
-                            product_indices, q_factors, row_norms)
+                            product_indices, q_factors, row_norms, subspace_views)
 from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
                        _mc_mean, check_samples, finite_positive, symmetrize_line_measure)
 from .zonoid_engine import mu_Q_r
@@ -319,7 +319,7 @@ def _tuple_integrand(bases: list[np.ndarray], g=None) -> np.ndarray:
     values = np.where(keep, det, 0.0)
     if g is not None:
         # the intersection is the null space of the stacked complements
-        values[keep] *= [float(g(Subspace(b))) for b in complement_bases(normal[keep])]
+        values[keep] *= [float(g(sub)) for sub in subspace_views(complement_bases(normal[keep]))]
     return values
 
 

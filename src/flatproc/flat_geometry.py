@@ -3,17 +3,18 @@
 Subspaces are stored as stacks of orthonormal row vectors.  Affine flats are
 a direction subspace plus an offset in its orthogonal complement.  Operations
 are pure and values immutable.  The array kernels work on (m, k, n) stacks of
-bases.  `intersect_flats` is one tuple of `tuple_intersections`; the scalar
-`closest_pair` of k1 + k2 < n is the reference of `pair_segments`, whose line
-solve works on (n, m) coordinate rows, one contiguous row per coordinate,
-with `row_dots` for each block's dot products.
+bases; `subspace_views` checks such a stack once and hands out `Subspace`
+views of its rows.  `intersect_flats` is one tuple of `tuple_intersections`;
+the scalar `closest_pair` of k1 + k2 < n is the reference of `pair_segments`,
+whose line solve works on (n, m) coordinate rows, one contiguous row per
+coordinate, with `row_dots` for each block's dot products.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -98,6 +99,18 @@ def canonical_unit(u: np.ndarray) -> np.ndarray:
     return canonical_units((u / norm)[None])[0]
 
 
+def check_orthonormal(bases: np.ndarray) -> None:
+    """ValueError unless the rows of a (k, n) basis, or of every basis of an
+    (m, k, n) stack, are orthonormal within 1e-10: one Gram product B B^T - I
+    for the whole stack, its diagonals lowered in place."""
+    k = bases.shape[-2]
+    if k:
+        gram = (bases @ bases.swapaxes(-1, -2)).reshape(-1, k * k)
+        gram[:, ::k + 1] -= 1.0
+        if not np.abs(gram).max(initial=0.0) <= 1e-10:  # NaN fails too
+            raise ValueError("basis rows are not orthonormal")
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A k-dimensional linear subspace of R^n with an orthonormal basis.
@@ -116,11 +129,7 @@ class Subspace:
         k, n = basis.shape
         if k > n:
             raise ValueError(f"subspace dimension {k} exceeds ambient dimension {n}")
-        if k > 0:
-            gram = basis @ basis.T
-            gram.reshape(-1)[::k + 1] -= 1.0  # B B^T - I, the diagonal lowered in place
-            if not np.abs(gram).max() <= 1e-10:  # NaN fails too
-                raise ValueError("basis rows are not orthonormal")
+        check_orthonormal(basis)
         basis.flags.writeable = False
 
     @property
@@ -149,10 +158,10 @@ class Subspace:
         return (np.asarray(x, dtype=float) @ self.basis.T) @ self.basis
 
     def same_span(self, other: "Subspace", tol: float = 1e-8) -> bool:
-        if self.n != other.n or self.k != other.k:
+        if self.basis.shape != other.basis.shape:
             return False
-        d = (self.projector() - other.projector()).ravel()
-        return bool(np.sqrt(d @ d) < tol)  # np.linalg.norm's Frobenius fast path
+        d = (self._projector - other._projector).ravel()
+        return sqrt(d @ d) < tol  # np.linalg.norm's Frobenius fast path
 
     @staticmethod
     def full(n: int) -> "Subspace":
@@ -165,6 +174,24 @@ class Subspace:
     @staticmethod
     def span(*vectors: np.ndarray) -> "Subspace":
         return orthonormalize(list(vectors))
+
+
+def subspace_views(bases) -> tuple[Subspace, ...]:
+    """`Subspace` views of the rows of an (m, k, n) stack of bases.
+
+    The stack passes `Subspace`'s orthonormality check once, as a whole, and
+    is made read-only; each view's basis is a row of it, so no view runs a
+    check of its own.
+    """
+    bases = np.asarray(bases, dtype=float)
+    if bases.ndim != 3:
+        raise ValueError(f"need an (m, k, n) stack of bases, got shape {bases.shape}")
+    check_orthonormal(bases)
+    bases.flags.writeable = False
+    views = tuple(map(object.__new__, [Subspace] * len(bases)))
+    for view, row in zip(views, bases):
+        view.__dict__["basis"] = row  # as __post_init__ sets it, past the frozen __setattr__
+    return views
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ orthonormal bases (m, k, n) and weights (m,), or the rotation-invariant
 shapes: canonical units (m, n) with pair masses, each an unordered +-u pair
 (evenness is structural), the uniform measure, and mixtures of uniform
 measures on great subspheres, held as discrete Grassmann measures.  Tuples of
-`Subspace` objects (`atoms`, `subspheres`) are views for the API edge.
+`Subspace` objects (`atoms`, `subspheres`) are views for the API edge, built
+by `subspace_views`: each stack is checked once, not each view.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ import numpy as np
 from . import constants
 from ._rng import SeedLike, as_generator
 from .flat_geometry import (Subspace, _in_blocks, canonical_unit, canonical_units,
-                            complement_bases, haar_bases, orthonormalize, subset_indices)
+                            check_orthonormal, complement_bases, haar_bases, orthonormalize,
+                            subset_indices, subspace_views)
 
 DEFAULT_MC_SAMPLES = 100_000
 
@@ -81,9 +83,7 @@ class GrassmannMeasure:
         bases, weights = read_only(self.bases), read_only(self.weights)
         if bases.ndim != 3 or bases.shape[1:] != (self.k, self.n):
             raise ValueError("atom dimensions must match the measure's (n, k)")
-        gram = np.einsum("mkn,mjn->mkj", bases, bases) - np.eye(self.k)
-        if not np.abs(gram).max(initial=0.0) <= 1e-10:  # NaN fails too
-            raise ValueError("basis rows are not orthonormal")
+        check_orthonormal(bases)
         if not positive_weights(weights, len(bases)):
             raise ValueError("atom weights must be finite and strictly positive")
         object.__setattr__(self, "bases", bases)
@@ -107,9 +107,9 @@ class GrassmannMeasure:
 
     @cached_property
     def atoms(self) -> tuple[tuple[Subspace, float], ...] | None:
-        """(Subspace, weight) pairs in stored order; None when isotropic."""
+        """(Subspace view, weight) pairs in stored order; None when isotropic."""
         return None if self.bases is None else tuple(
-            (Subspace(b), w) for b, w in zip(self.bases, self.weights.tolist()))
+            zip(subspace_views(self.bases), self.weights.tolist()))
 
     @property
     def is_isotropic(self) -> bool:
@@ -384,15 +384,16 @@ def integrate(measure, f, rng: SeedLike | None = None,
     isotropic, and subsphere components are integrated by Monte Carlo with
     the given sample budget.  For sphere measures f must accept an (m, n)
     array of unit vectors and return m values; for Grassmann measures f
-    takes a single Subspace.
+    takes a single Subspace, a view of a row of a stack checked once (each
+    block of Haar draws, or the atoms).
     """
     samples = check_samples(samples)
     if isinstance(measure, GrassmannMeasure):
         if measure.atoms is not None:
             return float(sum(w * f(sub) for sub, w in measure.atoms)), 0.0
         gen = as_generator(rng if rng is not None else 0xF1A7)
-        return _mc_mean(lambda rows: [f(Subspace(b)) for b in haar_bases(
-            rows, measure.n, measure.k, gen)], samples, measure.isotropic_mass)
+        return _mc_mean(lambda rows: [f(sub) for sub in subspace_views(haar_bases(
+            rows, measure.n, measure.k, gen))], samples, measure.isotropic_mass)
 
     if not isinstance(measure, SphereMeasure):
         raise TypeError("integrate expects a GrassmannMeasure or SphereMeasure")

@@ -179,6 +179,30 @@ def test_intersection_density_identical_atoms_vanish():
     assert value == 0.0
 
 
+def test_intersection_density_g_on_views_equals_per_row_subspaces(monkeypatch):
+    from flatproc import closed_form
+
+    rng = np.random.default_rng(34)
+    planes = GrassmannMeasure.discrete([(Subspace(b), 0.2 + rng.random())
+                                        for b in flat_geometry.haar_bases(5, 3, 2, rng)])
+    iso32, iso43 = GrassmannMeasure.isotropic(3, 2, 1.0), GrassmannMeasure.isotropic(4, 3, 0.5)
+    hyperplanes = GrassmannMeasure.discrete([(Subspace(b), 1.0)
+                                             for b in flat_geometry.haar_bases(3, 4, 3, rng)])
+    g = lambda sub: abs(float(sub.basis[0] @ np.arange(1.0, sub.n + 1.0))) + sub.k
+    calls = [lambda: intersection_density(3, [2, 2], [1.0, 2.0], [iso32, iso32], g,
+                                          rng=35, samples=900),
+             lambda: intersection_density(3, [2, 2], [1.0, 1.0], [iso32, planes], g,
+                                          rng=36, samples=900),
+             lambda: intersection_density(3, [2, 2], [1.0, 1.0], [planes, planes], g),
+             lambda: intersection_density(4, [3, 3, 3], [1.0] * 3, [iso43, hyperplanes, iso43],
+                                          g, same_process=False, rng=37, samples=900)]
+    viewed = [call() for call in calls]
+    monkeypatch.setattr(closed_form, "subspace_views",
+                        lambda bases: tuple(Subspace(b) for b in bases))
+    assert viewed == [call() for call in calls]
+    assert all(se > 0.0 for _, se in viewed[:2]) and viewed[2][1] == 0.0
+
+
 def test_intersection_density_isotropic_plane_mc():
     iso = GrassmannMeasure.isotropic(2, 1, 1.0)
     value, se = intersection_density(2, [1, 1], [1.0, 1.0], [iso, iso],

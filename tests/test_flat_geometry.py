@@ -11,7 +11,7 @@ from flatproc.flat_geometry import (DegeneratePairError, Flat, Subspace,
                                     haar_bases, haar_sample, intersect_flats,
                                     orthonormalize, principal_angles, product_indices,
                                     row_dots, row_norms, subset_indices,
-                                    subspace_determinant)
+                                    subspace_determinant, subspace_views)
 
 import _reference
 from _reference import (contains_flat, distance_to_point, parallelepiped_volume,
@@ -87,6 +87,60 @@ def test_projector_is_cached_read_only_and_exact():
         assert np.array_equal(p, sub.basis.T @ sub.basis)
         with pytest.raises(ValueError):
             p[0, 0] = 2.0
+
+
+def test_subspace_views_share_the_read_only_stack_and_match_subspace():
+    for n, k in ((3, 1), (4, 2), (5, 3)):
+        stack = haar_bases(9, n, k, np.random.default_rng([23, n]))
+        views = subspace_views(stack)
+        assert not stack.flags.writeable and len(views) == 9
+        for view, row in zip(views, stack):
+            assert type(view) is Subspace and (view.n, view.k) == (n, k)
+            assert np.shares_memory(view.basis, stack) and not view.basis.flags.writeable
+            assert np.array_equal(view.basis, row)
+            assert view.projector().tobytes() == Subspace(row.copy()).projector().tobytes()
+            assert not view.projector().flags.writeable
+        with pytest.raises(ValueError):
+            views[0].basis[0, 0] = 0.5
+    assert subspace_views(np.zeros((0, 2, 5))) == ()
+    with pytest.raises(ValueError, match="stack of bases"):
+        subspace_views(np.eye(3))
+
+
+@pytest.mark.parametrize("row", [0, 4])
+def test_subspace_views_reject_a_stack_with_one_bad_row_as_subspace_does(row):
+    stack = haar_bases(5, 4, 2, np.random.default_rng(24))
+    stack[row, 1] += 2e-10 * stack[row, 0]  # one Gram entry 2e-10 off the identity
+    with pytest.raises(ValueError) as single:
+        Subspace(stack[row])
+    with pytest.raises(ValueError) as stacked:
+        subspace_views(stack)
+    assert str(stacked.value) == str(single.value) == "basis rows are not orthonormal"
+    subspace_views(np.delete(stack, row, axis=0))  # the other rows pass
+    stack[row, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="not orthonormal"):
+        subspace_views(stack)
+
+
+def test_same_span_matches_the_projector_norm_at_the_tolerance():
+    rng = np.random.default_rng(25)
+    for n, k in ((3, 1), (4, 2), (5, 3)):
+        for tol in (1e-10, 1e-8, 1e-3):
+            for b in haar_bases(4, n, k, rng):
+                w = complement(Subspace(b)).basis[0]
+                for d in (tol * (1 - 1e-6), tol, tol * (1 + 1e-6)):
+                    theta = math.asin(d / math.sqrt(2.0))  # ||P - P'||_F = sqrt(2) sin(theta)
+                    turned = b.copy()
+                    turned[0] = math.cos(theta) * b[0] + math.sin(theta) * w
+                    s1, s2 = Subspace(b), subspace_views(turned[None])[0]
+                    expected = bool(np.linalg.norm(s1.projector() - s2.projector()) < tol)
+                    assert s1.same_span(s2, tol) is expected
+                    assert s2.same_span(s1, tol) is expected
+    eye = np.eye(5)
+    for a, b in ((eye[:2], eye[:3]), (eye[:3], eye[:2]), (eye[:2], np.eye(4)[:2]),
+                 (eye[:1], eye[:0])):
+        assert Subspace(a).same_span(Subspace(b), tol=10.0) is False
+    assert Subspace(eye[:0]).same_span(Subspace.trivial(5)) is True
 
 
 @pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-6, 1e-3, 0.7, math.pi / 2])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +110,44 @@ def test_integrate_linearity_holds_for_sampled_variants_with_shared_stream():
     assert v2 == pytest.approx(2.0 * v1, rel=1e-14)  # identical stream
     v3, _ = integrate(mu.scaled(3.0), f, rng=11, samples=5_000)
     assert v3 == pytest.approx(3.0 * v1, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (4, 2)])
+@pytest.mark.parametrize("seed", [31, 32])
+def test_isotropic_integrate_equals_per_row_subspaces_bit_for_bit(monkeypatch, n, k, seed):
+    from flatproc import flat_geometry
+    from flatproc._rng import as_generator
+    from flatproc.flat_geometry import haar_bases, subspace_determinant
+    from flatproc.measures import _mc_mean
+
+    monkeypatch.setattr(flat_geometry, "BLOCK_ROWS", 700)  # three Haar blocks
+    e0 = Subspace(np.eye(n)[:n - k])
+    f = lambda sub: subspace_determinant([e0, sub])
+    q = GrassmannMeasure.isotropic(n, k, 1.5)
+    gen = as_generator(seed)  # each sample one public, checked Subspace
+    expected = _mc_mean(lambda rows: [f(Subspace(b)) for b in haar_bases(rows, n, k, gen)],
+                        1800, 1.5)
+    assert integrate(q, f, rng=seed, samples=1800) == expected
+
+
+def test_integrate_checks_each_block_of_haar_bases(monkeypatch):
+    from flatproc import flat_geometry, measures
+
+    haar_bases = measures.haar_bases
+
+    def one_bad_row(count, n, k, rng):
+        bases = haar_bases(count, n, k, rng)
+        if count < 40:  # the second, short block
+            bases[-1, 1] += 2e-10 * bases[-1, 0]
+        return bases
+
+    monkeypatch.setattr(flat_geometry, "BLOCK_ROWS", 40)
+    monkeypatch.setattr(measures, "haar_bases", one_bad_row)
+    q = GrassmannMeasure.isotropic(4, 2, 1.0)
+    seen = []
+    with pytest.raises(ValueError, match="basis rows are not orthonormal"):
+        integrate(q, lambda sub: seen.append(sub) or 1.0, rng=33, samples=60)
+    assert len(seen) == 40  # the first block ran, the bad one raised before any f
 
 
 def test_lower_bound_check_uniform_attains_cosine_constant():
@@ -386,6 +425,16 @@ def test_engines_build_no_subspace(monkeypatch):
     post_init = flat_geometry.Subspace.__post_init__
     monkeypatch.setattr(flat_geometry.Subspace, "__post_init__",
                         lambda self: calls.append(1) or post_init(self))
+    views = flat_geometry.subspace_views
+
+    def counted_views(bases):  # one call per view, as for each checked Subspace
+        out = views(bases)
+        calls.extend(out)
+        return out
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("flatproc")]:
+        if getattr(module, "subspace_views", None) is views:
+            monkeypatch.setattr(module, "subspace_views", counted_views)
     for r in (2, 3):
         t_lift(mu_Q_r(even, r))
         area_measure(even, r)
@@ -396,3 +445,4 @@ def test_engines_build_no_subspace(monkeypatch):
         stability_harness(case, even, family, rho=0.01, upper=10.0)
     assert len(sample_poisson(spec, 1.0, 84)) > 0
     assert not calls
+    assert len(t_lift(hyperplanes).subspheres) == len(calls) == 4  # the counter sees views

@@ -12,7 +12,7 @@ flatproc from its own `src`):
     (cd ../parent && python tools/metric_digest.py) > old.txt
     diff old.txt new.txt
 
-The 451 cases:
+The 483 cases:
 - 272 distances: `bl_distance` and `prohorov_distance` on seeded supports of
   m = 2..18 points (the sphere-quotient table of random units in R^3),
   scaled by 1, 1e-4, 1e-8 and 1e-12, with probability weights and with
@@ -35,6 +35,17 @@ The 451 cases:
   with g None and a g; `integrate` on Grassmann (isotropic, atomic) and sphere
   (uniform, atoms, subspheres) measures; `subsphere_measure` of the full
   sphere, the cap and the custom set on a 3- and a 2-dimensional subspace.
+- 32 view outputs, read through `Subspace` views of stacks checked once:
+  criterion 3's comparison on seeded even measures of n + 2 atoms in R^3
+  (3 seeds), R^4 (2) and R^5 (2) for r = 2..n-1 (the merged weights of
+  `t_lift(mu_Q_r)` and of the `area_measure` subspheres times C(n - 1, r),
+  and the area weights `same_span` matches to each lift atom); the value and
+  the standard error of isotropic Grassmann `integrate` of a subspace
+  determinant on G(5,2), G(4,2), G(3,1) and G(4,3) at two seeds; and
+  `same_span` counts for Haar planes against copies turned by Frobenius
+  distances tol (1 - 1e-6) and tol (1 + 1e-6) and against planes of another
+  k or n, at four tolerances.  The group uses only names that predate the
+  views, so the CI step can run it on the base commit.
 """
 from __future__ import annotations
 
@@ -54,8 +65,9 @@ from flatproc.flat_geometry import (Subspace, complement_bases, haar_bases,  # n
 from flatproc.measure_metrics import (MetricSample, bl_distance,  # noqa: E402
                                       prohorov_distance, stability_harness)
 from flatproc.measures import (DirectionSet, GrassmannMeasure, SphereMeasure,  # noqa: E402
-                               integrate)
-from flatproc.zonoid_engine import MERGE_TOL, _merge, area_measure, mu_Q_r  # noqa: E402
+                               integrate, t_lift)
+from flatproc.zonoid_engine import (MERGE_TOL, _merge, area_measure,  # noqa: E402
+                                    merge_grassmann_atoms, mu_Q_r)
 
 SCALES = (1.0, 1e-4, 1e-8, 1e-12)
 CLOSED_FORM_SAMPLES = 2_000
@@ -188,6 +200,62 @@ def closed_form_calls():
                    lambda: sets[name].subsphere_measure(sub, rng=914, samples=samples))
 
 
+def lift_against_area(q: SphereMeasure, r: int):
+    """The lift-identity comparison of criterion 3 on the `subspheres` views:
+    merged weights of t_lift(mu_Q_r), merged weights of the area measure's
+    subspheres times C(n - 1, r), and for each lift atom the count and the
+    weights of the area atoms of the same span."""
+    lifted = merge_grassmann_atoms(list(t_lift(mu_Q_r(q, r)).subspheres))
+    scale = math.comb(q.n - 1, r)
+    area = merge_grassmann_atoms([(s, scale * w) for s, w in area_measure(q, r).subspheres])
+    matched = [[w for s, w in area if s.same_span(sub, tol=1e-8)] for sub, _ in lifted]
+    return (np.array([w for _, w in lifted]), np.array([w for _, w in area]),
+            np.array([len(row) for row in matched]), np.array(sum(matched, [])))
+
+
+def same_span_counts(n: int, k: int, rng) -> np.ndarray:
+    """For each tolerance, how many of 6 Haar k-planes `same_span` matches
+    with a copy turned by a Frobenius distance tol (1 - 1e-6) and
+    tol (1 + 1e-6), both ways, and with planes of another n or k."""
+    tols = (1e-10, 1e-8, 1e-6, 1e-3)
+    counts = np.zeros((len(tols), 4), dtype=np.int64)
+    for b in haar_bases(6, n, k, rng):
+        w = complement_bases(b[None])[0, 0]
+        sub = Subspace(b)
+        for i, tol in enumerate(tols):
+            for j, d in enumerate((tol * (1 - 1e-6), tol * (1 + 1e-6))):
+                theta = math.asin(d / math.sqrt(2.0))
+                turned = b.copy()
+                turned[0] = math.cos(theta) * b[0] + math.sin(theta) * w
+                other = Subspace(turned)
+                counts[i, j] += sub.same_span(other, tol) + other.same_span(sub, tol)
+            counts[i, 2] += sub.same_span(Subspace(b[:k - 1]), tol) if k > 1 else 0
+            counts[i, 3] += sub.same_span(Subspace(np.hstack([b, np.zeros((k, 1))])), tol)
+    return counts
+
+
+def views_calls():
+    """(case, call) for the outputs read through `Subspace` views: `atoms`
+    and `subspheres` of seeded zonoid outputs, isotropic Grassmann
+    `integrate` (value and standard error), and `same_span` counts."""
+    for n, seeds in ((3, 3), (4, 2), (5, 2)):
+        for seed in range(seeds):
+            q = even_measure(n, n + 2, np.random.default_rng([1000, n, seed]))
+            for r in range(2, n):
+                yield f"views-lift-R{n}-s{seed}-r{r}", lambda: lift_against_area(q, r)
+    for n, k in ((5, 2), (4, 2), (3, 1), (4, 3)):
+        e0 = Subspace(np.eye(n)[:n - k])
+        for seed in (920, 921):
+            call = lambda: integrate(GrassmannMeasure.isotropic(n, k, 1.5),
+                                     lambda sub: subspace_determinant([e0, sub]), rng=seed,
+                                     samples=CLOSED_FORM_SAMPLES)
+            for part, index in (("value", 0), ("se", 1)):
+                yield f"views-integrate-R{n}-k{k}-s{seed}-{part}", lambda: (call()[index],)
+    for n, k in ((3, 1), (4, 2), (5, 3)):
+        yield (f"views-same_span-R{n}-k{k}",
+               lambda: (same_span_counts(n, k, np.random.default_rng([1100, n, k])),))
+
+
 def cases():
     """(case, sha256 or raised-<Exception>-<h>) for every case, in a fixed order."""
     for m in range(2, 19):
@@ -226,6 +294,8 @@ def cases():
     for case, call in closed_form_calls():
         for part, index in (("value", 0), ("se", 1)):
             yield guarded(f"{case}-{part}", lambda: (call()[index],))
+    for case, call in views_calls():
+        yield guarded(case, call)
 
 
 def main() -> int:
