@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,8 @@ from ._rng import SeedLike, as_generator, derived_stream
 from .flat_geometry import (Subspace, _in_blocks, complement_bases, gram_volumes,
                             product_indices, q_factors, row_norms, subspace_views)
 from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
-                       _mc_mean, check_samples, finite_positive, symmetrize_line_measure)
+                       _mc_mean, check_samples, finite_positive, read_only,
+                       symmetrize_line_measure)
 from .zonoid_engine import mu_Q_r
 
 
@@ -84,8 +86,13 @@ class WindowDescriptor:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.shape == "ball":
             return row_norms(points) <= self.radius * self.scale
-        half = 0.5 * self.scaled_sides(points.shape[1])
-        return np.all(np.abs(points) <= half, axis=1)
+        if len(self.sides) != points.shape[1]:
+            raise ValueError("box side count must match the ambient dimension")
+        return np.logical_and.reduce(np.abs(points) <= self._half_sides, axis=1)
+
+    @cached_property
+    def _half_sides(self) -> np.ndarray:
+        return read_only(0.5 * self.scaled_sides(len(self.sides)))
 
     def rescaled(self, scale: float) -> "WindowDescriptor":
         return WindowDescriptor(self.shape, self.radius, self.sides, float(scale))

@@ -2,11 +2,13 @@
 length-power direction functionals evaluated on them.
 
 Both processes are stored as arrays: segments as midpoints, lengths,
-directions and index pairs, intersection flats as direction bases, offsets
-and generator index tuples (`IntersectionSample.flats` materializes `Flat`
-objects on demand).  Pairs and tuples are solved in blocks by the array
-kernels of `flat_geometry` (`pair_segments`, `tuple_intersections`), and
-tuples enumerated by its `subset_indices` and `product_indices`.
+directions and index pairs, in the C-ordered arrays `pair_segments` returns,
+made read-only; intersection flats as direction bases, offsets and
+generator index tuples (`IntersectionSample.flats` materializes `Flat`
+objects on demand, their directions `subspace_views` of the basis stack).
+Pairs and tuples are solved in blocks by the array kernels of
+`flat_geometry` (`pair_segments`, `tuple_intersections`), and tuples
+enumerated by its `subset_indices` and `product_indices`.
 Every pair is considered, so a proximity process holds every pair within
 delta wherever its segment lies; for lines, `pair_segments` solves exactly
 only the pairs that a screen of matrix products (in R^3 two per slab of
@@ -15,7 +17,8 @@ exactness of the functionals is guaranteed by the window-radius
 precondition radius >= circumradius(A) + delta/2 checked in `f_alpha`.
 A segment sample computes its window mask, `window.contains(midpoints)`,
 once per window (`SegmentProcessSample.window_mask`), so the functionals
-evaluated on one sample and window share it.
+evaluated on one sample and window share it; a box window tests the
+points against its half sides, computed once per window.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .closed_form import WindowDescriptor
-from .flat_geometry import (Flat, Subspace, pair_segments, product_indices, subset_indices,
+from .flat_geometry import (Flat, pair_segments, product_indices, subset_indices, subspace_views,
                             tuple_intersections)
 from .measures import DirectionSet, finite_positive
 from .simulator import FlatSample
@@ -53,12 +56,14 @@ class SegmentProcessSample:
         m = lengths.shape[0]
         if not (midpoints.shape[0] == directions.shape[0] == pairs.shape[0] == m):
             raise ValueError("segment arrays must have a common length")
-        # each test is written `not x <= bound`, so NaN fails it too
+        # each test is written `not x <= bound`, so NaN fails it too; the
+        # reductions are those of min() and max(), without their wrappers
         if m:
-            if not (0 < lengths.min() and lengths.max() <= self.delta + 1e-12):
+            if not (0 < np.minimum.reduce(lengths)
+                    and np.maximum.reduce(lengths) <= self.delta + 1e-12):
                 raise ValueError("segment lengths must lie in (0, delta]")
-            sq = np.einsum("mn,mn->m", directions, directions)
-            if not np.abs(sq - 1.0).max() <= 1e-9 * (2.0 - 1e-9):  # |u| within 1e-9 of 1
+            error = np.abs(np.einsum("mn,mn->m", directions, directions) - 1.0)
+            if not np.maximum.reduce(error) <= 1e-9 * (2.0 - 1e-9):  # |u| within 1e-9 of 1
                 raise ValueError("segment directions must be unit vectors")
         for name, arr in (("midpoints", midpoints), ("lengths", lengths),
                           ("directions", directions), ("pairs", pairs)):
@@ -101,8 +106,7 @@ class IntersectionSample:
 
     @cached_property
     def flats(self) -> tuple[Flat, ...]:
-        return tuple(Flat(Subspace(self.bases[i]), self.offsets[i])
-                     for i in range(len(self)))
+        return tuple(map(Flat, subspace_views(self.bases), self.offsets))
 
 
 def proximity(sample_a: FlatSample, sample_b: FlatSample | None = None,
@@ -183,7 +187,7 @@ def f_alpha(seg: SegmentProcessSample, alpha: float, window: WindowDescriptor,
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError("alpha must be finite and nonnegative")
-    return float(np.sum(_qualifying_lengths(seg, window, direction_set) ** alpha))
+    return float(np.add.reduce(_qualifying_lengths(seg, window, direction_set) ** alpha))
 
 
 def order_statistics(seg: SegmentProcessSample, alpha: float,

@@ -5,16 +5,18 @@ a direction subspace plus an offset in its orthogonal complement.  Operations
 are pure and values immutable.  The array kernels work on (m, k, n) stacks of
 bases; `subspace_views` checks such a stack once and hands out `Subspace`
 views of its rows.  `intersect_flats` is one tuple of `tuple_intersections`;
-the scalar `closest_pair` of k1 + k2 < n is the reference of `pair_segments`,
-whose line solve works on (n, m) coordinate rows, one contiguous row per
-coordinate, with `row_dots` for each block's dot products.
+the scalar `closest_pair` of k1 + k2 < n is the reference of `pair_segments`.
+Its line solve gathers both lines of every pair of a block with one take
+from (2n + 2, N) coordinate rows, one contiguous row per coordinate, takes
+the block's dot products from `row_dots`, and writes its outputs once, in
+C order; a call of one unscreened slab reads its pairs from one cached table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
-from math import comb, sqrt
+from math import comb, prod, sqrt
 
 import numpy as np
 
@@ -44,36 +46,49 @@ class DegeneratePairError(ValueError):
 def canonical_units(units: np.ndarray) -> np.ndarray:
     """Copy of a stack of unit vectors, each row signed so that its first
     coordinate of magnitude above 1e-12 is positive."""
-    units = np.array(units, dtype=float)
+    return _sign_rows(np.array(units, dtype=float))
+
+
+def _sign_rows(units: np.ndarray) -> np.ndarray:
+    """`canonical_units` in place on an (m, n) float array."""
     lead = units[:, 0]
-    for col in units.T[1:]:  # past leading coordinates within 1e-12 of 0
-        lead = np.where(np.abs(lead) <= 1e-12, col, lead)
+    if np.minimum.reduce(np.abs(lead), initial=np.inf) > 1e-12:  # NaN fails too
+        sign = np.sign(lead)
+    else:
+        for col in units.T[1:]:  # past leading coordinates within 1e-12 of 0
+            lead = np.where(np.abs(lead) <= 1e-12, col, lead)
+        sign = np.where(lead < -1e-12, -1.0, 1.0)
     # x * 1 and x * -1 are exact, signed zeros included
-    units *= np.where(lead < -1e-12, -1.0, 1.0)[:, None]
+    units *= sign[:, None]
     return units
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm(x, axis=1) of x in C order bit for bit, for any layout
-    of x; below 8 columns summed column by column in place, in numpy's order
-    for such short rows, without its row loop."""
+    of x; below 8 columns the squares summed column by column, in numpy's
+    order for such short rows, without its row loop."""
     if not 0 < x.shape[1] < 8:
         return np.linalg.norm(np.ascontiguousarray(x), axis=1)
-    total = x[:, 0] * x[:, 0]
-    for col in x.T[1:]:
-        total += col * col
+    squares = (x * x).T
+    total = squares[0] + squares[1] if x.shape[1] > 1 else squares[0]
+    for col in squares[2:]:
+        total += col
     return np.sqrt(total, out=total)
 
 
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dot products of the columns of two (n, m) coordinate-row arrays:
-    np.einsum("mn,mn->m", x.T, y.T) of C-ordered (m, n) copies bit for bit.
+    np.einsum("mn,mn->m", x.T, y.T) of C-ordered (m, n) copies bit for bit;
+    arrays of shape (n, ...) give the dot products of their broadcast columns.
     Below 8 coordinates numpy's kernel sums the even and the odd coordinates
     apart, in order, and adds the two sums to its zeroed output, 0 + (even +
     odd), which is (0 + even) + odd: -0 comes out +0 either way."""
     n = x.shape[0]
-    if not 0 < n < 8:
-        return np.einsum("mn,mn->m", x.T.copy(), y.T.copy())
+    if not 0 < n < 8:  # on C-ordered (m, n) copies of the broadcast columns
+        x, y = np.broadcast_arrays(x, y)
+        shape = x.shape[1:]
+        x, y = (z.reshape(n, prod(shape)).T.copy() for z in (x, y))
+        return np.einsum("mn,mn->m", x, y).reshape(shape)
     prods = x * y
     total = prods[0] + 0.0  # a fresh array, which frees the products
     for k in range(2, n, 2):
@@ -390,14 +405,10 @@ def grassmann_distance(u1: Subspace, u2: Subspace) -> float:
     return float(8.0 * np.sum(np.sin(principal_angles(u1, u2) / 2.0) ** 2))
 
 
-def grassmann_metric(u1: Subspace, u2: Subspace) -> float:
-    """Square root of grassmann_distance; satisfies the triangle inequality.
-
-    grassmann_distance itself is a squared Frobenius deviation and is not a
-    metric; its square root is the Frobenius distance of the direct rotation
-    from the identity and is used wherever a genuine metric table is needed.
-    """
-    return float(np.sqrt(grassmann_distance(u1, u2)))
+def _touch_scale(reach, n: int):
+    """(n + 58) eps max(reach, 1), the numerator of `_touch_cut`: rounding is
+    monotone, so the larger of two flats' values is that of the larger reach."""
+    return (n + 58) * 2.0 ** -53 * np.maximum(reach, 1.0)
 
 
 def _touch_cut(reach, volume, n: int):
@@ -406,7 +417,7 @@ def _touch_cut(reach, volume, n: int):
     lines (derived in `_line_screen`), read with sqrt(M) = max(reach, 1),
     reach the larger offset norm, and sqrt(1 - c^2) = [L, M] = volume for
     every (k1, k2); at least 1e-12."""
-    return np.maximum((n + 58) * 2.0 ** -53 * np.maximum(reach, 1.0) / volume, 1e-12)
+    return np.maximum(_touch_scale(reach, n) / volume, 1e-12)
 
 
 def closest_pair(e: Flat, f: Flat):
@@ -552,6 +563,29 @@ def _line_screen(u, offs_a, v, offs_b, sq_u, sq_v, delta):
     return screen
 
 
+@lru_cache(maxsize=64)
+def _pair_table(n_a: int, n_b: int, single: bool) -> np.ndarray:
+    """Read-only (2, count) table of the pairs (i over j) of a one-slab
+    `pair_segments` call, lexicographic: i < j < n_a if single, else every
+    (i, j).  At most 64 tables of at most BLOCK_ROWS pairs each."""
+    table = (np.array(np.triu_indices(n_a, 1)) if single
+             else np.indices((n_a, n_b), dtype=np.intp).reshape(2, -1))
+    table.flags.writeable = False
+    return table
+
+
+def _line_rows(bases: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """(2n + 2, N) coordinate rows of N lines of R^n, one contiguous row per
+    coordinate: the directions u over the offsets a, then u.u and the
+    `_touch_scale` of |a|, so that one take gathers a block of pairs."""
+    n, u = offs.shape[1], bases[:, 0, :]
+    rows = np.empty((2 * n + 2, offs.shape[0]))
+    rows[:n], rows[n:2 * n] = u.T, offs.T
+    rows[2 * n] = np.einsum("mn,mn->m", u, u)
+    rows[2 * n + 1] = _touch_scale(np.sqrt(np.einsum("mn,mn->m", offs, offs)), n)
+    return rows
+
+
 def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     """Batched closest-pair solve: the proximity segments of flat pairs.
 
@@ -559,72 +593,78 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     offsets of two flat families with k_1 + k_2 < n; single means that both
     are one sample, whose pairs are i < j, and otherwise every (i, j) is a
     pair.  Returns the qualifying pairs in lexicographic order with their
-    segments (midpoints, lengths, directions, pairs): the pairs closest_pair
-    solves (general position, not touching) with length at most delta.
-    Phase 1 walks the pairs in slabs of rows i against all their j, about
-    BLOCK_ROWS pairs a slab, so no array of all pairs is built, and keeps
-    each slab's candidate (i, j): for lines the superset of the qualifying
-    pairs that `_line_screen` passes on (two matrix products a slab in R^3,
-    four in higher dimensions), otherwise every pair.  Phase 2 solves the
-    candidates of consecutive slabs together, at most BLOCK_ROWS unless one
-    slab has more, by a 2x2 closed form for lines, on (n, m) coordinate rows,
-    and a stacked Gram solve otherwise.  No pair's result depends on its slab
-    or block.
+    segments as C-ordered arrays (midpoints, lengths, directions, pairs):
+    the pairs closest_pair solves (general position, not touching) with
+    length at most delta.  Phase 1 walks the pairs in slabs of rows i
+    against all their j, about BLOCK_ROWS pairs a slab, and keeps each
+    slab's candidates as a (2, m) table of (i, j): for lines those that
+    `_line_screen` passes on (two matrix products a slab in R^3, four in
+    higher dimensions), otherwise every pair, which a call of one slab
+    reads from `_pair_table`.  Phase 2 solves the candidates of consecutive
+    slabs together, at most BLOCK_ROWS unless one slab has more: lines by a
+    2x2 closed form on the coordinate rows of `_line_rows`, both lines of a
+    pair gathered by one take; other flats by a stacked Gram solve.  Each
+    block keeps a pair whose length exceeds the larger `_touch_scale` of
+    its flats over its volume (`_touch_cut`) and is at most delta, and
+    compacts the kept pairs with one take per output.  No pair's result
+    depends on its slab or block.
     """
+    n = offs_a.shape[1]
     lines = bases_a.shape[1] == bases_b.shape[1] == 1
     n_a, n_b = offs_a.shape[0], offs_b.shape[0]
     count = n_a * (n_a - 1) // 2 if single else n_a * n_b
-    # offset norms, whose larger one per pair is the reach of `_touch_cut`
-    # (einsum on these few rows: `row_dots` gives the same bits, in more calls)
-    norm_a = np.sqrt(np.einsum("mn,mn->m", offs_a, offs_a))
-    norm_b = norm_a if single else np.sqrt(np.einsum("mn,mn->m", offs_b, offs_b))
-    if lines:
-        u_a, u_b = bases_a[:, 0, :], bases_b[:, 0, :]
-        sq_u = np.einsum("mn,mn->m", u_a, u_a)
-        sq_v = sq_u if single else np.einsum("mn,mn->m", u_b, u_b)
-        # coordinate rows, (n, N): a block's gather is one take per array,
-        # and each coordinate of the block one contiguous row
-        ut_a, at_a = u_a.T.copy(), offs_a.T.copy()
-        ut_b, at_b = (ut_a, at_a) if single else (u_b.T.copy(), offs_b.T.copy())
-    screen = (_line_screen(u_a, offs_a, u_b, offs_b, sq_u, sq_v, delta)
+    if lines:  # the rows of a, then those of b: a pair (i, j) is column (i, n_a + j)
+        rows = (_line_rows(bases_a, offs_a) if single else
+                _line_rows(np.concatenate([bases_a, bases_b]), np.concatenate([offs_a, offs_b])))
+        shift, sq = None if single else np.array([[0], [n_a]]), rows[2 * n]
+    else:
+        scale_a, scale_b = (_touch_scale(np.sqrt(np.einsum("mn,mn->m", o, o)), n)
+                            for o in (offs_a, offs_b))
+    screen = (_line_screen(bases_a[:, 0, :], offs_a, bases_b[:, 0, :], offs_b,
+                           sq[:n_a], sq if single else sq[n_a:], delta)
               if lines and count >= SCREEN_MIN_PAIRS else None)
 
-    def solve(i, j):
+    def solve(pairs):
         if lines:
-            # the 2x2 normal equations in closed form, on (n, m) coordinate
-            # rows, worked in place
-            u, v = ut_a.take(i, axis=1), ut_b.take(j, axis=1)
-            a, b = at_a.take(i, axis=1), at_b.take(j, axis=1)
-            c = row_dots(u, v)
+            # the 2x2 normal equations in closed form, worked in place on the
+            # (2n + 2, 2, m) rows of each pair's line from a over its line from b
+            g = rows.take(pairs if single else pairs + shift, axis=1)
+            c = row_dots(g[:n, 0], g[:n, 1])
             c2 = c * c
-            det = 1.0 - c2
             # general position on the Gram determinant, as closest_pair: it
             # is 0 for equal rows, where 1 - c^2 need not be
-            vol = sq_u.take(i) * sq_v.take(j)
+            vol = np.multiply(g[2 * n, 0], g[2 * n, 1], out=g[2 * n, 0])
             vol -= c2
             np.sqrt(np.maximum(vol, 0.0, out=vol), out=vol)
             ok = vol > GENERAL_POSITION_TOL
-            if not ok.all():  # copy only when a pair is out of general position
-                u, v, a, b = (x.compress(ok, axis=1) for x in (u, v, a, b))
-                c, det, vol, i, j = (x.compress(ok) for x in (c, det, vol, i, j))
+            if np.count_nonzero(ok) < ok.size:  # copy only when a pair is out of general position
+                g, pairs = g.compress(ok, axis=2), pairs.compress(ok, axis=1)
+                c, c2 = c.compress(ok), c2.compress(ok)
+            units, vol, scale = g[:n], g[2 * n, 0], g[2 * n + 1, 0]
+            u, v, a, b = g[:n, 0], g[:n, 1], g[n:2 * n, 0], g[n:2 * n, 1]
+            det = 1.0 - c2
             gap = a - b
-            # normal equations of min |d + s u - t v| over (s, t), d = a - b
-            r1 = -row_dots(u, gap)
-            r2 = row_dots(v, gap)
-            u *= (r1 + c * r2) / det  # s u
-            v *= (c * r1 + r2) / det  # t v
-            a += u  # the feet x_e = a + s u and x_f = b + t v
-            b += v
+            # min |d + s u - t v| over (s, t), d = a - b: with p = u.d and
+            # q = v.d, s = (c q - p) / det and t = (q - c p) / det, and
+            # w = c (p, q) reversed less (p, q) is (s, -t) det
+            pq = row_dots(units, gap[:, None])
+            w = np.subtract((c * pq)[::-1], pq)
+            w /= det
+            units *= w
+            a += u  # the feet x_e = a + s u
+            b -= v  # and x_f = b - (-t) v
             np.subtract(a, b, out=gap)
             mids = a  # (x_e + x_f) / 2
             mids += b
             mids /= 2.0
+            np.maximum(scale, g[2 * n + 1, 1], out=scale)
         else:
             # minimize |(a - b) + G^T w| with G = [B_E; -B_F] stacked per pair
-            g = np.concatenate([bases_a[i], -bases_b[j]], axis=1)
+            g = np.concatenate([bases_a[pairs[0]], -bases_b[pairs[1]]], axis=1)
             vol = gram_volumes(g)
             ok = vol > GENERAL_POSITION_TOL
-            g, vol, i, j = g[ok], vol[ok], i[ok], j[ok]
+            g, vol, pairs = g[ok], vol[ok], pairs[:, ok]
+            i, j = pairs
             a, b = offs_a[i], offs_b[j]
             rhs = -np.einsum("mkn,mn->mk", g, a - b)
             w = np.linalg.solve(g @ np.swapaxes(g, 1, 2), rhs[..., None])[..., 0]
@@ -632,44 +672,48 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             x_e = a + np.einsum("mk,mkn->mn", w[:, :k1], g[:, :k1])
             x_f = b - np.einsum("mk,mkn->mn", w[:, k1:], g[:, k1:])
             gap, mids = (x_e - x_f).T, ((x_e + x_f) / 2.0).T  # (n, m) views
+            scale = np.maximum(scale_a.take(i), scale_b.take(j))
         lengths = row_norms(gap.T)
-        reach = np.maximum(norm_a.take(i), norm_b.take(j))
-        keep = (lengths > _touch_cut(reach, vol, offs_a.shape[1])) & (lengths <= delta)
-        kept = np.flatnonzero(keep)
-        gap, mids = gap.take(kept, axis=1), mids.take(kept, axis=1)
-        lengths, i, j = lengths.take(kept), i.take(kept), j.take(kept)
-        gap /= lengths
-        return mids.T, lengths, canonical_units(gap.T), i, j  # (m, n) views
-
-    def joined(parts):  # one part as it is, several concatenated column by column
-        return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
+        scale /= vol
+        keep = lengths > np.maximum(scale, 1e-12, out=scale)  # _touch_cut
+        keep &= lengths <= delta
+        kept = keep.nonzero()[0]
+        lengths = lengths.take(kept)
+        directions = gap.take(kept, axis=1)  # normalized and signed on coordinate rows
+        directions /= lengths
+        return (mids.T.take(kept, axis=0), lengths,
+                np.ascontiguousarray(_sign_rows(directions.T)), pairs.T.take(kept, axis=0))
 
     # phase 1 slab by slab; phase 2 on a block once the next slab would overfill it
     solved, block, held, r0 = [], [], 0, 0
     while r0 < n_a or not block:  # one slab at least: no rows give empty arrays
-        col0 = r0 + 1 if single else 0
+        col0 = min(r0 + 1, n_b) if single else 0
         width = n_b - col0
         r1 = min(n_a, r0 + max(1, BLOCK_ROWS // max(width, 1)))
-        # when single, j > i: j - col0 >= i - r0, false only in the first r1 - r0 columns
-        if screen is None:
-            mask = (np.arange(width) >= np.arange(r1 - r0)[:, None] if single
-                    else np.ones((r1 - r0, width), dtype=bool))
+        if screen is None and r1 - r0 == n_a and count <= BLOCK_ROWS:
+            pairs = _pair_table(n_a, n_b, single)
         else:
-            mask = screen(r0, r1, col0)
-            if single:
-                corner = mask[:, :r1 - r0]
-                corner &= np.arange(corner.shape[1]) >= np.arange(r1 - r0)[:, None]
-        i, j = np.divmod(np.flatnonzero(mask), max(width, 1))
-        if block and held + i.size > BLOCK_ROWS:
-            solved.append(solve(*joined(block)))
+            # when single, j > i: j - col0 >= i - r0, false only in the first r1 - r0 columns
+            if screen is None:
+                mask = (np.arange(width) >= np.arange(r1 - r0)[:, None] if single
+                        else np.ones((r1 - r0, width), dtype=bool))
+            else:
+                mask = screen(r0, r1, col0)
+                if single:
+                    corner = mask[:, :r1 - r0]
+                    corner &= np.arange(corner.shape[1]) >= np.arange(r1 - r0)[:, None]
+            flat = mask.ravel().nonzero()[0]
+            pairs = np.empty((2, flat.size), dtype=np.intp)
+            np.divmod(flat, max(width, 1), out=(pairs[0], pairs[1]))
+            pairs += np.array([[r0], [col0]])
+        if block and held + pairs.shape[1] > BLOCK_ROWS:
+            solved.append(solve(block[0] if len(block) == 1 else np.concatenate(block, axis=1)))
             block, held = [], 0
-        block.append((i + r0, j + col0))
-        held += i.size
+        block.append(pairs)
+        held += pairs.shape[1]
         r0 = r1
-    solved.append(solve(*joined(block)))
-    midpoints, lengths, directions, i, j = joined(solved)
-    return (np.ascontiguousarray(midpoints), lengths, np.ascontiguousarray(directions),
-            np.stack([i, j], axis=1))
+    solved.append(solve(block[0] if len(block) == 1 else np.concatenate(block, axis=1)))
+    return solved[0] if len(solved) == 1 else tuple(np.concatenate(c) for c in zip(*solved))
 
 
 def tuple_intersections(bases, offsets, tuples):

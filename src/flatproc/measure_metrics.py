@@ -87,8 +87,8 @@ class MetricSample:
     @staticmethod
     def from_subspaces(bases: np.ndarray) -> "MetricSample":
         """Direct-rotation metric table on an (m, k, n) stack of orthonormal
-        bases, from one stacked principal-angle computation over all pairs;
-        as `grassmann_metric`, 2 sqrt(2 sum_i sin^2(theta_i / 2))."""
+        bases, from one stacked principal-angle computation over all pairs:
+        the square root of `grassmann_distance`, 2 sqrt(2 sum_i sin^2(theta_i / 2))."""
         theta = _principal_angles(bases[:, None], bases[None, :])
         dist = np.triu(np.sqrt(8.0 * np.sum(np.sin(theta / 2.0) ** 2, axis=-1)), 1)
         return MetricSample(dist + dist.T)

@@ -2,7 +2,8 @@
 the non-Poisson cube-based constructions with prescribed factorial moments.
 
 Flat samples are stored as basis/offset arrays for speed; `FlatSample.flats`
-materializes the immutable Flat objects on demand.  Directions come from
+materializes the immutable Flat objects on demand, their directions
+`subspace_views` of the basis stack.  Directions come from
 `flat_geometry.haar_bases`; a Poisson offset is a standard normal vector
 projected onto the direction's orthogonal complement, rescaled into its
 disk.  Every sampler accepts a seed (int or sequence) or a ready numpy
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import constants
 from ._rng import SeedLike, as_generator, seed_record
-from .flat_geometry import Flat, Subspace, gram_volumes, haar_bases, row_norms
+from .flat_geometry import (Flat, Subspace, gram_volumes, haar_bases, row_norms,
+                            subspace_views)
 from .measures import GrassmannMeasure
 
 
@@ -96,8 +98,7 @@ class FlatSample:
 
     @cached_property
     def flats(self) -> tuple[Flat, ...]:
-        return tuple(Flat(Subspace(self.bases[i]), self.offsets[i])
-                     for i in range(len(self)))
+        return tuple(map(Flat, subspace_views(self.bases), self.offsets))
 
     def restrict(self, radius: float) -> "FlatSample":
         """Flats of this realization hitting the smaller ball window."""

@@ -13,7 +13,6 @@ from math import comb
 
 import numpy as np
 
-from . import constants
 from .flat_geometry import BLOCK_ROWS, complement_bases, gram_volumes, subset_indices
 from .measures import GrassmannMeasure, SphereMeasure, positive_weights, read_only
 
@@ -143,12 +142,6 @@ def mu_Q_r(q: SphereMeasure, r: int) -> GrassmannMeasure:
                             np.bincount(labels, math.factorial(r) * terms[keep], len(reps)))
 
 
-def mu_Q_r_total_mass(q: SphereMeasure, r: int) -> float:
-    """Total mass of mu_Q_r, r! V_r of the zonotope of q, without building
-    the atoms and without the drop cut (0 when degenerate)."""
-    return math.factorial(r) * intrinsic_volume(from_measure(q), r)
-
-
 def area_measure(q: SphereMeasure, r: int) -> SphereMeasure:
     """r-th area measure of the zonotope of q, as a subsphere mixture.
 
@@ -161,9 +154,3 @@ def area_measure(q: SphereMeasure, r: int) -> SphereMeasure:
     scale = float(math.factorial(r)) * comb(q.n - 1, r)
     return SphereMeasure(q.n, components=(
         GrassmannMeasure(mu.n, mu.k, mu.bases, mu.weights / scale),))
-
-
-def area_measure_total_mass(q: SphereMeasure, r: int) -> float:
-    """Total mass S_r(Z_q, S^{n-1}); zero for degenerate configurations."""
-    scale = float(math.factorial(r)) * comb(q.n - 1, r)
-    return constants.sphere_surface(q.n - r) * mu_Q_r_total_mass(q, r) / scale

@@ -1,15 +1,23 @@
 """Scalar geometry that only the tests use: an independent intersection solve
 (one `lstsq` and one SVD per tuple) that the batched `tuple_intersections`
-is compared against, and small helpers on rotations, flats and samples.
+is compared against, small helpers on rotations, flats and samples, the
+Grassmann metric of two subspaces, and the closed totals of mu_Q_r and of
+the area measures.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from flatproc import constants
 from flatproc._rng import SeedLike, as_generator
 from flatproc.flat_geometry import (GENERAL_POSITION_TOL, DegeneratePairError, Flat, Subspace,
-                                    complement, gram_volumes, subspace_determinant)
+                                    complement, grassmann_distance, gram_volumes,
+                                    subspace_determinant)
+from flatproc.measures import SphereMeasure
 from flatproc.simulator import FlatSample
+from flatproc.zonoid_engine import from_measure, intrinsic_volume
 
 
 def random_rotation(n: int, rng: SeedLike) -> np.ndarray:
@@ -96,3 +104,25 @@ def intersect_flats(flats) -> Flat:
     if det <= GENERAL_POSITION_TOL:
         raise DegeneratePairError("degenerate pair")
     return _intersection_flat(flats)
+
+
+def grassmann_metric(u1: Subspace, u2: Subspace) -> float:
+    """Square root of grassmann_distance; satisfies the triangle inequality.
+
+    grassmann_distance itself is a squared Frobenius deviation and is not a
+    metric; its square root is the Frobenius distance of the direct rotation
+    from the identity and is used wherever a genuine metric table is needed.
+    """
+    return float(np.sqrt(grassmann_distance(u1, u2)))
+
+
+def mu_Q_r_total_mass(q: SphereMeasure, r: int) -> float:
+    """Total mass of mu_Q_r, r! V_r of the zonotope of q, without building
+    the atoms and without the drop cut (0 when degenerate)."""
+    return math.factorial(r) * intrinsic_volume(from_measure(q), r)
+
+
+def area_measure_total_mass(q: SphereMeasure, r: int) -> float:
+    """Total mass S_r(Z_q, S^{n-1}); zero for degenerate configurations."""
+    scale = float(math.factorial(r)) * math.comb(q.n - 1, r)
+    return constants.sphere_surface(q.n - r) * mu_Q_r_total_mass(q, r) / scale

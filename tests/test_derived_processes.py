@@ -7,7 +7,7 @@ from flatproc.closed_form import WindowDescriptor
 from flatproc.derived_processes import (SegmentProcessSample, f_alpha,
                                         intersections, order_statistics,
                                         proximity, write_segments_csv)
-from flatproc.flat_geometry import Flat, Subspace, complement
+from flatproc.flat_geometry import Flat, Subspace, canonical_units, complement
 from flatproc.measures import DirectionSet, GrassmannMeasure
 from flatproc.simulator import FlatProcessSpec, FlatSample, sample_poisson
 
@@ -373,6 +373,162 @@ def test_empty_outputs_keep_shapes_and_dtypes():
         assert len(proximity(first, second, delta=1.0)) == 0
 
 
+def layout_cases():
+    """(first, second) sample pairs for proximity: lines of R^3 and R^4 on
+    either side of SCREEN_MIN_PAIRS, single and cross in both orders; 0-,
+    1- and 2-line samples; cross calls with an empty side; planes of R^5;
+    lines against planes of R^4."""
+    none = FlatSample(3, 1, 1.0, np.zeros((0, 1, 3)), np.zeros((0, 3)), "none")
+    one = lines_sample([E[0]], [np.zeros(3)])
+    two = lines_sample([E[0], E[1]], [np.zeros(3), 0.5 * E[2]])
+    cases = [(none, None), (one, None), (two, None), (none, two), (two, none), (one, two)]
+    for n, radii in ((3, (1.37, 2.5, 4.5)), (4, (1.3, 2.5))):
+        spec = FlatProcessSpec(n, 1, 1.0, GrassmannMeasure.isotropic(n, 1, 1.0))
+        for radius in radii:
+            a, b = (sample_poisson(spec, radius, [317, n, int(10 * radius), side])
+                    for side in (0, 1))
+            empty = FlatSample(n, 1, 1.0, np.zeros((0, 1, n)), np.zeros((0, n)), "none")
+            cases += [(a, None), (a, b), (b, a), (a, empty)]
+    planes = sample_poisson(FlatProcessSpec(5, 2, 1.0, GrassmannMeasure.isotropic(5, 2, 1.0)),
+                            1.6, 318)
+    lines = sample_poisson(FlatProcessSpec(4, 1, 1.0, GrassmannMeasure.isotropic(4, 1, 1.0)),
+                           1.5, 319)
+    planes4 = sample_poisson(FlatProcessSpec(4, 2, 0.8, GrassmannMeasure.isotropic(4, 2, 1.0)),
+                             1.5, 320)
+    return cases + [(planes, None), (lines, planes4), (planes4, lines)]
+
+
+def test_proximity_outputs_are_c_ordered_read_only_arrays():
+    # the digest hashes np.ascontiguousarray of each output, so it cannot
+    # see an F-ordered array with the same values: check the layout here
+    from flatproc.flat_geometry import pair_segments
+
+    kinds = [(2, np.float64), (1, np.float64), (2, np.float64), (2, np.intp)]
+    for first, second in layout_cases():
+        other = first if second is None else second
+        raw = pair_segments(first.bases, first.offsets, other.bases, other.offsets,
+                            second is None, 1.0)
+        seg = proximity(first, second, delta=1.0)
+        outputs = (seg.midpoints, seg.lengths, seg.directions, seg.pairs)
+        for arr, out, (ndim, dtype) in zip(raw, outputs, kinds):
+            assert arr.flags.c_contiguous and arr.ndim == ndim and arr.dtype == dtype
+            assert out.flags.c_contiguous and out.dtype == dtype and not out.flags.writeable
+            assert arr.shape == out.shape and arr.tobytes() == out.tobytes()
+        assert seg.midpoints.shape == seg.directions.shape == (len(seg), first.n)
+        assert seg.pairs.shape == (len(seg), 2)
+
+
+def test_one_slab_table_and_slab_loop_give_the_same_bytes(monkeypatch):
+    # an unscreened call of one slab takes its pairs from one cached table;
+    # the slab loop with masks (blocks of 7 pairs, slabs of one row) and the
+    # screen forced on and off must give the same arrays, layout included
+    import flatproc.flat_geometry as flat_geometry
+
+    cases = layout_cases()
+    table = flat_geometry._pair_table
+    calls = []
+
+    def spy(*key):
+        calls.append(key)
+        return table(*key)
+
+    monkeypatch.setattr(flat_geometry, "_pair_table", spy)
+    settings = [{}, {"BLOCK_ROWS": 7}, {"BLOCK_ROWS": 1}, {"SCREEN_MIN_PAIRS": 0},
+                {"SCREEN_MIN_PAIRS": math.inf}, {"SCREEN_MIN_PAIRS": 0, "BLOCK_ROWS": 7}]
+    outputs, tabled = [], []
+    for setting in settings:
+        with monkeypatch.context() as patch:
+            for name, value in setting.items():
+                patch.setattr(flat_geometry, name, value)
+            calls.clear()
+            outputs.append([proximity(first, second, delta=1.0) for first, second in cases])
+            tabled.append(len(calls))
+    # the default reaches the table for every unscreened call; slabs of one
+    # row only for calls of at most one row and pair; a forced screen only
+    # for flats other than lines
+    sizes = [(len(a), len(a) * (len(a) - 1) // 2 if b is None else len(a) * len(b),
+              a.k == (a if b is None else b).k == 1) for a, b in cases]
+    unscreened = [(rows, count) for rows, count, lines in sizes
+                  if not lines or count < flat_geometry.SCREEN_MIN_PAIRS]
+    assert tabled[0] == len(unscreened) > tabled[1]
+    assert tabled[2] == sum(rows <= 1 and count <= 1 for rows, count in unscreened)
+    assert tabled[3] == sum(not lines for _, _, lines in sizes) == 3
+    for default, *others in zip(*outputs):
+        for seg in others:
+            for name in ("midpoints", "lengths", "directions", "pairs"):
+                ours, ref = getattr(seg, name), getattr(default, name)
+                assert ours.dtype == ref.dtype and ours.shape == ref.shape
+                assert ours.flags.c_contiguous
+                assert ours.tobytes() == ref.tobytes()
+    assert table.cache_info().maxsize == 64
+
+
+def test_zero_leading_direction_coordinates_walk_like_scalar():
+    # lines with directions in span(e1, e2) at different heights: the common
+    # perpendicular of each pair is +-e3, whose first two coordinates are 0
+    # or within round-off of 0, so the sign walks past them; some pairs of
+    # generic lines go in the same blocks
+    from flatproc.flat_geometry import _sign_rows
+
+    rng = np.random.default_rng(321)
+    theta = rng.uniform(0.0, np.pi, 12)
+    directions = [np.array([np.cos(t), np.sin(t), 0.0]) for t in theta]
+    points = [np.array([*rng.uniform(-0.5, 0.5, 2), z]) for z in rng.uniform(-0.4, 0.4, 12)]
+    directions += list(rng.standard_normal((6, 3)))
+    points += list(rng.uniform(-0.5, 0.5, (6, 3)))
+    sample = lines_sample([d / np.linalg.norm(d) for d in directions], points)
+    seg = proximity(sample, delta=1.0)
+    lead = np.abs(seg.directions[:, 0])
+    assert np.count_nonzero(lead <= 1e-12) >= 20 and np.count_nonzero(lead > 1e-12) >= 5
+    assert np.all(seg.directions[lead <= 1e-12, 2] > 0)
+    assert_matches_scalar(seg, scalar_segments(sample, None, 1.0))
+    # each block's signs as canonical_units gives them row by row
+    rows = seg.directions * np.where(np.arange(len(seg)) % 2, -1.0, 1.0)[:, None]
+    assert np.array_equal(_sign_rows(rows.copy()),
+                          np.concatenate([canonical_units(r[None]) for r in rows]))
+
+
+def test_touch_cut_reads_the_larger_offset_norm():
+    # lines 5e-12 apart near p = 1000 e3, one with offset p (norm 1000), the
+    # other nearly along p (offset norm about 10): the cut of the larger
+    # norm, (n + 58) eps 1000 = 1.4e-11, drops the pair, as closest_pair
+    # does; that of the smaller norm, 1e-12, would keep it
+    t = 0.01
+    tilted = np.array([np.sin(t), 0.0, np.cos(t)])
+    normal = np.cross(E[1], tilted)
+    p = 1000.0 * E[2]
+    sample = lines_sample([E[1], tilted, E[0]], [p, p + 5e-12 * normal, 0.3 * E[1]],
+                          radius=1001.0)
+    assert np.linalg.norm(sample.offsets[1]) < 20.0
+    ref = scalar_segments(sample, None, 1.0)
+    assert (0, 1) not in ref and len(ref) == 1
+    assert_matches_scalar(proximity(sample, delta=1.0), ref)
+    first, second = (lines_sample([d], [x], radius=1001.0)
+                     for d, x in ((E[1], p), (tilted, p + 5e-12 * normal)))
+    for a, b in ((first, second), (second, first)):
+        assert len(proximity(a, b, delta=1.0)) == 0 and scalar_segments(a, b, 1.0) == {}
+
+
+def test_folded_touch_cut_equals_touch_cut_bit_for_bit():
+    # pair_segments reads the larger of the two flats' _touch_scale over the
+    # volume: the cut of the larger offset norm, reach below 1 included
+    from flatproc.flat_geometry import _touch_cut, _touch_scale
+
+    rng = np.random.default_rng(322)
+    norms = np.concatenate([rng.uniform(0.0, 1.0, 4000), 1.0 + rng.uniform(-1e-12, 1e-12, 2000),
+                            10.0 ** rng.uniform(-3, 4, 4000), [0.0, 1.0, 1.0, 2.5, 2.5]])
+    i, j = rng.integers(0, norms.size, (2, 50_000))
+    volume = 10.0 ** rng.uniform(-10, 0, 50_000)
+    for n in (3, 4, 8):
+        folded = np.maximum(np.maximum(_touch_scale(norms, n)[i], _touch_scale(norms, n)[j])
+                            / volume, 1e-12)
+        reach = np.maximum(norms[i], norms[j])
+        assert np.array_equal(folded, _touch_cut(reach, volume, n))
+        # and the cut's formula written out in one expression
+        assert np.array_equal(
+            folded, np.maximum((n + 58) * 2.0 ** -53 * np.maximum(reach, 1.0) / volume, 1e-12))
+
+
 def test_large_line_window_matches_brute_force():
     # a radius-16.5 window of about 850 lines (mean pi 16.5^2 = 855), as in
     # the large-window checks, against the distance formula for skew lines
@@ -474,6 +630,33 @@ def test_intersections_across_independent_samples():
     for flat, (i, j) in zip(inter.flats, inter.tuples):
         assert contains_flat(a.flats[i], flat, tol=1e-8)
         assert contains_flat(b.flats[j], flat, tol=1e-8)
+
+
+def test_sample_flats_are_views_of_the_checked_stack():
+    # FlatSample.flats and IntersectionSample.flats check the basis stack
+    # once and wrap its rows; each Flat still checks its own offset
+    from flatproc.derived_processes import IntersectionSample
+
+    spec = FlatProcessSpec(3, 2, 3.0, GrassmannMeasure.isotropic(3, 2, 1.0))
+    sample = sample_poisson(spec, 1.5, 323)
+    inter = intersections(sample, order=2)
+    for source in (sample, inter):
+        assert len(source.flats) == len(source) > 3
+        for flat, basis, offset in zip(source.flats, source.bases, source.offsets):
+            assert np.shares_memory(flat.direction.basis, source.bases)
+            assert np.array_equal(flat.direction.projector(), Subspace(basis).projector())
+            assert np.array_equal(flat.offset, offset) and not flat.offset.flags.writeable
+    # rows within FlatSample's 1e-9 but not Subspace's 1e-10, and an offset
+    # within FlatSample's 1e-9 of orthogonal but not Flat's 1e-12
+    tilted = np.array([[E[0]], [[0.0, 1.0 + 3e-10, 0.0]]])
+    leaning = np.array([[1e-12, 0.0, 0.0], [0.0, 0.0, 5e-10]])
+    cases = [(tilted, np.zeros((2, 3)), "not orthonormal"),
+             (E[:2, None], leaning, "not orthogonal")]
+    for bases, offsets, message in cases:
+        for source in (FlatSample(3, 1, 2.0, bases, offsets, "x"),
+                       IntersectionSample(3, 1, bases, offsets, np.zeros((2, 2), dtype=int))):
+            with pytest.raises(ValueError, match=message):
+                source.flats
 
 
 def scalar_intersections(samples, order=None):

@@ -7,15 +7,15 @@ import pytest
 from flatproc.flat_geometry import (DegeneratePairError, Flat, Subspace,
                                     canonical_unit, canonical_units,
                                     closest_pair, complement,
-                                    grassmann_distance, grassmann_metric,
+                                    grassmann_distance,
                                     haar_bases, haar_sample, intersect_flats,
                                     orthonormalize, principal_angles, product_indices,
                                     row_dots, row_norms, subset_indices,
                                     subspace_determinant, subspace_views)
 
 import _reference
-from _reference import (contains_flat, distance_to_point, parallelepiped_volume,
-                        random_rotation, rotate_subspace)
+from _reference import (contains_flat, distance_to_point, grassmann_metric,
+                        parallelepiped_volume, random_rotation, rotate_subspace)
 
 E = np.eye(3)
 
@@ -504,6 +504,46 @@ def test_canonical_units_match_the_masked_flip():
     out = canonical_units(units)
     assert np.array_equal(out, reference(units))
     assert np.array_equal(np.signbit(out), np.signbit(reference(units)))
+
+
+def test_canonical_units_without_a_zero_lead_match_the_walk():
+    # when every first coordinate exceeds 1e-12 in magnitude the signs are
+    # those of the first coordinates; NaN and 1e-12 leads take the walk
+    from flatproc.flat_geometry import _sign_rows
+
+    def walk(units):
+        units = np.array(units, dtype=float)
+        lead = units[:, 0]
+        for col in units.T[1:]:
+            lead = np.where(np.abs(lead) <= 1e-12, col, lead)
+        return units * np.where(lead < -1e-12, -1.0, 1.0)[:, None]
+
+    rng = np.random.default_rng(42)
+    units = rng.standard_normal((5000, 4))
+    units[:50, 0] = np.where(rng.random(50) < 0.5, -1.0, 1.0) * 2e-12
+    units[50:60, 1:] = rng.choice([0.0, -0.0, np.nan], (10, 3))
+    for rows in (units, units[:1], units[:0]):
+        ref = walk(rows)
+        for out in (canonical_units(rows), _sign_rows(rows.copy())):
+            assert np.array_equal(out, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(out), np.signbit(ref))
+    for lead in (np.nan, 1e-12, -0.0):
+        rows = units[:20].copy()
+        rows[7, 0] = lead
+        assert np.array_equal(canonical_units(rows), walk(rows), equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 7, 8, 9])
+def test_row_dots_broadcast_columns_match_einsum(n):
+    # (n, 2, m) rows against (n, 1, m) rows: one row_dots call gives the
+    # dot products of both families, as einsum gives each
+    rng = np.random.default_rng(60 + n)
+    x = rng.standard_normal((n, 2, 300)) * 10.0 ** rng.uniform(-8, 8, (1, 2, 300))
+    y = rng.standard_normal((n, 1, 300))
+    out = row_dots(x, y)
+    assert out.shape == (2, 300)
+    for k in range(2):
+        assert np.array_equal(out[k], np.einsum("mn,mn->m", x[:, k].T.copy(), y[:, 0].T.copy()))
 
 
 def test_flat_offset_orthogonality_enforced():

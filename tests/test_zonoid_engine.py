@@ -10,12 +10,11 @@ from scipy.spatial import ConvexHull
 from flatproc import constants, zonoid_engine
 from flatproc.flat_geometry import Subspace, complement_bases, haar_bases, orthonormalize
 from flatproc.measures import SphereMeasure, integrate, t_lift
-from flatproc.zonoid_engine import (MERGE_TOL, Zonotope, _merge, area_measure,
-                                    area_measure_total_mass, from_measure,
-                                    intrinsic_volume, merge_grassmann_atoms,
-                                    mu_Q_r, mu_Q_r_total_mass, support)
+from flatproc.zonoid_engine import (MERGE_TOL, Zonotope, _merge, area_measure, from_measure,
+                                    intrinsic_volume, merge_grassmann_atoms, mu_Q_r, support)
 
-from _reference import parallelepiped_volume, random_rotation
+from _reference import (area_measure_total_mass, mu_Q_r_total_mass, parallelepiped_volume,
+                        random_rotation)
 
 E = np.eye(3)
 

@@ -10,7 +10,7 @@ both checkouts (each imports flatproc from its own `src`):
     (cd ../parent && python tools/proximity_digest.py) > old.txt
     diff old.txt new.txt
 
-The 541 cases:
+The 617 cases:
 - k = 1, 419 outputs: `sample_poisson` lines in R^2-R^5 with isotropic and
   axis-atom laws, 20 seeds each at radii that straddle `SCREEN_MIN_PAIRS`
   (160 samples), and `proximity` on those in R^3-R^5 (120); anchored lines
@@ -32,10 +32,18 @@ The 541 cases:
   against 2, 3 and 4 slabs, 1,100 replications, 2 seeds each (6);
   `sample_cube_process` for kappa = 2, 3, 5 over four index boxes in d = 1-3,
   with and without `stationarize`, 2 seeds each (48).
+- small calls, 76 outputs: `proximity` on R^3 lines at the unit cube's
+  radius sqrt(3)/2 + 1/2, 20 seeds (20); the first 49 and the first 50
+  lines of a sample in R^3 and R^4, on either side of `SCREEN_MIN_PAIRS`,
+  single and cross against 24 lines in both orders (1,176 and 1,200
+  pairs), 3 seeds each (36); empty and one-line samples in R^3-R^5,
+  single and cross against a few lines in both orders (18); empty planes
+  of R^5, single and cross (2).
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -46,7 +54,7 @@ import numpy as np  # noqa: E402
 from flatproc.derived_processes import proximity  # noqa: E402
 from flatproc.flat_geometry import Subspace  # noqa: E402
 from flatproc.measures import GrassmannMeasure  # noqa: E402
-from flatproc.simulator import (FlatProcessSpec, SrConstruction,  # noqa: E402
+from flatproc.simulator import (FlatProcessSpec, FlatSample, SrConstruction,  # noqa: E402
                                 build_factorial_distribution, sample_cube_process,
                                 sample_poisson, sample_sr_flats, sr_intensity)
 from flatproc.stats_harness import (ReplicationPlan, factorial_moment_check,  # noqa: E402
@@ -173,6 +181,45 @@ def cases():
             yield (f"flats-R{n}-k{k1}-k{k2}-s{seed}-proximity",
                    segment_digest(proximity(a, b, delta=1.5)))
     yield from stream_cases()
+    yield from small_cases()
+
+
+def first_flats(sample, count: int):
+    """The first `count` flats of a sample, as a sample of their own."""
+    return FlatSample(sample.n, sample.k, sample.radius, sample.bases[:count],
+                      sample.offsets[:count], sample.seed)
+
+
+def small_cases():
+    """Proximity of the few-line samples of small windows, and of samples
+    next to the screen's pair threshold."""
+    cube_radius = math.sqrt(3.0) / 2.0 + DELTA / 2.0
+    for seed in range(20):
+        sample = sample_poisson(isotropic(3, 1), cube_radius, [700, seed])
+        yield f"lines-R3-cube-s{seed}-proximity", segment_digest(proximity(sample, delta=DELTA))
+    for n, radius in ((3, 5.0), (4, 2.6)):
+        for seed in range(3):
+            big, other = (sample_poisson(isotropic(n, 1), radius, [710 + n, seed, side])
+                          for side in (0, 1))
+            assert min(len(big), len(other)) >= 50
+            b = first_flats(other, 24)
+            for size in (49, 50):
+                a = first_flats(big, size)
+                for label, pair in (("single", (a, None)), ("ab", (a, b)), ("ba", (b, a))):
+                    yield (f"lines-R{n}-first{size}-s{seed}-{label}-proximity",
+                           segment_digest(proximity(*pair, delta=DELTA)))
+    for n in (3, 4, 5):
+        few = sample_poisson(isotropic(n, 1), 1.5, [720, n])
+        assert len(few) >= 2
+        for size in (0, 1):
+            a = first_flats(few, size)
+            for label, pair in (("single", (a, None)), ("ab", (a, few)), ("ba", (few, a))):
+                yield (f"lines-R{n}-first{size}-{label}-proximity",
+                       segment_digest(proximity(*pair, delta=DELTA)))
+    planes = sample_poisson(isotropic(5, 2), 1.6, [730])
+    empty = first_flats(planes, 0)
+    yield "flats-R5-k2-empty-single-proximity", segment_digest(proximity(empty, delta=DELTA))
+    yield "flats-R5-k2-empty-ab-proximity", segment_digest(proximity(empty, planes, delta=DELTA))
 
 
 def main() -> int:
