@@ -98,6 +98,16 @@ class WindowDescriptor:
         return WindowDescriptor(self.shape, self.radius, self.sides, float(scale))
 
 
+def _check_params(positive: tuple[str, ...] = ("delta",), **params: float) -> None:
+    """ValueError naming the first parameter that is NaN, infinite or
+    negative, or zero for a name in `positive`."""
+    for name, value in params.items():
+        strict = name in positive
+        if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
+            raise ValueError(f"{name} must be finite and "
+                             f"{'positive' if strict else 'nonnegative'}, got {value!r}")
+
+
 def c_constant(n: int, r: int, s: int) -> float:
     """Integrated subspace determinant c(n, r, s).
 
@@ -219,6 +229,7 @@ def proximity_intensity(n: int, k: int, gamma: float, q: GrassmannMeasure,
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("requires 2k < n and k >= 1")
+    _check_params(gamma=gamma, delta=delta)
     return 0.5 * proximity_intensity_two(n, k, k, gamma, gamma, q, q, delta)
 
 
@@ -228,6 +239,7 @@ def proximity_intensity_two(n: int, k1: int, k2: int, gamma1: float, gamma2: flo
     """Intensity of the proximity process of two independent flat processes."""
     if k1 < 1 or k2 < 1 or k1 + k2 >= n:
         raise ValueError("requires k1, k2 >= 1 and k1 + k2 < n")
+    _check_params(gamma1=gamma1, gamma2=gamma2, delta=delta)
     if gamma1 == 0.0 or gamma2 == 0.0:
         return 0.0
     integral, _ = pair_integral(q1, q2)
@@ -300,6 +312,7 @@ def intersection_density(n: int, dims, intensities, qs, g=None,
         raise ValueError("need one intensity and one distribution per factor")
     if same_process and (len(set(dims)) != 1):
         raise ValueError("a single process has a single flat dimension")
+    _check_params(**{f"intensities[{i}]": gamma for i, gamma in enumerate(intensities)})
     samples = check_samples(samples)
     prefactor = float(np.prod(intensities))
     if same_process:
@@ -352,8 +365,7 @@ def mean_F_alpha(n: int, k: int, gamma: float, q: GrassmannMeasure, delta: float
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("requires 2k < n and k >= 1")
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError("alpha must be finite and nonnegative")
+    _check_params(gamma=gamma, delta=delta, alpha=alpha)
     integral, se = pair_integral(q, q, direction_set or DirectionSet.full_sphere(n), rng=rng,
                                  samples=samples)
     power = n - 2 * k + alpha
@@ -376,7 +388,8 @@ def proximity_length_interval(n: int, k: int, gamma: float, q: GrassmannMeasure,
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("requires 2k < n and k >= 1")
-    if not 0 <= b0 <= b1:
+    _check_params(gamma=gamma, b0=b0, b1=b1)
+    if not b0 <= b1:
         raise ValueError("need 0 <= b0 <= b1")
     integral, se = pair_integral(q, q, direction_set or DirectionSet.full_sphere(n), rng=rng,
                                  samples=samples)
@@ -464,6 +477,7 @@ def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure, del
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("requires 2k < n and k >= 1")
+    _check_params(gamma=gamma, delta=delta, alpha_i=alpha_i, alpha_j=alpha_j)
     samples = check_samples(samples)
     cross_sections(n, k, window, np.empty((0, k, n)))  # a bad box fails before any draw
     c_i, c_j = c_i or DirectionSet.full_sphere(n), c_j or DirectionSet.full_sphere(n)
@@ -525,6 +539,7 @@ def weibull_beta(n: int, k: int, gamma: float, q: GrassmannMeasure,
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("requires 2k < n and k >= 1")
+    _check_params(gamma=gamma)
     if window.base_volume(n) <= 0:
         raise ValueError("window must have positive volume")
     integral, se = pair_integral(q, q, direction_set or DirectionSet.full_sphere(n), rng=rng,
@@ -535,6 +550,7 @@ def weibull_beta(n: int, k: int, gamma: float, q: GrassmannMeasure,
 
 def weibull_cdf(x, beta: float, n: int, k: int, alpha: float):
     """Limit distribution function 1 - exp(-beta x^{(n-2k)/alpha}) for x > 0."""
+    _check_params(("alpha",), beta=beta, alpha=alpha)
     x = np.asarray(x, dtype=float)
     power = (n - 2 * k) / alpha
     out = np.where(x > 0, -np.expm1(-beta * np.maximum(x, 0.0) ** power), 0.0)
@@ -545,7 +561,8 @@ def weibull_limit_intensity(beta: float, n: int, k: int, alpha: float,
                             b0: float, b1: float) -> float:
     """Mass the limiting point process of rescaled length powers puts on
     the interval (b0, b1]: beta * (b1^{(n-2k)/alpha} - b0^{(n-2k)/alpha})."""
-    if not 0 <= b0 <= b1:
+    _check_params(("alpha",), beta=beta, alpha=alpha, b0=b0, b1=b1)
+    if not b0 <= b1:
         raise ValueError("need 0 <= b0 <= b1")
     power = (n - 2 * k) / alpha
     return beta * (b1 ** power - b0 ** power)
@@ -557,6 +574,7 @@ def isoperimetric_bound(n: int, gamma: float, delta: float) -> float:
     exactly by the isotropic directional distribution."""
     if n < 3:
         raise ValueError("line proximity bound needs n >= 3")
+    _check_params(gamma=gamma, delta=delta)
     kv = constants.ball_volume
     return (n - 1) / (2.0 * n) * kv(n - 1) ** 2 / kv(n) * gamma ** 2 \
         * delta ** (n - 2)

@@ -60,6 +60,11 @@ class FlatProcessSpec:
             raise ValueError("anchor subspace must have dimension n - k")
 
 
+def _check_radius(radius: float) -> None:
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValueError(f"window radius must be finite and nonnegative, got {radius!r}")
+
+
 @dataclass(frozen=True)
 class FlatSample:
     """Flats of one realization, all hitting the ball of the given radius."""
@@ -72,6 +77,7 @@ class FlatSample:
     seed: str = "generator"
 
     def __post_init__(self) -> None:
+        _check_radius(self.radius)
         bases = np.asarray(self.bases, dtype=float).reshape(-1, self.k, self.n)
         offsets = np.asarray(self.offsets, dtype=float).reshape(-1, self.n)
         if bases.shape[0] != offsets.shape[0]:
@@ -186,6 +192,7 @@ def sample_poisson(spec: FlatProcessSpec, radius: float, rng: SeedLike) -> FlatS
     """
     if spec.kind is not None:
         raise ValueError("spec does not describe a Poisson process")
+    _check_radius(radius)
     record = seed_record(rng)
     gen = as_generator(rng)
     n, k = spec.n, spec.k
@@ -309,6 +316,7 @@ def sample_sr_flats(spec: FlatProcessSpec, radius: float, rng: SeedLike,
     """
     if spec.kind is None:
         raise ValueError("spec does not describe the anchored construction")
+    _check_radius(radius)
     record = seed_record(rng)
     gen = as_generator(rng)
     n, k = spec.n, spec.k

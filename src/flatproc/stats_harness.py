@@ -1,12 +1,11 @@
-"""Replicated Monte Carlo estimation with derived per-replication streams,
+"""Replicated Monte Carlo estimation on derived block streams,
 goodness-of-fit statistics, factorial-moment estimators, and central-limit
 diagnostics.
 
-Replications are embarrassingly parallel: stream i of a plan is derived from
-(master seed, i), so results are identical for any worker count and for
-serial runs.  The streams are derived a block of STREAM_BLOCK indices at a
-time (`_rng.replication_streams`); the first stream of every block is
-compared with the single-stream definition `_rng.replication_stream`.
+Replications are embarrassingly parallel: block b of a plan, replications
+b STREAM_BLOCK to (b + 1) STREAM_BLOCK - 1, runs in order on the one stream
+`_rng.replication_stream(master seed, b)`.  Workers take whole blocks, so
+results are identical for any worker count and for serial runs.
 """
 from __future__ import annotations
 
@@ -17,18 +16,21 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._rng import replication_stream, replication_streams
+from ._rng import replication_stream
 
 KS_MIN_POINTS = 50
-STREAM_BLOCK = 1024
+# Replications per derived stream.  Part of the stream contract: changing it
+# moves every seeded output of `replicate` and `factorial_moment_check`.
+STREAM_BLOCK = 64
 
 
 @dataclass(frozen=True)
 class ReplicationPlan:
     """How to run a replicated experiment: count, master seed, identity.
 
-    The master seed is a non-negative Python or numpy integer (not a bool),
-    and the replication indices stay below 2**32, one entropy word each.
+    The replication count is an integer from 2 to 2**32, and the master seed
+    a non-negative integer; both may be Python or numpy integers, not bools.
+    Replication i of the plan draws from block i // STREAM_BLOCK's stream.
     """
 
     replications: int
@@ -36,27 +38,24 @@ class ReplicationPlan:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.replications < 2:
+        reps, seed = self.replications, self.master_seed
+        if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)):
+            raise ValueError(f"replications must be an integer, got {reps!r}")
+        if reps < 2:
             raise ValueError("need at least two replications")
-        if self.replications > 1 << 32:
+        if reps > 1 << 32:
             raise ValueError("replication indices must stay below 2**32")
-        seed = self.master_seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"master seed must be a non-negative integer, got {seed!r}")
 
 
-def _run_indices(estimator, master_seed: int, indices) -> list:
+def _run_blocks(estimator, master_seed: int, replications: int, blocks) -> list:
+    """Values of the blocks' replications, each block in order on its stream."""
     out = []
-    for start in range(0, len(indices), STREAM_BLOCK):
-        block = indices[start:start + STREAM_BLOCK]
-        streams = replication_streams(master_seed, block)
-        first = next(streams)
-        if (first.bit_generator.state
-                != replication_stream(master_seed, block[0]).bit_generator.state):
-            raise RuntimeError("batched stream derivation disagrees with "
-                               "numpy's SeedSequence; the numpy hash has changed")
-        out.append(estimator(first))
-        out.extend(estimator(rng) for rng in streams)
+    for b in blocks:
+        rng = replication_stream(master_seed, b)
+        count = min(STREAM_BLOCK, replications - b * STREAM_BLOCK)
+        out.extend(estimator(rng) for _ in range(count))
     return out
 
 
@@ -65,22 +64,24 @@ def replicate(plan: ReplicationPlan, estimator: Callable[[np.random.Generator], 
     """Mean, variance, and standard error over independent replications.
 
     The estimator receives one derived generator per replication and returns
-    a float or a fixed-length vector.  With jobs > 1 the index range is
-    split over forked worker processes; the estimator must then be
-    picklable.  Results are independent of the worker count.
+    a float or a fixed-length vector; the replications of a block share its
+    generator, one after another.  With jobs > 1 the blocks are split over
+    forked worker processes; the estimator must then be picklable.  Results
+    are independent of the worker count.
     """
-    indices = range(plan.replications)
+    reps = int(plan.replications)
+    blocks = range(-(-reps // STREAM_BLOCK))
     if jobs <= 1 or os.cpu_count() == 1:
-        raw = _run_indices(estimator, plan.master_seed, indices)
+        raw = _run_blocks(estimator, plan.master_seed, reps, blocks)
     else:
         import multiprocessing as mp
 
-        chunks = np.array_split(np.arange(plan.replications), 4 * jobs)
+        chunks = np.array_split(np.arange(len(blocks)), min(len(blocks), 4 * jobs))
         ctx = mp.get_context("fork")
         with ctx.Pool(jobs) as pool:
             parts = pool.starmap(
-                _run_indices,
-                [(estimator, plan.master_seed, chunk.tolist()) for chunk in chunks])
+                _run_blocks,
+                [(estimator, plan.master_seed, reps, chunk.tolist()) for chunk in chunks])
         raw = [value for part in parts for value in part]
     values = np.asarray(raw, dtype=float)
     if np.all(values == values[0]):
@@ -138,8 +139,8 @@ def factorial_moment_check(sampler: Callable[[np.random.Generator], np.ndarray],
     sampler(rng) returns the points (m, d) of one replication; each test set
     is an indicator over point arrays.  The sets must be pairwise disjoint,
     so distinct points are guaranteed and the ordered-tuple count is the
-    product of the per-set counts.  Replication i draws from `replicate`'s
-    stream (master_seed, i); at least two replications are needed.  Returns
+    product of the per-set counts.  The replications run on `replicate`'s
+    block streams of master_seed; at least two replications are needed.  Returns
     the empirical tuple mean, the product of empirical means, and the
     z-score of their difference (delta-method standard error).
     """

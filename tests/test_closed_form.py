@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from flatproc import constants, flat_geometry
+from flatproc import closed_form, constants, flat_geometry
 from flatproc.closed_form import (WindowDescriptor, asymptotic_covariance,
                                   ball_chord_power_integral,
                                   ball_cross_section_integral, c_constant,
@@ -14,6 +14,7 @@ from flatproc.closed_form import (WindowDescriptor, asymptotic_covariance,
                                   proximity_directional,
                                   proximity_directional_measure,
                                   proximity_intensity, proximity_intensity_two,
+                                  proximity_length_interval,
                                   weibull_beta, weibull_cdf,
                                   weibull_limit_intensity)
 from flatproc.flat_geometry import Subspace
@@ -782,3 +783,55 @@ def test_custom_set_blocks_bound_sphere_points(monkeypatch):
     assert bounded[0][1] > 0.0  # the sphere draws carry noise
     monkeypatch.setattr(flat_geometry, "BLOCK_ROWS", 1 << 40)
     assert values() == bounded
+
+
+def _bad_parameter_calls():
+    iso, ball = GrassmannMeasure.isotropic(3, 1, 1.0), WindowDescriptor.ball(1.0)
+    planes = [GrassmannMeasure.isotropic(3, 2, 1.0)] * 2
+    nan = math.nan
+    return {
+        "covariance-alpha_i-pole": ("alpha_i", lambda: asymptotic_covariance(
+            3, 1, 1.0, iso, 1.0, -1.0, 0.0, ball)),
+        "covariance-alpha_j-nan": ("alpha_j", lambda: asymptotic_covariance(
+            3, 1, 1.0, iso, 1.0, 0.0, nan, ball)),
+        "covariance-delta-negative": ("delta", lambda: asymptotic_covariance(
+            3, 1, 1.0, iso, -1.0, 0.0, 0.0, ball)),
+        "covariance-gamma-nan": ("gamma", lambda: asymptotic_covariance(
+            3, 1, nan, iso, 1.0, 0.0, 0.0, ball)),
+        "weibull_cdf-alpha-zero": ("alpha", lambda: weibull_cdf(1.0, 1.0, 3, 1, 0.0)),
+        "weibull_cdf-beta-nan": ("beta", lambda: weibull_cdf(1.0, nan, 3, 1, 1.0)),
+        "weibull_limit_intensity-alpha-zero": ("alpha", lambda: weibull_limit_intensity(
+            1.0, 3, 1, 0.0, 0.5, 2.0)),
+        "weibull_limit_intensity-b1-inf": ("b1", lambda: weibull_limit_intensity(
+            1.0, 3, 1, 1.0, 0.5, math.inf)),
+        "weibull_beta-gamma-negative": ("gamma", lambda: weibull_beta(3, 1, -1.0, iso, ball)),
+        "mean_F_alpha-delta-negative": ("delta", lambda: mean_F_alpha(
+            3, 1, 1.0, iso, -1.0, 0.0, ball)),
+        "mean_F_alpha-gamma-inf": ("gamma", lambda: mean_F_alpha(
+            3, 1, math.inf, iso, 1.0, 0.0, ball)),
+        "proximity_intensity-delta-nan": ("delta", lambda: proximity_intensity(
+            3, 1, 1.0, iso, nan)),
+        "proximity_intensity-gamma-negative": ("gamma", lambda: proximity_intensity(
+            3, 1, -1.0, iso, 1.0)),
+        "proximity_intensity_two-gamma2-nan": ("gamma2", lambda: proximity_intensity_two(
+            3, 1, 1, 1.0, nan, iso, iso, 1.0)),
+        "proximity_length_interval-b0-nan": ("b0", lambda: proximity_length_interval(
+            3, 1, 1.0, iso, nan, 1.0)),
+        "intersection_density-intensity-nan": ("intensities\\[1\\]", lambda: intersection_density(
+            3, [2, 2], [1.0, nan], planes)),
+        "isoperimetric_bound-delta-zero": ("delta", lambda: isoperimetric_bound(3, 1.0, 0.0)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_parameter_calls()))
+def test_closed_forms_reject_bad_parameters_by_name(case, monkeypatch):
+    # NaN, infinite, negative or (for delta and Weibull's alpha) zero inputs
+    # fail with the parameter's name before any integral is evaluated
+    def no_integral(*args, **kwargs):
+        raise AssertionError("evaluated an integral before checking the parameters")
+
+    for name in ("pair_integral", "_draws", "_atom_sum"):
+        monkeypatch.setattr(closed_form, name, no_integral)
+    name, call = _bad_parameter_calls()[case]
+    with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+        call()

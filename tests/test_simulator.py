@@ -133,6 +133,23 @@ def test_flat_sample_rejects_nan():
                    np.array([[0.0, 0.0, 0.5]]))
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0, -2.0])
+def test_flat_sample_and_samplers_reject_bad_radius(radius):
+    # an empty sample has no offset to compare the radius with; the samplers
+    # check the radius before their first draw
+    with pytest.raises(ValueError, match="window radius must be finite and nonnegative"):
+        FlatSample(3, 1, radius, np.zeros((0, 1, 3)), np.zeros((0, 3)))
+    gen = np.random.default_rng(5)
+    state = gen.bit_generator.state
+    anchored = FlatProcessSpec(3, 1, sr_intensity(3, 1), GrassmannMeasure.isotropic(3, 1, 1.0),
+                               kind=SrConstruction(3, Subspace(E3[1:])))
+    for sampler, spec in ((sample_poisson, iso_spec(4, 2)), (sample_sr_flats, anchored)):
+        with pytest.raises(ValueError, match="window radius must be finite and nonnegative"):
+            sampler(spec, radius, gen)
+    assert gen.bit_generator.state == state
+    assert len(FlatSample(3, 1, 0.0, np.zeros((0, 1, 3)), np.zeros((0, 3)))) == 0
+
+
 def test_flat_sample_serialization_roundtrip(tmp_path):
     spec = iso_spec()
     sample = sample_poisson(spec, 2.0, 5)

@@ -5,8 +5,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import kstest
 
-from flatproc import stats_harness
-from flatproc._rng import replication_stream, replication_streams, stream_states
+from flatproc._rng import replication_stream
 from flatproc.stats_harness import (STREAM_BLOCK, ReplicationPlan, clt_diagnostics,
                                     factorial_moment_check, ks_statistic,
                                     ks_vs_normal, replicate)
@@ -34,34 +33,37 @@ def _normal_estimator(rng):
     return float(rng.standard_normal())
 
 
-STREAM_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 3)
-STREAM_INDICES = (0, 1, STREAM_BLOCK - 1, STREAM_BLOCK, 2**31, 2**32 - 1)
+def _by_block(estimator, seed, replications):
+    """The stream contract written out: replication i draws, after the
+    replications before it in its block, from replication_stream(seed,
+    i // STREAM_BLOCK)."""
+    streams = [replication_stream(seed, b) for b in range(-(-replications // STREAM_BLOCK))]
+    return np.array([estimator(streams[i // STREAM_BLOCK]) for i in range(replications)],
+                    dtype=float)
 
 
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_batch_streams_equal_replication_stream(seed):
-    words = stream_states(seed, STREAM_INDICES)
-    assert words.shape == (len(STREAM_INDICES), 4) and words.dtype == np.uint64
-    batch = list(replication_streams(seed, STREAM_INDICES))
-    for row, index, gen in zip(words, STREAM_INDICES, batch):
-        ref = replication_stream(seed, index)
-        assert np.array_equal(row, np.random.SeedSequence([seed, index]).generate_state(4, np.uint64))
-        assert gen.bit_generator.state == ref.bit_generator.state
-        assert np.array_equal(gen.random(3), ref.random(3))
-        assert np.array_equal(gen.integers(1 << 62, size=3), ref.integers(1 << 62, size=3))
-        kids, ref_kids = gen.spawn(2), ref.spawn(2)
-        assert ([k.bit_generator.state for k in kids]
-                == [k.bit_generator.state for k in ref_kids])
-        assert gen.spawn(1)[0].random() == ref.spawn(1)[0].random()
+@pytest.mark.parametrize("seed", (0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 3))
+def test_replicate_equals_a_loop_over_block_streams(seed):
+    # the block size is part of the contract: changing it moves every seeded output
+    assert STREAM_BLOCK == 64
+    for reps in (2, 3 * STREAM_BLOCK + 5):
+        values = replicate(ReplicationPlan(reps, seed), _three_draws, keep_values=True)["values"]
+        assert np.array_equal(values, _by_block(_three_draws, seed, reps))
+    # one stream per block, not per replication
+    first = replicate(ReplicationPlan(STREAM_BLOCK, seed), _normal_estimator,
+                      keep_values=True)["values"]
+    rng = replication_stream(seed, 0)
+    assert np.array_equal(first, rng.standard_normal(STREAM_BLOCK))
 
 
-def test_stream_states_rejects_out_of_range_input():
-    for bad in ([-1], [2**32], [0, 2**32 + 7]):
-        with pytest.raises(ValueError):
-            stream_states(5, bad)
-    with pytest.raises(ValueError):
-        stream_states(-1, [0])
-    assert stream_states(5, []).shape == (0, 4)
+@pytest.mark.parametrize("reps", [2, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1,
+                                  2 * STREAM_BLOCK + 1])
+def test_replicate_values_do_not_depend_on_jobs(reps):
+    plan = ReplicationPlan(reps, 2**40 + 9)
+    expected = _by_block(_three_draws, plan.master_seed, reps)
+    for jobs in (1, 2, 3):
+        out = replicate(plan, _three_draws, jobs=jobs, keep_values=True)
+        assert np.array_equal(out["values"], expected)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(True), "3", None])
@@ -73,14 +75,18 @@ def test_plan_rejects_bad_master_seed(seed):
 def test_plan_accepts_integer_seeds_and_caps_indices():
     for seed in (np.int64(3), np.uint32(3), 3):
         values = replicate(ReplicationPlan(4, seed), _normal_estimator, keep_values=True)
-        assert np.array_equal(values["values"],
-                              [_normal_estimator(replication_stream(3, i)) for i in range(4)])
+        assert np.array_equal(values["values"], _by_block(_normal_estimator, 3, 4))
     wide = replicate(ReplicationPlan(3, 2**70), _normal_estimator, keep_values=True)
-    assert np.array_equal(wide["values"],
-                          [_normal_estimator(replication_stream(2**70, i)) for i in range(3)])
+    assert np.array_equal(wide["values"], _by_block(_normal_estimator, 2**70, 3))
     ReplicationPlan(2**32, 1)
     with pytest.raises(ValueError, match="2\\*\\*32"):
         ReplicationPlan(2**32 + 1, 1)
+
+
+@pytest.mark.parametrize("reps", [10.0, np.float64(10), True, np.bool_(True), "10", None])
+def test_plan_rejects_non_integer_replications(reps):
+    with pytest.raises(ValueError, match="replications must be an integer"):
+        ReplicationPlan(reps, 1)
 
 
 def _three_draws(rng):
@@ -91,20 +97,10 @@ def test_replicate_one_block_plus_one_matches_single_streams_for_any_jobs():
     plan = ReplicationPlan(STREAM_BLOCK + 1, 2**40 + 9)
     serial = replicate(plan, _three_draws, jobs=1, keep_values=True)
     pooled = replicate(plan, _three_draws, jobs=2, keep_values=True)
-    expected = np.array([_three_draws(replication_stream(plan.master_seed, i))
-                         for i in range(plan.replications)])
+    expected = _by_block(_three_draws, plan.master_seed, plan.replications)
     assert np.array_equal(serial["values"], expected)
     assert np.array_equal(pooled["values"], expected)
     assert serial["mean"] == pooled["mean"] and serial["variance"] == pooled["variance"]
-
-
-def test_replicate_raises_when_batch_and_definition_disagree(monkeypatch):
-    # a numpy whose SeedSequence hash differed would make the block's first
-    # stream disagree with the definition; replicate must fail, not drift
-    monkeypatch.setattr(stats_harness, "replication_stream",
-                        lambda seed, i: np.random.default_rng([seed, i, 1]))
-    with pytest.raises(RuntimeError, match="stream derivation"):
-        replicate(ReplicationPlan(5, 1), _normal_estimator)
 
 
 def test_replicate_doubling_halves_squared_standard_error():

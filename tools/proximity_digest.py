@@ -10,7 +10,7 @@ both checkouts (each imports flatproc from its own `src`):
     (cd ../parent && python tools/proximity_digest.py) > old.txt
     diff old.txt new.txt
 
-The 617 cases:
+The 629 cases:
 - k = 1, 419 outputs: `sample_poisson` lines in R^2-R^5 with isotropic and
   axis-atom laws, 20 seeds each at radii that straddle `SCREEN_MIN_PAIRS`
   (160 samples), and `proximity` on those in R^3-R^5 (120); anchored lines
@@ -25,10 +25,12 @@ The 617 cases:
 - k >= 2, 60 outputs: `proximity` for (n, k1, k2) = (4,1,2), (5,2,2),
   (5,1,3), (6,2,3), (7,3,3), (6,2,2), 10 seeds each; one sample when
   k1 = k2, two otherwise.
-- streams, 62 outputs: the values, mean and variance of `replicate` on a
-  1,500-replication plan of a 3-draw estimator (two blocks of stream
-  derivation) at four master seeds of 1 to 3 entropy words, with jobs 1 and
-  2 (8); `factorial_moment_check` on the kappa = 3 one-square cube process
+- streams, 74 outputs: the values, mean and variance of `replicate` on a
+  1,500-replication plan of a 3-draw estimator (23 whole 64-replication
+  stream blocks and a last one of 28) at four master seeds of 1 to 3
+  entropy words, with jobs 1 and 2 (8); the same on plans of 63-65 and
+  1,023-1,025 replications, on either side of one and of sixteen whole
+  blocks, with jobs 1 and 3 (12); `factorial_moment_check` on the kappa = 3 one-square cube process
   against 2, 3 and 4 slabs, 1,100 replications, 2 seeds each (6);
   `sample_cube_process` for kappa = 2, 3, 5 over four index boxes in d = 1-3,
   with and without `stationarize`, 2 seeds each (48).
@@ -97,15 +99,16 @@ def slabs(r: int):
 
 
 def stream_cases():
-    """Replicated estimates, factorial moments and cube samples drawn from
-    the per-replication streams (seed, i)."""
-    for seed in STREAM_SEEDS:
-        for jobs in (1, 2):
-            stats = replicate(ReplicationPlan(1500, seed), three_draws, jobs=jobs,
-                              keep_values=True)
-            yield (f"replicate-s{seed}-jobs{jobs}",
-                   digest(stats["values"], np.array(stats["mean"]),
-                          np.array(stats["variance"])))
+    """Replicated estimates and factorial moments drawn from `replicate`'s
+    derived streams, and seeded cube samples."""
+    plans = [(1500, seed, jobs) for seed in STREAM_SEEDS for jobs in (1, 2)]
+    plans += [(reps, 2**32 + 5, jobs) for reps in (63, 64, 65, 1023, 1024, 1025)
+              for jobs in (1, 3)]
+    for reps, seed, jobs in plans:
+        stats = replicate(ReplicationPlan(reps, seed), three_draws, jobs=jobs, keep_values=True)
+        size = "" if reps == 1500 else f"-n{reps}"
+        yield (f"replicate{size}-s{seed}-jobs{jobs}",
+               digest(stats["values"], np.array(stats["mean"]), np.array(stats["variance"])))
     law = build_factorial_distribution(3)
     for r in (2, 3, 4):
         for seed in (41, 42):
