@@ -16,9 +16,13 @@ pairs) cannot rule out: a few floating-point operations per pair.  The
 exactness of the functionals is guaranteed by the window-radius
 precondition radius >= circumradius(A) + delta/2 checked in `f_alpha`.
 A segment sample computes its window mask, `window.contains(midpoints)`,
-once per window (`SegmentProcessSample.window_mask`), so the functionals
-evaluated on one sample and window share it; a box window tests the
-points against its half sides, computed once per window.
+and the lengths it selects once per window
+(`SegmentProcessSample.window_mask`, `window_lengths`), so the functionals
+evaluated on one sample and window share them; a box window tests the
+points against its half sides, computed once per window.  `f_alpha` counts
+at alpha = 0 and sums the lengths themselves at alpha = 1, and
+`order_statistics` takes a minimum for m = 1: each is the plain formula's
+value bit for bit.
 """
 from __future__ import annotations
 
@@ -69,7 +73,8 @@ class SegmentProcessSample:
                           ("directions", directions), ("pairs", pairs)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_window_masks", {})  # a memo, not a field
+        object.__setattr__(self, "_window_masks", {})  # memos, not fields
+        object.__setattr__(self, "_window_lengths", {})
 
     def __len__(self) -> int:
         return self.lengths.shape[0]
@@ -81,6 +86,14 @@ class SegmentProcessSample:
             mask = self._window_masks[window] = window.contains(self.midpoints)
             mask.flags.writeable = False
         return mask
+
+    def window_lengths(self, window: WindowDescriptor) -> np.ndarray:
+        """lengths[window_mask(window)], computed once per window and read-only."""
+        lengths = self._window_lengths.get(window)
+        if lengths is None:
+            lengths = self._window_lengths[window] = self.lengths[self.window_mask(window)]
+            lengths.flags.writeable = False
+        return lengths
 
 
 @dataclass(frozen=True)
@@ -170,10 +183,9 @@ def _qualifying_lengths(seg: SegmentProcessSample, window: WindowDescriptor,
         raise ValueError(
             f"window too small for exact enumeration: sample window radius "
             f"{seg.radius} < circumradius + delta/2 = {needed}")
-    keep = seg.window_mask(window)
-    if direction_set is not None and direction_set.kind != "full":
-        keep = keep & direction_set.contains(seg.directions)
-    return seg.lengths[keep]
+    if direction_set is None or direction_set.kind == "full":
+        return seg.window_lengths(window)
+    return seg.lengths[seg.window_mask(window) & direction_set.contains(seg.directions)]
 
 
 def f_alpha(seg: SegmentProcessSample, alpha: float, window: WindowDescriptor,
@@ -183,11 +195,15 @@ def f_alpha(seg: SegmentProcessSample, alpha: float, window: WindowDescriptor,
 
     The even direction set weighs each segment by the indicator of its
     canonical direction; a full sphere weighs every segment by 1, so alpha=0
-    counts the qualifying segments.
+    counts the qualifying segments.  The sum is np.add.reduce(d ** alpha)
+    bit for bit: d ** 0 is 1, a sum of ones is their count, and d ** 1 is d.
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError("alpha must be finite and nonnegative")
-    return float(np.add.reduce(_qualifying_lengths(seg, window, direction_set) ** alpha))
+    lengths = _qualifying_lengths(seg, window, direction_set)
+    if alpha == 0:
+        return float(lengths.shape[0])
+    return float(np.add.reduce(lengths if alpha == 1 else lengths ** alpha))
 
 
 def order_statistics(seg: SegmentProcessSample, alpha: float,
@@ -201,10 +217,16 @@ def order_statistics(seg: SegmentProcessSample, alpha: float,
         raise ValueError("order statistics need a finite positive length power")
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"order statistics need an integer m >= 1, got m={m!r}")
-    values = _qualifying_lengths(seg, window, direction_set) ** alpha
+    values = _qualifying_lengths(seg, window, direction_set)
+    if alpha != 1:  # d ** 1 is d
+        values = values ** alpha
+    out = np.full(m, np.inf)
+    if m == 1:
+        if values.shape[0]:
+            out[0] = np.minimum.reduce(values)
+        return out
     if m < values.shape[0]:  # the m smallest, in some order
         values = np.partition(values, m - 1)[:m]
-    out = np.full(m, np.inf)
     out[: values.shape[0]] = np.sort(values)
     return out
 

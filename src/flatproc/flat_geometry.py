@@ -9,14 +9,16 @@ the scalar `closest_pair` of k1 + k2 < n is the reference of `pair_segments`.
 Its line solve gathers both lines of every pair of a block with one take
 from (2n + 2, N) coordinate rows, one contiguous row per coordinate, takes
 the block's dot products from `row_dots`, and writes its outputs once, in
-C order; a call of one unscreened slab reads its pairs from one cached table.
+C order, compacting them only when the block drops a pair; a call of one
+unscreened slab reads its pairs from one cached table, and the slabs of a
+single sample cut their j > i corner with one cached triangle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
-from math import comb, prod, sqrt
+from math import comb, isqrt, prod, sqrt
 
 import numpy as np
 
@@ -574,6 +576,17 @@ def _pair_table(n_a: int, n_b: int, single: bool) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=4)
+def _upper_triangle(size: int) -> np.ndarray:
+    """Read-only (size, size) mask of j >= i: cut to the first columns of a
+    slab of a single-sample call, its pairs with j > i.  Such a slab has at
+    most one row more than columns and at most BLOCK_ROWS pairs, so at most
+    isqrt(BLOCK_ROWS) + 1 rows."""
+    tri = np.arange(size) >= np.arange(size)[:, None]
+    tri.flags.writeable = False
+    return tri
+
+
 def _line_rows(bases: np.ndarray, offs: np.ndarray) -> np.ndarray:
     """(2n + 2, N) coordinate rows of N lines of R^n, one contiguous row per
     coordinate: the directions u over the offsets a, then u.u and the
@@ -600,14 +613,19 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     slab's candidates as a (2, m) table of (i, j): for lines those that
     `_line_screen` passes on (two matrix products a slab in R^3, four in
     higher dimensions), otherwise every pair, which a call of one slab
-    reads from `_pair_table`.  Phase 2 solves the candidates of consecutive
-    slabs together, at most BLOCK_ROWS unless one slab has more: lines by a
-    2x2 closed form on the coordinate rows of `_line_rows`, both lines of a
-    pair gathered by one take; other flats by a stacked Gram solve.  Each
-    block keeps a pair whose length exceeds the larger `_touch_scale` of
-    its flats over its volume (`_touch_cut`) and is at most delta, and
-    compacts the kept pairs with one take per output.  No pair's result
-    depends on its slab or block.
+    reads from `_pair_table`; a single sample's slab drops its pairs with
+    j <= i through one cached `_upper_triangle`.  Phase 2 solves the
+    candidates of consecutive slabs together, at most BLOCK_ROWS unless one
+    slab has more: lines by a 2x2 closed form on the coordinate rows of
+    `_line_rows`, both lines of a pair gathered by one take; other flats by
+    a stacked Gram solve.  Each block keeps a pair whose length exceeds the
+    larger `_touch_scale` of its flats over its volume (`_touch_cut`) and
+    is at most delta.  A block that keeps every pair, as screened lines
+    nearly always do, returns its lengths as computed, its directions as
+    one division, and one C-ordered copy each of its midpoints and pairs
+    (never a view of a cached table); any other block compacts the kept
+    pairs with one take per output.  No pair's result depends on its slab
+    or block.
     """
     n = offs_a.shape[1]
     lines = bases_a.shape[1] == bases_b.shape[1] == 1
@@ -677,12 +695,18 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
         scale /= vol
         keep = lengths > np.maximum(scale, 1e-12, out=scale)  # _touch_cut
         keep &= lengths <= delta
-        kept = keep.nonzero()[0]
-        lengths = lengths.take(kept)
-        directions = gap.take(kept, axis=1)  # normalized and signed on coordinate rows
-        directions /= lengths
-        return (mids.T.take(kept, axis=0), lengths,
-                np.ascontiguousarray(_sign_rows(directions.T)), pairs.T.take(kept, axis=0))
+        if np.count_nonzero(keep) == keep.size:  # as for nearly every screened block
+            # directions normalized and signed on coordinate rows; a copy of
+            # the pairs, which may be a `_pair_table` that one pair leaves contiguous
+            directions = gap / lengths
+            mids, pairs = np.ascontiguousarray(mids.T), pairs.T.copy()
+        else:
+            kept = keep.nonzero()[0]
+            lengths = lengths.take(kept)
+            directions = gap.take(kept, axis=1)
+            directions /= lengths
+            mids, pairs = mids.T.take(kept, axis=0), pairs.T.take(kept, axis=0)
+        return mids, lengths, np.ascontiguousarray(_sign_rows(directions.T)), pairs
 
     # phase 1 slab by slab; phase 2 on a block once the next slab would overfill it
     solved, block, held, r0 = [], [], 0, 0
@@ -693,15 +717,11 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
         if screen is None and r1 - r0 == n_a and count <= BLOCK_ROWS:
             pairs = _pair_table(n_a, n_b, single)
         else:
-            # when single, j > i: j - col0 >= i - r0, false only in the first r1 - r0 columns
-            if screen is None:
-                mask = (np.arange(width) >= np.arange(r1 - r0)[:, None] if single
-                        else np.ones((r1 - r0, width), dtype=bool))
-            else:
-                mask = screen(r0, r1, col0)
-                if single:
-                    corner = mask[:, :r1 - r0]
-                    corner &= np.arange(corner.shape[1]) >= np.arange(r1 - r0)[:, None]
+            mask = (np.ones((r1 - r0, width), dtype=bool) if screen is None
+                    else screen(r0, r1, col0))
+            if single:  # j > i: j - col0 >= i - r0, false only in the first r1 - r0 columns
+                corner = mask[:, :r1 - r0]
+                corner &= _upper_triangle(isqrt(BLOCK_ROWS) + 1)[:r1 - r0, :corner.shape[1]]
             flat = mask.ravel().nonzero()[0]
             pairs = np.empty((2, flat.size), dtype=np.intp)
             np.divmod(flat, max(width, 1), out=(pairs[0], pairs[1]))

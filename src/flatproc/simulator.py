@@ -304,9 +304,9 @@ def sample_sr_flats(spec: FlatProcessSpec, radius: float, rng: SeedLike,
     """One realization of the anchored non-Poisson k-flat process.
 
     Runs the cube construction inside the anchor subspace over cubes
-    covering the disk of radius cover_radius (default: radius + 1), attaches
-    an independent anchored direction to each point, and keeps the flats
-    hitting the ball window.
+    covering the disk of radius cover_radius (finite and at least radius;
+    default radius + 1), attaches an independent anchored direction to each
+    point, and keeps the flats hitting the ball window.
 
     Flats anchored far outside the window can still hit it when their
     direction nearly contains the anchor point's direction; the default
@@ -317,12 +317,15 @@ def sample_sr_flats(spec: FlatProcessSpec, radius: float, rng: SeedLike,
     if spec.kind is None:
         raise ValueError("spec does not describe the anchored construction")
     _check_radius(radius)
+    cover = float(cover_radius) if cover_radius is not None else radius + 1.0
+    if not (math.isfinite(cover) and cover >= radius):  # NaN fails too
+        raise ValueError(f"cover_radius must be finite and at least the window radius "
+                         f"{radius!r}, got {cover_radius!r}")
     record = seed_record(rng)
     gen = as_generator(rng)
     n, k = spec.n, spec.k
     d = n - k
     anchor = spec.kind.anchor
-    cover = float(cover_radius) if cover_radius is not None else radius + 1.0
     dist = build_factorial_distribution(spec.kind.kappa)
     extent = int(math.ceil(cover))
     box = [(-extent, extent)] * d

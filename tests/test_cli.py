@@ -248,6 +248,8 @@ def test_summary_embeds_config_and_version(tmp_path):
      "--window: ball window needs a finite positive radius, got 'ball:inf'"),
     (["proximity", "--window", "cube:0"],
      "--window: box window needs finite positive side lengths, got 'cube:0'"),
+    (["simulate", "--kind", "sr", "--radius", "3", "--cover", "0.2"],
+     "cover_radius must be finite and at least the window radius 3.0, got 0.2"),
 ])
 def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     # one error line, the last; flag errors follow argparse's usage line

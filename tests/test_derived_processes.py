@@ -463,6 +463,83 @@ def test_one_slab_table_and_slab_loop_give_the_same_bytes(monkeypatch):
     assert table.cache_info().maxsize == 64
 
 
+def planted_lines(sample, plant):
+    """sample with one line added: "parallel" to the line nearest the origin,
+    0.5 from it; "touching" it, through a point of it at a generic angle."""
+    i = int(np.argmin(np.linalg.norm(sample.offsets, axis=1)))
+    u, a = sample.bases[i, 0], sample.offsets[i]
+    normal = complement(Subspace(sample.bases[i])).basis[0]
+    if plant == "parallel":
+        line = Flat.through_point(Subspace(sample.bases[i]), a + 0.5 * normal)
+    else:
+        line = Flat.through_point(Subspace.span(u + normal), a + 0.3 * u)
+    return FlatSample(sample.n, 1, sample.radius,
+                      np.concatenate([sample.bases, line.direction.basis[None]]),
+                      np.concatenate([sample.offsets, line.offset[None]]), "planted")
+
+
+@pytest.mark.parametrize("n, radius", [(3, 4.5), (4, 2.6)])
+def test_screened_blocks_give_the_unscreened_bytes(n, radius, monkeypatch):
+    # the screen passes on almost only pairs that the solve keeps, and a
+    # block that keeps every candidate skips the compacting takes; a block
+    # with a touching pair drops it there, and an exactly parallel pair
+    # leaves the block before.  Each gives the bytes of the unscreened call,
+    # with default blocks and with blocks of 7 pairs
+    import flatproc.flat_geometry as flat_geometry
+
+    spec = FlatProcessSpec(n, 1, 1.0, GrassmannMeasure.isotropic(n, 1, 1.0))
+    base = sample_poisson(spec, radius, [340, n])
+    norms, solved = flat_geometry.row_norms, []
+
+    def spy(x):  # the length test's lengths: one call per solved block
+        out = norms(x)
+        solved.append(out.shape[0])
+        return out
+
+    settings = [{"SCREEN_MIN_PAIRS": math.inf}, {"BLOCK_ROWS": 7},
+                {"SCREEN_MIN_PAIRS": math.inf, "BLOCK_ROWS": 7}]
+    for plant, dropped in ((None, 0), ("parallel", 0), ("touching", 1)):
+        sample = base if plant is None else planted_lines(base, plant)
+        assert len(sample) * (len(sample) - 1) // 2 >= flat_geometry.SCREEN_MIN_PAIRS
+        solved.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(flat_geometry, "row_norms", spy)
+            seg = proximity(sample, delta=1.0)
+        assert len(solved) == 1 and solved[0] == len(seg) + dropped
+        if plant is not None:  # the planted pair is dropped
+            nearest = int(np.argmin(np.linalg.norm(base.offsets, axis=1)))
+            assert [nearest, len(base)] not in seg.pairs.tolist()
+        for setting in settings:
+            with monkeypatch.context() as patch:
+                for name, value in setting.items():
+                    patch.setattr(flat_geometry, name, value)
+                other = proximity(sample, delta=1.0)
+            for name in ("midpoints", "lengths", "directions", "pairs"):
+                ours, ref = getattr(other, name), getattr(seg, name)
+                assert ours.dtype == ref.dtype and ours.shape == ref.shape
+                assert ours.flags.c_contiguous and ours.tobytes() == ref.tobytes()
+
+
+def test_outputs_share_no_memory_with_the_pair_table():
+    # an unscreened call of one slab reads its pairs from a cached read-only
+    # table; the (1, 2) transpose of a one-pair table is contiguous, so an
+    # output that took it as it is would be that table
+    import flatproc.flat_geometry as flat_geometry
+    from flatproc.flat_geometry import pair_segments
+
+    one_pair = 0
+    for first, second in layout_cases():
+        other = first if second is None else second
+        raw = pair_segments(first.bases, first.offsets, other.bases, other.offsets,
+                            second is None, 1.0)
+        seg = proximity(first, second, delta=1.0)
+        table = flat_geometry._pair_table(len(first), len(other), second is None)
+        one_pair += table.shape[1] == 1 and len(seg) == 1
+        for arr in (*raw, seg.midpoints, seg.lengths, seg.directions, seg.pairs):
+            assert not np.shares_memory(arr, table)
+    assert one_pair == 1  # the two-line sample
+
+
 def test_zero_leading_direction_coordinates_walk_like_scalar():
     # lines with directions in span(e1, e2) at different heights: the common
     # perpendicular of each pair is +-e3, whose first two coordinates are 0
@@ -817,6 +894,38 @@ def test_functionals_share_one_window_mask_per_window():
     box = WindowDescriptor("box", sides=[20.0, 12.0, 8.0])  # sides given as a list
     assert seg.window_mask(box) is seg.window_mask(windows[2])
     assert len({id(seg.window_mask(w)) for w in windows}) == 3
+
+
+def test_functionals_equal_the_plain_formulas_bit_for_bit():
+    # f_alpha and order_statistics skip the power at alpha 0 and 1 and the
+    # sort at m = 1, and read one memoized array of window-qualified lengths
+    spec = FlatProcessSpec(3, 1, 1.0, GrassmannMeasure.isotropic(3, 1, 1.0))
+    seg = proximity(sample_poisson(spec, 6.5, 73), delta=1.0)
+    windows = [WindowDescriptor.ball(6.0), WindowDescriptor.box([7.0, 6.0, 5.0]),
+               WindowDescriptor.ball(1e-6)]
+    direction_sets = [None, DirectionSet.full_sphere(3), DirectionSet.double_cap(E[2], 0.5)]
+    for window in windows:
+        for direction_set in direction_sets:
+            keep = window.contains(seg.midpoints)
+            if direction_set is not None and direction_set.kind != "full":
+                keep &= direction_set.contains(seg.directions)
+            v = seg.lengths[keep]
+            assert (v.size > 5) == (window.circumradius() > 1.0)
+            for alpha in (0.0, 0.5, 1.0, 2.0):
+                value = f_alpha(seg, alpha, window, direction_set)
+                assert type(value) is float
+                assert value.hex() == float(np.add.reduce(v ** alpha)).hex()
+                if alpha == 0:
+                    continue
+                for m in (1, 2, 5):
+                    reference = np.full(m, np.inf)
+                    smallest = np.sort(v ** alpha)[:m]
+                    reference[:smallest.size] = smallest
+                    assert order_statistics(seg, alpha, window, m,
+                                            direction_set).tobytes() == reference.tobytes()
+        lengths = seg.window_lengths(window)
+        assert lengths is seg.window_lengths(window) and not lengths.flags.writeable
+        assert lengths.tobytes() == seg.lengths[seg.window_mask(window)].tobytes()
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])

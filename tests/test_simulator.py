@@ -302,6 +302,21 @@ def test_sr_flats_intensity_matches_invariant_measure():
     assert abs(target - math.pi) < 1e-12
 
 
+@pytest.mark.parametrize("cover", [math.nan, math.inf, -math.inf, -5.0, 0.2, 2.999])
+def test_sr_flats_reject_bad_cover_radius(cover):
+    # before any draw: NaN and inf used to fail in the cube sampler's integer
+    # conversion, a negative cover there, and a cover below the window radius
+    # silently dropped the flats anchored between the two
+    spec = FlatProcessSpec(3, 1, sr_intensity(3, 1), GrassmannMeasure.isotropic(3, 1, 1.0),
+                           kind=SrConstruction(3, Subspace(E3[1:])))
+    gen = np.random.default_rng(6)
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match="cover_radius"):
+        sample_sr_flats(spec, 3.0, gen, cover_radius=cover)
+    assert gen.bit_generator.state == state
+    assert len(sample_sr_flats(spec, 3.0, gen, cover_radius=3.0)) > 0
+
+
 def test_sr_flats_default_cover_documented_undercount():
     n, k = 2, 1
     anchor = Subspace(np.eye(2)[1:])

@@ -171,6 +171,45 @@ def test_ks_vs_normal_standardizes():
     assert ks_vs_normal(sample) < 0.03
 
 
+def test_ks_vs_normal_equals_the_ndtr_form():
+    # the normal CDF comes from math.erfc, within 2.2e-16 of ndtr
+    from flatproc.stats_harness import _normal_cdf
+
+    z = np.linspace(-40.0, 40.0, 30_001)
+    assert np.max(np.abs(_normal_cdf(z) - ndtr(z))) <= 2.3e-16
+    for seed, size in ((74, 60), (75, 2_500), (76, 10_000)):
+        rng = np.random.default_rng(seed)
+        for sample in (rng.standard_normal(size), rng.gamma(2.0, size=size),
+                       rng.integers(0, 5, size).astype(float)):
+            z = (sample - sample.mean()) / sample.std(ddof=1)
+            assert abs(ks_vs_normal(sample) - ks_statistic(z, ndtr)) <= 1e-15
+
+
+def test_clt_diagnostics_loads_no_scipy_submodule():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import flatproc
+
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from flatproc.stats_harness import clt_diagnostics",
+        "rng = np.random.default_rng(77)",
+        "report = clt_diagnostics({2.0: rng.standard_normal(200), 4.0: rng.gamma(3.0, size=200)},",
+        "                         n=3, k=1)",
+        "print(report['finalKS'] > 0, sorted(m for m in sys.modules if m.startswith('scipy')))",
+    ])
+    path = [str(Path(flatproc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "[]"]
+
+
 def _poisson_cube(rng, mean=1.0, d=2):
     count = rng.poisson(mean)
     return rng.random((count, d))

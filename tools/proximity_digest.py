@@ -10,7 +10,7 @@ both checkouts (each imports flatproc from its own `src`):
     (cd ../parent && python tools/proximity_digest.py) > old.txt
     diff old.txt new.txt
 
-The 629 cases:
+The 949 cases:
 - k = 1, 419 outputs: `sample_poisson` lines in R^2-R^5 with isotropic and
   axis-atom laws, 20 seeds each at radii that straddle `SCREEN_MIN_PAIRS`
   (160 samples), and `proximity` on those in R^3-R^5 (120); anchored lines
@@ -41,6 +41,10 @@ The 629 cases:
   pairs), 3 seeds each (36); empty and one-line samples in R^3-R^5,
   single and cross against a few lines in both orders (18); empty planes
   of R^5, single and cross (2).
+- functionals, 320 outputs: `f_alpha` for alpha = 0, 1, 2 and the first 1
+  and 3 `order_statistics` of the lengths, over a ball and a box window of
+  circumradius radius - delta/2, over all directions and over a double cap,
+  on the eleven radius-16.5 samples in R^3 and five radius-4.5 ones (320).
 """
 from __future__ import annotations
 
@@ -53,9 +57,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from flatproc.derived_processes import proximity  # noqa: E402
+from flatproc.closed_form import WindowDescriptor  # noqa: E402
+from flatproc.derived_processes import f_alpha, order_statistics, proximity  # noqa: E402
 from flatproc.flat_geometry import Subspace  # noqa: E402
-from flatproc.measures import GrassmannMeasure  # noqa: E402
+from flatproc.measures import DirectionSet, GrassmannMeasure  # noqa: E402
 from flatproc.simulator import (FlatProcessSpec, FlatSample, SrConstruction,  # noqa: E402
                                 build_factorial_distribution, sample_cube_process,
                                 sample_poisson, sample_sr_flats, sr_intensity)
@@ -185,6 +190,7 @@ def cases():
                    segment_digest(proximity(a, b, delta=1.5)))
     yield from stream_cases()
     yield from small_cases()
+    yield from functional_cases()
 
 
 def first_flats(sample, count: int):
@@ -223,6 +229,30 @@ def small_cases():
     empty = first_flats(planes, 0)
     yield "flats-R5-k2-empty-single-proximity", segment_digest(proximity(empty, delta=DELTA))
     yield "flats-R5-k2-empty-ab-proximity", segment_digest(proximity(empty, planes, delta=DELTA))
+
+
+def functional_cases():
+    """Length-power functionals and order statistics of R^3 line samples, on
+    one ball and one box window each, over all directions and a double cap."""
+    cap = DirectionSet.double_cap(np.array([0.0, 0.0, 1.0]), 0.5)
+    samples = [(f"r16.5-s{seed}", sample_poisson(isotropic(3, 1), 16.5, [200, seed]))
+               for seed in range(11)]
+    samples += [(f"r4.5-s{seed}", sample_poisson(isotropic(3, 1), 4.5, [230, seed]))
+                for seed in range(5)]
+    for name, sample in samples:
+        seg = proximity(sample, delta=DELTA)
+        rho = sample.radius - DELTA / 2.0
+        windows = (("ball", WindowDescriptor.ball(rho)),
+                   ("box", WindowDescriptor.box([1.25 * rho, rho, 0.75 * rho])))
+        for label, window in windows:
+            for directions, direction_set in (("all", None), ("cap", cap)):
+                case = f"functionals-R3-{name}-{label}-{directions}"
+                for alpha in (0.0, 1.0, 2.0):
+                    value = f_alpha(seg, alpha, window, direction_set)
+                    yield f"{case}-F{alpha:g}", digest(np.array([value]))
+                for m in (1, 3):
+                    yield (f"{case}-min{m}",
+                           digest(order_statistics(seg, 1.0, window, m, direction_set)))
 
 
 def main() -> int:
