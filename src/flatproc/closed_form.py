@@ -21,7 +21,7 @@ from .flat_geometry import (Subspace, _in_blocks, complement_bases, gram_volumes
 from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
                        _mc_mean, check_samples, finite_positive, read_only,
                        symmetrize_line_measure)
-from .zonoid_engine import mu_Q_r
+from .zonoid_engine import _hyperplane_atoms
 
 
 @dataclass(frozen=True)
@@ -281,11 +281,11 @@ def proximity_directional_measure(n: int, q: GrassmannMeasure) -> SphereMeasure:
         raise ValueError("full directional measure implemented for lines only")
     if q.is_isotropic:
         raise ValueError("requires an atomic directional distribution")
-    mu = mu_Q_r(symmetrize_line_measure(q), 2)
-    total = mu.total_mass * constants.sphere_surface(n - 2)
+    bases, weights = _hyperplane_atoms(symmetrize_line_measure(q), 2)
+    total = float(sum(weights.tolist())) * constants.sphere_surface(n - 2)
     if total <= 0:
         raise ValueError("degenerate directional distribution")
-    return SphereMeasure(n, components=(GrassmannMeasure(n, n - 2, mu.bases, mu.weights / total),))
+    return SphereMeasure(n, components=(GrassmannMeasure(n, n - 2, bases, weights / total),))
 
 
 def intersection_density(n: int, dims, intensities, qs, g=None,
@@ -347,9 +347,16 @@ def hyperplane_intersection(n: int, gamma: float, q: SphereMeasure,
                             r: int) -> GrassmannMeasure:
     """Intensity-weighted directional measure of the r-th intersection
     process of a hyperplane process: (gamma^r / r!) times the
-    hyperplane-intersection measure of the even directional distribution."""
-    mu = mu_Q_r(q, r)
-    return mu.scaled(gamma ** r / math.factorial(r)) if mu.weights.size else mu
+    hyperplane-intersection measure of the even directional distribution.
+    n must be q's dimension and gamma finite and nonnegative; gamma = 0 gives
+    the zero measure on G(n, n - r)."""
+    if n != q.n:
+        raise ValueError(f"n={n} does not match the directional distribution's n={q.n}")
+    _check_params(gamma=gamma)
+    bases, weights = _hyperplane_atoms(q, r)
+    if gamma == 0.0:
+        return GrassmannMeasure.zero(n, n - r)
+    return GrassmannMeasure(n, n - r, bases, weights * (gamma ** r / math.factorial(r)))
 
 
 def mean_F_alpha(n: int, k: int, gamma: float, q: GrassmannMeasure, delta: float,

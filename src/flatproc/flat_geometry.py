@@ -297,12 +297,17 @@ def orthonormalize(vectors) -> Subspace:
 
 
 def complement_bases(bases: np.ndarray) -> np.ndarray:
-    """Orthonormal complement bases, (m, n-k, n), for a stack of (k, n) bases."""
+    """Orthonormal complement bases, (m, n-k, n), for a stack of (k, n) bases.
+
+    The trailing n - k columns of a complete Householder QR of each
+    transposed basis, B^T = Q R: the first k columns of Q span the rows of B,
+    so the rest are orthonormal and orthogonal to them within a small multiple
+    of eps |B|, dependent rows included (there they span an (n - k)-subspace
+    of the larger complement).
+    """
     k = bases.shape[1]
-    # full SVD of the transposed bases: the trailing left-singular vectors
-    # span the orthogonal complement of each row space
-    u, _, _ = np.linalg.svd(np.swapaxes(bases, 1, 2))
-    return np.swapaxes(u[:, :, k:], 1, 2)
+    q, _ = np.linalg.qr(np.swapaxes(bases, 1, 2), mode="complete")
+    return np.swapaxes(q[:, :, k:], 1, 2)
 
 
 def complement(u: Subspace) -> Subspace:

@@ -3,6 +3,11 @@
 A zonotope is stored by half-length generators: the segment of a +-pair of
 pair mass q runs from -(q/2)u to +(q/2)u, so the support function of the
 zonotope equals the cosine-moment integral of half the generating measure.
+`mu_Q_r`, `area_measure` and `closed_form.hyperplane_intersection` read the
+even measure's stacks directly through `_hyperplane_atoms`: one stacked Gram
+volume of the r-subsets, one complete-QR `complement_bases` of those kept, and
+one `_merge`, whose Gram screen sends only near pairs to the exact Frobenius
+test; each call then builds and checks one `GrassmannMeasure`.
 """
 from __future__ import annotations
 
@@ -65,13 +70,23 @@ def support(z: Zonotope, x: np.ndarray) -> float:
     return float(z.half_lengths @ np.abs(z.units @ np.asarray(x, dtype=float)))
 
 
-def _subsets(z: Zonotope, r: int):
-    """The r-subsets of z's generators as an (m, r) index array in
-    lexicographic order; the subsets' nabla_r, from one stacked Gram volume;
-    and their terms prod_i (2 w_i) * nabla_r of V_r(z)."""
-    idx = subset_indices(len(z.units), r)
-    vols = np.minimum(gram_volumes(z.units[idx]), 1.0)
-    return idx, vols, np.prod(2.0 * z.half_lengths[idx], axis=1) * vols
+def _check_order(name: str, value, low: int, high: int, n: int) -> None:
+    """ValueError naming the order unless it is an integer (not a bool) in
+    [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not low <= value <= high:
+        raise ValueError(f"need an integer {name} with {low} <= {name} <= {high}, "
+                         f"got {name}={value!r}, n={n}")
+
+
+def _subsets(units: np.ndarray, lengths: np.ndarray, r: int):
+    """The r-subsets of the (m, n) generator directions as an (m, r) index
+    array in lexicographic order; the subsets' nabla_r, from one stacked Gram
+    volume; and their terms prod_i lengths_i * nabla_r of V_r, lengths the
+    full segment lengths."""
+    idx = subset_indices(len(units), r)
+    vols = np.minimum(gram_volumes(units[idx]), 1.0)
+    return idx, vols, np.prod(lengths[idx], axis=1) * vols
 
 
 def intrinsic_volume(z: Zonotope, m: int) -> float:
@@ -81,29 +96,52 @@ def intrinsic_volume(z: Zonotope, m: int) -> float:
     segment lengths (2 w_i) times the parallelepiped volume of the subset's
     directions.  V_0 = 1; subsets spanning less than m dimensions drop out.
     """
-    if not 0 <= m <= z.n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={z.n}")
+    _check_order("m", m, 0, z.n, z.n)
     if m == 0:
         return 1.0
-    return float(_subsets(z, m)[2].sum())
+    return float(_subsets(z.units, 2.0 * z.half_lengths, m)[2].sum())
 
 
 def _merge(projectors: np.ndarray, tol: float):
     """Indices of the first projector of each class and each projector's
     label: in input order, a projector joins the first representative within
-    tol in Frobenius norm, else starts a class.  A block of rows meets every
-    earlier projector in one norm, about BLOCK_ROWS pairs a block."""
+    tol in Frobenius norm, else starts a class.
+
+    A block of rows, about BLOCK_ROWS pairs, meets every earlier projector in
+    one product of the flattened projectors, which screens the pairs by
+    |P_i - P_j|^2 = |P_i|^2 + |P_j|^2 - 2 <P_i, P_j>.  Only the pairs within
+    tol^2 plus the screen's round-off go to the exact test, the norm of
+    P_i - P_j, so the classes are those of the exact test on every pair.
+    """
     count = len(projectors)
+    flat = projectors.reshape(count, math.prod(projectors.shape[1:]))
+    sq = np.einsum("ij,ij->i", flat, flat)
+    # Round-off of the screen.  eps = 2^-53, N = n^2 entries a projector, M the
+    # largest computed |P|^2.  An N-term dot product errs by N eps sum |x_k y_k|
+    # (to first order), so |P_i|^2 + |P_j|^2 - 2 <P_i, P_j> errs, with its sum
+    # and difference, by (N + 2) eps (|P_i| + |P_j|)^2 <= 4 (N + 2) eps M.  A
+    # pair the exact test keeps has |P_i - P_j|^2 < tol^2 (1 + (N + 5) eps).
+    # The margin 4 (N + 3) eps (M + tol^2) covers both and the screen's own
+    # rounding of tol^2 and of the bound.
+    big = np.fmax.reduce(sq, initial=0.0) + tol * tol  # fmax: a NaN row merges nothing
+    bound = tol * tol + 4 * (flat.shape[1] + 3) * 2.0 ** -53 * big
     is_rep, first = np.ones(count, dtype=bool), np.arange(count)
     step = max(1, BLOCK_ROWS // max(count, 1))
     for r0 in range(0, count, step):
         r1 = min(count, r0 + step)
-        near = np.linalg.norm(projectors[r0:r1, None] - projectors[None, :r1], axis=(2, 3)) < tol
-        near &= np.tri(r1 - r0, r1, r0 - 1, dtype=bool)  # earlier projectors only
-        for i in np.flatnonzero(near.any(axis=1)).tolist():
-            hit = np.flatnonzero(near[i] & is_rep[:r1])
-            if hit.size:
-                is_rep[r0 + i], first[r0 + i] = False, hit[0]
+        d2 = sq[r0:r1, None] + sq[:r1] - 2.0 * (flat[r0:r1] @ flat[:r1].T)
+        # earlier projectors only
+        rows, cols = np.nonzero((d2 <= bound) & np.tri(r1 - r0, r1, r0 - 1, dtype=bool))
+        if not rows.size:
+            continue
+        rows += r0
+        near = np.linalg.norm(projectors[rows] - projectors[cols], axis=(1, 2)) < tol
+        # pairs by row, then column: a row joins its first near representative
+        for i, j in zip(rows[near].tolist(), cols[near].tolist()):
+            if is_rep[i] and is_rep[j]:
+                is_rep[i], first[i] = False, j
+    if is_rep.all():  # every projector its own class
+        return list(range(count)), first
     return np.flatnonzero(is_rep).tolist(), (np.cumsum(is_rep) - 1)[first]
 
 
@@ -113,6 +151,20 @@ def merge_grassmann_atoms(atoms):
     reps, labels = _merge(np.array([sub.projector() for sub, _ in atoms]), MERGE_TOL)
     sums = np.bincount(labels, [w for _, w in atoms], len(reps))
     return [(atoms[i][0], w) for i, w in zip(reps, sums.tolist())]
+
+
+def _hyperplane_atoms(q: SphereMeasure, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms of mu_Q_r(q, r), not yet checked: the merged complement
+    bases (m, n - r, n) of the r-subsets of q's atoms with nabla_r above
+    DROP_TOL, and their summed weights r! prod_i q_i nabla_r."""
+    _check_order("r", r, 2, q.n - 1, q.n)
+    if not q.is_atomic:
+        raise ValueError("zonotope construction requires an atomic even measure")
+    idx, vols, terms = _subsets(q.units, q.weights, r)
+    keep = vols > DROP_TOL
+    comps = complement_bases(q.units[idx[keep]])
+    reps, labels = _merge(np.swapaxes(comps, 1, 2) @ comps, MERGE_TOL)
+    return comps[reps], np.bincount(labels, math.factorial(r) * terms[keep], len(reps))
 
 
 def mu_Q_r(q: SphereMeasure, r: int) -> GrassmannMeasure:
@@ -131,15 +183,8 @@ def mu_Q_r(q: SphereMeasure, r: int) -> GrassmannMeasure:
     nabla_r <= 1e-10 are dropped.  The weight is r! times the set's term of
     V_r of the zonotope of q, whose segments have full length 2 w_i = q_i.
     """
-    if not 2 <= r <= q.n - 1:
-        raise ValueError(f"need 2 <= r <= n-1, got r={r}, n={q.n}")
-    z = from_measure(q)
-    idx, vols, terms = _subsets(z, r)
-    keep = vols > DROP_TOL
-    comps = complement_bases(z.units[idx[keep]])
-    reps, labels = _merge(np.swapaxes(comps, 1, 2) @ comps, MERGE_TOL)
-    return GrassmannMeasure(q.n, q.n - r, comps[reps],
-                            np.bincount(labels, math.factorial(r) * terms[keep], len(reps)))
+    bases, weights = _hyperplane_atoms(q, r)
+    return GrassmannMeasure(q.n, q.n - r, bases, weights)
 
 
 def area_measure(q: SphereMeasure, r: int) -> SphereMeasure:
@@ -150,7 +195,7 @@ def area_measure(q: SphereMeasure, r: int) -> SphereMeasure:
     contributing direction set, supported on the unit sphere of the
     intersection subspace.
     """
-    mu = mu_Q_r(q, r)
+    bases, weights = _hyperplane_atoms(q, r)
     scale = float(math.factorial(r)) * comb(q.n - 1, r)
     return SphereMeasure(q.n, components=(
-        GrassmannMeasure(mu.n, mu.k, mu.bases, mu.weights / scale),))
+        GrassmannMeasure(q.n, q.n - r, bases, weights / scale),))

@@ -1,8 +1,9 @@
 """Scalar geometry that only the tests use: an independent intersection solve
 (one `lstsq` and one SVD per tuple) that the batched `tuple_intersections`
-is compared against, small helpers on rotations, flats and samples, the
-Grassmann metric of two subspaces, and the closed totals of mu_Q_r and of
-the area measures.
+is compared against, the SVD complement that `complement_bases` is compared
+against, the all-pairs atom merge that `_merge` is compared against, small
+helpers on rotations, flats and samples, the Grassmann metric of two
+subspaces, and the closed totals of mu_Q_r and of the area measures.
 """
 from __future__ import annotations
 
@@ -12,12 +13,41 @@ import numpy as np
 
 from flatproc import constants
 from flatproc._rng import SeedLike, as_generator
-from flatproc.flat_geometry import (GENERAL_POSITION_TOL, DegeneratePairError, Flat, Subspace,
-                                    complement, grassmann_distance, gram_volumes,
+from flatproc.flat_geometry import (BLOCK_ROWS, GENERAL_POSITION_TOL, DegeneratePairError, Flat,
+                                    Subspace, complement, grassmann_distance, gram_volumes,
                                     subspace_determinant)
 from flatproc.measures import SphereMeasure
 from flatproc.simulator import FlatSample
 from flatproc.zonoid_engine import from_measure, intrinsic_volume
+
+
+def svd_complement_bases(bases: np.ndarray) -> np.ndarray:
+    """Orthonormal complement bases, (m, n-k, n), of a stack of (k, n) bases:
+    the trailing left-singular vectors of a full SVD of each transposed
+    basis."""
+    k = bases.shape[1]
+    u, _, _ = np.linalg.svd(np.swapaxes(bases, 1, 2))
+    return np.swapaxes(u[:, :, k:], 1, 2)
+
+
+def merge_all_pairs(projectors: np.ndarray, tol: float):
+    """The atom merge by the norm of every difference: in input order a
+    projector joins the first representative within tol in Frobenius norm,
+    else starts a class.  A block of rows meets every earlier projector in
+    one stacked norm, about BLOCK_ROWS pairs a block.  Returns the
+    representatives and each projector's label, as `_merge` does."""
+    count = len(projectors)
+    is_rep, first = np.ones(count, dtype=bool), np.arange(count)
+    step = max(1, BLOCK_ROWS // max(count, 1))
+    for r0 in range(0, count, step):
+        r1 = min(count, r0 + step)
+        near = np.linalg.norm(projectors[r0:r1, None] - projectors[None, :r1], axis=(2, 3)) < tol
+        near &= np.tri(r1 - r0, r1, r0 - 1, dtype=bool)  # earlier projectors only
+        for i in np.flatnonzero(near.any(axis=1)).tolist():
+            hit = np.flatnonzero(near[i] & is_rep[:r1])
+            if hit.size:
+                is_rep[r0 + i], first[r0 + i] = False, hit[0]
+    return np.flatnonzero(is_rep).tolist(), (np.cumsum(is_rep) - 1)[first]
 
 
 def random_rotation(n: int, rng: SeedLike) -> np.ndarray:

@@ -235,6 +235,33 @@ def test_hyperplane_intersection_scaling_and_mass():
     assert doubled.total_mass == pytest.approx(4.0 / 3.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("n, gamma, message", [
+    (4, 1.0, "^n=4 does not match"), (3, -1.0, "^gamma must be finite and nonnegative"),
+    (3, math.nan, "^gamma must be finite and nonnegative"),
+    (3, math.inf, "^gamma must be finite and nonnegative")])
+def test_hyperplane_intersection_checks_n_and_gamma_first(n, gamma, message, monkeypatch):
+    # a measure on R^3 with n = 4, and gamma = -1, which gave the gamma = 1
+    # weights at r = 2, fail by name before any atom is built
+    def no_atoms(*args):
+        raise AssertionError("built atoms before checking n and gamma")
+
+    monkeypatch.setattr(closed_form, "_hyperplane_atoms", no_atoms)
+    cube = SphereMeasure.atoms(3, [(E[i], 1.0 / 3.0) for i in range(3)])
+    with pytest.raises(ValueError, match=message):
+        hyperplane_intersection(n, gamma, cube, 2)
+
+
+@pytest.mark.parametrize("n, r", [(3, 2), (4, 2), (4, 3)])
+def test_hyperplane_intersection_at_gamma_zero_is_the_zero_measure(n, r):
+    rng = np.random.default_rng([56, n])
+    units = rng.standard_normal((n + 1, n))
+    q = SphereMeasure.atoms(n, list(zip(units, 0.5 + rng.random(n + 1))))
+    zero = hyperplane_intersection(n, 0.0, q, r)
+    assert (zero.n, zero.k, zero.bases.shape, zero.total_mass) == (n, n - r, (0, n - r, n), 0.0)
+    with pytest.raises(ValueError, match="r=1"):
+        hyperplane_intersection(n, 0.0, q, 1)
+
+
 def test_hyperplane_intersection_total_mass_vs_iterated_c_product():
     # isotropic total mass: (gamma^r / r!) prod_j c(n, j, 1), checked by
     # Monte Carlo over Haar-uniform normal tuples

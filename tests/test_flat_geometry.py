@@ -4,18 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from flatproc import zonoid_engine
 from flatproc.flat_geometry import (DegeneratePairError, Flat, Subspace,
                                     canonical_unit, canonical_units,
-                                    closest_pair, complement,
-                                    grassmann_distance,
+                                    closest_pair, complement, complement_bases,
+                                    gram_volumes, grassmann_distance,
                                     haar_bases, haar_sample, intersect_flats,
                                     orthonormalize, principal_angles, product_indices,
                                     row_dots, row_norms, subset_indices,
                                     subspace_determinant, subspace_views)
+from flatproc.measures import SphereMeasure
 
 import _reference
 from _reference import (contains_flat, distance_to_point, grassmann_metric,
-                        parallelepiped_volume, random_rotation, rotate_subspace)
+                        parallelepiped_volume, random_rotation, rotate_subspace,
+                        svd_complement_bases)
 
 E = np.eye(3)
 
@@ -310,6 +313,84 @@ def test_complement_examples_and_projector_sum():
         comp = complement(sub)
         assert np.allclose(sub.projector() + comp.projector(), np.eye(5), atol=1e-12)
         assert complement(comp).same_span(sub)
+
+
+def complement_residuals(bases, comps):
+    """Largest |C C^T - I| and largest |C B^T| over a stack of bases B and
+    their complements C."""
+    eye = np.eye(comps.shape[1])
+    return (np.abs(comps @ np.swapaxes(comps, 1, 2) - eye).max(initial=0.0),
+            np.abs(comps @ np.swapaxes(bases, 1, 2)).max(initial=0.0))
+
+
+def projectors(comps):
+    return np.swapaxes(comps, 1, 2) @ comps
+
+
+def unit_rows(rng, count, k, n):
+    rows = rng.standard_normal((count, k, n))
+    return rows / np.linalg.norm(rows, axis=2, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_complement_bases_match_the_svd_oracle(n):
+    # orthonormal rows and unit rows that are not orthonormal, for every k:
+    # the complement of independent rows is unique, so its projector is the
+    # SVD's
+    rng = np.random.default_rng([300, n])
+    for k in range(n + 1):
+        for bases in (haar_bases(20, n, k, rng), unit_rows(rng, 20, k, n)):
+            comps = complement_bases(bases)
+            assert comps.shape == (20, n - k, n)
+            assert max(complement_residuals(bases, comps)) <= 1e-12
+            oracle = projectors(svd_complement_bases(bases))
+            assert np.abs(projectors(comps) - oracle).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_complement_bases_of_dependent_subsets_as_lower_bound_check_sees_them(n):
+    # n + 2 atoms, one of them twice (u and -u have one canonical unit): the
+    # (n-1)-subsets holding both span n - 2 dimensions, whose complement is a
+    # plane, so any unit normal of it is a valid row and the QR's need not be
+    # the SVD's.  Every row is still orthonormal and orthogonal to the
+    # subset, the independent subsets keep the SVD's projectors, and the
+    # least cosine moment over the normals, lower_bound_check's value, is
+    # the SVD's
+    rng = np.random.default_rng([301, n])
+    units = unit_rows(rng, 1, n + 1, n)[0]
+    mu = SphereMeasure.atoms(n, list(zip(np.vstack([units, -units[:1]]),
+                                         0.2 + rng.random(n + 2))))
+    stacks = mu.units[subset_indices(n + 2, n - 1)]
+    comps, oracle = complement_bases(stacks), svd_complement_bases(stacks)
+    assert max(complement_residuals(stacks, comps)) <= 1e-12
+    dependent = gram_volumes(stacks) <= 1e-10
+    assert 0 < dependent.sum() < len(stacks)
+    assert np.abs(projectors(comps[~dependent]) - projectors(oracle[~dependent])).max() <= 1e-12
+    least, oracle_least = (mu.cosine_moment(c[:, 0]).min() for c in (comps, oracle))
+    assert abs(least - oracle_least) <= 1e-12
+    assert mu.cosine_moment(comps[dependent, 0]).min() >= least - 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_complement_bases_just_above_the_drop_cut(n):
+    # k unit rows, two of them at an angle of 1.5e-10 to 1e-9, so that their
+    # volume (the product of the singular values) is just above DROP_TOL.
+    # Rows stay orthonormal and orthogonal to the input within 1e-12, but the
+    # complement itself is determined only to about eps / s_min (s_min the
+    # least singular value) by any backward-stable method; the projectors
+    # agree with the SVD's within 16 eps / s_min
+    rng = np.random.default_rng([302, n])
+    for k in sorted({2, n - 1}):
+        bases = haar_bases(20, n, k, rng)
+        theta = rng.uniform(1.5e-10, 1e-9, 20)
+        bases[:, 1] = np.cos(theta)[:, None] * bases[:, 0] + np.sin(theta)[:, None] * bases[:, 1]
+        sing = np.linalg.svd(bases, compute_uv=False)
+        assert np.all(sing.prod(axis=1) > zonoid_engine.DROP_TOL)
+        comps, oracle = complement_bases(bases), svd_complement_bases(bases)
+        assert max(complement_residuals(bases, comps)) <= 1e-12
+        s_min = sing[:, -1]
+        gap = np.abs(projectors(comps) - projectors(oracle)).max(axis=(1, 2))
+        assert np.all(gap <= 16 * 2.0 ** -52 / s_min)
 
 
 def test_haar_projector_mean_is_isotropic():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -7,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from flatproc import constants, zonoid_engine
+from flatproc import constants, flat_geometry, measures, zonoid_engine
+from flatproc.closed_form import hyperplane_intersection
 from flatproc.flat_geometry import Subspace, complement_bases, haar_bases, orthonormalize
 from flatproc.measures import SphereMeasure, integrate, t_lift
 from flatproc.zonoid_engine import (MERGE_TOL, Zonotope, _merge, area_measure, from_measure,
                                     intrinsic_volume, merge_grassmann_atoms, mu_Q_r, support)
 
-from _reference import (area_measure_total_mass, mu_Q_r_total_mass, parallelepiped_volume,
-                        random_rotation)
+from _reference import (area_measure_total_mass, merge_all_pairs, mu_Q_r_total_mass,
+                        parallelepiped_volume, random_rotation)
 
 E = np.eye(3)
 
@@ -103,6 +105,43 @@ def test_mu_q_r_range_validation():
         mu_Q_r(cube_measure(), 1)
     with pytest.raises(ValueError):
         mu_Q_r(cube_measure(), 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda q: mu_Q_r(q, 2.0), "r=2.0"), (lambda q: area_measure(q, 2.0), "r=2.0"),
+    (lambda q: area_measure(q, True), "r=True"),
+    (lambda q: intrinsic_volume(from_measure(q), 1.5), "m=1.5"),
+    (lambda q: intrinsic_volume(from_measure(q), True), "m=True")])
+def test_orders_must_be_integers(call, message):
+    # a float order raised a TypeError from subset_indices, and m = True
+    # returned V_1
+    with pytest.raises(ValueError, match=f"need an integer .* got {message}"):
+        call(cube_measure())
+
+
+def test_numpy_integer_orders_are_orders():
+    q = random_even_measure(4, 6, np.random.default_rng(57))
+    assert intrinsic_volume(from_measure(q), np.int64(2)) == intrinsic_volume(from_measure(q), 2)
+    assert np.array_equal(mu_Q_r(q, np.int64(3)).weights, mu_Q_r(q, 3).weights)
+    assert np.array_equal(area_measure(q, np.int64(2)).components[0].weights,
+                          area_measure(q, 2).components[0].weights)
+
+
+@pytest.mark.parametrize("call", [lambda q: mu_Q_r(q, 2), lambda q: area_measure(q, 2),
+                                  lambda q: hyperplane_intersection(4, 1.5, q, 2)],
+                         ids=["mu_Q_r", "area_measure", "hyperplane_intersection"])
+def test_each_zonoid_call_checks_one_stack(call, monkeypatch):
+    # each call builds one GrassmannMeasure and checks its stack once
+    checked, check_orthonormal = [], measures.check_orthonormal
+
+    def spy(bases):
+        checked.append(bases.shape)
+        check_orthonormal(bases)
+
+    monkeypatch.setattr(measures, "check_orthonormal", spy)
+    monkeypatch.setattr(flat_geometry, "check_orthonormal", spy)
+    call(random_even_measure(4, 6, np.random.default_rng(58)))
+    assert len(checked) == 1 and checked[0][1:] == (2, 4)
 
 
 def test_from_measure_single_segment():
@@ -283,21 +322,22 @@ def merge_by_loop(projectors, tol):
     return reps, labels
 
 
-def planted_projectors(n, k, count, rng, tol):
+def planted_projectors(n, k, count, rng, tol, scales=(0.0, 0.5, 2.0, 0.6, 1.2)):
     """Projectors of `count` Haar k-planes of R^n and, for each, turned copies
-    at Frobenius distance 0.5 tol (one class with it), 2 tol (a class of its
+    at Frobenius distances scale * tol, in shuffled order.  The default
+    scales give a copy at 0.5 tol (one class with it), 2 tol (a class of its
     own) and a chain 0.6 tol, 1.2 tol (near the copy at 0.6 tol, not the
-    original), in shuffled order."""
+    original)."""
     bases = haar_bases(count, n, k, rng)
     out = []
     for b in bases:
         w = complement_bases(b[None])[0, 0]
-        for d in (0.0, 0.5 * tol, 2.0 * tol, 0.6 * tol, 1.2 * tol):
+        for d in np.multiply(scales, tol).tolist():
             theta = math.asin(d / math.sqrt(2.0))  # |P - P'| = sqrt(2) sin(theta)
             turned = b.copy()
             turned[0] = math.cos(theta) * b[0] + math.sin(theta) * w
             out.append(turned.T @ turned)
-    return np.array(out)[rng.permutation(5 * count)]
+    return np.array(out)[rng.permutation(len(scales) * count)]
 
 
 @pytest.mark.parametrize("block_rows", [1, 90, 400, zonoid_engine.BLOCK_ROWS])
@@ -311,6 +351,61 @@ def test_merge_matches_the_loop(n, k, block_rows, monkeypatch):
     ref_reps, ref_labels = merge_by_loop(projectors, MERGE_TOL)
     assert reps == ref_reps and np.array_equal(labels, ref_labels)
     assert 8 < len(reps) < 40  # the planted pairs give both outcomes
+
+
+# the tolerances `_merge` runs at: atoms, Grassmann supports, sphere supports
+MERGE_TOLS = [MERGE_TOL, 1e-10, math.sqrt(2.0) * 1e-12]
+
+
+def assert_merge_is_the_all_pairs_rule(stack, tol):
+    reps, labels = _merge(stack, tol)
+    ref_reps, ref_labels = merge_all_pairs(stack, tol)
+    assert reps == ref_reps and labels.dtype == ref_labels.dtype
+    assert np.array_equal(labels, ref_labels)
+    return reps
+
+
+@pytest.mark.parametrize("tol", MERGE_TOLS)
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3)])
+def test_merge_matches_the_all_pairs_rule_at_its_tolerances(n, k, tol):
+    # copies planted just inside and just outside the tolerance, the Gram
+    # screen's worst case, give the all-pairs rule's classes
+    rng = np.random.default_rng([92, n, k])
+    stack = planted_projectors(n, k, 8, rng, tol, (0.0, 1 - 1e-6, 1 + 1e-6))
+    reps = assert_merge_is_the_all_pairs_rule(stack, tol)
+    if tol >= 1e-10:  # the turned copies resolve 1e-6 of tol: both outcomes occur
+        assert 8 < len(reps) < 24
+
+
+@pytest.mark.parametrize("tol", MERGE_TOLS)
+def test_merge_of_empty_one_row_and_duplicate_stacks_matches_the_all_pairs_rule(tol):
+    rng = np.random.default_rng(93)
+    planes = haar_bases(5, 4, 2, rng)
+    base = np.swapaxes(planes, 1, 2) @ planes
+    for stack in (np.zeros((0, 4, 4)), base[:1], np.repeat(base, 3, axis=0),
+                  np.tile(base, (3, 1, 1)), np.zeros((4, 4, 4))):
+        assert_merge_is_the_all_pairs_rule(stack, tol)
+    assert _merge(np.repeat(base, 3, axis=0), tol)[0] == [0, 3, 6, 9, 12]
+
+
+def test_merge_of_a_stack_of_several_row_blocks_matches_the_all_pairs_rule():
+    stack = planted_projectors(4, 2, 60, np.random.default_rng(94), MERGE_TOL)
+    assert len(stack) > zonoid_engine.BLOCK_ROWS // len(stack)  # more than one block
+    assert_merge_is_the_all_pairs_rule(stack, MERGE_TOL)
+
+
+def test_mu_q_r_temporaries_stay_bounded_by_the_row_blocks():
+    # 30 atoms in R^4 at r = 3: 4,060 kept subsets, whose table of all pairs
+    # would hold 4,060^2 doubles, 132 MB, unblocked (at 50 atoms, 3 GB)
+    q = random_even_measure(4, 30, np.random.default_rng(95))
+    tracemalloc.start()
+    try:
+        mu = mu_Q_r(q, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mu.bases) == math.comb(30, 3)
+    assert peak < 16 << 20
 
 
 def test_merge_of_empty_and_one_atom_input():

@@ -12,7 +12,7 @@ flatproc from its own `src`):
     (cd ../parent && python tools/metric_digest.py) > old.txt
     diff old.txt new.txt
 
-The 483 cases:
+The 596 cases:
 - 272 distances: `bl_distance` and `prohorov_distance` on seeded supports of
   m = 2..18 points (the sphere-quotient table of random units in R^3),
   scaled by 1, 1e-4, 1e-8 and 1e-12, with probability weights and with
@@ -46,6 +46,20 @@ The 483 cases:
   distances tol (1 - 1e-6) and tol (1 + 1e-6) and against planes of another
   k or n, at four tolerances.  The group uses only names that predate the
   views, so the CI step can run it on the base commit.
+- 113 complement outputs, every caller of `complement_bases`:
+  `complement_bases` itself on 12 seeded unit rows (not orthonormal) for
+  n = 2..6 and k = 0..n, its projectors and its bases as separate cases (50);
+  `symmetrize_hyperplane_measure` of seeded atomic hyperplane measures in
+  R^3..R^6 (4); `lower_bound_check` on even measures of n + 2 atoms, one
+  of them twice so that some (n-1)-subsets are dependent, in R^3..R^6 at two
+  seeds: the least cosine moment over the subsets' normals and the checks
+  at 12 levels of rho (8); `subspace_determinant` of seeded Haar tuples
+  whose dimensions sum to at least (r - 1) n, on 16 tuples each, for
+  (n, dims) in {(3, 2+2), (4, 3+2), (4, 3+3), (4, 3+3+3), (5, 4+3),
+  (5, 4+4+3), (6, 5+4)} (7); and `closed_form.hyperplane_intersection`
+  (bases and weights) at gamma 0.5 and 2.5 for r = 2..n-1 on the zonoid
+  group's measures (44).  The group uses only names that exist at its base
+  commit, so the CI step can run it there too.
 """
 from __future__ import annotations
 
@@ -59,13 +73,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from flatproc.closed_form import (WindowDescriptor, asymptotic_covariance,  # noqa: E402
-                                  intersection_density, pair_integral)
+                                  hyperplane_intersection, intersection_density,
+                                  pair_integral)
 from flatproc.flat_geometry import (Subspace, complement_bases, haar_bases,  # noqa: E402
-                                    subspace_determinant)
+                                    subset_indices, subspace_determinant)
 from flatproc.measure_metrics import (MetricSample, bl_distance,  # noqa: E402
                                       prohorov_distance, stability_harness)
 from flatproc.measures import (DirectionSet, GrassmannMeasure, SphereMeasure,  # noqa: E402
-                               integrate, t_lift)
+                               integrate, lower_bound_check, symmetrize_hyperplane_measure,
+                               t_lift)
 from flatproc.zonoid_engine import (MERGE_TOL, _merge, area_measure,  # noqa: E402
                                     merge_grassmann_atoms, mu_Q_r)
 
@@ -256,6 +272,63 @@ def views_calls():
                lambda: (same_span_counts(n, k, np.random.default_rng([1100, n, k])),))
 
 
+def least_facet_moment(mu: SphereMeasure) -> float:
+    """Least cosine moment of an atomic measure over the normals of its
+    (n-1)-subsets, the value `lower_bound_check` compares with rho."""
+    stacks = mu.units[subset_indices(len(mu.units), mu.n - 1)]
+    return float(mu.cosine_moment(complement_bases(stacks)[:, 0]).min())
+
+
+def complement_projectors(bases: np.ndarray) -> np.ndarray:
+    comps = complement_bases(bases)
+    return np.swapaxes(comps, 1, 2) @ comps
+
+
+def complement_calls():
+    """(case, call) for every caller of `complement_bases`."""
+    for n in range(2, 7):
+        for k in range(n + 1):
+            rows = np.random.default_rng([1200, n, k]).standard_normal((12, k, n))
+            rows /= np.linalg.norm(rows, axis=2, keepdims=True)
+            yield (f"complement_bases-R{n}-k{k}-projectors",
+                   lambda: (complement_projectors(rows),))
+            yield f"complement_bases-R{n}-k{k}-bases", lambda: (complement_bases(rows),)
+    for n in range(3, 7):
+        hyperplanes = grassmann_atoms(n, n - 1, 6, np.random.default_rng([1210, n]))
+
+        def normals():
+            mu = symmetrize_hyperplane_measure(hyperplanes)
+            return mu.units, mu.weights
+        yield f"symmetrize_hyperplane_measure-R{n}", normals
+    for n in range(3, 7):
+        for seed in range(2):
+            rng = np.random.default_rng([1220, n, seed])
+            units = rng.standard_normal((n + 1, n))
+            units /= np.linalg.norm(units, axis=1, keepdims=True)
+            mu = SphereMeasure.atoms(n, list(zip(np.vstack([units, -units[:1]]),
+                                                 0.2 + rng.random(n + 2))))
+
+            def checks():
+                least = least_facet_moment(mu)
+                rhos = [least * f for f in (0.0, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
+                rhos += [least + d for d in (1e-6 - 1e-9, 1e-6, 1e-6 + 1e-9, 0.01, 1.0)]
+                return np.array([least]), np.array([lower_bound_check(mu, r) for r in rhos])
+            yield f"lower_bound_check-R{n}-s{seed}", checks
+    for n, dims in ((3, (2, 2)), (4, (3, 2)), (4, (3, 3)), (4, (3, 3, 3)), (5, (4, 3)),
+                    (5, (4, 4, 3)), (6, (5, 4))):
+        rng = np.random.default_rng([1230, n, *dims])
+        rows = [[Subspace(haar_bases(1, n, k, rng)[0]) for k in dims] for _ in range(16)]
+        yield (f"subspace_determinant-R{n}-d{'+'.join(map(str, dims))}",
+               lambda: (np.array([subspace_determinant(row) for row in rows]),))
+    for n, seeds in ((3, 5), (4, 4), (5, 3)):
+        for seed in range(seeds):
+            q = even_measure(n, n + 2, np.random.default_rng([700, n, seed]))
+            for gamma in (0.5, 2.5):
+                for r in range(2, n):
+                    yield (f"hyperplane_intersection-R{n}-s{seed}-g{gamma:g}-r{r}",
+                           lambda: atom_arrays(hyperplane_intersection(n, gamma, q, r).atoms))
+
+
 def cases():
     """(case, sha256 or raised-<Exception>-<h>) for every case, in a fixed order."""
     for m in range(2, 19):
@@ -295,6 +368,8 @@ def cases():
         for part, index in (("value", 0), ("se", 1)):
             yield guarded(f"{case}-{part}", lambda: (call()[index],))
     for case, call in views_calls():
+        yield guarded(case, call)
+    for case, call in complement_calls():
         yield guarded(case, call)
 
 
