@@ -5,6 +5,11 @@ key=value config file), runs, and writes a JSON summary embedding the
 resolved configuration and the package version.  Exit codes: 0 success,
 1 usage or precondition error, 2 ran correctly but a statistical or
 identity acceptance check failed.
+
+The module imports only the standard library.  Argument parsing and each
+subcommand's checks of its arguments run first; the subcommand then imports
+the engines it calls, so `version` and usage errors load no numpy.  Only
+`proximity --window` is converted while parsing, which loads `closed_form`.
 """
 from __future__ import annotations
 
@@ -13,30 +18,18 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import __version__
 
-from . import __version__, constants
-from .closed_form import (WindowDescriptor, as_record, asymptotic_covariance,
-                          hyperplane_intersection, intersection_density,
-                          isoperimetric_bound, mean_F_alpha, weibull_beta,
-                          weibull_cdf)
-from .derived_processes import f_alpha, intersections, order_statistics, proximity, \
-    write_segments_csv
-from .flat_geometry import Subspace
-from .measures import (GrassmannMeasure, SphereMeasure, parse_directional_file,
-                       symmetrize_hyperplane_measure, symmetrize_line_measure, t_lift)
-from .measure_metrics import stability_harness
-from .simulator import (FlatProcessSpec, SrConstruction, build_factorial_distribution,
-                        sample_cube_process, sample_poisson, sample_sr_flats,
-                        write_flat_sample)
-from .stats_harness import (KS_MIN_POINTS, ReplicationPlan, clt_diagnostics,
-                            factorial_moment_check, ks_statistic, replicate)
-from .zonoid_engine import (area_measure, from_measure, intrinsic_volume,
-                            merge_grassmann_atoms)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .closed_form import WindowDescriptor
+    from .measures import GrassmannMeasure
+    from .simulator import FlatProcessSpec
 
 Z_THRESHOLD = 3.0
 
@@ -91,6 +84,8 @@ def _integer(text: str, low: int) -> int:
 
 
 def _parse_window(text: str) -> WindowDescriptor:
+    from .closed_form import WindowDescriptor
+
     try:
         if text == "cube":
             return WindowDescriptor.unit_cube(3)
@@ -107,6 +102,10 @@ def _parse_window(text: str) -> WindowDescriptor:
 
 
 def _parse_q(text: str, n: int, k: int) -> GrassmannMeasure:
+    import numpy as np
+
+    from .measures import GrassmannMeasure, parse_directional_file
+
     if text == "isotropic":
         return GrassmannMeasure.isotropic(n, k, 1.0)
     if text == "axes":
@@ -132,6 +131,10 @@ def _emit(summary: dict, out: str | None) -> None:
 
 
 def _json_default(obj):
+    from fractions import Fraction
+
+    import numpy as np
+
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -150,6 +153,8 @@ def _process_spec(args) -> FlatProcessSpec:
     """The Poisson k-flat process of the proximity, clt and weibull commands."""
     if not 2 * args.k < args.n:
         raise ValueError("requires 2k < n")
+    from .simulator import FlatProcessSpec
+
     return FlatProcessSpec(args.n, args.k, args.gamma, _parse_q(args.q, args.n, args.k))
 
 
@@ -157,6 +162,9 @@ def _estimate(rng, spec: FlatProcessSpec, delta: float, alpha: float,
               window: WindowDescriptor, shortest: bool) -> float:
     """F_alpha of one sample in the window, or its shortest d^alpha; the
     sample radius is the smallest that keeps the functionals exact."""
+    from .derived_processes import f_alpha, order_statistics, proximity
+    from .simulator import sample_poisson
+
     sample = sample_poisson(spec, window.circumradius() + delta / 2.0, rng)
     seg = proximity(sample, delta=delta)
     if shortest:
@@ -165,12 +173,19 @@ def _estimate(rng, spec: FlatProcessSpec, delta: float, alpha: float,
 
 
 def _estimate_intersection_count(rng, spec: FlatProcessSpec, order: int) -> float:
+    import numpy as np
+
+    from .derived_processes import intersections
+    from .simulator import sample_poisson
+
     inter = intersections(sample_poisson(spec, 1.0, rng), order=order)
     return float(np.sum(np.linalg.norm(inter.offsets, axis=1) <= 1.0))
 
 
 def _write_raw_csv(path: str, columns: dict) -> None:
     """Opt-in CSV of raw replication values, one column per series."""
+    import numpy as np
+
     keys = list(columns)
     rows = max(np.asarray(columns[k]).shape[0] for k in keys)
     lines = [",".join(keys)]
@@ -188,6 +203,12 @@ def _cmd_simulate(args) -> tuple[dict, int]:
         raise ValueError(f"simulate needs 1 <= --k <= --n, got --n {args.n} --k {args.k}")
     if args.kind == "sr" and args.k == args.n:  # the anchor subspace has dimension n - k
         raise ValueError(f"simulate --kind sr needs --k < --n, got --n {args.n} --k {args.k}")
+    import numpy as np
+
+    from .flat_geometry import Subspace
+    from .simulator import (FlatProcessSpec, SrConstruction, sample_poisson, sample_sr_flats,
+                            write_flat_sample)
+
     q = _parse_q(args.q, args.n, args.k)
     if args.kind == "poisson":
         spec = FlatProcessSpec(args.n, args.k, args.gamma, q)
@@ -201,6 +222,8 @@ def _cmd_simulate(args) -> tuple[dict, int]:
     write_flat_sample(sample, args.sample_out)
     results = {"flats": len(sample), "sampleFile": args.sample_out}
     if args.segments_out:
+        from .derived_processes import proximity, write_segments_csv
+
         seg = proximity(sample, delta=args.delta)
         write_segments_csv(seg, args.segments_out, seed=str(args.seed))
         results["segments"] = len(seg)
@@ -210,6 +233,9 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 def _cmd_proximity(args) -> tuple[dict, int]:
     spec = _process_spec(args)
+    from .closed_form import as_record, isoperimetric_bound, mean_F_alpha
+    from .stats_harness import ReplicationPlan, replicate
+
     window = args.window
     closed, closed_se = mean_F_alpha(args.n, args.k, args.gamma, spec.q, args.delta,
                                      args.alpha, window)
@@ -238,6 +264,11 @@ def _cmd_proximity(args) -> tuple[dict, int]:
 def _cmd_intersect(args) -> tuple[dict, int]:
     if args.r * args.k < (args.r - 1) * args.n:
         raise ValueError("requires r k >= (r-1) n")
+    from . import constants
+    from .closed_form import intersection_density
+    from .simulator import FlatProcessSpec
+    from .stats_harness import ReplicationPlan, replicate
+
     q = _parse_q(args.q, args.n, args.k)
     spec = FlatProcessSpec(args.n, args.k, args.gamma, q)
     qdim = args.r * args.k - (args.r - 1) * args.n
@@ -259,15 +290,39 @@ def _cmd_intersect(args) -> tuple[dict, int]:
     return results, (0 if passed else 2)
 
 
+def _check_zonoid_range(weights: list[float], gamma: float, n: int) -> None:
+    """ValueError naming --gamma unless each product of m atom weights times
+    gamma that the identities form is a finite normal float: for m <= n times
+    m! and summed over the m-subsets (intrinsic volumes, merged weights), and
+    for m < n also times a volume above DROP_TOL and over m! binom(n - 1, m)
+    (hyperplane-intersection and area measures)."""
+    from .zonoid_engine import DROP_TOL
+
+    top, bottom = (math.log(w) + math.log(gamma) for w in (max(weights), min(weights)))
+    for m in range(1, min(n, len(weights)) + 1):
+        spread = math.log(math.factorial(m) * math.comb(max(len(weights), n), m))
+        if m * top + spread > math.log(sys.float_info.max) or (
+                m < n and m * bottom + math.log(DROP_TOL) - spread
+                < math.log(sys.float_info.min)):
+            raise ValueError(f"zonoid --gamma {gamma!r} puts products of the "
+                             "atom weights outside the float range")
+
+
 def _cmd_zonoid(args) -> tuple[dict, int]:
     if args.n < 3:  # the identities run over r = 2..n-1
         raise ValueError(f"zonoid identities need --n >= 3, got --n {args.n}")
+    from . import constants
+    from .closed_form import hyperplane_intersection
+    from .measures import symmetrize_hyperplane_measure, symmetrize_line_measure, t_lift
+    from .zonoid_engine import area_measure, from_measure, intrinsic_volume, merge_grassmann_atoms
+
     q = _parse_q(args.q, args.n, args.n - 1) if args.hyperplanes \
         else _parse_q(args.q, args.n, 1)
     if q.is_isotropic:
         raise ValueError("zonoid checks need a discrete directional distribution")
-    even = (symmetrize_hyperplane_measure(q) if args.hyperplanes
-            else symmetrize_line_measure(q)).scaled(args.gamma)
+    even = symmetrize_hyperplane_measure(q) if args.hyperplanes else symmetrize_line_measure(q)
+    _check_zonoid_range(even.weights.tolist(), args.gamma, args.n)
+    even = even.scaled(args.gamma)
     zono = from_measure(even)
     volumes = [intrinsic_volume(zono, m) for m in range(args.n + 1)]
     identity_errors = {}
@@ -292,6 +347,9 @@ def _cmd_zonoid(args) -> tuple[dict, int]:
 
 def _cmd_clt(args) -> tuple[dict, int]:
     spec = _process_spec(args)
+    from .closed_form import WindowDescriptor, asymptotic_covariance
+    from .stats_harness import ReplicationPlan, clt_diagnostics, replicate
+
     base = WindowDescriptor.ball(1.0)
     values = {}
     for rho in args.rho:
@@ -312,6 +370,11 @@ def _cmd_clt(args) -> tuple[dict, int]:
 
 def _cmd_weibull(args) -> tuple[dict, int]:
     spec = _process_spec(args)
+    import numpy as np
+
+    from .closed_form import WindowDescriptor, as_record, weibull_beta, weibull_cdf
+    from .stats_harness import KS_MIN_POINTS, ReplicationPlan, ks_statistic, replicate
+
     base = WindowDescriptor.ball(1.0)
     beta, _ = weibull_beta(args.n, args.k, args.gamma, spec.q, base)
     plan = ReplicationPlan(args.reps, args.seed, name="weibull")
@@ -337,12 +400,24 @@ def _cmd_weibull(args) -> tuple[dict, int]:
 
 
 def _cube_indicator(lo: np.ndarray, hi: np.ndarray):
+    import numpy as np
+
     def indicator(points: np.ndarray) -> np.ndarray:
         return np.all((points >= lo) & (points < hi), axis=1)
     return indicator
 
 
 def _cmd_appendix(args) -> tuple[dict, int]:
+    if args.dim < 1:
+        raise ValueError(f"appendix needs a cube dimension --dim d >= 1, got --dim {args.dim}")
+    if args.cubes < 0 or args.cubes == 1:
+        raise ValueError("appendix --cubes: the moment checks need at least two replications "
+                         f"(0 skips them), got --cubes {args.cubes}")
+    import numpy as np
+
+    from .simulator import build_factorial_distribution, sample_cube_process
+    from .stats_harness import factorial_moment_check
+
     dist = build_factorial_distribution(args.kappa)
     table = {str(i): dist.exact[i] for i in range(args.kappa + 1)}
     moment_errors = [abs(dist.factorial_moment(m) - 1.0)
@@ -361,7 +436,7 @@ def _cmd_appendix(args) -> tuple[dict, int]:
                                     np.array([edges[i + 1]] + [1.0] * (d - 1)))
                     for i in range(r)]
             check = factorial_moment_check(
-                partial(_sample_one_cube, d=d, dist=dist),
+                partial(sample_cube_process, d, dist, [(0, 1)] * d),
                 sets, args.cubes, args.seed + r)
             expected = float(r) ** (-r)
             sr[f"r={r}"] = {**check, "expected": expected}
@@ -373,11 +448,12 @@ def _cmd_appendix(args) -> tuple[dict, int]:
     return results, (0 if passed else 2)
 
 
-def _sample_one_cube(rng, d: int, dist) -> np.ndarray:
-    return sample_cube_process(d, dist, [(0, 1)] * d, rng)
-
-
 def _cmd_stability(args) -> tuple[dict, int]:
+    import numpy as np
+
+    from .measure_metrics import stability_harness
+    from .measures import SphereMeasure
+
     rng = np.random.default_rng(args.seed)
     base_units = [np.eye(args.n)[i] for i in range(args.n)]
     extra = rng.standard_normal(args.n)
@@ -428,7 +504,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="flatproc", description=__doc__)
+    # the help text is the docstring's first two paragraphs; the last one is
+    # about the code
+    parser = _Parser(prog="flatproc", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="emit a flat sample (and segment CSV)")
@@ -449,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("proximity", help="Monte Carlo vs closed-form proximity")
     _add_process_flags(p, alpha=0.0)
     p.add_argument("--reps", type=int, default=10_000)
-    p.add_argument("--window", type=_parse_window, default=_parse_window("cube"))
+    p.add_argument("--window", type=_parse_window, default="cube")
     p.add_argument("--raw-csv", type=str, default=None,
                    help="opt-in CSV of raw replication values")
     _add_common(p)
@@ -468,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zonoid", help="intrinsic volumes and area-measure identities")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
+    p.add_argument("--gamma", type=_positive_float, default=1.0)
     p.add_argument("--q", type=str, default="axes")
     p.add_argument("--hyperplanes", action="store_true",
                    help="interpret the distribution on G(n, n-1)")
@@ -547,7 +625,8 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.seed is None:  # neither --seed nor the config file gave one
             args.seed = _default_seed()
-        config = {key: (str(value) if isinstance(value, WindowDescriptor) else value)
+        # --window's value, a WindowDescriptor, is the one that JSON cannot hold
+        config = {key: (str(value) if key == "window" else value)
                   for key, value in vars(args).items()
                   if key not in ("func",) and not callable(value)}
         results, code = args.func(args)
@@ -561,7 +640,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe fails here, inside the try
+    except BrokenPipeError:
+        # the reader went away (`flatproc ... | head`): send what is left to
+        # devnull, so the flush at exit cannot fail again, and exit 1 as
+        # Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ from ._rng import SeedLike, as_generator, derived_stream
 from .flat_geometry import (Subspace, _in_blocks, complement_bases, gram_volumes,
                             product_indices, q_factors, row_norms, subspace_views)
 from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
-                       _mc_mean, check_samples, finite_positive, read_only,
-                       symmetrize_line_measure)
+                       _mc_mean, check_samples, finite_positive, positive_weights,
+                       read_only, symmetrize_line_measure)
 from .zonoid_engine import _hyperplane_atoms
 
 
@@ -349,14 +349,24 @@ def hyperplane_intersection(n: int, gamma: float, q: SphereMeasure,
     process of a hyperplane process: (gamma^r / r!) times the
     hyperplane-intersection measure of the even directional distribution.
     n must be q's dimension and gamma finite and nonnegative; gamma = 0 gives
-    the zero measure on G(n, n - r)."""
+    the zero measure on G(n, n - r), and a gamma whose scaled weights leave
+    the float range is a ValueError naming gamma and r."""
     if n != q.n:
         raise ValueError(f"n={n} does not match the directional distribution's n={q.n}")
     _check_params(gamma=gamma)
     bases, weights = _hyperplane_atoms(q, r)
     if gamma == 0.0:
         return GrassmannMeasure.zero(n, n - r)
-    return GrassmannMeasure(n, n - r, bases, weights * (gamma ** r / math.factorial(r)))
+    try:
+        factor = gamma ** r / math.factorial(r)
+    except OverflowError:
+        factor = math.inf
+    with np.errstate(over="ignore"):
+        scaled = weights * factor
+    if not positive_weights(scaled, len(bases)):
+        raise ValueError(f"gamma={gamma!r} at r={r} puts the atom weights "
+                         "gamma^r / r! * mu_Q_r outside the float range")
+    return GrassmannMeasure(n, n - r, bases, scaled)
 
 
 def mean_F_alpha(n: int, k: int, gamma: float, q: GrassmannMeasure, delta: float,

@@ -146,6 +146,20 @@ def test_bad_env_seed_read_only_without_seed(seed_flag, monkeypatch, capsys):
             "error: FLATPROC_SEED must be an integer >= 0, got 'abc'"]
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this flatproc."""
+    path = [str(Path(flatproc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def fresh(script: str) -> str:
+    """stdout of a script run in a fresh interpreter on this flatproc."""
+    done = subprocess.run([sys.executable, "-c", script], env=fresh_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_cli_import_and_zonoid_load_no_scipy_submodule():
     # each scipy part loads in the function that calls it, so a fresh
     # interpreter running a command that calls none of them loads none
@@ -158,12 +172,77 @@ def test_cli_import_and_zonoid_load_no_scipy_submodule():
         "         ('special', 'integrate', 'optimize', 'linalg', 'sparse', 'stats')}",
         "print(code, sorted({'.'.join(m.split('.')[:2]) for m in sys.modules} & heavy))",
     ])
-    path = [str(Path(flatproc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "[]"]
+    assert fresh(script).split() == ["0", "[]"]
+
+
+def loaded_after(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code of run(argv) in a fresh interpreter, and the numpy and
+    flatproc modules loaded by then."""
+    out = fresh("\n".join([
+        "import contextlib, io, sys",
+        "import flatproc.cli",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        f"    code = flatproc.cli.run({argv!r})",
+        "print(code, *sorted(m for m in sys.modules",
+        "                    if m == 'numpy' or m.startswith('flatproc.')))",
+    ])).split()
+    return int(out[0]), set(out[1:])
+
+
+def test_cli_import_loads_no_numpy_and_no_engine():
+    # an engine module is still an attribute of the package, loaded on access
+    out = fresh("import sys, flatproc, flatproc.cli\n"
+                "print(*sorted(m for m in sys.modules if m == 'numpy' or 'flatproc' in m))\n"
+                "print(flatproc.zonoid_engine.DROP_TOL)")
+    assert out.split() == ["flatproc", "flatproc.cli", "1e-10"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["version", "--jobs", "1"], 0), (["simulate", "--radius", "nan"], 1),
+    (["zonoid", "--nonsense"], 1), (["proximity", "--delta", "nan"], 1),
+    (["appendix", "--dim", "0"], 1), (["zonoid", "--n", "2"], 1),
+    (["simulate", "--n", "3", "--k", "4"], 1)])
+def test_version_and_usage_errors_load_no_numpy(argv, code):
+    # a flag error stops argparse before it converts proximity's default
+    # --window, the one conversion that loads an engine
+    assert loaded_after(argv) == (code, {"flatproc.cli"})
+
+
+def test_appendix_loads_no_closed_form_zonoid_derived_or_metric_engine():
+    code, modules = loaded_after(["appendix", "--kappa", "3", "--jobs", "1"])
+    assert code == 0 and {"numpy", "flatproc.simulator", "flatproc.stats_harness"} <= modules
+    assert not modules & {"flatproc.closed_form", "flatproc.zonoid_engine",
+                          "flatproc.derived_processes", "flatproc.measure_metrics"}
+
+
+def test_package_names_are_their_home_modules_objects():
+    # the lazy namespace hands out the defining module's object, keeps it,
+    # and lists every name; unknown names stay AttributeErrors
+    listed = dir(flatproc)
+    for name in flatproc.__all__:
+        value = getattr(flatproc, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert vars(flatproc)[name] is value and name in listed
+    assert flatproc.__all__ == sorted(set(flatproc.__all__))
+    from flatproc import WindowDescriptor, closed_form
+    assert WindowDescriptor is closed_form.WindowDescriptor is flatproc.WindowDescriptor
+    assert not hasattr(flatproc, "no_such_name")
+    with pytest.raises(AttributeError, match="module 'flatproc' has no attribute 'cli_run'"):
+        flatproc.cli_run
+
+
+def test_closed_stdout_pipe_exits_one_without_traceback():
+    # `flatproc appendix | head -1`, made deterministic: the reader is gone
+    # before the summary is written
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "flatproc.cli", "appendix", "--kappa", "3",
+                               "--jobs", "1"], env=fresh_env(), stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 1 and done.stderr == ""
 
 
 def test_proximity_raw_csv_and_records(tmp_path):
@@ -250,6 +329,19 @@ def test_summary_embeds_config_and_version(tmp_path):
      "--window: box window needs finite positive side lengths, got 'cube:0'"),
     (["simulate", "--kind", "sr", "--radius", "3", "--cover", "0.2"],
      "cover_radius must be finite and at least the window radius 3.0, got 0.2"),
+    (["appendix", "--dim", "0", "--cubes", "100"],
+     "appendix needs a cube dimension --dim d >= 1, got --dim 0"),
+    (["appendix", "--dim", "-2"], "appendix needs a cube dimension --dim d >= 1, got --dim -2"),
+    (["appendix", "--cubes", "1"], "appendix --cubes: the moment checks need at least two "
+                                   "replications (0 skips them), got --cubes 1"),
+    (["appendix", "--cubes", "-3"], "(0 skips them), got --cubes -3"),
+    (["zonoid", "--n", "3", "--gamma", "1e160"],
+     "zonoid --gamma 1e+160 puts products of the atom weights outside the float range"),
+    (["zonoid", "--gamma", "1e-200"],
+     "zonoid --gamma 1e-200 puts products of the atom weights outside the float range"),
+    (["zonoid", "--gamma", "1e105"], "zonoid --gamma 1e+105 puts products"),
+    (["zonoid", "--gamma", "1e-160"], "zonoid --gamma 1e-160 puts products"),
+    (["zonoid", "--gamma", "0"], "--gamma: must be finite and positive, got '0'"),
 ])
 def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     # one error line, the last; flag errors follow argparse's usage line
@@ -258,6 +350,15 @@ def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     lines = err.splitlines()
     assert "Traceback" not in err and [ln for ln in lines if ln.startswith("error: ")] == lines[-1:]
     assert message in lines[-1]
+
+
+@pytest.mark.parametrize("gamma", ["1e100", "1e-100"])
+def test_zonoid_at_extreme_representable_gamma_stays_finite(gamma, tmp_path):
+    code, payload = run_json(["zonoid", "--n", "3", "--q", "axes", "--gamma", gamma],
+                             tmp_path)
+    assert code == 0 and payload["passed"] is True
+    volumes = payload["results"]["intrinsicVolumes"]
+    assert all(math.isfinite(v) and v > 0 for v in volumes)
 
 
 def test_weibull_too_few_minima_reports_failure(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +250,27 @@ def test_hyperplane_intersection_checks_n_and_gamma_first(n, gamma, message, mon
     cube = SphereMeasure.atoms(3, [(E[i], 1.0 / 3.0) for i in range(3)])
     with pytest.raises(ValueError, match=message):
         hyperplane_intersection(n, gamma, cube, 2)
+
+
+@pytest.mark.parametrize("gamma, r", [(1e200, 2), (1e-200, 2), (1e155, 2), (1e110, 3),
+                                      (1e-110, 3)])
+def test_hyperplane_intersection_names_gamma_when_its_weights_leave_the_float_range(gamma, r):
+    # gamma^r / r! over- or underflows; before, 1e200 raised OverflowError
+    # and 1e-200 failed on the weights without naming gamma
+    q = SphereMeasure.atoms(4, [(np.eye(4)[i], 0.25) for i in range(4)])
+    with pytest.raises(ValueError, match=re.escape(
+            f"gamma={gamma!r} at r={r} puts the atom weights gamma^r / r! * mu_Q_r "
+            "outside the float range")):
+        hyperplane_intersection(4, gamma, q, r)
+
+
+@pytest.mark.parametrize("gamma", [1e150, 1e-150])
+def test_hyperplane_intersection_at_extreme_representable_gamma(gamma):
+    q = SphereMeasure.atoms(3, [(E[i], 1.0 / 3.0) for i in range(3)])
+    unit = hyperplane_intersection(3, 1.0, q, 2)
+    scaled = hyperplane_intersection(3, gamma, q, 2)
+    np.testing.assert_array_equal(scaled.bases, unit.bases)
+    np.testing.assert_allclose(scaled.weights, unit.weights * gamma ** 2, rtol=1e-15)
 
 
 @pytest.mark.parametrize("n, r", [(3, 2), (4, 2), (4, 3)])
