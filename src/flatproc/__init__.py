@@ -24,8 +24,8 @@ _HOMES = {
                      "mu_Q_r", "support"), "zonoid_engine"),
     **dict.fromkeys(("FactorialDistribution", "FlatProcessSpec", "FlatSample",
                      "SrConstruction", "build_factorial_distribution",
-                     "sample_cube_process", "sample_poisson", "sample_q0",
-                     "sample_sr_flats"), "simulator"),
+                     "sample_cube_process", "sample_poisson", "sample_sr_flats"),
+                    "simulator"),
     **dict.fromkeys(("IntersectionSample", "SegmentProcessSample", "f_alpha",
                      "intersections", "order_statistics", "proximity"),
                     "derived_processes"),

@@ -8,8 +8,10 @@ identity acceptance check failed.
 
 The module imports only the standard library.  Argument parsing and each
 subcommand's checks of its arguments run first; the subcommand then imports
-the engines it calls, so `version` and usage errors load no numpy.  Only
-`proximity --window` is converted while parsing, which loads `closed_form`.
+the engines it calls, so `version` and usage errors load no numpy.
+`proximity` converts its `--window` text in its handler, after the 2k < n
+check.  `zonoid` runs its identities on the unit-mass measure and reports
+gamma^m V_m.
 """
 from __future__ import annotations
 
@@ -96,9 +98,9 @@ def _parse_window(text: str) -> WindowDescriptor:
         if text.startswith("box:"):
             return WindowDescriptor.box([float(t) for t in text.split(":")[1].split(",")])
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
-    raise argparse.ArgumentTypeError(
-        f"cannot parse window {text!r}; use cube, cube:N, ball:R, or box:s1,s2,...")
+        raise ValueError(f"argument --window: {exc}, got {text!r}") from None
+    raise ValueError(f"argument --window: cannot parse window {text!r}; "
+                     "use cube, cube:N, ball:R, or box:s1,s2,...")
 
 
 def _parse_q(text: str, n: int, k: int) -> GrassmannMeasure:
@@ -183,19 +185,11 @@ def _estimate_intersection_count(rng, spec: FlatProcessSpec, order: int) -> floa
 
 
 def _write_raw_csv(path: str, columns: dict) -> None:
-    """Opt-in CSV of raw replication values, one column per series."""
-    import numpy as np
-
-    keys = list(columns)
-    rows = max(np.asarray(columns[k]).shape[0] for k in keys)
-    lines = [",".join(keys)]
-    for i in range(rows):
-        cells = []
-        for k in keys:
-            arr = np.asarray(columns[k])
-            cells.append(repr(float(arr[i])) if i < arr.shape[0] else "")
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Opt-in CSV of raw replication values, one column per series, the
+    columns of one length."""
+    rows = (",".join(repr(float(x)) for x in row)
+            for row in zip(*columns.values(), strict=True))
+    Path(path).write_text("\n".join([",".join(columns), *rows]) + "\n")
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
@@ -233,10 +227,10 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 def _cmd_proximity(args) -> tuple[dict, int]:
     spec = _process_spec(args)
+    window = _parse_window(args.window)
     from .closed_form import as_record, isoperimetric_bound, mean_F_alpha
     from .stats_harness import ReplicationPlan, replicate
 
-    window = args.window
     closed, closed_se = mean_F_alpha(args.n, args.k, args.gamma, spec.q, args.delta,
                                      args.alpha, window)
     plan = ReplicationPlan(args.reps, args.seed, name="proximity")
@@ -290,27 +284,11 @@ def _cmd_intersect(args) -> tuple[dict, int]:
     return results, (0 if passed else 2)
 
 
-def _check_zonoid_range(weights: list[float], gamma: float, n: int) -> None:
-    """ValueError naming --gamma unless each product of m atom weights times
-    gamma that the identities form is a finite normal float: for m <= n times
-    m! and summed over the m-subsets (intrinsic volumes, merged weights), and
-    for m < n also times a volume above DROP_TOL and over m! binom(n - 1, m)
-    (hyperplane-intersection and area measures)."""
-    from .zonoid_engine import DROP_TOL
-
-    top, bottom = (math.log(w) + math.log(gamma) for w in (max(weights), min(weights)))
-    for m in range(1, min(n, len(weights)) + 1):
-        spread = math.log(math.factorial(m) * math.comb(max(len(weights), n), m))
-        if m * top + spread > math.log(sys.float_info.max) or (
-                m < n and m * bottom + math.log(DROP_TOL) - spread
-                < math.log(sys.float_info.min)):
-            raise ValueError(f"zonoid --gamma {gamma!r} puts products of the "
-                             "atom weights outside the float range")
-
-
 def _cmd_zonoid(args) -> tuple[dict, int]:
     if args.n < 3:  # the identities run over r = 2..n-1
         raise ValueError(f"zonoid identities need --n >= 3, got --n {args.n}")
+    import numpy as np
+
     from . import constants
     from .closed_form import hyperplane_intersection
     from .measures import symmetrize_hyperplane_measure, symmetrize_line_measure, t_lift
@@ -320,11 +298,16 @@ def _cmd_zonoid(args) -> tuple[dict, int]:
         else _parse_q(args.q, args.n, 1)
     if q.is_isotropic:
         raise ValueError("zonoid checks need a discrete directional distribution")
+    # the unit-mass measure: V_m(gamma Z) = gamma^m V_m(Z), and both sides of
+    # each identity at order r scale as gamma^r, so they run at gamma = 1
     even = symmetrize_hyperplane_measure(q) if args.hyperplanes else symmetrize_line_measure(q)
-    _check_zonoid_range(even.weights.tolist(), args.gamma, args.n)
-    even = even.scaled(args.gamma)
-    zono = from_measure(even)
-    volumes = [intrinsic_volume(zono, m) for m in range(args.n + 1)]
+    unit = [intrinsic_volume(from_measure(even), m) for m in range(args.n + 1)]
+    gamma = np.float64(args.gamma)
+    with np.errstate(over="ignore", under="ignore"):  # checked below
+        volumes = [float(gamma ** m * v) if v else 0.0 for m, v in enumerate(unit)]
+    if not all(sys.float_info.min <= v < math.inf for v, u in zip(volumes, unit) if u):
+        raise ValueError(f"zonoid --gamma {args.gamma!r} puts products of the "
+                         "atom weights outside the float range")
     identity_errors = {}
     for r in range(2, args.n):
         lift = t_lift(hyperplane_intersection(args.n, 1.0, even, r))
@@ -336,7 +319,7 @@ def _cmd_zonoid(args) -> tuple[dict, int]:
         err = max((abs(w) for _, w in merged), default=0.0)
         # total-mass relation between the area measure and intrinsic volume
         vm_err = abs(math.comb(args.n, r) / (args.n * constants.ball_volume(args.n - r))
-                     * s_r.total_mass - volumes[r])
+                     * s_r.total_mass - unit[r])
         identity_errors[f"r={r}"] = {"liftIdentity": err, "volumeRelation": vm_err}
     worst = max((max(v.values()) for v in identity_errors.values()), default=0.0)
     passed = worst <= 1e-10
@@ -527,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("proximity", help="Monte Carlo vs closed-form proximity")
     _add_process_flags(p, alpha=0.0)
     p.add_argument("--reps", type=int, default=10_000)
-    p.add_argument("--window", type=_parse_window, default="cube")
+    p.add_argument("--window", type=str, default="cube")
     p.add_argument("--raw-csv", type=str, default=None,
                    help="opt-in CSV of raw replication values")
     _add_common(p)
@@ -625,10 +608,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.seed is None:  # neither --seed nor the config file gave one
             args.seed = _default_seed()
-        # --window's value, a WindowDescriptor, is the one that JSON cannot hold
-        config = {key: (str(value) if key == "window" else value)
-                  for key, value in vars(args).items()
-                  if key not in ("func",) and not callable(value)}
+        config = {key: value for key, value in vars(args).items() if key != "func"}
         results, code = args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

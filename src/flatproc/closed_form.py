@@ -16,8 +16,8 @@ import numpy as np
 
 from . import constants
 from ._rng import SeedLike, as_generator, derived_stream
-from .flat_geometry import (Subspace, _in_blocks, complement_bases, gram_volumes,
-                            product_indices, q_factors, row_norms, subspace_views)
+from .flat_geometry import (_in_blocks, complement_bases, gram_volumes, product_indices,
+                            q_factors, row_norms, subspace_views)
 from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
                        _mc_mean, check_samples, finite_positive, positive_weights,
                        read_only, symmetrize_line_measure)
@@ -469,11 +469,6 @@ def cross_sections(n: int, k: int, window: WindowDescriptor, bases: np.ndarray) 
     r = (rate / inv_t[:, None])[..., None]
     factors = 1.0 - r + r * (nodes + 1.0) / 2.0  # at y = (node + 1) / 2
     return float(np.prod(sides)) / inv_t * (np.prod(factors, axis=1) @ weights)
-
-
-def cross_section_integral(n: int, k: int, window: WindowDescriptor, m_sub: Subspace) -> float:
-    """`cross_sections` for one subspace M."""
-    return float(cross_sections(n, k, window, m_sub.basis[None])[0])
 
 
 def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure, delta: float,

@@ -4,8 +4,8 @@ Subspaces are stored as stacks of orthonormal row vectors.  Affine flats are
 a direction subspace plus an offset in its orthogonal complement.  Operations
 are pure and values immutable.  The array kernels work on (m, k, n) stacks of
 bases; `subspace_views` checks such a stack once and hands out `Subspace`
-views of its rows.  `intersect_flats` is one tuple of `tuple_intersections`;
-the scalar `closest_pair` of k1 + k2 < n is the reference of `pair_segments`.
+views of its rows.  The scalar `closest_pair`, for k1 + k2 < n only, is the
+per-pair reference of `pair_segments`.
 Its line solve gathers both lines of every pair of a block with one take
 from (2n + 2, N) coordinate rows, one contiguous row per coordinate, takes
 the block's dot products from `row_dots`, and writes its outputs once, in
@@ -394,13 +394,6 @@ def _principal_angles(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     return np.arctan2(sin, np.linalg.svd(cross, compute_uv=False))
 
 
-def principal_angles(u1: Subspace, u2: Subspace) -> np.ndarray:
-    """Principal angles between two subspaces of equal dimension."""
-    if u1.k != u2.k:
-        raise ValueError("subspaces must have equal dimension")
-    return _principal_angles(u1.basis, u2.basis)
-
-
 def grassmann_distance(u1: Subspace, u2: Subspace) -> float:
     """Squared-deviation size of the minimal rotation carrying u1 to u2.
 
@@ -409,7 +402,9 @@ def grassmann_distance(u1: Subspace, u2: Subspace) -> float:
     4 * sum_i (1 - cos theta_i) = 8 * sum_i sin^2(theta_i / 2), the form
     evaluated; this direct rotation is minimal.
     """
-    return float(8.0 * np.sum(np.sin(principal_angles(u1, u2) / 2.0) ** 2))
+    if u1.k != u2.k:
+        raise ValueError("subspaces must have equal dimension")
+    return float(8.0 * np.sum(np.sin(_principal_angles(u1.basis, u2.basis) / 2.0) ** 2))
 
 
 def _touch_scale(reach, n: int):
@@ -427,60 +422,38 @@ def _touch_cut(reach, volume, n: int):
     return np.maximum(_touch_scale(reach, n) / volume, 1e-12)
 
 
-def closest_pair(e: Flat, f: Flat):
-    """Closest-point pair of two flats, or their intersection flat.
-
-    For dim(E) + dim(F) < n returns the ProximitySegment joining the unique
-    closest points; for dim sums >= n returns the intersection Flat of
-    dimension k1 + k2 - n.  Pairs that are not in general position (subspace
-    determinant <= 1e-10), or that touch (`_touch_cut`), raise DegeneratePairError.
-    """
+def closest_pair(e: Flat, f: Flat) -> ProximitySegment:
+    """ProximitySegment joining the unique closest points of two flats with
+    dim(E) + dim(F) < n.  Pairs that are not in general position (subspace
+    determinant <= 1e-10), or that touch (`_touch_cut`), raise
+    DegeneratePairError."""
     n = e.n
-    if f.n != n:
-        raise ValueError("flats must share the ambient dimension")
+    if f.n != n or e.k + f.k >= n:
+        raise ValueError("closest_pair needs flats of one R^n with dim(E) + dim(F) < n")
     det = subspace_determinant([e.direction, f.direction])
     if det <= GENERAL_POSITION_TOL:
         raise DegeneratePairError("degenerate pair")
-    if e.k + f.k < n:
-        bl, bm = e.direction.basis, f.direction.basis
-        if e.k + f.k == 0:
-            x_e, x_f = e.offset.copy(), f.offset.copy()
-        else:
-            rows = [b for b in (bl, -bm) if b.shape[0] > 0]
-            g = np.vstack(rows)
-            # minimize |(a - b) + G^T w|; then a + w_L . B_L and b + w_M . B_M
-            # are the feet and their gap is orthogonal to both directions
-            w = np.linalg.solve(g @ g.T, -g @ (e.offset - f.offset))
-            x_e = e.offset + (w[: e.k] @ bl if e.k else 0.0)
-            x_f = f.offset + (w[e.k:] @ bm if f.k else 0.0)
-        gap = x_e - x_f
-        dist = float(np.linalg.norm(gap))
-        reach = max(np.linalg.norm(e.offset), np.linalg.norm(f.offset))
-        if dist <= _touch_cut(reach, det, n):
-            raise DegeneratePairError("flats touch; no positive-length perpendicular")
-        return ProximitySegment(
-            midpoint=(x_e + x_f) / 2.0,
-            length=dist,
-            direction=canonical_unit(gap),
-        )
-    return intersect_flats([e, f])
-
-
-def intersect_flats(flats) -> Flat:
-    """Intersection flat of r flats of R^n with sum of dims >= (r-1)n: one
-    tuple of `tuple_intersections`.  Raises DegeneratePairError when the
-    configuration is not in general position (subspace determinant of the
-    directions <= 1e-10)."""
-    flats = list(flats)
-    n = flats[0].n
-    if any(f.n != n for f in flats) or sum(f.k for f in flats) < (len(flats) - 1) * n:
-        raise ValueError("needs flats of one R^n with k_1 + ... + k_r >= (r-1) n")
-    bases, offsets, _ = tuple_intersections([f.direction.basis[None] for f in flats],
-                                            [f.offset[None] for f in flats],
-                                            np.zeros((1, len(flats)), dtype=np.intp))
-    if not len(offsets):
-        raise DegeneratePairError("degenerate pair")
-    return Flat(Subspace(bases[0]), offsets[0])
+    bl, bm = e.direction.basis, f.direction.basis
+    if e.k + f.k == 0:
+        x_e, x_f = e.offset.copy(), f.offset.copy()
+    else:
+        rows = [b for b in (bl, -bm) if b.shape[0] > 0]
+        g = np.vstack(rows)
+        # minimize |(a - b) + G^T w|; then a + w_L . B_L and b + w_M . B_M
+        # are the feet and their gap is orthogonal to both directions
+        w = np.linalg.solve(g @ g.T, -g @ (e.offset - f.offset))
+        x_e = e.offset + (w[: e.k] @ bl if e.k else 0.0)
+        x_f = f.offset + (w[e.k:] @ bm if f.k else 0.0)
+    gap = x_e - x_f
+    dist = float(np.linalg.norm(gap))
+    reach = max(np.linalg.norm(e.offset), np.linalg.norm(f.offset))
+    if dist <= _touch_cut(reach, det, n):
+        raise DegeneratePairError("flats touch; no positive-length perpendicular")
+    return ProximitySegment(
+        midpoint=(x_e + x_f) / 2.0,
+        length=dist,
+        direction=canonical_unit(gap),
+    )
 
 
 def _in_blocks(solve, count: int) -> tuple[np.ndarray, ...]:
@@ -742,7 +715,7 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
 
 
 def tuple_intersections(bases, offsets, tuples):
-    """Batched intersect_flats: the intersection flats of flat tuples.
+    """The intersection flats of flat tuples.
 
     bases[p] and offsets[p] are the (N_p, k_p, n) and (N_p, n) stacks that
     position p of a tuple draws from, with k_1 + ... + k_r >= (r-1) n, and

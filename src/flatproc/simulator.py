@@ -106,14 +106,6 @@ class FlatSample:
     def flats(self) -> tuple[Flat, ...]:
         return tuple(map(Flat, subspace_views(self.bases), self.offsets))
 
-    def restrict(self, radius: float) -> "FlatSample":
-        """Flats of this realization hitting the smaller ball window."""
-        if radius > self.radius + 1e-12:
-            raise ValueError("can only restrict to a smaller window")
-        keep = row_norms(self.offsets) <= radius
-        return FlatSample(self.n, self.k, radius, self.bases[keep],
-                          self.offsets[keep], seed=self.seed + f"|restrict({radius})")
-
 
 @dataclass(frozen=True)
 class FactorialDistribution:
@@ -250,18 +242,6 @@ def sample_cube_process(d: int, dist: FactorialDistribution,
         hi = np.array([hi for _, hi in box], dtype=float)
         points = points[((points >= lo) & (points < hi)).all(axis=1)]
     return points
-
-
-def sample_q0(e0: Subspace, n: int, k: int, rng: SeedLike) -> Subspace:
-    """One draw from the anchored directional distribution on G(n, k).
-
-    The law has density proportional to the subspace determinant [E_0, L]
-    with respect to the Haar measure, for a fixed anchor E_0 of dimension
-    n - k; realized by rejection from Haar with acceptance probability
-    [E_0, L].
-    """
-    bases = sample_q0_bases(e0, n, k, 1, rng)
-    return Subspace(bases[0])
 
 
 def sample_q0_bases(e0: Subspace, n: int, k: int, count: int,

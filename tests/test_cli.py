@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flatproc
@@ -201,10 +202,10 @@ def test_cli_import_loads_no_numpy_and_no_engine():
     (["version", "--jobs", "1"], 0), (["simulate", "--radius", "nan"], 1),
     (["zonoid", "--nonsense"], 1), (["proximity", "--delta", "nan"], 1),
     (["appendix", "--dim", "0"], 1), (["zonoid", "--n", "2"], 1),
-    (["simulate", "--n", "3", "--k", "4"], 1)])
+    (["simulate", "--n", "3", "--k", "4"], 1), (["proximity", "--nonsense"], 1),
+    (["proximity", "--n", "4", "--k", "2"], 1)])
 def test_version_and_usage_errors_load_no_numpy(argv, code):
-    # a flag error stops argparse before it converts proximity's default
-    # --window, the one conversion that loads an engine
+    # proximity converts its --window in the handler, after the 2k < n check
     assert loaded_after(argv) == (code, {"flatproc.cli"})
 
 
@@ -257,6 +258,27 @@ def test_proximity_raw_csv_and_records(tmp_path):
     record = payload["results"]["records"][0]
     assert {"name", "value", "standardError", "inputs"} <= record.keys()
     assert record["value"] == pytest.approx(math.pi / 4.0, abs=1e-12)
+
+
+def test_clt_raw_csv_columns_are_the_proximity_values_of_each_scale(tmp_path):
+    # clt at --seed 2 runs scale rho on seed 2 + rho in the ball of radius
+    # rho, as proximity does with that seed and --window ball:rho
+    raw = tmp_path / "clt.csv"
+    code, payload = run_json(["clt", "--rho", "1", "2", "--reps", "60", "--seed", "2",
+                              "--jobs", "1", "--raw-csv", str(raw)], tmp_path)
+    assert code in (0, 2) and payload["config"]["raw_csv"] == str(raw)
+    columns = []
+    for rho in (1, 2):
+        path = tmp_path / f"rho{rho}.csv"
+        code, payload = run_json(["proximity", "--window", f"ball:{rho}", "--reps", "60",
+                                  "--seed", str(2 + rho), "--jobs", "1", "--raw-csv", str(path)],
+                                 tmp_path)
+        assert code in (0, 2) and payload["config"]["window"] == f"ball:{rho}"
+        assert payload["results"]["windowRadius"] == rho + 0.5
+        columns.append(path.read_text().splitlines()[1:])
+    assert raw.read_text() == "\n".join(["rho=1.0,rho=2.0"]
+                                        + [f"{a},{b}" for a, b in zip(*columns)]) + "\n"
+    assert len(columns[0]) == 60
 
 
 def test_simulate_sr_kind(tmp_path):
@@ -359,6 +381,37 @@ def test_zonoid_at_extreme_representable_gamma_stays_finite(gamma, tmp_path):
     assert code == 0 and payload["passed"] is True
     volumes = payload["results"]["intrinsicVolumes"]
     assert all(math.isfinite(v) and v > 0 for v in volumes)
+
+
+def test_zonoid_verdict_and_errors_do_not_depend_on_gamma(tmp_path):
+    # V_m(gamma Z) = gamma^m V_m(Z): the identities run on the unit-mass
+    # measure and gamma only scales the reported volumes, so the 1e-10 gate
+    # means the same at every gamma (the scaled identities of five lines in
+    # R^3 erred by 6.1e-5 against V_2 = 3.1e11 at gamma = 1e6)
+    units = np.random.default_rng(5).standard_normal((5, 3))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    law = tmp_path / "five-lines.txt"
+    law.write_text("3 1\n" + "".join(f"0.2 {a!r} {b!r} {c!r}\n" for a, b, c in units.tolist()))
+    runs = {gamma: run_json(["zonoid", "--n", "3", "--q", str(law), "--gamma", repr(gamma)],
+                            tmp_path) for gamma in (1e-6, 1.0, 1e6)}
+    unit = runs[1.0][1]["results"]
+    for gamma, (code, payload) in runs.items():
+        assert code == 0 and payload["passed"] is True
+        results = payload["results"]
+        assert results["identityErrors"] == unit["identityErrors"]
+        for m, (v, v1) in enumerate(zip(results["intrinsicVolumes"], unit["intrinsicVolumes"])):
+            assert v == pytest.approx(gamma ** m * v1, rel=1e-15, abs=0.0)
+
+
+def test_zonoid_keeps_a_zero_volume_zero_at_an_overflowing_gamma(tmp_path):
+    # two lines span a plane of R^3, so V_3 = 0; gamma^3 overflows at 1e110,
+    # and 0 * inf must not reach the summary as NaN
+    law = tmp_path / "planar.txt"
+    law.write_text("3 1\n0.5 1.0 0.0 0.0\n0.5 0.0 1.0 0.0\n")
+    code, payload = run_json(["zonoid", "--n", "3", "--q", str(law), "--gamma", "1e110"],
+                             tmp_path)
+    assert code == 0 and payload["passed"] is True
+    assert payload["results"]["intrinsicVolumes"] == [1.0, 1e110, 0.25e220, 0.0]
 
 
 def test_weibull_too_few_minima_reports_failure(tmp_path):

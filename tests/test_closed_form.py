@@ -9,7 +9,7 @@ from flatproc import closed_form, constants, flat_geometry
 from flatproc.closed_form import (WindowDescriptor, asymptotic_covariance,
                                   ball_chord_power_integral,
                                   ball_cross_section_integral, c_constant,
-                                  covariance_cpi_form, cross_section_integral, cross_sections,
+                                  covariance_cpi_form, cross_sections,
                                   hyperplane_intersection, intersection_density,
                                   isoperimetric_bound, mean_F_alpha, pair_integral,
                                   proximity_directional,
@@ -356,7 +356,7 @@ def test_cross_section_box_axis_aligned_value_is_exact():
     # axis-aligned direction: every chord of the unit cube has length 1 over
     # a unit-square offset region, so the squared cross-section integral is 1
     window = WindowDescriptor.unit_cube(3)
-    assert cross_section_integral(3, 1, window, Subspace(E[:1])) == pytest.approx(1.0, abs=1e-12)
+    assert cross_sections(3, 1, window, E[None, :1])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def squared_chords(u, half, points):
@@ -421,7 +421,7 @@ def test_box_cross_sections_match_quadrature(n, sides, count):
     bases = haar_bases(count, n, 1, 20 + n)
     exact = cross_sections(n, 1, window, bases)
     for basis, value in zip(bases, exact):
-        assert cross_section_integral(n, 1, window, Subspace(basis)) == value
+        assert cross_sections(n, 1, window, basis[None])[0] == value
         quadrature = box_cross_section_by_quadrature(basis[0], 0.65 * np.array(sides))
         assert value == pytest.approx(quadrature, rel=1e-10)
 
@@ -467,7 +467,7 @@ def test_asymptotic_covariance_discrete_box_window():
     assert se == 0.0
 
 
-@pytest.mark.parametrize("call", ["contains", "cross_section_integral",
+@pytest.mark.parametrize("call", ["contains", "cross_sections",
                                   "asymptotic_covariance", "asymptotic_covariance_planes"])
 def test_box_windows_reject_a_wrong_side_count_or_k(call, monkeypatch):
     import flatproc.closed_form as closed_form
@@ -481,7 +481,7 @@ def test_box_windows_reject_a_wrong_side_count_or_k(call, monkeypatch):
     iso = GrassmannMeasure.isotropic(3, 1, 1.0)
     calls = {
         "contains": lambda: flat_box.contains(np.zeros((4, 3))),
-        "cross_section_integral": lambda: cross_section_integral(3, 1, flat_box, Subspace(E[:1])),
+        "cross_sections": lambda: cross_sections(3, 1, flat_box, E[None, :1]),
         "asymptotic_covariance": lambda: asymptotic_covariance(3, 1, 1.0, iso, 1.0, 0.0, 0.0,
                                                                flat_box),
         "asymptotic_covariance_planes": lambda: asymptotic_covariance(

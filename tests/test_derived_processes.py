@@ -659,7 +659,8 @@ def test_enumeration_complete_when_window_doubles():
     needed = window.circumradius() + delta / 2.0
     for i in range(100):
         big = sample_poisson(spec, 2.0 * needed, [45, i])
-        small = big.restrict(needed)
+        keep = np.linalg.norm(big.offsets, axis=1) <= needed
+        small = FlatSample(3, 1, needed, big.bases[keep], big.offsets[keep], big.seed)
         def qualifying(sample):
             seg = proximity(sample, delta=delta)
             keep = window.contains(seg.midpoints) if len(seg) else np.zeros(0, bool)

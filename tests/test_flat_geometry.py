@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from flatproc import zonoid_engine
-from flatproc.flat_geometry import (DegeneratePairError, Flat, Subspace,
+from flatproc.flat_geometry import (DegeneratePairError, Flat, Subspace, _principal_angles,
                                     canonical_unit, canonical_units,
                                     closest_pair, complement, complement_bases,
                                     gram_volumes, grassmann_distance,
-                                    haar_bases, haar_sample, intersect_flats,
-                                    orthonormalize, principal_angles, product_indices,
-                                    row_dots, row_norms, subset_indices,
-                                    subspace_determinant, subspace_views)
+                                    haar_bases, haar_sample, orthonormalize,
+                                    product_indices, row_dots, row_norms, subset_indices,
+                                    subspace_determinant, subspace_views, tuple_intersections)
 from flatproc.measures import SphereMeasure
 
 import _reference
@@ -151,7 +150,7 @@ def test_principal_angles_keep_small_angles(theta):
     # a plane of R^4 turned by theta in one direction: one principal angle
     # theta, one 0; arccos of the cosine reads 0 below about 1e-8
     turned = np.array([[math.cos(theta), 0.0, math.sin(theta), 0.0], [0.0, 1.0, 0.0, 0.0]])
-    angles = principal_angles(Subspace(np.eye(4)[:2]), Subspace(turned))
+    angles = _principal_angles(np.eye(4)[:2], turned)
     assert angles[0] == 0.0
     assert angles[1] == pytest.approx(theta, rel=1e-14)
     assert grassmann_metric(Subspace(np.eye(4)[:2]), Subspace(turned)) == pytest.approx(
@@ -223,12 +222,20 @@ def test_closest_pair_parallel_lines_degenerate():
         closest_pair(e_flat, f_flat)
 
 
-def test_closest_pair_hyperplanes_intersect_in_line():
+def one_intersection(flats):
+    """One tuple of tuple_intersections as a Flat, or None when the tuple is
+    not in general position."""
+    bases, offsets, _ = tuple_intersections([f.direction.basis[None] for f in flats],
+                                            [f.offset[None] for f in flats],
+                                            np.zeros((1, len(flats)), dtype=np.intp))
+    return Flat(Subspace(bases[0]), offsets[0]) if len(offsets) else None
+
+
+def test_two_hyperplanes_intersect_in_line():
     u1, u2 = E[2], (E[0] + E[2]) / math.sqrt(2)
     h1 = Flat.through_point(complement(Subspace.span(u1)), np.zeros(3))
     h2 = Flat.through_point(complement(Subspace.span(u2)), 0.4 * u2)
-    flat = closest_pair(h1, h2)
-    assert isinstance(flat, Flat)
+    flat = one_intersection([h1, h2])
     assert flat.k == 1
     # null-space oracle: direction solves u1.x = 0 and u2.x = 0
     normal_stack = np.vstack([u1, u2])
@@ -261,7 +268,7 @@ def test_index_tuples_match_itertools(m, r):
         assert got.tolist() == [list(t) for t in want]
 
 
-def test_intersect_flats_and_closest_pair_match_scalar_reference():
+def test_one_tuple_intersection_matches_scalar_reference():
     # one tuple of tuple_intersections against the lstsq-and-SVD oracle, at
     # the tolerances of the batched-vs-scalar intersection tests
     rng = np.random.default_rng(181)
@@ -275,31 +282,29 @@ def test_intersect_flats_and_closest_pair_match_scalar_reference():
             flats = [Flat.through_point(haar_sample(n, int(k), rng), rng.standard_normal(n))
                      for k in dims]
             ref = _reference.intersect_flats(flats)
-            for got in [intersect_flats(flats)] + ([closest_pair(*flats)] if r == 2 else []):
-                assert got.k == ref.k == dims.sum() - (r - 1) * n
-                assert np.max(np.abs(got.offset - ref.offset)) <= 1e-9
-                assert np.max(np.abs(got.direction.projector()
-                                     - ref.direction.projector())) <= 1e-9
+            got = one_intersection(flats)
+            assert got.k == ref.k == dims.sum() - (r - 1) * n
+            assert np.max(np.abs(got.offset - ref.offset)) <= 1e-9
+            assert np.max(np.abs(got.direction.projector()
+                                 - ref.direction.projector())) <= 1e-9
             checked += 1
     assert checked == 320
 
 
-def test_intersect_flats_and_closest_pair_degenerate_on_parallel_planes():
+def test_one_tuple_intersection_drops_parallel_planes():
     planes = [Flat.through_point(Subspace(E[:2]), np.zeros(3)),
               Flat.through_point(Subspace(E[:2]), E[2])]
-    with pytest.raises(DegeneratePairError, match="degenerate pair"):
-        intersect_flats(planes)
-    with pytest.raises(DegeneratePairError, match="degenerate pair"):
-        closest_pair(*planes)
+    assert one_intersection(planes) is None
 
 
-def test_intersect_flats_rejects_mixed_spaces_and_low_dimensions():
+def test_closest_pair_rejects_mixed_spaces_and_dimension_sums_of_n():
+    # k1 + k2 >= n pairs intersect: tuple_intersections solves them
     plane = Flat.through_point(Subspace(E[:2]), np.zeros(3))
-    with pytest.raises(ValueError, match="one R\\^n"):
-        intersect_flats([plane, Flat.through_point(Subspace(np.eye(4)[:3]), np.zeros(4))])
-    with pytest.raises(ValueError, match="one R\\^n"):  # skew lines: 1 + 1 < 3
-        intersect_flats([Flat.through_point(Subspace(E[:1]), np.zeros(3)),
-                         Flat.through_point(Subspace(E[1:2]), E[2])])
+    line = Flat.through_point(Subspace(E[:1]), np.zeros(3))
+    for pair in ((plane, plane), (plane, Flat.through_point(Subspace(E[1:]), E[0])),
+                 (line, Flat.through_point(Subspace(np.eye(4)[:1]), np.zeros(4)))):
+        with pytest.raises(ValueError, match="closest_pair needs flats of one R"):
+            closest_pair(*pair)
 
 
 def test_complement_examples_and_projector_sum():
@@ -532,7 +537,9 @@ def test_grassmann_metric_is_square_root():
 
 def test_principal_angles_clamped():
     sub = haar_sample(4, 2, np.random.default_rng(20))
-    assert np.allclose(principal_angles(sub, sub), 0.0)
+    assert np.allclose(_principal_angles(sub.basis, sub.basis), 0.0)
+    with pytest.raises(ValueError, match="equal dimension"):
+        grassmann_distance(sub, Subspace(np.eye(4)[:1]))
 
 
 def test_canonical_unit_sign_convention():

@@ -12,7 +12,7 @@ from flatproc.measures import GrassmannMeasure
 from flatproc.simulator import (FactorialDistribution, FlatProcessSpec, FlatSample,
                                 SrConstruction, build_factorial_distribution,
                                 read_flat_sample, sample_cube_process,
-                                sample_poisson, sample_q0, sample_q0_bases,
+                                sample_poisson, sample_q0_bases,
                                 sample_sr_flats, sr_intensity, write_flat_sample)
 
 E3 = np.eye(3)
@@ -254,7 +254,7 @@ def test_q0_samples_avoid_degeneracy_and_match_density():
     rng = np.random.default_rng(31)
     angles = []
     for _ in range(4_000):
-        line = sample_q0(anchor, 2, 1, rng)
+        line = Subspace(sample_q0_bases(anchor, 2, 1, 1, rng)[0])
         assert subspace_determinant([anchor, line]) > 1e-10
         u = line.basis[0]
         theta = math.atan2(u[1], u[0])
