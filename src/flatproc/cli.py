@@ -10,8 +10,8 @@ The module imports only the standard library.  Argument parsing and each
 subcommand's checks of its arguments run first; the subcommand then imports
 the engines it calls, so `version` and usage errors load no numpy.
 `proximity` converts its `--window` text in its handler, after the 2k < n
-check.  `zonoid` runs its identities on the unit-mass measure and reports
-gamma^m V_m.
+check; the default `cube` is the unit cube of R^n.  `zonoid` runs its
+identities on the unit-mass measure and reports gamma^m V_m.
 """
 from __future__ import annotations
 
@@ -85,12 +85,12 @@ def _integer(text: str, low: int) -> int:
     return value
 
 
-def _parse_window(text: str) -> WindowDescriptor:
+def _parse_window(text: str, n: int) -> WindowDescriptor:
     from .closed_form import WindowDescriptor
 
     try:
         if text == "cube":
-            return WindowDescriptor.unit_cube(3)
+            return WindowDescriptor.unit_cube(n)
         if text.startswith("cube:"):
             return WindowDescriptor.unit_cube(int(text.split(":")[1]))
         if text.startswith("ball:"):
@@ -227,7 +227,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 def _cmd_proximity(args) -> tuple[dict, int]:
     spec = _process_spec(args)
-    window = _parse_window(args.window)
+    window = _parse_window(args.window, args.n)
     from .closed_form import as_record, isoperimetric_bound, mean_F_alpha
     from .stats_harness import ReplicationPlan, replicate
 
@@ -291,8 +291,8 @@ def _cmd_zonoid(args) -> tuple[dict, int]:
 
     from . import constants
     from .closed_form import hyperplane_intersection
-    from .measures import symmetrize_hyperplane_measure, symmetrize_line_measure, t_lift
-    from .zonoid_engine import area_measure, from_measure, intrinsic_volume, merge_grassmann_atoms
+    from .measures import symmetrize_hyperplane_measure, symmetrize_line_measure
+    from .zonoid_engine import MERGE_TOL, _merge, area_measure, from_measure, intrinsic_volume
 
     q = _parse_q(args.q, args.n, args.n - 1) if args.hyperplanes \
         else _parse_q(args.q, args.n, 1)
@@ -310,13 +310,14 @@ def _cmd_zonoid(args) -> tuple[dict, int]:
                          "atom weights outside the float range")
     identity_errors = {}
     for r in range(2, args.n):
-        lift = t_lift(hyperplane_intersection(args.n, 1.0, even, r))
+        lift = hyperplane_intersection(args.n, 1.0, even, r)
         s_r = area_measure(even, r)
-        scale = math.comb(args.n - 1, r)
-        # lift minus scaled area measure, merged once: every class must cancel
-        merged = merge_grassmann_atoms(list(lift.subspheres)
-                                       + [(s, -scale * w) for s, w in s_r.subspheres])
-        err = max((abs(w) for _, w in merged), default=0.0)
+        area = s_r.components[0]
+        # lift minus C(n - 1, r) times the area measure, merged once: every class must cancel
+        bases = np.concatenate([lift.bases, area.bases])
+        _, labels = _merge(np.swapaxes(bases, 1, 2) @ bases, MERGE_TOL)
+        sums = np.bincount(labels, np.r_[lift.weights, -math.comb(args.n - 1, r) * area.weights])
+        err = float(np.abs(sums).max(initial=0.0))
         # total-mass relation between the area measure and intrinsic volume
         vm_err = abs(math.comb(args.n, r) / (args.n * constants.ball_volume(args.n - r))
                      * s_r.total_mass - unit[r])

@@ -17,25 +17,25 @@ import numpy as np
 from . import constants
 from ._rng import SeedLike, as_generator, derived_stream
 from .flat_geometry import (_in_blocks, complement_bases, gram_volumes, product_indices,
-                            q_factors, row_norms, subspace_views)
+                            q_factors, read_only, row_norms, subspace_views)
 from .measures import (DEFAULT_MC_SAMPLES, DirectionSet, GrassmannMeasure, SphereMeasure,
                        _mc_mean, check_samples, finite_positive, positive_weights,
-                       read_only, symmetrize_line_measure)
+                       symmetrize_line_measure)
 from .zonoid_engine import _hyperplane_atoms
 
 
 @dataclass(frozen=True)
 class WindowDescriptor:
-    """Observation window: a centered ball or box, with a scale factor.
+    """Observation window: a centered ball of the given radius or a centered
+    box of the given side lengths, held at its actual size.
 
-    The box is admitted as a single open convex set; scale rho describes the
-    grown window rho * A used in the large-window limits.
+    The box is admitted as a single open convex set.  The grown window rho * A
+    of the large-window limits is `A.rescaled(rho)`, a ball or box like A.
     """
 
     shape: str
     radius: float | None = None
     sides: tuple[float, ...] | None = None
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.shape not in ("ball", "box"):
@@ -46,56 +46,53 @@ class WindowDescriptor:
             if not self.sides or not all(finite_positive(s) for s in self.sides):
                 raise ValueError("box window needs finite positive side lengths")
             object.__setattr__(self, "sides", tuple(self.sides))  # hashable
-        if not finite_positive(self.scale):
-            raise ValueError("window scale must be finite and positive")
 
     @staticmethod
-    def ball(radius: float, scale: float = 1.0) -> "WindowDescriptor":
-        return WindowDescriptor(shape="ball", radius=float(radius), scale=float(scale))
+    def ball(radius: float) -> "WindowDescriptor":
+        return WindowDescriptor(shape="ball", radius=float(radius))
 
     @staticmethod
-    def box(sides, scale: float = 1.0) -> "WindowDescriptor":
-        return WindowDescriptor(shape="box", sides=tuple(float(s) for s in sides),
-                                scale=float(scale))
+    def box(sides) -> "WindowDescriptor":
+        return WindowDescriptor(shape="box", sides=tuple(float(s) for s in sides))
 
     @staticmethod
-    def unit_cube(n: int, scale: float = 1.0) -> "WindowDescriptor":
-        return WindowDescriptor.box((1.0,) * n, scale=scale)
+    def unit_cube(n: int) -> "WindowDescriptor":
+        return WindowDescriptor.box((1.0,) * n)
 
-    def base_volume(self, n: int) -> float:
+    def rescaled(self, rho: float) -> "WindowDescriptor":
+        """The grown window rho * A: radius or sides times rho."""
+        if not finite_positive(rho):
+            raise ValueError(f"window scale must be finite and positive, got {rho!r}")
         if self.shape == "ball":
-            return constants.ball_volume(n) * self.radius ** n
-        self.scaled_sides(n)  # checks the side count
-        return float(np.prod(self.sides))
+            return WindowDescriptor.ball(self.radius * rho)
+        return WindowDescriptor.box([s * rho for s in self.sides])
 
     def volume(self, n: int) -> float:
-        return self.base_volume(n) * self.scale ** n
+        if self.shape == "ball":
+            return constants.ball_volume(n) * self.radius ** n
+        self.check_sides(n)
+        return float(np.prod(self.sides))
 
-    def scaled_sides(self, n: int) -> np.ndarray:
+    def check_sides(self, n: int) -> None:
         if len(self.sides) != n:
             raise ValueError("box side count must match the ambient dimension")
-        return self.scale * np.asarray(self.sides)
 
     def circumradius(self) -> float:
         if self.shape == "ball":
-            return self.radius * self.scale
-        return 0.5 * math.sqrt(sum(s * s for s in self.sides)) * self.scale
+            return self.radius
+        return 0.5 * math.sqrt(sum(s * s for s in self.sides))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Closed membership test for an (m, n) array of points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.shape == "ball":
-            return row_norms(points) <= self.radius * self.scale
-        if len(self.sides) != points.shape[1]:
-            raise ValueError("box side count must match the ambient dimension")
+            return row_norms(points) <= self.radius
+        self.check_sides(points.shape[1])
         return np.logical_and.reduce(np.abs(points) <= self._half_sides, axis=1)
 
     @cached_property
     def _half_sides(self) -> np.ndarray:
-        return read_only(0.5 * self.scaled_sides(len(self.sides)))
-
-    def rescaled(self, scale: float) -> "WindowDescriptor":
-        return WindowDescriptor(self.shape, self.radius, self.sides, float(scale))
+        return read_only(0.5 * np.asarray(self.sides))
 
 
 def _check_params(positive: tuple[str, ...] = ("delta",), **params: float) -> None:
@@ -377,8 +374,8 @@ def mean_F_alpha(n: int, k: int, gamma: float, q: GrassmannMeasure, delta: float
     """Expectation of the length-power direction functional F_alpha.
 
     E F_alpha(A, C) = (gamma^2/2) * delta^{n-2k+alpha} / (n-2k+alpha)
-    * vol(A) * pair integral with the direction factor.  The window's scale
-    enters through its volume.
+    * vol(A) * pair integral with the direction factor, A the window as
+    given: for the grown window rho * A pass `A.rescaled(rho)`.
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("requires 2k < n and k >= 1")
@@ -453,22 +450,22 @@ def cross_sections(n: int, k: int, window: WindowDescriptor, bases: np.ndarray) 
 
     Balls have a closed radial form.  For a box and a line M = span(u), by
     Fubini, the integral along M of the covariogram vol(A intersect (A + z)):
-    2 int_0^T prod_i (s_i - t|u_i|) dt, s_i the scaled sides, T = min_i s_i / |u_i|.
+    2 int_0^T prod_i (s_i - t|u_i|) dt, s_i the sides, T = min_i s_i / |u_i|.
     With t = T (1 - y) that is 2 T prod_i s_i int_0^1 prod_i (1 - r_i + r_i y) dy,
     r_i = T |u_i| / s_i in [0, 1]: a degree-n polynomial, which n // 2 + 1
     Gauss-Legendre nodes integrate exactly, from nonnegative terms.
     """
     if window.shape == "ball":
-        return np.full(len(bases), ball_cross_section_integral(n, k, window.radius * window.scale))
+        return np.full(len(bases), ball_cross_section_integral(n, k, window.radius))
     if k != 1:
         raise ValueError("box windows support k = 1 cross-sections only")
-    sides = window.scaled_sides(n)
-    rate = np.abs(bases[:, 0]) / sides
+    window.check_sides(n)
+    rate = np.abs(bases[:, 0]) / window.sides
     inv_t = rate.max(axis=1)
     nodes, weights = np.polynomial.legendre.leggauss(n // 2 + 1)
     r = (rate / inv_t[:, None])[..., None]
     factors = 1.0 - r + r * (nodes + 1.0) / 2.0  # at y = (node + 1) / 2
-    return float(np.prod(sides)) / inv_t * (np.prod(factors, axis=1) @ weights)
+    return window.volume(n) / inv_t * (np.prod(factors, axis=1) @ weights)
 
 
 def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure, delta: float,
@@ -502,8 +499,7 @@ def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure, del
 
     if q.is_isotropic and c_i.kind == c_j.kind == "full" and window.shape == "ball":
         b_iso = b_i(None, None, None)
-        return pref * b_iso * b_iso * ball_cross_section_integral(
-            n, k, window.radius * window.scale), 0.0
+        return pref * b_iso * b_iso * ball_cross_section_integral(n, k, window.radius), 0.0
 
     def rows(bases, picks):  # bases (M, L_i, L_j), picks[0] M's atom indices
         return b_i(bases[0], picks[0], bases[1]) * b_j(bases[0], picks[0], bases[2]) \
@@ -534,7 +530,7 @@ def covariance_cpi_form(n: int, k: int, window: WindowDescriptor) -> float:
     if window.shape != "ball":
         raise ValueError("chord-power cross-check implemented for balls")
     b_iso = constants.sphere_surface(n - 2 * k) * c_constant(n, k, k)
-    chord = ball_chord_power_integral(n, window.radius * window.scale, k + 1)
+    chord = ball_chord_power_integral(n, window.radius, k + 1)
     return constants.ball_volume(k) / (k + 1) * b_iso * b_iso * chord
 
 
@@ -546,17 +542,18 @@ def weibull_beta(n: int, k: int, gamma: float, q: GrassmannMeasure,
     """Rate constant of the limiting law of the shortest proximity distance.
 
     beta = gamma^2 / (2(n-2k)) * vol(A) * pair integral with the direction
-    factor; the window's base volume is used (its scale is the observation
-    scale, which enters through the rescaling of the order statistics).
+    factor.  A is the base window, not the grown rho * A the segments are
+    observed in: rho enters through the rescaling of the order statistics.
     """
     if not 1 <= k or not 2 * k < n:
         raise ValueError("requires 2k < n and k >= 1")
     _check_params(gamma=gamma)
-    if window.base_volume(n) <= 0:
+    volume = window.volume(n)
+    if volume <= 0:
         raise ValueError("window must have positive volume")
     integral, se = pair_integral(q, q, direction_set or DirectionSet.full_sphere(n), rng=rng,
                                  samples=samples)
-    factor = gamma * gamma / (2.0 * (n - 2 * k)) * window.base_volume(n)
+    factor = gamma * gamma / (2.0 * (n - 2 * k)) * volume
     return factor * integral, factor * se
 
 

@@ -2,10 +2,11 @@
 
 Subspaces are stored as stacks of orthonormal row vectors.  Affine flats are
 a direction subspace plus an offset in its orthogonal complement.  Operations
-are pure and values immutable.  The array kernels work on (m, k, n) stacks of
-bases; `subspace_views` checks such a stack once and hands out `Subspace`
-views of its rows.  The scalar `closest_pair`, for k1 + k2 < n only, is the
-per-pair reference of `pair_segments`.
+are pure and values immutable: `Subspace` and `Flat` keep read-only copies of
+writable input.  The array kernels work on (m, k, n) stacks of bases;
+`subspace_views` checks such a stack once and hands out `Subspace` views of
+its rows.  The scalar `closest_pair`, for k1 + k2 < n only, is the per-pair
+reference of `pair_segments` and returns a plain `ProximitySegment` record.
 Its line solve gathers both lines of every pair of a block with one take
 from (2n + 2, N) coordinate rows, one contiguous row per coordinate, takes
 the block's dot products from `row_dots`, and writes its outputs once, in
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from math import comb, isqrt, prod, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +45,14 @@ SCREEN_MIN_PAIRS = 1200
 
 class DegeneratePairError(ValueError):
     """Raised when a pair of flats is not in general position."""
+
+
+def read_only(values) -> np.ndarray:
+    """values as a read-only float array, copied unless it already is one."""
+    if not isinstance(values, np.ndarray) or values.dtype != float or values.flags.writeable:
+        values = np.array(values, dtype=float)
+        values.flags.writeable = False
+    return values
 
 
 def canonical_units(units: np.ndarray) -> np.ndarray:
@@ -139,7 +149,7 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
+        basis = np.atleast_2d(read_only(self.basis))
         if basis.size == 0:
             basis = basis.reshape(0, basis.shape[-1] if basis.ndim == 2 else 0)
         object.__setattr__(self, "basis", basis)
@@ -147,7 +157,6 @@ class Subspace:
         if k > n:
             raise ValueError(f"subspace dimension {k} exceeds ambient dimension {n}")
         check_orthonormal(basis)
-        basis.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -219,7 +228,7 @@ class Flat:
     offset: np.ndarray
 
     def __post_init__(self) -> None:
-        offset = np.asarray(self.offset, dtype=float)
+        offset = read_only(self.offset)
         object.__setattr__(self, "offset", offset)
         if offset.shape != (self.direction.n,):
             raise ValueError("offset length must equal the ambient dimension")
@@ -227,7 +236,6 @@ class Flat:
             inner = self.direction.basis @ offset
             if np.max(np.abs(inner), initial=0.0) >= ORTHO_TOL:
                 raise ValueError("offset is not orthogonal to the direction subspace")
-        offset.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -244,8 +252,7 @@ class Flat:
         return Flat(direction, point - direction.project(point))
 
 
-@dataclass(frozen=True)
-class ProximitySegment:
+class ProximitySegment(NamedTuple):
     """The perpendicular segment realizing the distance of two flats.
 
     midpoint = (x_E + x_F)/2, length = |x_E - x_F|, direction the
@@ -255,18 +262,6 @@ class ProximitySegment:
     midpoint: np.ndarray
     length: float
     direction: np.ndarray
-
-    def __post_init__(self) -> None:
-        midpoint = np.asarray(self.midpoint, dtype=float)
-        direction = np.asarray(self.direction, dtype=float)
-        object.__setattr__(self, "midpoint", midpoint)
-        object.__setattr__(self, "direction", direction)
-        if self.length <= 0:
-            raise ValueError("segment length must be positive")
-        if abs(np.linalg.norm(direction) - 1.0) >= ORTHO_TOL * 10:
-            raise ValueError("segment direction must be a unit vector")
-        midpoint.flags.writeable = False
-        direction.flags.writeable = False
 
 
 def orthonormalize(vectors) -> Subspace:
@@ -352,7 +347,7 @@ def subspace_determinant(subspaces) -> float:
     if total <= n:
         bases = [s.basis for s in subspaces if s.k > 0]
     elif total >= (r - 1) * n:
-        bases = [complement(s).basis for s in subspaces if s.k < n]
+        bases = [complement_bases(s.basis[None])[0] for s in subspaces if s.k < n]
     else:
         raise ValueError("determinant undefined for these dimensions")
     if not bases:
@@ -449,11 +444,7 @@ def closest_pair(e: Flat, f: Flat) -> ProximitySegment:
     reach = max(np.linalg.norm(e.offset), np.linalg.norm(f.offset))
     if dist <= _touch_cut(reach, det, n):
         raise DegeneratePairError("flats touch; no positive-length perpendicular")
-    return ProximitySegment(
-        midpoint=(x_e + x_f) / 2.0,
-        length=dist,
-        direction=canonical_unit(gap),
-    )
+    return ProximitySegment((x_e + x_f) / 2.0, dist, canonical_unit(gap))
 
 
 def _in_blocks(solve, count: int) -> tuple[np.ndarray, ...]:
@@ -720,25 +711,20 @@ def tuple_intersections(bases, offsets, tuples):
     bases[p] and offsets[p] are the (N_p, k_p, n) and (N_p, n) stacks that
     position p of a tuple draws from, with k_1 + ... + k_r >= (r-1) n, and
     tuples is an (m, r) index array.  The complement bases of a tuple stack
-    into an (n-q) x n matrix C; one batched SVD of C gives the minimum-norm
-    solution of C x = C-offsets and the null space of C, the intersection
-    direction.  Tuples are solved in blocks of BLOCK_ROWS.  Returns the
-    tuples in general position and their flats: (bases (m', q, n), offsets
-    (m', n), tuples (m', r)).
+    into an (n-q) x n matrix C; its Gram volume, the subspace determinant,
+    must exceed GENERAL_POSITION_TOL.  One batched SVD of C gives the
+    minimum-norm solution of C x = C-offsets and the null space of C, the
+    intersection direction.  Tuples are solved in blocks of BLOCK_ROWS.
+    Returns the tuples in general position and their flats: (bases
+    (m', q, n), offsets (m', n), tuples (m', r)).
     """
-    n = offsets[0].shape[1]
     comps = [complement_bases(b) for b in bases]
     levels = [np.einsum("mjn,mn->mj", c, o) for c, o in zip(comps, offsets)]
-    # the subspace determinant of the directions: on the directions themselves
-    # when their dimensions sum to at most n, as subspace_determinant does
-    on_directions = sum(b.shape[1] for b in bases) <= n
 
     def solve(tuples):
         normal = np.concatenate([c[t] for c, t in zip(comps, tuples.T)], axis=1)
         rhs = np.concatenate([lv[t] for lv, t in zip(levels, tuples.T)], axis=1)
-        stack = (np.concatenate([b[t] for b, t in zip(bases, tuples.T)], axis=1)
-                 if on_directions else normal)
-        ok = gram_volumes(stack) > GENERAL_POSITION_TOL
+        ok = gram_volumes(normal) > GENERAL_POSITION_TOL
         normal, rhs, tuples = normal[ok], rhs[ok], tuples[ok]
         u, s, vt = np.linalg.svd(normal)
         p = normal.shape[1]

@@ -24,7 +24,7 @@ from . import constants
 from ._rng import SeedLike, as_generator
 from .flat_geometry import (Subspace, _in_blocks, canonical_unit, canonical_units,
                             check_orthonormal, complement_bases, haar_bases, orthonormalize,
-                            subset_indices, subspace_views)
+                            read_only, subset_indices, subspace_views)
 
 DEFAULT_MC_SAMPLES = 100_000
 
@@ -44,14 +44,6 @@ def check_samples(samples: int) -> int:
     if not isinstance(samples, (int, np.integer)) or samples < 2:
         raise ValueError(f"Monte-Carlo samples must be an integer >= 2, got {samples!r}")
     return int(samples)
-
-
-def read_only(values) -> np.ndarray:
-    """values as a read-only float array, copied unless it already is one."""
-    if not isinstance(values, np.ndarray) or values.dtype != float or values.flags.writeable:
-        values = np.array(values, dtype=float)
-        values.flags.writeable = False
-    return values
 
 
 def _mc_mean(rows, samples: int, mass: float) -> tuple[float, float]:
@@ -74,6 +66,8 @@ class GrassmannMeasure:
     isotropic_mass: float | None = None
 
     def __post_init__(self) -> None:
+        if not 0 <= self.k <= self.n:
+            raise ValueError(f"need 0 <= k <= n, got n={self.n}, k={self.k}")
         if (self.bases is None) == (self.isotropic_mass is None):
             raise ValueError("exactly one of bases / isotropic_mass must be given")
         if self.bases is None:

@@ -18,8 +18,8 @@ from math import comb
 
 import numpy as np
 
-from .flat_geometry import BLOCK_ROWS, complement_bases, gram_volumes, subset_indices
-from .measures import GrassmannMeasure, SphereMeasure, positive_weights, read_only
+from .flat_geometry import BLOCK_ROWS, complement_bases, gram_volumes, read_only, subset_indices
+from .measures import GrassmannMeasure, SphereMeasure, positive_weights
 
 DROP_TOL = 1e-10
 MERGE_TOL = 1e-8

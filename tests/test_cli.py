@@ -48,6 +48,16 @@ def test_proximity_precondition_exit_code(capsys):
     assert "requires 2k < n" in capsys.readouterr().err
 
 
+def test_proximity_default_window_is_the_unit_cube_of_r_n(tmp_path, capsys):
+    # `cube` is the unit cube of R^n; `cube:N` keeps its own dimension
+    code, payload = run_json(["proximity", "--n", "4", "--k", "1", "--reps", "10",
+                              "--seed", "3", "--jobs", "1"], tmp_path)
+    assert code in (0, 2) and payload["config"]["window"] == "cube"
+    assert payload["results"]["windowRadius"] == 1.5  # sqrt(4) / 2 + delta / 2
+    assert run(["proximity", "--n", "4", "--window", "cube:2", "--reps", "10"]) == 1
+    assert "box side count must match the ambient dimension" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_one(capsys):
     assert run(["proximity", "--nonsense"]) == 1
 
@@ -364,6 +374,7 @@ def test_summary_embeds_config_and_version(tmp_path):
     (["zonoid", "--gamma", "1e105"], "zonoid --gamma 1e+105 puts products"),
     (["zonoid", "--gamma", "1e-160"], "zonoid --gamma 1e-160 puts products"),
     (["zonoid", "--gamma", "0"], "--gamma: must be finite and positive, got '0'"),
+    (["intersect", "--n", "3", "--k", "5"], "need 0 <= k <= n, got n=3, k=5"),
 ])
 def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     # one error line, the last; flag errors follow argparse's usage line

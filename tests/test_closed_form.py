@@ -417,13 +417,46 @@ def box_cross_section_by_quadrature(u, half):
 def test_box_cross_sections_match_quadrature(n, sides, count):
     from flatproc.flat_geometry import haar_bases
 
-    window = WindowDescriptor.box(sides, scale=1.3)
+    window = WindowDescriptor.box(sides).rescaled(1.3)
     bases = haar_bases(count, n, 1, 20 + n)
     exact = cross_sections(n, 1, window, bases)
     for basis, value in zip(bases, exact):
         assert cross_sections(n, 1, window, basis[None])[0] == value
         quadrature = box_cross_section_by_quadrature(basis[0], 0.65 * np.array(sides))
         assert value == pytest.approx(quadrature, rel=1e-10)
+
+
+@pytest.mark.parametrize("rho", [0.25, 3.0, 1e3])
+def test_rescaled_window_is_the_grown_ball_or_box(rho):
+    # a window is its size: rho * A is a ball or box like A, with no scale field
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(WindowDescriptor)] == ["shape", "radius", "sides"]
+    sides = (1.0, 2.5, 0.5)
+    half = 0.5 * (rho * np.array(sides))
+    faces = np.vstack([np.diag(half), -np.diag(half), half, rho * np.eye(3)])
+    outside = np.nextafter(faces, 2.0 * faces)
+    for grown, direct in [(WindowDescriptor.box(sides).rescaled(rho),
+                           WindowDescriptor.box([rho * s for s in sides])),
+                          (WindowDescriptor.ball(1.0).rescaled(rho), WindowDescriptor.ball(rho))]:
+        assert grown == direct and hash(grown) == hash(direct)
+        assert grown.volume(3) == direct.volume(3)
+        assert grown.circumradius() == direct.circumradius()
+        for points in (faces, outside):
+            assert np.array_equal(grown.contains(points), direct.contains(points))
+    box = WindowDescriptor.box(sides).rescaled(rho)
+    assert box.contains(faces[:7]).all() and not box.contains(outside[:7]).any()
+    ball = WindowDescriptor.ball(1.0).rescaled(rho)
+    assert ball.contains(faces[7:]).all() and not ball.contains(outside[7:]).any()
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+@pytest.mark.parametrize("window", [WindowDescriptor.ball(1.0), WindowDescriptor.box((1.0, 2.0))],
+                         ids=["ball", "box"])
+def test_rescaled_rejects_a_scale_that_is_not_finite_and_positive(window, rho):
+    with pytest.raises(ValueError, match=re.escape(
+            f"window scale must be finite and positive, got {rho!r}")):
+        window.rescaled(rho)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -434,7 +467,7 @@ def test_box_cross_sections_scale_with_rho_to_the_n_plus_1(n):
     bases = np.concatenate([haar_bases(20, n, 1, 30 + n), np.eye(n)[:, None]])
     unit = cross_sections(n, 1, WindowDescriptor.box(sides), bases)
     for rho in (0.01, 3.0, 250.0):
-        scaled = cross_sections(n, 1, WindowDescriptor.box(sides, scale=rho), bases)
+        scaled = cross_sections(n, 1, WindowDescriptor.box(sides).rescaled(rho), bases)
         assert np.allclose(scaled, rho ** (n + 1) * unit, rtol=1e-13, atol=0.0)
 
 

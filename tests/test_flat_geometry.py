@@ -215,6 +215,34 @@ def test_closest_pair_example():
     assert np.allclose(np.abs(seg.direction), E[2])
 
 
+def test_closest_pair_returns_a_plain_record():
+    e_flat = Flat.through_point(Subspace.span(E[0]), np.zeros(3))
+    f_flat = Flat.through_point(Subspace.span(E[1]), 2.0 * E[2])
+    midpoint, length, direction = seg = closest_pair(e_flat, f_flat)
+    assert type(seg)._fields == ("midpoint", "length", "direction")
+    assert length == 2.0 and np.array_equal(midpoint, E[2])
+    assert np.array_equal(direction, E[2])
+
+
+def test_subspace_and_flat_keep_read_only_copies_of_writable_input():
+    basis, offset = E[:2].copy(), 2.0 * E[2]
+    flat = Flat(Subspace(basis), offset)
+    basis[0, 0], offset[2] = 5.0, 7.0  # the caller's arrays stay writable
+    assert np.array_equal(flat.direction.basis, E[:2]) and np.array_equal(flat.offset, 2 * E[2])
+    for stored in (flat.direction.basis, flat.offset):
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0] = 1.0
+    # read-only float input is kept as it is, as for the flats of a sample
+    stack = haar_bases(4, 3, 1, np.random.default_rng(26))
+    views = subspace_views(stack)
+    offsets = np.zeros((4, 3))
+    offsets.flags.writeable = False
+    for view, row in zip(views, offsets):
+        flat = Flat(view, row)
+        assert Subspace(view.basis).basis is view.basis and flat.offset is row
+
+
 def test_closest_pair_parallel_lines_degenerate():
     e_flat = Flat.through_point(Subspace.span(E[0]), np.zeros(3))
     f_flat = Flat.through_point(Subspace.span(E[0]), E[1])

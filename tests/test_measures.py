@@ -27,6 +27,17 @@ def axes_line_measure(n=3, weight=None):
         [(Subspace(eye[i:i + 1]), w) for i in range(n)])
 
 
+@pytest.mark.parametrize("n, k", [(3, 5), (3, 4), (2, -1)])
+def test_grassmann_measure_rejects_k_outside_0_to_n(n, k):
+    # so no FlatProcessSpec(n, k, ...) can be built for such a k either
+    message = f"need 0 <= k <= n, got n={n}, k={k}"
+    with pytest.raises(ValueError, match=message):
+        GrassmannMeasure.isotropic(n, k)
+    with pytest.raises(ValueError, match=message):
+        GrassmannMeasure(n, k, np.zeros((0, max(k, 0), n)), np.zeros(0))
+    assert GrassmannMeasure.zero(n, 0).k == 0 and GrassmannMeasure.isotropic(n, n).k == n
+
+
 def test_symmetrize_line_atom_becomes_pair_with_full_weight():
     q = GrassmannMeasure.discrete([(Subspace.span(E[0]), 1.0)])
     mu = symmetrize_line_measure(q)
@@ -324,7 +335,7 @@ NON_FINITE_CONSTRUCTORS = {
     "subsphere weight": lambda x: SphereMeasure.subsphere_mixture(3, [(Subspace(E[:2]), x)]),
     "ball radius": lambda x: WindowDescriptor.ball(x),
     "box side": lambda x: WindowDescriptor.box([1.0, x, 1.0]),
-    "window scale": lambda x: WindowDescriptor.ball(1.0, scale=x),
+    "window scale": lambda x: WindowDescriptor.ball(1.0).rescaled(x),
     "zonotope half-length": lambda x: Zonotope(3, E[:1], np.array([x])),
     "zonotope direction": lambda x: Zonotope(3, np.array([[x, 0.0, 0.0]]), np.array([1.0])),
 }
