@@ -433,6 +433,10 @@ def _cmd_appendix(args) -> tuple[dict, int]:
 
 
 def _cmd_stability(args) -> tuple[dict, int]:
+    if args.n < 3:  # every case reads an order in 2..n-1
+        raise ValueError(f"stability needs --n >= 3, got --n {args.n}")
+    if args.case != "line-proximity" and not 2 <= args.order <= args.n - 1:
+        raise ValueError(f"stability needs 2 <= --order <= {args.n - 1}, got --order {args.order}")
     import numpy as np
 
     from .measure_metrics import stability_harness

@@ -1,11 +1,11 @@
 """Intersection and proximity processes built from flat samples, and the
 length-power direction functionals evaluated on them.
 
-Both processes are stored as arrays: segments as midpoints, lengths,
-directions and index pairs, in the C-ordered arrays `pair_segments` returns,
-made read-only; intersection flats as direction bases, offsets and
-generator index tuples (`IntersectionSample.flats` materializes `Flat`
-objects on demand, their directions `subspace_views` of the basis stack).
+Both processes are stored as arrays, taken through `read_only`: segments as
+midpoints, lengths, directions and index pairs, in the C-ordered arrays
+`pair_segments` returns and freezes; intersection flats as direction bases,
+offsets and generator index tuples (`IntersectionSample.flats` is the
+`flat_views` of its stacks, checked once by `check_orthonormal`).
 Pairs and tuples are solved in blocks by the array kernels of
 `flat_geometry` (`pair_segments`, `tuple_intersections`), and tuples
 enumerated by its `subset_indices` and `product_indices`.
@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .closed_form import WindowDescriptor
-from .flat_geometry import (Flat, pair_segments, product_indices, subset_indices, subspace_views,
-                            tuple_intersections)
+from .flat_geometry import (Flat, flat_views, pair_segments, product_indices, read_only,
+                            subset_indices, tuple_intersections)
 from .measures import DirectionSet, finite_positive
 from .simulator import FlatSample
 
@@ -53,10 +53,10 @@ class SegmentProcessSample:
     pairs: np.ndarray       # (m, 2) indices into the source sample(s)
 
     def __post_init__(self) -> None:
-        midpoints = np.asarray(self.midpoints, dtype=float).reshape(-1, self.n)
-        lengths = np.asarray(self.lengths, dtype=float).reshape(-1)
-        directions = np.asarray(self.directions, dtype=float).reshape(-1, self.n)
-        pairs = np.asarray(self.pairs, dtype=int).reshape(-1, 2)
+        midpoints = read_only(self.midpoints).reshape(-1, self.n)
+        lengths = read_only(self.lengths).reshape(-1)
+        directions = read_only(self.directions).reshape(-1, self.n)
+        pairs = read_only(self.pairs, int).reshape(-1, 2)
         m = lengths.shape[0]
         if not (midpoints.shape[0] == directions.shape[0] == pairs.shape[0] == m):
             raise ValueError("segment arrays must have a common length")
@@ -69,12 +69,8 @@ class SegmentProcessSample:
             error = np.abs(np.einsum("mn,mn->m", directions, directions) - 1.0)
             if not np.maximum.reduce(error) <= 1e-9 * (2.0 - 1e-9):  # |u| within 1e-9 of 1
                 raise ValueError("segment directions must be unit vectors")
-        for name, arr in (("midpoints", midpoints), ("lengths", lengths),
-                          ("directions", directions), ("pairs", pairs)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_window_masks", {})  # memos, not fields
-        object.__setattr__(self, "_window_lengths", {})
+        vars(self).update(midpoints=midpoints, lengths=lengths, directions=directions, pairs=pairs,
+                          _window_masks={}, _window_lengths={})  # the last two memos, not fields
 
     def __len__(self) -> int:
         return self.lengths.shape[0]
@@ -107,19 +103,15 @@ class IntersectionSample:
     tuples: np.ndarray   # (m, r) generator indices into the source sample(s)
 
     def __post_init__(self) -> None:
-        bases = np.asarray(self.bases, dtype=float)
-        offsets = np.asarray(self.offsets, dtype=float)
-        tuples = np.asarray(self.tuples, dtype=int)
-        for name, arr in (("bases", bases), ("offsets", offsets), ("tuples", tuples)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name, dtype in (("bases", float), ("offsets", float), ("tuples", int)):
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
 
     def __len__(self) -> int:
         return self.offsets.shape[0]
 
     @cached_property
     def flats(self) -> tuple[Flat, ...]:
-        return tuple(map(Flat, subspace_views(self.bases), self.offsets))
+        return flat_views(self.bases, self.offsets)
 
 
 def proximity(sample_a: FlatSample, sample_b: FlatSample | None = None,

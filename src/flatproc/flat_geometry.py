@@ -2,11 +2,12 @@
 
 Subspaces are stored as stacks of orthonormal row vectors.  Affine flats are
 a direction subspace plus an offset in its orthogonal complement.  Operations
-are pure and values immutable: `Subspace` and `Flat` keep read-only copies of
-writable input.  The array kernels work on (m, k, n) stacks of bases;
-`subspace_views` checks such a stack once and hands out `Subspace` views of
-its rows.  The scalar `closest_pair`, for k1 + k2 < n only, is the per-pair
-reference of `pair_segments` and returns a plain `ProximitySegment` record.
+are pure and values immutable: `check_orthonormal` is the one test of a
+basis or flat stack, and `read_only` the one rule for an array a container
+is given.  The kernels work on (m, k, n) stacks of bases and freeze their
+outputs; `subspace_views` and `flat_views` check a stack once and hand out
+views of its rows.  The scalar `closest_pair`, for k1 + k2 < n only, is the
+per-pair reference of `pair_segments` and returns a `ProximitySegment`.
 Its line solve gathers both lines of every pair of a block with one take
 from (2n + 2, N) coordinate rows, one contiguous row per coordinate, takes
 the block's dot products from `row_dots`, and writes its outputs once, in
@@ -47,10 +48,11 @@ class DegeneratePairError(ValueError):
     """Raised when a pair of flats is not in general position."""
 
 
-def read_only(values) -> np.ndarray:
-    """values as a read-only float array, copied unless it already is one."""
-    if not isinstance(values, np.ndarray) or values.dtype != float or values.flags.writeable:
-        values = np.array(values, dtype=float)
+def read_only(values, dtype=float) -> np.ndarray:
+    """values as a read-only array of dtype, every container's ownership rule:
+    read-only input of that dtype is kept, any other input copied and frozen."""
+    if not isinstance(values, np.ndarray) or values.dtype != dtype or values.flags.writeable:
+        values = np.array(values, dtype=dtype)
         values.flags.writeable = False
     return values
 
@@ -126,16 +128,24 @@ def canonical_unit(u: np.ndarray) -> np.ndarray:
     return canonical_units((u / norm)[None])[0]
 
 
-def check_orthonormal(bases: np.ndarray) -> None:
-    """ValueError unless the rows of a (k, n) basis, or of every basis of an
-    (m, k, n) stack, are orthonormal within 1e-10: one Gram product B B^T - I
-    for the whole stack, its diagonals lowered in place."""
-    k = bases.shape[-2]
-    if k:
-        gram = (bases @ bases.swapaxes(-1, -2)).reshape(-1, k * k)
-        gram[:, ::k + 1] -= 1.0
-        if not np.abs(gram).max(initial=0.0) <= 1e-10:  # NaN fails too
-            raise ValueError("basis rows are not orthonormal")
+def check_orthonormal(bases: np.ndarray, offsets: np.ndarray | None = None) -> None:
+    """ValueError unless the rows of a (k, n) basis or an (m, k, n) stack are
+    orthonormal within 1e-10 and each offset a, when given, is orthogonal to
+    its basis within ORTHO_TOL max(1, |a|), tested first.  One product gives
+    |[B B^T - I | B a]|; entries all below ORTHO_TOL pass both tests at once."""
+    rows = bases if offsets is None else np.concatenate([bases, offsets[..., None, :]], axis=-2)
+    k, width = bases.shape[-2], rows.shape[-2]
+    # einsum runs a stack's small products faster than matmul, matmul one basis
+    gram = np.einsum("mkn,mjn->mkj", bases, rows) if bases.ndim == 3 else bases @ rows.T
+    error = np.abs(gram - np.eye(k, width))
+    if error.max(initial=0.0) < ORTHO_TOL:  # NaN fails too
+        return
+    if offsets is not None:
+        scale = np.sqrt(np.maximum(np.einsum("...n,...n->...", offsets, offsets), 1.0))
+        if not np.all(error[..., k] < ORTHO_TOL * scale[..., None]):
+            raise ValueError("offset is not orthogonal to the direction subspace")
+    if not error[..., :k].max(initial=0.0) <= 1e-10:
+        raise ValueError("basis rows are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -202,22 +212,28 @@ class Subspace:
         return orthonormalize(list(vectors))
 
 
-def subspace_views(bases) -> tuple[Subspace, ...]:
-    """`Subspace` views of the rows of an (m, k, n) stack of bases.
-
-    The stack passes `Subspace`'s orthonormality check once, as a whole, and
-    is made read-only; each view's basis is a row of it, so no view runs a
-    check of its own.
-    """
-    bases = np.asarray(bases, dtype=float)
+def subspace_views(bases, offsets=None) -> tuple[Subspace, ...]:
+    """`Subspace` views of the rows of an (m, k, n) stack of bases, taken
+    through `read_only` and checked once by `check_orthonormal`, with the
+    (m, n) offsets of its flats when given; no view runs a check of its own."""
+    bases = read_only(bases)
     if bases.ndim != 3:
         raise ValueError(f"need an (m, k, n) stack of bases, got shape {bases.shape}")
-    check_orthonormal(bases)
-    bases.flags.writeable = False
+    check_orthonormal(bases, offsets)
     views = tuple(map(object.__new__, [Subspace] * len(bases)))
     for view, row in zip(views, bases):
         view.__dict__["basis"] = row  # as __post_init__ sets it, past the frozen __setattr__
     return views
+
+
+def flat_views(bases, offsets) -> tuple[Flat, ...]:
+    """`Flat` views of the rows of an (m, k, n) stack of bases and an (m, n)
+    stack of offsets, on `subspace_views` that check both stacks once."""
+    offsets = read_only(offsets)
+    flats = tuple(map(object.__new__, [Flat] * len(offsets)))
+    for flat, direction, offset in zip(flats, subspace_views(bases, offsets), offsets):
+        flat.__dict__.update(direction=direction, offset=offset)
+    return flats
 
 
 @dataclass(frozen=True)
@@ -232,10 +248,7 @@ class Flat:
         object.__setattr__(self, "offset", offset)
         if offset.shape != (self.direction.n,):
             raise ValueError("offset length must equal the ambient dimension")
-        if self.direction.k > 0:
-            inner = self.direction.basis @ offset
-            if np.max(np.abs(inner), initial=0.0) >= ORTHO_TOL:
-                raise ValueError("offset is not orthogonal to the direction subspace")
+        check_orthonormal(self.direction.basis, offset)
 
     @property
     def n(self) -> int:
@@ -479,11 +492,11 @@ def _line_screen(u, offs_a, v, offs_b, sq_u, sq_v, delta):
     n = offs_a.shape[1]
     big = max(sq_a.max(initial=0.0), sq_b.max(initial=0.0), delta * delta)
     if n == 3:
-        # eta is the largest |u.u - 1| of these rows (`FlatSample` keeps it within
-        # 1e-9; rows may come from elsewhere) + 3 eps for computing u.u.  A moment
-        # errs by 3 eps sqrt(M) (a component a_y u_z - a_z u_y by 2 eps (|a_y u_z| +
-        # |a_z u_y|)), r by 12 + 6 = 18 eps sqrt(M), r^2 by 37 eps M; c by
-        # 3 eps, so S differs from |u_i x v_j|^2 by 2 eta + 8 eps, which delta^2
+        # eta is the largest |u.u - 1| of these rows (1e-10 in a `FlatSample`, by
+        # `check_orthonormal`; rows may come from elsewhere) + 3 eps for u.u.  A
+        # moment errs by 3 eps sqrt(M) (a component a_y u_z - a_z u_y by 2 eps
+        # (|a_y u_z| + |a_z u_y|)), r by 12 + 6 = 18 eps sqrt(M), r^2 by 37 eps M;
+        # c by 3 eps, so S differs from |u_i x v_j|^2 by 2 eta + 8 eps, which delta^2
         # turns into (2 eta + 8 eps) M.  With the solve's term times S <= 1,
         # 124 eps M, and the test's two roundings, 2 eps M: r^2 exceeds
         # delta^2 S by less than (2 eta + 171 eps) M, half of margin SCREEN_TAU.
@@ -702,7 +715,10 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
         held += pairs.shape[1]
         r0 = r1
     solved.append(solve(block[0] if len(block) == 1 else np.concatenate(block, axis=1)))
-    return solved[0] if len(solved) == 1 else tuple(np.concatenate(c) for c in zip(*solved))
+    out = solved[0] if len(solved) == 1 else tuple(np.concatenate(c) for c in zip(*solved))
+    for arr in out:  # fresh arrays, frozen so that a container keeps them
+        arr.flags.writeable = False
+    return out
 
 
 def tuple_intersections(bases, offsets, tuples):
@@ -736,4 +752,7 @@ def tuple_intersections(bases, offsets, tuples):
                            direction)
         return direction, point, tuples
 
-    return _in_blocks(lambda rows: solve(tuples[rows]), tuples.shape[0])
+    out = _in_blocks(lambda rows: solve(tuples[rows]), tuples.shape[0])
+    for arr in out:  # fresh arrays, frozen so that a container keeps them
+        arr.flags.writeable = False
+    return out

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .closed_form import hyperplane_intersection, proximity_intensity
-from .flat_geometry import _principal_angles
+from .flat_geometry import _principal_angles, read_only
 from .measures import GrassmannMeasure, SphereMeasure, line_measure_from_sphere, lower_bound_check
 from .zonoid_engine import _merge, area_measure
 
@@ -47,7 +47,7 @@ class MetricSample:
     dist: np.ndarray
 
     def __post_init__(self) -> None:
-        dist = np.array(self.dist, dtype=float)  # a copy: frozen below
+        dist = read_only(self.dist)
         m = dist.shape[0]
         if dist.shape != (m, m):
             raise ValueError("distance table must be square")
@@ -66,7 +66,6 @@ class MetricSample:
             via = np.min(rows[:, :, None] + dist[None, :, :], axis=1)
             if np.max(rows - via, initial=0.0) > 1e-9:
                 raise ValueError("distance table violates the triangle inequality")
-        dist.flags.writeable = False
         object.__setattr__(self, "dist", dist)
 
     @property

@@ -191,11 +191,6 @@ class SphereMeasure:
             GrassmannMeasure.discrete(run) for _, run in groupby(components, lambda c: c[0].k)))
 
     @cached_property
-    def pair_atoms(self) -> tuple[tuple[np.ndarray, float], ...] | None:
-        """(canonical unit, pair mass) pairs in stored order; None unless atomic."""
-        return None if self.units is None else tuple(zip(self.units, self.weights.tolist()))
-
-    @cached_property
     def subspheres(self) -> tuple[tuple[Subspace, float], ...] | None:
         """(Subspace, weight) pairs of every component in order; None unless a mixture."""
         return None if self.components is None else tuple(
@@ -386,8 +381,12 @@ def integrate(measure, f, rng: SeedLike | None = None,
         if measure.atoms is not None:
             return float(sum(w * f(sub) for sub, w in measure.atoms)), 0.0
         gen = as_generator(rng if rng is not None else 0xF1A7)
-        return _mc_mean(lambda rows: [f(sub) for sub in subspace_views(haar_bases(
-            rows, measure.n, measure.k, gen))], samples, measure.isotropic_mass)
+
+        def draws(rows):  # a fresh stack, frozen so that subspace_views keeps it
+            bases = haar_bases(rows, measure.n, measure.k, gen)
+            bases.flags.writeable = False
+            return [f(sub) for sub in subspace_views(bases)]
+        return _mc_mean(draws, samples, measure.isotropic_mass)
 
     if not isinstance(measure, SphereMeasure):
         raise TypeError("integrate expects a GrassmannMeasure or SphereMeasure")

@@ -1,9 +1,10 @@
 """Samplers for stationary Poisson flat processes in ball windows and for
 the non-Poisson cube-based constructions with prescribed factorial moments.
 
-Flat samples are stored as basis/offset arrays for speed; `FlatSample.flats`
-materializes the immutable Flat objects on demand, their directions
-`subspace_views` of the basis stack.  Directions come from
+Flat samples are stored as basis/offset arrays for speed, taken through
+`read_only` and checked once by `check_orthonormal`, so `FlatSample.flats`,
+the `flat_views` of the stacks, cannot fail; the samplers freeze the arrays
+they make, so a sample keeps them without a copy.  Directions come from
 `flat_geometry.haar_bases`; a Poisson offset is a standard normal vector
 projected onto the direction's orthogonal complement, rescaled into its
 disk.  Every sampler accepts a seed (int or sequence) or a ready numpy
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import constants
 from ._rng import SeedLike, as_generator, seed_record
-from .flat_geometry import (Flat, Subspace, gram_volumes, haar_bases, row_norms,
-                            subspace_views)
+from .flat_geometry import (Flat, Subspace, check_orthonormal, flat_views, gram_volumes,
+                            haar_bases, read_only, row_norms)
 from .measures import GrassmannMeasure
 
 
@@ -78,33 +79,23 @@ class FlatSample:
 
     def __post_init__(self) -> None:
         _check_radius(self.radius)
-        bases = np.asarray(self.bases, dtype=float).reshape(-1, self.k, self.n)
-        offsets = np.asarray(self.offsets, dtype=float).reshape(-1, self.n)
+        bases = read_only(self.bases).reshape(-1, self.k, self.n)
+        offsets = read_only(self.offsets).reshape(-1, self.n)
         if bases.shape[0] != offsets.shape[0]:
             raise ValueError("bases and offsets must pair up")
-        # each test is written `not x <= bound`, so NaN fails it too
-        if offsets.shape[0]:
-            if not np.einsum("mn,mn->m", offsets, offsets).max() <= (self.radius + 1e-9) ** 2:
-                raise ValueError("offset norms must not exceed the window radius")
-            # [B B^T - I | B a] for each flat's rows B and offset a, from one product
-            gram = np.einsum("mkn,mjn->mkj", bases, np.concatenate([bases, offsets[:, None]], 1))
-            gram.reshape(len(gram), -1)[:, ::self.k + 2] -= 1.0  # the diagonal of B B^T
-            error = np.abs(gram)
-            if not error.max(initial=0.0) <= 1e-9:
-                raise ValueError("offsets must be orthogonal to directions"
-                                 if not error[..., self.k].max(initial=0.0) <= 1e-9
-                                 else "direction rows must be orthonormal")
-        bases.flags.writeable = False
-        offsets.flags.writeable = False
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "offsets", offsets)
+        # written `not x <= bound`, so NaN fails it too
+        if offsets.shape[0] and \
+                not np.einsum("mn,mn->m", offsets, offsets).max() <= (self.radius + 1e-9) ** 2:
+            raise ValueError("offset norms must not exceed the window radius")
+        check_orthonormal(bases, offsets)
+        vars(self).update(bases=bases, offsets=offsets)
 
     def __len__(self) -> int:
         return self.offsets.shape[0]
 
     @cached_property
     def flats(self) -> tuple[Flat, ...]:
-        return tuple(map(Flat, subspace_views(self.bases), self.offsets))
+        return flat_views(self.bases, self.offsets)
 
 
 @dataclass(frozen=True)
@@ -121,7 +112,7 @@ class FactorialDistribution:
     cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=float)
+        p = read_only(self.probabilities)
         if p.shape != (self.kappa + 1,):
             raise ValueError("probability table must have length kappa + 1")
         if np.any(p < 0):
@@ -133,13 +124,11 @@ class FactorialDistribution:
         for m in range(1, self.kappa + 1):
             if abs(self.factorial_moment(m) - 1.0) > 1e-12:
                 raise ValueError(f"factorial moment of order {m} must equal 1")
-        p.flags.writeable = False
-        object.__setattr__(self, "probabilities", p)
         # Generator.choice's CDF for p, computed as it computes it
         cdf = p.cumsum()
         cdf /= cdf[-1]
         cdf.flags.writeable = False
-        object.__setattr__(self, "cdf", cdf)
+        vars(self).update(probabilities=p, cdf=cdf)
 
     def factorial_moment(self, m: int) -> float:
         # i (i - 1) ... (i - m + 1) is math.perm(i, m), exact in floats here
@@ -205,6 +194,7 @@ def sample_poisson(spec: FlatProcessSpec, radius: float, rng: SeedLike) -> FlatS
           / np.sqrt(np.einsum("mn,mn->m", z, z)))[:, None]
     # again: the rescaling magnifies the first pass's round-off along L
     z -= np.einsum("mk,mkn->mn", np.einsum("mkn,mn->mk", bases, z), bases)
+    bases.flags.writeable = z.flags.writeable = False  # fresh: FlatSample keeps them
     return FlatSample(n, k, radius, bases, z, record)
 
 
@@ -317,7 +307,9 @@ def sample_sr_flats(spec: FlatProcessSpec, radius: float, rng: SeedLike,
     proj = np.einsum("mkn,mn->mk", bases, points)
     offsets = points - np.einsum("mk,mkn->mn", proj, bases)
     keep = row_norms(offsets) <= radius
-    return FlatSample(n, k, radius, bases[keep], offsets[keep], record)
+    bases, offsets = bases[keep], offsets[keep]
+    bases.flags.writeable = offsets.flags.writeable = False  # fresh: FlatSample keeps them
+    return FlatSample(n, k, radius, bases, offsets, record)
 
 
 def write_flat_sample(sample: FlatSample, path: str | Path) -> None:
@@ -346,8 +338,5 @@ def read_flat_sample(path: str | Path) -> FlatSample:
         if len(nums) != n + k * n:
             raise ValueError(f"{path}: flat line needs {n + k * n} floats")
         offsets.append(nums[:n])
-        bases.append(np.array(nums[n:]).reshape(k, n))
-    m = len(offsets)
-    bases_arr = np.array(bases).reshape(m, k, n)
-    offsets_arr = np.array(offsets).reshape(m, n)
-    return FlatSample(n, k, radius, bases_arr, offsets_arr, seed)
+        bases.append(nums[n:])
+    return FlatSample(n, k, radius, bases, offsets, seed)  # which shapes the lists

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -30,7 +29,7 @@ class Zonotope:
     """Minkowski sum of centered segments [-w_i u_i, +w_i u_i].
 
     units (m, n) holds the directions u_i and half_lengths (m,) the w_i > 0,
-    both read-only; `generators` is their (u_i, w_i) view.
+    both read-only.
     """
 
     n: int
@@ -45,10 +44,6 @@ class Zonotope:
             raise ValueError("generator half-lengths must be finite and positive")
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "half_lengths", half_lengths)
-
-    @cached_property
-    def generators(self) -> tuple[tuple[np.ndarray, float], ...]:
-        return tuple(zip(self.units, self.half_lengths.tolist()))
 
     def scaled(self, factor: float) -> "Zonotope":
         return Zonotope(self.n, self.units, self.half_lengths * factor)

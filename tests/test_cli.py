@@ -219,6 +219,20 @@ def test_version_and_usage_errors_load_no_numpy(argv, code):
     assert loaded_after(argv) == (code, {"flatproc.cli"})
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["stability", "--n", "2"], "stability needs --n >= 3, got --n 2"),
+    (["stability", "--n", "-1", "--case", "line-proximity"],
+     "stability needs --n >= 3, got --n -1"),
+    (["stability", "--order", "5"], "stability needs 2 <= --order <= 2, got --order 5"),
+    (["stability", "--case", "hyperplane-intersection", "--n", "4", "--order", "1"],
+     "stability needs 2 <= --order <= 3, got --order 1"),
+])
+def test_stability_rejects_n_and_order_before_numpy(argv, message, capsys):
+    assert run(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert loaded_after(argv) == (1, {"flatproc.cli"})
+
+
 def test_appendix_loads_no_closed_form_zonoid_derived_or_metric_engine():
     code, modules = loaded_after(["appendix", "--kappa", "3", "--jobs", "1"])
     assert code == 0 and {"numpy", "flatproc.simulator", "flatproc.stats_harness"} <= modules

@@ -7,7 +7,8 @@ from flatproc.closed_form import WindowDescriptor
 from flatproc.derived_processes import (SegmentProcessSample, f_alpha,
                                         intersections, order_statistics,
                                         proximity, write_segments_csv)
-from flatproc.flat_geometry import Flat, Subspace, canonical_units, complement
+from flatproc.flat_geometry import (Flat, Subspace, canonical_units, complement,
+                                    complement_bases, haar_bases, subspace_views)
 from flatproc.measures import DirectionSet, GrassmannMeasure
 from flatproc.simulator import FlatProcessSpec, FlatSample, sample_poisson
 
@@ -711,8 +712,8 @@ def test_intersections_across_independent_samples():
 
 
 def test_sample_flats_are_views_of_the_checked_stack():
-    # FlatSample.flats and IntersectionSample.flats check the basis stack
-    # once and wrap its rows; each Flat still checks its own offset
+    # FlatSample.flats and IntersectionSample.flats check the basis and
+    # offset stacks once and wrap their rows
     from flatproc.derived_processes import IntersectionSample
 
     spec = FlatProcessSpec(3, 2, 3.0, GrassmannMeasure.isotropic(3, 2, 1.0))
@@ -724,17 +725,71 @@ def test_sample_flats_are_views_of_the_checked_stack():
             assert np.shares_memory(flat.direction.basis, source.bases)
             assert np.array_equal(flat.direction.projector(), Subspace(basis).projector())
             assert np.array_equal(flat.offset, offset) and not flat.offset.flags.writeable
-    # rows within FlatSample's 1e-9 but not Subspace's 1e-10, and an offset
-    # within FlatSample's 1e-9 of orthogonal but not Flat's 1e-12
+    # rows 3e-10 off orthonormal and an offset 1e-12 off orthogonal: a
+    # FlatSample rejects them when it is made, an IntersectionSample when
+    # its flats are read
     tilted = np.array([[E[0]], [[0.0, 1.0 + 3e-10, 0.0]]])
     leaning = np.array([[1e-12, 0.0, 0.0], [0.0, 0.0, 5e-10]])
     cases = [(tilted, np.zeros((2, 3)), "not orthonormal"),
              (E[:2, None], leaning, "not orthogonal")]
     for bases, offsets, message in cases:
-        for source in (FlatSample(3, 1, 2.0, bases, offsets, "x"),
-                       IntersectionSample(3, 1, bases, offsets, np.zeros((2, 2), dtype=int))):
-            with pytest.raises(ValueError, match=message):
-                source.flats
+        with pytest.raises(ValueError, match=message):
+            FlatSample(3, 1, 2.0, bases, offsets, "x")
+        source = IntersectionSample(3, 1, bases, offsets, np.zeros((2, 2), dtype=int))
+        with pytest.raises(ValueError, match=message):
+            source.flats
+
+
+def test_near_parallel_plane_pairs_give_their_intersection_flats():
+    # planes of R^3 whose normals meet at angles log-uniform in [1e-9, 1e-5]
+    # cut in a line up to 2 / angle away; its offset's round-off along the
+    # line grows with that distance, and every kept line still is a Flat
+    rng = np.random.default_rng(329)
+    kept, far = 0, 0.0
+    for angle in 10.0 ** rng.uniform(-9.0, -5.0, 250):
+        normal, tilt = haar_bases(1, 3, 2, rng)[0]
+        normals = np.array([normal, math.cos(angle) * normal + math.sin(angle) * tilt])
+        bases = complement_bases(normals[:, None])
+        offsets = rng.uniform(-1.0, 1.0, (2, 1)) * normals
+        inter = intersections(FlatSample(3, 2, 1.0, bases, offsets, "x"), order=2)
+        for flat, basis, offset in zip(inter.flats, inter.bases, inter.offsets):
+            assert np.array_equal(flat.direction.basis, basis)
+            assert np.array_equal(flat.offset, offset)
+        kept += len(inter)
+        far = max(far, np.linalg.norm(inter.offsets, axis=1).max(initial=0.0))
+    assert kept > 200 and far > 1e8
+
+
+def test_containers_keep_their_own_copy_of_a_callers_arrays():
+    from flatproc.derived_processes import IntersectionSample
+    from flatproc.simulator import FactorialDistribution
+
+    bases, offsets = E[:2, None].copy(), np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
+    midpoints, lengths = np.zeros((1, 3)), np.array([0.5])
+    directions, pairs = E[:1].copy(), np.array([[0, 1]])
+    tuples, probabilities = np.array([[0, 1], [1, 0]]), np.array([0.5, 0.0, 0.5])
+    held = [FlatSample(3, 1, 1.0, bases, offsets, "x"),
+            IntersectionSample(3, 1, bases, offsets, tuples),
+            SegmentProcessSample(3, 1.0, 1.0, midpoints, lengths, directions, pairs),
+            subspace_views(bases),
+            FactorialDistribution(2, probabilities)]
+    before = [copy_arrays(h) for h in held]
+    callers = (bases, offsets, midpoints, lengths, directions, pairs, tuples, probabilities)
+    for arr in callers:
+        assert arr.flags.writeable
+        arr[...] = 5
+    assert [copy_arrays(h) for h in held] == before
+    assert not any(np.shares_memory(a, b) for h in held for a in arrays_of(h) for b in callers)
+
+
+def arrays_of(held):
+    if isinstance(held, tuple):
+        return [view.basis for view in held]
+    return [v for v in vars(held).values() if isinstance(v, np.ndarray)]
+
+
+def copy_arrays(held):
+    return [(a.tobytes(), a.flags.writeable) for a in arrays_of(held)]
 
 
 def scalar_intersections(samples, order=None):

@@ -94,8 +94,16 @@ def test_projector_is_cached_read_only_and_exact():
 def test_subspace_views_share_the_read_only_stack_and_match_subspace():
     for n, k in ((3, 1), (4, 2), (5, 3)):
         stack = haar_bases(9, n, k, np.random.default_rng([23, n]))
+        # writable input is copied and left writable
+        copied = subspace_views(stack)
+        assert stack.flags.writeable and len(copied) == 9
+        for view, row in zip(copied, stack):
+            assert not np.shares_memory(view.basis, stack) and not view.basis.flags.writeable
+            assert np.array_equal(view.basis, row)
+        # read-only input stays shared
+        stack.flags.writeable = False
         views = subspace_views(stack)
-        assert not stack.flags.writeable and len(views) == 9
+        assert len(views) == 9
         for view, row in zip(views, stack):
             assert type(view) is Subspace and (view.n, view.k) == (n, k)
             assert np.shares_memory(view.basis, stack) and not view.basis.flags.writeable
@@ -241,6 +249,22 @@ def test_subspace_and_flat_keep_read_only_copies_of_writable_input():
     for view, row in zip(views, offsets):
         flat = Flat(view, row)
         assert Subspace(view.basis).basis is view.basis and flat.offset is row
+
+
+def test_flat_offset_tolerance_scales_with_the_offset_norm():
+    # |B a| < 1e-12 max(1, |a|): a far offset may carry more round-off
+    # along its direction than a near one
+    line = Subspace(E[:1])
+    far = Flat(line, np.array([1e-10, 1e6, 0.0]))
+    assert far.offset[0] == 1e-10
+    with pytest.raises(ValueError, match="offset is not orthogonal"):
+        Flat(line, np.array([5e-10, 0.5, 0.0]))
+    with pytest.raises(ValueError, match="offset is not orthogonal"):
+        Flat(line, np.array([1e-12, 0.0, 0.0]))
+    plane = Subspace(E[:2])
+    Flat(plane, np.array([3e-10, -2e-10, 4e5]))
+    with pytest.raises(ValueError, match="offset is not orthogonal"):
+        Flat(plane, np.array([0.0, 3e-10, 100.0]))
 
 
 def test_closest_pair_parallel_lines_degenerate():

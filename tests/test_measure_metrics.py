@@ -483,7 +483,7 @@ def test_grassmann_distances_merge_equal_subspaces(kind, monkeypatch):
     # sphere atoms 1e-9 apart stay two support points (the merge cut is an
     # angle of 1e-12), their table distance is their angle atan(1e-9), and
     # both distances of the two unit masses are positive at either gap
-    u = mu.pair_atoms[0][0]
+    u = mu.units[0]
     side = np.roll(u, 1) - (np.roll(u, 1) @ u) * u
     tables = []
     table = MetricSample.from_sphere_pairs

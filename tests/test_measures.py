@@ -41,8 +41,8 @@ def test_grassmann_measure_rejects_k_outside_0_to_n(n, k):
 def test_symmetrize_line_atom_becomes_pair_with_full_weight():
     q = GrassmannMeasure.discrete([(Subspace.span(E[0]), 1.0)])
     mu = symmetrize_line_measure(q)
-    assert mu.is_atomic and len(mu.pair_atoms) == 1
-    unit, weight = mu.pair_atoms[0]
+    assert mu.is_atomic and len(mu.units) == 1
+    unit, weight = mu.units[0], mu.weights.tolist()[0]
     assert np.allclose(np.abs(unit), E[0]) and weight == 1.0
     assert abs(mu.total_mass - q.total_mass) < 1e-15
 
@@ -67,13 +67,13 @@ def test_symmetrize_line_requires_lines():
 def test_symmetrize_hyperplane_maps_to_normals():
     q = GrassmannMeasure.discrete([(Subspace(E[:2]), 1.0)])  # e3-normal plane
     mu = symmetrize_hyperplane_measure(q)
-    unit, weight = mu.pair_atoms[0]
+    unit, weight = mu.units[0], mu.weights.tolist()[0]
     assert np.allclose(np.abs(unit), E[2]) and weight == 1.0
     iso = symmetrize_hyperplane_measure(GrassmannMeasure.isotropic(3, 2, 0.7))
     assert iso.uniform_mass == 0.7
     two = GrassmannMeasure.discrete([(Subspace(E[1:]), 0.5), (Subspace(E[[0, 2]]), 0.5)])
     sym = symmetrize_hyperplane_measure(two)
-    units = sorted(tuple(np.round(np.abs(u), 12)) for u, _ in sym.pair_atoms)
+    units = sorted(tuple(np.round(np.abs(u), 12)) for u in sym.units)
     assert units == [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
     with pytest.raises(ValueError):
         symmetrize_hyperplane_measure(GrassmannMeasure.isotropic(3, 1, 1.0))
@@ -379,8 +379,8 @@ def test_stored_stacks_round_trip_in_input_order(tmp_path):
 
     units = [-E[2], E[0], np.array([0.6, -0.8, 0.0])]
     mu = SphereMeasure.atoms(3, list(zip(units, [0.5, 0.25, 2.0])))
-    assert [w for _, w in mu.pair_atoms] == [0.5, 0.25, 2.0]
-    assert np.array_equal(np.array([u for u, _ in mu.pair_atoms]),
+    assert mu.weights.tolist() == [0.5, 0.25, 2.0]
+    assert np.array_equal(mu.units,
                           [E[2], E[0], [0.6, -0.8, 0.0]])
 
     # components of dimensions 2, 1, 1, 2: three runs of one dimension each

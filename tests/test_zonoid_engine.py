@@ -42,7 +42,7 @@ def mu_q_r_bruteforce(q: SphereMeasure, r: int):
     (floating-point determinants of singular Grams are not reliably zero).
     """
     points = []
-    for pair_id, (u, w) in enumerate(q.pair_atoms):
+    for pair_id, (u, w) in enumerate(zip(q.units, q.weights.tolist())):
         points.append((pair_id, u, w / 2.0))
         points.append((pair_id, -u, w / 2.0))
     atoms = []
@@ -147,7 +147,7 @@ def test_each_zonoid_call_checks_one_stack(call, monkeypatch):
 def test_from_measure_single_segment():
     mu = SphereMeasure.atoms(3, [(E[0], 1.0)])
     z = from_measure(mu)
-    assert len(z.generators) == 1
+    assert len(z.units) == 1
     assert support(z, E[0]) == pytest.approx(0.5, abs=1e-15)
 
 
@@ -157,8 +157,9 @@ def test_from_measure_cube_support_values():
     assert support(z, np.ones(3)) == pytest.approx(0.5, abs=1e-15)
     # hand oracle: (1/2) sum over signed atoms of mass |<v, x>|
     x = np.array([0.2, -0.7, 1.3])
+    mu = cube_measure()
     direct = 0.5 * sum((w / 2.0) * (abs(u @ x) + abs(-u @ x))
-                       for u, w in cube_measure().pair_atoms)
+                       for u, w in zip(mu.units, mu.weights.tolist()))
     assert support(z, x) == pytest.approx(direct, abs=1e-15)
 
 
@@ -195,7 +196,7 @@ def test_intrinsic_volume_segment_and_cube():
 
 def hull_membership_volume(z: Zonotope, rng, samples=200_000):
     """Monte Carlo volume via hull facet membership of box-sampled points."""
-    signs = np.array(list(product((-1.0, 1.0), repeat=len(z.generators))))
+    signs = np.array(list(product((-1.0, 1.0), repeat=len(z.units))))
     vertices = signs @ (z.units * z.half_lengths[:, None])
     hull = ConvexHull(vertices)
     lo, hi = vertices.min(axis=0), vertices.max(axis=0)
@@ -224,7 +225,7 @@ def test_volume_against_hull_membership_oracle():
 def test_surface_area_against_hull_oracle():
     rng = np.random.default_rng(24)
     z = from_measure(random_even_measure(3, 5, rng))
-    signs = np.array(list(product((-1.0, 1.0), repeat=len(z.generators))))
+    signs = np.array(list(product((-1.0, 1.0), repeat=len(z.units))))
     vertices = signs @ (z.units * z.half_lengths[:, None])
     hull = ConvexHull(vertices)
     assert intrinsic_volume(z, 2) == pytest.approx(hull.area / 2.0, rel=1e-10)
@@ -251,7 +252,7 @@ def test_rotation_equivariance():
     rng = np.random.default_rng(25)
     q = random_even_measure(3, 4, rng)
     rot = random_rotation(3, rng)
-    rotated = SphereMeasure.atoms(3, [(rot @ u, w) for u, w in q.pair_atoms])
+    rotated = SphereMeasure.atoms(3, [(rot @ u, w) for u, w in zip(q.units, q.weights.tolist())])
     z, zr = from_measure(q), from_measure(rotated)
     for m in range(4):
         assert intrinsic_volume(zr, m) == pytest.approx(

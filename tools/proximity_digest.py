@@ -10,7 +10,7 @@ both checkouts (each imports flatproc from its own `src`):
     (cd ../parent && python tools/proximity_digest.py) > old.txt
     diff old.txt new.txt
 
-The 949 cases:
+The 974 cases:
 - k = 1, 419 outputs: `sample_poisson` lines in R^2-R^5 with isotropic and
   axis-atom laws, 20 seeds each at radii that straddle `SCREEN_MIN_PAIRS`
   (160 samples), and `proximity` on those in R^3-R^5 (120); anchored lines
@@ -45,6 +45,12 @@ The 949 cases:
   and 3 `order_statistics` of the lengths, over a ball and a box window of
   circumradius radius - delta/2, over all directions and over a double cap,
   on the eleven radius-16.5 samples in R^3 and five radius-4.5 ones (320).
+- intersections, 25 outputs: the bases, offsets and tuples of
+  `intersections` for planes of R^3 at r = 2, hyperplanes of R^4 at r = 3
+  and 2-flats of R^4 at r = 2, 5 seeds each (15); the cross product of two
+  samples of planes of R^3, 5 seeds (5); and 20 planted near-parallel plane
+  pairs of R^3 at normal angles log-uniform in [1e-9, 1e-5], whose lines lie
+  up to 2 / angle away, 5 seeds (5).
 """
 from __future__ import annotations
 
@@ -58,8 +64,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from flatproc.closed_form import WindowDescriptor  # noqa: E402
-from flatproc.derived_processes import f_alpha, order_statistics, proximity  # noqa: E402
-from flatproc.flat_geometry import Subspace  # noqa: E402
+from flatproc.derived_processes import (f_alpha, intersections, order_statistics,  # noqa: E402
+                                        proximity)
+from flatproc.flat_geometry import Subspace, complement_bases, haar_bases  # noqa: E402
 from flatproc.measures import DirectionSet, GrassmannMeasure  # noqa: E402
 from flatproc.simulator import (FlatProcessSpec, FlatSample, SrConstruction,  # noqa: E402
                                 build_factorial_distribution, sample_cube_process,
@@ -191,6 +198,7 @@ def cases():
     yield from stream_cases()
     yield from small_cases()
     yield from functional_cases()
+    yield from intersection_cases()
 
 
 def first_flats(sample, count: int):
@@ -253,6 +261,39 @@ def functional_cases():
                 for m in (1, 3):
                     yield (f"{case}-min{m}",
                            digest(order_statistics(seg, 1.0, window, m, direction_set)))
+
+
+def intersection_digest(inter) -> str:
+    return digest(inter.bases, inter.offsets, inter.tuples)
+
+
+def planted_near_parallel(pairs: int, seed: int) -> FlatSample:
+    """Planes of R^3 in near-parallel pairs 2i, 2i + 1: normals at angles
+    log-uniform in [1e-9, 1e-5], offsets uniform in [-1, 1] along them."""
+    rng = np.random.default_rng([850, seed])
+    bases, offsets = [], []
+    for angle in 10.0 ** rng.uniform(-9.0, -5.0, pairs):
+        normal, tilt = haar_bases(1, 3, 2, rng)[0]
+        normals = np.array([normal, math.cos(angle) * normal + math.sin(angle) * tilt])
+        bases.append(complement_bases(normals[:, None]))
+        offsets.append(rng.uniform(-1.0, 1.0, (2, 1)) * normals)
+    return FlatSample(3, 2, 1.0, np.concatenate(bases), np.concatenate(offsets), str(seed))
+
+
+def intersection_cases():
+    """Intersection flats of seeded samples, of one cross product of two
+    samples, and of planted near-parallel plane pairs."""
+    for n, k, r, radius in ((3, 2, 2, 10.0), (4, 3, 3, 6.0), (4, 2, 2, 2.5)):
+        for seed in range(5):
+            sample = sample_poisson(isotropic(n, k), radius, [800 + n, k, r, seed])
+            yield (f"intersections-R{n}-k{k}-r{r}-s{seed}",
+                   intersection_digest(intersections(sample, order=r)))
+    for seed in range(5):
+        a, b = (sample_poisson(isotropic(3, 2), 8.0, [830, seed, side]) for side in (0, 1))
+        yield f"intersections-R3-k2-ab-s{seed}", intersection_digest(intersections([a, b]))
+    for seed in range(5):
+        yield (f"intersections-R3-near-parallel-s{seed}",
+               intersection_digest(intersections(planted_near_parallel(20, seed), order=2)))
 
 
 def main() -> int:
