@@ -336,9 +336,7 @@ def _tuple_integrand(bases: list[np.ndarray], g=None) -> np.ndarray:
     values = np.where(keep, det, 0.0)
     if g is not None:
         # the intersection is the null space of the stacked complements
-        meets = complement_bases(normal[keep])
-        meets.flags.writeable = False
-        values[keep] *= [float(g(sub)) for sub in subspace_views(meets)]
+        values[keep] *= [float(g(sub)) for sub in subspace_views(complement_bases(normal[keep]))]
     return values
 
 

@@ -4,16 +4,20 @@ Subspaces are stored as stacks of orthonormal row vectors.  Affine flats are
 a direction subspace plus an offset in its orthogonal complement.  Operations
 are pure and values immutable: `check_orthonormal` is the one test of a
 basis or flat stack, and `read_only` the one rule for an array a container
-is given.  The kernels work on (m, k, n) stacks of bases and freeze their
-outputs; `subspace_views` and `flat_views` check a stack once and hand out
-views of its rows.  The scalar `closest_pair`, for k1 + k2 < n only, is the
-per-pair reference of `pair_segments` and returns a `ProximitySegment`.
+is given.  The kernels work on (m, k, n) stacks of bases and `freeze` their
+outputs, with the fresh arrays those view; `subspace_views` and `flat_views`
+check a stack once and hand out views of its rows.  The scalar
+`closest_pair`, for k1 + k2 < n only, is the per-pair reference of
+`pair_segments` and returns a `ProximitySegment`.
 Its line solve gathers both lines of every pair of a block with one take
 from (2n + 2, N) coordinate rows, one contiguous row per coordinate, takes
 the block's dot products from `row_dots`, and writes its outputs once, in
 C order, compacting them only when the block drops a pair; a call of one
 unscreened slab reads its pairs from one cached table, and the slabs of a
-single sample cut their j > i corner with one cached triangle.
+single sample cut their j > i corner with one cached triangle.  A call on
+lines of R^3 with at most SMALL_LINE_PAIRS pairs, where that solve's fixed
+cost dominates, goes pair by pair in Python floats instead, with the same
+operations in the same order: the same bits.
 """
 from __future__ import annotations
 
@@ -42,6 +46,15 @@ SCREEN_TAU = 1e-6
 # it saves below about 1,200 pairs (isotropic lines in R^3 and R^4, delta 1,
 # screen forced on and off, timed on a 2-vCPU x86-64 host with one BLAS thread)
 SCREEN_MIN_PAIRS = 1200
+# calls on lines of R^3 with at most this many pairs skip the vectorized solve,
+# about 55 us a call whatever the size, for `_small_line_segments`, its bits
+# pair by pair in Python floats, whose cost grows with the pairs it keeps.  In
+# a loop of unit-cube F_0 replications the two cross near 50 pairs (141
+# against 153-158 us a replication at 36, 165 against 158-169 at 55); one path
+# called over and over, near 32 pairs with 2/3 of them kept (58 against 55 us
+# at 36) and near 40 with 2/5 kept (50 against 55 at 36, 60 against 56 at 45;
+# isotropic lines, delta 1, the same 2-vCPU host)
+SMALL_LINE_PAIRS = 36
 
 
 class DegeneratePairError(ValueError):
@@ -50,11 +63,25 @@ class DegeneratePairError(ValueError):
 
 def read_only(values, dtype=float) -> np.ndarray:
     """values as a read-only array of dtype, every container's ownership rule:
-    read-only input of that dtype is kept, any other input copied and frozen."""
-    if not isinstance(values, np.ndarray) or values.dtype != dtype or values.flags.writeable:
+    a read-only array of that dtype whose `.base`, if any, is a read-only
+    array too is kept, any other input copied and frozen, so that no caller
+    keeps a writable alias of what a container holds."""
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable
+            and (values.base is None or isinstance(values.base, np.ndarray)
+                 and not values.base.flags.writeable)):
         values = np.array(values, dtype=dtype)
         values.flags.writeable = False
     return values
+
+
+def freeze(arrays) -> tuple[np.ndarray, ...]:
+    """Arrays a kernel made, frozen, each with the fresh array it may be a
+    view of, so that `read_only` keeps them."""
+    for arr in arrays:
+        arr.flags.writeable = False
+        if arr.base is not None:
+            arr.base.flags.writeable = False
+    return tuple(arrays)
 
 
 def canonical_units(units: np.ndarray) -> np.ndarray:
@@ -315,6 +342,7 @@ def complement_bases(bases: np.ndarray) -> np.ndarray:
     """
     k = bases.shape[1]
     q, _ = np.linalg.qr(np.swapaxes(bases, 1, 2), mode="complete")
+    q.flags.writeable = False  # fresh: `read_only` keeps views of it
     return np.swapaxes(q[:, :, k:], 1, 2)
 
 
@@ -374,7 +402,9 @@ def q_factors(g: np.ndarray) -> np.ndarray:
     if g.shape[1] == 1:
         return g / np.linalg.norm(g, axis=2, keepdims=True)
     q, _ = np.linalg.qr(np.swapaxes(g, 1, 2))
-    return np.swapaxes(q, 1, 2)
+    factors = np.swapaxes(q, 1, 2)
+    q.flags.writeable = False  # written only through factors: `read_only` keeps them once frozen
+    return factors
 
 
 def haar_bases(count: int, n: int, k: int, rng: SeedLike) -> np.ndarray:
@@ -581,6 +611,65 @@ def _line_rows(bases: np.ndarray, offs: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _line_floats(bases, offs) -> list[tuple[float, ...]]:
+    """(u0, u1, u2, a0, a1, a2, u.u, `_touch_scale` of |a|) of each line of
+    R^3 in Python floats, u.u and a.a summed as `_line_rows`' einsum sums
+    them, ((x0 x0 + 0.0) + x2 x2) + x1 x1."""
+    out = []
+    for (u0, u1, u2), (a0, a1, a2) in zip(bases.reshape(-1, 3).tolist(), offs.tolist()):
+        reach = sqrt(a0 * a0 + 0.0 + a2 * a2 + a1 * a1)
+        out.append((u0, u1, u2, a0, a1, a2, u0 * u0 + 0.0 + u2 * u2 + u1 * u1,
+                    (3 + 58) * 2.0 ** -53 * max(reach, 1.0)))
+    return out
+
+
+def _small_line_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
+    """`pair_segments` of lines in R^3 pair by pair in Python floats, bit for
+    bit: each value takes the vectorized line solve's operations in its
+    order.  Dot products are `row_dots`', ((x0 y0 + 0.0) + x2 y2) + x1 y1,
+    lengths `row_norms`', (g0^2 + g1^2) + g2^2, and signs `_sign_rows`' row by
+    row.  A pair with det = 1 - c^2 = 0 is dropped, as the NaN that x / det
+    leaves in its gap drops it there."""
+    rows_a = _line_floats(bases_a, offs_a)
+    rows_b = rows_a if single else _line_floats(bases_b, offs_b)
+    mids, lengths, dirs, pairs = [], [], [], []
+    for i, (u0, u1, u2, a0, a1, a2, su, ta) in enumerate(rows_a):
+        for j in range(i + 1, len(rows_b)) if single else range(len(rows_b)):
+            v0, v1, v2, b0, b1, b2, sv, tb = rows_b[j]
+            c = u0 * v0 + 0.0 + u2 * v2 + u1 * v1
+            c2 = c * c
+            vol = su * sv - c2
+            vol = sqrt(vol) if vol > 0.0 else 0.0  # sqrt(max(vol, 0)), NaN dropped as there
+            if not vol > GENERAL_POSITION_TOL:
+                continue
+            det = 1.0 - c2
+            if not det:  # there the vectorized solve's x / det gives a gap with a NaN
+                continue
+            d0, d1, d2 = a0 - b0, a1 - b1, a2 - b2
+            p = u0 * d0 + 0.0 + u2 * d2 + u1 * d1
+            q = v0 * d0 + 0.0 + v2 * d2 + v1 * d1
+            s, t = (c * q - p) / det, (c * p - q) / det
+            e0, e1, e2 = a0 + u0 * s, a1 + u1 * s, a2 + u2 * s
+            f0, f1, f2 = b0 - v0 * t, b1 - v1 * t, b2 - v2 * t
+            g0, g1, g2 = e0 - f0, e1 - f1, e2 - f2
+            length = sqrt(g0 * g0 + g1 * g1 + g2 * g2)
+            # length > max(max(ta, tb) / vol, 1e-12), division being monotone
+            if not (length > ta / vol and length > tb / vol and length > 1e-12
+                    and length <= delta):
+                continue
+            g0, g1, g2 = g0 / length, g1 / length, g2 / length
+            lead = g0 if not abs(g0) <= 1e-12 else g1 if not abs(g1) <= 1e-12 else g2
+            if lead < -1e-12:
+                g0, g1, g2 = g0 * -1.0, g1 * -1.0, g2 * -1.0
+            mids += ((e0 + f0) / 2.0, (e1 + f1) / 2.0, (e2 + f2) / 2.0)
+            lengths.append(length)
+            dirs += (g0, g1, g2)
+            pairs += (i, j)
+    m = len(lengths)
+    return (np.array(mids).reshape(m, 3), np.array(lengths, dtype=float),
+            np.array(dirs).reshape(m, 3), np.array(pairs, dtype=np.intp).reshape(m, 2))
+
+
 def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     """Batched closest-pair solve: the proximity segments of flat pairs.
 
@@ -607,12 +696,16 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     one division, and one C-ordered copy each of its midpoints and pairs
     (never a view of a cached table); any other block compacts the kept
     pairs with one take per output.  No pair's result depends on its slab
-    or block.
+    or block.  Lines of R^3 with at most SMALL_LINE_PAIRS pairs skip both
+    phases for `_small_line_segments`, whose outputs are those bytes in the
+    same layout.
     """
     n = offs_a.shape[1]
     lines = bases_a.shape[1] == bases_b.shape[1] == 1
     n_a, n_b = offs_a.shape[0], offs_b.shape[0]
     count = n_a * (n_a - 1) // 2 if single else n_a * n_b
+    if lines and n == 3 and count <= SMALL_LINE_PAIRS:
+        return freeze(_small_line_segments(bases_a, offs_a, bases_b, offs_b, single, delta))
     if lines:  # the rows of a, then those of b: a pair (i, j) is column (i, n_a + j)
         rows = (_line_rows(bases_a, offs_a) if single else
                 _line_rows(np.concatenate([bases_a, bases_b]), np.concatenate([offs_a, offs_b])))
@@ -715,10 +808,7 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
         held += pairs.shape[1]
         r0 = r1
     solved.append(solve(block[0] if len(block) == 1 else np.concatenate(block, axis=1)))
-    out = solved[0] if len(solved) == 1 else tuple(np.concatenate(c) for c in zip(*solved))
-    for arr in out:  # fresh arrays, frozen so that a container keeps them
-        arr.flags.writeable = False
-    return out
+    return freeze(solved[0] if len(solved) == 1 else [np.concatenate(c) for c in zip(*solved)])
 
 
 def tuple_intersections(bases, offsets, tuples):
@@ -752,7 +842,4 @@ def tuple_intersections(bases, offsets, tuples):
                            direction)
         return direction, point, tuples
 
-    out = _in_blocks(lambda rows: solve(tuples[rows]), tuples.shape[0])
-    for arr in out:  # fresh arrays, frozen so that a container keeps them
-        arr.flags.writeable = False
-    return out
+    return freeze(_in_blocks(lambda rows: solve(tuples[rows]), tuples.shape[0]))

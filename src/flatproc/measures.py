@@ -22,7 +22,7 @@ import numpy as np
 
 from . import constants
 from ._rng import SeedLike, as_generator
-from .flat_geometry import (Subspace, _in_blocks, canonical_unit, canonical_units,
+from .flat_geometry import (Subspace, _in_blocks, _sign_rows, canonical_unit,
                             check_orthonormal, complement_bases, haar_bases, orthonormalize,
                             read_only, subset_indices, subspace_views)
 
@@ -167,7 +167,9 @@ class SphereMeasure:
         norms = np.sqrt((units[:, None, :] @ units[:, :, None])[:, 0, 0])  # np.linalg.norm's u.u
         if not np.all((norms >= 1e-12) & (norms < np.inf)):  # NaN fails too
             raise ValueError("cannot canonicalize a near-zero or non-finite vector")
-        object.__setattr__(self, "units", read_only(canonical_units(units / norms[:, None])))
+        units = _sign_rows(units / norms[:, None])  # fresh: signed in place and frozen
+        units.flags.writeable = False
+        object.__setattr__(self, "units", units)
         object.__setattr__(self, "weights", weights)
 
     @staticmethod

@@ -444,13 +444,15 @@ def test_one_slab_table_and_slab_loop_give_the_same_bytes(monkeypatch):
             calls.clear()
             outputs.append([proximity(first, second, delta=1.0) for first, second in cases])
             tabled.append(len(calls))
-    # the default reaches the table for every unscreened call; slabs of one
-    # row only for calls of at most one row and pair; a forced screen only
-    # for flats other than lines
+    # the default reaches the table for every unscreened call but those on at
+    # most SMALL_LINE_PAIRS pairs of lines in R^3, which are solved pair by
+    # pair; slabs of one row only for calls of at most one row and pair; a
+    # forced screen only for flats other than lines
     sizes = [(len(a), len(a) * (len(a) - 1) // 2 if b is None else len(a) * len(b),
               a.k == (a if b is None else b).k == 1) for a, b in cases]
-    unscreened = [(rows, count) for rows, count, lines in sizes
-                  if not lines or count < flat_geometry.SCREEN_MIN_PAIRS]
+    unscreened = [(rows, count) for (rows, count, lines), (a, _) in zip(sizes, cases)
+                  if not lines or (a.n > 3 or count > flat_geometry.SMALL_LINE_PAIRS)
+                  and count < flat_geometry.SCREEN_MIN_PAIRS]
     assert tabled[0] == len(unscreened) > tabled[1]
     assert tabled[2] == sum(rows <= 1 and count <= 1 for rows, count in unscreened)
     assert tabled[3] == sum(not lines for _, _, lines in sizes) == 3
@@ -782,6 +784,66 @@ def test_containers_keep_their_own_copy_of_a_callers_arrays():
     assert not any(np.shares_memory(a, b) for h in held for a in arrays_of(h) for b in callers)
 
 
+def test_read_only_view_of_writable_memory_is_copied():
+    # clearing a view's writeable flag leaves the array it views writable: a
+    # sample built from such a view takes its own copy
+    bases = E[:2, None].copy()
+    offsets = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
+    view = offsets.view()
+    view.flags.writeable = False
+    sample = FlatSample(3, 1, 1.0, bases, view, "x")
+    assert not np.shares_memory(sample.offsets, offsets)
+    offsets[...] = 5.0
+    assert sample.offsets.tolist() == [[0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
+    # a read-only view of read-only memory is kept
+    offsets = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
+    offsets.flags.writeable = False
+    assert np.shares_memory(FlatSample(3, 1, 1.0, bases, offsets.view(), "x").offsets, offsets)
+
+
+def test_kernel_and_sampler_outputs_are_kept_without_a_copy(monkeypatch):
+    # what the samplers and kernels make and freeze, views of their fresh
+    # arrays included, reaches the containers without a copy
+    import flatproc.derived_processes as derived_processes
+    import flatproc.flat_geometry as flat_geometry
+    import flatproc.simulator as simulator
+    from flatproc.simulator import SrConstruction, sample_sr_flats
+
+    read_only, kept = flat_geometry.read_only, []
+
+    def spy(values, dtype=float):
+        out = read_only(values, dtype)
+        kept.append(out is values)
+        return out
+
+    for module in (flat_geometry, simulator, derived_processes):
+        monkeypatch.setattr(module, "read_only", spy)
+    samples = {}
+    for n, k, radius in ((3, 1, 2.0), (4, 2, 1.5), (3, 2, 1.5)):
+        spec = FlatProcessSpec(n, k, 2.0, GrassmannMeasure.isotropic(n, k, 1.0))
+        kept.clear()
+        samples[n, k] = sample_poisson(spec, radius, [355, n, k])
+        assert len(samples[n, k]) > 4 and kept == [True, True]
+    spec = FlatProcessSpec(3, 2, 1.0, GrassmannMeasure.isotropic(3, 2, 1.0),
+                           kind=SrConstruction(2, Subspace(E[:1])))
+    kept.clear()  # the last two: the sample's; the first, its count law's table
+    assert len(sample_sr_flats(spec, 1.5, 356)) > 0 and kept[-2:] == [True, True]
+    lines = samples[3, 1]
+    none = FlatSample(3, 1, 1.0, np.zeros((0, 1, 3)), np.zeros((0, 3)), "none")
+    two = lines_sample([E[0], E[1]], [np.zeros(3), 0.5 * E[2]])
+    for limit in (-1, math.inf):  # the vectorized solve and the small path
+        monkeypatch.setattr(flat_geometry, "SMALL_LINE_PAIRS", limit)
+        for first, second, count in ((none, None, 0), (two, None, 1), (lines, None, None),
+                                     (lines, two, None)):
+            kept.clear()
+            seg = proximity(first, second, delta=1.0)
+            assert kept == [True] * 4 and (count is None and len(seg) > 1 or len(seg) == count)
+    kept.clear()
+    assert len(intersections(samples[3, 2], order=2)) > 0 and kept == [True] * 3
+    kept.clear()
+    assert len(subspace_views(complement_bases(samples[4, 2].bases))) > 0 and kept == [True]
+
+
 def arrays_of(held):
     if isinstance(held, tuple):
         return [view.basis for view in held]
@@ -1025,3 +1087,196 @@ def test_segments_csv_format(tmp_path):
     assert len(fields) == 9
     assert float(fields[3]) == pytest.approx(0.8, abs=1e-12)
     assert fields[7] == "0" and fields[8] == "1"
+
+
+def line_paths(monkeypatch, bases_a, offs_a, bases_b, offs_b, single, delta):
+    """pair_segments with the small line path forced off (SMALL_LINE_PAIRS
+    -1, which sends even calls without pairs to the vectorized solve) and on
+    (inf): the small path's arrays, which must be the vectorized solve's
+    bytes, layout included, and frozen as they are."""
+    import flatproc.flat_geometry as flat_geometry
+
+    args = (bases_a, offs_a, bases_b, offs_b, single, delta)
+    with monkeypatch.context() as patch:
+        patch.setattr(flat_geometry, "SMALL_LINE_PAIRS", -1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # its inf and NaN where det = 0
+            ref = flat_geometry.pair_segments(*args)
+        patch.setattr(flat_geometry, "SMALL_LINE_PAIRS", math.inf)
+        out = flat_geometry.pair_segments(*args)
+    for ours, theirs in zip(out, ref):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.flags.c_contiguous and theirs.flags.c_contiguous
+        assert ours.flags.f_contiguous == theirs.flags.f_contiguous
+        assert ours.tobytes() == theirs.tobytes()
+        assert not ours.flags.writeable
+        assert ours.base is None or not ours.base.flags.writeable
+    return out
+
+
+def test_small_line_path_gives_the_vectorized_bytes_on_seeded_samples(monkeypatch):
+    # the first N lines of a seeded sample for every N up to two past the
+    # threshold, alone and against a second sample in both orders
+    from flatproc.flat_geometry import SMALL_LINE_PAIRS
+
+    spec = FlatProcessSpec(3, 1, 1.0, GrassmannMeasure.isotropic(3, 1, 1.0))
+    big, other = sample_poisson(spec, 4.0, 350), sample_poisson(spec, 1.5, 351)
+    assert len(big) >= SMALL_LINE_PAIRS + 2 and len(other) >= 4
+    kept = 0
+    for size in range(SMALL_LINE_PAIRS + 3):
+        a = (big.bases[:size], big.offsets[:size])
+        b = (other.bases, other.offsets)
+        for args in ((*a, *a, True), (*a, *b, False), (*b, *a, False)):
+            kept += len(line_paths(monkeypatch, *args, 1.0)[1])
+    assert kept > 500
+
+
+def planted_line_cases():
+    """{name: (bases, offsets, delta)} of lines in R^3 at the edges of the solve."""
+    rng = np.random.default_rng(352)
+    cases = []
+    generic = lines_sample([E[0], E[1] + E[2], E[0] - 2.0 * E[1] + 0.3 * E[2]],
+                           [np.zeros(3), 0.4 * E[2], 0.2 * E[1]])
+    twin = lines_sample([E[0], E[0], E[2]], [0.3 * E[1], 0.3 * E[1], 0.2 * E[0]])
+    parallel = lines_sample([E[0], E[0], E[2]], [np.zeros(3), 0.5 * E[1], 0.2 * E[1]])
+    touching = lines_sample([E[0], E[0] + E[1], E[2]], [np.zeros(3), np.zeros(3), 0.2 * E[1]])
+    cases += [("identical", twin), ("parallel", parallel), ("touching", touching)]
+    cases = [(name, s.bases, s.offsets, 1.0) for name, s in cases]
+    # a pair at distance exactly delta, and delta one ulp short of it
+    length = float(line_pair_length(generic.bases[:2], generic.offsets[:2]))
+    cases += [("at delta", generic.bases, generic.offsets, length),
+              ("one ulp beyond", generic.bases, generic.offsets, np.nextafter(length, 0.0))]
+    # offsets of norm about 1e6, at distances around the touch cut 61 eps 1e6 / [L, M]
+    directions, points = [], []
+    for dist in 10.0 ** rng.uniform(-10.0, -6.0, 5):
+        pair_dirs, pair_points = far_line_pair(rng, 3, np.sin(rng.uniform(0.3, 1.5)), dist,
+                                               scale=1e4)
+        directions += pair_dirs
+        points += pair_points
+    far = lines_sample(directions, points, radius=3e6)
+    assert np.min(np.linalg.norm(far.offsets, axis=1)) > 1e6
+    cases.append(("offsets 1e6", far.bases, far.offsets, 1.0))
+    # offsets of norm below 1, which the cut reads as 1: pairs at angles
+    # about 1e-3 and distances around 61 eps / 1e-3 = 6.8e-12
+    directions, points = [], []
+    for dist in 10.0 ** rng.uniform(-12.0, -10.5, 5):
+        pair_dirs, pair_points = far_line_pair(rng, 3, 1e-3, dist, scale=1e-3)
+        directions += pair_dirs
+        points += pair_points
+    near = lines_sample(directions, points, radius=1.0)
+    cases.append(("offsets below 1", near.bases, near.offsets, 1.0))
+    # common perpendiculars whose first coordinate is 0 or within 1e-12 of
+    # it, where the sign walks to the next coordinate, and one just past it
+    directions, points = [], []
+    for x in (0.0, 1e-13, -1e-13, 9e-13, -9e-13, -2e-12):
+        w = np.array([x, 0.6, -0.8])
+        u = np.cross(w, E[0])
+        v = np.cross(w, u) + 0.3 * u
+        directions += [u / np.linalg.norm(u), v / np.linalg.norm(v)]
+        points += [np.zeros(3), 0.4 * w]
+    lead = lines_sample(directions, points)
+    cases.append(("leading zero", lead.bases, lead.offsets, 1.0))
+    # c = u.v = 1 and -1 exactly while the volume test passes: det = 1 - c^2
+    # = 0.  The vectorized solve's s = (c q - p) / det and t = (c p - q) /
+    # det are then NaN or infinite with t = -c s, and some coordinate of its
+    # gap d + s u + t v is NaN: 0 times inf, or inf - inf where u_k and c v_k
+    # have one sign, as for some k they must since c u.v > 0.  So the pair
+    # is dropped even at delta = inf.  Raw rows, as pair_segments takes them
+    rng = np.random.default_rng(358)
+    while True:
+        v = rng.standard_normal(3)
+        v /= np.linalg.norm(v)
+        w = np.cross(v, rng.standard_normal(3))
+        u = v + 3e-8 * w / np.linalg.norm(w)
+        x, y = u.tolist(), v.tolist()
+        if x[0] * y[0] + 0.0 + x[2] * y[2] + x[1] * y[1] == 1.0 and np.abs([u, v]).min() > 0.1:
+            break
+    bases = np.array([u, v, -v, w / np.linalg.norm(w)])[:, None]
+    offsets = np.array([[0.0, 0.0, 0.3], [0.0, 0.2, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.1]])
+    cases += [("det 0", bases, offsets, 1.0), ("det 0, delta inf", bases, offsets, math.inf)]
+    return {name: case for name, *case in cases}
+
+
+def line_pair_length(bases, offsets):
+    from flatproc.flat_geometry import pair_segments
+
+    return pair_segments(bases, offsets, bases, offsets, True, math.inf)[1][0]
+
+
+@pytest.mark.parametrize("name", ["identical", "parallel", "touching", "at delta",
+                                  "one ulp beyond", "offsets 1e6", "offsets below 1",
+                                  "leading zero", "det 0",
+                                  "det 0, delta inf"])
+def test_small_line_path_gives_the_vectorized_bytes_on_planted_lines(name, monkeypatch):
+    bases, offsets, delta = planted_line_cases()[name]
+    n_a = len(offsets)
+    out = line_paths(monkeypatch, bases, offsets, bases, offsets, True, delta)
+    pairs = out[3].tolist()
+    for i in range(1, n_a):  # and across two samples, in both orders
+        line_paths(monkeypatch, bases[:i], offsets[:i], bases[i:], offsets[i:], False, delta)
+        line_paths(monkeypatch, bases[i:], offsets[i:], bases[:i], offsets[:i], False, delta)
+    if name in ("identical", "parallel", "touching"):
+        assert [0, 1] not in pairs and len(pairs) == 2
+    if name == "at delta":
+        assert [0, 1] in pairs and out[1][pairs.index([0, 1])] == delta
+    if name == "one ulp beyond":
+        assert [0, 1] not in pairs
+    if name.startswith("offsets"):  # the cut drops some of the planted pairs and keeps others
+        kept = {(2 * p, 2 * p + 1) for p in range(n_a // 2)} & set(map(tuple, pairs))
+        assert 0 < len(kept) < n_a // 2
+    if name == "leading zero":
+        lead = np.abs(out[2][:, 0])
+        assert np.count_nonzero(lead <= 1e-12) >= 5 and np.count_nonzero(lead > 1e-12) >= 1
+    if name.startswith("det 0"):
+        for i, j in ((0, 1), (0, 2)):
+            u, v = bases[i, 0].tolist(), bases[j, 0].tolist()
+            c = u[0] * v[0] + 0.0 + u[2] * v[2] + u[1] * v[1]
+            assert 1.0 - c * c == 0.0 and abs(c) == 1.0
+            assert math.sqrt(sum(x * x for x in u) * sum(x * x for x in v) - c * c) > 1e-10
+            assert [i, j] not in pairs
+        assert [0, 3] in pairs
+
+
+def test_small_line_path_is_chosen_by_k_n_and_pair_count(monkeypatch):
+    # the small path serves lines of R^3 with at most SMALL_LINE_PAIRS pairs
+    # and nothing else, single and across two samples
+    import flatproc.flat_geometry as flat_geometry
+    from flatproc.flat_geometry import SMALL_LINE_PAIRS
+
+    small = flat_geometry._small_line_segments
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return small(*args)
+
+    monkeypatch.setattr(flat_geometry, "_small_line_segments", spy)
+    lines = sample_poisson(FlatProcessSpec(3, 1, 1.0, GrassmannMeasure.isotropic(3, 1, 1.0)),
+                           4.0, 353)
+    assert len(lines) > SMALL_LINE_PAIRS + 1
+    rows = max(m for m in range(len(lines)) if m * (m - 1) // 2 <= SMALL_LINE_PAIRS)
+    def head(sample, m):
+        return FlatSample(sample.n, sample.k, sample.radius, sample.bases[:m],
+                          sample.offsets[:m], "head")
+
+    for count, chosen in ((SMALL_LINE_PAIRS, True), (SMALL_LINE_PAIRS + 1, False)):
+        for first, second in ((head(lines, 1), head(lines, count)),
+                              (head(lines, count), head(lines, 1))):
+            calls.clear()
+            proximity(first, second, delta=1.0)
+            assert len(calls) == chosen
+    for size, chosen in ((rows, True), (rows + 1, False)):
+        calls.clear()
+        proximity(head(lines, size), delta=1.0)
+        assert len(calls) == chosen
+    # lines of R^4, planes of R^5, lines against planes of R^4: few pairs,
+    # never the small path
+    others = [sample_poisson(FlatProcessSpec(n, k, 1.0, GrassmannMeasure.isotropic(n, k, 1.0)),
+                             radius, 357)
+              for n, k, radius in ((4, 1, 1.1), (5, 2, 1.1), (4, 2, 1.3))]
+    calls.clear()
+    for first, second in ((others[0], None), (others[1], None), (others[0], others[2]),
+                          (others[2], others[0])):
+        count = len(first) * (len(first) - 1) // 2 if second is None else len(first) * len(second)
+        assert 0 < count <= SMALL_LINE_PAIRS
+        proximity(first, second, delta=1.0)
+    assert not calls

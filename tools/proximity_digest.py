@@ -10,7 +10,7 @@ both checkouts (each imports flatproc from its own `src`):
     (cd ../parent && python tools/proximity_digest.py) > old.txt
     diff old.txt new.txt
 
-The 974 cases:
+The 1,010 cases:
 - k = 1, 419 outputs: `sample_poisson` lines in R^2-R^5 with isotropic and
   axis-atom laws, 20 seeds each at radii that straddle `SCREEN_MIN_PAIRS`
   (160 samples), and `proximity` on those in R^3-R^5 (120); anchored lines
@@ -34,13 +34,15 @@ The 974 cases:
   against 2, 3 and 4 slabs, 1,100 replications, 2 seeds each (6);
   `sample_cube_process` for kappa = 2, 3, 5 over four index boxes in d = 1-3,
   with and without `stationarize`, 2 seeds each (48).
-- small calls, 76 outputs: `proximity` on R^3 lines at the unit cube's
+- small calls, 112 outputs: `proximity` on R^3 lines at the unit cube's
   radius sqrt(3)/2 + 1/2, 20 seeds (20); the first 49 and the first 50
   lines of a sample in R^3 and R^4, on either side of `SCREEN_MIN_PAIRS`,
   single and cross against 24 lines in both orders (1,176 and 1,200
-  pairs), 3 seeds each (36); empty and one-line samples in R^3-R^5,
-  single and cross against a few lines in both orders (18); empty planes
-  of R^5, single and cross (2).
+  pairs), 3 seeds each (36); the first 7-10 lines of a sample in R^3,
+  single (21-45 pairs) and cross against 5 lines in both orders (35-50
+  pairs), on either side of `SMALL_LINE_PAIRS`, 3 seeds (36); empty and
+  one-line samples in R^3-R^5, single and cross against a few lines in
+  both orders (18); empty planes of R^5, single and cross (2).
 - functionals, 320 outputs: `f_alpha` for alpha = 0, 1, 2 and the first 1
   and 3 `order_statistics` of the lengths, over a ball and a box window of
   circumradius radius - delta/2, over all directions and over a double cap,
@@ -209,7 +211,7 @@ def first_flats(sample, count: int):
 
 def small_cases():
     """Proximity of the few-line samples of small windows, and of samples
-    next to the screen's pair threshold."""
+    next to the screen's and the small line path's pair thresholds."""
     cube_radius = math.sqrt(3.0) / 2.0 + DELTA / 2.0
     for seed in range(20):
         sample = sample_poisson(isotropic(3, 1), cube_radius, [700, seed])
@@ -225,6 +227,15 @@ def small_cases():
                 for label, pair in (("single", (a, None)), ("ab", (a, b)), ("ba", (b, a))):
                     yield (f"lines-R{n}-first{size}-s{seed}-{label}-proximity",
                            segment_digest(proximity(*pair, delta=DELTA)))
+    for seed in range(3):
+        big, other = (sample_poisson(isotropic(3, 1), 2.5, [740, seed, side]) for side in (0, 1))
+        assert min(len(big), len(other)) >= 10
+        b = first_flats(other, 5)
+        for size in (7, 8, 9, 10):
+            a = first_flats(big, size)
+            for label, pair in (("single", (a, None)), ("ab", (a, b)), ("ba", (b, a))):
+                yield (f"lines-R3-first{size}-s{seed}-{label}-proximity",
+                       segment_digest(proximity(*pair, delta=DELTA)))
     for n in (3, 4, 5):
         few = sample_poisson(isotropic(n, 1), 1.5, [720, n])
         assert len(few) >= 2
