@@ -8,10 +8,11 @@ identity acceptance check failed.
 
 The module imports only the standard library.  Argument parsing and each
 subcommand's checks of its arguments run first; the subcommand then imports
-the engines it calls, so `version` and usage errors load no numpy.
-`proximity` converts its `--window` text in its handler, after the 2k < n
-check; the default `cube` is the unit cube of R^n.  `zonoid` runs its
-identities on the unit-mass measure and reports gamma^m V_m.
+the public names of the engines it calls, so `version` and usage errors load
+no numpy.  `proximity` converts its `--window` text in its handler, after
+the 2k < n check; the default `cube` is the unit cube of R^n.  `zonoid` runs
+on the unit-mass measure, reports gamma^m V_m and checks one area measure an
+order against V_r; `stability` runs `measure_metrics.contracting_family`.
 """
 from __future__ import annotations
 
@@ -66,12 +67,8 @@ def _finite_float(text: str, zero_ok: bool) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
-    return _finite_float(text, zero_ok=False)
-
-
-def _nonnegative_float(text: str) -> float:
-    return _finite_float(text, zero_ok=True)
+_positive_float = partial(_finite_float, zero_ok=False)
+_nonnegative_float = partial(_finite_float, zero_ok=True)
 
 
 def _integer(text: str, low: int) -> int:
@@ -146,9 +143,9 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _summary(command: str, config: dict, results: dict, passed: bool | None) -> dict:
-    return {"command": command, "version": __version__, "config": config,
-            "results": results, "passed": passed}
+def _record(name: str, value: float, standard_error: float, inputs: dict) -> dict:
+    """The JSON record of an emitted closed-form value."""
+    return {"name": name, "value": value, "standardError": standard_error, "inputs": inputs}
 
 
 def _process_spec(args) -> FlatProcessSpec:
@@ -228,7 +225,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 def _cmd_proximity(args) -> tuple[dict, int]:
     spec = _process_spec(args)
     window = _parse_window(args.window, args.n)
-    from .closed_form import as_record, isoperimetric_bound, mean_F_alpha
+    from .closed_form import isoperimetric_bound, mean_F_alpha
     from .stats_harness import ReplicationPlan, replicate
 
     closed, closed_se = mean_F_alpha(args.n, args.k, args.gamma, spec.q, args.delta,
@@ -236,8 +233,7 @@ def _cmd_proximity(args) -> tuple[dict, int]:
     plan = ReplicationPlan(args.reps, args.seed, name="proximity")
     est = partial(_estimate, spec=spec, delta=args.delta, alpha=args.alpha,
                   window=window, shortest=False)
-    stats = replicate(plan, est, jobs=args.jobs,
-                      keep_values=bool(args.raw_csv))
+    stats = replicate(plan, est, jobs=args.jobs, keep_values=bool(args.raw_csv))
     if args.raw_csv:
         _write_raw_csv(args.raw_csv, {"value": stats.pop("values")})
     se = math.sqrt(stats["standardError"] ** 2 + closed_se ** 2)
@@ -248,8 +244,7 @@ def _cmd_proximity(args) -> tuple[dict, int]:
     results = {"closedForm": closed, "closedFormSE": closed_se,
                "mcMean": stats["mean"], "standardError": stats["standardError"],
                "z": z, "windowRadius": window.circumradius() + args.delta / 2.0,
-               "records": [as_record("meanLengthPowerFunctional", closed,
-                                     closed_se, inputs)],
+               "records": [_record("meanLengthPowerFunctional", closed, closed_se, inputs)],
                "isoperimetricBound": (isoperimetric_bound(args.n, args.gamma, args.delta)
                                       if args.k == 1 and args.n >= 3 else None)}
     return results, (0 if passed else 2)
@@ -290,9 +285,8 @@ def _cmd_zonoid(args) -> tuple[dict, int]:
     import numpy as np
 
     from . import constants
-    from .closed_form import hyperplane_intersection
     from .measures import symmetrize_hyperplane_measure, symmetrize_line_measure
-    from .zonoid_engine import MERGE_TOL, _merge, area_measure, from_measure, intrinsic_volume
+    from .zonoid_engine import area_measure, from_measure, intrinsic_volume
 
     q = _parse_q(args.q, args.n, args.n - 1) if args.hyperplanes \
         else _parse_q(args.q, args.n, 1)
@@ -310,19 +304,11 @@ def _cmd_zonoid(args) -> tuple[dict, int]:
                          "atom weights outside the float range")
     identity_errors = {}
     for r in range(2, args.n):
-        lift = hyperplane_intersection(args.n, 1.0, even, r)
-        s_r = area_measure(even, r)
-        area = s_r.components[0]
-        # lift minus C(n - 1, r) times the area measure, merged once: every class must cancel
-        bases = np.concatenate([lift.bases, area.bases])
-        _, labels = _merge(np.swapaxes(bases, 1, 2) @ bases, MERGE_TOL)
-        sums = np.bincount(labels, np.r_[lift.weights, -math.comb(args.n - 1, r) * area.weights])
-        err = float(np.abs(sums).max(initial=0.0))
-        # total-mass relation between the area measure and intrinsic volume
-        vm_err = abs(math.comb(args.n, r) / (args.n * constants.ball_volume(args.n - r))
-                     * s_r.total_mass - unit[r])
-        identity_errors[f"r={r}"] = {"liftIdentity": err, "volumeRelation": vm_err}
-    worst = max((max(v.values()) for v in identity_errors.values()), default=0.0)
+        # the total-mass relation between the area measure S_r and V_r
+        scale = math.comb(args.n, r) / (args.n * constants.ball_volume(args.n - r))
+        vm_err = abs(scale * area_measure(even, r).total_mass - unit[r])
+        identity_errors[f"r={r}"] = {"volumeRelation": vm_err}
+    worst = max((e["volumeRelation"] for e in identity_errors.values()), default=0.0)
     passed = worst <= 1e-10
     results = {"intrinsicVolumes": volumes, "identityErrors": identity_errors,
                "worstError": worst}
@@ -356,7 +342,7 @@ def _cmd_weibull(args) -> tuple[dict, int]:
     spec = _process_spec(args)
     import numpy as np
 
-    from .closed_form import WindowDescriptor, as_record, weibull_beta, weibull_cdf
+    from .closed_form import WindowDescriptor, weibull_beta, weibull_cdf
     from .stats_harness import KS_MIN_POINTS, ReplicationPlan, ks_statistic, replicate
 
     base = WindowDescriptor.ball(1.0)
@@ -377,9 +363,8 @@ def _cmd_weibull(args) -> tuple[dict, int]:
     results = {"beta": beta, "ks": ks, "scaled": args.rho,
                "emptyWindows": int(raw.shape[0] - finite.shape[0]),
                "meanScaledMin": float(scaled.mean()) if finite.shape[0] else None,
-               "records": [as_record("weibullRate", beta, 0.0,
-                                     {"n": args.n, "k": args.k,
-                                      "gamma": args.gamma, "q": args.q})]}
+               "records": [_record("weibullRate", beta, 0.0, {
+                   "n": args.n, "k": args.k, "gamma": args.gamma, "q": args.q})]}
     return results, (0 if passed else 2)
 
 
@@ -437,25 +422,9 @@ def _cmd_stability(args) -> tuple[dict, int]:
         raise ValueError(f"stability needs --n >= 3, got --n {args.n}")
     if args.case != "line-proximity" and not 2 <= args.order <= args.n - 1:
         raise ValueError(f"stability needs 2 <= --order <= {args.n - 1}, got --order {args.order}")
-    import numpy as np
+    from .measure_metrics import contracting_family, stability_harness
 
-    from .measure_metrics import stability_harness
-    from .measures import SphereMeasure
-
-    rng = np.random.default_rng(args.seed)
-    base_units = [np.eye(args.n)[i] for i in range(args.n)]
-    extra = rng.standard_normal(args.n)
-    base_units.append(extra / np.linalg.norm(extra))
-    weight = 1.0 / len(base_units)
-    base = SphereMeasure.atoms(args.n, [(u, weight) for u in base_units])
-    family = []
-    for t in args.t:
-        perturbed = []
-        for i, u in enumerate(base_units):
-            axis = np.roll(u, 1)
-            v = u + t * (i + 1) / len(base_units) * (axis - (axis @ u) * u)
-            perturbed.append(v / np.linalg.norm(v))
-        family.append((t, SphereMeasure.atoms(args.n, [(u, weight) for u in perturbed])))
+    base, family = contracting_family(args.n, args.t, args.seed)
     report = stability_harness(args.case, base, family, rho=args.rho_bound,
                                upper=args.upper, order=args.order)
     lhs = [e["d_BL_lhs"] for e in report["entries"]]
@@ -471,14 +440,22 @@ def _cmd_version(args) -> tuple[dict, int]:
     return {"version": __version__}, 0
 
 
-def _add_process_flags(p: argparse.ArgumentParser, alpha: float) -> None:
-    """The process and functional flags of proximity, clt and weibull."""
+def _add_flat_flags(p: argparse.ArgumentParser, k: int) -> None:
+    """The flat-process flags of simulate, intersect and the process commands."""
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int, default=k)
     p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
+    p.add_argument("--q", type=str, default="isotropic")
+
+
+def _add_process_flags(p: argparse.ArgumentParser, alpha: float, reps: int) -> None:
+    """The process, functional and replication flags of proximity, clt and weibull."""
+    _add_flat_flags(p, k=1)
     p.add_argument("--delta", type=_positive_float, default=1.0)
     p.add_argument("--alpha", type=_nonnegative_float, default=alpha)
-    p.add_argument("--q", type=str, default="isotropic")
+    p.add_argument("--reps", type=int, default=reps)
+    p.add_argument("--raw-csv", type=str, default=None,
+                   help="opt-in CSV of raw replication values")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -498,10 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="emit a flat sample (and segment CSV)")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
-    p.add_argument("--q", type=str, default="isotropic")
+    _add_flat_flags(p, k=1)
     p.add_argument("--radius", type=_positive_float, default=2.0)
     p.add_argument("--kind", choices=["poisson", "sr"], default="poisson")
     p.add_argument("--kappa", type=int, default=3)
@@ -513,20 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("proximity", help="Monte Carlo vs closed-form proximity")
-    _add_process_flags(p, alpha=0.0)
-    p.add_argument("--reps", type=int, default=10_000)
+    _add_process_flags(p, alpha=0.0, reps=10_000)
     p.add_argument("--window", type=str, default="cube")
-    p.add_argument("--raw-csv", type=str, default=None,
-                   help="opt-in CSV of raw replication values")
     _add_common(p)
     p.set_defaults(func=_cmd_proximity)
 
     p = sub.add_parser("intersect", help="Monte Carlo vs closed-form intersections")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, default=2)
+    _add_flat_flags(p, k=2)
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--gamma", type=_nonnegative_float, default=1.0)
-    p.add_argument("--q", type=str, default="isotropic")
     p.add_argument("--reps", type=int, default=2_000)
     p.add_argument("--mc-samples", type=partial(_integer, low=2), default=20_000)
     _add_common(p)
@@ -542,20 +510,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_zonoid)
 
     p = sub.add_parser("clt", help="normality diagnostics across window scales")
-    _add_process_flags(p, alpha=0.0)
+    _add_process_flags(p, alpha=0.0, reps=1_000)
     p.add_argument("--rho", type=_positive_float, nargs="+", default=[2.0, 4.0, 8.0])
-    p.add_argument("--reps", type=int, default=1_000)
-    p.add_argument("--raw-csv", type=str, default=None,
-                   help="opt-in CSV of raw replication values")
     _add_common(p)
     p.set_defaults(func=_cmd_clt)
 
     p = sub.add_parser("weibull", help="scaled shortest-segment law vs its limit")
-    _add_process_flags(p, alpha=1.0)
+    _add_process_flags(p, alpha=1.0, reps=2_000)
     p.add_argument("--rho", type=_positive_float, default=8.0)
-    p.add_argument("--reps", type=int, default=2_000)
-    p.add_argument("--raw-csv", type=str, default=None,
-                   help="opt-in CSV of raw replication values")
     _add_common(p)
     p.set_defaults(func=_cmd_weibull)
 
@@ -620,7 +582,8 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         return _Parser._fail(exc)
     passed = None if code == 0 and args.command in ("simulate", "version") else code == 0
-    _emit(_summary(args.command, config, results, passed), getattr(args, "out", None))
+    _emit({"command": args.command, "version": __version__, "config": config,
+           "results": results, "passed": passed}, getattr(args, "out", None))
     return code
 
 

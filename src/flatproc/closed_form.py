@@ -587,9 +587,3 @@ def isoperimetric_bound(n: int, gamma: float, delta: float) -> float:
     kv = constants.ball_volume
     return (n - 1) / (2.0 * n) * kv(n - 1) ** 2 / kv(n) * gamma ** 2 \
         * delta ** (n - 2)
-
-
-def as_record(name: str, value: float, standard_error: float, inputs: dict) -> dict:
-    """Uniform JSON record shape for emitted closed-form values."""
-    return {"name": name, "value": value, "standardError": standard_error,
-            "inputs": inputs}

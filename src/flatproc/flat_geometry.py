@@ -628,8 +628,8 @@ def _small_line_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     bit: each value takes the vectorized line solve's operations in its
     order.  Dot products are `row_dots`', ((x0 y0 + 0.0) + x2 y2) + x1 y1,
     lengths `row_norms`', (g0^2 + g1^2) + g2^2, and signs `_sign_rows`' row by
-    row.  A pair with det = 1 - c^2 = 0 is dropped, as the NaN that x / det
-    leaves in its gap drops it there."""
+    row.  A pair with det = 1 - c^2 = 0 is dropped, as the vectorized solve's
+    general-position mask drops it there."""
     rows_a = _line_floats(bases_a, offs_a)
     rows_b = rows_a if single else _line_floats(bases_b, offs_b)
     mids, lengths, dirs, pairs = [], [], [], []
@@ -643,7 +643,7 @@ def _small_line_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             if not vol > GENERAL_POSITION_TOL:
                 continue
             det = 1.0 - c2
-            if not det:  # there the vectorized solve's x / det gives a gap with a NaN
+            if not det:  # as the vectorized solve's c2 != 1.0
                 continue
             d0, d1, d2 = a0 - b0, a1 - b1, a2 - b2
             p = u0 * d0 + 0.0 + u2 * d2 + u1 * d1
@@ -730,6 +730,7 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             vol -= c2
             np.sqrt(np.maximum(vol, 0.0, out=vol), out=vol)
             ok = vol > GENERAL_POSITION_TOL
+            ok &= c2 != 1.0  # and det = 1 - c^2 != 0, which that volume need not imply
             if np.count_nonzero(ok) < ok.size:  # copy only when a pair is out of general position
                 g, pairs = g.compress(ok, axis=2), pairs.compress(ok, axis=1)
                 c, c2 = c.compress(ok), c2.compress(ok)

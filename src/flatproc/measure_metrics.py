@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._rng import SeedLike, as_generator
 from .closed_form import hyperplane_intersection, proximity_intensity
 from .flat_geometry import _principal_angles, read_only
 from .measures import GrassmannMeasure, SphereMeasure, line_measure_from_sphere, lower_bound_check
@@ -294,6 +295,31 @@ def _derived_measure(case: str, mu: SphereMeasure, order: int) -> GrassmannMeasu
     q_lines = line_measure_from_sphere(mu)
     pi = proximity_intensity(n, 1, q_lines.total_mass, q_lines.normalized(), 1.0)
     return derived.normalized().scaled(pi)
+
+
+def contracting_family(n: int, t_values: Sequence[float], rng: SeedLike
+                       ) -> tuple[SphereMeasure, list[tuple[float, SphereMeasure]]]:
+    """The base measure of `flatproc stability` and its contracting family.
+
+    The base puts weight 1 / (n + 1) on each of the n axes and on one unit
+    drawn from rng; at each t, atom i is turned toward np.roll(u, 1) by
+    t (i + 1) / (n + 1) and renormalized, so the family closes on the base
+    as t falls.
+    """
+    gen = as_generator(rng)
+    units = list(np.eye(n))
+    extra = gen.standard_normal(n)
+    units.append(extra / np.linalg.norm(extra))
+    weight = 1.0 / len(units)
+    family = []
+    for t in t_values:
+        moved = []
+        for i, u in enumerate(units):
+            axis = np.roll(u, 1)
+            v = u + t * (i + 1) / len(units) * (axis - (axis @ u) * u)
+            moved.append(v / np.linalg.norm(v))
+        family.append((t, SphereMeasure.atoms(n, [(v, weight) for v in moved])))
+    return SphereMeasure.atoms(n, [(u, weight) for u in units]), family
 
 
 def stability_harness(case: str, base: SphereMeasure,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, groupby
 from pathlib import Path
 from typing import Callable, Sequence
@@ -414,17 +414,12 @@ def integrate(measure, f, rng: SeedLike | None = None,
     return total, math.sqrt(var)
 
 
-_GRID_CACHE: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def _direction_grid(n: int) -> np.ndarray:
     """Deterministic quasi-uniform probe grid on S^{n-1}."""
-    if n not in _GRID_CACHE:
-        gen = np.random.default_rng(0xB0B + n)
-        grid = haar_bases(10_000, n, 1, gen)[:, 0]
-        grid.flags.writeable = False
-        _GRID_CACHE[n] = grid
-    return _GRID_CACHE[n]
+    grid = haar_bases(10_000, n, 1, np.random.default_rng(0xB0B + n))[:, 0]
+    grid.flags.writeable = False
+    return grid
 
 
 def lower_bound_check(mu: SphereMeasure, rho: float) -> bool:

@@ -16,8 +16,8 @@ from flatproc.closed_form import (WindowDescriptor, asymptotic_covariance,
                                   proximity_intensity, weibull_beta, weibull_cdf)
 from flatproc.derived_processes import f_alpha, order_statistics, proximity
 from flatproc.flat_geometry import Subspace
-from flatproc.measure_metrics import (MetricSample, bl_distance, prohorov_distance,
-                                      stability_harness)
+from flatproc.measure_metrics import (MetricSample, bl_distance, contracting_family,
+                                      prohorov_distance, stability_harness)
 from flatproc.measures import (GrassmannMeasure, SphereMeasure,
                                symmetrize_line_measure, t_lift)
 from flatproc.simulator import (FlatProcessSpec, build_factorial_distribution,
@@ -302,19 +302,7 @@ def test_criterion_8_metric_engine_and_stability():
             axioms_ok &= d01 <= (metric(sample, w[0], w[2])
                                  + metric(sample, w[2], w[1]) + 1e-6)
 
-    base_units = [np.eye(3)[i] for i in range(3)]
-    extra = rng.standard_normal(3)
-    base_units.append(extra / np.linalg.norm(extra))
-    weight = 1.0 / len(base_units)
-    base = SphereMeasure.atoms(3, [(u, weight) for u in base_units])
-    family = []
-    for t in (0.2, 0.1, 0.05, 0.025, 0.002):
-        moved = []
-        for i, u in enumerate(base_units):
-            drift = np.roll(u, 1)
-            v = u + t * (i + 1) / len(base_units) * (drift - (drift @ u) * u)
-            moved.append(v / np.linalg.norm(v))
-        family.append((t, SphereMeasure.atoms(3, [(u, weight) for u in moved])))
+    base, family = contracting_family(3, (0.2, 0.1, 0.05, 0.025, 0.002), rng)
     harness = stability_harness("area-measure", base, family,
                                 rho=0.02, upper=2.0, order=2)
     final = harness["final"]

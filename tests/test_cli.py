@@ -10,7 +10,7 @@ import pytest
 
 import flatproc
 from flatproc import __version__
-from flatproc.cli import run
+from flatproc.cli import build_parser, run
 from flatproc.simulator import read_flat_sample
 
 
@@ -181,9 +181,10 @@ def test_cli_import_and_zonoid_load_no_scipy_submodule():
         "    code = flatproc.cli.run(['zonoid', '--n', '3', '--q', 'axes', '--jobs', '1'])",
         "heavy = {'scipy.' + part for part in",
         "         ('special', 'integrate', 'optimize', 'linalg', 'sparse', 'stats')}",
-        "print(code, sorted({'.'.join(m.split('.')[:2]) for m in sys.modules} & heavy))",
+        "print(code, sorted({'.'.join(m.split('.')[:2]) for m in sys.modules} & heavy),",
+        "      'flatproc.closed_form' in sys.modules)",
     ])
-    assert fresh(script).split() == ["0", "[]"]
+    assert fresh(script).split() == ["0", "[]", "False"]
 
 
 def loaded_after(argv: list[str]) -> tuple[int, set[str]]:
@@ -322,6 +323,10 @@ def test_zonoid_identities_pass(tmp_path):
     assert payload["results"]["worstError"] <= 1e-10
     volumes = payload["results"]["intrinsicVolumes"]
     assert volumes[2] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    code, payload = run_json(["zonoid", "--n", "5", "--q", "axes"], tmp_path)
+    assert code == 0 and list(payload["results"]["identityErrors"]) == ["r=2", "r=3", "r=4"]
+    assert all(entry.keys() == {"volumeRelation"}
+               for entry in payload["results"]["identityErrors"].values())
 
 
 @pytest.mark.parametrize("case", ["area-measure", "hyperplane-intersection",
@@ -389,6 +394,14 @@ def test_summary_embeds_config_and_version(tmp_path):
     (["zonoid", "--gamma", "1e-160"], "zonoid --gamma 1e-160 puts products"),
     (["zonoid", "--gamma", "0"], "--gamma: must be finite and positive, got '0'"),
     (["intersect", "--n", "3", "--k", "5"], "need 0 <= k <= n, got n=3, k=5"),
+    # one bad value of each float flag kind, through each place that defines one
+    (["weibull", "--rho", "0"], "argument --rho: must be finite and positive, got '0'"),
+    (["simulate", "--cover=-inf"],
+     "argument --cover: must be finite and positive, got '-inf'"),
+    (["intersect", "--gamma=-0.5"],
+     "argument --gamma: must be finite and nonnegative, got '-0.5'"),
+    (["clt", "--alpha", "nan"], "argument --alpha: must be finite and nonnegative, got 'nan'"),
+    (["stability", "--upper", "four"], "argument --upper: invalid float value: 'four'"),
 ])
 def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     # one error line, the last; flag errors follow argparse's usage line
@@ -397,6 +410,40 @@ def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     lines = err.splitlines()
     assert "Traceback" not in err and [ln for ln in lines if ln.startswith("error: ")] == lines[-1:]
     assert message in lines[-1]
+
+
+# each subcommand's flags and defaults as they were before `_add_flat_flags`
+# and `_add_process_flags` defined the shared ones once, --jobs aside
+FLAG_DEFAULTS = {
+    "simulate": {"n": 3, "k": 1, "gamma": 1.0, "q": "isotropic", "radius": 2.0,
+                 "kind": "poisson", "kappa": 3, "cover": None, "delta": 1.0,
+                 "sample_out": "flats.txt", "segments_out": None},
+    "proximity": {"n": 3, "k": 1, "gamma": 1.0, "delta": 1.0, "alpha": 0.0, "q": "isotropic",
+                  "reps": 10_000, "window": "cube", "raw_csv": None},
+    "intersect": {"n": 3, "k": 2, "r": 2, "gamma": 1.0, "q": "isotropic", "reps": 2_000,
+                  "mc_samples": 20_000},
+    "zonoid": {"n": 3, "gamma": 1.0, "q": "axes", "hyperplanes": False},
+    "clt": {"n": 3, "k": 1, "gamma": 1.0, "delta": 1.0, "alpha": 0.0, "q": "isotropic",
+            "rho": [2.0, 4.0, 8.0], "reps": 1_000, "raw_csv": None},
+    "weibull": {"n": 3, "k": 1, "gamma": 1.0, "delta": 1.0, "alpha": 1.0, "q": "isotropic",
+                "rho": 8.0, "reps": 2_000, "raw_csv": None},
+    "appendix": {"kappa": 3, "dim": 2, "cubes": 0},
+    "stability": {"n": 3, "case": "area-measure", "order": 2, "t": [0.2, 0.1, 0.05, 0.025],
+                  "rho_bound": 0.02, "upper": 4.0},
+    "version": {},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_DEFAULTS))
+def test_each_subcommand_keeps_its_flags_and_defaults(command):
+    # every flag's name and default, with its type: 1.0 and 1 are equal but
+    # not the same default
+    parsed = vars(build_parser().parse_args([command]))
+    del parsed["func"]
+    expected = {"command": command, **FLAG_DEFAULTS[command], "seed": None, "out": None,
+                "config": None, "jobs": os.cpu_count() or 1}
+    assert {key: (type(v), v) for key, v in parsed.items()} == \
+        {key: (type(v), v) for key, v in expected.items()}
 
 
 @pytest.mark.parametrize("gamma", ["1e100", "1e-100"])

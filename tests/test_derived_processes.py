@@ -1099,8 +1099,7 @@ def line_paths(monkeypatch, bases_a, offs_a, bases_b, offs_b, single, delta):
     args = (bases_a, offs_a, bases_b, offs_b, single, delta)
     with monkeypatch.context() as patch:
         patch.setattr(flat_geometry, "SMALL_LINE_PAIRS", -1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # its inf and NaN where det = 0
-            ref = flat_geometry.pair_segments(*args)
+        ref = flat_geometry.pair_segments(*args)
         patch.setattr(flat_geometry, "SMALL_LINE_PAIRS", math.inf)
         out = flat_geometry.pair_segments(*args)
     for ours, theirs in zip(out, ref):
@@ -1176,11 +1175,9 @@ def planted_line_cases():
     lead = lines_sample(directions, points)
     cases.append(("leading zero", lead.bases, lead.offsets, 1.0))
     # c = u.v = 1 and -1 exactly while the volume test passes: det = 1 - c^2
-    # = 0.  The vectorized solve's s = (c q - p) / det and t = (c p - q) /
-    # det are then NaN or infinite with t = -c s, and some coordinate of its
-    # gap d + s u + t v is NaN: 0 times inf, or inf - inf where u_k and c v_k
-    # have one sign, as for some k they must since c u.v > 0.  So the pair
-    # is dropped even at delta = inf.  Raw rows, as pair_segments takes them
+    # = 0.  Both solves drop the pair before they divide by det, so it is
+    # dropped even at delta = inf, and under the suite's error::RuntimeWarning
+    # no division warns.  Raw rows, as pair_segments takes them
     rng = np.random.default_rng(358)
     while True:
         v = rng.standard_normal(3)

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -365,23 +366,8 @@ def test_grassmann_metric_table_satisfies_triangle():
     assert sample.size == 6
 
 
-def contracting_family(n, t_values, rng_seed=67):
-    rng = np.random.default_rng(rng_seed)
-    eye = np.eye(n)
-    base_units = [eye[i] for i in range(n)]
-    extra = rng.standard_normal(n)
-    base_units.append(extra / np.linalg.norm(extra))
-    weight = 1.0 / len(base_units)
-    base = SphereMeasure.atoms(n, [(u, weight) for u in base_units])
-    family = []
-    for t in t_values:
-        moved = []
-        for i, u in enumerate(base_units):
-            drift = np.roll(u, 1)
-            v = u + t * (i + 1) / len(base_units) * (drift - (drift @ u) * u)
-            moved.append(v / np.linalg.norm(v))
-        family.append((t, SphereMeasure.atoms(n, [(u, weight) for u in moved])))
-    return base, family
+# the family of `flatproc stability`, at a seed of its own
+contracting_family = partial(measure_metrics.contracting_family, rng=67)
 
 
 def test_stability_harness_trivial_family_gives_zeros():

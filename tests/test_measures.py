@@ -167,6 +167,16 @@ def test_lower_bound_check_uniform_attains_cosine_constant():
     assert not lower_bound_check(mu, 2.0 * math.pi + 0.01)
 
 
+def test_direction_grid_is_one_read_only_seeded_draw_per_dimension():
+    from flatproc.flat_geometry import haar_bases
+    from flatproc.measures import _direction_grid
+
+    grid = _direction_grid(4)
+    assert grid is _direction_grid(4) and not grid.flags.writeable
+    draw = haar_bases(10_000, 4, 1, np.random.default_rng(0xB0B + 4))[:, 0]
+    assert grid.tobytes() == draw.tobytes()
+
+
 def test_lower_bound_check_degenerate_pair_fails():
     mu = SphereMeasure.atoms(3, [(E[0], 1.0)])
     assert not lower_bound_check(mu, 1e-3)

@@ -1,4 +1,4 @@
-"""Digests of the metric, zonoid and closed-form outputs on a fixed case set.
+"""Digests of the metric, zonoid, closed-form and command-line outputs on a fixed case set.
 
 Prints one line per case, `<case> <sha256>`, as `proximity_digest.py` does,
 and exits 0.  A case whose call raises prints `<case> raised-<Exception>-<h>`
@@ -12,7 +12,7 @@ flatproc from its own `src`):
     (cd ../parent && python tools/metric_digest.py) > old.txt
     diff old.txt new.txt
 
-The 596 cases:
+The 608 cases:
 - 272 distances: `bl_distance` and `prohorov_distance` on seeded supports of
   m = 2..18 points (the sphere-quotient table of random units in R^3),
   scaled by 1, 1e-4, 1e-8 and 1e-12, with probability weights and with
@@ -60,18 +60,29 @@ The 596 cases:
   (bases and weights) at gamma 0.5 and 2.5 for r = 2..n-1 on the zonoid
   group's measures (44).  The group uses only names that exist at its base
   commit, so the CI step can run it there too.
+- 12 command-line outputs, the sorted-key `results` of `flatproc.cli.run` at
+  `--jobs 1` and small sizes: `proximity` (the unit cube, and a ball with
+  the axis law at alpha 1), `intersect`, `zonoid` (the axes of R^3, seeded
+  lines of R^4 and, with `--hyperplanes`, seeded hyperplanes of R^4), `clt`,
+  `weibull`, `appendix` with its cube checks, and `stability` for each case.
+  `simulate` and `version` are left out: their results hold file paths or
+  only the version.  The group calls nothing but `cli.run`, so the CI step
+  can run it on the base commit too.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+from flatproc import cli  # noqa: E402
 from flatproc.closed_form import (WindowDescriptor, asymptotic_covariance,  # noqa: E402
                                   hyperplane_intersection, intersection_density,
                                   pair_integral)
@@ -329,6 +340,48 @@ def complement_calls():
                            lambda: atom_arrays(hyperplane_intersection(n, gamma, q, r).atoms))
 
 
+def cli_results(argv: list[str], out: Path):
+    """The sorted-key `results` of `flatproc <argv> --jobs 1` as JSON bytes;
+    a run that writes no summary raises."""
+    code = cli.run([*argv, "--jobs", "1", "--out", str(out)])
+    if code not in (0, 2):
+        raise RuntimeError(f"flatproc {' '.join(argv)} exited {code}")
+    text = json.dumps(json.loads(out.read_text())["results"], sort_keys=True)
+    return (np.frombuffer(text.encode(), dtype=np.uint8),)
+
+
+def atom_file(path: Path, n: int, k: int, count: int, rng) -> str:
+    """A directional distribution file of `count` seeded k-planes of R^n,
+    each written as k Gaussian rows that the reader orthonormalizes."""
+    rows = [" ".join(map(repr, [0.2 + rng.random(), *rng.standard_normal(k * n).tolist()]))
+            for _ in range(count)]
+    path.write_text("\n".join([f"{n} {k}", *rows]) + "\n")
+    return str(path)
+
+
+def cli_calls(tmp: Path):
+    """(case, call) for every command but `simulate` and `version`."""
+    rng = np.random.default_rng(1300)
+    lines = atom_file(tmp / "lines.txt", 4, 1, 6, rng)
+    hyperplanes = atom_file(tmp / "hyperplanes.txt", 4, 3, 6, rng)
+    runs = {"proximity-cube": ["proximity", "--reps", "200", "--seed", "1"],
+            "proximity-ball-axes": ["proximity", "--window", "ball:2", "--q", "axes",
+                                    "--alpha", "1", "--reps", "100", "--seed", "2"],
+            "intersect": ["intersect", "--reps", "100", "--mc-samples", "500", "--seed", "3"],
+            "zonoid-axes-R3": ["zonoid", "--seed", "0"],
+            "zonoid-lines-R4": ["zonoid", "--n", "4", "--q", lines, "--gamma", "2.5",
+                                "--seed", "0"],
+            "zonoid-hyperplanes-R4": ["zonoid", "--n", "4", "--q", hyperplanes,
+                                      "--hyperplanes", "--seed", "0"],
+            "clt": ["clt", "--rho", "1", "2", "--reps", "60", "--seed", "2"],
+            "weibull": ["weibull", "--rho", "2", "--reps", "60", "--seed", "4"],
+            "appendix": ["appendix", "--kappa", "3", "--cubes", "200", "--seed", "5"]}
+    runs.update({f"stability-{case}": ["stability", "--case", case, "--seed", "0"]
+                 for case in STABILITY_CASES})
+    for case, argv in runs.items():
+        yield f"cli-{case}", lambda: cli_results(argv, tmp / "out.json")
+
+
 def cases():
     """(case, sha256 or raised-<Exception>-<h>) for every case, in a fixed order."""
     for m in range(2, 19):
@@ -371,6 +424,9 @@ def cases():
         yield guarded(case, call)
     for case, call in complement_calls():
         yield guarded(case, call)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, call in cli_calls(Path(tmp)):
+            yield guarded(case, call)
 
 
 def main() -> int:
