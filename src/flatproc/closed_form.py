@@ -513,15 +513,11 @@ def asymptotic_covariance(n: int, k: int, gamma: float, q: GrassmannMeasure, del
 
 def ball_chord_power_integral(n: int, radius: float, power: float) -> float:
     """Chord-power integral of a centered ball over the invariant line measure:
-    omega_{n-1} * int_0^a (2 sqrt(a^2 - r^2))^p r^{n-2} dr."""
-    from scipy.integrate import quad
-
-    def f(r: float) -> float:
-        return (2.0 * math.sqrt(max(radius * radius - r * r, 0.0))) ** power \
-            * r ** (n - 2)
-
-    val, _ = quad(f, 0.0, radius, limit=200)
-    return constants.sphere_surface(n - 1) * val
+    omega_{n-1} * int_0^a (2 sqrt(a^2 - r^2))^p r^{n-2} dr, which r^2 = a^2 t
+    turns into omega_{n-1} 2^{p-1} a^{p+n-1} B((n-1)/2, p/2 + 1)."""
+    x, y = (n - 1) / 2.0, power / 2.0 + 1.0
+    beta = math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+    return constants.sphere_surface(n - 1) * 2.0 ** (power - 1) * radius ** (power + n - 1) * beta
 
 
 def covariance_cpi_form(n: int, k: int, window: WindowDescriptor) -> float:

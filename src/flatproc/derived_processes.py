@@ -1,9 +1,9 @@
 """Intersection and proximity processes built from flat samples, and the
 length-power direction functionals evaluated on them.
 
-Both processes are stored as arrays, taken through `read_only`: segments as
-midpoints, lengths, directions and index pairs, in the C-ordered arrays
-`pair_segments` returns and freezes; intersection flats as direction bases,
+Both processes are stored as arrays, each the container's own `read_only`
+copy: segments as midpoints, lengths, directions and index pairs, from the
+arrays `pair_segments` returns; intersection flats as direction bases,
 offsets and generator index tuples (`IntersectionSample.flats` is the
 `flat_views` of its stacks, checked once by `check_orthonormal`).
 Pairs and tuples are solved in blocks by the array kernels of

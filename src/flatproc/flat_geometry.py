@@ -3,20 +3,19 @@
 Subspaces are stored as stacks of orthonormal row vectors.  Affine flats are
 a direction subspace plus an offset in its orthogonal complement.  Operations
 are pure and values immutable: `check_orthonormal` is the one test of a
-basis or flat stack, and `read_only` the one rule for an array a container
-is given.  The kernels work on (m, k, n) stacks of bases and `freeze` their
-outputs, with the fresh arrays those view; `subspace_views` and `flat_views`
+basis or flat stack, and `read_only` (a read-only C-ordered copy) the one
+rule for an array a container is given.  The kernels work on (m, k, n)
+stacks of bases and return plain arrays; `subspace_views` and `flat_views`
 check a stack once and hand out views of its rows.  The scalar
 `closest_pair`, for k1 + k2 < n only, is the per-pair reference of
 `pair_segments` and returns a `ProximitySegment`.
 Its line solve gathers both lines of every pair of a block with one take
-from (2n + 2, N) coordinate rows, one contiguous row per coordinate, takes
-the block's dot products from `row_dots`, and writes its outputs once, in
-C order, compacting them only when the block drops a pair; a call of one
-unscreened slab reads its pairs from one cached table, and the slabs of a
-single sample cut their j > i corner with one cached triangle.  A call on
-lines of R^3 with at most SMALL_LINE_PAIRS pairs, where that solve's fixed
-cost dominates, goes pair by pair in Python floats instead, with the same
+from (2n + 2, N) coordinate rows, one contiguous row per coordinate, and
+takes the block's dot products from `row_dots`; a call of one unscreened
+slab reads its pairs from one cached table, and the slabs of a single sample
+cut their j > i corner with one cached triangle.  A call on lines of R^3
+with at most SMALL_LINE_PAIRS pairs, where that solve's fixed cost
+dominates, goes pair by pair in Python floats instead, with the same
 operations in the same order: the same bits.
 """
 from __future__ import annotations
@@ -62,26 +61,11 @@ class DegeneratePairError(ValueError):
 
 
 def read_only(values, dtype=float) -> np.ndarray:
-    """values as a read-only array of dtype, every container's ownership rule:
-    a read-only array of that dtype whose `.base`, if any, is a read-only
-    array too is kept, any other input copied and frozen, so that no caller
-    keeps a writable alias of what a container holds."""
-    if not (isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable
-            and (values.base is None or isinstance(values.base, np.ndarray)
-                 and not values.base.flags.writeable)):
-        values = np.array(values, dtype=dtype)
-        values.flags.writeable = False
+    """values as a read-only C-ordered copy of dtype: every container's
+    ownership rule, so that no caller can change what a container checked."""
+    values = np.array(values, dtype=dtype, order="C")
+    values.flags.writeable = False
     return values
-
-
-def freeze(arrays) -> tuple[np.ndarray, ...]:
-    """Arrays a kernel made, frozen, each with the fresh array it may be a
-    view of, so that `read_only` keeps them."""
-    for arr in arrays:
-        arr.flags.writeable = False
-        if arr.base is not None:
-            arr.base.flags.writeable = False
-    return tuple(arrays)
 
 
 def canonical_units(units: np.ndarray) -> np.ndarray:
@@ -240,9 +224,9 @@ class Subspace:
 
 
 def subspace_views(bases, offsets=None) -> tuple[Subspace, ...]:
-    """`Subspace` views of the rows of an (m, k, n) stack of bases, taken
-    through `read_only` and checked once by `check_orthonormal`, with the
-    (m, n) offsets of its flats when given; no view runs a check of its own."""
+    """`Subspace` views of the rows of the `read_only` copy of an (m, k, n)
+    stack of bases, checked once by `check_orthonormal` with the (m, n)
+    offsets of its flats when given; no view runs a check of its own."""
     bases = read_only(bases)
     if bases.ndim != 3:
         raise ValueError(f"need an (m, k, n) stack of bases, got shape {bases.shape}")
@@ -342,7 +326,6 @@ def complement_bases(bases: np.ndarray) -> np.ndarray:
     """
     k = bases.shape[1]
     q, _ = np.linalg.qr(np.swapaxes(bases, 1, 2), mode="complete")
-    q.flags.writeable = False  # fresh: `read_only` keeps views of it
     return np.swapaxes(q[:, :, k:], 1, 2)
 
 
@@ -402,9 +385,7 @@ def q_factors(g: np.ndarray) -> np.ndarray:
     if g.shape[1] == 1:
         return g / np.linalg.norm(g, axis=2, keepdims=True)
     q, _ = np.linalg.qr(np.swapaxes(g, 1, 2))
-    factors = np.swapaxes(q, 1, 2)
-    q.flags.writeable = False  # written only through factors: `read_only` keeps them once frozen
-    return factors
+    return np.swapaxes(q, 1, 2)
 
 
 def haar_bases(count: int, n: int, k: int, rng: SeedLike) -> np.ndarray:
@@ -677,35 +658,32 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     offsets of two flat families with k_1 + k_2 < n; single means that both
     are one sample, whose pairs are i < j, and otherwise every (i, j) is a
     pair.  Returns the qualifying pairs in lexicographic order with their
-    segments as C-ordered arrays (midpoints, lengths, directions, pairs):
-    the pairs closest_pair solves (general position, not touching) with
-    length at most delta.  Phase 1 walks the pairs in slabs of rows i
-    against all their j, about BLOCK_ROWS pairs a slab, and keeps each
-    slab's candidates as a (2, m) table of (i, j): for lines those that
-    `_line_screen` passes on (two matrix products a slab in R^3, four in
-    higher dimensions), otherwise every pair, which a call of one slab
-    reads from `_pair_table`; a single sample's slab drops its pairs with
-    j <= i through one cached `_upper_triangle`.  Phase 2 solves the
-    candidates of consecutive slabs together, at most BLOCK_ROWS unless one
-    slab has more: lines by a 2x2 closed form on the coordinate rows of
-    `_line_rows`, both lines of a pair gathered by one take; other flats by
-    a stacked Gram solve.  Each block keeps a pair whose length exceeds the
-    larger `_touch_scale` of its flats over its volume (`_touch_cut`) and
-    is at most delta.  A block that keeps every pair, as screened lines
-    nearly always do, returns its lengths as computed, its directions as
-    one division, and one C-ordered copy each of its midpoints and pairs
-    (never a view of a cached table); any other block compacts the kept
-    pairs with one take per output.  No pair's result depends on its slab
-    or block.  Lines of R^3 with at most SMALL_LINE_PAIRS pairs skip both
-    phases for `_small_line_segments`, whose outputs are those bytes in the
-    same layout.
+    segments (midpoints, lengths, directions, pairs): the pairs closest_pair
+    solves (general position, not touching) with length at most delta.
+    Phase 1 walks the pairs in slabs of rows i against all their j, about
+    BLOCK_ROWS pairs a slab, and keeps each slab's candidates as a (2, m)
+    table of (i, j): for lines those that `_line_screen` passes on (two
+    matrix products a slab in R^3, four in higher dimensions), otherwise
+    every pair, which a call of one slab reads from `_pair_table`; a single
+    sample's slab drops its pairs with j <= i through one cached
+    `_upper_triangle`.  Phase 2 solves the candidates of consecutive slabs
+    together, at most BLOCK_ROWS unless one slab has more: lines by a 2x2
+    closed form on the coordinate rows of `_line_rows`, both lines of a
+    pair gathered by one take; other flats by a stacked Gram solve.  Each
+    block keeps a pair whose length exceeds the larger `_touch_scale` of its
+    flats over its volume (`_touch_cut`) and is at most delta, compacts its
+    outputs only when it drops one, and returns the transposes of its
+    coordinate rows, views of its work arrays or of a cached table: the
+    container that holds them makes the one C-ordered copy.  No pair's
+    result depends on its slab or block.  Lines of R^3 with at most
+    SMALL_LINE_PAIRS pairs skip both phases for `_small_line_segments`.
     """
     n = offs_a.shape[1]
     lines = bases_a.shape[1] == bases_b.shape[1] == 1
     n_a, n_b = offs_a.shape[0], offs_b.shape[0]
     count = n_a * (n_a - 1) // 2 if single else n_a * n_b
     if lines and n == 3 and count <= SMALL_LINE_PAIRS:
-        return freeze(_small_line_segments(bases_a, offs_a, bases_b, offs_b, single, delta))
+        return _small_line_segments(bases_a, offs_a, bases_b, offs_b, single, delta)
     if lines:  # the rows of a, then those of b: a pair (i, j) is column (i, n_a + j)
         rows = (_line_rows(bases_a, offs_a) if single else
                 _line_rows(np.concatenate([bases_a, bases_b]), np.concatenate([offs_a, offs_b])))
@@ -771,18 +749,9 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
         scale /= vol
         keep = lengths > np.maximum(scale, 1e-12, out=scale)  # _touch_cut
         keep &= lengths <= delta
-        if np.count_nonzero(keep) == keep.size:  # as for nearly every screened block
-            # directions normalized and signed on coordinate rows; a copy of
-            # the pairs, which may be a `_pair_table` that one pair leaves contiguous
-            directions = gap / lengths
-            mids, pairs = np.ascontiguousarray(mids.T), pairs.T.copy()
-        else:
-            kept = keep.nonzero()[0]
-            lengths = lengths.take(kept)
-            directions = gap.take(kept, axis=1)
-            directions /= lengths
-            mids, pairs = mids.T.take(kept, axis=0), pairs.T.take(kept, axis=0)
-        return mids, lengths, np.ascontiguousarray(_sign_rows(directions.T)), pairs
+        if np.count_nonzero(keep) < keep.size:
+            mids, lengths, gap, pairs = (x.compress(keep, -1) for x in (mids, lengths, gap, pairs))
+        return mids.T, lengths, _sign_rows((gap / lengths).T), pairs.T
 
     # phase 1 slab by slab; phase 2 on a block once the next slab would overfill it
     solved, block, held, r0 = [], [], 0, 0
@@ -809,7 +778,7 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
         held += pairs.shape[1]
         r0 = r1
     solved.append(solve(block[0] if len(block) == 1 else np.concatenate(block, axis=1)))
-    return freeze(solved[0] if len(solved) == 1 else [np.concatenate(c) for c in zip(*solved)])
+    return solved[0] if len(solved) == 1 else tuple(np.concatenate(c) for c in zip(*solved))
 
 
 def tuple_intersections(bases, offsets, tuples):
@@ -843,4 +812,4 @@ def tuple_intersections(bases, offsets, tuples):
                            direction)
         return direction, point, tuples
 
-    return freeze(_in_blocks(lambda rows: solve(tuples[rows]), tuples.shape[0]))
+    return _in_blocks(lambda rows: solve(tuples[rows]), tuples.shape[0])

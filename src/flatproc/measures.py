@@ -383,12 +383,8 @@ def integrate(measure, f, rng: SeedLike | None = None,
         if measure.atoms is not None:
             return float(sum(w * f(sub) for sub, w in measure.atoms)), 0.0
         gen = as_generator(rng if rng is not None else 0xF1A7)
-
-        def draws(rows):  # a fresh stack, frozen so that subspace_views keeps it
-            bases = haar_bases(rows, measure.n, measure.k, gen)
-            bases.flags.writeable = False
-            return [f(sub) for sub in subspace_views(bases)]
-        return _mc_mean(draws, samples, measure.isotropic_mass)
+        return _mc_mean(lambda rows: [f(sub) for sub in subspace_views(
+            haar_bases(rows, measure.n, measure.k, gen))], samples, measure.isotropic_mass)
 
     if not isinstance(measure, SphereMeasure):
         raise TypeError("integrate expects a GrassmannMeasure or SphereMeasure")

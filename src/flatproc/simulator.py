@@ -1,10 +1,10 @@
 """Samplers for stationary Poisson flat processes in ball windows and for
 the non-Poisson cube-based constructions with prescribed factorial moments.
 
-Flat samples are stored as basis/offset arrays for speed, taken through
-`read_only` and checked once by `check_orthonormal`, so `FlatSample.flats`,
-the `flat_views` of the stacks, cannot fail; the samplers freeze the arrays
-they make, so a sample keeps them without a copy.  Directions come from
+Flat samples are stored as basis/offset arrays for speed: the `read_only`
+copies of what they are given, checked once by `check_orthonormal`, so
+`FlatSample.flats`, the `flat_views` of the stacks, cannot fail, and no
+caller can change a sample after its check.  Directions come from
 `flat_geometry.haar_bases`; a Poisson offset is a standard normal vector
 projected onto the direction's orthogonal complement, rescaled into its
 disk.  Every sampler accepts a seed (int or sequence) or a ready numpy
@@ -194,7 +194,6 @@ def sample_poisson(spec: FlatProcessSpec, radius: float, rng: SeedLike) -> FlatS
           / np.sqrt(np.einsum("mn,mn->m", z, z)))[:, None]
     # again: the rescaling magnifies the first pass's round-off along L
     z -= np.einsum("mk,mkn->mn", np.einsum("mkn,mn->mk", bases, z), bases)
-    bases.flags.writeable = z.flags.writeable = False  # fresh: FlatSample keeps them
     return FlatSample(n, k, radius, bases, z, record)
 
 
@@ -307,9 +306,7 @@ def sample_sr_flats(spec: FlatProcessSpec, radius: float, rng: SeedLike,
     proj = np.einsum("mkn,mn->mk", bases, points)
     offsets = points - np.einsum("mk,mkn->mn", proj, bases)
     keep = row_norms(offsets) <= radius
-    bases, offsets = bases[keep], offsets[keep]
-    bases.flags.writeable = offsets.flags.writeable = False  # fresh: FlatSample keeps them
-    return FlatSample(n, k, radius, bases, offsets, record)
+    return FlatSample(n, k, radius, bases[keep], offsets[keep], record)
 
 
 def write_flat_sample(sample: FlatSample, path: str | Path) -> None:

@@ -402,6 +402,15 @@ def test_summary_embeds_config_and_version(tmp_path):
      "argument --gamma: must be finite and nonnegative, got '-0.5'"),
     (["clt", "--alpha", "nan"], "argument --alpha: must be finite and nonnegative, got 'nan'"),
     (["stability", "--upper", "four"], "argument --upper: invalid float value: 'four'"),
+    # negative values that are not plain decimals are values too, not options
+    (["simulate", "--cover", "-inf"],
+     "argument --cover: must be finite and positive, got '-inf'"),
+    (["simulate", "--gamma", "-1e-3"],
+     "argument --gamma: must be finite and nonnegative, got '-1e-3'"),
+    (["proximity", "--delta", "-nan"],
+     "argument --delta: must be finite and positive, got '-nan'"),
+    (["clt", "--rho", "-2"], "argument --rho: must be finite and positive, got '-2'"),
+    (["stability", "--t", "-0.1"], "argument --t: must be finite and positive, got '-0.1'"),
 ])
 def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     # one error line, the last; flag errors follow argparse's usage line

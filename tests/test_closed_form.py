@@ -547,6 +547,18 @@ def test_chord_power_integral_ball_known_value():
     assert direct == pytest.approx(exact, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_chord_power_integral_ball_counts_and_crofton(n):
+    # p = 0 integrates 1 over the lines hitting the ball: kappa_{n-1} a^{n-1};
+    # p = 1 integrates the chord lengths, which Crofton turns into the
+    # volume kappa_n a^n
+    for radius in (1.0, 2.5):
+        assert ball_chord_power_integral(n, radius, 0.0) == pytest.approx(
+            constants.ball_volume(n - 1) * radius ** (n - 1), rel=1e-13, abs=0.0)
+        assert ball_chord_power_integral(n, radius, 1.0) == pytest.approx(
+            constants.ball_volume(n) * radius ** n, rel=1e-13, abs=0.0)
+
+
 def test_weibull_beta_and_cdf():
     iso = GrassmannMeasure.isotropic(3, 1, 1.0)
     ball = WindowDescriptor.ball(1.0)

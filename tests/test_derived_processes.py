@@ -401,7 +401,8 @@ def layout_cases():
 
 def test_proximity_outputs_are_c_ordered_read_only_arrays():
     # the digest hashes np.ascontiguousarray of each output, so it cannot
-    # see an F-ordered array with the same values: check the layout here
+    # see an F-ordered array with the same values: check the container's
+    # layout here
     from flatproc.flat_geometry import pair_segments
 
     kinds = [(2, np.float64), (1, np.float64), (2, np.float64), (2, np.intp)]
@@ -412,7 +413,7 @@ def test_proximity_outputs_are_c_ordered_read_only_arrays():
         seg = proximity(first, second, delta=1.0)
         outputs = (seg.midpoints, seg.lengths, seg.directions, seg.pairs)
         for arr, out, (ndim, dtype) in zip(raw, outputs, kinds):
-            assert arr.flags.c_contiguous and arr.ndim == ndim and arr.dtype == dtype
+            assert arr.ndim == ndim and arr.dtype == dtype
             assert out.flags.c_contiguous and out.dtype == dtype and not out.flags.writeable
             assert arr.shape == out.shape and arr.tobytes() == out.tobytes()
         assert seg.midpoints.shape == seg.directions.shape == (len(seg), first.n)
@@ -724,7 +725,8 @@ def test_sample_flats_are_views_of_the_checked_stack():
     for source in (sample, inter):
         assert len(source.flats) == len(source) > 3
         for flat, basis, offset in zip(source.flats, source.bases, source.offsets):
-            assert np.shares_memory(flat.direction.basis, source.bases)
+            assert np.array_equal(flat.direction.basis, basis)
+            assert flat.direction.basis.base is source.flats[0].direction.basis.base
             assert np.array_equal(flat.direction.projector(), Subspace(basis).projector())
             assert np.array_equal(flat.offset, offset) and not flat.offset.flags.writeable
     # rows 3e-10 off orthonormal and an offset 1e-12 off orthogonal: a
@@ -762,26 +764,52 @@ def test_near_parallel_plane_pairs_give_their_intersection_flats():
     assert kept > 200 and far > 1e8
 
 
+def caller_arrays(kind):
+    """Arrays a caller hands to the containers, as (given, owner) pairs:
+    given is passed in, and the caller can write through owner afterwards,
+    setting its writeable flag back to True where the caller cleared it."""
+    values = (E[:2, None], np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]), np.zeros((1, 3)),
+              np.array([0.5]), E[:1], np.array([[0, 1]]), np.array([[0, 1], [1, 0]]),
+              np.array([0.5, 0.0, 0.5]))
+    out = []
+    for value in values:
+        owner = np.array(value, order="F" if kind == "F-ordered" else "C")
+        given = owner.view() if "view" in kind else owner
+        if kind in ("read-only", "read-only view of read-only memory"):
+            owner.flags.writeable = False
+        if "read-only" in kind:
+            given.flags.writeable = False
+        out.append((given, owner))
+    return out
+
+
 def test_containers_keep_their_own_copy_of_a_callers_arrays():
+    # each container holds a read-only C-ordered copy of its own: a caller
+    # who writes through the arrays it passed, or through the memory they
+    # view, after setting a cleared writeable flag back to True, changes
+    # nothing a container checked
     from flatproc.derived_processes import IntersectionSample
     from flatproc.simulator import FactorialDistribution
 
-    bases, offsets = E[:2, None].copy(), np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
-    midpoints, lengths = np.zeros((1, 3)), np.array([0.5])
-    directions, pairs = E[:1].copy(), np.array([[0, 1]])
-    tuples, probabilities = np.array([[0, 1], [1, 0]]), np.array([0.5, 0.0, 0.5])
-    held = [FlatSample(3, 1, 1.0, bases, offsets, "x"),
-            IntersectionSample(3, 1, bases, offsets, tuples),
-            SegmentProcessSample(3, 1.0, 1.0, midpoints, lengths, directions, pairs),
-            subspace_views(bases),
-            FactorialDistribution(2, probabilities)]
-    before = [copy_arrays(h) for h in held]
-    callers = (bases, offsets, midpoints, lengths, directions, pairs, tuples, probabilities)
-    for arr in callers:
-        assert arr.flags.writeable
-        arr[...] = 5
-    assert [copy_arrays(h) for h in held] == before
-    assert not any(np.shares_memory(a, b) for h in held for a in arrays_of(h) for b in callers)
+    for kind in ("writable", "F-ordered", "read-only", "read-only view of writable memory",
+                 "read-only view of read-only memory"):
+        arrays = caller_arrays(kind)
+        (bases, offsets, midpoints, lengths, directions, pairs, tuples,
+         probabilities) = (given for given, _ in arrays)
+        held = [FlatSample(3, 1, 1.0, bases, offsets, "x"),
+                IntersectionSample(3, 1, bases, offsets, tuples),
+                SegmentProcessSample(3, 1.0, 1.0, midpoints, lengths, directions, pairs),
+                subspace_views(bases),
+                FactorialDistribution(2, probabilities)]
+        before = [copy_arrays(h) for h in held]
+        callers = [arr for pair in arrays for arr in pair]
+        for _, owner in arrays:
+            owner.flags.writeable = True
+            owner[...] = 5
+        assert [copy_arrays(h) for h in held] == before, kind
+        for a in (a for h in held for a in arrays_of(h)):
+            assert a.flags.c_contiguous and not a.flags.writeable, kind
+            assert not any(np.shares_memory(a, b) for b in callers), kind
 
 
 def test_read_only_view_of_writable_memory_is_copied():
@@ -795,53 +823,6 @@ def test_read_only_view_of_writable_memory_is_copied():
     assert not np.shares_memory(sample.offsets, offsets)
     offsets[...] = 5.0
     assert sample.offsets.tolist() == [[0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
-    # a read-only view of read-only memory is kept
-    offsets = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
-    offsets.flags.writeable = False
-    assert np.shares_memory(FlatSample(3, 1, 1.0, bases, offsets.view(), "x").offsets, offsets)
-
-
-def test_kernel_and_sampler_outputs_are_kept_without_a_copy(monkeypatch):
-    # what the samplers and kernels make and freeze, views of their fresh
-    # arrays included, reaches the containers without a copy
-    import flatproc.derived_processes as derived_processes
-    import flatproc.flat_geometry as flat_geometry
-    import flatproc.simulator as simulator
-    from flatproc.simulator import SrConstruction, sample_sr_flats
-
-    read_only, kept = flat_geometry.read_only, []
-
-    def spy(values, dtype=float):
-        out = read_only(values, dtype)
-        kept.append(out is values)
-        return out
-
-    for module in (flat_geometry, simulator, derived_processes):
-        monkeypatch.setattr(module, "read_only", spy)
-    samples = {}
-    for n, k, radius in ((3, 1, 2.0), (4, 2, 1.5), (3, 2, 1.5)):
-        spec = FlatProcessSpec(n, k, 2.0, GrassmannMeasure.isotropic(n, k, 1.0))
-        kept.clear()
-        samples[n, k] = sample_poisson(spec, radius, [355, n, k])
-        assert len(samples[n, k]) > 4 and kept == [True, True]
-    spec = FlatProcessSpec(3, 2, 1.0, GrassmannMeasure.isotropic(3, 2, 1.0),
-                           kind=SrConstruction(2, Subspace(E[:1])))
-    kept.clear()  # the last two: the sample's; the first, its count law's table
-    assert len(sample_sr_flats(spec, 1.5, 356)) > 0 and kept[-2:] == [True, True]
-    lines = samples[3, 1]
-    none = FlatSample(3, 1, 1.0, np.zeros((0, 1, 3)), np.zeros((0, 3)), "none")
-    two = lines_sample([E[0], E[1]], [np.zeros(3), 0.5 * E[2]])
-    for limit in (-1, math.inf):  # the vectorized solve and the small path
-        monkeypatch.setattr(flat_geometry, "SMALL_LINE_PAIRS", limit)
-        for first, second, count in ((none, None, 0), (two, None, 1), (lines, None, None),
-                                     (lines, two, None)):
-            kept.clear()
-            seg = proximity(first, second, delta=1.0)
-            assert kept == [True] * 4 and (count is None and len(seg) > 1 or len(seg) == count)
-    kept.clear()
-    assert len(intersections(samples[3, 2], order=2)) > 0 and kept == [True] * 3
-    kept.clear()
-    assert len(subspace_views(complement_bases(samples[4, 2].bases))) > 0 and kept == [True]
 
 
 def arrays_of(held):
@@ -1093,7 +1074,7 @@ def line_paths(monkeypatch, bases_a, offs_a, bases_b, offs_b, single, delta):
     """pair_segments with the small line path forced off (SMALL_LINE_PAIRS
     -1, which sends even calls without pairs to the vectorized solve) and on
     (inf): the small path's arrays, which must be the vectorized solve's
-    bytes, layout included, and frozen as they are."""
+    bytes."""
     import flatproc.flat_geometry as flat_geometry
 
     args = (bases_a, offs_a, bases_b, offs_b, single, delta)
@@ -1104,11 +1085,7 @@ def line_paths(monkeypatch, bases_a, offs_a, bases_b, offs_b, single, delta):
         out = flat_geometry.pair_segments(*args)
     for ours, theirs in zip(out, ref):
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
-        assert ours.flags.c_contiguous and theirs.flags.c_contiguous
-        assert ours.flags.f_contiguous == theirs.flags.f_contiguous
         assert ours.tobytes() == theirs.tobytes()
-        assert not ours.flags.writeable
-        assert ours.base is None or not ours.base.flags.writeable
     return out
 
 

@@ -89,7 +89,8 @@ from flatproc.closed_form import (WindowDescriptor, asymptotic_covariance,  # no
 from flatproc.flat_geometry import (Subspace, complement_bases, haar_bases,  # noqa: E402
                                     subset_indices, subspace_determinant)
 from flatproc.measure_metrics import (MetricSample, bl_distance,  # noqa: E402
-                                      prohorov_distance, stability_harness)
+                                      contracting_family, prohorov_distance,
+                                      stability_harness)
 from flatproc.measures import (DirectionSet, GrassmannMeasure, SphereMeasure,  # noqa: E402
                                integrate, lower_bound_check, symmetrize_hyperplane_measure,
                                t_lift)
@@ -141,24 +142,6 @@ def planted_projectors(n: int, k: int, rng) -> np.ndarray:
             turned[0] = math.cos(theta) * b[0] + math.sin(theta) * w
             out.append(turned.T @ turned)
     return np.array(out)[rng.permutation(len(out))]
-
-
-def stability_family(t_values, n: int = 3, seed: int = 0):
-    """Base measure and contracting family of `flatproc stability`."""
-    rng = np.random.default_rng(seed)
-    units = [np.eye(n)[i] for i in range(n)]
-    extra = rng.standard_normal(n)
-    units.append(extra / np.linalg.norm(extra))
-    weight = 1.0 / len(units)
-    family = []
-    for t in t_values:
-        moved = []
-        for i, u in enumerate(units):
-            axis = np.roll(u, 1)
-            v = u + t * (i + 1) / len(units) * (axis - (axis @ u) * u)
-            moved.append(v / np.linalg.norm(v))
-        family.append((t, SphereMeasure.atoms(n, [(v, weight) for v in moved])))
-    return SphereMeasure.atoms(n, [(u, weight) for u in units]), family
 
 
 def report_arrays(report):
@@ -414,7 +397,7 @@ def cases():
                                 ("to-1e-4", [1e-2, 3e-3, 1e-3, 1e-4]),
                                 ("at-1e-6", [1e-6]), ("at-1e-8", [1e-8]),
                                 ("at-1e-9", [1e-9])):
-            base, family = stability_family(t_values)
+            base, family = contracting_family(3, t_values, 0)
             yield guarded(f"stability-{case}-{label}", lambda: report_arrays(stability_harness(
                 case, base, family, rho=0.02, upper=4.0, order=2)))
     for case, call in closed_form_calls():
