@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _HOMES = {
     **dict.fromkeys(("DegeneratePairError", "Flat", "ProximitySegment", "Subspace",
-                     "closest_pair", "complement", "grassmann_distance", "haar_sample",
-                     "orthonormalize", "subspace_determinant"), "flat_geometry"),
+                     "closest_pair", "complement", "grassmann_distance", "orthonormalize",
+                     "subspace_determinant"), "flat_geometry"),
     **dict.fromkeys(("DirectionSet", "GrassmannMeasure", "SphereMeasure", "integrate",
                      "lower_bound_check", "symmetrize_hyperplane_measure",
                      "symmetrize_line_measure", "t_lift"), "measures"),

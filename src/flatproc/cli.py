@@ -586,7 +586,7 @@ def run(argv: list[str] | None = None) -> int:
         results, code = args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         return _Parser._fail(exc)
     passed = None if code == 0 and args.command in ("simulate", "version") else code == 0
     _emit({"command": args.command, "version": __version__, "config": config,

@@ -311,7 +311,7 @@ def intersection_density(n: int, dims, intensities, qs, g=None,
         raise ValueError("a single process has a single flat dimension")
     _check_params(**{f"intensities[{i}]": gamma for i, gamma in enumerate(intensities)})
     samples = check_samples(samples)
-    prefactor = float(np.prod(intensities))
+    prefactor = math.prod(map(float, intensities))  # overflows to inf without a warning
     if same_process:
         prefactor /= math.factorial(r)
     if prefactor == 0.0 or not all(q.total_mass for q in qs):  # zero measures have no draws

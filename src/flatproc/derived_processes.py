@@ -4,8 +4,10 @@ length-power direction functionals evaluated on them.
 Both processes are stored as arrays, each the container's own `read_only`
 copy: segments as midpoints, lengths, directions and index pairs, from the
 arrays `pair_segments` returns; intersection flats as direction bases,
-offsets and generator index tuples (`IntersectionSample.flats` is the
-`flat_views` of its stacks, checked once by `check_orthonormal`).
+offsets and generator index tuples, checked once by `check_orthonormal`
+when the sample is made, so `IntersectionSample.flats`, the `flat_views` of
+its stacks, cannot fail.  The intersections of one sample take one
+complement of its basis stack, whatever their order.
 Pairs and tuples are solved in blocks by the array kernels of
 `flat_geometry` (`pair_segments`, `tuple_intersections`), and tuples
 enumerated by its `subset_indices` and `product_indices`.
@@ -34,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .closed_form import WindowDescriptor
-from .flat_geometry import (Flat, flat_views, pair_segments, product_indices, read_only,
-                            subset_indices, tuple_intersections)
+from .flat_geometry import (Flat, check_orthonormal, flat_views, pair_segments,
+                            product_indices, read_only, subset_indices, tuple_intersections)
 from .measures import DirectionSet, finite_positive
 from .simulator import FlatSample
 
@@ -105,6 +107,9 @@ class IntersectionSample:
     def __post_init__(self) -> None:
         for name, dtype in (("bases", float), ("offsets", float), ("tuples", int)):
             object.__setattr__(self, name, read_only(getattr(self, name), dtype))
+        check_orthonormal(self.bases, self.offsets)
+        if self.tuples.ndim != 2 or self.tuples.shape[0] != self.offsets.shape[0]:
+            raise ValueError("need one row of generator indices per intersection flat")
 
     def __len__(self) -> int:
         return self.offsets.shape[0]
@@ -143,20 +148,27 @@ def intersections(samples, order: int | None = None) -> IntersectionSample:
     multiplicity r.
 
     Each unordered set of r flats in general position contributes its
-    intersection flat of dimension q = k_1 + ... + k_r - (r-1) n.
+    intersection flat of dimension q = k_1 + ... + k_r - (r-1) n.  The order
+    r, when given, is an integer of at least 2, and a list holds at least 2
+    samples of one ambient dimension.
     """
+    if order is not None and (isinstance(order, bool)
+                              or not isinstance(order, (int, np.integer)) or order < 2):
+        raise ValueError(f"order must be an integer >= 2, got order={order!r}")
     single = isinstance(samples, FlatSample)
-    if single:
+    if single:  # one sample, one stack, serves every position of a tuple
         if order is None:
             raise ValueError("order is required for a single sample")
-        sample_list = [samples] * order
+        sample_list, r = [samples], int(order)
     else:
         sample_list = list(samples)
-        if order is not None and order != len(sample_list):
+        r = len(sample_list)
+        if r < 2 or len({s.n for s in sample_list}) > 1:
+            raise ValueError("samples must be at least 2 flat samples of one ambient dimension")
+        if order is not None and order != r:
             raise ValueError("order must match the number of samples")
-    r = len(sample_list)
     n = sample_list[0].n
-    q = sum(s.k for s in sample_list) - (r - 1) * n
+    q = (r if single else 1) * sum(s.k for s in sample_list) - (r - 1) * n
     if q < 0:
         raise ValueError("requires k_1 + ... + k_r >= (r-1) n")
     tuples = (subset_indices(len(samples), r) if single

@@ -3,10 +3,12 @@
 Subspaces are stored as stacks of orthonormal row vectors.  Affine flats are
 a direction subspace plus an offset in its orthogonal complement.  Operations
 are pure and values immutable: `check_orthonormal` is the one test of a
-basis or flat stack, and `read_only` (a read-only C-ordered copy) the one
-rule for an array a container is given.  The kernels work on (m, k, n)
-stacks of bases and return plain arrays; `subspace_views` and `flat_views`
-check a stack once and hand out views of its rows.  The scalar
+basis or flat stack, run by the container that takes the stack in, once, and
+`read_only` (a read-only C-ordered copy) the one rule for an array a
+container is given.  The kernels work on (m, k, n) stacks of bases and
+return plain arrays; `subspace_views` and `flat_views` hand out views of the
+rows of a stack that a container checked or a kernel just made, and check
+nothing.  The scalar
 `closest_pair`, for k1 + k2 < n only, is the per-pair reference of
 `pair_segments` and returns a `ProximitySegment`.
 Its line solve gathers both lines of every pair of a block with one take
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, cycle
 from math import comb, isqrt, prod, sqrt
 from typing import NamedTuple
 
@@ -198,12 +200,6 @@ class Subspace:
         p.flags.writeable = False
         return p
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of x onto the subspace."""
-        if self.k == 0:
-            return np.zeros(self.n)
-        return (np.asarray(x, dtype=float) @ self.basis.T) @ self.basis
-
     def same_span(self, other: "Subspace", tol: float = 1e-8) -> bool:
         if self.basis.shape != other.basis.shape:
             return False
@@ -223,14 +219,14 @@ class Subspace:
         return orthonormalize(list(vectors))
 
 
-def subspace_views(bases, offsets=None) -> tuple[Subspace, ...]:
+def subspace_views(bases) -> tuple[Subspace, ...]:
     """`Subspace` views of the rows of the `read_only` copy of an (m, k, n)
-    stack of bases, checked once by `check_orthonormal` with the (m, n)
-    offsets of its flats when given; no view runs a check of its own."""
+    stack of orthonormal bases.  Nothing is checked: the stack comes from a
+    container that checked it when it was made, or from a QR or normalization
+    kernel that has just made it."""
     bases = read_only(bases)
     if bases.ndim != 3:
         raise ValueError(f"need an (m, k, n) stack of bases, got shape {bases.shape}")
-    check_orthonormal(bases, offsets)
     views = tuple(map(object.__new__, [Subspace] * len(bases)))
     for view, row in zip(views, bases):
         view.__dict__["basis"] = row  # as __post_init__ sets it, past the frozen __setattr__
@@ -239,10 +235,10 @@ def subspace_views(bases, offsets=None) -> tuple[Subspace, ...]:
 
 def flat_views(bases, offsets) -> tuple[Flat, ...]:
     """`Flat` views of the rows of an (m, k, n) stack of bases and an (m, n)
-    stack of offsets, on `subspace_views` that check both stacks once."""
+    stack of offsets, on `subspace_views`: unchecked, as they are."""
     offsets = read_only(offsets)
     flats = tuple(map(object.__new__, [Flat] * len(offsets)))
-    for flat, direction, offset in zip(flats, subspace_views(bases, offsets), offsets):
+    for flat, direction, offset in zip(flats, subspace_views(bases), offsets):
         flat.__dict__.update(direction=direction, offset=offset)
     return flats
 
@@ -268,12 +264,6 @@ class Flat:
     @property
     def k(self) -> int:
         return self.direction.k
-
-    @staticmethod
-    def through_point(direction: Subspace, point: np.ndarray) -> "Flat":
-        """The flat with the given direction passing through point."""
-        point = np.asarray(point, dtype=float)
-        return Flat(direction, point - direction.project(point))
 
 
 class ProximitySegment(NamedTuple):
@@ -393,13 +383,6 @@ def haar_bases(count: int, n: int, k: int, rng: SeedLike) -> np.ndarray:
     `q_factors` of k x n standard normal matrices, whose spans are rotation
     invariant, which characterizes the Haar probability measure on G(n,k)."""
     return q_factors(as_generator(rng).standard_normal((count, k, n)))
-
-
-def haar_sample(n: int, k: int, rng: SeedLike) -> Subspace:
-    """Haar-distributed k-dimensional subspace of R^n."""
-    if not 0 < k < n:
-        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    return Subspace(haar_bases(1, n, k, rng)[0])
 
 
 def _principal_angles(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
@@ -786,20 +769,22 @@ def tuple_intersections(bases, offsets, tuples):
 
     bases[p] and offsets[p] are the (N_p, k_p, n) and (N_p, n) stacks that
     position p of a tuple draws from, with k_1 + ... + k_r >= (r-1) n, and
-    tuples is an (m, r) index array.  The complement bases of a tuple stack
-    into an (n-q) x n matrix C; its Gram volume, the subspace determinant,
-    must exceed GENERAL_POSITION_TOL.  One batched SVD of C gives the
-    minimum-norm solution of C x = C-offsets and the null space of C, the
-    intersection direction.  Tuples are solved in blocks of BLOCK_ROWS.
-    Returns the tuples in general position and their flats: (bases
-    (m', q, n), offsets (m', n), tuples (m', r)).
+    tuples is an (m, r) index array; a lone stack serves every position.
+    Each stack given takes one `complement_bases` and one product with its
+    offsets, the levels.  The complement bases of a tuple stack into an
+    (n-q) x n matrix C; its Gram volume, the subspace determinant, must
+    exceed GENERAL_POSITION_TOL.  One batched SVD of C gives the minimum-norm
+    solution of C x = levels and the null space of C, the intersection
+    direction.  Tuples are solved in blocks of BLOCK_ROWS.  Returns the
+    tuples in general position and their flats: (bases (m', q, n), offsets
+    (m', n), tuples (m', r)).
     """
     comps = [complement_bases(b) for b in bases]
     levels = [np.einsum("mjn,mn->mj", c, o) for c, o in zip(comps, offsets)]
 
     def solve(tuples):
-        normal = np.concatenate([c[t] for c, t in zip(comps, tuples.T)], axis=1)
-        rhs = np.concatenate([lv[t] for lv, t in zip(levels, tuples.T)], axis=1)
+        normal = np.concatenate([c[t] for c, t in zip(cycle(comps), tuples.T)], axis=1)
+        rhs = np.concatenate([lv[t] for lv, t in zip(cycle(levels), tuples.T)], axis=1)
         ok = gram_volumes(normal) > GENERAL_POSITION_TOL
         normal, rhs, tuples = normal[ok], rhs[ok], tuples[ok]
         u, s, vt = np.linalg.svd(normal)
@@ -807,7 +792,7 @@ def tuple_intersections(bases, offsets, tuples):
         coef = np.einsum("mij,mi->mj", u, rhs) / s
         point = np.einsum("mj,mjn->mn", coef, vt[:, :p])
         direction = vt[:, p:]
-        # as Flat.through_point: drop any round-off component along the direction
+        # an offset lies in the direction's complement: drop any round-off component along it
         point -= np.einsum("mq,mqn->mn", np.einsum("mqn,mn->mq", direction, point),
                            direction)
         return direction, point, tuples

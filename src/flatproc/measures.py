@@ -7,7 +7,8 @@ shapes: canonical units (m, n) with pair masses, each an unordered +-u pair
 (evenness is structural), the uniform measure, and mixtures of uniform
 measures on great subspheres, held as discrete Grassmann measures.  Tuples of
 `Subspace` objects (`atoms`, `subspheres`) are views for the API edge, built
-by `subspace_views`: each stack is checked once, not each view.
+by `subspace_views` on a stack that `GrassmannMeasure` checked when it was
+made: no view runs a check.
 """
 from __future__ import annotations
 
@@ -375,8 +376,8 @@ def integrate(measure, f, rng: SeedLike | None = None,
     isotropic, and subsphere components are integrated by Monte Carlo with
     the given sample budget.  For sphere measures f must accept an (m, n)
     array of unit vectors and return m values; for Grassmann measures f
-    takes a single Subspace, a view of a row of a stack checked once (each
-    block of Haar draws, or the atoms).
+    takes a single Subspace, an unchecked view of a row of a block of Haar
+    draws, orthonormal as `q_factors` made it, or of the checked atoms.
     """
     samples = check_samples(samples)
     if isinstance(measure, GrassmannMeasure):

@@ -148,9 +148,12 @@ def build_factorial_distribution(kappa: int) -> FactorialDistribution:
     Start from P(N=0) = P(N=2) = 1/2 at kappa = 2; each step sets
     P_kappa(i) = P_{kappa-1}(i-1)/i on {1, ..., kappa-2, kappa} and puts the
     remaining mass at 0.  The law is immutable, so it is built once per kappa.
+    kappa is an integer from 2 to 170: P(N=kappa) = 1/kappa!, and 171! exceeds
+    the float range.
     """
-    if kappa < 2:
-        raise ValueError("kappa must be at least 2")
+    if isinstance(kappa, bool) or not isinstance(kappa, (int, np.integer)) \
+            or not 2 <= kappa <= 170:
+        raise ValueError(f"kappa must be an integer from 2 to 170, got kappa={kappa!r}")
     table = {0: Fraction(1, 2), 2: Fraction(1, 2)}
     for k in range(3, kappa + 1):
         support = list(range(1, k - 1)) + [k]
@@ -170,14 +173,22 @@ def sample_poisson(spec: FlatProcessSpec, radius: float, rng: SeedLike) -> FlatS
     distribution and offsets are uniform in the (n-k)-ball of the window
     radius inside the direction's orthogonal complement: a standard normal
     vector projected onto L-perp, isotropic there, rescaled to length R U^{1/(n-k)}.
+    A mean that overflows, or exceeds the 9.2e18 that Generator.poisson
+    takes, is rejected before any draw.
     """
     if spec.kind is not None:
         raise ValueError("spec does not describe a Poisson process")
     _check_radius(radius)
+    n, k = spec.n, spec.k
+    try:
+        mean = spec.gamma * constants.ball_volume(n - k) * radius ** (n - k)
+    except OverflowError:  # of radius ** (n - k); no flats at gamma = 0 all the same
+        mean = math.inf if spec.gamma else 0.0
+    if not mean <= 9.2e18:
+        raise ValueError(f"expected flat count gamma kappa_(n-k) radius^(n-k) is too large "
+                         f"to sample: gamma={spec.gamma!r}, radius={radius!r}")
     record = seed_record(rng)
     gen = as_generator(rng)
-    n, k = spec.n, spec.k
-    mean = spec.gamma * constants.ball_volume(n - k) * radius ** (n - k)
     count = int(gen.poisson(mean))
     if count == 0:
         return FlatSample(n, k, radius, np.zeros((0, k, n)), np.zeros((0, n)), record)

@@ -2,8 +2,9 @@
 (one `lstsq` and one SVD per tuple) that the batched `tuple_intersections`
 is compared against, the SVD complement that `complement_bases` is compared
 against, the all-pairs atom merge that `_merge` is compared against, small
-helpers on rotations, flats and samples, the Grassmann metric of two
-subspaces, and the closed totals of mu_Q_r and of the area measures.
+helpers on rotations, flats and samples (a Haar subspace, a projection onto
+a subspace, the flat of a direction through a point), the Grassmann metric
+of two subspaces, and the closed totals of mu_Q_r and of the area measures.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from flatproc import constants
 from flatproc._rng import SeedLike, as_generator
 from flatproc.flat_geometry import (BLOCK_ROWS, GENERAL_POSITION_TOL, DegeneratePairError, Flat,
                                     Subspace, complement, grassmann_distance, gram_volumes,
-                                    subspace_determinant)
+                                    haar_bases, subspace_determinant)
 from flatproc.measures import SphereMeasure
 from flatproc.simulator import FlatSample
 from flatproc.zonoid_engine import from_measure, intrinsic_volume
@@ -60,6 +61,26 @@ def random_rotation(n: int, rng: SeedLike) -> np.ndarray:
     return q
 
 
+def haar_sample(n: int, k: int, rng: SeedLike) -> Subspace:
+    """Haar-distributed k-dimensional subspace of R^n."""
+    if not 0 < k < n:
+        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+    return Subspace(haar_bases(1, n, k, rng)[0])
+
+
+def project(sub: Subspace, x: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of x onto the subspace."""
+    if sub.k == 0:
+        return np.zeros(sub.n)
+    return (np.asarray(x, dtype=float) @ sub.basis.T) @ sub.basis
+
+
+def through_point(direction: Subspace, point: np.ndarray) -> Flat:
+    """The flat with the given direction passing through point."""
+    point = np.asarray(point, dtype=float)
+    return Flat(direction, point - project(direction, point))
+
+
 def rotate_subspace(u: Subspace, rotation: np.ndarray) -> Subspace:
     return Subspace(u.basis @ rotation.T)
 
@@ -76,7 +97,7 @@ def parallelepiped_volume(vectors) -> float:
 
 def distance_to_point(flat: Flat, x: np.ndarray) -> float:
     d = np.asarray(x, dtype=float) - flat.offset
-    return float(np.linalg.norm(d - flat.direction.project(d)))
+    return float(np.linalg.norm(d - project(flat.direction, d)))
 
 
 def contains_flat(flat: Flat, other: Flat, tol: float = 1e-8) -> bool:
@@ -120,7 +141,7 @@ def _intersection_flat(flats) -> Flat:
     else:
         _, _, vt = np.linalg.svd(normal)
         direction = Subspace(vt[n - q:])
-    return Flat.through_point(direction, point)
+    return through_point(direction, point)
 
 
 def intersect_flats(flats) -> Flat:

@@ -411,6 +411,19 @@ def test_summary_embeds_config_and_version(tmp_path):
      "argument --delta: must be finite and positive, got '-nan'"),
     (["clt", "--rho", "-2"], "argument --rho: must be finite and positive, got '-2'"),
     (["stability", "--t", "-0.1"], "argument --t: must be finite and positive, got '-0.1'"),
+    # an expected flat count past the float range or the Poisson sampler, and
+    # a kappa past 170, whose 1/kappa! underflows
+    (["simulate", "--radius", "1e308"],
+     "expected flat count gamma kappa_(n-k) radius^(n-k) is too large to sample: "
+     "gamma=1.0, radius=1e+308"),
+    (["proximity", "--delta", "1e300"], "too large to sample: gamma=1.0, radius=5e+299"),
+    (["weibull", "--rho", "1e300"], "too large to sample: gamma=1.0, radius=1e+300"),
+    (["proximity", "--gamma", "1e200"], "too large to sample: gamma=1e+200, radius=1.366"),
+    (["intersect", "--n", "3", "--k", "2", "--r", "2", "--gamma", "1e200"],
+     "too large to sample: gamma=1e+200, radius=1.0"),
+    (["appendix", "--kappa", "171"], "kappa must be an integer from 2 to 170, got kappa=171"),
+    (["simulate", "--kind", "sr", "--kappa", "171"], "got kappa=171"),
+    (["simulate", "--kind", "sr", "--kappa", "100000"], "got kappa=100000"),
 ])
 def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     # one error line, the last; flag errors follow argparse's usage line
@@ -419,6 +432,21 @@ def test_bad_input_exits_one_with_one_line(argv, message, capsys):
     lines = err.splitlines()
     assert "Traceback" not in err and [ln for ln in lines if ln.startswith("error: ")] == lines[-1:]
     assert message in lines[-1]
+
+
+def test_an_arithmetic_error_exits_one_with_one_line(monkeypatch, tmp_path, capsys):
+    # the backstop for an overflow that no input check foresaw
+    from flatproc import simulator
+
+    def overflow(*args):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(simulator, "sample_poisson", overflow)
+    assert run(["simulate", "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["error: (34, 'Numerical result out of range')"]
 
 
 # each subcommand's flags and defaults as they were before `_add_flat_flags`

@@ -7,18 +7,18 @@ from flatproc.closed_form import WindowDescriptor
 from flatproc.derived_processes import (SegmentProcessSample, f_alpha,
                                         intersections, order_statistics,
                                         proximity, write_segments_csv)
-from flatproc.flat_geometry import (Flat, Subspace, canonical_units, complement,
+from flatproc.flat_geometry import (Subspace, canonical_units, complement,
                                     complement_bases, haar_bases, subspace_views)
 from flatproc.measures import DirectionSet, GrassmannMeasure
 from flatproc.simulator import FlatProcessSpec, FlatSample, sample_poisson
 
-from _reference import contains_flat, translate
+from _reference import contains_flat, through_point, translate
 
 E = np.eye(3)
 
 
 def lines_sample(directions, points, radius=10.0):
-    flats = [Flat.through_point(Subspace.span(d), p)
+    flats = [through_point(Subspace.span(d), p)
              for d, p in zip(directions, points)]
     return FlatSample(len(points[0]), 1, radius,
                       np.stack([f.direction.basis for f in flats]),
@@ -125,11 +125,11 @@ def test_degenerate_and_touching_pairs_dropped_like_scalar():
     # 3 shares a direction with 0 (subspace determinant 0), 4 generic
     e = np.eye(5)
     rotated = np.stack([e[0], (e[2] + e[3]) / np.sqrt(2.0)])
-    flats = [Flat.through_point(Subspace(e[:2]), 0.4 * e[4]),
-             Flat.through_point(Subspace(e[:2]), -0.3 * e[3]),
-             Flat.through_point(Subspace(e[2:4]), 0.4 * e[4]),
-             Flat.through_point(Subspace(rotated), 0.2 * e[4] + 0.1 * e[1]),
-             Flat.through_point(Subspace(np.stack([e[2], e[4]])), 0.3 * e[0] + 0.2 * e[1])]
+    flats = [through_point(Subspace(e[:2]), 0.4 * e[4]),
+             through_point(Subspace(e[:2]), -0.3 * e[3]),
+             through_point(Subspace(e[2:4]), 0.4 * e[4]),
+             through_point(Subspace(rotated), 0.2 * e[4] + 0.1 * e[1]),
+             through_point(Subspace(np.stack([e[2], e[4]])), 0.3 * e[0] + 0.2 * e[1])]
     sample = FlatSample(5, 2, 2.0, np.stack([f.direction.basis for f in flats]),
                         np.stack([f.offset for f in flats]), "x")
     ref = scalar_segments(sample, None, 10.0)
@@ -474,9 +474,9 @@ def planted_lines(sample, plant):
     u, a = sample.bases[i, 0], sample.offsets[i]
     normal = complement(Subspace(sample.bases[i])).basis[0]
     if plant == "parallel":
-        line = Flat.through_point(Subspace(sample.bases[i]), a + 0.5 * normal)
+        line = through_point(Subspace(sample.bases[i]), a + 0.5 * normal)
     else:
-        line = Flat.through_point(Subspace.span(u + normal), a + 0.3 * u)
+        line = through_point(Subspace.span(u + normal), a + 0.3 * u)
     return FlatSample(sample.n, 1, sample.radius,
                       np.concatenate([sample.bases, line.direction.basis[None]]),
                       np.concatenate([sample.offsets, line.offset[None]]), "planted")
@@ -692,9 +692,9 @@ def test_intersections_parallel_hyperplanes_empty():
 
 
 def test_intersections_three_hyperplanes_point():
-    flats = [Flat.through_point(Subspace(E[:2]), 0.2 * E[2]),
-             Flat.through_point(Subspace(E[1:]), 0.1 * E[0]),
-             Flat.through_point(Subspace(E[[0, 2]]), -0.3 * E[1])]
+    flats = [through_point(Subspace(E[:2]), 0.2 * E[2]),
+             through_point(Subspace(E[1:]), 0.1 * E[0]),
+             through_point(Subspace(E[[0, 2]]), -0.3 * E[1])]
     sample = FlatSample(3, 2, 1.0, np.stack([f.direction.basis for f in flats]),
                         np.stack([f.offset for f in flats]), "x")
     inter = intersections(sample, order=3)
@@ -715,8 +715,8 @@ def test_intersections_across_independent_samples():
 
 
 def test_sample_flats_are_views_of_the_checked_stack():
-    # FlatSample.flats and IntersectionSample.flats check the basis and
-    # offset stacks once and wrap their rows
+    # FlatSample.flats and IntersectionSample.flats wrap the rows of the
+    # basis and offset stacks that the sample checked when it was made
     from flatproc.derived_processes import IntersectionSample
 
     spec = FlatProcessSpec(3, 2, 3.0, GrassmannMeasure.isotropic(3, 2, 1.0))
@@ -729,9 +729,8 @@ def test_sample_flats_are_views_of_the_checked_stack():
             assert flat.direction.basis.base is source.flats[0].direction.basis.base
             assert np.array_equal(flat.direction.projector(), Subspace(basis).projector())
             assert np.array_equal(flat.offset, offset) and not flat.offset.flags.writeable
-    # rows 3e-10 off orthonormal and an offset 1e-12 off orthogonal: a
-    # FlatSample rejects them when it is made, an IntersectionSample when
-    # its flats are read
+    # rows 3e-10 off orthonormal and an offset 1e-12 off orthogonal: both
+    # samples reject them when they are made
     tilted = np.array([[E[0]], [[0.0, 1.0 + 3e-10, 0.0]]])
     leaning = np.array([[1e-12, 0.0, 0.0], [0.0, 0.0, 5e-10]])
     cases = [(tilted, np.zeros((2, 3)), "not orthonormal"),
@@ -739,9 +738,105 @@ def test_sample_flats_are_views_of_the_checked_stack():
     for bases, offsets, message in cases:
         with pytest.raises(ValueError, match=message):
             FlatSample(3, 1, 2.0, bases, offsets, "x")
-        source = IntersectionSample(3, 1, bases, offsets, np.zeros((2, 2), dtype=int))
         with pytest.raises(ValueError, match=message):
-            source.flats
+            IntersectionSample(3, 1, bases, offsets, np.zeros((2, 2), dtype=int))
+
+
+@pytest.mark.parametrize("bases, offsets, tuples, message", [
+    (np.array([[E[0]], [[0.0, 1.0 + 3e-10, 0.0]]]), np.zeros((2, 3)), np.zeros((2, 2), int),
+     "basis rows are not orthonormal"),                      # a row 3e-10 off unit length
+    (E[:2, None], np.array([[5e-10, 0.3, 0.0], [0.0, 0.0, 0.4]]), np.zeros((2, 2), int),
+     "offset is not orthogonal"),                             # an offset 5e-10 off E[0]'s complement
+    (E[:2, None], np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.4]]), np.zeros((2, 2), int),
+     "offset is not orthogonal"),                             # NaN
+    (E[:2, None], np.zeros((2, 3)), np.zeros((3, 2), int),
+     "one row of generator indices per intersection flat"),  # three tuples, two flats
+    (E[:2, None], np.zeros((2, 3)), np.zeros(2, int),
+     "one row of generator indices per intersection flat"),  # tuples not 2-D
+])
+def test_intersection_sample_checks_its_stacks_when_it_is_made(bases, offsets, tuples, message):
+    from flatproc.derived_processes import IntersectionSample
+
+    with pytest.raises(ValueError, match=message):
+        IntersectionSample(3, 1, bases, offsets, tuples)
+    IntersectionSample(3, 1, E[:2, None], np.zeros((2, 3)), np.zeros((2, 2), int))
+
+
+@pytest.fixture
+def orthonormal_checks(monkeypatch):
+    """Arguments of every `check_orthonormal` call, through each module that calls it."""
+    from flatproc import derived_processes, flat_geometry, measures, simulator
+
+    calls, check = [], flat_geometry.check_orthonormal
+    for module in (flat_geometry, simulator, measures, derived_processes):
+        monkeypatch.setattr(module, "check_orthonormal",
+                            lambda *args: calls.append(args) or check(*args))
+    return calls
+
+
+def test_views_check_nothing_and_intersections_of_a_sample_check_once(orthonormal_checks):
+    from flatproc.measures import integrate, t_lift
+
+    spec = FlatProcessSpec(3, 2, 3.0, GrassmannMeasure.isotropic(3, 2, 1.0))
+    sample = sample_poisson(spec, 1.5, 333)
+    for r in (2, 3):
+        orthonormal_checks.clear()
+        inter = intersections(sample, order=r)
+        assert len(orthonormal_checks) == 1 and len(inter) > 0
+        orthonormal_checks.clear()
+        assert len(inter.flats) == len(inter)
+        assert orthonormal_checks == []
+    atoms = GrassmannMeasure(3, 2, sample.bases, np.ones(len(sample)))
+    mixture = t_lift(GrassmannMeasure(3, 2, sample.bases, np.ones(len(sample))))  # own atoms
+    orthonormal_checks.clear()
+    assert len(sample.flats) == len(atoms.atoms) == len(mixture.subspheres) == len(sample) > 3
+    integrate(GrassmannMeasure.isotropic(4, 2, 1.0), lambda sub: sub.k, rng=334, samples=50)
+    assert orthonormal_checks == []
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_intersections_take_one_complement_per_sample(monkeypatch, r):
+    from flatproc import flat_geometry
+    from flatproc.flat_geometry import subset_indices, tuple_intersections
+
+    spec = FlatProcessSpec(3, 2, 3.0, GrassmannMeasure.isotropic(3, 2, 1.0))
+    samples = [sample_poisson(spec, 1.5, [335, i]) for i in range(r)]
+    calls, complements = [], flat_geometry.complement_bases
+    monkeypatch.setattr(flat_geometry, "complement_bases",
+                        lambda bases: calls.append(bases.shape) or complements(bases))
+    single = intersections(samples[0], order=r)
+    assert len(calls) == 1 and len(single) > 0
+    calls.clear()
+    assert len(intersections(samples)) > 0 and len(calls) == r
+    # the lone stack serves every position: r copies of it give the same bits
+    s = samples[0]
+    copies = tuple_intersections([s.bases] * r, [s.offsets] * r, subset_indices(len(s), r))
+    assert [a.tobytes() for a in copies] == [single.bases.tobytes(), single.offsets.tobytes(),
+                                             single.tuples.tobytes()]
+
+
+@pytest.mark.parametrize("case", ["no samples", "one sample in a list", "two n", "order 0",
+                                  "order -1", "order 1", "order 2.0", "order True",
+                                  "order 2.0 with a list", "order 3 with two samples"])
+def test_intersections_reject_a_bad_order_or_sample_list(case):
+    planes = sample_poisson(FlatProcessSpec(3, 2, 3.0, GrassmannMeasure.isotropic(3, 2, 1.0)),
+                            1.0, 336)
+    solids = sample_poisson(FlatProcessSpec(4, 3, 3.0, GrassmannMeasure.isotropic(4, 3, 1.0)),
+                            1.0, 337)
+    samples, order, message = {
+        "no samples": ([], None, "samples must be at least 2"),
+        "one sample in a list": ([planes], None, "samples must be at least 2"),
+        "two n": ([planes, solids], None, "samples must be at least 2 flat samples of one"),
+        "order 0": (planes, 0, "order must be an integer >= 2, got order=0"),
+        "order -1": (planes, -1, "order must be an integer >= 2, got order=-1"),
+        "order 1": (planes, 1, "order must be an integer >= 2, got order=1"),
+        "order 2.0": (planes, 2.0, "order must be an integer >= 2, got order=2.0"),
+        "order True": (planes, True, "order must be an integer >= 2, got order=True"),
+        "order 2.0 with a list": ([planes, planes], 2.0, "order must be an integer >= 2"),
+        "order 3 with two samples": ([planes, planes], 3, "order must match the number"),
+    }[case]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        intersections(samples, order=order)
 
 
 def test_near_parallel_plane_pairs_give_their_intersection_flats():
@@ -888,7 +983,7 @@ def test_degenerate_tuples_dropped_like_scalar():
     # planes of R^3: 0 and 1 parallel; the normals of 0, 2, 3 are coplanar,
     # so the triple (0, 2, 3) meets in no point
     normals = [E[2], E[2], E[0], (E[0] + E[2]) / np.sqrt(2.0), E[1]]
-    flats = [Flat.through_point(complement(Subspace.span(u)), 0.2 * i * u)
+    flats = [through_point(complement(Subspace.span(u)), 0.2 * i * u)
              for i, u in enumerate(normals)]
     sample = FlatSample(3, 2, 2.0, np.stack([f.direction.basis for f in flats]),
                         np.stack([f.offset for f in flats]), "x")

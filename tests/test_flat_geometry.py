@@ -9,15 +9,15 @@ from flatproc.flat_geometry import (DegeneratePairError, Flat, Subspace, _princi
                                     canonical_unit, canonical_units,
                                     closest_pair, complement, complement_bases,
                                     gram_volumes, grassmann_distance,
-                                    haar_bases, haar_sample, orthonormalize,
+                                    haar_bases, orthonormalize,
                                     product_indices, row_dots, row_norms, subset_indices,
                                     subspace_determinant, subspace_views, tuple_intersections)
 from flatproc.measures import SphereMeasure
 
 import _reference
-from _reference import (contains_flat, distance_to_point, grassmann_metric,
+from _reference import (contains_flat, distance_to_point, grassmann_metric, haar_sample,
                         parallelepiped_volume, random_rotation, rotate_subspace,
-                        svd_complement_bases)
+                        svd_complement_bases, through_point)
 
 E = np.eye(3)
 
@@ -117,19 +117,36 @@ def test_subspace_views_share_the_read_only_stack_and_match_subspace():
         subspace_views(np.eye(3))
 
 
+def stack_containers(stack):
+    """The containers that take an (m, 2, 4) basis stack in, each with zero
+    offsets and generator indices where it needs them."""
+    from flatproc.derived_processes import IntersectionSample
+    from flatproc.measures import GrassmannMeasure
+
+    m = len(stack)
+    return (lambda: GrassmannMeasure(4, 2, stack, np.ones(m)),
+            lambda: IntersectionSample(4, 2, stack, np.zeros((m, 4)), np.zeros((m, 2), int)))
+
+
 @pytest.mark.parametrize("row", [0, 4])
-def test_subspace_views_reject_a_stack_with_one_bad_row_as_subspace_does(row):
+def test_stack_containers_reject_a_stack_with_one_bad_row_as_subspace_does(row):
+    # the containers that take a stack in check it; views of it check nothing
     stack = haar_bases(5, 4, 2, np.random.default_rng(24))
     stack[row, 1] += 2e-10 * stack[row, 0]  # one Gram entry 2e-10 off the identity
     with pytest.raises(ValueError) as single:
         Subspace(stack[row])
-    with pytest.raises(ValueError) as stacked:
-        subspace_views(stack)
-    assert str(stacked.value) == str(single.value) == "basis rows are not orthonormal"
-    subspace_views(np.delete(stack, row, axis=0))  # the other rows pass
+    for make in stack_containers(stack):
+        with pytest.raises(ValueError) as stacked:
+            make()
+        assert str(stacked.value) == str(single.value) == "basis rows are not orthonormal"
+    for make in stack_containers(np.delete(stack, row, axis=0)):  # the other rows pass
+        make()
     stack[row, 1, 0] = np.nan
-    with pytest.raises(ValueError, match="not orthonormal"):
-        subspace_views(stack)
+    # offsets are tested first: beside its offsets, a NaN row fails their test
+    for make, message in zip(stack_containers(stack), ("basis rows are not orthonormal",
+                                                       "offset is not orthogonal")):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def test_same_span_matches_the_projector_norm_at_the_tolerance():
@@ -215,8 +232,8 @@ def test_nabla_is_line_determinant_special_case():
 
 
 def test_closest_pair_example():
-    e_flat = Flat.through_point(Subspace.span(E[0]), np.zeros(3))
-    f_flat = Flat.through_point(Subspace.span(E[1]), E[2])
+    e_flat = through_point(Subspace.span(E[0]), np.zeros(3))
+    f_flat = through_point(Subspace.span(E[1]), E[2])
     seg = closest_pair(e_flat, f_flat)
     assert abs(seg.length - 1.0) < 1e-12
     assert np.allclose(seg.midpoint, [0.0, 0.0, 0.5])
@@ -224,8 +241,8 @@ def test_closest_pair_example():
 
 
 def test_closest_pair_returns_a_plain_record():
-    e_flat = Flat.through_point(Subspace.span(E[0]), np.zeros(3))
-    f_flat = Flat.through_point(Subspace.span(E[1]), 2.0 * E[2])
+    e_flat = through_point(Subspace.span(E[0]), np.zeros(3))
+    f_flat = through_point(Subspace.span(E[1]), 2.0 * E[2])
     midpoint, length, direction = seg = closest_pair(e_flat, f_flat)
     assert type(seg)._fields == ("midpoint", "length", "direction")
     assert length == 2.0 and np.array_equal(midpoint, E[2])
@@ -260,8 +277,8 @@ def test_flat_offset_tolerance_scales_with_the_offset_norm():
 
 
 def test_closest_pair_parallel_lines_degenerate():
-    e_flat = Flat.through_point(Subspace.span(E[0]), np.zeros(3))
-    f_flat = Flat.through_point(Subspace.span(E[0]), E[1])
+    e_flat = through_point(Subspace.span(E[0]), np.zeros(3))
+    f_flat = through_point(Subspace.span(E[0]), E[1])
     with pytest.raises(DegeneratePairError, match="degenerate pair"):
         closest_pair(e_flat, f_flat)
 
@@ -277,8 +294,8 @@ def one_intersection(flats):
 
 def test_two_hyperplanes_intersect_in_line():
     u1, u2 = E[2], (E[0] + E[2]) / math.sqrt(2)
-    h1 = Flat.through_point(complement(Subspace.span(u1)), np.zeros(3))
-    h2 = Flat.through_point(complement(Subspace.span(u2)), 0.4 * u2)
+    h1 = through_point(complement(Subspace.span(u1)), np.zeros(3))
+    h2 = through_point(complement(Subspace.span(u2)), 0.4 * u2)
     flat = one_intersection([h1, h2])
     assert flat.k == 1
     # null-space oracle: direction solves u1.x = 0 and u2.x = 0
@@ -290,8 +307,8 @@ def test_two_hyperplanes_intersect_in_line():
 def test_closest_pair_feet_properties_random():
     rng = np.random.default_rng(11)
     for _ in range(30):
-        e_flat = Flat.through_point(haar_sample(4, 1, rng), rng.standard_normal(4))
-        f_flat = Flat.through_point(haar_sample(4, 2, rng), rng.standard_normal(4))
+        e_flat = through_point(haar_sample(4, 1, rng), rng.standard_normal(4))
+        f_flat = through_point(haar_sample(4, 2, rng), rng.standard_normal(4))
         seg = closest_pair(e_flat, f_flat)
         half = 0.5 * seg.length * seg.direction
         feet = (seg.midpoint + half, seg.midpoint - half)
@@ -323,7 +340,7 @@ def test_one_tuple_intersection_matches_scalar_reference():
             dims = rng.integers(1, n, size=r)
             while dims.sum() < (r - 1) * n:
                 dims = rng.integers(1, n, size=r)
-            flats = [Flat.through_point(haar_sample(n, int(k), rng), rng.standard_normal(n))
+            flats = [through_point(haar_sample(n, int(k), rng), rng.standard_normal(n))
                      for k in dims]
             ref = _reference.intersect_flats(flats)
             got = one_intersection(flats)
@@ -336,17 +353,17 @@ def test_one_tuple_intersection_matches_scalar_reference():
 
 
 def test_one_tuple_intersection_drops_parallel_planes():
-    planes = [Flat.through_point(Subspace(E[:2]), np.zeros(3)),
-              Flat.through_point(Subspace(E[:2]), E[2])]
+    planes = [through_point(Subspace(E[:2]), np.zeros(3)),
+              through_point(Subspace(E[:2]), E[2])]
     assert one_intersection(planes) is None
 
 
 def test_closest_pair_rejects_mixed_spaces_and_dimension_sums_of_n():
     # k1 + k2 >= n pairs intersect: tuple_intersections solves them
-    plane = Flat.through_point(Subspace(E[:2]), np.zeros(3))
-    line = Flat.through_point(Subspace(E[:1]), np.zeros(3))
-    for pair in ((plane, plane), (plane, Flat.through_point(Subspace(E[1:]), E[0])),
-                 (line, Flat.through_point(Subspace(np.eye(4)[:1]), np.zeros(4)))):
+    plane = through_point(Subspace(E[:2]), np.zeros(3))
+    line = through_point(Subspace(E[:1]), np.zeros(3))
+    for pair in ((plane, plane), (plane, through_point(Subspace(E[1:]), E[0])),
+                 (line, through_point(Subspace(np.eye(4)[:1]), np.zeros(4)))):
         with pytest.raises(ValueError, match="closest_pair needs flats of one R"):
             closest_pair(*pair)
 
@@ -681,5 +698,5 @@ def test_row_dots_broadcast_columns_match_einsum(n):
 def test_flat_offset_orthogonality_enforced():
     with pytest.raises(ValueError):
         Flat(Subspace.span(E[0]), np.array([0.5, 0.0, 0.0]))
-    flat = Flat.through_point(Subspace.span(E[0]), np.array([0.5, 1.0, 0.0]))
+    flat = through_point(Subspace.span(E[0]), np.array([0.5, 1.0, 0.0]))
     assert np.allclose(flat.offset, [0.0, 1.0, 0.0])

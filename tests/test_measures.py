@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flatproc import constants
 from flatproc.closed_form import WindowDescriptor
-from flatproc.flat_geometry import Subspace, haar_sample
+from flatproc.flat_geometry import Subspace
 from flatproc.measures import (DirectionSet, GrassmannMeasure, SphereMeasure,
                                integrate, line_measure_from_sphere,
                                lower_bound_check, parse_directional_file,
@@ -16,6 +16,8 @@ from flatproc.measures import (DirectionSet, GrassmannMeasure, SphereMeasure,
                                symmetrize_line_measure, t_lift,
                                write_directional_file)
 from flatproc.zonoid_engine import Zonotope
+
+from _reference import haar_sample
 
 E = np.eye(3)
 
@@ -141,24 +143,20 @@ def test_isotropic_integrate_equals_per_row_subspaces_bit_for_bit(monkeypatch, n
     assert integrate(q, f, rng=seed, samples=1800) == expected
 
 
-def test_integrate_checks_each_block_of_haar_bases(monkeypatch):
+def test_integrate_views_each_block_of_haar_bases_unchecked(monkeypatch):
+    # Haar blocks are kernel output, orthonormal as q_factors made them:
+    # integrate hands f read-only views of their rows and checks nothing
     from flatproc import flat_geometry, measures
 
-    haar_bases = measures.haar_bases
-
-    def one_bad_row(count, n, k, rng):
-        bases = haar_bases(count, n, k, rng)
-        if count < 40:  # the second, short block
-            bases[-1, 1] += 2e-10 * bases[-1, 0]
-        return bases
-
-    monkeypatch.setattr(flat_geometry, "BLOCK_ROWS", 40)
-    monkeypatch.setattr(measures, "haar_bases", one_bad_row)
+    calls = []
+    monkeypatch.setattr(flat_geometry, "BLOCK_ROWS", 40)  # blocks of 40 and 20
+    monkeypatch.setattr(flat_geometry, "check_orthonormal", lambda *a: calls.append(a))
+    monkeypatch.setattr(measures, "check_orthonormal", lambda *a: calls.append(a))
     q = GrassmannMeasure.isotropic(4, 2, 1.0)
     seen = []
-    with pytest.raises(ValueError, match="basis rows are not orthonormal"):
-        integrate(q, lambda sub: seen.append(sub) or 1.0, rng=33, samples=60)
-    assert len(seen) == 40  # the first block ran, the bad one raised before any f
+    integrate(q, lambda sub: seen.append(sub) or 1.0, rng=33, samples=60)
+    assert calls == [] and len(seen) == 60
+    assert all(type(sub) is Subspace and not sub.basis.flags.writeable for sub in seen)
 
 
 def test_lower_bound_check_uniform_attains_cosine_constant():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,28 @@ def test_poisson_zero_intensity_empty():
     spec = FlatProcessSpec(3, 1, 0.0, GrassmannMeasure.isotropic(3, 1, 1.0))
     for seed in range(5):
         assert len(sample_poisson(spec, 2.0, seed)) == 0
+
+
+@pytest.mark.parametrize("n, k, gamma, radius", [
+    (3, 1, 1.0, 1e308),   # radius ** 2 overflows
+    (5, 1, 1.0, 1e80),    # radius ** 4 overflows
+    (3, 1, 1e300, 1e5),   # the product overflows
+    (3, 1, 1e200, 1.0),   # finite, far past what Generator.poisson takes
+    (3, 2, 4.7e18, 1.0),  # 9.4e18, just past it
+])
+def test_poisson_rejects_a_mean_it_cannot_draw_before_any_draw(n, k, gamma, radius):
+    spec = FlatProcessSpec(n, k, gamma, GrassmannMeasure.isotropic(n, k, 1.0))
+    gen = np.random.default_rng(26)
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(f"too large to sample: gamma={gamma!r}, "
+                                                   f"radius={radius!r}")):
+        sample_poisson(spec, radius, gen)
+    assert gen.bit_generator.state == state
+
+
+def test_poisson_zero_intensity_is_empty_where_the_window_term_overflows():
+    spec = FlatProcessSpec(3, 1, 0.0, GrassmannMeasure.isotropic(3, 1, 1.0))
+    assert len(sample_poisson(spec, 1e308, 27)) == 0  # radius ** 2 overflows; the mean is 0
 
 
 def test_poisson_direction_marginal_matches_weights():
@@ -208,6 +231,18 @@ def test_factorial_distribution_built_once_per_kappa():
         build_factorial_distribution(1)
 
 
+@pytest.mark.parametrize("kappa", [1, 0, -3, 171, 100_000, 2.5, 3.0, True, "3"])
+def test_factorial_distribution_takes_an_integer_kappa_from_2_to_170(kappa):
+    with pytest.raises(ValueError, match=re.escape(f"from 2 to 170, got kappa={kappa!r}")):
+        build_factorial_distribution(kappa)
+
+
+def test_factorial_distribution_at_kappa_170_puts_one_over_170_factorial_at_170():
+    dist = build_factorial_distribution(170)
+    assert dist.exact[170] == Fraction(1, math.factorial(170))
+    assert dist.probabilities[170] == 1 / math.factorial(170) > 0.0
+
+
 def test_factorial_distribution_validation():
     with pytest.raises(ValueError):
         FactorialDistribution(2, np.array([0.4, 0.2, 0.4]))  # p_{k-1} != 0
@@ -275,7 +310,7 @@ def test_q0_acceptance_constant_matches_c():
     # Haar proposal, so its mean is the integrated subspace determinant
     anchor = Subspace(np.eye(2)[1:])
     rng = np.random.default_rng(32)
-    from flatproc.flat_geometry import haar_sample
+    from _reference import haar_sample
 
     dets = np.array([subspace_determinant([anchor, haar_sample(2, 1, rng)])
                      for _ in range(20_000)])
