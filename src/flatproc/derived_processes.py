@@ -4,9 +4,10 @@ length-power direction functionals evaluated on them.
 Both processes are stored as arrays, each the container's own `read_only`
 copy: segments as midpoints, lengths, directions and index pairs, from the
 arrays `pair_segments` returns; intersection flats as direction bases,
-offsets and generator index tuples, checked once by `check_orthonormal`
-when the sample is made, so `IntersectionSample.flats`, the `flat_views` of
-its stacks, cannot fail.  The intersections of one sample take one
+offsets and generator index tuples, checked once when the sample is made
+(the shapes (m, q, n) and (m, n) of its own q and n, then
+`check_orthonormal`), so `IntersectionSample.flats`, the `flat_views` of its
+stacks, cannot fail.  The intersections of one sample take one
 complement of its basis stack, whatever their order.
 Pairs and tuples are solved in blocks by the array kernels of
 `flat_geometry` (`pair_segments`, `tuple_intersections`), and tuples
@@ -107,6 +108,12 @@ class IntersectionSample:
     def __post_init__(self) -> None:
         for name, dtype in (("bases", float), ("offsets", float), ("tuples", int)):
             object.__setattr__(self, name, read_only(getattr(self, name), dtype))
+        if self.bases.ndim != 3 or self.bases.shape[1:] != (self.q, self.n):
+            raise ValueError(f"bases must be an (m, q, n) = (m, {self.q}, {self.n}) stack, "
+                             f"got shape {self.bases.shape}")
+        if self.offsets.shape != (self.bases.shape[0], self.n):
+            raise ValueError(f"offsets must be an (m, n) = ({self.bases.shape[0]}, {self.n}) "
+                             f"stack, got shape {self.offsets.shape}")
         check_orthonormal(self.bases, self.offsets)
         if self.tuples.ndim != 2 or self.tuples.shape[0] != self.offsets.shape[0]:
             raise ValueError("need one row of generator indices per intersection flat")

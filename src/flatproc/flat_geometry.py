@@ -8,10 +8,13 @@ basis or flat stack, run by the container that takes the stack in, once, and
 container is given.  The kernels work on (m, k, n) stacks of bases and
 return plain arrays; `subspace_views` and `flat_views` hand out views of the
 rows of a stack that a container checked or a kernel just made, and check
-nothing.  The scalar
-`closest_pair`, for k1 + k2 < n only, is the per-pair reference of
-`pair_segments` and returns a `ProximitySegment`.
-Its line solve gathers both lines of every pair of a block with one take
+nothing.  `pair_segments` has two solvers: lines by a 2x2 closed form,
+every other pair by one projection reduced to the flat of smaller
+dimension (`_projection_solve`), whose Gram-Schmidt volume and projected
+gap avoid the normal equations.  The scalar `closest_pair`, for k1 + k2 < n
+only, solves those normal equations pair by pair: it is the independent
+reference of `pair_segments` and returns a `ProximitySegment`.
+The line solve gathers both lines of every pair of a block with one take
 from (2n + 2, N) coordinate rows, one contiguous row per coordinate, and
 takes the block's dot products from `row_dots`; a call of one unscreened
 slab reads its pairs from one cached table, and the slabs of a single sample
@@ -36,7 +39,7 @@ ORTHO_TOL = 1e-12
 RANK_TOL = 1e-10
 GENERAL_POSITION_TOL = 1e-10
 # pairs per slab of `pair_segments` and tuples per block of
-# `tuple_intersections`: bounds their temporaries (about 0.5 kB per pair of
+# `tuple_intersections`: bounds their temporaries (about 1 kB per pair of
 # 2-flats in R^5, about 0.1 kB per screened line pair) whatever the sample size
 BLOCK_ROWS = 1 << 14
 # line pairs with 1 - c^2 below this (c the cosine of their directions) skip
@@ -428,7 +431,10 @@ def closest_pair(e: Flat, f: Flat) -> ProximitySegment:
     """ProximitySegment joining the unique closest points of two flats with
     dim(E) + dim(F) < n.  Pairs that are not in general position (subspace
     determinant <= 1e-10), or that touch (`_touch_cut`), raise
-    DegeneratePairError."""
+    DegeneratePairError.  The independent per-pair reference of
+    `pair_segments`: the normal equations of the stacked bases, solved by
+    `np.linalg.solve`, and the volume from `gram_volumes`; neither is
+    `pair_segments`' arithmetic for any (k1, k2)."""
     n = e.n
     if f.n != n or e.k + f.k >= n:
         raise ValueError("closest_pair needs flats of one R^n with dim(E) + dim(F) < n")
@@ -634,6 +640,66 @@ def _small_line_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             np.array(dirs).reshape(m, 3), np.array(pairs, dtype=np.intp).reshape(m, 2))
 
 
+def _flat_rows(bases: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """((k + 1) n + 1, N) coordinate rows of N k-flats of R^n, one contiguous
+    row per coordinate: the basis rows over the offsets, then the
+    `_touch_scale` of |a|, so that one take gathers a side of a block."""
+    count, k, n = bases.shape
+    rows = np.empty(((k + 1) * n + 1, count))
+    rows[:k * n] = bases.reshape(count, k * n).T
+    rows[k * n:-1] = offs.T
+    rows[-1] = _touch_scale(np.sqrt(np.einsum("mn,mn->m", offs, offs)), n)
+    return rows
+
+
+def _projection_solve(ge, gf, n: int):
+    """Closest points of m flat pairs (E, F) of R^n from the `_flat_rows`
+    columns ge of E and gf of F, dim E = k <= dim F, reduced to E's k
+    coordinates: a least-squares problem solved by orthogonalization, not
+    by its normal equations.
+
+    With C = B_E B_F^T and the residual rows W = B_E - C B_F of E's basis
+    off F, I - C C^T = W W^T.  Modified Gram-Schmidt gives W^T = Q R, so
+    that [E, F] = prod r_ii without the cancellation of a determinant.  For
+    d = a - b, the gap is the projection d - B_F^T (B_F d) - Q (Q^T d) of d
+    onto (E + F)^perp, and s = -R^-1 Q^T d places the foot a + s B_E on E;
+    the foot on F, b + t B_F with t = B_F d + C^T s, is that foot less the
+    gap, so the midpoint is a + s B_E - gap / 2.  Returns the gap and
+    midpoint rows, (n, m) each, the volumes and the mask of volumes above
+    GENERAL_POSITION_TOL.  No division warns: a row with r_ii = 0 stays
+    unscaled, and a pair outside the mask keeps s unscaled and reads
+    volume 1."""
+    k, k2, m = ge.shape[0] // n - 1, gf.shape[0] // n - 1, ge.shape[1]  # rows (k + 1) n + 1
+    if m == 1:  # einsum sums a lone column's coordinates in another order: solve it twice
+        return tuple(x[..., :1] for x in _projection_solve(ge.repeat(2, 1), gf.repeat(2, 1), n))
+    be, a = ge[:k * n].reshape(k, n, m), ge[k * n:-1]
+    bf, b = gf[:k2 * n].reshape(k2, n, m), gf[k2 * n:-1]
+    d = a - b
+    c = np.einsum("inm,jnm->ijm", be, bf)
+    fd = np.einsum("jnm,nm->jm", bf, d)
+    q = be - np.einsum("ijm,jnm->inm", c, bf)  # W, orthonormalized in place into Q
+    r = np.empty((k, k, m))
+    for i in range(k):
+        for j in range(i):
+            r[j, i] = np.einsum("nm,nm->m", q[j], q[i])
+            q[i] -= r[j, i] * q[j]
+        np.sqrt(np.einsum("nm,nm->m", q[i], q[i]), out=r[i, i])
+        np.divide(q[i], r[i, i], out=q[i], where=r[i, i] > 0.0)
+    vol = r.reshape(k * k, m)[::k + 1].prod(axis=0)
+    ok = vol > GENERAL_POSITION_TOL
+    z = np.einsum("inm,nm->im", q, d)  # Q^T d
+    s = z.copy()  # -s, by back substitution in R (-s) = z
+    for i in reversed(range(k)):
+        for j in range(i + 1, k):
+            s[i] -= r[i, j] * s[j]
+        np.divide(s[i], r[i, i], out=s[i], where=ok)
+    gap = d - np.einsum("jm,jnm->nm", fd, bf)
+    gap -= np.einsum("im,inm->nm", z, q)
+    mids = a - np.einsum("im,inm->nm", s, be)  # the foot on E, less half the gap
+    mids -= 0.5 * gap
+    return gap, mids, np.where(ok, vol, 1.0), ok
+
+
 def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     """Batched closest-pair solve: the proximity segments of flat pairs.
 
@@ -652,9 +718,13 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     `_upper_triangle`.  Phase 2 solves the candidates of consecutive slabs
     together, at most BLOCK_ROWS unless one slab has more: lines by a 2x2
     closed form on the coordinate rows of `_line_rows`, both lines of a
-    pair gathered by one take; other flats by a stacked Gram solve.  Each
-    block keeps a pair whose length exceeds the larger `_touch_scale` of its
-    flats over its volume (`_touch_cut`) and is at most delta, compacts its
+    pair gathered by one take; other flats by `_projection_solve` on the
+    coordinate rows of `_flat_rows`, one take per side, the flat of smaller
+    dimension as E (with k1 > k2 the sides swap; the midpoint is symmetric
+    and the direction's sign canonical, so nothing swaps back).  Each block
+    keeps a pair in general position whose length exceeds the larger
+    `_touch_scale` of its flats over its volume (`_touch_cut`) and is at
+    most delta, compacts its
     outputs only when it drops one, and returns the transposes of its
     coordinate rows, views of its work arrays or of a cached table: the
     container that holds them makes the one C-ordered copy.  No pair's
@@ -671,9 +741,11 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
         rows = (_line_rows(bases_a, offs_a) if single else
                 _line_rows(np.concatenate([bases_a, bases_b]), np.concatenate([offs_a, offs_b])))
         shift, sq = None if single else np.array([[0], [n_a]]), rows[2 * n]
-    else:
-        scale_a, scale_b = (_touch_scale(np.sqrt(np.einsum("mn,mn->m", o, o)), n)
-                            for o in (offs_a, offs_b))
+    else:  # E is the flat of smaller dimension: with k1 > k2 the sides swap
+        swap = bases_a.shape[1] > bases_b.shape[1]
+        sides = [(bases_a, offs_a), (bases_b, offs_b)][::-1 if swap else 1]
+        rows_e = _flat_rows(*sides[0])
+        rows_f = rows_e if single else _flat_rows(*sides[1])
     screen = (_line_screen(bases_a[:, 0, :], offs_a, bases_b[:, 0, :], offs_b,
                            sq[:n_a], sq if single else sq[n_a:], delta)
               if lines and count >= SCREEN_MIN_PAIRS else None)
@@ -714,24 +786,16 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             mids /= 2.0
             np.maximum(scale, g[2 * n + 1, 1], out=scale)
         else:
-            # minimize |(a - b) + G^T w| with G = [B_E; -B_F] stacked per pair
-            g = np.concatenate([bases_a[pairs[0]], -bases_b[pairs[1]]], axis=1)
-            vol = gram_volumes(g)
-            ok = vol > GENERAL_POSITION_TOL
-            g, vol, pairs = g[ok], vol[ok], pairs[:, ok]
-            i, j = pairs
-            a, b = offs_a[i], offs_b[j]
-            rhs = -np.einsum("mkn,mn->mk", g, a - b)
-            w = np.linalg.solve(g @ np.swapaxes(g, 1, 2), rhs[..., None])[..., 0]
-            k1 = bases_a.shape[1]
-            x_e = a + np.einsum("mk,mkn->mn", w[:, :k1], g[:, :k1])
-            x_f = b - np.einsum("mk,mkn->mn", w[:, k1:], g[:, k1:])
-            gap, mids = (x_e - x_f).T, ((x_e + x_f) / 2.0).T  # (n, m) views
-            scale = np.maximum(scale_a.take(i), scale_b.take(j))
+            e, f = pairs[::-1] if swap else pairs
+            ge, gf = rows_e.take(e, axis=1), rows_f.take(f, axis=1)
+            gap, mids, vol, ok = _projection_solve(ge, gf, n)
+            scale = np.maximum(ge[-1], gf[-1])
         lengths = row_norms(gap.T)
         scale /= vol
         keep = lengths > np.maximum(scale, 1e-12, out=scale)  # _touch_cut
         keep &= lengths <= delta
+        if not lines:
+            keep &= ok
         if np.count_nonzero(keep) < keep.size:
             mids, lengths, gap, pairs = (x.compress(keep, -1) for x in (mids, lengths, gap, pairs))
         return mids.T, lengths, _sign_rows((gap / lengths).T), pairs.T

@@ -1,7 +1,9 @@
 """Scalar geometry that only the tests use: an independent intersection solve
 (one `lstsq` and one SVD per tuple) that the batched `tuple_intersections`
-is compared against, the SVD complement that `complement_bases` is compared
-against, the all-pairs atom merge that `_merge` is compared against, small
+is compared against, the stacked Gram solve of flat pairs that the k >= 2
+branch of `pair_segments` is compared against, the SVD complement that
+`complement_bases` is compared against, the all-pairs atom merge that
+`_merge` is compared against, small
 helpers on rotations, flats and samples (a Haar subspace, a projection onto
 a subspace, the flat of a direction through a point), the Grassmann metric
 of two subspaces, and the closed totals of mu_Q_r and of the area measures.
@@ -15,8 +17,9 @@ import numpy as np
 from flatproc import constants
 from flatproc._rng import SeedLike, as_generator
 from flatproc.flat_geometry import (BLOCK_ROWS, GENERAL_POSITION_TOL, DegeneratePairError, Flat,
-                                    Subspace, complement, grassmann_distance, gram_volumes,
-                                    haar_bases, subspace_determinant)
+                                    Subspace, _sign_rows, _touch_scale, complement,
+                                    grassmann_distance, gram_volumes, haar_bases, row_norms,
+                                    subspace_determinant)
 from flatproc.measures import SphereMeasure
 from flatproc.simulator import FlatSample
 from flatproc.zonoid_engine import from_measure, intrinsic_volume
@@ -29,6 +32,35 @@ def svd_complement_bases(bases: np.ndarray) -> np.ndarray:
     k = bases.shape[1]
     u, _, _ = np.linalg.svd(np.swapaxes(bases, 1, 2))
     return np.swapaxes(u[:, :, k:], 1, 2)
+
+
+def gram_pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
+    """`pair_segments` of flat pairs by the stacked Gram solve, every pair at
+    once: the normal equations of min |(a - b) + G^T w|, G = [B_E; -B_F],
+    with the volume sqrt(det(G G^T)) from `gram_volumes`; the same touch cut,
+    delta test, pair order and outputs."""
+    n = offs_a.shape[1]
+    pairs = (np.array(np.triu_indices(offs_a.shape[0], 1)) if single
+             else np.indices((offs_a.shape[0], offs_b.shape[0])).reshape(2, -1))
+    scale_a, scale_b = (_touch_scale(np.sqrt(np.einsum("mn,mn->m", o, o)), n)
+                        for o in (offs_a, offs_b))
+    g = np.concatenate([bases_a[pairs[0]], -bases_b[pairs[1]]], axis=1)
+    vol = gram_volumes(g)
+    ok = vol > GENERAL_POSITION_TOL
+    g, vol, pairs = g[ok], vol[ok], pairs[:, ok]
+    i, j = pairs
+    a, b = offs_a[i], offs_b[j]
+    rhs = -np.einsum("mkn,mn->mk", g, a - b)
+    w = np.linalg.solve(g @ np.swapaxes(g, 1, 2), rhs[..., None])[..., 0]
+    k1 = bases_a.shape[1]
+    x_e = a + np.einsum("mk,mkn->mn", w[:, :k1], g[:, :k1])
+    x_f = b - np.einsum("mk,mkn->mn", w[:, k1:], g[:, k1:])
+    gap, mids = x_e - x_f, (x_e + x_f) / 2.0
+    lengths = row_norms(gap)
+    keep = lengths > np.maximum(np.maximum(scale_a.take(i), scale_b.take(j)) / vol, 1e-12)
+    keep &= lengths <= delta
+    gap, lengths = gap[keep], lengths[keep]
+    return mids[keep], lengths, _sign_rows(gap / lengths[:, None]), pairs.T[keep]
 
 
 def merge_all_pairs(projectors: np.ndarray, tol: float):

@@ -641,6 +641,226 @@ def test_proximity_mixed_dimension_cross_samples():
         assert_matches_scalar(seg, scalar_segments(a, b, 2.0))
 
 
+EPS = 2.0 ** -53
+# (n, k1, k2) of the projection solve: flats against flats and lines against
+# flats, k1 = k2 and k1 < k2 (whose reversed calls take the swapped sides)
+PROJECTION_CASES = [(4, 1, 2), (5, 2, 2), (5, 1, 3), (6, 2, 3), (7, 3, 3), (6, 2, 2)]
+
+
+def pair_terms(first, second, pairs):
+    """Per pair (i, j) of the stacks first and second: the Gram volume
+    V = [E, F], the reach R = max(|a|, |b|, 1) and the touch cut."""
+    from flatproc.flat_geometry import _touch_cut, gram_volumes
+
+    i, j = pairs.T
+    volume = gram_volumes(np.concatenate([first.bases[i], second.bases[j]], axis=1))
+    reach = np.maximum(np.linalg.norm(first.offsets[i], axis=1),
+                       np.linalg.norm(second.offsets[j], axis=1))
+    return volume, np.maximum(reach, 1.0), _touch_cut(reach, np.maximum(volume, 1e-300), first.n)
+
+
+def assert_matches_gram_oracle(first, second, delta):
+    """pair_segments on one sample (second None) or on two, against the
+    stacked Gram solve it replaced (`gram_pair_segments`).
+
+    Bounds, first order in eps = 2^-53, with V = [E, F] = prod sin(theta_i)
+    over the principal angles (so V <= sin(theta_1)), R = max(|a|, |b|, 1),
+    |d| = |a - b| <= 2R and K = k1 + k2.  The oracle solves the normal
+    equations G w = -B d of the stacked rows B = [B_E; -B_F], G = B B^T.
+    G's eigenvalues are 1 +- cos(theta_i) and 1, so |G^-1| <= 1 / (1 -
+    cos(theta_1)) <= 2 / V^2; sigma_min(B) >= V / sqrt(2), so |w| <= sqrt(2)
+    |d| / V.  Forming G and B d errs by n eps an entry, |dG| <= K n eps and
+    |d(B d)| <= sqrt(K) n eps |d|, so |dw| <= (2 / V^2) K n eps (sqrt(2) / V
+    + 1) |d| <= 5 K n eps |d| / V^3 <= 10 K n eps R / V^3.  A midpoint moves
+    by at most |dw|.  The gap d + B^T w moves by |B^T G^-1 e| <= (sqrt(2) /
+    V) |e| for the same residual e: at most 3.5 K n eps |d| / V^2 <= 7 K n
+    eps R / V^2, and so does a length.  The projection solve is backward
+    stable: its own error, O(n eps R / V^2) for a midpoint and O(n eps R /
+    V) for a length, is a factor V below the oracle's.  Bounds: 12 K n eps
+    R / V^3 for midpoints, 8 K n eps R / V^2 for lengths and gap rows, and
+    twice the gap's over the length for directions.  A pair in one output
+    only lies within its length bound of delta, or of the touch cut widened
+    by the oracle's relative volume error K n eps / V^2, or has a volume
+    within sqrt(K n eps), the resolution of sqrt(det G), of
+    GENERAL_POSITION_TOL."""
+    from flatproc.flat_geometry import GENERAL_POSITION_TOL, pair_segments
+
+    from _reference import gram_pair_segments
+
+    other = first if second is None else second
+    args = (first.bases, first.offsets, other.bases, other.offsets, second is None, delta)
+    outputs = pair_segments(*args), gram_pair_segments(*args)
+    (mids, lengths, dirs, pairs), (ref_mids, ref_lengths, ref_dirs, ref_pairs) = outputs
+    n, k = first.n, first.k + other.k
+    found = {key: row for row, key in enumerate(map(tuple, pairs.tolist()))}
+    expected = {key: row for row, key in enumerate(map(tuple, ref_pairs.tolist()))}
+    both = [key for key in expected if key in found]
+    assert both == [key for key in found if key in expected]  # one order
+    new, ref = [found[key] for key in both], [expected[key] for key in both]
+    volume, reach, _ = pair_terms(first, other, ref_pairs[ref])
+    length_bound = 8 * k * n * EPS * reach / volume ** 2
+    assert np.all(np.abs(lengths[new] - ref_lengths[ref]) <= length_bound)
+    assert np.all(np.abs(mids[new] - ref_mids[ref]).max(axis=1)
+                  <= 12 * k * n * EPS * reach / volume ** 3)
+    assert np.all(np.abs(dirs[new] - ref_dirs[ref]).max(axis=1)
+                  <= 2 * length_bound / ref_lengths[ref])
+    for keys, rows, source in ((set(found) - set(expected), found, lengths),
+                               (set(expected) - set(found), expected, ref_lengths)):
+        for key in keys:
+            v, r, cut = (x[0] for x in pair_terms(first, other, np.array([key])))
+            length, bound = source[rows[key]], 8 * k * n * EPS * r / max(v, 1e-300) ** 2
+            assert (abs(length - delta) <= bound
+                    or abs(length - cut) <= bound + cut * k * n * EPS / max(v, 1e-300) ** 2
+                    or abs(v - GENERAL_POSITION_TOL) <= math.sqrt(k * n * EPS)), key
+    return len(both)
+
+
+def isotropic_spec(n, k):
+    return FlatProcessSpec(n, k, 1.0, GrassmannMeasure.isotropic(n, k, 1.0))
+
+
+@pytest.mark.parametrize("n, k1, k2", PROJECTION_CASES)
+def test_projection_solve_matches_the_gram_oracle(n, k1, k2):
+    # single calls on each sample whose flats pair (2k < n), and cross calls
+    # in both orders; k1 < k2 calls swap their sides in reverse
+    for seed in range(3):
+        a = sample_poisson(isotropic_spec(n, k1), 2.0, [960, n, k1, k2, seed, 0])
+        b = sample_poisson(isotropic_spec(n, k2), 2.0, [960, n, k1, k2, seed, 1])
+        calls = [(x, None) for x in (a, b) if 2 * x.k < n] + [(a, b), (b, a)]
+        for first, second in calls:
+            assert assert_matches_gram_oracle(first, second, 1.5) > 0
+
+
+def test_projection_solve_matches_the_gram_oracle_beyond_one_block():
+    # planes of R^5 at radius 4.5: 379 planes, 71,631 pairs, solved in five
+    # blocks
+    from flatproc.flat_geometry import BLOCK_ROWS
+
+    planes = sample_poisson(isotropic_spec(5, 2), 4.5, [961])
+    assert len(planes) * (len(planes) - 1) // 2 > 3 * BLOCK_ROWS
+    assert assert_matches_gram_oracle(planes, None, 1.0) > BLOCK_ROWS
+
+
+def test_projection_solve_does_not_depend_on_block_size(monkeypatch):
+    # single calls and cross calls in both orders, swapped sides included,
+    # at the default block and blocks of 7, 2 and 1 pairs: the same arrays.
+    # At block 1 a single call's last slab holds one pair, which the solve
+    # takes as two columns
+    import flatproc.flat_geometry as flat_geometry
+    from flatproc.flat_geometry import BLOCK_ROWS
+
+    calls = []
+    for n, k1, k2 in PROJECTION_CASES:
+        a = sample_poisson(isotropic_spec(n, k1), 1.6, [964, n, k1, k2, 0])
+        b = sample_poisson(isotropic_spec(n, k2), 1.6, [964, n, k1, k2, 1])
+        calls += [(x, None) for x in (a, b) if 2 * x.k < n] + [(a, b), (b, a)]
+    outputs = []
+    for block in (BLOCK_ROWS, 7, 2, 1):
+        monkeypatch.setattr(flat_geometry, "BLOCK_ROWS", block)
+        outputs.append([proximity(first, second, delta=1.5) for first, second in calls])
+    for default, *others in zip(*outputs):
+        assert len(default) > 2
+        for seg in others:
+            for name in ("midpoints", "lengths", "directions", "pairs"):
+                assert np.array_equal(getattr(seg, name), getattr(default, name))
+
+
+def test_projection_solve_on_empty_and_one_flat_samples():
+    # no pairs, and no rows on one side: empty arrays of the usual shapes
+    planes = sample_poisson(isotropic_spec(5, 2), 1.6, [965])
+    lines = sample_poisson(isotropic_spec(5, 1), 1.6, [965, 1])
+    assert len(planes) > 2 and len(lines) > 2
+    for count in (0, 1):
+        few = FlatSample(5, 2, planes.radius, planes.bases[:count], planes.offsets[:count], "few")
+        for first, second in ((few, None), (few, planes), (planes, few), (few, lines),
+                              (lines, few)):
+            seg = proximity(first, second, delta=10.0)
+            if count == 0 or second is None:
+                assert len(seg) == 0
+            assert seg.midpoints.shape == (len(seg), 5) and seg.pairs.shape == (len(seg), 2)
+
+
+def planted_flat(rows, point, rotation):
+    """The flat spanned by the rotated rows through the rotated point."""
+    return through_point(Subspace(rows @ rotation.T), rotation @ point)
+
+
+@pytest.mark.parametrize("volume", [1e-9, 1e-7, 1e-5, 1e-3, 1e-2])
+def test_projection_lengths_match_an_svd_projection_on_planted_plane_pairs(volume):
+    # planes of R^5: E = span(e1, e2) and F = span(cos(t) e1 + sin(t) e3,
+    # e4), sin(t) = volume = [E, F], each basis turned within its plane, the
+    # pair rotated, through points a common shift away (|shift| up to 1e6)
+    # and h e5 apart, h above the touch cut.  The length is |N d| for the
+    # complement row N of the stacked bases by a full SVD.  Each solve
+    # projects d off E + F: the projection's rows W err by (k2 + 1) n eps, so
+    # Q turns by about 3 n eps / V and Q Q^T d moves by 6 n eps |d| / V; the
+    # SVD's complement turns by about 2 n eps / sigma_min, sigma_min >= V /
+    # sqrt(2), moving |N d| by 3 n eps |d| / V; with the plain rounding of
+    # the projections: 10 n eps max(|d|, 1) / V
+    from flatproc.flat_geometry import pair_segments
+
+    from _reference import random_rotation, svd_complement_bases
+
+    n, e = 5, np.eye(5)
+    rng = np.random.default_rng([962, round(-math.log10(volume))])
+    cos_t = math.sqrt(1.0 - volume * volume)
+    for shift in (0.0, 1.0, 1e3, 1e6):
+        firsts, seconds = [], []
+        for _ in range(5):
+            rotation = random_rotation(n, rng)
+            turn_e, turn_f = random_rotation(2, rng), random_rotation(2, rng)
+            common = shift * rng.standard_normal(n) / math.sqrt(n)
+            cut = (n + 58) * EPS * max(2 * shift, 1.0) / volume
+            h = max(1.0, 100 * cut) * rng.uniform(1.0, 2.0)
+            within = rng.uniform(-1, 1, (2, n)) * [1, 1, 1, 1, 0]  # in E + F
+            firsts.append(planted_flat(turn_e @ e[:2], common + within[0], rotation))
+            seconds.append(planted_flat(turn_f @ np.stack([cos_t * e[0] + volume * e[2], e[3]]),
+                                        common + within[1] + h * e[4], rotation))
+        for side, other in ((firsts, seconds), (seconds, firsts)):
+            bases_a = np.stack([f.direction.basis for f in side])
+            bases_b = np.stack([f.direction.basis for f in other])
+            offs_a = np.stack([f.offset for f in side])
+            offs_b = np.stack([f.offset for f in other])
+            i = np.arange(len(side))
+            mids, lengths, dirs, pairs = pair_segments(bases_a, offs_a, bases_b, offs_b,
+                                                       False, math.inf)
+            diagonal = pairs[:, 0] == pairs[:, 1]
+            assert pairs[diagonal, 0].tolist() == i.tolist()  # every planted pair kept
+            normal = svd_complement_bases(np.concatenate([bases_a, bases_b], axis=1))[:, 0]
+            gap = offs_a - offs_b
+            expected = np.abs(np.einsum("mn,mn->m", normal, gap))
+            bound = 10 * n * EPS * np.maximum(np.linalg.norm(gap, axis=1), 1.0) / volume
+            assert np.all(np.abs(lengths[diagonal] - expected) <= bound)
+
+
+@pytest.mark.parametrize("n, k1, k2", [(4, 1, 2), (5, 2, 2), (6, 2, 3)])
+def test_planted_pairs_that_share_a_direction_are_dropped(n, k1, k2):
+    # E and F share the direction s, which neither basis holds as a row: each
+    # basis is turned within its span.  The residual of E's basis off F then
+    # has rank k1 - 1 and its Gram-Schmidt volume reads about eps, below
+    # GENERAL_POSITION_TOL, in both orders.  Control: s tilted by 1e-3 in F
+    # gives a pair in general position, which is kept
+    from flatproc.flat_geometry import pair_segments
+
+    from _reference import random_rotation
+
+    rng = np.random.default_rng([963, n, k1, k2])
+    e = np.eye(n)
+    for tilt, kept in ((0.0, 0), (1e-3, 1)):
+        for _ in range(10):
+            rotation = random_rotation(n, rng)
+            shared = math.sqrt(1.0 - tilt * tilt) * e[0] + tilt * e[n - 1]
+            rows_e = random_rotation(k1, rng) @ e[:k1] if k1 > 1 else e[:1]
+            rows_f = np.concatenate([shared[None], e[k1:k1 + k2 - 1]])
+            rows_f = random_rotation(k2, rng) @ rows_f
+            flats = [planted_flat(rows, rng.uniform(-1, 1, n), rotation)
+                     for rows in (rows_e, rows_f)]
+            stacks = [(f.direction.basis[None], f.offset[None]) for f in flats]
+            for (bases_a, offs_a), (bases_b, offs_b) in (stacks, stacks[::-1]):
+                out = pair_segments(bases_a, offs_a, bases_b, offs_b, False, math.inf)
+                assert len(out[1]) == kept
+
+
 def test_translation_equivariance_exact():
     spec = FlatProcessSpec(3, 1, 1.0, GrassmannMeasure.isotropic(3, 1, 1.0))
     sample = sample_poisson(spec, 2.0, 44)
@@ -760,6 +980,22 @@ def test_intersection_sample_checks_its_stacks_when_it_is_made(bases, offsets, t
     with pytest.raises(ValueError, match=message):
         IntersectionSample(3, 1, bases, offsets, tuples)
     IntersectionSample(3, 1, E[:2, None], np.zeros((2, 3)), np.zeros((2, 2), int))
+
+
+@pytest.mark.parametrize("bases, offsets, message", [
+    (E[None, :2], np.zeros((1, 3)), r"bases must be .* = \(m, 1, 3\) stack, got shape \(1, 2, 3"),
+    (np.eye(4)[None, :1], np.zeros((1, 4)), r"bases must be .* got shape \(1, 1, 4\)"),
+    (E[0], np.zeros((1, 3)), r"bases must be .* got shape \(3,\)"),
+    (E[None, :1], np.zeros((2, 3)), r"offsets must be .* = \(1, 3\) stack, got shape \(2, 3\)"),
+])
+def test_intersection_sample_rejects_stacks_of_the_wrong_shape(bases, offsets, message):
+    # two orthonormal rows for a 1-flat, rows of R^4 at n = 3 and 1-D bases
+    # each constructed or failed inside numpy, as did two offsets for one
+    # basis: each is one ValueError now, raised before any other check
+    from flatproc.derived_processes import IntersectionSample
+
+    with pytest.raises(ValueError, match=message):
+        IntersectionSample(3, 1, bases, offsets, np.zeros((len(offsets), 2), int))
 
 
 @pytest.fixture

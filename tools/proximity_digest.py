@@ -10,7 +10,7 @@ both checkouts (each imports flatproc from its own `src`):
     (cd ../parent && python tools/proximity_digest.py) > old.txt
     diff old.txt new.txt
 
-The 1,010 cases:
+The 1,041 cases:
 - k = 1, 419 outputs: `sample_poisson` lines in R^2-R^5 with isotropic and
   axis-atom laws, 20 seeds each at radii that straddle `SCREEN_MIN_PAIRS`
   (160 samples), and `proximity` on those in R^3-R^5 (120); anchored lines
@@ -22,9 +22,11 @@ The 1,010 cases:
   the odd coordinates of `row_dots` have two terms or more (R^8 takes its
   einsum fallback), at a radius below and one above `SCREEN_MIN_PAIRS`,
   single and cross in both orders, 3 seeds each (54).
-- k >= 2, 60 outputs: `proximity` for (n, k1, k2) = (4,1,2), (5,2,2),
+- k >= 2, 91 outputs: `proximity` for (n, k1, k2) = (4,1,2), (5,2,2),
   (5,1,3), (6,2,3), (7,3,3), (6,2,2), 10 seeds each; one sample when
-  k1 = k2, two otherwise.
+  k1 = k2, two otherwise, and then the reversed cross call too, whose
+  sides the solve swaps (90); planes of R^5 at radius 4.5, 67,528 pairs
+  in five blocks of `BLOCK_ROWS` (1).
 - streams, 74 outputs: the values, mean and variance of `replicate` on a
   1,500-replication plan of a 3-draw estimator (23 whole 64-replication
   stream blocks and a last one of 28) at four master seeds of 1 to 3
@@ -197,6 +199,11 @@ def cases():
                                                      [500 + n, k1, k2, seed, 1])
             yield (f"flats-R{n}-k{k1}-k{k2}-s{seed}-proximity",
                    segment_digest(proximity(a, b, delta=1.5)))
+            if b is not None:
+                yield (f"flats-R{n}-k{k2}-k{k1}-s{seed}-ba-proximity",
+                       segment_digest(proximity(b, a, delta=1.5)))
+    planes = sample_poisson(isotropic(5, 2), 4.5, [520])
+    yield "flats-R5-k2-k2-r4.5-proximity", segment_digest(proximity(planes, delta=DELTA))
     yield from stream_cases()
     yield from small_cases()
     yield from functional_cases()
