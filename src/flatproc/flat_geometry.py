@@ -9,9 +9,9 @@ container is given.  The kernels work on (m, k, n) stacks of bases and
 return plain arrays; `subspace_views` and `flat_views` hand out views of the
 rows of a stack that a container checked or a kernel just made, and check
 nothing.  `pair_segments` has two solvers: lines by a 2x2 closed form,
-every other pair by one projection reduced to the flat of smaller
-dimension (`_projection_solve`), whose Gram-Schmidt volume and projected
-gap avoid the normal equations.  The scalar `closest_pair`, for k1 + k2 < n
+every other pair by one projection reduced to the coordinates of its first
+flat (`_projection_solve`), whose Gram-Schmidt volume and projected gap
+avoid the normal equations.  The scalar `closest_pair`, for k1 + k2 < n
 only, solves those normal equations pair by pair: it is the independent
 reference of `pair_segments` and returns a `ProximitySegment`.
 The line solve gathers both lines of every pair of a block with one take
@@ -429,19 +429,25 @@ def _touch_cut(reach, volume, n: int):
 
 def closest_pair(e: Flat, f: Flat) -> ProximitySegment:
     """ProximitySegment joining the unique closest points of two flats with
-    dim(E) + dim(F) < n.  Pairs that are not in general position (subspace
-    determinant <= 1e-10), or that touch (`_touch_cut`), raise
+    dim(E) + dim(F) < n.  Pairs that are not in general position (volume
+    [E, F] <= 1e-10), or that touch (`_touch_cut`), raise
     DegeneratePairError.  The independent per-pair reference of
     `pair_segments`: the normal equations of the stacked bases, solved by
-    `np.linalg.solve`, and the volume from `gram_volumes`; neither is
-    `pair_segments`' arithmetic for any (k1, k2)."""
+    `np.linalg.solve`.  Its volume is the quantity of `pair_segments`, by
+    other arithmetic: for two lines the Gram volume (`subspace_determinant`),
+    otherwise prod |r_ii| of a Householder QR of E's basis rows off F, so
+    that both read about eps on pairs that share a direction."""
     n = e.n
     if f.n != n or e.k + f.k >= n:
         raise ValueError("closest_pair needs flats of one R^n with dim(E) + dim(F) < n")
-    det = subspace_determinant([e.direction, f.direction])
+    bl, bm = e.direction.basis, f.direction.basis
+    if e.k == f.k == 1:
+        det = subspace_determinant([e.direction, f.direction])
+    else:
+        r = np.linalg.qr((bl - (bl @ bm.T) @ bm).T, mode="r")
+        det = float(np.prod(np.abs(np.diagonal(r))))
     if det <= GENERAL_POSITION_TOL:
         raise DegeneratePairError("degenerate pair")
-    bl, bm = e.direction.basis, f.direction.basis
     if e.k + f.k == 0:
         x_e, x_f = e.offset.copy(), f.offset.copy()
     else:
@@ -654,9 +660,9 @@ def _flat_rows(bases: np.ndarray, offs: np.ndarray) -> np.ndarray:
 
 def _projection_solve(ge, gf, n: int):
     """Closest points of m flat pairs (E, F) of R^n from the `_flat_rows`
-    columns ge of E and gf of F, dim E = k <= dim F, reduced to E's k
-    coordinates: a least-squares problem solved by orthogonalization, not
-    by its normal equations.
+    columns ge of E and gf of F, reduced to E's k coordinates: a
+    least-squares problem solved by orthogonalization, not by its normal
+    equations.
 
     With C = B_E B_F^T and the residual rows W = B_E - C B_F of E's basis
     off F, I - C C^T = W W^T.  Modified Gram-Schmidt gives W^T = Q R, so
@@ -719,13 +725,11 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     together, at most BLOCK_ROWS unless one slab has more: lines by a 2x2
     closed form on the coordinate rows of `_line_rows`, both lines of a
     pair gathered by one take; other flats by `_projection_solve` on the
-    coordinate rows of `_flat_rows`, one take per side, the flat of smaller
-    dimension as E (with k1 > k2 the sides swap; the midpoint is symmetric
-    and the direction's sign canonical, so nothing swaps back).  Each block
-    keeps a pair in general position whose length exceeds the larger
-    `_touch_scale` of its flats over its volume (`_touch_cut`) and is at
-    most delta, compacts its
-    outputs only when it drops one, and returns the transposes of its
+    coordinate rows of `_flat_rows`, one take per side, the flat from a as
+    E.  Each block keeps a pair in general position whose length exceeds
+    the larger `_touch_scale` of its flats over its volume (`_touch_cut`)
+    and is at most delta, compacts its outputs only when it drops one, and
+    returns the transposes of its
     coordinate rows, views of its work arrays or of a cached table: the
     container that holds them makes the one C-ordered copy.  No pair's
     result depends on its slab or block.  Lines of R^3 with at most
@@ -741,11 +745,9 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
         rows = (_line_rows(bases_a, offs_a) if single else
                 _line_rows(np.concatenate([bases_a, bases_b]), np.concatenate([offs_a, offs_b])))
         shift, sq = None if single else np.array([[0], [n_a]]), rows[2 * n]
-    else:  # E is the flat of smaller dimension: with k1 > k2 the sides swap
-        swap = bases_a.shape[1] > bases_b.shape[1]
-        sides = [(bases_a, offs_a), (bases_b, offs_b)][::-1 if swap else 1]
-        rows_e = _flat_rows(*sides[0])
-        rows_f = rows_e if single else _flat_rows(*sides[1])
+    else:
+        rows_a = _flat_rows(bases_a, offs_a)
+        rows_b = rows_a if single else _flat_rows(bases_b, offs_b)
     screen = (_line_screen(bases_a[:, 0, :], offs_a, bases_b[:, 0, :], offs_b,
                            sq[:n_a], sq if single else sq[n_a:], delta)
               if lines and count >= SCREEN_MIN_PAIRS else None)
@@ -786,8 +788,7 @@ def pair_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             mids /= 2.0
             np.maximum(scale, g[2 * n + 1, 1], out=scale)
         else:
-            e, f = pairs[::-1] if swap else pairs
-            ge, gf = rows_e.take(e, axis=1), rows_f.take(f, axis=1)
+            ge, gf = rows_a.take(pairs[0], axis=1), rows_b.take(pairs[1], axis=1)
             gap, mids, vol, ok = _projection_solve(ge, gf, n)
             scale = np.maximum(ge[-1], gf[-1])
         lengths = row_norms(gap.T)

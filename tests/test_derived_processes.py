@@ -643,7 +643,7 @@ def test_proximity_mixed_dimension_cross_samples():
 
 EPS = 2.0 ** -53
 # (n, k1, k2) of the projection solve: flats against flats and lines against
-# flats, k1 = k2 and k1 < k2 (whose reversed calls take the swapped sides)
+# flats, k1 = k2 and k1 < k2 (whose reversed calls put the larger flat as E)
 PROJECTION_CASES = [(4, 1, 2), (5, 2, 2), (5, 1, 3), (6, 2, 3), (7, 3, 3), (6, 2, 2)]
 
 
@@ -722,7 +722,8 @@ def isotropic_spec(n, k):
 @pytest.mark.parametrize("n, k1, k2", PROJECTION_CASES)
 def test_projection_solve_matches_the_gram_oracle(n, k1, k2):
     # single calls on each sample whose flats pair (2k < n), and cross calls
-    # in both orders; k1 < k2 calls swap their sides in reverse
+    # in both orders, so that E is the smaller flat in one and the larger in
+    # the other
     for seed in range(3):
         a = sample_poisson(isotropic_spec(n, k1), 2.0, [960, n, k1, k2, seed, 0])
         b = sample_poisson(isotropic_spec(n, k2), 2.0, [960, n, k1, k2, seed, 1])
@@ -742,7 +743,7 @@ def test_projection_solve_matches_the_gram_oracle_beyond_one_block():
 
 
 def test_projection_solve_does_not_depend_on_block_size(monkeypatch):
-    # single calls and cross calls in both orders, swapped sides included,
+    # single calls and cross calls in both orders,
     # at the default block and blocks of 7, 2 and 1 pairs: the same arrays.
     # At block 1 a single call's last slab holds one pair, which the solve
     # takes as two columns
@@ -838,9 +839,10 @@ def test_planted_pairs_that_share_a_direction_are_dropped(n, k1, k2):
     # E and F share the direction s, which neither basis holds as a row: each
     # basis is turned within its span.  The residual of E's basis off F then
     # has rank k1 - 1 and its Gram-Schmidt volume reads about eps, below
-    # GENERAL_POSITION_TOL, in both orders.  Control: s tilted by 1e-3 in F
-    # gives a pair in general position, which is kept
-    from flatproc.flat_geometry import pair_segments
+    # GENERAL_POSITION_TOL, in both orders; so does the Householder volume of
+    # the reference closest_pair, which drops the pair too.  Control: s
+    # tilted by 1e-3 in F gives a pair in general position, which both keep
+    from flatproc.flat_geometry import DegeneratePairError, closest_pair, pair_segments
 
     from _reference import random_rotation
 
@@ -859,6 +861,13 @@ def test_planted_pairs_that_share_a_direction_are_dropped(n, k1, k2):
             for (bases_a, offs_a), (bases_b, offs_b) in (stacks, stacks[::-1]):
                 out = pair_segments(bases_a, offs_a, bases_b, offs_b, False, math.inf)
                 assert len(out[1]) == kept
+            for first, second in (flats, flats[::-1]):
+                if kept:
+                    assert closest_pair(first, second).length == pytest.approx(
+                        out[1][0], rel=1e-9)
+                else:
+                    with pytest.raises(DegeneratePairError):
+                        closest_pair(first, second)
 
 
 def test_translation_equivariance_exact():

@@ -25,8 +25,8 @@ The 1,041 cases:
 - k >= 2, 91 outputs: `proximity` for (n, k1, k2) = (4,1,2), (5,2,2),
   (5,1,3), (6,2,3), (7,3,3), (6,2,2), 10 seeds each; one sample when
   k1 = k2, two otherwise, and then the reversed cross call too, whose
-  sides the solve swaps (90); planes of R^5 at radius 4.5, 67,528 pairs
-  in five blocks of `BLOCK_ROWS` (1).
+  first flat, E of the solve, is the larger (90); planes of R^5 at radius
+  4.5, 67,528 pairs in five blocks of `BLOCK_ROWS` (1).
 - streams, 74 outputs: the values, mean and variance of `replicate` on a
   1,500-replication plan of a 3-draw estimator (23 whole 64-replication
   stream blocks and a last one of 28) at four master seeds of 1 to 3
