@@ -78,17 +78,23 @@ class WindowDescriptor:
             raise ValueError("box side count must match the ambient dimension")
 
     def circumradius(self) -> float:
-        if self.shape == "ball":
-            return self.radius
-        return 0.5 * math.sqrt(sum(s * s for s in self.sides))
+        return self._circumradius
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Closed membership test for an (m, n) array of points."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        """Closed membership test for an (m, n) array of points; anything
+        else (a list, one point, integers) is taken as float points first."""
+        if not (type(points) is np.ndarray and points.ndim == 2 and points.dtype == np.float64):
+            points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.shape == "ball":
             return row_norms(points) <= self.radius
         self.check_sides(points.shape[1])
         return np.logical_and.reduce(np.abs(points) <= self._half_sides, axis=1)
+
+    @cached_property
+    def _circumradius(self) -> float:
+        if self.shape == "ball":
+            return self.radius
+        return 0.5 * math.sqrt(sum(s * s for s in self.sides))
 
     @cached_property
     def _half_sides(self) -> np.ndarray:

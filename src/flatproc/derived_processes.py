@@ -3,7 +3,9 @@ length-power direction functionals evaluated on them.
 
 Both processes are stored as arrays, each the container's own `read_only`
 copy: segments as midpoints, lengths, directions and index pairs, from the
-arrays `pair_segments` returns; intersection flats as direction bases,
+arrays `pair_segments` returns, whose lengths and unit directions are
+tested by one minimum and one maximum over the rows [lengths; u.u];
+intersection flats as direction bases,
 offsets and generator index tuples, checked once when the sample is made
 (the shapes (m, q, n) and (m, n) of its own q and n, then
 `check_orthonormal`), so `IntersectionSample.flats`, the `flat_views` of its
@@ -21,8 +23,9 @@ precondition radius >= circumradius(A) + delta/2 checked in `f_alpha`.
 A segment sample computes its window mask, `window.contains(midpoints)`,
 and the lengths it selects once per window
 (`SegmentProcessSample.window_mask`, `window_lengths`), so the functionals
-evaluated on one sample and window share them; a box window tests the
-points against its half sides, computed once per window.  `f_alpha` counts
+evaluated on one sample and window share them; a window computes its
+circumradius and a box's half sides once, and tests a 2-D float array of
+points as it is.  `f_alpha` counts
 at alpha = 0 and sums the lengths themselves at alpha = 1, and
 `order_statistics` takes a minimum for m = 1: each is the plain formula's
 value bit for bit.
@@ -41,6 +44,15 @@ from .flat_geometry import (Flat, check_orthonormal, flat_views, pair_segments,
                             product_indices, read_only, subset_indices, tuple_intersections)
 from .measures import DirectionSet, finite_positive
 from .simulator import FlatSample
+
+# a segment direction u is a unit vector when |u.u - 1| <= _UNIT_TOL, |u| within
+# 1e-9 of 1.  u.u - 1 is exact for u.u in [0.5, 2] (Sterbenz) and at least 0.5
+# in size beyond, so the test is u.u in [1 - _UNIT_TOL, 1 + _UNIT_TOL]: between
+# the doubles nearest those ends on the inside, where doubles are spaced 2^-53
+# below 1 and 2^-52 above
+_UNIT_TOL = 1e-9 * (2.0 - 1e-9)
+_UNIT_LOW = 1.0 - math.floor(_UNIT_TOL * 2.0 ** 53) * 2.0 ** -53
+_UNIT_HIGH = 1.0 + math.floor(_UNIT_TOL * 2.0 ** 52) * 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -63,14 +75,17 @@ class SegmentProcessSample:
         m = lengths.shape[0]
         if not (midpoints.shape[0] == directions.shape[0] == pairs.shape[0] == m):
             raise ValueError("segment arrays must have a common length")
-        # each test is written `not x <= bound`, so NaN fails it too; the
-        # reductions are those of min() and max(), without their wrappers
+        # each test is written `not x <= bound`, so NaN fails it too; one
+        # minimum and one maximum over the rows [lengths; u.u] serve both
         if m:
-            if not (0 < np.minimum.reduce(lengths)
-                    and np.maximum.reduce(lengths) <= self.delta + 1e-12):
+            rows = np.empty((2, m))
+            rows[0] = lengths
+            np.einsum("mn,mn->m", directions, directions, out=rows[1])
+            low, high = np.minimum.reduce(rows, axis=1).tolist(), \
+                np.maximum.reduce(rows, axis=1).tolist()
+            if not (0 < low[0] and high[0] <= self.delta + 1e-12):
                 raise ValueError("segment lengths must lie in (0, delta]")
-            error = np.abs(np.einsum("mn,mn->m", directions, directions) - 1.0)
-            if not np.maximum.reduce(error) <= 1e-9 * (2.0 - 1e-9):  # |u| within 1e-9 of 1
+            if not (_UNIT_LOW <= low[1] and high[1] <= _UNIT_HIGH):
                 raise ValueError("segment directions must be unit vectors")
         vars(self).update(midpoints=midpoints, lengths=lengths, directions=directions, pairs=pairs,
                           _window_masks={}, _window_lengths={})  # the last two memos, not fields
@@ -83,7 +98,7 @@ class SegmentProcessSample:
         mask = self._window_masks.get(window)
         if mask is None:
             mask = self._window_masks[window] = window.contains(self.midpoints)
-            mask.flags.writeable = False
+            mask.setflags(write=False)
         return mask
 
     def window_lengths(self, window: WindowDescriptor) -> np.ndarray:
@@ -91,7 +106,7 @@ class SegmentProcessSample:
         lengths = self._window_lengths.get(window)
         if lengths is None:
             lengths = self._window_lengths[window] = self.lengths[self.window_mask(window)]
-            lengths.flags.writeable = False
+            lengths.setflags(write=False)
         return lengths
 
 

@@ -12,8 +12,9 @@ nothing.  `pair_segments` has two solvers: lines by a 2x2 closed form,
 every other pair by one projection reduced to the coordinates of its first
 flat (`_projection_solve`), whose Gram-Schmidt volume and projected gap
 avoid the normal equations.  The scalar `closest_pair`, for k1 + k2 < n
-only, solves those normal equations pair by pair: it is the independent
-reference of `pair_segments` and returns a `ProximitySegment`.
+only, solves the same least-squares problem pair by pair by an SVD
+(`np.linalg.lstsq`): it is the independent reference of `pair_segments` and
+returns a `ProximitySegment`.
 The line solve gathers both lines of every pair of a block with one take
 from (2n + 2, N) coordinate rows, one contiguous row per coordinate, and
 takes the block's dot products from `row_dots`; a call of one unscreened
@@ -69,7 +70,7 @@ def read_only(values, dtype=float) -> np.ndarray:
     """values as a read-only C-ordered copy of dtype: every container's
     ownership rule, so that no caller can change what a container checked."""
     values = np.array(values, dtype=dtype, order="C")
-    values.flags.writeable = False
+    values.setflags(write=False)
     return values
 
 
@@ -144,23 +145,47 @@ def canonical_unit(u: np.ndarray) -> np.ndarray:
     return canonical_units((u / norm)[None])[0]
 
 
-def check_orthonormal(bases: np.ndarray, offsets: np.ndarray | None = None) -> None:
+@lru_cache(maxsize=None)
+def _identity_rows(k: int, width: int) -> np.ndarray:
+    """Read-only np.eye(k, width)[..., None]: the first k rows of the Gram
+    matrix of orthonormal rows and an orthogonal offset, in the (k + 1,
+    k + 1, m) layout of `check_orthonormal`."""
+    eye = np.eye(k, width)[..., None]
+    eye.flags.writeable = False
+    return eye
+
+
+def check_orthonormal(bases: np.ndarray, offsets: np.ndarray | None = None,
+                      radius: float | None = None) -> None:
     """ValueError unless the rows of a (k, n) basis or an (m, k, n) stack are
     orthonormal within 1e-10 and each offset a, when given, is orthogonal to
-    its basis within ORTHO_TOL max(1, |a|), tested first.  One product gives
-    |[B B^T - I | B a]|; entries all below ORTHO_TOL pass both tests at once."""
-    rows = bases if offsets is None else np.concatenate([bases, offsets[..., None, :]], axis=-2)
-    k, width = bases.shape[-2], rows.shape[-2]
-    # einsum runs a stack's small products faster than matmul, matmul one basis
-    gram = np.einsum("mkn,mjn->mkj", bases, rows) if bases.ndim == 3 else bases @ rows.T
-    error = np.abs(gram - np.eye(k, width))
-    if error.max(initial=0.0) < ORTHO_TOL:  # NaN fails too
+    its basis within ORTHO_TOL max(1, |a|), tested before the rows; with a
+    window radius given too, every |a| must be at most radius + 1e-9, tested
+    first.  One Gram product of the rows [B; a] gives B B^T - I, B a and
+    |a|^2; entries of the first two all below ORTHO_TOL pass both of their
+    tests at once.  A stack's product is taken on (k + 1, n, m)
+    coordinate-major rows, the layout in which einsum's cost grows slowest
+    with m."""
+    k = bases.shape[-2]
+    if bases.ndim == 3:
+        rows = np.concatenate([bases.transpose(1, 2, 0)]
+                              + ([] if offsets is None else [offsets.T[None]]))
+        gram = np.einsum("inm,jnm->ijm", rows, rows)
+    else:
+        rows = bases if offsets is None else np.vstack([bases, offsets])
+        gram = (rows @ rows.T)[..., None]
+    # each test is written `not x <= bound`, so NaN fails it too
+    if radius is not None and gram.shape[2] and \
+            not np.maximum.reduce(gram[k, k]) <= (radius + 1e-9) ** 2:
+        raise ValueError("offset norms must not exceed the window radius")
+    error = np.abs(gram[:k] - _identity_rows(k, gram.shape[1]))
+    if np.maximum.reduce(error, axis=None, initial=0.0) < ORTHO_TOL:
         return
     if offsets is not None:
-        scale = np.sqrt(np.maximum(np.einsum("...n,...n->...", offsets, offsets), 1.0))
-        if not np.all(error[..., k] < ORTHO_TOL * scale[..., None]):
+        scale = np.sqrt(np.maximum(gram[k, k], 1.0))
+        if not np.all(error[:, k] < ORTHO_TOL * scale):
             raise ValueError("offset is not orthogonal to the direction subspace")
-    if not error[..., :k].max(initial=0.0) <= 1e-10:
+    if not np.maximum.reduce(error[:, :k], axis=None, initial=0.0) <= 1e-10:
         raise ValueError("basis rows are not orthonormal")
 
 
@@ -374,9 +399,11 @@ def subspace_determinant(subspaces) -> float:
 
 def q_factors(g: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the row spans of an (m, k, n) stack: batched QR
-    factors, or for k = 1 the normalized rows (the same lines up to sign)."""
+    factors, or for k = 1 the normalized rows (the same lines up to sign),
+    divided by np.linalg.norm(g, axis=2, keepdims=True) as that function
+    computes it for real g, without its wrapper: the same bits."""
     if g.shape[1] == 1:
-        return g / np.linalg.norm(g, axis=2, keepdims=True)
+        return g / np.sqrt(np.add.reduce(g * g, axis=2, keepdims=True))
     q, _ = np.linalg.qr(np.swapaxes(g, 1, 2))
     return np.swapaxes(q, 1, 2)
 
@@ -432,8 +459,10 @@ def closest_pair(e: Flat, f: Flat) -> ProximitySegment:
     dim(E) + dim(F) < n.  Pairs that are not in general position (volume
     [E, F] <= 1e-10), or that touch (`_touch_cut`), raise
     DegeneratePairError.  The independent per-pair reference of
-    `pair_segments`: the normal equations of the stacked bases, solved by
-    `np.linalg.solve`.  Its volume is the quantity of `pair_segments`, by
+    `pair_segments`: the least-squares problem of the stacked bases, solved
+    by `np.linalg.lstsq`, whose midpoint error grows like eps max(|a|, 1) /
+    [E, F]^2 (the normal equations' like 1 / [E, F]^3).  Its volume is the
+    quantity of `pair_segments`, by
     other arithmetic: for two lines the Gram volume (`subspace_determinant`),
     otherwise prod |r_ii| of a Householder QR of E's basis rows off F, so
     that both read about eps on pairs that share a direction."""
@@ -453,9 +482,10 @@ def closest_pair(e: Flat, f: Flat) -> ProximitySegment:
     else:
         rows = [b for b in (bl, -bm) if b.shape[0] > 0]
         g = np.vstack(rows)
-        # minimize |(a - b) + G^T w|; then a + w_L . B_L and b + w_M . B_M
-        # are the feet and their gap is orthogonal to both directions
-        w = np.linalg.solve(g @ g.T, -g @ (e.offset - f.offset))
+        # minimize |(a - b) + G^T w| by an SVD of G^T, not by the normal
+        # equations, whose error grows like 1 / [E, F]^3; then a + w_L . B_L
+        # and b + w_M . B_M are the feet and their gap is orthogonal to both
+        w = np.linalg.lstsq(g.T, f.offset - e.offset, rcond=None)[0]
         x_e = e.offset + (w[: e.k] @ bl if e.k else 0.0)
         x_f = f.offset + (w[e.k:] @ bm if f.k else 0.0)
     gap = x_e - x_f
@@ -605,10 +635,11 @@ def _small_line_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
     order.  Dot products are `row_dots`', ((x0 y0 + 0.0) + x2 y2) + x1 y1,
     lengths `row_norms`', (g0^2 + g1^2) + g2^2, and signs `_sign_rows`' row by
     row.  A pair with det = 1 - c^2 = 0 is dropped, as the vectorized solve's
-    general-position mask drops it there."""
+    general-position mask drops it there.  The midpoints, lengths and
+    directions are views of one (m, 7) array, which the container copies."""
     rows_a = _line_floats(bases_a, offs_a)
     rows_b = rows_a if single else _line_floats(bases_b, offs_b)
-    mids, lengths, dirs, pairs = [], [], [], []
+    values, pairs = [], []  # (midpoint, length, direction) and (i, j) per segment
     for i, (u0, u1, u2, a0, a1, a2, su, ta) in enumerate(rows_a):
         for j in range(i + 1, len(rows_b)) if single else range(len(rows_b)):
             v0, v1, v2, b0, b1, b2, sv, tb = rows_b[j]
@@ -637,13 +668,11 @@ def _small_line_segments(bases_a, offs_a, bases_b, offs_b, single, delta):
             lead = g0 if not abs(g0) <= 1e-12 else g1 if not abs(g1) <= 1e-12 else g2
             if lead < -1e-12:
                 g0, g1, g2 = g0 * -1.0, g1 * -1.0, g2 * -1.0
-            mids += ((e0 + f0) / 2.0, (e1 + f1) / 2.0, (e2 + f2) / 2.0)
-            lengths.append(length)
-            dirs += (g0, g1, g2)
+            values += ((e0 + f0) / 2.0, (e1 + f1) / 2.0, (e2 + f2) / 2.0, length, g0, g1, g2)
             pairs += (i, j)
-    m = len(lengths)
-    return (np.array(mids).reshape(m, 3), np.array(lengths, dtype=float),
-            np.array(dirs).reshape(m, 3), np.array(pairs, dtype=np.intp).reshape(m, 2))
+    block = np.array(values, dtype=float).reshape(-1, 7)
+    return (block[:, :3], block[:, 3], block[:, 4:],
+            np.array(pairs, dtype=np.intp).reshape(-1, 2))
 
 
 def _flat_rows(bases: np.ndarray, offs: np.ndarray) -> np.ndarray:

@@ -2,13 +2,15 @@
 the non-Poisson cube-based constructions with prescribed factorial moments.
 
 Flat samples are stored as basis/offset arrays for speed: the `read_only`
-copies of what they are given, checked once by `check_orthonormal`, so
-`FlatSample.flats`, the `flat_views` of the stacks, cannot fail, and no
-caller can change a sample after its check.  Directions come from
-`flat_geometry.haar_bases`; a Poisson offset is a standard normal vector
-projected onto the direction's orthogonal complement, rescaled into its
-disk.  Every sampler accepts a seed (int or sequence) or a ready numpy
-Generator; identical seeds reproduce samples byte for byte.
+copies of what they are given, checked once by `check_orthonormal`, whose
+one Gram product of the rows [bases; offset] also gives the offset norms
+that the window radius bounds, so `FlatSample.flats`, the `flat_views` of
+the stacks, cannot fail, and no caller can change a sample after its check.
+Directions come from `flat_geometry.haar_bases`; a Poisson offset is a
+standard normal vector projected onto the direction's orthogonal complement
+(for lines one dot product per pass), rescaled into its disk.  Every sampler
+accepts a seed (int or sequence) or a ready numpy Generator; identical seeds
+reproduce samples byte for byte.
 """
 from __future__ import annotations
 
@@ -83,11 +85,7 @@ class FlatSample:
         offsets = read_only(self.offsets).reshape(-1, self.n)
         if bases.shape[0] != offsets.shape[0]:
             raise ValueError("bases and offsets must pair up")
-        # written `not x <= bound`, so NaN fails it too
-        if offsets.shape[0] and \
-                not np.einsum("mn,mn->m", offsets, offsets).max() <= (self.radius + 1e-9) ** 2:
-            raise ValueError("offset norms must not exceed the window radius")
-        check_orthonormal(bases, offsets)
+        check_orthonormal(bases, offsets, self.radius)  # offset norms first, then the rest
         vars(self).update(bases=bases, offsets=offsets)
 
     def __len__(self) -> int:
@@ -200,12 +198,23 @@ def sample_poisson(spec: FlatProcessSpec, radius: float, rng: SeedLike) -> FlatS
     if n == k:
         return FlatSample(n, k, radius, bases, np.zeros((count, n)), record)
     z = gen.standard_normal((count, n))
-    z -= np.einsum("mk,mkn->mn", np.einsum("mkn,mn->mk", bases, z), bases)
+    _project_off(bases, z)
     z *= (radius * gen.random(count) ** (1.0 / (n - k))
           / np.sqrt(np.einsum("mn,mn->m", z, z)))[:, None]
     # again: the rescaling magnifies the first pass's round-off along L
-    z -= np.einsum("mk,mkn->mn", np.einsum("mkn,mn->mk", bases, z), bases)
+    _project_off(bases, z)
     return FlatSample(n, k, radius, bases, z, record)
+
+
+def _project_off(bases: np.ndarray, z: np.ndarray) -> None:
+    """z less its projection onto the row span of each (k, n) basis, in
+    place.  For lines one dot product and a broadcast product: the bits of
+    the stacked pair of einsums, whose sum over k has a single term."""
+    if bases.shape[1] == 1:
+        u = bases[:, 0]
+        z -= np.einsum("mn,mn->m", u, z)[:, None] * u
+    else:
+        z -= np.einsum("mk,mkn->mn", np.einsum("mkn,mn->mk", bases, z), bases)
 
 
 def sample_cube_process(d: int, dist: FactorialDistribution,

@@ -1,4 +1,7 @@
-"""Scalar geometry that only the tests use: an independent intersection solve
+"""Scalar geometry that only the tests use: the stacked einsum offset
+projection and the np.linalg.norm normalization that `sample_poisson` and
+`q_factors` used on lines, which their one-dot and wrapper-free forms must
+match byte for byte, an independent intersection solve
 (one `lstsq` and one SVD per tuple) that the batched `tuple_intersections`
 is compared against, the stacked Gram solve of flat pairs that the k >= 2
 branch of `pair_segments` is compared against, the SVD complement that
@@ -23,6 +26,32 @@ from flatproc.flat_geometry import (BLOCK_ROWS, GENERAL_POSITION_TOL, Degenerate
 from flatproc.measures import SphereMeasure
 from flatproc.simulator import FlatSample
 from flatproc.zonoid_engine import from_measure, intrinsic_volume
+
+
+def norm_q_factors(g: np.ndarray) -> np.ndarray:
+    """Lines of an (m, 1, n) stack normalized by np.linalg.norm."""
+    return g / np.linalg.norm(g, axis=2, keepdims=True)
+
+
+def einsum_project_off(bases: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z less its projection onto the row span of each (k, n) basis, by the
+    stacked pair of einsums."""
+    return z - np.einsum("mk,mkn->mn", np.einsum("mkn,mn->mk", bases, z), bases)
+
+
+def einsum_poisson_lines(n: int, gamma: float, radius: float, seed: int):
+    """(bases, offsets) of `sample_poisson` for isotropic lines of intensity
+    gamma in R^n, drawn from the same stream in the same order with
+    `norm_q_factors` and `einsum_project_off`."""
+    gen = np.random.default_rng(seed)
+    count = int(gen.poisson(gamma * constants.ball_volume(n - 1) * radius ** (n - 1)))
+    if count == 0:
+        return np.zeros((0, 1, n)), np.zeros((0, n))
+    bases = norm_q_factors(gen.standard_normal((count, 1, n)))
+    z = einsum_project_off(bases, gen.standard_normal((count, n)))
+    z *= (radius * gen.random(count) ** (1.0 / (n - 1))
+          / np.sqrt(np.einsum("mn,mn->m", z, z)))[:, None]
+    return bases, einsum_project_off(bases, z)
 
 
 def svd_complement_bases(bases: np.ndarray) -> np.ndarray:

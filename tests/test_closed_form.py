@@ -450,6 +450,22 @@ def test_rescaled_window_is_the_grown_ball_or_box(rho):
     assert ball.contains(faces[7:]).all() and not ball.contains(outside[7:]).any()
 
 
+def test_window_contains_takes_lists_points_and_integers_as_float_points():
+    # a 2-D float array is tested as it is; anything else is converted first
+    box, ball = WindowDescriptor.box((2.0, 4.0, 1.0)), WindowDescriptor.ball(1.5)
+    points = [[1, 2, 0], [1, 0, 1], [0, 0, 0], [-1, -2, -1]]
+    for window, expected in ((box, [True, False, True, False]),
+                             (ball, [False, True, True, False])):
+        for given in (points, np.array(points), np.array(points, dtype=np.int32),
+                      np.array(points, dtype=float), np.array(points, dtype=np.float32)):
+            assert window.contains(given).tolist() == expected
+        for i, point in enumerate(points):  # one point, as a list or a 1-D array
+            for given in (point, np.array(point), np.array(point, dtype=float)):
+                assert window.contains(given).tolist() == [expected[i]]
+    assert WindowDescriptor.box((2.0, 4.0, 1.0)).circumradius() == box.circumradius() \
+        == 0.5 * math.sqrt(21.0)
+
+
 @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, 0.0, -2.0])
 @pytest.mark.parametrize("window", [WindowDescriptor.ball(1.0), WindowDescriptor.box((1.0, 2.0))],
                          ids=["ball", "box"])

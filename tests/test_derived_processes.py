@@ -1397,6 +1397,40 @@ def test_segment_sample_validation():
                              np.array([[0.0, 0.0, 1.0 + 2e-9]]), np.array([[0, 1]]))
 
 
+def test_segment_directions_pass_exactly_when_u_dot_u_is_within_the_tolerance_of_1():
+    # the container reads |u.u - 1| <= 1e-9 (2 - 1e-9) as bounds on u.u: the
+    # same accepted set, checked on 60 consecutive doubles x around each end
+    # (u = (x, 0, 0), u.u = x^2) and on lengths at 0 and at delta + 1e-12
+    tol = 1e-9 * (2.0 - 1e-9)
+
+    def accepted(direction, length=0.5):
+        try:
+            SegmentProcessSample(3, 1.0, 10.0, np.zeros((2, 3)), np.array([0.5, length]),
+                                 np.array([E[2], direction]), np.array([[0, 1], [0, 2]]))
+        except ValueError as error:
+            assert str(error) in ("segment directions must be unit vectors",
+                                  "segment lengths must lie in (0, delta]")
+            return False
+        return True
+
+    verdicts = []
+    for end in (1.0 - tol, 1.0 + tol):
+        x = math.sqrt(end)
+        for _ in range(30):
+            x = np.nextafter(x, 0.0)
+        for _ in range(60):
+            verdicts.append(accepted(np.array([x, 0.0, 0.0])))
+            assert verdicts[-1] == (abs(x * x - 1.0) <= tol)
+            x = np.nextafter(x, 2.0)
+    # each scan crosses its end once: rejected then accepted below 1, the reverse above
+    low, high = verdicts[:60], verdicts[60:]
+    assert low == sorted(low) and high == sorted(high, reverse=True)
+    assert 0 < low.count(True) < 60 and 0 < high.count(True) < 60
+    delta_cut = 1.0 + 1e-12
+    assert accepted(E[0], delta_cut) and not accepted(E[0], np.nextafter(delta_cut, 2.0))
+    assert accepted(E[0], 5e-324) and not accepted(E[0], 0.0) and not accepted(E[0], -0.0)
+
+
 def test_segments_csv_format(tmp_path):
     seg = proximity(skew_orthogonal_lines(0.8), delta=2.0)
     path = tmp_path / "segments.csv"

@@ -358,6 +358,64 @@ def test_one_tuple_intersection_drops_parallel_planes():
     assert one_intersection(planes) is None
 
 
+def exact_closest_midpoint(e: Flat, f: Flat) -> list[float]:
+    """Midpoint of the closest points of two flats, solved exactly in
+    rationals from the floats they hold: the normal equations of
+    min |(a - b) + G^T w|, G = [B_E; -B_F], by Gauss-Jordan elimination,
+    rounded once at the end."""
+    from fractions import Fraction
+
+    be, bf = ([[Fraction(x) for x in row] for row in flat.direction.basis.tolist()]
+              for flat in (e, f))
+    a, b = ([Fraction(x) for x in flat.offset.tolist()] for flat in (e, f))
+    g = be + [[-x for x in row] for row in bf]
+    d = [x - y for x, y in zip(a, b)]
+    p = len(g)
+    rows = [[sum(x * y for x, y in zip(g[i], g[j])) for j in range(p)]
+            + [-sum(x * y for x, y in zip(g[i], d))] for i in range(p)]
+    for c in range(p):  # G G^T is positive definite: no pivoting needed
+        for r in range(p):
+            if r != c and rows[r][c]:
+                ratio = rows[r][c] / rows[c][c]
+                rows[r] = [x - ratio * y for x, y in zip(rows[r], rows[c])]
+    w = [rows[i][p] / rows[i][i] for i in range(p)]
+    k = len(be)
+    foot_e = [x + sum(w[i] * be[i][j] for i in range(k)) for j, x in enumerate(a)]
+    foot_f = [x + sum(w[k + i] * bf[i][j] for i in range(len(bf))) for j, x in enumerate(b)]
+    return [float((x + y) / 2) for x, y in zip(foot_e, foot_f)]
+
+
+@pytest.mark.parametrize("volume", [1e-4, 1e-3])
+def test_closest_pair_midpoints_of_near_parallel_planes_match_an_exact_solve(volume):
+    # planes of R^5 with [E, F] = volume (F turned by arcsin(volume) out of E
+    # along one direction, the pair then rotated at random), offsets of norm up
+    # to 2.5.  G = [B_E; -B_F] has singular values from about volume / sqrt(2)
+    # to sqrt(2), so a backward-stable least-squares solve, whose backward error
+    # is about n eps, moves the feet by about (condition number) (|w| +
+    # (condition number) |gap|) n eps <= 16 n eps max(R, 1) / [E, F]^2 to first
+    # order, R the larger offset norm (|w| <= 4 R / [E, F], |gap| <= 2 R).
+    # The normal equations square the condition number: their error grows like
+    # eps R / [E, F]^3, hundreds of times this bound here
+    rng = np.random.default_rng(361)
+    e5 = np.eye(5)
+    turn = math.asin(volume)
+    for _ in range(20):
+        rotation = random_rotation(5, rng)
+        be = np.stack([e5[0], e5[1]]) @ rotation.T
+        bf = np.stack([e5[2], math.cos(turn) * e5[1] + math.sin(turn) * e5[3]]) @ rotation.T
+        flats = []
+        for basis in (be, bf):
+            x = rng.standard_normal(5)
+            x -= (x @ basis.T) @ basis
+            flats.append(Flat(Subspace(basis), x * rng.uniform(0.2, 2.5) / np.linalg.norm(x)))
+        e, f = flats
+        assert subspace_determinant([e.direction, f.direction]) == pytest.approx(volume, rel=1e-6)
+        reach = max(np.linalg.norm(e.offset), np.linalg.norm(f.offset))
+        tol = 16 * 5 * 2.0 ** -53 * max(reach, 1.0) / volume ** 2
+        error = np.max(np.abs(closest_pair(e, f).midpoint - exact_closest_midpoint(e, f)))
+        assert error <= tol
+
+
 def test_closest_pair_rejects_mixed_spaces_and_dimension_sums_of_n():
     # k1 + k2 >= n pairs intersect: tuple_intersections solves them
     plane = through_point(Subspace(E[:2]), np.zeros(3))

@@ -156,6 +156,66 @@ def test_flat_sample_rejects_nan():
                    np.array([[0.0, 0.0, 0.5]]))
 
 
+def test_flat_sample_tests_radius_then_offsets_then_rows():
+    # one Gram product serves three tests, which keep their order and
+    # messages: offset norms against the radius, offsets orthogonal to their
+    # rows, rows orthonormal; a row 2e-10 off orthonormal and an offset 5e-10
+    # off orthogonal each fail their test
+    radius_msg = "offset norms must not exceed the window radius"
+    offset_msg = "offset is not orthogonal to the direction subspace"
+    rows_msg = "basis rows are not orthonormal"
+    long_row = (1.0 + 1e-10) * E3[0]  # u.u - 1 = 2e-10
+    tilted = 0.5 * E3[1] + 5e-10 * E3[0]  # u.a = 5e-10
+    cases = [(E3[0], tilted, 1.0, offset_msg), (long_row, 0.5 * E3[1], 1.0, rows_msg),
+             (long_row, tilted, 1.0, offset_msg), (long_row, tilted + 2.0 * E3[2], 1.0, radius_msg),
+             (long_row, np.array([0.0, np.nan, 0.0]), 1.0, radius_msg),
+             (E3[0], 0.5 * E3[1], 0.5 - 2e-9, radius_msg)]
+    for row, offset, radius, message in cases:
+        bases, offsets = np.array([[E3[0]], [row]]), np.array([0.3 * E3[2], offset])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FlatSample(3, 1, radius, bases, offsets)
+    FlatSample(3, 1, 0.5, np.array([[E3[0]]]), np.array([0.5 * E3[1]]))  # at the radius
+    # planes: rows 2e-10 from orthogonal, then an offset 5e-10 off the plane too
+    plane = np.array([[E3[0], E3[1] + 2e-10 * E3[0]]])
+    with pytest.raises(ValueError, match=f"^{rows_msg}$"):
+        FlatSample(3, 2, 1.0, plane, np.array([0.5 * E3[2]]))
+    with pytest.raises(ValueError, match=f"^{offset_msg}$"):
+        FlatSample(3, 2, 1.0, plane, np.array([0.5 * E3[2] + 5e-10 * E3[1]]))
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (4, 1)])
+def test_sample_poisson_checks_once_with_one_gram_product(monkeypatch, n, k):
+    # one check_orthonormal call per sample, and no einsum of the held offsets
+    # with themselves beside it: their norms come from the check's Gram product
+    from flatproc import simulator
+
+    checks, einsums, check, einsum = [], [], simulator.check_orthonormal, np.einsum
+    monkeypatch.setattr(simulator, "check_orthonormal",
+                        lambda *args: checks.append(args) or check(*args))
+    monkeypatch.setattr(np, "einsum",
+                        lambda *args, **kwargs: einsums.append(args) or einsum(*args, **kwargs))
+    sample = sample_poisson(iso_spec(n, k), 1.7, 360)
+    assert len(sample) > 3 and len(checks) == 1 and einsums
+    for _, *operands in einsums:
+        assert not any(np.shares_memory(x, sample.offsets) for x in operands)
+
+
+def test_line_samples_keep_the_einsum_projection_bytes():
+    # the lines' one-dot projection and wrapper-free normalization give the
+    # stacked einsums' and np.linalg.norm's bytes; about 20 lines a sample
+    from _reference import einsum_poisson_lines
+
+    for n in range(2, 8):
+        for radius in (0.5, 1.37, 4.5):
+            gamma = 20.0 / (constants.ball_volume(n - 1) * radius ** (n - 1))
+            spec = iso_spec(n, 1, gamma)
+            for seed in range(200):
+                sample = sample_poisson(spec, radius, seed)
+                bases, offsets = einsum_poisson_lines(n, gamma, radius, seed)
+                assert sample.bases.tobytes() == bases.tobytes()
+                assert sample.offsets.tobytes() == offsets.tobytes()
+
+
 @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0, -2.0])
 def test_flat_sample_and_samplers_reject_bad_radius(radius):
     # an empty sample has no offset to compare the radius with; the samplers
